@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,9 +45,18 @@ def _check_keys(obj: dict, ctx: str, required: set[str], optional: set[str] = fr
 
 
 def _number(obj, ctx):
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise ConfigError(f"{ctx}: expected a number")
+    # json.loads accepts NaN and Infinity, and overflows 1e400 to inf
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool) or not math.isfinite(obj):
+        raise ConfigError(f"{ctx}: expected a finite number")
     return float(obj)
+
+
+def _integer(obj, ctx, lo: int, hi: int | None = None) -> int:
+    if (not isinstance(obj, int) or isinstance(obj, bool) or obj < lo
+            or (hi is not None and obj > hi)):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ConfigError(f"{ctx}: expected an integer {bounds}")
+    return obj
 
 
 def _parse_constants(cfg: dict) -> spinmodel.SpinConstants:
@@ -97,7 +105,7 @@ def _parse_noise(cfg: dict, seed_override: int | None) -> reconstruct.NoiseConfi
     return reconstruct.NoiseConfig(
         rate_kcps=_number(block["rate_kcps"], "noise.rate_kcps"),
         dwell_s=_number(block["dwell_s"], "noise.dwell_s"),
-        seed=int(seed),
+        seed=_integer(seed, "noise.seed", 0),
     )
 
 
@@ -112,20 +120,12 @@ def _parse_wire(cfg: dict) -> tuple[list[tuple[float, float]], float, float]:
     if (not isinstance(positions, list) or not positions
             or any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in positions)):
         raise ConfigError("wire.positions_um: expected a nonempty list of [x, z] pairs")
-    return [(float(x), float(z)) for x, z in positions], current, diameter
-
-
-def _parse_nv_index(cfg: dict, key: str = "nv_index") -> int:
-    idx = cfg.get(key)
-    if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx <= 3:
-        raise ConfigError(f"{key}: expected an integer in 0..3")
-    return idx
+    return ([(_number(x, "wire.positions_um"), _number(z, "wire.positions_um"))
+             for x, z in positions], current, diameter)
 
 
 def _chain_config(cfg: dict, seed_override: int | None) -> reconstruct.ChainConfig:
-    psi_count = cfg.get("psi_count", 12)
-    if not isinstance(psi_count, int) or psi_count < 4:
-        raise ConfigError("psi_count: expected an integer >= 4")
+    psi_count = _integer(cfg.get("psi_count", 12), "psi_count", 4)
     return reconstruct.ChainConfig(
         constants=_parse_constants(cfg),
         b_static_mt=_number(cfg.get("static_field_mt", 10.2), "static_field_mt"),
@@ -155,13 +155,6 @@ def _write_report(out_dir: Path, stem: str, header: list[str], rows, fmt: str) -
     return name
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Mode runners: each returns the list of output file names it wrote
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ def _parallel_map(fn, items, workers: int):
 _COMMON_KEYS = {"mode", "constants", "lineshape", "frequency_grid_mhz", "noise"}
 
 
-def _run_simulate(cfg, out_dir, seed, fmt, workers):
+def _run_simulate(cfg, out_dir, seed, fmt):
     _check_keys(cfg, "config", {"mode", "static", "mw"},
                 _COMMON_KEYS)
     st = cfg["static"]
@@ -206,16 +199,18 @@ def _run_simulate(cfg, out_dir, seed, fmt, workers):
     return outputs
 
 
-def _run_fit(cfg, out_dir, seed, fmt, workers):
+def _run_fit(cfg, out_dir, seed, fmt):
     _check_keys(cfg, "config", {"mode", "spectrum_csv", "init_centers_mhz"}, _COMMON_KEYS)
     centers = cfg["init_centers_mhz"]
     if not isinstance(centers, list) or not centers:
         raise ConfigError("init_centers_mhz: expected a nonempty list")
+    if not isinstance(cfg["spectrum_csv"], str):
+        raise ConfigError("spectrum_csv: expected a path string")
     path = Path(cfg["spectrum_csv"])
     if not path.exists():
         raise ConfigError(f"spectrum_csv: {path} not found")
     spec = odmrsim.spectrum_from_csv(path)
-    dips = fitkit.fit_dips(spec, [float(c) for c in centers])
+    dips = fitkit.fit_dips(spec, [_number(c, "init_centers_mhz") for c in centers])
     payload = [
         {"center_mhz": d.center_mhz, "fwhm_mhz": d.fwhm_mhz,
          "depth": d.depth, "depth_sigma": d.depth_sigma}
@@ -225,36 +220,35 @@ def _run_fit(cfg, out_dir, seed, fmt, workers):
     return ["dips.json"]
 
 
-def _planar_rows(cfg, seed, workers, nv_index, positions, current, diameter):
+def _planar_rows(cfg, seed, nv_index, positions, current, diameter):
     chain = _chain_config(cfg, seed)
-
-    def run_one(item):
-        x, z = item
-        scene = geometry.WireScene(x, z, current, diameter)
-        res = reconstruct.end_to_end_planar(scene, nv_index, chain)
-        return (x, z, res.alpha_est_deg, res.alpha_partner_deg,
-                res.alpha_theory_deg, res.error_deg)
-
-    return _parallel_map(run_one, positions, workers)
+    rows = []
+    for x, z in positions:
+        res = reconstruct.end_to_end_planar(geometry.WireScene(x, z, current, diameter),
+                                            nv_index, chain)
+        rows.append((x, z, res.alpha_est_deg, res.alpha_partner_deg,
+                     res.alpha_theory_deg, res.error_deg))
+    return rows
 
 
-def _run_reconstruct_planar(cfg, out_dir, seed, fmt, workers):
+def _run_reconstruct_planar(cfg, out_dir, seed, fmt):
     _check_keys(cfg, "config", {"mode", "wire", "nv_index"},
                 _COMMON_KEYS | {"static_field_mt", "psi_count"})
     positions, current, diameter = _parse_wire(cfg)
-    rows = _planar_rows(cfg, seed, workers, _parse_nv_index(cfg), positions, current, diameter)
+    nv_index = _integer(cfg["nv_index"], "nv_index", 0, 3)
+    rows = _planar_rows(cfg, seed, nv_index, positions, current, diameter)
     name = _write_report(out_dir, "planar",
                          ["x_um", "z_um", "alpha_est_deg", "alpha_partner_deg",
                           "alpha_theory_deg", "error_deg"], rows, fmt)
     return [name]
 
 
-def _run_table1(cfg, out_dir, seed, fmt, workers):
+def _run_table1(cfg, out_dir, seed, fmt):
     _check_keys(cfg, "config", {"mode", "wire"},
                 _COMMON_KEYS | {"static_field_mt", "psi_count", "nv_index"})
     positions, current, diameter = _parse_wire(cfg)
-    nv_index = _parse_nv_index(cfg) if "nv_index" in cfg else reconstruct.NV1_AXIS_INDEX
-    rows = _planar_rows(cfg, seed, workers, nv_index, positions, current, diameter)
+    nv_index = _integer(cfg.get("nv_index", reconstruct.NV1_AXIS_INDEX), "nv_index", 0, 3)
+    rows = _planar_rows(cfg, seed, nv_index, positions, current, diameter)
     table = [(x, z, est, theory, err) for x, z, est, _, theory, err in rows]
     name = _write_report(out_dir, "table1",
                          ["x_um", "z_um", "alpha_est_deg", "alpha_theory_deg", "error_deg"],
@@ -262,27 +256,26 @@ def _run_table1(cfg, out_dir, seed, fmt, workers):
     return [name]
 
 
-def _run_reconstruct_3d(cfg, out_dir, seed, fmt, workers):
+def _run_reconstruct_3d(cfg, out_dir, seed, fmt):
     _check_keys(cfg, "config", {"mode", "wire", "nv_indices"},
                 _COMMON_KEYS | {"static_field_mt", "psi_count", "measured_y_axes"})
     positions, current, diameter = _parse_wire(cfg)
     if len(positions) != 1:
         raise ConfigError("reconstruct-3d: exactly one wire position expected")
     indices = cfg["nv_indices"]
-    if (not isinstance(indices, list) or len(indices) != 2
-            or any(not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= 3
-                   for i in indices)):
+    if not isinstance(indices, list) or len(indices) != 2:
         raise ConfigError("nv_indices: expected two integers in 0..3")
+    indices = [_integer(i, "nv_indices", 0, 3) for i in indices]
     x, z = positions[0]
     scene = geometry.WireScene(x, z, current, diameter)
     truth = geometry.mw_direction(scene)
     measured = cfg.get("measured_y_axes")
     if measured is not None:
         if (not isinstance(measured, list) or len(measured) != 2
-                or any(len(v) != 3 for v in measured)):
+                or any(not isinstance(v, list) or len(v) != 3 for v in measured)):
             raise ConfigError("measured_y_axes: expected two 3-vectors")
-        y1 = reconstruct.NvYEstimate(geometry.unit(np.array(measured[0], dtype=float)), 0.0)
-        y2 = reconstruct.NvYEstimate(geometry.unit(np.array(measured[1], dtype=float)), 0.0)
+        y1, y2 = (reconstruct.NvYEstimate(geometry.unit(np.array(
+            [_number(c, "measured_y_axes") for c in v])), 0.0) for v in measured)
         est = reconstruct.mw_axis_from_two(y1, y2, truth_axis=truth)
     else:
         est = reconstruct.end_to_end_3d(scene, (indices[0], indices[1]),
@@ -297,7 +290,7 @@ def _run_reconstruct_3d(cfg, out_dir, seed, fmt, workers):
     return ["reconstruct3d.json"]
 
 
-def _run_fieldmap(cfg, out_dir, seed, fmt, workers):
+def _run_fieldmap(cfg, out_dir, seed, fmt):
     _check_keys(cfg, "config", {"mode", "grid_um"}, _COMMON_KEYS)
     block = cfg["grid_um"]
     _check_keys(block, "grid_um", {"x", "z"})
@@ -318,11 +311,13 @@ def _run_fieldmap(cfg, out_dir, seed, fmt, workers):
                 continue
             m = geometry.wire_tangent(x, z)
             rows.append((x, z, float(m[0]), float(m[2])))
+    if not rows:
+        raise ConfigError("grid_um: no grid point away from the wire center")
     name = _write_report(out_dir, "fieldmap", ["x_um", "z_um", "mx", "mz"], rows, fmt)
     return [name]
 
 
-def _run_sensitivity(cfg, out_dir, seed, fmt, workers):
+def _run_sensitivity(cfg, out_dir, seed, fmt):
     _check_keys(cfg, "config", {"mode", "phi_deg"},
                 {"mode", "sigma_rel", "rate_kcps", "contrast", "time_s", "n", "t"})
     phi = math.radians(_number(cfg["phi_deg"], "phi_deg"))
@@ -335,7 +330,7 @@ def _run_sensitivity(cfg, out_dir, seed, fmt, workers):
             _number(cfg["time_s"], "time_s"))
     else:
         raise ConfigError("sensitivity: need sigma_rel or rate_kcps+contrast+time_s")
-    n = cfg.get("n", 1)
+    n = _integer(cfg.get("n", 1), "n", 1)
     t = _number(cfg.get("t", 1.0), "t")
     try:
         inp = sensitivity.SensitivityInput(phi=phi, sigma_rel=sigma_rel, n=n, t=t)
@@ -361,7 +356,7 @@ _RUNNERS = {
 
 
 def run(mode: str, config_path, out_dir, seed: int | None = None,
-        fmt: str = "csv", workers: int = 1) -> int:
+        fmt: str = "csv") -> int:
     """Execute one scenario; returns the process exit code."""
     out_dir = Path(out_dir)
     started = datetime.now(timezone.utc).isoformat()
@@ -378,7 +373,7 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {fmt!r}")
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _RUNNERS[mode](cfg, out_dir, seed, fmt, workers)
+        outputs = _RUNNERS[mode](cfg, out_dir, seed, fmt)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -412,15 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config noise seed")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="worker threads for batch positions")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return run(args.mode, args.config, args.out, seed=args.seed,
-               fmt=args.format, workers=max(1, args.parallel))
+    return run(args.mode, args.config, args.out, seed=args.seed, fmt=args.format)
 
 
 if __name__ == "__main__":

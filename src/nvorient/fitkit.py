@@ -1,6 +1,6 @@
 """Damped Gauss-Newton (Levenberg-Marquardt) fitting plus the two models the
-pipeline needs: multi-Lorentzian dip extraction and the a*cos^2(psi-psi0)+b
-intensity law.
+pipeline needs: multi-Lorentzian dip extraction (by LM) and the
+a*cos^2(psi-psi0)+b intensity law (by linear least squares, in closed form).
 """
 
 from __future__ import annotations
@@ -246,6 +246,14 @@ def fit_dips(
 # a*cos^2(psi - psi0) + b intensity law
 # ---------------------------------------------------------------------------
 
+# Depths are fractions of a unit fluorescence baseline, which float64 resolves
+# only to machine epsilon.  A modulation amplitude below that is rounding, not
+# signal: without microwaves the noiseless depths are ~1e-17 and the fitted
+# amplitude and its unweighted sigma are both below 1e-32, so a > 3*sigma_a
+# alone can pass on rounding.
+AMPLITUDE_FLOOR = float(np.finfo(float).eps)
+
+
 @dataclass
 class Cos2Fit:
     a: float
@@ -253,31 +261,17 @@ class Cos2Fit:
     psi0: float
     sigma_psi0: float
     sigma_a: float
-    fit: FitResult
-
-
-def _cos2_model(params: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    a, b, psi0 = params
-    return a * np.cos(psis - psi0) ** 2 + b
-
-
-def _cos2_jacobian(params: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    a, _, psi0 = params
-    d = psis - psi0
-    jac = np.empty((psis.size, 3))
-    jac[:, 0] = np.cos(d) ** 2
-    jac[:, 1] = 1.0
-    jac[:, 2] = a * np.sin(2.0 * d)
-    return jac
 
 
 def fit_cos2(psis, depths, depth_sigmas=None) -> Cos2Fit:
     """Weighted fit of a*cos^2(psi-psi0)+b with psi0 reported in [0, pi).
 
-    psi0 is initialized by a 180-point grid scan (linear in a, b at each trial
-    phase) before the nonlinear refinement, avoiding the period-pi local
-    minimum.  Raises DegenerateFitError when the fitted amplitude is not
-    significant (a <= 3*sigma_a).
+    The model equals c0 + c1*cos(2 psi) + c2*sin(2 psi), so weighted linear
+    least squares gives the exact minimum: psi0 = atan2(c2, c1)/2, a = 2|c|,
+    b = c0 - |c|.  Uncertainties follow from the linear covariance by the
+    delta method, scaled by the reduced chi-square when unweighted.  Raises
+    DegenerateFitError when the amplitude is not significant (a <= 3*sigma_a)
+    or below AMPLITUDE_FLOOR.
     """
     psis = np.asarray(psis, dtype=float)
     depths = np.asarray(depths, dtype=float)
@@ -292,29 +286,29 @@ def fit_cos2(psis, depths, depth_sigmas=None) -> Cos2Fit:
     else:
         w = np.ones_like(depths)
 
-    best = None
-    for psi0 in np.linspace(0.0, math.pi, 180, endpoint=False):
-        design = np.column_stack([np.cos(psis - psi0) ** 2, np.ones_like(psis)]) * w[:, None]
-        sol, *_ = np.linalg.lstsq(design, depths * w, rcond=None)
-        r = design @ sol - depths * w
-        cost = float(r @ r)
-        if best is None or cost < best[0]:
-            best = (cost, psi0, sol)
-    _, psi0, (a0, b0) = best
-
-    res = lambda p: (_cos2_model(p, psis) - depths) * w
-    jac = lambda p: _cos2_jacobian(p, psis) * w[:, None]
-    fit = nls_fit(res, np.array([a0, b0, psi0]), jacobian=jac, tol=1e-14,
-                  scale_covariance=depth_sigmas is None)
-    a, b, psi0 = fit.params
-    if a < 0:  # -A*cos^2(x) + b == A*cos^2(x - pi/2) + (b - A)
-        a, b, psi0 = -a, b + a, psi0 + math.pi / 2.0
-    psi0 = psi0 % math.pi
-    sig = fit.sigmas if fit.sigmas is not None else np.full(3, np.nan)
-    sigma_a, sigma_psi0 = float(sig[0]), float(sig[2])
-    if not np.isfinite(sigma_a) or a <= 3.0 * sigma_a:
+    design = np.column_stack([np.ones_like(psis), np.cos(2.0 * psis), np.sin(2.0 * psis)])
+    design *= w[:, None]
+    coef, _, rank, _ = np.linalg.lstsq(design, depths * w, rcond=None)
+    if rank < 3:
+        raise DegenerateFitError("psi values determine fewer than three model terms")
+    cov = np.linalg.inv(design.T @ design)
+    if depth_sigmas is None:
+        r = design @ coef - depths * w
+        cov *= float(r @ r) / (psis.size - 3)
+    c0, c = coef[0], coef[1:]
+    half = float(np.hypot(*c))
+    a = 2.0 * half
+    if not a > AMPLITUDE_FLOOR:
+        raise DegenerateFitError(
+            f"modulation amplitude {a:.3g} below the float64 resolution of the baseline")
+    # delta method: d|c|/dc = c/|c| and d(psi0)/dc = (-c2, c1)/(2|c|^2)
+    cov_c = cov[1:, 1:]
+    sigma_a = 2.0 * math.sqrt(max(float(c @ cov_c @ c), 0.0)) / half
+    if not a > 3.0 * sigma_a:
         raise DegenerateFitError(
             f"modulation amplitude {a:.3g} not significant (sigma {sigma_a:.3g})"
         )
-    return Cos2Fit(a=float(a), b=float(b), psi0=float(psi0),
-                   sigma_psi0=sigma_psi0, sigma_a=sigma_a, fit=fit)
+    c_perp = np.array([-c[1], c[0]])
+    sigma_psi0 = 0.5 * math.sqrt(max(float(c_perp @ cov_c @ c_perp), 0.0)) / (half * half)
+    return Cos2Fit(a=a, b=float(c0) - half, psi0=0.5 * math.atan2(c[1], c[0]) % math.pi,
+                   sigma_psi0=sigma_psi0, sigma_a=sigma_a)

@@ -225,10 +225,11 @@ def spectrum_to_json_dict(spec: OdmrSpectrum, shape: LineshapeParams | None = No
 
 
 def noisy_copy_with_subseed(spec: OdmrSpectrum, rate_kcps: float, dwell_s: float,
-                            seed: int, index: int) -> OdmrSpectrum:
-    """Shot noise with a per-task child seed derived from (seed, index).
+                            seed: int, *key: int) -> OdmrSpectrum:
+    """Shot noise with a per-task child seed derived from (seed, key).
 
-    SeedSequence spawning keeps batch results independent of execution order.
+    SeedSequence spawning keeps batch results independent of execution order;
+    distinct key tuples, such as (slot, index), never share a stream.
     """
-    child = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    child = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return add_shot_noise(spec, rate_kcps, dwell_s, child)

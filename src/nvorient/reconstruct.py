@@ -85,47 +85,37 @@ def _circ_dist(a_deg: float, b_deg: float) -> float:
     return min(d, 360.0 - d)
 
 
+def _planar_residual_deg(u: np.ndarray, nv_z: np.ndarray, alpha_deg: float) -> float:
+    """Line angle between u and nv_z x m(alpha); chord-based, stable to ~1e-8 deg."""
+    v = np.cross(nv_z, _planar_mw(alpha_deg))
+    n = np.linalg.norm(v)
+    if n < 1e-12:
+        return 90.0
+    w = v / n
+    if float(u @ w) < 0.0:
+        w = -w
+    return math.degrees(2.0 * math.asin(min(1.0, 0.5 * np.linalg.norm(u - w))))
+
+
 def planar_alpha(u: np.ndarray, nv_z: np.ndarray) -> PlanarAlphaResult:
     """Invert the perpendicular-axis measurement for an in-plane MW field.
 
-    Scans alpha over [0, 360) at 0.1 degree resolution, minimizing the line
-    angle between u and nv_z x m(alpha), then refines the bracket to 1e-6
-    degrees.  The pi-degenerate partner is always reported alongside.
+    The field m(alpha) = (sin a, 0, cos a) is perpendicular to both the
+    measured axis u (parallel to nv_z x m) and to Y_L, so m is parallel to
+    u x Y_L = (-u_z, 0, u_x) and alpha = atan2(-u_z, u_x) for any NV axis.
+    The residual (line angle between u and nv_z x m(alpha)) tests that u is
+    consistent with an in-plane field at all.  alpha is reported in [0, 180),
+    so the sign of u does not matter, with its pi-degenerate partner alongside.
     """
     u = unit(u)
     nv_z = unit(nv_z)
-
-    def mismatch(alpha_deg: float) -> float:
-        # chord-based line angle; stable down to ~1e-8 deg
-        v = np.cross(nv_z, _planar_mw(alpha_deg))
-        n = np.linalg.norm(v)
-        if n < 1e-12:
-            return 90.0
-        w = v / n
-        if float(u @ w) < 0.0:
-            w = -w
-        return math.degrees(2.0 * math.asin(min(1.0, 0.5 * np.linalg.norm(u - w))))
-
-    # vectorized coarse scan: maximize |cos| of the line angle
-    alphas = np.arange(0.0, 360.0, 0.1)
-    rad = np.radians(alphas)
-    mw = np.column_stack([np.sin(rad), np.zeros_like(rad), np.cos(rad)])
-    v = np.cross(np.broadcast_to(nv_z, mw.shape), mw)
-    score = np.abs(v @ u) / np.linalg.norm(v, axis=1)
-    best = float(alphas[int(np.argmax(score))])
-    step = 0.1
-    while step > 1e-8:
-        lo = best - step
-        cand = [lo + k * (step / 10.0) for k in range(21)]
-        best = min(cand, key=mismatch)
-        step /= 10.0
-    resid = mismatch(best)
+    alpha = math.degrees(math.atan2(-u[2], u[0])) % 180.0
+    resid = _planar_residual_deg(u, nv_z, alpha)
     if resid > 1.0:
         raise PlanarModelError(
             f"axis inconsistent with an in-plane microwave field (residual {resid:.3f} deg)"
         )
-    best %= 360.0
-    return PlanarAlphaResult(alpha_deg=best, partner_deg=(best + 180.0) % 360.0,
+    return PlanarAlphaResult(alpha_deg=alpha, partner_deg=(alpha + 180.0) % 360.0,
                              residual_deg=resid)
 
 
@@ -208,6 +198,28 @@ def sweep_lp_depths(sweep: odmrsim.SweepSeries, consts: SpinConstants,
     return np.array(depths), (np.array(sigmas) if noisy else None)
 
 
+def _measure_nv_y(scene: WireScene, nv_index: int, cfg: ChainConfig,
+                  noise_key: tuple[int, ...]) -> tuple[NvYEstimate, Cos2Fit]:
+    """simulate_phi_sweep -> shot noise -> sweep_lp_depths -> fit_cos2 -> extract_nv_y.
+
+    Spectrum i of the sweep draws its noise from spawn key (*noise_key, i).
+    """
+    basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
+    sweep = odmrsim.simulate_phi_sweep(cfg.constants, basis, cfg.b_static_mt,
+                                       geometry.mw_direction(scene),
+                                       geometry.wire_field_magnitude(scene),
+                                       cfg.shape, cfg.grid, cfg.psis)
+    if cfg.noise is not None:
+        sweep.spectra = [
+            odmrsim.noisy_copy_with_subseed(s, cfg.noise.rate_kcps, cfg.noise.dwell_s,
+                                            cfg.noise.seed, *noise_key, i)
+            for i, s in enumerate(sweep.spectra)
+        ]
+    depths, sigmas = sweep_lp_depths(sweep, cfg.constants, cfg.b_static_mt)
+    cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
+    return extract_nv_y(basis, cos2, source_nv=nv_index), cos2
+
+
 def end_to_end_planar(scene: WireScene, nv_index: int,
                       cfg: ChainConfig | None = None) -> PlanarRunResult:
     """simulate_phi_sweep -> fit_dips -> fit_cos2 -> extract_nv_y -> planar_alpha.
@@ -216,22 +228,9 @@ def end_to_end_planar(scene: WireScene, nv_index: int,
     error is the distance to the nearer member of the ambiguity pair.
     """
     cfg = cfg if cfg is not None else ChainConfig()
-    nv_z = geometry.crystallographic_axes()[nv_index]
-    basis = geometry.transverse_basis(nv_z)
+    nv_y, cos2 = _measure_nv_y(scene, nv_index, cfg, ())
+    pa = planar_alpha(nv_y.axis, geometry.crystallographic_axes()[nv_index])
     m = geometry.mw_direction(scene)
-    amplitude = geometry.wire_field_magnitude(scene)
-    sweep = odmrsim.simulate_phi_sweep(cfg.constants, basis, cfg.b_static_mt, m,
-                                       amplitude, cfg.shape, cfg.grid, cfg.psis)
-    if cfg.noise is not None:
-        sweep.spectra = [
-            odmrsim.noisy_copy_with_subseed(s, cfg.noise.rate_kcps, cfg.noise.dwell_s,
-                                            cfg.noise.seed, i)
-            for i, s in enumerate(sweep.spectra)
-        ]
-    depths, sigmas = sweep_lp_depths(sweep, cfg.constants, cfg.b_static_mt)
-    cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
-    nv_y = extract_nv_y(basis, cos2, source_nv=nv_index)
-    pa = planar_alpha(nv_y.axis, nv_z)
     truth = math.degrees(math.atan2(m[0], m[2])) % 360.0
     alpha_est = pa.nearest_to(truth)
     return PlanarRunResult(
@@ -246,27 +245,14 @@ def end_to_end_planar(scene: WireScene, nv_index: int,
 
 def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
                   cfg: ChainConfig | None = None) -> MwAxisEstimate:
-    """Two-orientation reconstruction of the full 3-D microwave axis."""
+    """Two-orientation reconstruction of the full 3-D microwave axis.
+
+    The sweep of slot k draws its noise from spawn keys (k, i).
+    """
     i1, i2 = nv_indices
     if i1 == i2:
         raise NearParallelAxesError("the two NV orientations must differ")
     cfg = cfg if cfg is not None else ChainConfig()
-    estimates = []
-    for slot, idx in enumerate(nv_indices):
-        nv_z = geometry.crystallographic_axes()[idx]
-        basis = geometry.transverse_basis(nv_z)
-        m = geometry.mw_direction(scene)
-        amplitude = geometry.wire_field_magnitude(scene)
-        sweep = odmrsim.simulate_phi_sweep(cfg.constants, basis, cfg.b_static_mt, m,
-                                           amplitude, cfg.shape, cfg.grid, cfg.psis)
-        if cfg.noise is not None:
-            sweep.spectra = [
-                odmrsim.noisy_copy_with_subseed(s, cfg.noise.rate_kcps, cfg.noise.dwell_s,
-                                                cfg.noise.seed, 1000 * slot + i)
-                for i, s in enumerate(sweep.spectra)
-            ]
-        depths, sigmas = sweep_lp_depths(sweep, cfg.constants, cfg.b_static_mt)
-        cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
-        estimates.append(extract_nv_y(basis, cos2, source_nv=idx))
-    return mw_axis_from_two(estimates[0], estimates[1],
-                            truth_axis=geometry.mw_direction(scene))
+    y1, _ = _measure_nv_y(scene, i1, cfg, (0,))
+    y2, _ = _measure_nv_y(scene, i2, cfg, (1,))
+    return mw_axis_from_two(y1, y2, truth_axis=geometry.mw_direction(scene))

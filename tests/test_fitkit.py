@@ -172,6 +172,46 @@ class TestFitCos2:
             fitkit.fit_cos2(self.PSIS, np.full(self.PSIS.size, 0.3),
                             np.full(self.PSIS.size, 0.01))
 
+    def test_zero_depths_degenerate(self):
+        # no microwave signal: the noiseless unweighted fit has a = sigma_a = 0
+        with pytest.raises(DegenerateFitError):
+            fitkit.fit_cos2(self.PSIS, np.zeros(self.PSIS.size))
+
+    def test_aliased_psis_degenerate(self):
+        # psi and psi + pi give the same cos^2: these angles fix only two of three terms
+        psis = [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi]
+        with pytest.raises(DegenerateFitError):
+            fitkit.fit_cos2(psis, [1.0, 0.2, 1.0, 0.2])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_lm_refinement(self, weighted):
+        # reference: Levenberg-Marquardt on a*cos^2(psi-psi0)+b, started at
+        # the closed form; it may only move by its stopping tolerance
+        rng = np.random.default_rng(8 + weighted)
+        for _ in range(40):
+            a, b, psi0 = rng.uniform(0.005, 0.02), rng.uniform(0.0, 0.01), rng.uniform(0.0, math.pi)
+            sig = rng.uniform(5e-4, 2e-3, self.PSIS.size)
+            y = a * np.cos(self.PSIS - psi0) ** 2 + b + sig * rng.standard_normal(self.PSIS.size)
+            w = 1.0 / sig if weighted else np.ones_like(sig)
+            fit = fitkit.fit_cos2(self.PSIS, y, sig if weighted else None)
+
+            def res(p):
+                return (p[0] * np.cos(self.PSIS - p[2]) ** 2 + p[1] - y) * w
+
+            def jac(p):
+                d = self.PSIS - p[2]
+                return np.column_stack([np.cos(d) ** 2, np.ones_like(d),
+                                        p[0] * np.sin(2.0 * d)]) * w[:, None]
+
+            ref = fitkit.nls_fit(res, np.array([fit.a, fit.b, fit.psi0]), jacobian=jac,
+                                 tol=1e-14, scale_covariance=not weighted)
+            assert ref.converged
+            assert abs(fit.a - ref.params[0]) <= 1e-7 * abs(ref.params[0])
+            assert abs(fit.b - ref.params[1]) <= 1e-7 * abs(ref.params[0])
+            assert abs(fit.psi0 - ref.params[2]) <= 1e-7
+            assert abs(fit.sigma_a - ref.sigmas[0]) <= 1e-7 * ref.sigmas[0]
+            assert abs(fit.sigma_psi0 - ref.sigmas[2]) <= 1e-7 * ref.sigmas[2]
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fitkit.fit_cos2([0.0, 0.1, 0.2], [1.0, 1.0, 1.0])

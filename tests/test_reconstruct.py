@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from nvorient import fitkit, geometry, odmrsim, reconstruct, spinmodel
 from nvorient.errors import NearParallelAxesError, PlanarModelError
 
-NV1 = geometry.crystallographic_axes()[reconstruct.NV1_AXIS_INDEX]
+AXES = geometry.crystallographic_axes()
+NV1 = AXES[reconstruct.NV1_AXIS_INDEX]
 NV2 = geometry.crystallographic_axes()[reconstruct.NV2_AXIS_INDEX]
 SCENE = geometry.WireScene(61.0, 18.0, 40.0)
 
@@ -17,8 +19,7 @@ def planar_mw(alpha_deg):
 
 
 def fake_cos2(psi0, sigma=1e-4):
-    return fitkit.Cos2Fit(a=1.0, b=0.0, psi0=psi0, sigma_psi0=sigma,
-                          sigma_a=1e-4, fit=None)
+    return fitkit.Cos2Fit(a=1.0, b=0.0, psi0=psi0, sigma_psi0=sigma, sigma_a=1e-4)
 
 
 class TestExtractNvY:
@@ -56,10 +57,10 @@ class TestMwAxisFromTwo:
 class TestPlanarAlpha:
     def test_forward_inverse_consistency(self):
         # the measured axis for an in-plane field is nv_z x m(alpha); the
-        # inversion must return alpha or its half-turn partner
-        for alpha in np.arange(0.0, 360.0, 7.3):
-            u = geometry.unit(np.cross(NV1, planar_mw(alpha)))
-            res = reconstruct.planar_alpha(u, NV1)
+        # inversion must return alpha or its half-turn partner, for every axis
+        for nv_z, alpha in itertools.product(AXES, np.arange(0.0, 360.0, 7.3)):
+            u = geometry.unit(np.cross(nv_z, planar_mw(alpha)))
+            res = reconstruct.planar_alpha(u, nv_z)
             d = min(reconstruct._circ_dist(res.alpha_deg, alpha),
                     reconstruct._circ_dist(res.partner_deg, alpha))
             assert d < 1e-6
@@ -83,8 +84,9 @@ class TestPlanarAlpha:
             reconstruct._circ_dist(a.alpha_deg, b.partner_deg) < 1e-6
 
     def test_inconsistent_axis_rejected(self):
-        with pytest.raises(PlanarModelError):
-            reconstruct.planar_alpha(NV1, NV1)
+        for nv_z in AXES:
+            with pytest.raises(PlanarModelError):
+                reconstruct.planar_alpha(nv_z, nv_z)
 
     def test_nearest_to(self):
         res = reconstruct.PlanarAlphaResult(10.0, 190.0, 0.0)
@@ -148,6 +150,31 @@ class TestSweepChain:
         assert est.angular_error_deg < 1e-3
         truth = geometry.mw_direction(SCENE)
         assert geometry.line_angle_between(est.axis, truth) < 1e-3
+
+    def test_noise_keys_distinct_per_slot(self, monkeypatch, grid):
+        # each 3-D slot draws from its own spawn-key branch (slot, i), so no
+        # psi count makes two spectra share noise; planar keeps (i,)
+        keys = []
+        real = odmrsim.noisy_copy_with_subseed
+
+        def record(spec, rate, dwell, seed, *key):
+            keys.append(key)
+            return real(spec, rate, dwell, seed, *key)
+
+        monkeypatch.setattr(odmrsim, "noisy_copy_with_subseed", record)
+        cfg = reconstruct.ChainConfig(
+            psis=np.linspace(0.0, math.pi, 5, endpoint=False),
+            noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=1.5, seed=4))
+        reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
+                                          reconstruct.NV2_AXIS_INDEX), cfg)
+        assert keys == [(slot, i) for slot in range(2) for i in range(5)]
+        keys.clear()
+        reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+        assert keys == [(i,) for i in range(5)]
+        # slot 0 / psi 1000 and slot 1 / psi 0: a flat key 1000*slot + i maps both to 1000
+        spec = odmrsim.OdmrSpectrum(grid, np.ones_like(grid))
+        assert not np.array_equal(real(spec, 100.0, 1.0, 4, 0, 1000).signal,
+                                  real(spec, 100.0, 1.0, 4, 1, 0).signal)
 
     def test_end_to_end_3d_same_orientation_rejected(self):
         with pytest.raises(NearParallelAxesError):
