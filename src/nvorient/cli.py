@@ -32,6 +32,10 @@ TABLE1_POSITIONS = [
 
 EXIT_OK, EXIT_CONFIG, EXIT_PIPELINE = 0, 2, 3
 
+# size bounds that keep a config from asking for unbounded memory
+MAX_GRID_POINTS = 20_000  # frequency grid, and fieldmap rows
+MAX_PSI_COUNT = 360
+
 
 def _check_keys(obj: dict, ctx: str, required: set[str], optional: set[str] = frozenset()):
     if not isinstance(obj, dict):
@@ -51,6 +55,20 @@ def _number(obj, ctx):
     return float(obj)
 
 
+def _positive(obj, ctx):
+    value = _number(obj, ctx)
+    if not value > 0:
+        raise ConfigError(f"{ctx}: expected a positive number")
+    return value
+
+
+def _grid_points(lo: float, hi: float, step: float, ctx: str) -> int:
+    """Number of points of the grid lo, lo + step, ..., hi; bounded by MAX_GRID_POINTS."""
+    if not (hi - lo) / step < MAX_GRID_POINTS:
+        raise ConfigError(f"{ctx}: more than {MAX_GRID_POINTS} grid points")
+    return int(round((hi - lo) / step)) + 1
+
+
 def _integer(obj, ctx, lo: int, hi: int | None = None) -> int:
     if (not isinstance(obj, int) or isinstance(obj, bool) or obj < lo
             or (hi is not None and obj > hi)):
@@ -62,10 +80,13 @@ def _integer(obj, ctx, lo: int, hi: int | None = None) -> int:
 def _parse_constants(cfg: dict) -> spinmodel.SpinConstants:
     block = cfg.get("constants", {})
     _check_keys(block, "constants", set(), {"d_mhz", "gamma_e"})
-    return spinmodel.SpinConstants(
-        d_mhz=_number(block.get("d_mhz", 2870.0), "constants.d_mhz"),
-        gamma_e=_number(block.get("gamma_e", 28.02495), "constants.gamma_e"),
-    )
+    try:
+        return spinmodel.SpinConstants(
+            d_mhz=_number(block.get("d_mhz", 2870.0), "constants.d_mhz"),
+            gamma_e=_number(block.get("gamma_e", 28.02495), "constants.gamma_e"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"constants: {exc}") from exc
 
 
 def _parse_lineshape(cfg: dict) -> odmrsim.LineshapeParams:
@@ -91,6 +112,7 @@ def _parse_grid(cfg: dict) -> np.ndarray:
     step = _number(block.get("step", 0.5), "frequency_grid_mhz.step")
     if not step > 0 or not stop > start:
         raise ConfigError("frequency_grid_mhz: need stop > start and step > 0")
+    _grid_points(start, stop, step, "frequency_grid_mhz")
     return odmrsim.default_grid(start, stop, step)
 
 
@@ -103,8 +125,8 @@ def _parse_noise(cfg: dict, seed_override: int | None) -> reconstruct.NoiseConfi
     if seed is None:
         raise ConfigError("noise: seed required (config key or --seed)")
     return reconstruct.NoiseConfig(
-        rate_kcps=_number(block["rate_kcps"], "noise.rate_kcps"),
-        dwell_s=_number(block["dwell_s"], "noise.dwell_s"),
+        rate_kcps=_positive(block["rate_kcps"], "noise.rate_kcps"),
+        dwell_s=_positive(block["dwell_s"], "noise.dwell_s"),
         seed=_integer(seed, "noise.seed", 0),
     )
 
@@ -116,6 +138,8 @@ def _parse_wire(cfg: dict) -> tuple[list[tuple[float, float]], float, float]:
     _check_keys(block, "wire", {"current_ma"}, {"positions_um", "diameter_um"})
     current = _number(block["current_ma"], "wire.current_ma")
     diameter = _number(block.get("diameter_um", 25.0), "wire.diameter_um")
+    if diameter < 0:
+        raise ConfigError("wire.diameter_um: expected a number >= 0")
     positions = block.get("positions_um", TABLE1_POSITIONS)
     if (not isinstance(positions, list) or not positions
             or any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in positions)):
@@ -125,10 +149,10 @@ def _parse_wire(cfg: dict) -> tuple[list[tuple[float, float]], float, float]:
 
 
 def _chain_config(cfg: dict, seed_override: int | None) -> reconstruct.ChainConfig:
-    psi_count = _integer(cfg.get("psi_count", 12), "psi_count", 4)
+    psi_count = _integer(cfg.get("psi_count", 12), "psi_count", 4, MAX_PSI_COUNT)
     return reconstruct.ChainConfig(
         constants=_parse_constants(cfg),
-        b_static_mt=_number(cfg.get("static_field_mt", 10.2), "static_field_mt"),
+        b_static_mt=_positive(cfg.get("static_field_mt", 10.2), "static_field_mt"),
         shape=_parse_lineshape(cfg),
         grid=_parse_grid(cfg),
         psis=np.linspace(0.0, math.pi, psi_count, endpoint=False),
@@ -207,8 +231,8 @@ def _run_fit(cfg, out_dir, seed, fmt):
     if not isinstance(cfg["spectrum_csv"], str):
         raise ConfigError("spectrum_csv: expected a path string")
     path = Path(cfg["spectrum_csv"])
-    if not path.exists():
-        raise ConfigError(f"spectrum_csv: {path} not found")
+    if not path.is_file():
+        raise ConfigError(f"spectrum_csv: {path} is not a file")
     spec = odmrsim.spectrum_from_csv(path)
     dips = fitkit.fit_dips(spec, [_number(c, "init_centers_mhz") for c in centers])
     payload = [
@@ -274,8 +298,11 @@ def _run_reconstruct_3d(cfg, out_dir, seed, fmt):
         if (not isinstance(measured, list) or len(measured) != 2
                 or any(not isinstance(v, list) or len(v) != 3 for v in measured)):
             raise ConfigError("measured_y_axes: expected two 3-vectors")
-        y1, y2 = (reconstruct.NvYEstimate(geometry.unit(np.array(
-            [_number(c, "measured_y_axes") for c in v])), 0.0) for v in measured)
+        try:
+            y1, y2 = (reconstruct.NvYEstimate(geometry.unit(np.array(
+                [_number(c, "measured_y_axes") for c in v])), 0.0) for v in measured)
+        except ValueError as exc:
+            raise ConfigError(f"measured_y_axes: {exc}") from exc
         est = reconstruct.mw_axis_from_two(y1, y2, truth_axis=truth)
     else:
         est = reconstruct.end_to_end_3d(scene, (indices[0], indices[1]),
@@ -302,8 +329,10 @@ def _run_fieldmap(cfg, out_dir, seed, fmt):
         lo, hi, step = (_number(v, f"grid_um.{key}") for v in spec)
         if not step > 0 or not hi >= lo:
             raise ConfigError(f"grid_um.{key}: need max >= min and step > 0")
-        n = int(round((hi - lo) / step))
-        axes.append([lo + k * step for k in range(n + 1)])
+        n = _grid_points(lo, hi, step, f"grid_um.{key}")
+        axes.append([lo + k * step for k in range(n)])
+    if len(axes[0]) * len(axes[1]) > MAX_GRID_POINTS:
+        raise ConfigError(f"grid_um: more than {MAX_GRID_POINTS} grid points")
     rows = []
     for x in axes[0]:
         for z in axes[1]:
@@ -321,26 +350,29 @@ def _run_sensitivity(cfg, out_dir, seed, fmt):
     _check_keys(cfg, "config", {"mode", "phi_deg"},
                 {"mode", "sigma_rel", "rate_kcps", "contrast", "time_s", "n", "t"})
     phi = math.radians(_number(cfg["phi_deg"], "phi_deg"))
-    if "sigma_rel" in cfg:
-        sigma_rel = _number(cfg["sigma_rel"], "sigma_rel")
-    elif all(k in cfg for k in ("rate_kcps", "contrast", "time_s")):
-        sigma_rel = sensitivity.shot_noise_sigma_rel(
-            _number(cfg["rate_kcps"], "rate_kcps"),
-            _number(cfg["contrast"], "contrast"),
-            _number(cfg["time_s"], "time_s"))
-    else:
-        raise ConfigError("sensitivity: need sigma_rel or rate_kcps+contrast+time_s")
     n = _integer(cfg.get("n", 1), "n", 1)
     t = _number(cfg.get("t", 1.0), "t")
     try:
+        if "sigma_rel" in cfg:
+            sigma_rel = _number(cfg["sigma_rel"], "sigma_rel")
+        elif all(k in cfg for k in ("rate_kcps", "contrast", "time_s")):
+            sigma_rel = sensitivity.shot_noise_sigma_rel(
+                _number(cfg["rate_kcps"], "rate_kcps"),
+                _number(cfg["contrast"], "contrast"),
+                _number(cfg["time_s"], "time_s"))
+        else:
+            raise ConfigError("sensitivity: need sigma_rel or rate_kcps+contrast+time_s")
         inp = sensitivity.SensitivityInput(phi=phi, sigma_rel=sigma_rel, n=n, t=t)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = [(math.degrees(phi), sigma_rel, sensitivity.eta(inp),
-             sensitivity.eta_max(sigma_rel, n=n, t=t))]
+        row = (math.degrees(phi), sigma_rel, sensitivity.eta(inp),
+               sensitivity.eta_max(sigma_rel, n=n, t=t))
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: n * t beyond float range, or a sigma_rel that divides by 0
+        raise ConfigError(f"sensitivity: {exc}") from exc
+    if not all(math.isfinite(v) for v in row):
+        raise ConfigError("sensitivity: inputs overflow the figures of merit")
     name = _write_report(out_dir, "sensitivity",
                          ["phi_deg", "sigma_rel", "eta_rad_per_sqrt_hz",
-                          "eta_max_rad_per_sqrt_hz"], rows, fmt)
+                          "eta_max_rad_per_sqrt_hz"], [row], fmt)
     return [name]
 
 

@@ -109,12 +109,19 @@ def simulate_spectrum(
     grid: np.ndarray,
 ) -> OdmrSpectrum:
     """Noiseless two-dip CW-ODMR spectrum on a unit baseline."""
+    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(consts, static))
+    return _spectrum(eig, consts, mw, shape, grid)
+
+
+def _spectrum(eig: spinmodel.EigenSystem, consts: SpinConstants, mw: MwFieldNV,
+              shape: LineshapeParams, grid: np.ndarray) -> OdmrSpectrum:
+    """Dips at the two |0>-connected transitions of `eig`, depths set by `mw`."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("frequency grid is empty")
-    absorb = np.zeros_like(grid)
-    for rec in spinmodel.transition_table(consts, static, mw):
-        absorb += shape.contrast(rec.rabi_mhz) * lorentzian(grid, rec.frequency_mhz, shape.fwhm_mhz)
+    omegas = spinmodel.rabi_amplitudes(eig, consts, mw)
+    absorb = (shape.contrast(omegas.omega_0m) * lorentzian(grid, eig.f_0m, shape.fwhm_mhz)
+              + shape.contrast(omegas.omega_0p) * lorentzian(grid, eig.f_0p, shape.fwhm_mhz))
     if np.max(absorb) > 1.0:
         raise ContrastOverflowError(
             f"summed dip contrast reaches {np.max(absorb):.3f} > 1; signal would go negative"
@@ -151,17 +158,24 @@ def simulate_phi_sweep(
     grid: np.ndarray,
     psis: np.ndarray,
 ) -> SweepSeries:
-    """Sweep the static field direction over psi with theta = pi/2 throughout."""
+    """Sweep the static field direction over psi with theta = pi/2 throughout.
+
+    H(psi) = U H(0) U^dagger with U = exp(-i psi Sz), so one eigensolve at
+    psi = 0 serves the sweep, seen by the microwave rotated by -psi.
+    """
     psis = np.asarray(psis, dtype=float)
     if psis.size == 0:
         raise ValueError("psi list is empty")
     if not b_static_mt > 0:
         raise ValueError("static field must be positive for a sweep")
     mw = mw_field_in_nv_frame(basis, mw_lab, mw_amplitude_mt)
-    spectra = []
-    for psi in psis:
-        static = StaticFieldNV(b_static_mt, math.pi / 2.0, float(psi) % (2.0 * math.pi))
-        spectra.append(simulate_spectrum(consts, static, mw, shape, grid))
+    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(
+        consts, StaticFieldNV(b_static_mt, math.pi / 2.0, 0.0)))
+    spectra = [
+        _spectrum(eig, consts, MwFieldNV(mw.amplitude_mt, mw.zeta,
+                                         mw.transverse_azimuth - float(psi)), shape, grid)
+        for psi in psis
+    ]
     return SweepSeries(psis=psis, spectra=spectra, basis=basis)
 
 

@@ -94,46 +94,6 @@ def ground_hamiltonian(consts: SpinConstants, field: StaticFieldNV) -> np.ndarra
     return consts.d_mhz * (SZ @ SZ) + gb * (st * cp * SX + st * sp * SY + ct * SZ)
 
 
-def _jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Cyclic Jacobi diagonalization of a complex Hermitian 3x3 matrix.
-
-    Each off-diagonal element is annihilated by a phase rotation that makes
-    the 2x2 subproblem real symmetric, followed by the classic real Jacobi
-    rotation.  Returns (eigenvalues, eigenvector columns), unordered.
-    """
-    a = np.array(matrix, dtype=complex)
-    v = np.eye(3, dtype=complex)
-    scale = max(np.max(np.abs(a)), 1.0)
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(abs(a[p, q]) ** 2 for p, q in ((0, 1), (0, 2), (1, 2))))
-        if off <= tol * scale:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if abs(apq) <= tol * scale * 1e-2:
-                continue
-            w = apq / abs(apq)
-            theta = 0.5 * math.atan2(2.0 * abs(apq), (a[q, q] - a[p, p]).real)
-            c, s = math.cos(theta), math.sin(theta)
-            u = np.eye(3, dtype=complex)
-            u[p, p] = c
-            u[p, q] = s
-            u[q, p] = -s * np.conj(w)
-            u[q, q] = c * np.conj(w)
-            a = u.conj().T @ a @ u
-            v = v @ u
-    return a.diagonal().real.copy(), v
-
-
-@dataclass(frozen=True)
-class Transition:
-    """Allowed transition between labeled levels, frequency in MHz."""
-
-    lower: str
-    upper: str
-    frequency_mhz: float
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Labeled eigensystem: L0 has maximal overlap with |0>, Lm/Lp by energy.
@@ -153,13 +113,6 @@ class EigenSystem:
     def f_0p(self) -> float:
         return self.energies[2] - self.energies[0]
 
-    @property
-    def transitions(self) -> tuple[Transition, Transition]:
-        return (
-            Transition("L0", "Lm", self.f_0m),
-            Transition("L0", "Lp", self.f_0p),
-        )
-
 
 def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
     """Exact eigen-decomposition with L0/Lm/Lp labeling.
@@ -171,7 +124,7 @@ def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
         raise ValueError("Hamiltonian must be 3x3")
     if np.max(np.abs(h - h.conj().T)) > 1e-9:
         raise ValueError("Hamiltonian must be Hermitian")
-    vals, vecs = _jacobi_eigh(h)
+    vals, vecs = np.linalg.eigh(h)
     weights = np.abs(vecs[1, :]) ** 2
     i0 = int(np.argmax(weights))
     if weights[i0] <= 0.5:
@@ -206,22 +159,3 @@ def rabi_amplitudes(eig: EigenSystem, consts: SpinConstants, mw: MwFieldNV) -> R
         omega_0p=pref * abs(np.vdot(vp, op @ v0)),
         omega_mp=pref * abs(np.vdot(vp, op @ vm)),
     )
-
-
-@dataclass(frozen=True)
-class TransitionRecord:
-    label: str
-    frequency_mhz: float
-    rabi_mhz: float
-
-
-def transition_table(
-    consts: SpinConstants, field: StaticFieldNV, mw: MwFieldNV
-) -> list[TransitionRecord]:
-    """Frequencies and Rabi amplitudes of the two |0>-connected transitions."""
-    eig = eigensystem(ground_hamiltonian(consts, field))
-    omegas = rabi_amplitudes(eig, consts, mw)
-    return [
-        TransitionRecord("L0-Lm", eig.f_0m, omegas.omega_0m),
-        TransitionRecord("L0-Lp", eig.f_0p, omegas.omega_0p),
-    ]

@@ -1,9 +1,16 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvorient import cli
 
@@ -130,9 +137,37 @@ class TestErrorPaths:
                            '"measured_y_axes": [1, 2]}'),
         ("fieldmap", '{"mode": "fieldmap", "grid_um": {"x": [0, 0, 1], "z": [0, 0, 1]}}'),
         ("fit", '{"mode": "fit", "spectrum_csv": 5, "init_centers_mhz": [2898.0]}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
+                   '"noise": {"rate_kcps": -1, "dwell_s": 0.01, "seed": 1}}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
+                   '"noise": {"rate_kcps": 200, "dwell_s": 0, "seed": 1}}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, "static_field_mt": 0}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, "constants": {"gamma_e": 0}}'),
+        ("simulate", '{"mode": "simulate", "static": {"b_mt": 10.2, "theta_deg": 90}, '
+                     '"mw": {"amplitude_mt": 0.0357, "zeta_deg": 90}, '
+                     '"constants": {"d_mhz": -2870}}'),
+        ("reconstruct-3d", '{"mode": "reconstruct-3d", "nv_indices": [3, 1], '
+                           '"wire": {"current_ma": 40, "positions_um": [[61, 18]]}, '
+                           '"measured_y_axes": [[0, 0, 0], [0.85, 0.46, 0.25]]}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40, "diameter_um": -5}}'),
+        ("simulate", '{"mode": "simulate", "static": {"b_mt": 10.2, "theta_deg": 90}, '
+                     '"mw": {"amplitude_mt": 0.0357, "zeta_deg": 90}, '
+                     '"frequency_grid_mhz": {"step": 1e-9}}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
+                   f'"psi_count": {cli.MAX_PSI_COUNT + 1}}}'),
+        ("fieldmap", '{"mode": "fieldmap", "grid_um": {"x": [1, 30000, 1], "z": [1, 1, 1]}}'),
+        ("fieldmap", '{"mode": "fieldmap", "grid_um": {"x": [1, 200, 1], "z": [1, 200, 1]}}'),
+        ("sensitivity", '{"mode": "sensitivity", "phi_deg": 45, "sigma_rel": 0.01, '
+                        f'"n": {10 ** 400}}}'),
+        ("sensitivity", '{"mode": "sensitivity", "phi_deg": 45, "sigma_rel": 1e300, "t": 1e300}'),
+        ("sensitivity", '{"mode": "sensitivity", "phi_deg": 45, "rate_kcps": 0, '
+                        '"contrast": 0.3, "time_s": 1}'),
     ], ids=["nan", "infinity", "overflow", "position-string", "seed-nan", "n-string",
             "n-float", "phi-minus-infinity", "measured-axes-scalars", "fieldmap-origin-only",
-            "spectrum-path-number"])
+            "spectrum-path-number", "rate-negative", "dwell-zero", "static-field-zero",
+            "gamma-zero", "d-negative", "measured-axes-zero-vector", "diameter-negative",
+            "grid-step-tiny", "psi-count-oversized", "fieldmap-axis-oversized",
+            "fieldmap-grid-oversized", "n-oversized", "eta-overflow", "rate-zero"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, mode, raw):
         path = tmp_path / "cfg.json"
         path.write_text(raw)
@@ -272,3 +307,138 @@ class TestMain:
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--config", "x.json"])
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing: one field of a valid config replaced by a bad value
+# ---------------------------------------------------------------------------
+
+BAD_VALUES = {
+    "negative": st.floats(-1e300, -1e-300) | st.integers(max_value=-1),
+    "zero": st.sampled_from([0, 0.0, -0.0]),
+    "nonfinite": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "string": st.text(max_size=8).filter(lambda t: t not in ("linear", "saturating")),
+    "bool": st.booleans(),
+    "list": st.lists(st.floats(-1e3, 1e3), max_size=2),
+}
+ANY = ("nonfinite", "string", "bool", "list")
+NONNEGATIVE = ANY + ("negative",)
+POSITIVE = NONNEGATIVE + ("zero",)
+SCALAR = ("nonfinite", "string", "bool", "negative", "zero")  # where a short list may be valid
+
+# values above a size bound, by field path
+OVERSIZED = {
+    ("frequency_grid_mhz", "step"): 1e-9,
+    ("psi_count",): cli.MAX_PSI_COUNT + 1,
+    ("nv_index",): 4,
+    ("nv_indices", 0): 4,
+    ("grid_um", "x", 2): 1e-9,
+    ("grid_um", "z", 2): 1e-9,
+    ("n",): 10 ** 400,
+}
+
+COMMON_BLOCKS = {
+    "constants": {"d_mhz": 2870.0, "gamma_e": 28.02495},
+    "lineshape": {"fwhm_mhz": 8.0, "contrast_ref": 0.02, "omega_ref_mhz": 1.0,
+                  "model": "linear"},
+    "frequency_grid_mhz": {"start": 2850.0, "stop": 2950.0, "step": 0.5},
+    "noise": {"rate_kcps": 200.0, "dwell_s": 0.01, "seed": 1},
+}
+COMMON_FIELDS = [
+    (("constants",), ANY), (("constants", "d_mhz"), POSITIVE),
+    (("constants", "gamma_e"), POSITIVE),
+    (("lineshape",), ANY), (("lineshape", "fwhm_mhz"), POSITIVE),
+    (("lineshape", "contrast_ref"), POSITIVE), (("lineshape", "omega_ref_mhz"), POSITIVE),
+    (("lineshape", "model"), POSITIVE),
+    (("frequency_grid_mhz",), ANY), (("frequency_grid_mhz", "start"), ANY),
+    (("frequency_grid_mhz", "stop"), POSITIVE), (("frequency_grid_mhz", "step"), POSITIVE),
+    (("noise",), ANY), (("noise", "rate_kcps"), POSITIVE), (("noise", "dwell_s"), POSITIVE),
+    (("noise", "seed"), NONNEGATIVE),
+]
+CHAIN_FIELDS = COMMON_FIELDS + [
+    (("static_field_mt",), POSITIVE), (("psi_count",), POSITIVE),
+    (("wire",), ANY), (("wire", "current_ma"), ANY), (("wire", "diameter_um"), NONNEGATIVE),
+    (("wire", "positions_um"), POSITIVE), (("wire", "positions_um", 0), SCALAR),
+    (("wire", "positions_um", 0, 0), ANY),
+]
+WIRE = {"current_ma": 40.0, "positions_um": [[61.0, 18.0]], "diameter_um": 25.0}
+CHAIN = dict(COMMON_BLOCKS, static_field_mt=10.2, psi_count=12, wire=WIRE)
+GRID_FIELDS = [(("grid_um",), ANY)]
+for key in ("x", "z"):  # [min, max, step]
+    GRID_FIELDS += [(("grid_um", key), POSITIVE), (("grid_um", key, 0), ANY),
+                    (("grid_um", key, 1), POSITIVE), (("grid_um", key, 2), POSITIVE)]
+
+# name -> (valid config, fuzzed fields with the kinds of bad value each must reject)
+FUZZ_BASES = {
+    "simulate": (dict(SIMULATE_CFG, **COMMON_BLOCKS), COMMON_FIELDS + [
+        (("static",), ANY), (("static", "b_mt"), NONNEGATIVE),
+        (("static", "theta_deg"), NONNEGATIVE), (("static", "phi_deg"), ANY),
+        (("mw",), ANY), (("mw", "amplitude_mt"), NONNEGATIVE),
+        (("mw", "zeta_deg"), NONNEGATIVE), (("mw", "transverse_azimuth_deg"), ANY),
+    ]),
+    "fit": ({"mode": "fit", "spectrum_csv": None, "init_centers_mhz": [2898.0, 2926.0]}, [
+        (("spectrum_csv",), POSITIVE), (("init_centers_mhz",), SCALAR),
+        (("init_centers_mhz", 0), ANY),
+    ]),
+    "table1": (dict(CHAIN, mode="table1", nv_index=3),
+               CHAIN_FIELDS + [(("nv_index",), NONNEGATIVE)]),
+    "reconstruct-planar": (dict(CHAIN, mode="reconstruct-planar", nv_index=3),
+                           CHAIN_FIELDS + [(("nv_index",), NONNEGATIVE)]),
+    "reconstruct-3d": (dict(CHAIN, mode="reconstruct-3d", nv_indices=[3, 1]), CHAIN_FIELDS + [
+        (("nv_indices",), POSITIVE), (("nv_indices", 0), NONNEGATIVE),
+    ]),
+    "reconstruct-3d-measured": ({"mode": "reconstruct-3d", "nv_indices": [3, 1], "wire": WIRE,
+                                 "measured_y_axes": [[-0.86, 0.42, -0.29],
+                                                     [0.85, 0.46, 0.25]]}, [
+        (("measured_y_axes",), POSITIVE), (("measured_y_axes", 0), POSITIVE),
+        (("measured_y_axes", 0, 0), ANY),
+    ]),
+    "fieldmap": ({"mode": "fieldmap", "grid_um": {"x": [50.0, 60.0, 5.0],
+                                                  "z": [10.0, 20.0, 5.0]}}, GRID_FIELDS),
+    "sensitivity": ({"mode": "sensitivity", "phi_deg": 30.0, "sigma_rel": 0.01, "n": 4,
+                     "t": 2.0}, [
+        (("phi_deg",), ANY), (("sigma_rel",), POSITIVE), (("n",), POSITIVE),
+        (("t",), POSITIVE),
+    ]),
+    "sensitivity-shot-noise": ({"mode": "sensitivity", "phi_deg": 30.0, "rate_kcps": 200.0,
+                                "contrast": 0.3, "time_s": 1.0}, [
+        (("rate_kcps",), POSITIVE), (("contrast",), POSITIVE), (("time_s",), POSITIVE),
+    ]),
+}
+FUZZ_CASES = [(name, path, kind)
+              for name, (_, fields) in FUZZ_BASES.items()
+              for path, kinds in fields
+              for kind in kinds + (("oversized",) if path in OVERSIZED else ())]
+
+
+@pytest.fixture(scope="module")
+def fit_spectrum_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz-spectrum")
+    cfg = write_cfg(out, "sim.json", SIMULATE_CFG)
+    assert cli.run("simulate", cfg, out) == cli.EXIT_OK
+    return str(out / "spectrum.csv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_2(fit_spectrum_csv, data):
+    name, path, kind = data.draw(st.sampled_from(FUZZ_CASES), label="case")
+    value = OVERSIZED[path] if kind == "oversized" else data.draw(BAD_VALUES[kind], label="value")
+    base, _ = FUZZ_BASES[name]
+    cfg = copy.deepcopy(base)
+    if name == "fit":
+        cfg["spectrum_csv"] = fit_spectrum_csv
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_cfg(Path(tmp), "cfg.json", cfg)
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.run(cfg["mode"], config, out)
+        assert code == cli.EXIT_CONFIG
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+        assert not (out / "manifest.json").exists()

@@ -116,6 +116,23 @@ class TestPhiSweep:
         # the L0<->Lp dip depth follows cos^2 and nearly vanishes at the minimum
         assert max(depths) > 5.0 * min(depths)
 
+    @pytest.mark.parametrize("model", ["linear", "saturating"])
+    @pytest.mark.parametrize("axis_index", range(4))
+    def test_matches_per_psi_spectrum(self, grid, axis_index, model):
+        # one eigensolve with the microwave rotated by -psi must reproduce the
+        # spectrum of the Hamiltonian rotated by +psi, psi outside [0, 2*pi) too
+        basis = geometry.transverse_basis(geometry.crystallographic_axes()[axis_index])
+        shape = odmrsim.LineshapeParams(model=model)
+        mw_lab = geometry.wire_tangent(61.0, 18.0)
+        psis = np.array([-7.0, -math.pi, -0.3, 0.0, 1.1, math.pi, 2 * math.pi, 9.5, 20.0])
+        sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, mw_lab, 0.05, shape, grid, psis)
+        mw = odmrsim.mw_field_in_nv_frame(basis, mw_lab, 0.05)
+        for psi, spec in zip(psis, sweep.spectra):
+            static = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, psi % (2 * math.pi))
+            ref = odmrsim.simulate_spectrum(C, static, mw, shape, grid)
+            assert np.array_equal(spec.frequencies, ref.frequencies)
+            assert np.max(np.abs(spec.signal - ref.signal)) < 1e-12
+
     def test_empty_psis_rejected(self, shape, grid, nv1_basis):
         with pytest.raises(ValueError):
             odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,

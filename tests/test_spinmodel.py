@@ -144,24 +144,11 @@ class TestRabiAmplitudes:
             om = sm.rabi_amplitudes(eig, C, sm.MwFieldNV(self.B_MW, math.pi / 2.0, delta))
             assert abs(om.omega_0p / ref.omega_0p - abs(math.cos(delta))) < 1e-3
 
-
-class TestTransitionTable:
-    def test_zero_field(self):
-        table = sm.transition_table(C, sm.StaticFieldNV(0.0, 0.0, 0.0),
-                                    sm.MwFieldNV(0.01, 1.0, 0.5))
-        assert len(table) == 2
-        assert all(abs(rec.frequency_mhz - 2870.0) < 1e-9 for rec in table)
-
-    def test_equal_intensity_at_pi_over_4(self):
-        table = sm.transition_table(C, sm.StaticFieldNV(10.2, math.pi / 2.0, 0.0),
-                                    sm.MwFieldNV(0.0357, math.pi / 2.0, math.pi / 4.0))
-        om_m, om_p = table[0].rabi_mhz, table[1].rabi_mhz
+    def test_equal_intensity_at_pi_over_4(self, transverse_10mt):
+        om = sm.rabi_amplitudes(transverse_10mt, C,
+                                sm.MwFieldNV(self.B_MW, math.pi / 2.0, math.pi / 4.0))
+        om_m, om_p = om.omega_0m, om.omega_0p
         assert abs(om_m - om_p) / om_p < 0.05
-
-    def test_deterministic(self):
-        args = (C, sm.StaticFieldNV(10.2, math.pi / 2.0, 0.3),
-                sm.MwFieldNV(0.0357, 1.2, 0.8))
-        assert sm.transition_table(*args) == sm.transition_table(*args)
 
 
 @settings(max_examples=150, deadline=None)
