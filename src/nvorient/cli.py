@@ -183,6 +183,7 @@ def _write_report(out_dir: Path, stem: str, header: list[str], rows, fmt: str) -
 # Mode runners: each returns the list of output file names it wrote
 # ---------------------------------------------------------------------------
 
+# the shared blocks, accepted only by the modes that simulate spectra
 _COMMON_KEYS = {"mode", "constants", "lineshape", "frequency_grid_mhz", "noise"}
 
 
@@ -224,7 +225,7 @@ def _run_simulate(cfg, out_dir, seed, fmt):
 
 
 def _run_fit(cfg, out_dir, seed, fmt):
-    _check_keys(cfg, "config", {"mode", "spectrum_csv", "init_centers_mhz"}, _COMMON_KEYS)
+    _check_keys(cfg, "config", {"mode", "spectrum_csv", "init_centers_mhz"})
     centers = cfg["init_centers_mhz"]
     if not isinstance(centers, list) or not centers:
         raise ConfigError("init_centers_mhz: expected a nonempty list")
@@ -281,8 +282,10 @@ def _run_table1(cfg, out_dir, seed, fmt):
 
 
 def _run_reconstruct_3d(cfg, out_dir, seed, fmt):
-    _check_keys(cfg, "config", {"mode", "wire", "nv_indices"},
-                _COMMON_KEYS | {"static_field_mt", "psi_count", "measured_y_axes"})
+    # measured axes replace the simulated chain, so its keys are not read
+    measured = cfg.get("measured_y_axes")
+    chain_keys = set() if measured is not None else _COMMON_KEYS | {"static_field_mt", "psi_count"}
+    _check_keys(cfg, "config", {"mode", "wire", "nv_indices"}, {"measured_y_axes"} | chain_keys)
     positions, current, diameter = _parse_wire(cfg)
     if len(positions) != 1:
         raise ConfigError("reconstruct-3d: exactly one wire position expected")
@@ -293,7 +296,6 @@ def _run_reconstruct_3d(cfg, out_dir, seed, fmt):
     x, z = positions[0]
     scene = geometry.WireScene(x, z, current, diameter)
     truth = geometry.mw_direction(scene)
-    measured = cfg.get("measured_y_axes")
     if measured is not None:
         if (not isinstance(measured, list) or len(measured) != 2
                 or any(not isinstance(v, list) or len(v) != 3 for v in measured)):
@@ -318,7 +320,7 @@ def _run_reconstruct_3d(cfg, out_dir, seed, fmt):
 
 
 def _run_fieldmap(cfg, out_dir, seed, fmt):
-    _check_keys(cfg, "config", {"mode", "grid_um"}, _COMMON_KEYS)
+    _check_keys(cfg, "config", {"mode", "grid_um"})
     block = cfg["grid_um"]
     _check_keys(block, "grid_um", {"x", "z"})
     axes = []

@@ -22,7 +22,8 @@ class SingularNormalEquationsError(NvOrientError):
 
 
 class DegenerateFitError(NvOrientError):
-    """Fitted modulation amplitude indistinguishable from zero."""
+    """Fit result unusable: modulation amplitude indistinguishable from zero,
+    or a fitted dip center outside the frequency grid."""
 
 
 class NearParallelAxesError(NvOrientError):

@@ -29,15 +29,6 @@ class FitResult:
             return None
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.tolist(),
-            "sigmas": None if self.sigmas is None else self.sigmas.tolist(),
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
-
 
 def numeric_jacobian(residuals, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian with per-parameter relative steps."""
@@ -59,14 +50,13 @@ def nls_fit(
     jacobian=None,
     max_iter: int = 100,
     tol: float = 1e-10,
-    damping: float = 1e-3,
     scale_covariance: bool = True,
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum(residuals(x)^2).
 
-    The damping factor is multiplied by 10 on a rejected step and divided by
-    10 on an accepted one.  Convergence is declared when the relative
-    reduction of the residual norm falls below `tol`.  When
+    The damping factor starts at 1e-3; it is multiplied by 10 on a rejected
+    step and divided by 10 on an accepted one.  Convergence is declared when
+    the relative reduction of the residual norm falls below `tol`.  When
     `scale_covariance` is set, the covariance is (J^T J)^-1 times the reduced
     chi-square; leave it unset when the residuals are already sigma-weighted.
     """
@@ -78,7 +68,7 @@ def nls_fit(
     if r.size < x.size:
         raise ValueError("fewer data points than parameters")
     cost = float(r @ r)
-    lam = damping
+    lam = 1e-3
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -108,7 +98,6 @@ def nls_fit(
         if rel_drop < tol:
             converged = True
             break
-    cov = None
     try:
         jac = np.asarray(jac_fn(x), dtype=float)
         jtj = jac.T @ jac
@@ -137,105 +126,76 @@ class DipEstimate:
     depth_sigma: float
 
 
-def _dip_model(params: np.ndarray, f: np.ndarray, n_dips: int,
-               fixed_centers: np.ndarray | None = None) -> np.ndarray:
-    # params: [baseline, fwhm, c1, d1, ...] or [baseline, fwhm, d1, ...] when
-    # centers are held fixed (shared fwhm in both layouts)
+def _dip_model(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
+    # params: [baseline, fwhm, d1..dn], plus c1..cn when fitted; `centers` are those in use
     base, fwhm = params[0], params[1]
     h2 = (0.5 * fwhm) ** 2
     y = np.full_like(f, base)
-    for k in range(n_dips):
-        if fixed_centers is None:
-            c, d = params[2 + 2 * k], params[3 + 2 * k]
-        else:
-            c, d = fixed_centers[k], params[2 + k]
-        y -= d * h2 / ((f - c) ** 2 + h2)
+    for k in range(len(centers)):
+        y -= params[2 + k] * h2 / ((f - centers[k]) ** 2 + h2)
     return y
 
 
-def _dip_jacobian(params: np.ndarray, f: np.ndarray, n_dips: int,
-                  fixed_centers: np.ndarray | None = None) -> np.ndarray:
-    base, fwhm = params[0], params[1]
-    h = 0.5 * fwhm
+def _dip_jacobian(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
+    n = len(centers)
+    h = 0.5 * params[1]
     jac = np.zeros((f.size, params.size))
     jac[:, 0] = 1.0
-    for k in range(n_dips):
-        if fixed_centers is None:
-            c, d = params[2 + 2 * k], params[3 + 2 * k]
-        else:
-            c, d = fixed_centers[k], params[2 + k]
-        delta = f - c
+    for k in range(n):
+        d = params[2 + k]
+        delta = f - centers[k]
         den = delta ** 2 + h * h
-        lor = h * h / den
         # d(model)/d(fwhm) = -d * h * delta^2 / den^2, accumulated over dips
         jac[:, 1] += -d * h * delta ** 2 / den ** 2
-        if fixed_centers is None:
-            jac[:, 2 + 2 * k] = -d * 2.0 * h * h * delta / den ** 2
-            jac[:, 3 + 2 * k] = -lor
-        else:
-            jac[:, 2 + k] = -lor
+        jac[:, 2 + k] = -h * h / den
+        if params.size > 2 + n:  # center columns, when params carries them
+            jac[:, 2 + n + k] = -d * 2.0 * h * h * delta / den ** 2
     return jac
 
 
-def fit_dips(
-    spec: OdmrSpectrum,
-    init_centers_mhz,
-    init_fwhm_mhz: float = 8.0,
-    fix_centers: bool = False,
-    max_iter: int = 200,
-) -> list[DipEstimate]:
+INIT_FWHM_MHZ = 8.0
+MAX_DIP_ITER = 200
+
+
+def fit_dips(spec: OdmrSpectrum, init_centers_mhz,
+             fix_centers: bool = False) -> list[DipEstimate]:
     """Fit n Lorentzian dips (shared fwhm, free baseline) to a spectrum.
 
     Uses the spectrum's shot-noise sigmas as weights when present.  With
     `fix_centers` the centers are pinned to the supplied values (appropriate
     when the transition frequencies are known independently; keeps near-zero
-    dips from wandering).  Returns estimates ordered by center; warns when
-    fitted dips overlap within one linewidth.
+    dips from wandering).  Raises DegenerateFitError when a fitted center
+    leaves the frequency grid.  Returns estimates ordered by center; warns
+    when fitted dips overlap within one linewidth.
     """
-    centers = [float(c) for c in init_centers_mhz]
+    pinned = np.array([float(c) for c in init_centers_mhz])
     f, y = spec.frequencies, spec.signal
-    if any(c < f[0] or c > f[-1] for c in centers):
+    if np.any((pinned < f[0]) | (pinned > f[-1])):
         raise ValueError("initial dip centers must lie inside the frequency grid")
-    n = len(centers)
-    sigma = spec.point_sigma()
-    fixed = np.array(centers) if fix_centers else None
-    x0 = np.empty(2 + (n if fix_centers else 2 * n))
-    x0[0] = float(np.median(y))
-    x0[1] = init_fwhm_mhz
-    for k, c in enumerate(centers):
-        guess = max(x0[0] - float(np.interp(c, f, y)), 1e-4)
-        if fix_centers:
-            x0[2 + k] = guess
-        else:
-            x0[2 + 2 * k] = c
-            x0[3 + 2 * k] = guess
+    n = pinned.size
+    base = float(np.median(y))
+    depths = [max(base - float(np.interp(c, f, y)), 1e-4) for c in pinned]
+    x0 = np.array([base, INIT_FWHM_MHZ, *depths, *([] if fix_centers else pinned)])
+    centers_of = (lambda p: pinned) if fix_centers else (lambda p: p[2 + n:])
 
+    sigma = spec.point_sigma()
     if sigma is None:
-        res = lambda p: _dip_model(p, f, n, fixed) - y
-        jac = lambda p: _dip_jacobian(p, f, n, fixed)
-        scale_cov = True
+        res = lambda p: _dip_model(p, f, centers_of(p)) - y
+        jac = lambda p: _dip_jacobian(p, f, centers_of(p))
     else:
-        res = lambda p: (_dip_model(p, f, n, fixed) - y) / sigma
-        jac = lambda p: _dip_jacobian(p, f, n, fixed) / sigma[:, None]
-        scale_cov = False
-    fit = nls_fit(res, x0, jacobian=jac, max_iter=max_iter, tol=1e-12,
-                  scale_covariance=scale_cov)
-    sig = fit.sigmas if fit.sigmas is not None else np.full(x0.size, np.nan)
-    if fix_centers:
-        dips = [
-            DipEstimate(center_mhz=centers[k], fwhm_mhz=float(abs(fit.params[1])),
-                        depth=float(fit.params[2 + k]), depth_sigma=float(sig[2 + k]))
-            for k in range(n)
-        ]
-    else:
-        dips = [
-            DipEstimate(center_mhz=float(fit.params[2 + 2 * k]),
-                        fwhm_mhz=float(abs(fit.params[1])),
-                        depth=float(fit.params[3 + 2 * k]),
-                        depth_sigma=float(sig[3 + 2 * k]))
-            for k in range(n)
-        ]
-    dips.sort(key=lambda d: d.center_mhz)
+        res = lambda p: (_dip_model(p, f, centers_of(p)) - y) / sigma
+        jac = lambda p: _dip_jacobian(p, f, centers_of(p)) / sigma[:, None]
+    fit = nls_fit(res, x0, jacobian=jac, max_iter=MAX_DIP_ITER, tol=1e-12,
+                  scale_covariance=sigma is None)
+    p = fit.params
+    centers = centers_of(p)
+    if not np.all((centers >= f[0]) & (centers <= f[-1])):
+        raise DegenerateFitError(
+            f"fitted dip center left the frequency grid [{f[0]:g}, {f[-1]:g}] MHz")
+    sig = fit.sigmas if fit.sigmas is not None else np.full(p.size, np.nan)
+    dips = sorted((DipEstimate(center_mhz=float(c), fwhm_mhz=float(abs(p[1])),
+                               depth=float(p[2 + k]), depth_sigma=float(sig[2 + k]))
+                   for k, c in enumerate(centers)), key=lambda d: d.center_mhz)
     for a, b in zip(dips, dips[1:]):
         if abs(b.center_mhz - a.center_mhz) < a.fwhm_mhz:
             warnings.warn("fitted dips overlap within one linewidth", stacklevel=2)

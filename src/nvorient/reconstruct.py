@@ -29,7 +29,6 @@ class NvYEstimate:
 
     axis: np.ndarray
     sigma_angle: float
-    source_nv: int | None = None
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,10 @@ class MwAxisEstimate:
     angular_error_deg: float | None = None
 
 
-def extract_nv_y(basis: TransverseBasis, cos2fit: Cos2Fit,
-                 source_nv: int | None = None) -> NvYEstimate:
+def extract_nv_y(basis: TransverseBasis, cos2fit: Cos2Fit) -> NvYEstimate:
     """Depth-minimum direction of the L0<->Lp dip: sweep angle psi0 + pi/2."""
     axis = sweep_direction(basis, cos2fit.psi0 + math.pi / 2.0)
-    return NvYEstimate(axis=axis, sigma_angle=cos2fit.sigma_psi0, source_nv=source_nv)
+    return NvYEstimate(axis=axis, sigma_angle=cos2fit.sigma_psi0)
 
 
 def mw_axis_from_two(y1: NvYEstimate, y2: NvYEstimate,
@@ -217,7 +215,7 @@ def _measure_nv_y(scene: WireScene, nv_index: int, cfg: ChainConfig,
         ]
     depths, sigmas = sweep_lp_depths(sweep, cfg.constants, cfg.b_static_mt)
     cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
-    return extract_nv_y(basis, cos2, source_nv=nv_index), cos2
+    return extract_nv_y(basis, cos2), cos2
 
 
 def end_to_end_planar(scene: WireScene, nv_index: int,

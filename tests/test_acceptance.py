@@ -245,10 +245,10 @@ def test_criterion_8_property_suite():
 
     # analytic dip Jacobian vs finite differences
     spec = sweep.spectra[0]
-    x = np.array([1.0, 8.0, 2898.2, 0.01, 2926.4, 0.02])
-    res_fn = lambda p: fitkit._dip_model(p, spec.frequencies, 2) - spec.signal
+    x = np.array([1.0, 8.0, 0.01, 0.02, 2898.2, 2926.4])
+    res_fn = lambda p: fitkit._dip_model(p, spec.frequencies, p[4:]) - spec.signal
     jac_num = fitkit.numeric_jacobian(res_fn, x)
-    jac_ana = fitkit._dip_jacobian(x, spec.frequencies, 2)
+    jac_ana = fitkit._dip_jacobian(x, spec.frequencies, x[4:])
     checks["jacobian vs finite diff"] = float(np.max(np.abs(jac_num - jac_ana))) < 1e-6
 
     # sweep direction period-pi sign identity

@@ -93,6 +93,25 @@ class TestFit:
         })
         assert cli.run("fit", fit_cfg, tmp_path / "out") == cli.EXIT_CONFIG
 
+    def test_runaway_center_fails(self, tmp_path, capsys):
+        # a vanishing noisy L0-Lm dip whose free center would leave the grid
+        sim_cfg = write_cfg(tmp_path, "sim.json", dict(
+            SIMULATE_CFG,
+            mw={"amplitude_mt": 0.126, "zeta_deg": 90.0, "transverse_azimuth_deg": 0.0},
+            noise={"rate_kcps": 200.0, "dwell_s": 0.008, "seed": 0}))
+        sim = tmp_path / "sim"
+        assert cli.run("simulate", sim_cfg, sim) == cli.EXIT_OK
+        fit_cfg = write_cfg(tmp_path, "fit.json", {
+            "mode": "fit",
+            "spectrum_csv": str(sim / "spectrum.csv"),
+            "init_centers_mhz": [2898.0, 2926.0],
+        })
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.run("fit", fit_cfg, out) == cli.EXIT_PIPELINE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "manifest.json").exists()
+
 
 class TestErrorPaths:
     def test_unknown_key_rejected(self, tmp_path):
@@ -162,12 +181,24 @@ class TestErrorPaths:
         ("sensitivity", '{"mode": "sensitivity", "phi_deg": 45, "sigma_rel": 1e300, "t": 1e300}'),
         ("sensitivity", '{"mode": "sensitivity", "phi_deg": 45, "rate_kcps": 0, '
                         '"contrast": 0.3, "time_s": 1}'),
+        ("fieldmap", '{"mode": "fieldmap", "grid_um": {"x": [61, 61, 1], "z": [18, 18, 1]}, '
+                     '"constants": {"gamma_e": -5}, '
+                     '"noise": {"rate_kcps": -1, "dwell_s": 0.01, "seed": 1}}'),
+        ("reconstruct-3d", '{"mode": "reconstruct-3d", "nv_indices": [3, 1], '
+                           '"wire": {"current_ma": 40, "positions_um": [[61, 18]]}, '
+                           '"measured_y_axes": [[-0.86, 0.42, -0.29], [0.85, 0.46, 0.25]], '
+                           '"static_field_mt": -4}'),
+        ("reconstruct-3d", '{"mode": "reconstruct-3d", "nv_indices": [3, 1], '
+                           '"wire": {"current_ma": 40, "positions_um": [[61, 18]]}, '
+                           '"measured_y_axes": [[-0.86, 0.42, -0.29], [0.85, 0.46, 0.25]], '
+                           '"psi_count": 2}'),
     ], ids=["nan", "infinity", "overflow", "position-string", "seed-nan", "n-string",
             "n-float", "phi-minus-infinity", "measured-axes-scalars", "fieldmap-origin-only",
             "spectrum-path-number", "rate-negative", "dwell-zero", "static-field-zero",
             "gamma-zero", "d-negative", "measured-axes-zero-vector", "diameter-negative",
             "grid-step-tiny", "psi-count-oversized", "fieldmap-axis-oversized",
-            "fieldmap-grid-oversized", "n-oversized", "eta-overflow", "rate-zero"])
+            "fieldmap-grid-oversized", "n-oversized", "eta-overflow", "rate-zero",
+            "fieldmap-unread-blocks", "measured-axes-static-field", "measured-axes-psi-count"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, mode, raw):
         path = tmp_path / "cfg.json"
         path.write_text(raw)
@@ -175,6 +206,17 @@ class TestErrorPaths:
         assert cli.run(mode, path, out) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("block", ["constants", "lineshape", "frequency_grid_mhz", "noise"])
+    @pytest.mark.parametrize("mode", ["fit", "fieldmap"])
+    def test_unread_shared_block_rejected(self, tmp_path, fit_spectrum_csv, mode, block):
+        # fit reads a spectrum file and fieldmap the wire geometry: a valid
+        # block that neither reads is an error, not silently ignored
+        cfg = dict(FUZZ_BASES[mode][0], **{block: COMMON_BLOCKS[block]})
+        if mode == "fit":
+            cfg["spectrum_csv"] = fit_spectrum_csv
+        path = write_cfg(tmp_path, "cfg.json", cfg)
+        assert cli.run(mode, path, tmp_path / "out") == cli.EXIT_CONFIG
 
     def test_no_outputs_on_config_error(self, tmp_path):
         payload = dict(SIMULATE_CFG, extra=1)

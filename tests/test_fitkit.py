@@ -123,6 +123,18 @@ class TestFitDips:
         with pytest.raises(ValueError):
             fitkit.fit_dips(spec, [2700.0, 2926.0])
 
+    def test_runaway_center_fails(self, shape, grid):
+        # at this MW azimuth the L0-Lm dip vanishes, and under noise its free
+        # center runs far off the grid while the fit reports convergence
+        mw = spinmodel.MwFieldNV(0.126, math.pi / 2.0, 0.0)
+        clean = odmrsim.simulate_spectrum(C, STATIC, mw, shape, grid)
+        spec = odmrsim.add_shot_noise(clean, 200.0, 0.008, seed=0)
+        with pytest.raises(DegenerateFitError, match="left the frequency grid"):
+            fitkit.fit_dips(spec, [2898.0, 2926.0])
+        eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
+        pinned = fitkit.fit_dips(spec, [eig.f_0m, eig.f_0p], fix_centers=True)
+        assert [d.center_mhz for d in pinned] == [eig.f_0m, eig.f_0p]
+
     def test_overlapping_dips_warn(self, grid):
         shape = odmrsim.LineshapeParams()
         sig = (1.0
@@ -131,6 +143,24 @@ class TestFitDips:
         spec = odmrsim.OdmrSpectrum(grid, sig)
         with pytest.warns(UserWarning):
             fitkit.fit_dips(spec, [2899.0, 2902.0])
+
+
+class TestDipJacobian:
+    # layouts: [baseline, fwhm, d1, d2] with pinned centers, and the same
+    # followed by the fitted centers c1, c2
+    @pytest.mark.parametrize("x", [[1.0, 8.0, 0.01, 0.02],
+                                   [1.0, 8.0, 0.01, 0.02, 2898.2, 2926.4]],
+                             ids=["pinned", "free"])
+    def test_matches_numeric(self, x):
+        spec = two_dip_spectrum()
+        f = spec.frequencies
+        x = np.array(x)
+        centers_of = (lambda p: p[4:]) if x.size > 4 else (lambda p: np.array([2897.5, 2927.0]))
+        jac_num = fitkit.numeric_jacobian(
+            lambda p: fitkit._dip_model(p, f, centers_of(p)) - spec.signal, x)
+        jac_ana = fitkit._dip_jacobian(x, f, centers_of(x))
+        assert jac_ana.shape == (f.size, x.size)
+        assert float(np.max(np.abs(jac_num - jac_ana))) < 1e-6
 
 
 class TestFitCos2:
