@@ -150,11 +150,18 @@ def _parse_wire(cfg: dict) -> tuple[list[tuple[float, float]], float, float]:
 
 def _chain_config(cfg: dict, seed_override: int | None) -> reconstruct.ChainConfig:
     psi_count = _integer(cfg.get("psi_count", 12), "psi_count", 4, MAX_PSI_COUNT)
+    shape, grid = _parse_lineshape(cfg), _parse_grid(cfg)
+    # the pinned dip fits search the linewidth inside this bracket only
+    lo, hi = fitkit.fwhm_bracket(grid)
+    if not lo < shape.fwhm_mhz < hi:
+        raise ConfigError(
+            f"lineshape.fwhm_mhz: must lie strictly inside (grid step, half the grid span) "
+            f"= ({lo:g}, {hi:g}) MHz")
     return reconstruct.ChainConfig(
         constants=_parse_constants(cfg),
         b_static_mt=_positive(cfg.get("static_field_mt", 10.2), "static_field_mt"),
-        shape=_parse_lineshape(cfg),
-        grid=_parse_grid(cfg),
+        shape=shape,
+        grid=grid,
         psis=np.linspace(0.0, math.pi, psi_count, endpoint=False),
         noise=_parse_noise(cfg, seed_override),
     )

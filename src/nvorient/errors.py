@@ -22,8 +22,11 @@ class SingularNormalEquationsError(NvOrientError):
 
 
 class DegenerateFitError(NvOrientError):
-    """Fit result unusable: modulation amplitude indistinguishable from zero,
-    or a fitted dip center outside the frequency grid."""
+    """Fit result unusable: modulation amplitude indistinguishable from zero;
+    a fitted dip center outside the frequency grid; two free dips within one
+    linewidth with depths of opposite sign; or a pinned-center fit whose
+    linewidth ends on its bracket [grid step, half the grid span] or does not
+    converge."""
 
 
 class NearParallelAxesError(NvOrientError):

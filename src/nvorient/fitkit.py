@@ -1,6 +1,10 @@
-"""Damped Gauss-Newton (Levenberg-Marquardt) fitting plus the two models the
-pipeline needs: multi-Lorentzian dip extraction (by LM) and the
+"""The two models the pipeline needs: multi-Lorentzian dip extraction and the
 a*cos^2(psi-psi0)+b intensity law (by linear least squares, in closed form).
+
+Dips at pinned centers are fitted a sweep at a time by variable projection:
+the model is linear in baseline and depths, so only the shared linewidth is
+searched (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  Dips with
+free centers are fitted by damped Gauss-Newton (Levenberg-Marquardt).
 """
 
 from __future__ import annotations
@@ -155,40 +159,199 @@ def _dip_jacobian(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
 
 INIT_FWHM_MHZ = 8.0
 MAX_DIP_ITER = 200
+# pinned-center search: stop a spectrum when its fwhm step is at most
+# STEP_TOL * fwhm; a chi-square rise below RISE_SLACK (relative) is round-off,
+# and without that slack the search backtracks forever near the optimum.
+# MAX_HALVINGS halvings take any step below STEP_TOL * fwhm.
+STEP_TOL = 1e-10
+RISE_SLACK = 1e-13
+MAX_HALVINGS = 40
 
 
-def fit_dips(spec: OdmrSpectrum, init_centers_mhz,
-             fix_centers: bool = False) -> list[DipEstimate]:
-    """Fit n Lorentzian dips (shared fwhm, free baseline) to a spectrum.
+@dataclass
+class PinnedDipFit:
+    """Per-spectrum results of `fit_pinned_dips`; the leading axis is the batch.
 
-    Uses the spectrum's shot-noise sigmas as weights when present.  With
-    `fix_centers` the centers are pinned to the supplied values (appropriate
-    when the transition frequencies are known independently; keeps near-zero
-    dips from wandering).  Raises DegenerateFitError when a fitted center
-    leaves the frequency grid.  Returns estimates ordered by center; warns
-    when fitted dips overlap within one linewidth.
+    `depths` and `depth_sigmas` have one column per pinned center, in the
+    order the centers were given; `depth_sigmas` is None for unweighted fits.
     """
-    pinned = np.array([float(c) for c in init_centers_mhz])
-    f, y = spec.frequencies, spec.signal
-    if np.any((pinned < f[0]) | (pinned > f[-1])):
+
+    depths: np.ndarray
+    depth_sigmas: np.ndarray | None
+    fwhm: np.ndarray
+
+
+def fwhm_bracket(f: np.ndarray) -> tuple[float, float]:
+    """The open interval (grid step, half the grid span) in which a pinned fit
+    searches the fwhm; narrower or wider dips are not resolved by the grid."""
+    return float(np.min(np.diff(f))), 0.5 * float(f[-1] - f[0])
+
+
+def _check_centers(f: np.ndarray, centers: np.ndarray) -> None:
+    if np.any(~((centers >= f[0]) & (centers <= f[-1]))):
         raise ValueError("initial dip centers must lie inside the frequency grid")
-    n = pinned.size
+
+
+def _columns(f, wt, centers, fwhm):
+    """Weighted model columns at each spectrum's fwhm, one per row (frequency
+    last): a = [1, L_1..L_n] (batch, 1 + n, n_f), L_k the unit-peak
+    Lorentzians, and dL_k/dfwhm = h*delta^2/den^2 (batch, n, n_f).  The
+    model is [baseline, -d_1..-d_n] @ a."""
+    h = 0.5 * fwhm[:, None, None]
+    delta2 = (f - centers[:, None]) ** 2
+    den = delta2 + h * h
+    a = np.empty((wt.shape[0], 1 + centers.size, f.size))
+    a[:, 0] = wt
+    np.multiply(h * h / den, wt[:, None, :], out=a[:, 1:])
+    return a, a[:, 1:] * (delta2 / (h * den))
+
+
+def _rowdot(u, v):
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _project(f, yw, wt, centers, fwhm):
+    """Variable projection at fixed fwhm: the exact weighted linear fit of
+    [baseline, -depths] and, at that fit, chi2, d(chi2)/d(fwhm) and the
+    Gauss-Newton (Kaufman) curvature 2*|P_perp dr/dfwhm|^2."""
+    a, da = _columns(f, wt, centers, fwhm)
+    gram = a @ a.transpose(0, 2, 1)
+    try:
+        coef = np.linalg.solve(gram, a @ yw[:, :, None]).transpose(0, 2, 1)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNormalEquationsError(str(exc)) from exc
+    r = (coef @ a)[:, 0] - yw
+    # dr/dfwhm at fixed coefficients; r is orthogonal to the columns, so
+    # 2 r . dr/dfwhm is the exact gradient of the projected chi2
+    jw = (coef[:, :, 1:] @ da)[:, 0]
+    jperp = jw - (np.linalg.solve(gram, a @ jw[:, :, None]).transpose(0, 2, 1) @ a)[:, 0]
+    return coef[:, 0], _rowdot(r, r), 2.0 * _rowdot(r, jw), 2.0 * _rowdot(jperp, jperp)
+
+
+def _pick(mask, new, old):
+    """Row-wise choice between two `_project` results: `new` where mask is set."""
+    return tuple(np.where(mask[:, None] if o.ndim == 2 else mask, n, o)
+                 for n, o in zip(new, old))
+
+
+def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
+    """Fit Lorentzian dips at pinned centers (shared fwhm, free baseline and
+    depths) to a batch of spectra on one frequency grid.
+
+    `signals` and `sigmas` have shape (batch, n_f); `sigmas=None` fits
+    unweighted and returns no depth sigmas.  The model is linear in baseline and depths, so each
+    trial fwhm is scored by their exact weighted fit (variable projection)
+    and only the fwhm is searched: Newton steps on the exact gradient of the
+    projected chi-square, with secant curvature (Gauss-Newton when the secant
+    is not positive), each step clamped to half the fwhm and halved while
+    chi-square rises.  Each spectrum stops on its own when its step is at
+    most STEP_TOL * fwhm.  Depth sigmas come from the full
+    [baseline, fwhm, depths] Jacobian at the optimum.
+
+    The fwhm is searched within `fwhm_bracket(f)`, [grid step, half the grid
+    span].  Raises DegenerateFitError when a spectrum's fwhm ends on that
+    bracket (the dips would run wider or narrower than the grid can show) or
+    has not met the stopping rule after MAX_DIP_ITER steps.
+    """
+    f = np.asarray(f, dtype=float)
+    y = np.atleast_2d(np.asarray(signals, dtype=float))
+    centers = np.asarray(centers, dtype=float)
+    _check_centers(f, centers)
+    if y.shape[1] != f.size:
+        raise ValueError("signals do not match the frequency grid")
+    if f.size < centers.size + 2:
+        raise ValueError("fewer data points than parameters")
+    if sigmas is None:
+        wt = np.ones_like(y)
+    else:
+        sig = np.atleast_2d(np.asarray(sigmas, dtype=float))
+        if sig.shape != y.shape or not np.all(np.isfinite(sig) & (sig > 0)):
+            raise ValueError("sigmas must be positive, finite and shaped like the signals")
+        wt = 1.0 / sig
+    yw = y * wt
+    lo, hi = fwhm_bracket(f)
+
+    fwhm = np.full(y.shape[0], min(max(INIT_FWHM_MHZ, lo), hi))
+    coef, chi2, grad, gn = _project(f, yw, wt, centers, fwhm)
+    done = np.zeros(fwhm.size, dtype=bool)
+    prev = None
+    for _ in range(MAX_DIP_ITER):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv = gn
+            if prev is not None:
+                secant = (grad - prev[1]) / (fwhm - prev[0])
+                curv = np.where(np.isfinite(secant) & (secant > 0.0), secant, gn)
+            step = np.clip(-grad / curv, -0.5 * fwhm, 0.5 * fwhm)
+        step = np.where(done | ~np.isfinite(step), 0.0, step)
+        step = np.clip(fwhm + step, lo, hi) - fwhm
+        done |= np.abs(step) <= STEP_TOL * fwhm
+        if done.all():
+            break
+        trial = _project(f, yw, wt, centers, fwhm + step)
+        rising = trial[1] > chi2 * (1.0 + RISE_SLACK)
+        for _ in range(MAX_HALVINGS):
+            if not rising.any():
+                break
+            step = np.where(rising, 0.5 * step, step)
+            trial = _pick(rising, _project(f, yw, wt, centers, fwhm + step), trial)
+            rising &= trial[1] > chi2 * (1.0 + RISE_SLACK)
+        keep = rising | done
+        step = np.where(keep, 0.0, step)
+        prev = (fwhm, grad)
+        fwhm = fwhm + step
+        coef, chi2, grad, gn = _pick(keep, (coef, chi2, grad, gn), trial)
+        done |= np.abs(step) <= STEP_TOL * fwhm
+    if not done.all():
+        raise DegenerateFitError(
+            f"pinned dip fit did not converge in {MAX_DIP_ITER} steps")
+    on_bound = np.flatnonzero((fwhm <= lo) | (fwhm >= hi))
+    if on_bound.size:
+        raise DegenerateFitError(
+            f"dip fwhm of spectrum {on_bound[0]} ran to the bound of [{lo:g}, {hi:g}] MHz "
+            "set by the grid")
+    if sigmas is None:
+        return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=None, fwhm=fwhm)
+
+    # Jacobian in [baseline, -depths, fwhm]: reordering and negating columns
+    # of [baseline, fwhm, depths] leaves the variances unchanged
+    a, da = _columns(f, wt, centers, fwhm)
+    jac = np.concatenate([a, coef[:, None, 1:] @ da], axis=1)
+    jtj = jac @ jac.transpose(0, 2, 1)
+    try:
+        cov = np.linalg.inv(jtj)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNormalEquationsError(str(exc)) from exc
+    var = np.diagonal(cov, axis1=1, axis2=2)[:, 1:-1]
+    return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=np.sqrt(np.maximum(var, 0.0)),
+                        fwhm=fwhm)
+
+
+def fit_dips(spec: OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
+    """Fit n Lorentzian dips (shared fwhm, free baseline and centers) to a
+    spectrum by Levenberg-Marquardt, started at the supplied centers.
+
+    Uses the spectrum's shot-noise sigmas as weights when present.  Raises
+    DegenerateFitError when a fitted center leaves the frequency grid, or
+    when two dips within one linewidth have depths of opposite sign (a
+    degenerate pair that can cancel to almost any shape).  Returns estimates
+    ordered by center; warns when fitted dips overlap within one linewidth.
+    Dips at known centers are fitted by `fit_pinned_dips`.
+    """
+    init = np.array([float(c) for c in init_centers_mhz])
+    f, y = spec.frequencies, spec.signal
+    _check_centers(f, init)
+    n = init.size
     base = float(np.median(y))
-    depths = [max(base - float(np.interp(c, f, y)), 1e-4) for c in pinned]
-    x0 = np.array([base, INIT_FWHM_MHZ, *depths, *([] if fix_centers else pinned)])
-    centers_of = (lambda p: pinned) if fix_centers else (lambda p: p[2 + n:])
+    depths = [max(base - float(np.interp(c, f, y)), 1e-4) for c in init]
+    x0 = np.array([base, INIT_FWHM_MHZ, *depths, *init])
 
     sigma = spec.point_sigma()
-    if sigma is None:
-        res = lambda p: _dip_model(p, f, centers_of(p)) - y
-        jac = lambda p: _dip_jacobian(p, f, centers_of(p))
-    else:
-        res = lambda p: (_dip_model(p, f, centers_of(p)) - y) / sigma
-        jac = lambda p: _dip_jacobian(p, f, centers_of(p)) / sigma[:, None]
-    fit = nls_fit(res, x0, jacobian=jac, max_iter=MAX_DIP_ITER, tol=1e-12,
-                  scale_covariance=sigma is None)
+    s = np.ones_like(y) if sigma is None else sigma
+    fit = nls_fit(lambda p: (_dip_model(p, f, p[2 + n:]) - y) / s, x0,
+                  jacobian=lambda p: _dip_jacobian(p, f, p[2 + n:]) / s[:, None],
+                  max_iter=MAX_DIP_ITER, tol=1e-12, scale_covariance=sigma is None)
     p = fit.params
-    centers = centers_of(p)
+    centers = p[2 + n:]
     if not np.all((centers >= f[0]) & (centers <= f[-1])):
         raise DegenerateFitError(
             f"fitted dip center left the frequency grid [{f[0]:g}, {f[-1]:g}] MHz")
@@ -198,6 +361,10 @@ def fit_dips(spec: OdmrSpectrum, init_centers_mhz,
                    for k, c in enumerate(centers)), key=lambda d: d.center_mhz)
     for a, b in zip(dips, dips[1:]):
         if abs(b.center_mhz - a.center_mhz) < a.fwhm_mhz:
+            if a.depth * b.depth < 0.0:
+                raise DegenerateFitError(
+                    f"fitted dips at {a.center_mhz:.3f} and {b.center_mhz:.3f} MHz overlap "
+                    "with depths of opposite sign")
             warnings.warn("fitted dips overlap within one linewidth", stacklevel=2)
     return dips
 

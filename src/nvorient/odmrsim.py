@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class SweepSeries:
 
     psis: np.ndarray
     spectra: list[OdmrSpectrum]
-    basis: TransverseBasis = field(repr=False, default=None)
+    centers_mhz: tuple[float, float]  # (f_0m, f_0p), the same at every psi
 
 
 def simulate_phi_sweep(
@@ -176,7 +176,7 @@ def simulate_phi_sweep(
                                          mw.transverse_azimuth - float(psi)), shape, grid)
         for psi in psis
     ]
-    return SweepSeries(psis=psis, spectra=spectra, basis=basis)
+    return SweepSeries(psis=psis, spectra=spectra, centers_mhz=(eig.f_0m, eig.f_0p))
 
 
 def add_shot_noise(spec: OdmrSpectrum, rate_kcps: float, dwell_s: float,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fitkit, geometry, odmrsim, spinmodel
+from . import fitkit, geometry, odmrsim
 from .errors import NearParallelAxesError, PlanarModelError
 from .fitkit import Cos2Fit
 from .geometry import TransverseBasis, WireScene, sweep_direction, unit
@@ -176,24 +176,24 @@ class PlanarRunResult:
     cos2: Cos2Fit
 
 
-def sweep_lp_depths(sweep: odmrsim.SweepSeries, consts: SpinConstants,
-                    b_static_mt: float):
-    """Fit every sweep spectrum and return L0<->Lp dip depths and sigmas.
+def sweep_lp_depths(sweep: odmrsim.SweepSeries):
+    """L0<->Lp dip depths of every sweep spectrum and, when all spectra are
+    noisy, their sigmas, from one batched fit at the sweep's dip centers.
 
-    Initial dip centers come from the eigensystem at psi = 0; at theta = pi/2
-    the transition frequencies are independent of the sweep angle.
+    At theta = pi/2 the transition frequencies do not depend on the sweep
+    angle, so the centers of the psi = 0 eigensolve hold for every spectrum.
     """
-    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(
-        consts, spinmodel.StaticFieldNV(b_static_mt, math.pi / 2.0, 0.0)))
-    centers = [eig.f_0m, eig.f_0p]
-    depths, sigmas = [], []
-    for spec in sweep.spectra:
-        dips = fitkit.fit_dips(spec, centers, fix_centers=True)
-        lp = min(dips, key=lambda d: abs(d.center_mhz - eig.f_0p))
-        depths.append(lp.depth)
-        sigmas.append(lp.depth_sigma)
-    noisy = all(s.counts_meta is not None for s in sweep.spectra)
-    return np.array(depths), (np.array(sigmas) if noisy else None)
+    f = sweep.spectra[0].frequencies
+    if any(not np.array_equal(s.frequencies, f) for s in sweep.spectra[1:]):
+        raise ValueError("sweep spectra must share one frequency grid")
+    noisy = [s.counts_meta is not None for s in sweep.spectra]
+    if any(noisy) and not all(noisy):
+        raise ValueError("sweep spectra must be all noisy or all noiseless")
+    sigmas = np.array([s.point_sigma() for s in sweep.spectra]) if all(noisy) else None
+    fit = fitkit.fit_pinned_dips(f, np.array([s.signal for s in sweep.spectra]), sigmas,
+                                 sweep.centers_mhz)
+    # column 1 is the dip at f_0p, the L0<->Lp transition
+    return fit.depths[:, 1], (fit.depth_sigmas[:, 1] if sigmas is not None else None)
 
 
 def _measure_nv_y(scene: WireScene, nv_index: int, cfg: ChainConfig,
@@ -213,14 +213,14 @@ def _measure_nv_y(scene: WireScene, nv_index: int, cfg: ChainConfig,
                                             cfg.noise.seed, *noise_key, i)
             for i, s in enumerate(sweep.spectra)
         ]
-    depths, sigmas = sweep_lp_depths(sweep, cfg.constants, cfg.b_static_mt)
+    depths, sigmas = sweep_lp_depths(sweep)
     cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
     return extract_nv_y(basis, cos2), cos2
 
 
 def end_to_end_planar(scene: WireScene, nv_index: int,
                       cfg: ChainConfig | None = None) -> PlanarRunResult:
-    """simulate_phi_sweep -> fit_dips -> fit_cos2 -> extract_nv_y -> planar_alpha.
+    """simulate_phi_sweep -> sweep_lp_depths -> fit_cos2 -> extract_nv_y -> planar_alpha.
 
     Truth comes from the wire tangent at the scene position; the reported
     error is the distance to the nearer member of the ambiguity pair.

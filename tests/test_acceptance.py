@@ -146,8 +146,8 @@ def test_criterion_5_noisy_end_to_end_statistics():
             psis=psis,
             spectra=[odmrsim.noisy_copy_with_subseed(s, rate, dwell, seed, i)
                      for i, s in enumerate(sweep.spectra)],
-            basis=basis)
-        depths, sigmas = reconstruct.sweep_lp_depths(noisy, C, 10.2)
+            centers_mhz=sweep.centers_mhz)
+        depths, sigmas = reconstruct.sweep_lp_depths(noisy)
         k = int(np.argmax(depths))
         rels.append(float(sigmas[k] / depths[k]))
     rel = float(np.median(rels))
@@ -236,7 +236,7 @@ def test_criterion_8_property_suite():
                                        geometry.wire_field_magnitude(scene),
                                        odmrsim.LineshapeParams(), odmrsim.default_grid(),
                                        psis)
-    depths, _ = reconstruct.sweep_lp_depths(sweep, C, 10.2)
+    depths, _ = reconstruct.sweep_lp_depths(sweep)
     fit = fitkit.fit_cos2(psis, depths)
     model = fit.a * np.cos(psis - fit.psi0) ** 2 + fit.b
     ss_res = float(np.sum((depths - model) ** 2))

@@ -192,13 +192,21 @@ class TestErrorPaths:
                            '"wire": {"current_ma": 40, "positions_um": [[61, 18]]}, '
                            '"measured_y_axes": [[-0.86, 0.42, -0.29], [0.85, 0.46, 0.25]], '
                            '"psi_count": 2}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
+                   '"lineshape": {"fwhm_mhz": 0.4}}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
+                   '"lineshape": {"fwhm_mhz": 60}}'),
+        ("reconstruct-planar", '{"mode": "reconstruct-planar", "nv_index": 3, '
+                               '"wire": {"current_ma": 40, "positions_um": [[61, 18]]}, '
+                               '"frequency_grid_mhz": {"step": 10}}'),
     ], ids=["nan", "infinity", "overflow", "position-string", "seed-nan", "n-string",
             "n-float", "phi-minus-infinity", "measured-axes-scalars", "fieldmap-origin-only",
             "spectrum-path-number", "rate-negative", "dwell-zero", "static-field-zero",
             "gamma-zero", "d-negative", "measured-axes-zero-vector", "diameter-negative",
             "grid-step-tiny", "psi-count-oversized", "fieldmap-axis-oversized",
             "fieldmap-grid-oversized", "n-oversized", "eta-overflow", "rate-zero",
-            "fieldmap-unread-blocks", "measured-axes-static-field", "measured-axes-psi-count"])
+            "fieldmap-unread-blocks", "measured-axes-static-field", "measured-axes-psi-count",
+            "fwhm-below-grid-step", "fwhm-above-half-span", "grid-step-above-fwhm"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, mode, raw):
         path = tmp_path / "cfg.json"
         path.write_text(raw)
@@ -239,6 +247,24 @@ class TestTable1:
         assert len(rows) == 10
         for row in rows[1:]:
             assert float(row[4]) < 1e-3
+
+    @pytest.mark.parametrize("fwhm_mhz, code", [(0.5, cli.EXIT_CONFIG), (0.51, cli.EXIT_OK),
+                                                (49.5, cli.EXIT_OK), (50.0, cli.EXIT_CONFIG)])
+    def test_linewidth_bracket(self, tmp_path, capsys, fwhm_mhz, code):
+        # the pinned dip fits resolve linewidths strictly inside (grid step,
+        # half the grid span); inside it a noiseless run is exact, outside it
+        # the config is rejected with the bracket named
+        cfg = write_cfg(tmp_path, "t1.json", {
+            "mode": "table1",
+            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+            "lineshape": {"fwhm_mhz": fwhm_mhz},
+        })
+        out = tmp_path / "out"
+        assert cli.run("table1", cfg, out) == code
+        if code == cli.EXIT_OK:
+            assert abs(float(read_csv(out / "table1.csv")[1][4])) < 1e-9
+        else:
+            assert "(0.5, 50) MHz" in capsys.readouterr().err
 
     @pytest.mark.parametrize("current_ma, code", [(0.0, cli.EXIT_PIPELINE),
                                                   (0.01, cli.EXIT_OK)])

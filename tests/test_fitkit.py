@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvorient import fitkit, odmrsim, spinmodel
+from nvorient import fitkit, geometry, odmrsim, spinmodel
 from nvorient.errors import DegenerateFitError
 
 C = spinmodel.SpinConstants()
@@ -109,14 +109,17 @@ class TestFitDips:
             assert abs(d.depth - truth) < 5.0 * d.depth_sigma
 
     def test_fixed_centers_layout(self):
+        # pinned depths come in the order the centers are given
         spec = two_dip_spectrum()
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
-        dips = fitkit.fit_dips(spec, [eig.f_0m, eig.f_0p], fix_centers=True)
-        assert dips[0].center_mhz == eig.f_0m
-        assert dips[1].center_mhz == eig.f_0p
+        fit = fitkit.fit_pinned_dips(spec.frequencies, spec.signal[None], None,
+                                     [eig.f_0m, eig.f_0p])
+        swapped = fitkit.fit_pinned_dips(spec.frequencies, spec.signal[None], None,
+                                         [eig.f_0p, eig.f_0m])
+        assert np.max(np.abs(swapped.depths[0] - fit.depths[0, ::-1])) < 1e-12
         free = fitkit.fit_dips(spec, [2898.0, 2926.0])
-        assert abs(dips[0].depth - free[0].depth) < 1e-4
-        assert abs(dips[1].depth - free[1].depth) < 1e-4
+        assert abs(fit.depths[0, 0] - free[0].depth) < 1e-4
+        assert abs(fit.depths[0, 1] - free[1].depth) < 1e-4
 
     def test_center_outside_grid_rejected(self):
         spec = two_dip_spectrum()
@@ -131,9 +134,24 @@ class TestFitDips:
         spec = odmrsim.add_shot_noise(clean, 200.0, 0.008, seed=0)
         with pytest.raises(DegenerateFitError, match="left the frequency grid"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
+        # the same spectrum fits at the known centers
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
-        pinned = fitkit.fit_dips(spec, [eig.f_0m, eig.f_0p], fix_centers=True)
-        assert [d.center_mhz for d in pinned] == [eig.f_0m, eig.f_0p]
+        pinned = fitkit.fit_pinned_dips(grid, spec.signal[None], spec.point_sigma()[None],
+                                        [eig.f_0m, eig.f_0p])
+        assert np.all(np.isfinite(pinned.depths)) and np.all(pinned.depth_sigmas > 0.0)
+
+    def test_opposite_sign_overlap_fails(self, shape, grid):
+        # a noisy sweep spectrum whose free fit puts two dips 0.3 MHz apart
+        # with depths +1.04 and -0.95 (sigma 245) that cancel to the real dip
+        basis = geometry.transverse_basis(geometry.crystallographic_axes()[3])
+        scene = geometry.WireScene(61.0, 18.0, 40.0)
+        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
+        sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
+                                           geometry.wire_field_magnitude(scene), shape, grid,
+                                           psis)
+        spec = odmrsim.noisy_copy_with_subseed(sweep.spectra[11], 200.0, 0.008, 27, 11)
+        with pytest.raises(DegenerateFitError, match="opposite sign"):
+            fitkit.fit_dips(spec, [2898.0, 2926.0])
 
     def test_overlapping_dips_warn(self, grid):
         shape = odmrsim.LineshapeParams()
@@ -143,6 +161,123 @@ class TestFitDips:
         spec = odmrsim.OdmrSpectrum(grid, sig)
         with pytest.warns(UserWarning):
             fitkit.fit_dips(spec, [2899.0, 2902.0])
+
+
+def noisy_sweeps(n_sweeps, dwell_s, nv_index=3):
+    """Signals and sigmas (12, n_f) of seeded noisy sweeps at (61, 18) um, and
+    the sweep's grid and dip centers."""
+    basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
+    scene = geometry.WireScene(61.0, 18.0, 40.0)
+    sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
+                                       geometry.wire_field_magnitude(scene),
+                                       odmrsim.LineshapeParams(), odmrsim.default_grid(),
+                                       np.linspace(0.0, math.pi, 12, endpoint=False))
+    runs = []
+    for seed in range(n_sweeps):
+        specs = [odmrsim.noisy_copy_with_subseed(s, 200.0, dwell_s, seed, i)
+                 for i, s in enumerate(sweep.spectra)]
+        runs.append((np.array([s.signal for s in specs]),
+                     np.array([s.point_sigma() for s in specs])))
+    return sweep.spectra[0].frequencies, np.array(sweep.centers_mhz), runs, sweep
+
+
+def lm_pinned(f, y, sigma, centers):
+    """Reference: Levenberg-Marquardt on [baseline, fwhm, d1, d2], started
+    where the pinned fit used to start."""
+    base = float(np.median(y))
+    x0 = np.array([base, fitkit.INIT_FWHM_MHZ,
+                   *(max(base - float(np.interp(c, f, y)), 1e-4) for c in centers)])
+    w = np.ones_like(y) if sigma is None else 1.0 / sigma
+    return fitkit.nls_fit(lambda p: (fitkit._dip_model(p, f, centers) - y) * w, x0,
+                          jacobian=lambda p: fitkit._dip_jacobian(p, f, centers) * w[:, None],
+                          max_iter=fitkit.MAX_DIP_ITER, tol=1e-12,
+                          scale_covariance=sigma is None)
+
+
+def linear_fit_at(f, y, sigma, centers, fwhm):
+    """Reference: depths and chi-square of the weighted linear least-squares
+    fit of baseline and depths at a given fwhm."""
+    w = np.ones_like(y) if sigma is None else 1.0 / sigma
+    design = np.column_stack([np.ones_like(f)]
+                             + [-odmrsim.lorentzian(f, c, fwhm) for c in centers]) * w[:, None]
+    coef = np.linalg.lstsq(design, y * w, rcond=None)[0]
+    r = design @ coef - y * w
+    return coef[1:], float(r @ r)
+
+
+class TestFitPinnedDips:
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_matches_lm(self, weighted):
+        # same optimum as LM from the same start, never a worse chi-square
+        f, centers, runs, _ = noisy_sweeps(50, 0.008)
+        for y, sig in runs:
+            fit = fitkit.fit_pinned_dips(f, y, sig if weighted else None, centers)
+            assert (fit.depth_sigmas is None) == (not weighted)
+            for k in range(y.shape[0]):
+                s = sig[k] if weighted else None
+                ref = lm_pinned(f, y[k], s, centers)
+                depths, chi2 = linear_fit_at(f, y[k], s, centers, fit.fwhm[k])
+                assert np.max(np.abs(fit.depths[k] - depths)) < 1e-12
+                assert chi2 <= ref.residual_norm ** 2 * (1.0 + 1e-12)
+                assert np.max(np.abs(fit.depths[k] - ref.params[2:])) < 1e-6
+                if weighted:
+                    assert np.max(np.abs(fit.depth_sigmas[k] / ref.sigmas[2:] - 1.0)) < 1e-4
+
+    def test_batch_independence(self):
+        f, centers, runs, _ = noisy_sweeps(3, 0.008)
+        for y, sig in runs:
+            batch = fitkit.fit_pinned_dips(f, y, sig, centers)
+            for k in range(y.shape[0]):
+                one = fitkit.fit_pinned_dips(f, y[k:k + 1], sig[k:k + 1], centers)
+                assert abs(one.fwhm[0] - batch.fwhm[k]) < 1e-12
+                assert np.max(np.abs(one.depths[0] - batch.depths[k])) < 1e-12
+                assert np.max(np.abs(one.depth_sigmas[0] - batch.depth_sigmas[k])) < 1e-12
+
+    def test_noiseless_recovers_simulated_lineshape(self, shape):
+        f, centers, _, sweep = noisy_sweeps(0, 0.008)
+        fit = fitkit.fit_pinned_dips(f, np.array([s.signal for s in sweep.spectra]), None,
+                                     centers)
+        assert np.max(np.abs(fit.fwhm - shape.fwhm_mhz)) < 1e-9
+        for k, s in enumerate(sweep.spectra):
+            assert linear_fit_at(f, s.signal, None, centers, fit.fwhm[k])[1] < 1e-20
+
+    def test_linewidth_bound_at_low_counts(self):
+        # 100 counts per point: LM let 9% of these fits run to fwhm up to 2e16
+        # MHz; a pinned fit must either stay in [grid step, half span] or raise
+        f, centers, runs, _ = noisy_sweeps(40, 0.0005)
+        lo, hi = 0.5, 50.0  # the default grid's step and half span
+        assert fitkit.fwhm_bracket(f) == (lo, hi)
+        raised, fwhms = 0, []
+        for y, sig in runs:
+            for k in range(y.shape[0]):
+                try:
+                    fit = fitkit.fit_pinned_dips(f, y[k:k + 1], sig[k:k + 1], centers)
+                except DegenerateFitError:
+                    raised += 1
+                    continue
+                fwhms.append(fit.fwhm[0])
+        assert lo < min(fwhms) and max(fwhms) < hi
+        assert raised > 0
+        with pytest.raises(DegenerateFitError, match="ran to the bound"):
+            for y, sig in runs:
+                fitkit.fit_pinned_dips(f, y, sig, centers)
+
+    def test_unconverged_fit_raises(self, monkeypatch):
+        f, centers, runs, _ = noisy_sweeps(1, 0.008)
+        y, sig = runs[0]
+        monkeypatch.setattr(fitkit, "MAX_DIP_ITER", 2)
+        with pytest.raises(DegenerateFitError, match="did not converge"):
+            fitkit.fit_pinned_dips(f, y, sig, centers)
+
+    def test_input_validation(self):
+        f, centers, runs, _ = noisy_sweeps(1, 0.008)
+        y, sig = runs[0]
+        with pytest.raises(ValueError):
+            fitkit.fit_pinned_dips(f, y[:, :-1], None, centers)
+        with pytest.raises(ValueError):
+            fitkit.fit_pinned_dips(f, y, np.zeros_like(sig), centers)
+        with pytest.raises(ValueError):
+            fitkit.fit_pinned_dips(f, y, sig, [2700.0, centers[1]])
 
 
 class TestDipJacobian:

@@ -133,6 +133,17 @@ class TestPhiSweep:
             assert np.array_equal(spec.frequencies, ref.frequencies)
             assert np.max(np.abs(spec.signal - ref.signal)) < 1e-12
 
+    def test_centers_hold_at_every_psi(self, shape, grid, nv1_basis):
+        # at theta = pi/2 the transition frequencies do not depend on psi, so
+        # the centers of the sweep's one eigensolve serve every spectrum
+        psis = np.array([0.0, 0.4, 1.3, 2.9])
+        sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
+                                           shape, grid, psis)
+        for psi in psis:
+            static = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, psi)
+            eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, static))
+            assert np.allclose(sweep.centers_mhz, (eig.f_0m, eig.f_0p), rtol=0, atol=1e-9)
+
     def test_empty_psis_rejected(self, shape, grid, nv1_basis):
         with pytest.raises(ValueError):
             odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,

@@ -114,7 +114,7 @@ class TestSweepChain:
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
         sweep = odmrsim.simulate_phi_sweep(consts, nv1_basis, 10.2, m, 0.05,
                                            shape, grid, psis)
-        depths, sigmas = reconstruct.sweep_lp_depths(sweep, consts, 10.2)
+        depths, sigmas = reconstruct.sweep_lp_depths(sweep)
         assert sigmas is None
         cos2 = fitkit.fit_cos2(psis, depths)
         # depth peaks when the static field is parallel to the in-plane
@@ -122,6 +122,27 @@ class TestSweepChain:
         expected = math.atan2(float(m @ nv1_basis.e2), float(m @ nv1_basis.e1)) % math.pi
         d = abs(cos2.psi0 - expected)
         assert min(d, math.pi - d) < 1e-6
+
+    def test_depths_without_eigensolve(self, consts, shape, grid, nv1_basis, monkeypatch):
+        # the dip centers travel with the sweep; fitting it solves no Hamiltonian
+        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
+        sweep = odmrsim.simulate_phi_sweep(consts, nv1_basis, 10.2, geometry.mw_direction(SCENE),
+                                           0.05, shape, grid, psis)
+
+        def no_eigensolve(*args):
+            raise AssertionError("sweep_lp_depths solved a Hamiltonian")
+
+        monkeypatch.setattr(spinmodel, "eigensystem", no_eigensolve)
+        depths, sigmas = reconstruct.sweep_lp_depths(sweep)
+        assert depths.shape == (12,) and sigmas is None
+
+    def test_mixed_noise_sweep_rejected(self, consts, shape, grid, nv1_basis):
+        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
+        sweep = odmrsim.simulate_phi_sweep(consts, nv1_basis, 10.2, geometry.mw_direction(SCENE),
+                                           0.05, shape, grid, psis)
+        sweep.spectra[0] = odmrsim.add_shot_noise(sweep.spectra[0], 200.0, 0.008, seed=1)
+        with pytest.raises(ValueError, match="all noisy or all noiseless"):
+            reconstruct.sweep_lp_depths(sweep)
 
     def test_end_to_end_planar_noiseless(self):
         run = reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX)
