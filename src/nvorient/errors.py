@@ -26,7 +26,12 @@ class DegenerateFitError(NvOrientError):
     a fitted dip center outside the frequency grid; two free dips within one
     linewidth with depths of opposite sign; or a pinned-center fit whose
     linewidth ends on its bracket [grid step, half the grid span] or does not
-    converge."""
+    converge.  `spectrum` is the batch index of the failed spectrum of a
+    pinned-center fit, and None otherwise."""
+
+    def __init__(self, message: str, spectrum: int | None = None):
+        super().__init__(message)
+        self.spectrum = spectrum
 
 
 class NearParallelAxesError(NvOrientError):

@@ -249,7 +249,8 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     [baseline, fwhm, depths] Jacobian at the optimum.
 
     The fwhm is searched within `fwhm_bracket(f)`, [grid step, half the grid
-    span].  Raises DegenerateFitError when a spectrum's fwhm ends on that
+    span].  Raises DegenerateFitError, with the batch index of the first
+    failed spectrum as its `spectrum`, when a spectrum's fwhm ends on that
     bracket (the dips would run wider or narrower than the grid can show) or
     has not met the stopping rule after MAX_DIP_ITER steps.
     """
@@ -303,12 +304,13 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
         done |= np.abs(step) <= STEP_TOL * fwhm
     if not done.all():
         raise DegenerateFitError(
-            f"pinned dip fit did not converge in {MAX_DIP_ITER} steps")
+            f"pinned dip fit did not converge in {MAX_DIP_ITER} steps",
+            spectrum=int(np.flatnonzero(~done)[0]))
     on_bound = np.flatnonzero((fwhm <= lo) | (fwhm >= hi))
     if on_bound.size:
         raise DegenerateFitError(
-            f"dip fwhm of spectrum {on_bound[0]} ran to the bound of [{lo:g}, {hi:g}] MHz "
-            "set by the grid")
+            f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid",
+            spectrum=int(on_bound[0]))
     if sigmas is None:
         return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=None, fwhm=fwhm)
 
@@ -340,8 +342,11 @@ def fit_dips(spec: OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
     init = np.array([float(c) for c in init_centers_mhz])
     f, y = spec.frequencies, spec.signal
     _check_centers(f, init)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("spectrum signal must be finite")
     n = init.size
-    base = float(np.median(y))
+    ys = np.sort(y)
+    base = 0.5 * float(ys[(y.size - 1) // 2] + ys[y.size // 2])  # the median
     depths = [max(base - float(np.interp(c, f, y)), 1e-4) for c in init]
     x0 = np.array([base, INIT_FWHM_MHZ, *depths, *init])
 
@@ -402,7 +407,7 @@ def fit_cos2(psis, depths, depth_sigmas=None) -> Cos2Fit:
     """
     psis = np.asarray(psis, dtype=float)
     depths = np.asarray(depths, dtype=float)
-    if psis.size < 4 or np.unique(np.round(psis, 12)).size < 4:
+    if psis.size < 4 or 1 + np.count_nonzero(np.diff(np.sort(np.round(psis, 12)))) < 4:
         raise ValueError("need at least 4 distinct psi values")
     if np.ptp(psis) <= math.pi / 2.0:
         raise ValueError("psi values must span more than pi/2")

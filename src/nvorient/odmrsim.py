@@ -43,7 +43,8 @@ class LineshapeParams:
         if self.model not in ("linear", "saturating"):
             raise ValueError(f"unknown intensity model {self.model!r}")
 
-    def contrast(self, omega_mhz: float) -> float:
+    def contrast(self, omega_mhz):
+        """Dip contrast of a Rabi amplitude (MHz); elementwise on arrays."""
         x = (omega_mhz / self.omega_ref_mhz) ** 2
         if self.model == "linear":
             return self.contrast_ref * x
@@ -52,15 +53,32 @@ class LineshapeParams:
 
 @dataclass(frozen=True)
 class CountsMeta:
-    """Photon statistics attached to a noisy spectrum."""
+    """Photon statistics attached to a noisy spectrum or sweep."""
 
     rate_kcps: float
     dwell_s: float
     seed: object
 
+    def __post_init__(self):
+        if not self.rate_kcps > 0 or not self.dwell_s > 0:
+            raise ValueError("count rate and dwell time must be positive")
+
     @property
     def mean_counts(self) -> float:
         return self.rate_kcps * 1000.0 * self.dwell_s
+
+    def point_sigma(self, signal: np.ndarray) -> np.ndarray:
+        """Shot-noise sigma of each point of a normalized signal."""
+        return np.sqrt(np.maximum(signal, 1e-12) / self.mean_counts)
+
+
+def _check_grid(frequencies) -> np.ndarray:
+    f = np.asarray(frequencies, dtype=float)
+    if f.ndim != 1 or f.size == 0:
+        raise ValueError("frequency grid must be a nonempty 1-D array")
+    if np.any(np.diff(f) <= 0):
+        raise ValueError("frequency grid must be strictly ascending")
+    return f
 
 
 @dataclass
@@ -72,21 +90,14 @@ class OdmrSpectrum:
     counts_meta: CountsMeta | None = None
 
     def __post_init__(self):
-        self.frequencies = np.asarray(self.frequencies, dtype=float)
+        self.frequencies = _check_grid(self.frequencies)
         self.signal = np.asarray(self.signal, dtype=float)
-        if self.frequencies.size == 0:
-            raise ValueError("frequency grid is empty")
-        if np.any(np.diff(self.frequencies) <= 0):
-            raise ValueError("frequency grid must be strictly ascending")
         if self.frequencies.shape != self.signal.shape:
             raise ValueError("grid and signal lengths differ")
 
     def point_sigma(self) -> np.ndarray | None:
         """Per-point shot-noise sigma of the normalized signal, if known."""
-        if self.counts_meta is None:
-            return None
-        n = self.counts_meta.mean_counts
-        return np.sqrt(np.maximum(self.signal, 1e-12) / n)
+        return None if self.counts_meta is None else self.counts_meta.point_sigma(self.signal)
 
 
 def default_grid(start_mhz: float = 2850.0, stop_mhz: float = 2950.0,
@@ -109,24 +120,30 @@ def simulate_spectrum(
     grid: np.ndarray,
 ) -> OdmrSpectrum:
     """Noiseless two-dip CW-ODMR spectrum on a unit baseline."""
-    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(consts, static))
-    return _spectrum(eig, consts, mw, shape, grid)
-
-
-def _spectrum(eig: spinmodel.EigenSystem, consts: SpinConstants, mw: MwFieldNV,
-              shape: LineshapeParams, grid: np.ndarray) -> OdmrSpectrum:
-    """Dips at the two |0>-connected transitions of `eig`, depths set by `mw`."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("frequency grid is empty")
-    omegas = spinmodel.rabi_amplitudes(eig, consts, mw)
-    absorb = (shape.contrast(omegas.omega_0m) * lorentzian(grid, eig.f_0m, shape.fwhm_mhz)
-              + shape.contrast(omegas.omega_0p) * lorentzian(grid, eig.f_0p, shape.fwhm_mhz))
-    if np.max(absorb) > 1.0:
+    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(consts, static))
+    signals = _dip_signals(eig, consts, mw.amplitude_mt, mw.direction()[None], shape, grid)
+    return OdmrSpectrum(frequencies=grid, signal=signals[0])
+
+
+def _dip_signals(eig: spinmodel.EigenSystem, consts: SpinConstants, amplitude_mt: float,
+                 directions: np.ndarray, shape: LineshapeParams,
+                 grid: np.ndarray) -> np.ndarray:
+    """Signals (n, n_f), one per microwave direction (rows of `directions`,
+    unit vectors in the NV frame): dips at the two |0>-connected transitions
+    of `eig`, depths set by each direction's coupling.  The grid is checked
+    by the spectrum or sweep that receives the signals."""
+    omegas = (consts.gamma_e * amplitude_mt
+              * np.abs(directions @ spinmodel.zero_transition_elements(eig)))
+    contrasts = shape.contrast(omegas)
+    absorb = (contrasts[:, :1] * lorentzian(grid, eig.f_0m, shape.fwhm_mhz)
+              + contrasts[:, 1:] * lorentzian(grid, eig.f_0p, shape.fwhm_mhz))
+    peak = float(np.max(absorb, initial=0.0))
+    if peak > 1.0:
         raise ContrastOverflowError(
-            f"summed dip contrast reaches {np.max(absorb):.3f} > 1; signal would go negative"
+            f"summed dip contrast reaches {peak:.3f} > 1; signal would go negative"
         )
-    return OdmrSpectrum(frequencies=grid, signal=1.0 - absorb)
+    return 1.0 - absorb
 
 
 def mw_field_in_nv_frame(basis: TransverseBasis, mw_lab: np.ndarray,
@@ -141,11 +158,29 @@ def mw_field_in_nv_frame(basis: TransverseBasis, mw_lab: np.ndarray,
 
 @dataclass
 class SweepSeries:
-    """Spectra recorded while rotating the static field in the transverse plane."""
+    """Spectra recorded while rotating the static field in the transverse plane.
+
+    Row i of `signals` (n_psi, n_f) is the spectrum at `psis[i]` on the one
+    `frequencies` grid.  Noisy sweeps carry their photon statistics.
+    """
 
     psis: np.ndarray
-    spectra: list[OdmrSpectrum]
+    frequencies: np.ndarray
+    signals: np.ndarray
     centers_mhz: tuple[float, float]  # (f_0m, f_0p), the same at every psi
+    counts_meta: CountsMeta | None = None
+
+    def __post_init__(self):
+        self.psis = np.asarray(self.psis, dtype=float)
+        self.frequencies = _check_grid(self.frequencies)
+        self.signals = np.asarray(self.signals, dtype=float)
+        if self.psis.ndim != 1 or self.signals.shape != (self.psis.size, self.frequencies.size):
+            raise ValueError("sweep signals must have one row per psi and one column "
+                             "per grid frequency")
+
+    def point_sigmas(self) -> np.ndarray | None:
+        """Per-point shot-noise sigmas shaped like `signals`, if known."""
+        return None if self.counts_meta is None else self.counts_meta.point_sigma(self.signals)
 
 
 def simulate_phi_sweep(
@@ -161,22 +196,26 @@ def simulate_phi_sweep(
     """Sweep the static field direction over psi with theta = pi/2 throughout.
 
     H(psi) = U H(0) U^dagger with U = exp(-i psi Sz), so one eigensolve at
-    psi = 0 serves the sweep, seen by the microwave rotated by -psi.
+    psi = 0 serves the sweep, seen by the microwave rotated by -psi.  At
+    theta = pi/2 the dip centers do not depend on psi either, so the sweep is
+    two Lorentzians weighted by an (n_psi, 2) array of contrasts.
     """
     psis = np.asarray(psis, dtype=float)
     if psis.size == 0:
         raise ValueError("psi list is empty")
     if not b_static_mt > 0:
         raise ValueError("static field must be positive for a sweep")
+    grid = np.asarray(grid, dtype=float)
     mw = mw_field_in_nv_frame(basis, mw_lab, mw_amplitude_mt)
     eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(
         consts, StaticFieldNV(b_static_mt, math.pi / 2.0, 0.0)))
-    spectra = [
-        _spectrum(eig, consts, MwFieldNV(mw.amplitude_mt, mw.zeta,
-                                         mw.transverse_azimuth - float(psi)), shape, grid)
-        for psi in psis
-    ]
-    return SweepSeries(psis=psis, spectra=spectra, centers_mhz=(eig.f_0m, eig.f_0p))
+    azimuths = mw.transverse_azimuth - psis
+    sin_zeta = math.sin(mw.zeta)
+    directions = np.column_stack([sin_zeta * np.cos(azimuths), sin_zeta * np.sin(azimuths),
+                                  np.full(psis.shape, math.cos(mw.zeta))])
+    signals = _dip_signals(eig, consts, mw.amplitude_mt, directions, shape, grid)
+    return SweepSeries(psis=psis, frequencies=grid, signals=signals,
+                       centers_mhz=(eig.f_0m, eig.f_0p))
 
 
 def add_shot_noise(spec: OdmrSpectrum, rate_kcps: float, dwell_s: float,
@@ -187,13 +226,10 @@ def add_shot_noise(spec: OdmrSpectrum, rate_kcps: float, dwell_s: float,
     mean).  `seed` may be an int or a numpy SeedSequence; equal seeds give
     bitwise-identical output.
     """
-    if not rate_kcps > 0 or not dwell_s > 0:
-        raise ValueError("count rate and dwell time must be positive")
-    rng = np.random.default_rng(seed)
-    n_mean = rate_kcps * 1000.0 * dwell_s
-    counts = rng.poisson(spec.signal * n_mean)
     meta = CountsMeta(rate_kcps=rate_kcps, dwell_s=dwell_s,
                       seed=seed if isinstance(seed, int) else repr(seed))
+    n_mean = meta.mean_counts
+    counts = np.random.default_rng(seed).poisson(spec.signal * n_mean)
     return OdmrSpectrum(frequencies=spec.frequencies.copy(),
                         signal=counts / n_mean, counts_meta=meta)
 
@@ -238,12 +274,22 @@ def spectrum_to_json_dict(spec: OdmrSpectrum, shape: LineshapeParams | None = No
     return env
 
 
-def noisy_copy_with_subseed(spec: OdmrSpectrum, rate_kcps: float, dwell_s: float,
-                            seed: int, *key: int) -> OdmrSpectrum:
-    """Shot noise with a per-task child seed derived from (seed, key).
+def noisy_copy_with_subseed(sweep: SweepSeries, rate_kcps: float, dwell_s: float,
+                            seed: int, *key: int) -> SweepSeries:
+    """Shot noise on every spectrum of a sweep, each with its own child seed.
 
-    SeedSequence spawning keeps batch results independent of execution order;
-    distinct key tuples, such as (slot, index), never share a stream.
+    Row i is `add_shot_noise` of the noiseless row with seed
+    SeedSequence(seed, spawn_key=(*key, i)), bit for bit.  SeedSequence
+    spawning keeps results independent of execution order; distinct key
+    tuples, such as (slot,) for the sweeps of a 3-D run, never share a stream.
     """
-    child = np.random.SeedSequence(entropy=seed, spawn_key=key)
-    return add_shot_noise(spec, rate_kcps, dwell_s, child)
+    meta = CountsMeta(rate_kcps=rate_kcps, dwell_s=dwell_s, seed=(seed, *key))
+    n_mean = meta.mean_counts
+    expected = sweep.signals * n_mean
+    counts = np.empty(expected.shape, dtype=np.int64)
+    for i, row in enumerate(expected):
+        child = np.random.SeedSequence(entropy=seed, spawn_key=(*key, i))
+        counts[i] = np.random.default_rng(child).poisson(row)
+    return SweepSeries(psis=sweep.psis, frequencies=sweep.frequencies,
+                       signals=counts / n_mean, centers_mhz=sweep.centers_mhz,
+                       counts_meta=meta)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitkit, geometry, odmrsim
-from .errors import NearParallelAxesError, PlanarModelError
+from .errors import DegenerateFitError, NearParallelAxesError, PlanarModelError
 from .fitkit import Cos2Fit
 from .geometry import TransverseBasis, WireScene, sweep_direction, unit
 from .odmrsim import LineshapeParams
@@ -176,46 +176,69 @@ class PlanarRunResult:
     cos2: Cos2Fit
 
 
-def sweep_lp_depths(sweep: odmrsim.SweepSeries):
-    """L0<->Lp dip depths of every sweep spectrum and, when all spectra are
-    noisy, their sigmas, from one batched fit at the sweep's dip centers.
+def sweep_lp_depths(*sweeps: odmrsim.SweepSeries):
+    """L0<->Lp dip depths of every spectrum of the given sweeps and, for noisy
+    sweeps, their sigmas, from one batched fit at the sweeps' dip centers.
 
-    At theta = pi/2 the transition frequencies do not depend on the sweep
-    angle, so the centers of the psi = 0 eigensolve hold for every spectrum.
+    Returns one (depths, sigmas) pair per sweep, sigmas None when noiseless.
+    At theta = pi/2 the transition frequencies depend neither on the sweep
+    angle nor on the NV orientation, so the centers of each sweep's psi = 0
+    eigensolve hold for every spectrum; sweeps fitted together must share
+    them, and their grid.  A spectrum whose fit degenerates is named by its
+    sweep's position among the arguments (its slot) and its psi index.
     """
-    f = sweep.spectra[0].frequencies
-    if any(not np.array_equal(s.frequencies, f) for s in sweep.spectra[1:]):
-        raise ValueError("sweep spectra must share one frequency grid")
-    noisy = [s.counts_meta is not None for s in sweep.spectra]
+    first = sweeps[0]
+    for s in sweeps[1:]:
+        if not np.array_equal(s.frequencies, first.frequencies):
+            raise ValueError("sweeps fitted together must share one frequency grid")
+        if s.centers_mhz != first.centers_mhz:
+            raise ValueError("sweeps fitted together must share their dip centers")
+    noisy = [s.counts_meta is not None for s in sweeps]
     if any(noisy) and not all(noisy):
-        raise ValueError("sweep spectra must be all noisy or all noiseless")
-    sigmas = np.array([s.point_sigma() for s in sweep.spectra]) if all(noisy) else None
-    fit = fitkit.fit_pinned_dips(f, np.array([s.signal for s in sweep.spectra]), sigmas,
-                                 sweep.centers_mhz)
+        raise ValueError("sweeps fitted together must be all noisy or all noiseless")
+    sigmas = np.concatenate([s.point_sigmas() for s in sweeps]) if all(noisy) else None
+    starts = np.cumsum([0] + [s.psis.size for s in sweeps])
+    try:
+        fit = fitkit.fit_pinned_dips(first.frequencies,
+                                     np.concatenate([s.signals for s in sweeps]), sigmas,
+                                     first.centers_mhz)
+    except DegenerateFitError as exc:
+        if exc.spectrum is None:
+            raise
+        slot = int(np.searchsorted(starts, exc.spectrum, side="right")) - 1
+        raise DegenerateFitError(f"slot {slot}, psi index {exc.spectrum - starts[slot]}: "
+                                 f"{exc}") from exc
     # column 1 is the dip at f_0p, the L0<->Lp transition
-    return fit.depths[:, 1], (fit.depth_sigmas[:, 1] if sigmas is not None else None)
+    depths = np.split(fit.depths[:, 1], starts[1:-1])
+    depth_sigmas = (np.split(fit.depth_sigmas[:, 1], starts[1:-1]) if sigmas is not None
+                    else [None] * len(sweeps))
+    return list(zip(depths, depth_sigmas))
 
 
-def _measure_nv_y(scene: WireScene, nv_index: int, cfg: ChainConfig,
-                  noise_key: tuple[int, ...]) -> tuple[NvYEstimate, Cos2Fit]:
-    """simulate_phi_sweep -> shot noise -> sweep_lp_depths -> fit_cos2 -> extract_nv_y.
+def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfig,
+                  noise_keys: tuple[tuple[int, ...], ...]) -> list[tuple[NvYEstimate, Cos2Fit]]:
+    """simulate_phi_sweep -> shot noise -> sweep_lp_depths -> fit_cos2 -> extract_nv_y
+    for each NV orientation, with the sweeps of all of them in one dip fit.
 
-    Spectrum i of the sweep draws its noise from spawn key (*noise_key, i).
+    Spectrum i of the sweep of nv_indices[k] draws its noise from spawn key
+    (*noise_keys[k], i).
     """
-    basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
-    sweep = odmrsim.simulate_phi_sweep(cfg.constants, basis, cfg.b_static_mt,
-                                       geometry.mw_direction(scene),
-                                       geometry.wire_field_magnitude(scene),
-                                       cfg.shape, cfg.grid, cfg.psis)
-    if cfg.noise is not None:
-        sweep.spectra = [
-            odmrsim.noisy_copy_with_subseed(s, cfg.noise.rate_kcps, cfg.noise.dwell_s,
-                                            cfg.noise.seed, *noise_key, i)
-            for i, s in enumerate(sweep.spectra)
-        ]
-    depths, sigmas = sweep_lp_depths(sweep)
-    cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
-    return extract_nv_y(basis, cos2), cos2
+    mw, amplitude = geometry.mw_direction(scene), geometry.wire_field_magnitude(scene)
+    bases, sweeps = [], []
+    for nv_index, key in zip(nv_indices, noise_keys):
+        basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
+        sweep = odmrsim.simulate_phi_sweep(cfg.constants, basis, cfg.b_static_mt, mw,
+                                           amplitude, cfg.shape, cfg.grid, cfg.psis)
+        if cfg.noise is not None:
+            sweep = odmrsim.noisy_copy_with_subseed(sweep, cfg.noise.rate_kcps,
+                                                    cfg.noise.dwell_s, cfg.noise.seed, *key)
+        bases.append(basis)
+        sweeps.append(sweep)
+    out = []
+    for basis, sweep, (depths, sigmas) in zip(bases, sweeps, sweep_lp_depths(*sweeps)):
+        cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
+        out.append((extract_nv_y(basis, cos2), cos2))
+    return out
 
 
 def end_to_end_planar(scene: WireScene, nv_index: int,
@@ -226,7 +249,7 @@ def end_to_end_planar(scene: WireScene, nv_index: int,
     error is the distance to the nearer member of the ambiguity pair.
     """
     cfg = cfg if cfg is not None else ChainConfig()
-    nv_y, cos2 = _measure_nv_y(scene, nv_index, cfg, ())
+    [(nv_y, cos2)] = _measure_nv_y(scene, (nv_index,), cfg, ((),))
     pa = planar_alpha(nv_y.axis, geometry.crystallographic_axes()[nv_index])
     m = geometry.mw_direction(scene)
     truth = math.degrees(math.atan2(m[0], m[2])) % 360.0
@@ -251,6 +274,5 @@ def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
     if i1 == i2:
         raise NearParallelAxesError("the two NV orientations must differ")
     cfg = cfg if cfg is not None else ChainConfig()
-    y1, _ = _measure_nv_y(scene, i1, cfg, (0,))
-    y2, _ = _measure_nv_y(scene, i2, cfg, (1,))
+    (y1, _), (y2, _) = _measure_nv_y(scene, (i1, i2), cfg, ((0,), (1,)))
     return mw_axis_from_two(y1, y2, truth_axis=geometry.mw_direction(scene))

@@ -142,12 +142,8 @@ def test_criterion_5_noisy_end_to_end_statistics():
                                        psis)
     rels = []
     for seed in range(10):
-        noisy = odmrsim.SweepSeries(
-            psis=psis,
-            spectra=[odmrsim.noisy_copy_with_subseed(s, rate, dwell, seed, i)
-                     for i, s in enumerate(sweep.spectra)],
-            centers_mhz=sweep.centers_mhz)
-        depths, sigmas = reconstruct.sweep_lp_depths(noisy)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, rate, dwell, seed)
+        [(depths, sigmas)] = reconstruct.sweep_lp_depths(noisy)
         k = int(np.argmax(depths))
         rels.append(float(sigmas[k] / depths[k]))
     rel = float(np.median(rels))
@@ -236,7 +232,7 @@ def test_criterion_8_property_suite():
                                        geometry.wire_field_magnitude(scene),
                                        odmrsim.LineshapeParams(), odmrsim.default_grid(),
                                        psis)
-    depths, _ = reconstruct.sweep_lp_depths(sweep)
+    [(depths, _)] = reconstruct.sweep_lp_depths(sweep)
     fit = fitkit.fit_cos2(psis, depths)
     model = fit.a * np.cos(psis - fit.psi0) ** 2 + fit.b
     ss_res = float(np.sum((depths - model) ** 2))
@@ -244,7 +240,7 @@ def test_criterion_8_property_suite():
     checks["cos^2 law R^2 > 0.999"] = 1.0 - ss_res / ss_tot > 0.999
 
     # analytic dip Jacobian vs finite differences
-    spec = sweep.spectra[0]
+    spec = odmrsim.OdmrSpectrum(sweep.frequencies, sweep.signals[0])
     x = np.array([1.0, 8.0, 0.01, 0.02, 2898.2, 2926.4])
     res_fn = lambda p: fitkit._dip_model(p, spec.frequencies, p[4:]) - spec.signal
     jac_num = fitkit.numeric_jacobian(res_fn, x)
@@ -271,7 +267,7 @@ def test_criterion_8_property_suite():
     checks["cross perpendicularity"] = perp < 1e-12
 
     # seeded shot noise is reproducible
-    clean = sweep.spectra[0]
+    clean = odmrsim.OdmrSpectrum(sweep.frequencies, sweep.signals[0])
     a = odmrsim.add_shot_noise(clean, 100.0, 1.0, seed=5).signal
     b = odmrsim.add_shot_noise(clean, 100.0, 1.0, seed=5).signal
     checks["seeded noise reproducible"] = bool(np.array_equal(a, b))

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -375,6 +378,26 @@ class TestMain:
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--config", "x.json"])
+
+    def test_fresh_process_skips_numpy_ma(self, tmp_path):
+        # numpy imports numpy.ma lazily on first use of some functions, at
+        # about 10 ms per process; no pipeline step needs it
+        cfg = write_cfg(tmp_path, "t1.json", {"mode": "table1", "wire": {"current_ma": 40.0}})
+        script = (
+            "import sys\n"
+            "from nvorient import cli, geometry, reconstruct\n"
+            "scene = geometry.WireScene(61.0, 18.0, 40.0)\n"
+            "chain = reconstruct.ChainConfig(noise=reconstruct.NoiseConfig(200.0, 0.008, 1))\n"
+            "reconstruct.end_to_end_planar(scene, 3, chain)\n"
+            "reconstruct.end_to_end_3d(scene, (3, 1), chain)\n"
+            "code = cli.main(['table1', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.split() == [str(cli.EXIT_OK), "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,16 @@ class TestFitDips:
         sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
                                            geometry.wire_field_magnitude(scene), shape, grid,
                                            psis)
-        spec = odmrsim.noisy_copy_with_subseed(sweep.spectra[11], 200.0, 0.008, 27, 11)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, 200.0, 0.008, 27)
+        spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[11], noisy.counts_meta)
         with pytest.raises(DegenerateFitError, match="opposite sign"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
+
+    def test_nonfinite_signal_rejected(self, grid):
+        sig = np.ones_like(grid)
+        sig[10] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fitkit.fit_dips(odmrsim.OdmrSpectrum(grid, sig), [2898.0])
 
     def test_overlapping_dips_warn(self, grid):
         shape = odmrsim.LineshapeParams()
@@ -174,11 +181,9 @@ def noisy_sweeps(n_sweeps, dwell_s, nv_index=3):
                                        np.linspace(0.0, math.pi, 12, endpoint=False))
     runs = []
     for seed in range(n_sweeps):
-        specs = [odmrsim.noisy_copy_with_subseed(s, 200.0, dwell_s, seed, i)
-                 for i, s in enumerate(sweep.spectra)]
-        runs.append((np.array([s.signal for s in specs]),
-                     np.array([s.point_sigma() for s in specs])))
-    return sweep.spectra[0].frequencies, np.array(sweep.centers_mhz), runs, sweep
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, 200.0, dwell_s, seed)
+        runs.append((noisy.signals, noisy.point_sigmas()))
+    return sweep.frequencies, np.array(sweep.centers_mhz), runs, sweep
 
 
 def lm_pinned(f, y, sigma, centers):
@@ -235,11 +240,10 @@ class TestFitPinnedDips:
 
     def test_noiseless_recovers_simulated_lineshape(self, shape):
         f, centers, _, sweep = noisy_sweeps(0, 0.008)
-        fit = fitkit.fit_pinned_dips(f, np.array([s.signal for s in sweep.spectra]), None,
-                                     centers)
+        fit = fitkit.fit_pinned_dips(f, sweep.signals, None, centers)
         assert np.max(np.abs(fit.fwhm - shape.fwhm_mhz)) < 1e-9
-        for k, s in enumerate(sweep.spectra):
-            assert linear_fit_at(f, s.signal, None, centers, fit.fwhm[k])[1] < 1e-20
+        for k, s in enumerate(sweep.signals):
+            assert linear_fit_at(f, s, None, centers, fit.fwhm[k])[1] < 1e-20
 
     def test_linewidth_bound_at_low_counts(self):
         # 100 counts per point: LM let 9% of these fits run to fwhm up to 2e16

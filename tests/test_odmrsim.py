@@ -109,10 +109,10 @@ class TestPhiSweep:
         mw_lab = geometry.wire_tangent(61.0, 18.0)
         sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, mw_lab, 0.05,
                                            shape, grid, psis)
-        assert len(sweep.spectra) == 12
+        assert sweep.signals.shape == (12, grid.size)
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
         k = int(np.argmin(np.abs(grid - eig.f_0p)))
-        depths = [1.0 - s.signal[k] for s in sweep.spectra]
+        depths = [1.0 - s[k] for s in sweep.signals]
         # the L0<->Lp dip depth follows cos^2 and nearly vanishes at the minimum
         assert max(depths) > 5.0 * min(depths)
 
@@ -127,11 +127,29 @@ class TestPhiSweep:
         psis = np.array([-7.0, -math.pi, -0.3, 0.0, 1.1, math.pi, 2 * math.pi, 9.5, 20.0])
         sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, mw_lab, 0.05, shape, grid, psis)
         mw = odmrsim.mw_field_in_nv_frame(basis, mw_lab, 0.05)
-        for psi, spec in zip(psis, sweep.spectra):
+        for psi, signal in zip(psis, sweep.signals):
             static = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, psi % (2 * math.pi))
             ref = odmrsim.simulate_spectrum(C, static, mw, shape, grid)
-            assert np.array_equal(spec.frequencies, ref.frequencies)
-            assert np.max(np.abs(spec.signal - ref.signal)) < 1e-12
+            assert np.array_equal(sweep.frequencies, ref.frequencies)
+            assert np.max(np.abs(signal - ref.signal)) < 1e-12
+
+    @pytest.mark.parametrize("model", ["linear", "saturating"])
+    def test_contrasts_match_rabi_amplitudes(self, grid, nv1_basis, model):
+        # reference: the spectrum of each psi built on its own from
+        # rabi_amplitudes with the microwave rotated by -psi
+        shape = odmrsim.LineshapeParams(model=model)
+        mw_lab = geometry.wire_tangent(61.0, 18.0)
+        psis = np.array([-2.0, 0.0, 0.5, 1.7, 3.0, 8.0])
+        sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, mw_lab, 0.05, shape, grid, psis)
+        mw = odmrsim.mw_field_in_nv_frame(nv1_basis, mw_lab, 0.05)
+        eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
+        for psi, signal in zip(psis, sweep.signals):
+            om = spinmodel.rabi_amplitudes(eig, C, spinmodel.MwFieldNV(
+                mw.amplitude_mt, mw.zeta, mw.transverse_azimuth - psi))
+            dips = [shape.contrast(omega) * odmrsim.lorentzian(grid, center, shape.fwhm_mhz)
+                    for omega, center in ((om.omega_0m, eig.f_0m), (om.omega_0p, eig.f_0p))]
+            ref = 1.0 - dips[0] - dips[1]
+            assert np.max(np.abs(signal - ref)) < 1e-15
 
     def test_centers_hold_at_every_psi(self, shape, grid, nv1_basis):
         # at theta = pi/2 the transition frequencies do not depend on psi, so
@@ -179,16 +197,27 @@ class TestShotNoise:
         assert np.allclose(sig, np.sqrt(np.maximum(noisy.signal, 1e-12) / 200000.0))
         assert spec.point_sigma() is None
 
-    def test_subseed_schedule_independence(self, shape, grid):
-        spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
-        order_a = [odmrsim.noisy_copy_with_subseed(spec, 100.0, 1.0, 7, i).signal
-                   for i in range(5)]
-        order_b = [odmrsim.noisy_copy_with_subseed(spec, 100.0, 1.0, 7, i).signal
-                   for i in reversed(range(5))]
-        for i in range(5):
-            assert np.array_equal(order_a[i], order_b[4 - i])
+    def test_subseed_schedule_independence(self, shape, grid, nv1_basis):
+        # row i of a noisy sweep is row i drawn alone from child seed (7, i),
+        # whatever order the rows are drawn in
+        psis = np.linspace(0.0, math.pi, 5, endpoint=False)
+        sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
+                                           shape, grid, psis)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, 100.0, 1.0, 7)
+        for i in reversed(range(5)):
+            ref = odmrsim.add_shot_noise(odmrsim.OdmrSpectrum(grid, sweep.signals[i]), 100.0,
+                                         1.0, np.random.SeedSequence(7, spawn_key=(i,)))
+            assert np.array_equal(noisy.signals[i], ref.signal)
+        assert np.array_equal(noisy.point_sigmas(),
+                              np.sqrt(np.maximum(noisy.signals, 1e-12) / 100000.0))
+        assert sweep.point_sigmas() is None
         # distinct indices give distinct streams
-        assert not np.array_equal(order_a[0], order_a[1])
+        same = odmrsim.SweepSeries(psis, grid, np.tile(sweep.signals[0], (5, 1)),
+                                   sweep.centers_mhz)
+        rows = odmrsim.noisy_copy_with_subseed(same, 100.0, 1.0, 7).signals
+        assert not np.array_equal(rows[0], rows[1])
+        with pytest.raises(ValueError):
+            odmrsim.noisy_copy_with_subseed(sweep, 0.0, 1.0, 7)
 
     def test_invalid_noise_params(self, shape, grid):
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)

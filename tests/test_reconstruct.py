@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nvorient import fitkit, geometry, odmrsim, reconstruct, spinmodel
-from nvorient.errors import NearParallelAxesError, PlanarModelError
+from nvorient.errors import DegenerateFitError, NearParallelAxesError, PlanarModelError
 
 AXES = geometry.crystallographic_axes()
 NV1 = AXES[reconstruct.NV1_AXIS_INDEX]
@@ -20,6 +20,17 @@ def planar_mw(alpha_deg):
 
 def fake_cos2(psi0, sigma=1e-4):
     return fitkit.Cos2Fit(a=1.0, b=0.0, psi0=psi0, sigma_psi0=sigma, sigma_a=1e-4)
+
+
+def pair_sweeps(psis, b_static_mt=10.2, grid=None):
+    """Noiseless sweeps of the NV1 and NV2 orientations at SCENE, as the 3-D chain makes them."""
+    return [odmrsim.simulate_phi_sweep(spinmodel.SpinConstants(),
+                                       geometry.transverse_basis(AXES[nv]), b_static_mt,
+                                       geometry.mw_direction(SCENE),
+                                       geometry.wire_field_magnitude(SCENE),
+                                       odmrsim.LineshapeParams(),
+                                       odmrsim.default_grid() if grid is None else grid, psis)
+            for nv in (reconstruct.NV1_AXIS_INDEX, reconstruct.NV2_AXIS_INDEX)]
 
 
 class TestExtractNvY:
@@ -114,7 +125,7 @@ class TestSweepChain:
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
         sweep = odmrsim.simulate_phi_sweep(consts, nv1_basis, 10.2, m, 0.05,
                                            shape, grid, psis)
-        depths, sigmas = reconstruct.sweep_lp_depths(sweep)
+        [(depths, sigmas)] = reconstruct.sweep_lp_depths(sweep)
         assert sigmas is None
         cos2 = fitkit.fit_cos2(psis, depths)
         # depth peaks when the static field is parallel to the in-plane
@@ -133,16 +144,78 @@ class TestSweepChain:
             raise AssertionError("sweep_lp_depths solved a Hamiltonian")
 
         monkeypatch.setattr(spinmodel, "eigensystem", no_eigensolve)
-        depths, sigmas = reconstruct.sweep_lp_depths(sweep)
+        [(depths, sigmas)] = reconstruct.sweep_lp_depths(sweep)
         assert depths.shape == (12,) and sigmas is None
 
-    def test_mixed_noise_sweep_rejected(self, consts, shape, grid, nv1_basis):
+    def test_sweep_shape_invariant(self):
+        # signals are one (n_psi, n_f) array, and a fit of several sweeps
+        # needs sigmas for every row, one grid and one pair of centers
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-        sweep = odmrsim.simulate_phi_sweep(consts, nv1_basis, 10.2, geometry.mw_direction(SCENE),
-                                           0.05, shape, grid, psis)
-        sweep.spectra[0] = odmrsim.add_shot_noise(sweep.spectra[0], 200.0, 0.008, seed=1)
+        sweep, other = pair_sweeps(psis)
+        for bad in (sweep.signals.T, sweep.signals[0], sweep.signals[1:], sweep.signals[:, 1:],
+                    sweep.signals[None]):
+            with pytest.raises(ValueError, match="one row per psi"):
+                odmrsim.SweepSeries(psis, sweep.frequencies, bad, sweep.centers_mhz)
+        noisy = odmrsim.noisy_copy_with_subseed(other, 200.0, 0.008, 1)
         with pytest.raises(ValueError, match="all noisy or all noiseless"):
-            reconstruct.sweep_lp_depths(sweep)
+            reconstruct.sweep_lp_depths(sweep, noisy)
+        shifted = pair_sweeps(psis, grid=odmrsim.default_grid(2850.5, 2950.5))[0]
+        with pytest.raises(ValueError, match="one frequency grid"):
+            reconstruct.sweep_lp_depths(sweep, shifted)
+        weaker = pair_sweeps(psis, b_static_mt=9.0)[0]
+        with pytest.raises(ValueError, match="dip centers"):
+            reconstruct.sweep_lp_depths(sweep, weaker)
+
+    def test_stacked_fit_matches_single_sweeps(self):
+        # the 3-D chain fits both sweeps in one batch; that must change nothing
+        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
+        for seed in range(5):
+            sweeps = [odmrsim.noisy_copy_with_subseed(s, 200.0, 0.008, seed, slot)
+                      for slot, s in enumerate(pair_sweeps(psis))]
+            stacked = reconstruct.sweep_lp_depths(*sweeps)
+            assert len(stacked) == 2
+            for sweep, (depths, sigmas) in zip(sweeps, stacked):
+                [(one_depths, one_sigmas)] = reconstruct.sweep_lp_depths(sweep)
+                assert np.array_equal(depths, one_depths)
+                assert np.array_equal(sigmas, one_sigmas)
+
+    def test_one_dip_fit_per_reconstruction(self, monkeypatch):
+        # one eigensolve per sweep, and every sweep of a result in one dip fit
+        calls = {"eigensystem": 0, "fit_pinned_dips": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(spinmodel, "eigensystem")
+        counted(fitkit, "fit_pinned_dips")
+        cfg = reconstruct.ChainConfig(
+            noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.008, seed=2))
+        reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+        assert calls == {"eigensystem": 1, "fit_pinned_dips": 1}
+        reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
+                                          reconstruct.NV2_AXIS_INDEX), cfg)
+        assert calls == {"eigensystem": 3, "fit_pinned_dips": 2}
+
+    def test_degenerate_slot_named(self):
+        # 200 counts per point, seed 0: the NV2 sweep's psi-6 fit runs to the
+        # fwhm bracket while the NV1 sweep fits; the error names slot 1
+        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
+        sweeps = [odmrsim.noisy_copy_with_subseed(s, 200.0, 0.001, 0, slot)
+                  for slot, s in enumerate(pair_sweeps(psis))]
+        reconstruct.sweep_lp_depths(sweeps[0])
+        with pytest.raises(DegenerateFitError, match="^slot 1, psi index 6: dip fwhm ran to"):
+            reconstruct.sweep_lp_depths(*sweeps)
+        cfg = reconstruct.ChainConfig(
+            noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.001, seed=0))
+        with pytest.raises(DegenerateFitError, match="^slot 1, psi index 6: "):
+            reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
+                                              reconstruct.NV2_AXIS_INDEX), cfg)
 
     def test_end_to_end_planar_noiseless(self):
         run = reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX)
@@ -173,29 +246,39 @@ class TestSweepChain:
         assert geometry.line_angle_between(est.axis, truth) < 1e-3
 
     def test_noise_keys_distinct_per_slot(self, monkeypatch, grid):
-        # each 3-D slot draws from its own spawn-key branch (slot, i), so no
-        # psi count makes two spectra share noise; planar keeps (i,)
-        keys = []
-        real = odmrsim.noisy_copy_with_subseed
+        # row i of 3-D slot k's noisy sweep is add_shot_noise of the noiseless
+        # row with child seed (k, i), so no psi count makes two spectra share
+        # noise; planar keeps (i,)
+        fitted = []
+        real = reconstruct.sweep_lp_depths
 
-        def record(spec, rate, dwell, seed, *key):
-            keys.append(key)
-            return real(spec, rate, dwell, seed, *key)
+        def record(*sweeps):
+            fitted.append(sweeps)
+            return real(*sweeps)
 
-        monkeypatch.setattr(odmrsim, "noisy_copy_with_subseed", record)
+        monkeypatch.setattr(reconstruct, "sweep_lp_depths", record)
+        psis = np.linspace(0.0, math.pi, 5, endpoint=False)
         cfg = reconstruct.ChainConfig(
-            psis=np.linspace(0.0, math.pi, 5, endpoint=False),
-            noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=1.5, seed=4))
+            psis=psis, noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=1.5, seed=4))
         reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
                                           reconstruct.NV2_AXIS_INDEX), cfg)
-        assert keys == [(slot, i) for slot in range(2) for i in range(5)]
-        keys.clear()
         reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
-        assert keys == [(i,) for i in range(5)]
+        clean = pair_sweeps(psis)
+        runs = [(fitted[0], clean, [(0,), (1,)]), (fitted[1], clean[:1], [()])]
+        for noisy_sweeps, clean_sweeps, keys in runs:
+            assert len(noisy_sweeps) == len(keys)
+            for noisy, sweep, key in zip(noisy_sweeps, clean_sweeps, keys):
+                for i in range(psis.size):
+                    ref = odmrsim.add_shot_noise(
+                        odmrsim.OdmrSpectrum(grid, sweep.signals[i]), 200.0, 1.5,
+                        np.random.SeedSequence(4, spawn_key=(*key, i)))
+                    assert np.array_equal(noisy.signals[i], ref.signal)
         # slot 0 / psi 1000 and slot 1 / psi 0: a flat key 1000*slot + i maps both to 1000
-        spec = odmrsim.OdmrSpectrum(grid, np.ones_like(grid))
-        assert not np.array_equal(real(spec, 100.0, 1.0, 4, 0, 1000).signal,
-                                  real(spec, 100.0, 1.0, 4, 1, 0).signal)
+        flat = odmrsim.SweepSeries(np.zeros(1001), grid, np.ones((1001, grid.size)),
+                                   clean[0].centers_mhz)
+        assert not np.array_equal(
+            odmrsim.noisy_copy_with_subseed(flat, 100.0, 1.0, 4, 0).signals[1000],
+            odmrsim.noisy_copy_with_subseed(flat, 100.0, 1.0, 4, 1).signals[0])
 
     def test_end_to_end_3d_same_orientation_rejected(self):
         with pytest.raises(NearParallelAxesError):
