@@ -258,8 +258,10 @@ def _planar_rows(cfg, seed, nv_index, positions, current, diameter):
     for x, z in positions:
         res = reconstruct.end_to_end_planar(geometry.WireScene(x, z, current, diameter),
                                             nv_index, chain)
+        # to 1e-9 deg: a noiseless error is float rounding (up to ~2e-13 deg),
+        # and printing it would tie data files to the order of the arithmetic
         rows.append((x, z, res.alpha_est_deg, res.alpha_partner_deg,
-                     res.alpha_theory_deg, res.error_deg))
+                     res.alpha_theory_deg, round(res.error_deg, 9)))
     return rows
 
 

@@ -3,8 +3,14 @@ a*cos^2(psi-psi0)+b intensity law (by linear least squares, in closed form).
 
 Dips at pinned centers are fitted a sweep at a time by variable projection:
 the model is linear in baseline and depths, so only the shared linewidth is
-searched (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  Dips with
-free centers are fitted by damped Gauss-Newton (Levenberg-Marquardt).
+searched (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), by Newton
+steps on t = log(fwhm).  The Lorentzian's t-derivatives are polynomials in
+the Lorentzian itself, dL/dt = 2L(1-L) and d2L/dt2 = 2(1-2L) dL/dt, so the
+projected chi-square's exact curvature (a Schur complement of the full
+Hessian) costs one more row of products, and a sweep converges in about
+five projections.  The depth covariance comes from the normal matrix of the
+last projection.  Dips with free centers are fitted by damped Gauss-Newton
+(Levenberg-Marquardt).
 """
 
 from __future__ import annotations
@@ -166,6 +172,8 @@ MAX_DIP_ITER = 200
 STEP_TOL = 1e-10
 RISE_SLACK = 1e-13
 MAX_HALVINGS = 40
+# the largest Newton step in t = log(fwhm): a factor e^0.5 = 1.65 either way
+MAX_LOG_STEP = 0.5
 
 
 @dataclass
@@ -192,40 +200,87 @@ def _check_centers(f: np.ndarray, centers: np.ndarray) -> None:
         raise ValueError("initial dip centers must lie inside the frequency grid")
 
 
-def _columns(f, wt, centers, fwhm):
-    """Weighted model columns at each spectrum's fwhm, one per row (frequency
-    last): a = [1, L_1..L_n] (batch, 1 + n, n_f), L_k the unit-peak
-    Lorentzians, and dL_k/dfwhm = h*delta^2/den^2 (batch, n, n_f).  The
-    model is [baseline, -d_1..-d_n] @ a."""
-    h = 0.5 * fwhm[:, None, None]
-    delta2 = (f - centers[:, None]) ** 2
-    den = delta2 + h * h
-    a = np.empty((wt.shape[0], 1 + centers.size, f.size))
-    a[:, 0] = wt
-    np.multiply(h * h / den, wt[:, None, :], out=a[:, 1:])
-    return a, a[:, 1:] * (delta2 / (h * den))
+class _Workspace:
+    """The arrays of one pinned fit that span the frequency grid, allocated
+    once and refilled in place by every `_project`, so that the search
+    allocates no array that spans the grid.  `rows` is row-major, each
+    quantity one contiguous (batch, n_f) block: the weights wt = 1/sigma and
+    wt*L_1..wt*L_n (together a, the weighted columns of [baseline, -depths]),
+    the weighted signal yw, dl_k = wt*L_k(1-L_k) = (wt dL_k/dt)/2,
+    d2l_k = (1-2L_k) dl_k = (wt d2L_k/dt2)/4, jw = dr/dt and the residual r,
+    where L_k are the unit-peak Lorentzians at the trial fwhm and
+    t = log(fwhm).  `cols` is the (batch, row, n_f) view that the batched
+    products take."""
+
+    def __init__(self, f, y, wt, centers):
+        n = centers.size
+        self.n = n
+        # one allocation: glibc raises its trim threshold to twice the
+        # largest block freed, so a single block goes back to the heap when
+        # the fit ends, where separate arrays can make it trim and re-fault
+        # the same pages on the next fit
+        block = np.empty((7 * n + 4, y.shape[0], f.size))
+        self.rows = block[:3 * n + 4]
+        self.rows[0] = wt
+        np.multiply(y, wt, out=self.rows[n + 1])
+        self.cols = self.rows.transpose(1, 0, 2)
+        # the weights and squared detunings again at full size, so that every
+        # elementwise step runs on equal shapes, without ufunc buffers
+        self.lor, self.tmp, self.wt, self.delta2 = block[3 * n + 4:].reshape(4, n, *y.shape)
+        self.wt[...] = wt
+        self.delta2[...] = ((f - centers[:, None]) ** 2)[:, None, :]
+        # right-hand sides [a.yw, I]: one solve gives the coefficients and G^-1
+        self.rhs = np.zeros((y.shape[0], n + 1, n + 2))
+        self.rhs[:, :, 1:] = np.eye(n + 1)
 
 
-def _rowdot(u, v):
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _project(f, yw, wt, centers, fwhm):
-    """Variable projection at fixed fwhm: the exact weighted linear fit of
-    [baseline, -depths] and, at that fit, chi2, d(chi2)/d(fwhm) and the
-    Gauss-Newton (Kaufman) curvature 2*|P_perp dr/dfwhm|^2."""
-    a, da = _columns(f, wt, centers, fwhm)
-    gram = a @ a.transpose(0, 2, 1)
+def _project(ws, fwhm):
+    """Variable projection at fixed fwhm: the exact weighted linear fit c of
+    [baseline, -depths] and, at that fit, chi2, half its t-derivative r.jw,
+    half its t-curvature (see `fit_pinned_dips`) and the depth variances.
+    With s = 2c[1:], jw = s.dl, and the [baseline, -depths, t] normal
+    matrix N = [[G, a.jw], [a.jw, jw.jw]] has, by blockwise inversion,
+    diag(N^-1) = diag(G^-1) + u^2/(jw.jw - (a.jw).u) with u = G^-1 a.jw."""
+    n, rows, cols, lor, tmp = ws.n, ws.rows, ws.cols, ws.lor, ws.tmp
+    m = n + 1
+    wl, dl, d2l = rows[1:m], rows[m + 1:2 * n + 2], rows[2 * n + 2:3 * n + 2]
+    jw, r = rows[3 * n + 2], rows[3 * n + 3]
+    lor[...] = (0.5 * fwhm[:, None]) ** 2
+    np.add(ws.delta2, lor, out=tmp)
+    np.divide(lor, tmp, out=lor)
+    np.multiply(lor, ws.wt, out=wl)
+    np.subtract(1.0, lor, out=tmp)
+    np.multiply(wl, tmp, out=dl)
+    np.subtract(tmp, lor, out=tmp)
+    np.multiply(dl, tmp, out=d2l)
+    # G and a.yw; the extra column keeps numpy's matmul off its same-buffer
+    # A @ A.T path, which is several times slower for these stacks
+    g = cols[:, :m + 1] @ cols[:, :m + 2].transpose(0, 2, 1)
+    ws.rhs[:, :, 0] = g[:, :m, m]
     try:
-        coef = np.linalg.solve(gram, a @ yw[:, :, None]).transpose(0, 2, 1)
+        sol = np.linalg.solve(g[:, :m, :m], ws.rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularNormalEquationsError(str(exc)) from exc
-    r = (coef @ a)[:, 0] - yw
-    # dr/dfwhm at fixed coefficients; r is orthogonal to the columns, so
-    # 2 r . dr/dfwhm is the exact gradient of the projected chi2
-    jw = (coef[:, :, 1:] @ da)[:, 0]
-    jperp = jw - (np.linalg.solve(gram, a @ jw[:, :, None]).transpose(0, 2, 1) @ a)[:, 0]
-    return coef[:, 0], _rowdot(r, r), 2.0 * _rowdot(r, jw), 2.0 * _rowdot(jperp, jperp)
+    coef, ginv = sol[:, :, 0], sol[:, :, 1:]
+    np.matmul(coef[:, None, :], cols[:, :m], out=r[:, None])
+    r -= rows[m]
+    s = 2.0 * coef[:, 1:]
+    np.matmul(s[:, None, :], cols[:, m + 1:2 * n + 2], out=jw[:, None])
+    # every row dotted with jw and with r; r is orthogonal to a, so r.jw is
+    # half the exact gradient of the projected chi2
+    p = cols @ cols[:, 3 * n + 2:].transpose(0, 2, 1)
+    jj = p[:, 3 * n + 2, 0]
+    aw = np.empty((s.shape[0], m, 2))   # columns a.jw and w (see `fit_pinned_dips`)
+    aw[:, :, 0] = aw[:, :, 1] = p[:, :m, 0]
+    aw[:, 1:, 1] += 2.0 * p[:, m + 1:2 * n + 2, 1]
+    gw = ginv @ aw
+    quad = np.einsum("bij,bij->bj", aw, gw)
+    kaufman = jj - quad[:, 0]
+    exact = jj + 2.0 * np.einsum("ij,ij->i", s, p[:, 2 * n + 2:3 * n + 2, 1]) - quad[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = np.diagonal(ginv, axis1=1, axis2=2)[:, 1:] + gw[:, 1:, 0] ** 2 / kaufman[:, None]
+    return (coef, p[:, 3 * n + 3, 1], p[:, 3 * n + 3, 0],
+            np.where(exact > 0.0, exact, kaufman), var)
 
 
 def _pick(mask, new, old):
@@ -239,14 +294,23 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     depths) to a batch of spectra on one frequency grid.
 
     `signals` and `sigmas` have shape (batch, n_f); `sigmas=None` fits
-    unweighted and returns no depth sigmas.  The model is linear in baseline and depths, so each
-    trial fwhm is scored by their exact weighted fit (variable projection)
-    and only the fwhm is searched: Newton steps on the exact gradient of the
-    projected chi-square, with secant curvature (Gauss-Newton when the secant
-    is not positive), each step clamped to half the fwhm and halved while
-    chi-square rises.  Each spectrum stops on its own when its step is at
-    most STEP_TOL * fwhm.  Depth sigmas come from the full
-    [baseline, fwhm, depths] Jacobian at the optimum.
+    unweighted and returns no depth sigmas.  The model is linear in baseline
+    and depths, so each trial fwhm is scored by their exact weighted fit
+    (variable projection) and only t = log(fwhm) is searched, by Newton
+    steps.  With h = fwhm/2 and L = h^2/(delta^2 + h^2), dL/dt = 2L(1-L) and
+    d2L/dt2 = 2(1-2L) dL/dt.  So, with r the weighted residual, a the
+    weighted columns of [baseline, -depths], G = a.a and jw = dr/dt, the
+    projected chi-square has the exact derivative 2 r.jw and the exact
+    second derivative 2(jw.jw + r.d2r/dt2 - w.G^-1 w), the Schur complement
+    of G in the Hessian of the full chi-square over [baseline, -depths, t],
+    where w = a.jw + [0, r.d2r/d(-depths)dt].  Where that is not positive,
+    the Gauss-Newton value 2(jw.jw - (a.jw).G^-1(a.jw)) (Kaufman, BIT 15,
+    49 (1975)) serves.  Each step is clamped to |dt| <= MAX_LOG_STEP and to
+    the bracket, and halved while chi-square rises.  Each spectrum stops on
+    its own when its fwhm step is at most STEP_TOL * fwhm.  Depth sigmas
+    come from the [baseline, -depths, t] normal matrix of the last accepted
+    projection, [[G, a.jw], [a.jw, jw.jw]]; depth variances do not depend
+    on how the fwhm is parametrized.
 
     The fwhm is searched within `fwhm_bracket(f)`, [grid step, half the grid
     span].  Raises DegenerateFitError, with the batch index of the first
@@ -269,38 +333,33 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
         if sig.shape != y.shape or not np.all(np.isfinite(sig) & (sig > 0)):
             raise ValueError("sigmas must be positive, finite and shaped like the signals")
         wt = 1.0 / sig
-    yw = y * wt
+    ws = _Workspace(f, y, wt, centers)
     lo, hi = fwhm_bracket(f)
 
     fwhm = np.full(y.shape[0], min(max(INIT_FWHM_MHZ, lo), hi))
-    coef, chi2, grad, gn = _project(f, yw, wt, centers, fwhm)
+    state = _project(ws, fwhm)
     done = np.zeros(fwhm.size, dtype=bool)
-    prev = None
     for _ in range(MAX_DIP_ITER):
+        chi2, grad, curv = state[1:4]
         with np.errstate(divide="ignore", invalid="ignore"):
-            curv = gn
-            if prev is not None:
-                secant = (grad - prev[1]) / (fwhm - prev[0])
-                curv = np.where(np.isfinite(secant) & (secant > 0.0), secant, gn)
-            step = np.clip(-grad / curv, -0.5 * fwhm, 0.5 * fwhm)
-        step = np.where(done | ~np.isfinite(step), 0.0, step)
+            dt = np.clip(-grad / curv, -MAX_LOG_STEP, MAX_LOG_STEP)
+        step = np.where(done | ~np.isfinite(dt), 0.0, fwhm * np.expm1(dt))
         step = np.clip(fwhm + step, lo, hi) - fwhm
         done |= np.abs(step) <= STEP_TOL * fwhm
         if done.all():
             break
-        trial = _project(f, yw, wt, centers, fwhm + step)
+        trial = _project(ws, fwhm + step)
         rising = trial[1] > chi2 * (1.0 + RISE_SLACK)
         for _ in range(MAX_HALVINGS):
             if not rising.any():
                 break
             step = np.where(rising, 0.5 * step, step)
-            trial = _pick(rising, _project(f, yw, wt, centers, fwhm + step), trial)
+            trial = _pick(rising, _project(ws, fwhm + step), trial)
             rising &= trial[1] > chi2 * (1.0 + RISE_SLACK)
         keep = rising | done
         step = np.where(keep, 0.0, step)
-        prev = (fwhm, grad)
         fwhm = fwhm + step
-        coef, chi2, grad, gn = _pick(keep, (coef, chi2, grad, gn), trial)
+        state = _pick(keep, state, trial)
         done |= np.abs(step) <= STEP_TOL * fwhm
     if not done.all():
         raise DegenerateFitError(
@@ -311,21 +370,9 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
         raise DegenerateFitError(
             f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid",
             spectrum=int(on_bound[0]))
-    if sigmas is None:
-        return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=None, fwhm=fwhm)
-
-    # Jacobian in [baseline, -depths, fwhm]: reordering and negating columns
-    # of [baseline, fwhm, depths] leaves the variances unchanged
-    a, da = _columns(f, wt, centers, fwhm)
-    jac = np.concatenate([a, coef[:, None, 1:] @ da], axis=1)
-    jtj = jac @ jac.transpose(0, 2, 1)
-    try:
-        cov = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNormalEquationsError(str(exc)) from exc
-    var = np.diagonal(cov, axis1=1, axis2=2)[:, 1:-1]
-    return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=np.sqrt(np.maximum(var, 0.0)),
-                        fwhm=fwhm)
+    coef, var = state[0], state[4]
+    depth_sigmas = None if sigmas is None else np.sqrt(np.maximum(var, 0.0))
+    return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=depth_sigmas, fwhm=fwhm)
 
 
 def fit_dips(spec: OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:

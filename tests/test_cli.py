@@ -251,6 +251,14 @@ class TestTable1:
         for row in rows[1:]:
             assert float(row[4]) < 1e-3
 
+    def test_noiseless_error_written_as_zero(self, tmp_path):
+        # a noiseless error is float rounding (up to 1.7e-13 deg), which
+        # must not reach the data file, or reordered arithmetic changes it
+        cfg = write_cfg(tmp_path, "t1.json", {"mode": "table1", "wire": {"current_ma": 40.0}})
+        out = tmp_path / "out"
+        assert cli.run("table1", cfg, out) == cli.EXIT_OK
+        assert [row[4] for row in read_csv(out / "table1.csv")[1:]] == ["0"] * 9
+
     @pytest.mark.parametrize("fwhm_mhz, code", [(0.5, cli.EXIT_CONFIG), (0.51, cli.EXIT_OK),
                                                 (49.5, cli.EXIT_OK), (50.0, cli.EXIT_CONFIG)])
     def test_linewidth_bracket(self, tmp_path, capsys, fwhm_mhz, code):

@@ -188,15 +188,16 @@ def noisy_sweeps(n_sweeps, dwell_s, nv_index=3):
 
 def lm_pinned(f, y, sigma, centers):
     """Reference: Levenberg-Marquardt on [baseline, fwhm, d1, d2], started
-    where the pinned fit used to start."""
+    where the pinned fit used to start.  At 400 counts per point LM crawls:
+    stopped at 200 steps or a relative drop of 1e-12 it ends short of the
+    optimum on 5 of 600 spectra (depths 5e-5 away), so it runs to 1e-15."""
     base = float(np.median(y))
     x0 = np.array([base, fitkit.INIT_FWHM_MHZ,
                    *(max(base - float(np.interp(c, f, y)), 1e-4) for c in centers)])
     w = np.ones_like(y) if sigma is None else 1.0 / sigma
     return fitkit.nls_fit(lambda p: (fitkit._dip_model(p, f, centers) - y) * w, x0,
                           jacobian=lambda p: fitkit._dip_jacobian(p, f, centers) * w[:, None],
-                          max_iter=fitkit.MAX_DIP_ITER, tol=1e-12,
-                          scale_covariance=sigma is None)
+                          max_iter=2000, tol=1e-15, scale_covariance=sigma is None)
 
 
 def linear_fit_at(f, y, sigma, centers, fwhm):
@@ -211,10 +212,12 @@ def linear_fit_at(f, y, sigma, centers, fwhm):
 
 
 class TestFitPinnedDips:
-    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
-    def test_matches_lm(self, weighted):
+    # 1,600 and 400 counts per point (200 kcps x 8 and 2 ms)
+    @pytest.mark.parametrize("weighted, dwell_s", [(True, 0.008), (False, 0.008), (True, 0.002)],
+                             ids=["weighted", "unweighted", "weighted-400-counts"])
+    def test_matches_lm(self, weighted, dwell_s):
         # same optimum as LM from the same start, never a worse chi-square
-        f, centers, runs, _ = noisy_sweeps(50, 0.008)
+        f, centers, runs, _ = noisy_sweeps(50, dwell_s)
         for y, sig in runs:
             fit = fitkit.fit_pinned_dips(f, y, sig if weighted else None, centers)
             assert (fit.depth_sigmas is None) == (not weighted)
@@ -229,7 +232,9 @@ class TestFitPinnedDips:
                     assert np.max(np.abs(fit.depth_sigmas[k] / ref.sigmas[2:] - 1.0)) < 1e-4
 
     def test_batch_independence(self):
+        # 1,600 and 400 counts per point
         f, centers, runs, _ = noisy_sweeps(3, 0.008)
+        runs += noisy_sweeps(3, 0.002)[2]
         for y, sig in runs:
             batch = fitkit.fit_pinned_dips(f, y, sig, centers)
             for k in range(y.shape[0]):
@@ -265,6 +270,24 @@ class TestFitPinnedDips:
         with pytest.raises(DegenerateFitError, match="ran to the bound"):
             for y, sig in runs:
                 fitkit.fit_pinned_dips(f, y, sig, centers)
+
+    def test_projections_per_fit(self, monkeypatch):
+        # Newton on log(fwhm) with exact curvature: about five projections
+        # per 12-spectrum sweep at 1,600 counts per point (the secant search
+        # on the raw fwhm took 7.6)
+        f, centers, runs, _ = noisy_sweeps(50, 0.008)
+        project, calls = fitkit._project, []
+
+        def counted(*args):
+            calls[-1] += 1
+            return project(*args)
+
+        monkeypatch.setattr(fitkit, "_project", counted)
+        for y, sig in runs:
+            calls.append(0)
+            fitkit.fit_pinned_dips(f, y, sig, centers)
+        assert max(calls) <= 6
+        assert np.mean(calls) <= 5.5
 
     def test_unconverged_fit_raises(self, monkeypatch):
         f, centers, runs, _ = noisy_sweeps(1, 0.008)
