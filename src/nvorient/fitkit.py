@@ -9,8 +9,12 @@ the Lorentzian itself, dL/dt = 2L(1-L) and d2L/dt2 = 2(1-2L) dL/dt, so the
 projected chi-square's exact curvature (a Schur complement of the full
 Hessian) costs one more row of products, and a sweep converges in about
 five projections.  The depth covariance comes from the normal matrix of the
-last projection.  Dips with free centers are fitted by damped Gauss-Newton
-(Levenberg-Marquardt).
+final state, computed once.  Dips with free centers are fitted by damped
+Gauss-Newton (Levenberg-Marquardt).
+
+The cos^2 law is a linear fit of three terms to a dozen depths, solved by a
+thin QR (modified Gram-Schmidt) on Python floats: at that size numpy's fixed
+cost per call is larger than the arithmetic.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -40,29 +45,16 @@ class FitResult:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
-def numeric_jacobian(residuals, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with per-parameter relative steps."""
-    x = np.asarray(x, dtype=float)
-    r0 = np.asarray(residuals(x))
-    jac = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        h = rel_step * max(abs(x[j]), 1.0)
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(residuals(xp)) - np.asarray(residuals(xm))) / (2.0 * h)
-    return jac
-
-
 def nls_fit(
     residuals,
     x0,
-    jacobian=None,
+    jacobian,
     max_iter: int = 100,
     tol: float = 1e-10,
     scale_covariance: bool = True,
 ) -> FitResult:
-    """Levenberg-Marquardt minimization of sum(residuals(x)^2).
+    """Levenberg-Marquardt minimization of sum(residuals(x)^2), with
+    `jacobian(x)` the Jacobian of the residuals.
 
     The damping factor starts at 1e-3; it is multiplied by 10 on a rejected
     step and divided by 10 on an accepted one.  Convergence is declared when
@@ -73,7 +65,6 @@ def nls_fit(
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial parameters must be finite")
-    jac_fn = jacobian if jacobian is not None else (lambda p: numeric_jacobian(residuals, p))
     r = np.asarray(residuals(x), dtype=float)
     if r.size < x.size:
         raise ValueError("fewer data points than parameters")
@@ -82,7 +73,7 @@ def nls_fit(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        jac = np.asarray(jac_fn(x), dtype=float)
+        jac = np.asarray(jacobian(x), dtype=float)
         g = jac.T @ r
         jtj = jac.T @ jac
         accepted = False
@@ -109,7 +100,7 @@ def nls_fit(
             converged = True
             break
     try:
-        jac = np.asarray(jac_fn(x), dtype=float)
+        jac = np.asarray(jacobian(x), dtype=float)
         jtj = jac.T @ jac
         cov = np.linalg.inv(jtj)
         if scale_covariance:
@@ -229,18 +220,17 @@ class _Workspace:
         self.lor, self.tmp, self.wt, self.delta2 = block[3 * n + 4:].reshape(4, n, *y.shape)
         self.wt[...] = wt
         self.delta2[...] = ((f - centers[:, None]) ** 2)[:, None, :]
-        # right-hand sides [a.yw, I]: one solve gives the coefficients and G^-1
-        self.rhs = np.zeros((y.shape[0], n + 1, n + 2))
-        self.rhs[:, :, 1:] = np.eye(n + 1)
 
 
 def _project(ws, fwhm):
     """Variable projection at fixed fwhm: the exact weighted linear fit c of
-    [baseline, -depths] and, at that fit, chi2, half its t-derivative r.jw,
-    half its t-curvature (see `fit_pinned_dips`) and the depth variances.
-    With s = 2c[1:], jw = s.dl, and the [baseline, -depths, t] normal
-    matrix N = [[G, a.jw], [a.jw, jw.jw]] has, by blockwise inversion,
-    diag(N^-1) = diag(G^-1) + u^2/(jw.jw - (a.jw).u) with u = G^-1 a.jw."""
+    [baseline, -depths] and, at that fit, chi2, half its t-derivative r.jw and
+    half its t-curvature (see `fit_pinned_dips`); then G^-1, u = G^-1 a.jw
+    and the Kaufman curvature jw.jw - (a.jw).u, from which the depth
+    variances of the final state follow: with s = 2c[1:], jw = s.dl, and the
+    [baseline, -depths, t] normal matrix N = [[G, a.jw], [a.jw, jw.jw]] has,
+    by blockwise inversion, diag(N^-1) = diag(G^-1) + u^2/(jw.jw - (a.jw).u).
+    Returns a list of fresh arrays, each with the batch as its leading axis."""
     n, rows, cols, lor, tmp = ws.n, ws.rows, ws.cols, ws.lor, ws.tmp
     m = n + 1
     wl, dl, d2l = rows[1:m], rows[m + 1:2 * n + 2], rows[2 * n + 2:3 * n + 2]
@@ -256,12 +246,11 @@ def _project(ws, fwhm):
     # G and a.yw; the extra column keeps numpy's matmul off its same-buffer
     # A @ A.T path, which is several times slower for these stacks
     g = cols[:, :m + 1] @ cols[:, :m + 2].transpose(0, 2, 1)
-    ws.rhs[:, :, 0] = g[:, :m, m]
     try:
-        sol = np.linalg.solve(g[:, :m, :m], ws.rhs)
+        ginv = np.linalg.inv(g[:, :m, :m])
     except np.linalg.LinAlgError as exc:
         raise SingularNormalEquationsError(str(exc)) from exc
-    coef, ginv = sol[:, :, 0], sol[:, :, 1:]
+    coef = (ginv @ g[:, :m, m:])[:, :, 0]
     np.matmul(coef[:, None, :], cols[:, :m], out=r[:, None])
     r -= rows[m]
     s = 2.0 * coef[:, 1:]
@@ -277,16 +266,8 @@ def _project(ws, fwhm):
     quad = np.einsum("bij,bij->bj", aw, gw)
     kaufman = jj - quad[:, 0]
     exact = jj + 2.0 * np.einsum("ij,ij->i", s, p[:, 2 * n + 2:3 * n + 2, 1]) - quad[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = np.diagonal(ginv, axis1=1, axis2=2)[:, 1:] + gw[:, 1:, 0] ** 2 / kaufman[:, None]
-    return (coef, p[:, 3 * n + 3, 1], p[:, 3 * n + 3, 0],
-            np.where(exact > 0.0, exact, kaufman), var)
-
-
-def _pick(mask, new, old):
-    """Row-wise choice between two `_project` results: `new` where mask is set."""
-    return tuple(np.where(mask[:, None] if o.ndim == 2 else mask, n, o)
-                 for n, o in zip(new, old))
+    return [coef, p[:, 3 * n + 3, 1], p[:, 3 * n + 3, 0], np.where(exact > 0.0, exact, kaufman),
+            ginv, gw[:, :, 0], kaufman]
 
 
 def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
@@ -307,10 +288,12 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     the Gauss-Newton value 2(jw.jw - (a.jw).G^-1(a.jw)) (Kaufman, BIT 15,
     49 (1975)) serves.  Each step is clamped to |dt| <= MAX_LOG_STEP and to
     the bracket, and halved while chi-square rises.  Each spectrum stops on
-    its own when its fwhm step is at most STEP_TOL * fwhm.  Depth sigmas
-    come from the [baseline, -depths, t] normal matrix of the last accepted
-    projection, [[G, a.jw], [a.jw, jw.jw]]; depth variances do not depend
-    on how the fwhm is parametrized.
+    its own when its fwhm step is at most STEP_TOL * fwhm; a finished
+    spectrum rides along at a zero step, and a spectrum whose chi-square
+    still rises after MAX_HALVINGS halvings keeps its previous state.  Depth
+    sigmas are computed once, after the search, from the [baseline, -depths,
+    t] normal matrix of the final state, [[G, a.jw], [a.jw, jw.jw]]; depth
+    variances do not depend on how the fwhm is parametrized.
 
     The fwhm is searched within `fwhm_bracket(f)`, [grid step, half the grid
     span].  Raises DegenerateFitError, with the batch index of the first
@@ -337,41 +320,48 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     lo, hi = fwhm_bracket(f)
 
     fwhm = np.full(y.shape[0], min(max(INIT_FWHM_MHZ, lo), hi))
-    state = _project(ws, fwhm)
     done = np.zeros(fwhm.size, dtype=bool)
-    for _ in range(MAX_DIP_ITER):
-        chi2, grad, curv = state[1:4]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt = np.clip(-grad / curv, -MAX_LOG_STEP, MAX_LOG_STEP)
-        step = np.where(done | ~np.isfinite(dt), 0.0, fwhm * np.expm1(dt))
-        step = np.clip(fwhm + step, lo, hi) - fwhm
-        done |= np.abs(step) <= STEP_TOL * fwhm
-        if done.all():
-            break
-        trial = _project(ws, fwhm + step)
-        rising = trial[1] > chi2 * (1.0 + RISE_SLACK)
-        for _ in range(MAX_HALVINGS):
-            if not rising.any():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        state = _project(ws, fwhm)
+        for _ in range(MAX_DIP_ITER):
+            chi2, grad, curv = state[1:4]
+            dt = np.minimum(np.maximum(-grad / curv, -MAX_LOG_STEP), MAX_LOG_STEP)
+            step = np.where(done | ~np.isfinite(dt), 0.0, fwhm * np.expm1(dt))
+            step = np.minimum(np.maximum(fwhm + step, lo), hi) - fwhm
+            done |= np.abs(step) <= STEP_TOL * fwhm
+            if done.all():
                 break
-            step = np.where(rising, 0.5 * step, step)
-            trial = _pick(rising, _project(ws, fwhm + step), trial)
-            rising &= trial[1] > chi2 * (1.0 + RISE_SLACK)
-        keep = rising | done
-        step = np.where(keep, 0.0, step)
-        fwhm = fwhm + step
-        state = _pick(keep, state, trial)
-        done |= np.abs(step) <= STEP_TOL * fwhm
-    if not done.all():
-        raise DegenerateFitError(
-            f"pinned dip fit did not converge in {MAX_DIP_ITER} steps",
-            spectrum=int(np.flatnonzero(~done)[0]))
-    on_bound = np.flatnonzero((fwhm <= lo) | (fwhm >= hi))
-    if on_bound.size:
-        raise DegenerateFitError(
-            f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid",
-            spectrum=int(on_bound[0]))
-    coef, var = state[0], state[4]
-    depth_sigmas = None if sigmas is None else np.sqrt(np.maximum(var, 0.0))
+            # a finished spectrum is projected again at its own fwhm
+            step[done] = 0.0
+            trial = _project(ws, fwhm + step)
+            rising = trial[1] > chi2 * (1.0 + RISE_SLACK)
+            for _ in range(MAX_HALVINGS):
+                if not rising.any():
+                    break
+                step[rising] *= 0.5
+                trial = _project(ws, fwhm + step)
+                rising &= trial[1] > chi2 * (1.0 + RISE_SLACK)
+            if rising.any():
+                step[rising] = 0.0
+                for new, old in zip(trial, state):
+                    new[rising] = old[rising]
+            fwhm = fwhm + step
+            state = trial
+            done |= np.abs(step) <= STEP_TOL * fwhm
+        if not done.all():
+            raise DegenerateFitError(
+                f"pinned dip fit did not converge in {MAX_DIP_ITER} steps",
+                spectrum=int(np.flatnonzero(~done)[0]))
+        on_bound = np.flatnonzero((fwhm <= lo) | (fwhm >= hi))
+        if on_bound.size:
+            raise DegenerateFitError(
+                f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid",
+                spectrum=int(on_bound[0]))
+        coef, ginv, u, kaufman = state[0], *state[4:]
+        depth_sigmas = None
+        if sigmas is not None:
+            var = np.diagonal(ginv, axis1=1, axis2=2)[:, 1:] + u[:, 1:] ** 2 / kaufman[:, None]
+            depth_sigmas = np.sqrt(np.maximum(var, 0.0))
     return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=depth_sigmas, fwhm=fwhm)
 
 
@@ -447,47 +437,79 @@ def fit_cos2(psis, depths, depth_sigmas=None) -> Cos2Fit:
 
     The model equals c0 + c1*cos(2 psi) + c2*sin(2 psi), so weighted linear
     least squares gives the exact minimum: psi0 = atan2(c2, c1)/2, a = 2|c|,
-    b = c0 - |c|.  Uncertainties follow from the linear covariance by the
-    delta method, scaled by the reduced chi-square when unweighted.  Raises
-    DegenerateFitError when the amplitude is not significant (a <= 3*sigma_a)
-    or below AMPLITUDE_FLOOR.
-    """
-    psis = np.asarray(psis, dtype=float)
-    depths = np.asarray(depths, dtype=float)
-    if psis.size < 4 or 1 + np.count_nonzero(np.diff(np.sort(np.round(psis, 12)))) < 4:
-        raise ValueError("need at least 4 distinct psi values")
-    if np.ptp(psis) <= math.pi / 2.0:
-        raise ValueError("psi values must span more than pi/2")
-    if depth_sigmas is not None:
-        w = 1.0 / np.asarray(depth_sigmas, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("depth sigmas must be positive and finite")
-    else:
-        w = np.ones_like(depths)
+    b = c0 - |c|.  The weighted n x 3 design is factored by a thin QR from
+    modified Gram-Schmidt, with the data as a fourth column so that Q^T y
+    and the residual come out of the same sweeps (Bjorck, BIT 7, 1 (1967));
+    the normal equations would square the condition number.  R gives the
+    coefficients, the covariance R^-1 R^-T and the rank test.
+    Uncertainties follow from that covariance by the delta method, scaled
+    by the reduced chi-square when unweighted.  The problem has three
+    unknowns and a dozen rows, so it runs on Python floats: numpy's fixed
+    cost per call is larger than the arithmetic here.
 
-    design = np.column_stack([np.ones_like(psis), np.cos(2.0 * psis), np.sin(2.0 * psis)])
-    design *= w[:, None]
-    coef, _, rank, _ = np.linalg.lstsq(design, depths * w, rcond=None)
-    if rank < 3:
-        raise DegenerateFitError("psi values determine fewer than three model terms")
-    cov = np.linalg.inv(design.T @ design)
+    Raises ValueError on fewer than 4 distinct psi, a psi span of at most
+    pi/2, or a sigma that is not positive and finite; DegenerateFitError
+    when the psi values fix fewer than three model terms (|R_kk| at most
+    eps*max(n, 3)*max_j |R_jj|), or when the amplitude is not significant
+    (a <= 3*sigma_a) or below AMPLITUDE_FLOOR.
+    """
+    psis = np.asarray(psis, dtype=float).ravel().tolist()
+    depths = np.asarray(depths, dtype=float).ravel().tolist()
+    n = len(psis)
+    if len(depths) != n:
+        raise ValueError("psis and depths differ in length")
+    if not all(map(math.isfinite, psis + depths)):
+        raise ValueError("psis and depths must be finite")
+    # distinct after rounding to 12 decimals (round half to even, as np.round)
+    if n < 4 or len({round(p * 1e12) for p in psis}) < 4:
+        raise ValueError("need at least 4 distinct psi values")
+    if max(psis) - min(psis) <= math.pi / 2.0:
+        raise ValueError("psi values must span more than pi/2")
     if depth_sigmas is None:
-        r = design @ coef - depths * w
-        cov *= float(r @ r) / (psis.size - 3)
-    c0, c = coef[0], coef[1:]
-    half = float(np.hypot(*c))
+        w = [1.0] * n
+    else:
+        sig = np.asarray(depth_sigmas, dtype=float).ravel().tolist()
+        if len(sig) != n or not all(0.0 < s < math.inf for s in sig):
+            raise ValueError("depth sigmas must be positive and finite, one per psi")
+        w = [1.0 / s for s in sig]
+
+    # modified Gram-Schmidt on the columns w, w cos(2 psi), w sin(2 psi) and
+    # the weighted data, without normalizing: R = diag(|v_k|) T with T unit
+    # upper triangular, t[k, j] = T_kj, and column 3 ends as the residual
+    two = [2.0 * p for p in psis]
+    cols = [w, list(map(mul, w, map(math.cos, two))), list(map(mul, w, map(math.sin, two))),
+            list(map(mul, w, depths))]
+    vv, t = [], {}
+    for k in range(3):
+        v = cols[k]
+        vv.append(sum(map(mul, v, v)))
+        if vv[k] == 0.0:
+            raise DegenerateFitError("psi values determine fewer than three model terms")
+        for j in range(k + 1, 4):
+            t[k, j] = tkj = sum(map(mul, v, cols[j])) / vv[k]
+            cols[j] = [y - tkj * x for x, y in zip(v, cols[j])]
+    if math.sqrt(min(vv)) <= math.ulp(1.0) * max(n, 3) * math.sqrt(max(vv)):
+        raise DegenerateFitError("psi values determine fewer than three model terms")
+    c2 = t[2, 3]
+    c1 = t[1, 3] - t[1, 2] * c2
+    c0 = t[0, 3] - t[0, 1] * c1 - t[0, 2] * c2
+    # (c1, c2) has covariance B B^T, with B the lower-right block of R^-1
+    # times the rms residual when unweighted; so each delta-method quadratic
+    # form x^T B B^T x is the sum of squares |B^T x|^2
+    rms = 1.0 if depth_sigmas is not None else math.sqrt(sum(map(mul, cols[3], cols[3])) / (n - 3))
+    b11, b22 = rms / math.sqrt(vv[1]), rms / math.sqrt(vv[2])
+    b12 = -t[1, 2] * b22
+    half = math.hypot(c1, c2)
     a = 2.0 * half
     if not a > AMPLITUDE_FLOOR:
         raise DegenerateFitError(
             f"modulation amplitude {a:.3g} below the float64 resolution of the baseline")
     # delta method: d|c|/dc = c/|c| and d(psi0)/dc = (-c2, c1)/(2|c|^2)
-    cov_c = cov[1:, 1:]
-    sigma_a = 2.0 * math.sqrt(max(float(c @ cov_c @ c), 0.0)) / half
+    sigma_a = 2.0 * math.hypot(b11 * c1, b12 * c1 + b22 * c2) / half
     if not a > 3.0 * sigma_a:
         raise DegenerateFitError(
             f"modulation amplitude {a:.3g} not significant (sigma {sigma_a:.3g})"
         )
-    c_perp = np.array([-c[1], c[0]])
-    sigma_psi0 = 0.5 * math.sqrt(max(float(c_perp @ cov_c @ c_perp), 0.0)) / (half * half)
-    return Cos2Fit(a=a, b=float(c0) - half, psi0=0.5 * math.atan2(c[1], c[0]) % math.pi,
+    sigma_psi0 = 0.5 * math.hypot(b11 * c2, b22 * c1 - b12 * c2) / (half * half)
+    return Cos2Fit(a=a, b=c0 - half, psi0=0.5 * math.atan2(c2, c1) % math.pi,
                    sigma_psi0=sigma_psi0, sigma_a=sigma_a)

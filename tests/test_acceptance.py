@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from nvorient import fitkit, geometry, odmrsim, reconstruct, sensitivity, spinmodel
+from test_fitkit import numeric_jacobian
 
 C = spinmodel.SpinConstants()
 
@@ -243,7 +244,7 @@ def test_criterion_8_property_suite():
     spec = odmrsim.OdmrSpectrum(sweep.frequencies, sweep.signals[0])
     x = np.array([1.0, 8.0, 0.01, 0.02, 2898.2, 2926.4])
     res_fn = lambda p: fitkit._dip_model(p, spec.frequencies, p[4:]) - spec.signal
-    jac_num = fitkit.numeric_jacobian(res_fn, x)
+    jac_num = numeric_jacobian(res_fn, x)
     jac_ana = fitkit._dip_jacobian(x, spec.frequencies, x[4:])
     checks["jacobian vs finite diff"] = float(np.max(np.abs(jac_num - jac_ana))) < 1e-6
 

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nvorient import fitkit, geometry, odmrsim, spinmodel
@@ -26,6 +27,27 @@ def rabi_0m_0p():
     return om.omega_0m, om.omega_0p
 
 
+def numeric_jacobian(residuals, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian with per-parameter relative steps: the
+    oracle for the analytic dip Jacobian and the Jacobian of `nls_fit` cases
+    that have no closed form at hand."""
+    x = np.asarray(x, dtype=float)
+    r0 = np.asarray(residuals(x))
+    jac = np.empty((r0.size, x.size))
+    for j in range(x.size):
+        h = rel_step * max(abs(x[j]), 1.0)
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        jac[:, j] = (np.asarray(residuals(xp)) - np.asarray(residuals(xm))) / (2.0 * h)
+    return jac
+
+
+def nls_numeric(residuals, x0, **kwargs):
+    """`fitkit.nls_fit` with the finite-difference Jacobian."""
+    return fitkit.nls_fit(residuals, x0, lambda p: numeric_jacobian(residuals, p), **kwargs)
+
+
 class TestNumericJacobian:
     def test_matches_analytic_on_polynomial(self):
         t = np.linspace(-2.0, 2.0, 30)
@@ -34,7 +56,7 @@ class TestNumericJacobian:
             return p[0] * t ** 2 + p[1] * t + p[2]
 
         x = np.array([1.3, -0.7, 0.2])
-        jac = fitkit.numeric_jacobian(res, x)
+        jac = numeric_jacobian(res, x)
         expected = np.column_stack([t ** 2, t, np.ones_like(t)])
         assert np.max(np.abs(jac - expected)) < 1e-7
 
@@ -44,8 +66,7 @@ class TestNlsFit:
         t = np.linspace(0.0, 5.0, 60)
         truth = np.array([2.0, 0.7])
         y = truth[0] * np.exp(-truth[1] * t)
-        fit = fitkit.nls_fit(lambda p: p[0] * np.exp(-p[1] * t) - y,
-                             np.array([1.0, 1.0]))
+        fit = nls_numeric(lambda p: p[0] * np.exp(-p[1] * t) - y, np.array([1.0, 1.0]))
         assert fit.converged
         assert np.allclose(fit.params, truth, atol=1e-8)
         assert fit.residual_norm < 1e-8
@@ -53,7 +74,7 @@ class TestNlsFit:
     def test_failed_fit_reports_not_converged(self):
         # a model that cannot reduce its residual: gradient is identically zero
         y = np.linspace(0.0, 1.0, 10)
-        fit = fitkit.nls_fit(lambda p: y - 0.5, np.array([1.0]), max_iter=5)
+        fit = nls_numeric(lambda p: y - 0.5, np.array([1.0]), max_iter=5)
         assert not math.isnan(fit.residual_norm)
         assert isinstance(fit.converged, bool)
 
@@ -67,7 +88,7 @@ class TestNlsFit:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             y = truth[0] * t + truth[1] + noise * rng.standard_normal(t.size)
-            fit = fitkit.nls_fit(lambda p: p[0] * t + p[1] - y, np.array([0.0, 0.0]))
+            fit = nls_numeric(lambda p: p[0] * t + p[1] - y, np.array([0.0, 0.0]))
             slopes.append(fit.params[0])
             sigmas.append(fit.sigmas[0])
         assert abs(np.mean(slopes) - truth[0]) < 0.02
@@ -75,9 +96,9 @@ class TestNlsFit:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            fitkit.nls_fit(lambda p: np.zeros(1), np.array([1.0, 2.0]))
+            nls_numeric(lambda p: np.zeros(1), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            fitkit.nls_fit(lambda p: np.zeros(3), np.array([np.nan]))
+            nls_numeric(lambda p: np.zeros(3), np.array([np.nan]))
 
 
 class TestFitDips:
@@ -318,7 +339,7 @@ class TestDipJacobian:
         f = spec.frequencies
         x = np.array(x)
         centers_of = (lambda p: p[4:]) if x.size > 4 else (lambda p: np.array([2897.5, 2927.0]))
-        jac_num = fitkit.numeric_jacobian(
+        jac_num = numeric_jacobian(
             lambda p: fitkit._dip_model(p, f, centers_of(p)) - spec.signal, x)
         jac_ana = fitkit._dip_jacobian(x, f, centers_of(x))
         assert jac_ana.shape == (f.size, x.size)
@@ -409,6 +430,18 @@ class TestFitCos2:
             assert abs(fit.sigma_a - ref.sigmas[0]) <= 1e-7 * ref.sigmas[0]
             assert abs(fit.sigma_psi0 - ref.sigmas[2]) <= 1e-7 * ref.sigmas[2]
 
+    @pytest.mark.parametrize("sigma", [-0.01, 0.0, -np.inf, np.nan])
+    def test_nonpositive_sigmas_rejected(self, sigma):
+        # a negative sigma has a finite inverse and a zero one divides by zero;
+        # both are refused before any arithmetic, without a warning
+        depths = self.model(0.01, 0.002, 0.7)
+        sigmas = np.full(self.PSIS.size, 0.001)
+        for sig in (np.full(self.PSIS.size, sigma), np.where(self.PSIS > 1.0, sigma, sigmas)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="positive and finite"):
+                    fitkit.fit_cos2(self.PSIS, depths, sig)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fitkit.fit_cos2([0.0, 0.1, 0.2], [1.0, 1.0, 1.0])
@@ -427,3 +460,79 @@ def test_cos2_noiseless_property(a, b, psi0):
     d = abs(fit.psi0 - psi0)
     assert min(d, math.pi - d) < 1e-6
     assert abs(fit.a - a) < 1e-6
+
+
+def cos2_reference(psis, depths, sigmas):
+    """Reference: the cos^2 fit by np.linalg.lstsq, its covariance from the
+    SVD of the weighted design and the delta method, on numpy arrays.  The
+    delta-method variances are taken as sums of squares, which keeps their
+    relative precision where the covariance is far from isotropic."""
+    w = np.ones_like(depths) if sigmas is None else 1.0 / sigmas
+    design = np.column_stack([np.ones_like(psis), np.cos(2.0 * psis),
+                              np.sin(2.0 * psis)]) * w[:, None]
+    coef, _, rank, _ = np.linalg.lstsq(design, depths * w, rcond=None)
+    if rank < 3:
+        raise DegenerateFitError("rank")
+    # the covariance V S^-2 V^T, so a quadratic form x^T cov x is |S^-1 V^T x|^2
+    _, sv, vt = np.linalg.svd(design, full_matrices=False)
+    rms = 1.0
+    if sigmas is None:
+        r = design @ coef - depths * w
+        rms = math.sqrt(float(r @ r) / (psis.size - 3))
+    c = coef[1:]
+    half = float(np.linalg.norm(c))
+    a = 2.0 * half
+    sigma_a = 2.0 * rms * float(np.linalg.norm((vt[:, 1:] @ c) / sv)) / half
+    if not (a > fitkit.AMPLITUDE_FLOOR and a > 3.0 * sigma_a):
+        raise DegenerateFitError("amplitude")
+    c_perp = np.array([-c[1], c[0]])
+    sigma_psi0 = 0.5 * rms * float(np.linalg.norm((vt[:, 1:] @ c_perp) / sv)) / half ** 2
+    return fitkit.Cos2Fit(a=a, b=float(coef[0]) - half,
+                          psi0=0.5 * math.atan2(c[1], c[0]) % math.pi,
+                          sigma_psi0=sigma_psi0, sigma_a=sigma_a)
+
+
+@st.composite
+def cos2_cases(draw):
+    """psi sets of 4 to 60 angles, at least 4 distinct and spanning more than
+    pi/2, evenly spaced over a half turn (as the CLI makes them) or drawn at
+    random; noisy depths and positive sigmas; weighted or unweighted."""
+    n = draw(st.integers(4, 60))
+    if draw(st.booleans()):
+        psis = np.linspace(0.0, math.pi, n, endpoint=False)
+    else:
+        psis = np.array(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n, max_size=n)))
+    assume(np.unique(np.round(psis, 12)).size >= 4 and np.ptp(psis) > math.pi / 2.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b, psi0 = rng.uniform(0.0, 0.02), rng.uniform(0.0, 0.01), rng.uniform(0.0, math.pi)
+    sigmas = rng.uniform(5e-4, 2e-3, n)
+    depths = a * np.cos(psis - psi0) ** 2 + b + sigmas * rng.standard_normal(n)
+    return psis, depths, sigmas if draw(st.booleans()) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cos2_cases())
+@example(case=(np.linspace(0.0, math.pi, 4, endpoint=False), np.array([0.012, 0.007, 0.002, 0.006]),
+               np.array([1e-3, 1.5e-3, 8e-4, 1e-3])))
+@example(case=(np.linspace(0.0, math.pi, 4, endpoint=False), np.array([0.012, 0.007, 0.002, 0.006]),
+               None))
+def test_cos2_matches_lstsq_reference(case):
+    # the QR on Python floats against lstsq on numpy arrays; the design's
+    # condition number is kept below 1e5, where both resolve 1e-9 with room
+    psis, depths, sigmas = case
+    w = np.ones_like(depths) if sigmas is None else 1.0 / sigmas
+    design = np.column_stack([np.ones_like(psis), np.cos(2.0 * psis), np.sin(2.0 * psis)])
+    assume(np.linalg.cond(design * w[:, None]) < 1e5)
+    try:
+        ref = cos2_reference(psis, depths, sigmas)
+    except DegenerateFitError:
+        with pytest.raises(DegenerateFitError):
+            fitkit.fit_cos2(psis, depths, sigmas)
+        return
+    fit = fitkit.fit_cos2(psis, depths, sigmas)
+    assert abs(fit.a - ref.a) <= 1e-9 * ref.a
+    assert abs(fit.b - ref.b) <= 1e-9 * max(abs(ref.b), ref.a)
+    assert abs(fit.sigma_a - ref.sigma_a) <= 1e-9 * ref.sigma_a
+    assert abs(fit.sigma_psi0 - ref.sigma_psi0) <= 1e-9 * ref.sigma_psi0
+    d = abs(fit.psi0 - ref.psi0)
+    assert min(d, math.pi - d) <= 1e-9

@@ -65,6 +65,44 @@ class TestMwAxisFromTwo:
             reconstruct.mw_axis_from_two(y1, y2)
 
 
+def random_axes(rng, count):
+    v = rng.standard_normal((count, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+class TestFloatOracles:
+    # the inversion runs on 3-tuples of Python floats; these are the numpy
+    # formulas it replaced
+    def test_mw_axis_matches_numpy_cross(self):
+        rng = np.random.default_rng(5)
+        y1s, y2s, truths = random_axes(rng, 500), random_axes(rng, 500), random_axes(rng, 500)
+        for y1, y2, truth in zip(y1s, y2s, truths):
+            c = np.cross(y1, y2)
+            est = reconstruct.mw_axis_from_two(reconstruct.NvYEstimate(y1, 0.0),
+                                               reconstruct.NvYEstimate(y2, 0.0), truth_axis=truth)
+            assert isinstance(est.axis, np.ndarray)
+            assert np.max(np.abs(est.axis - c / np.linalg.norm(c))) < 1e-12
+            axis = c / np.linalg.norm(c)
+            ref = math.degrees(math.atan2(np.linalg.norm(np.cross(axis, truth)),
+                                          abs(float(axis @ truth))))
+            assert abs(est.angular_error_deg - ref) < 1e-12
+            assert abs(est.angular_error_deg - geometry.line_angle_between(axis, truth)) < 1e-6
+
+    def test_planar_residual_matches_numpy(self):
+        rng = np.random.default_rng(6)
+        for u, nv_z, alpha in zip(random_axes(rng, 500), random_axes(rng, 500),
+                                  rng.uniform(0.0, 360.0, 500)):
+            v = np.cross(nv_z, planar_mw(alpha))
+            w = v / np.linalg.norm(v)
+            if float(u @ w) < 0.0:
+                w = -w
+            ref = math.degrees(2.0 * math.asin(min(1.0, 0.5 * np.linalg.norm(u - w))))
+            got = reconstruct._planar_residual_deg(tuple(u), tuple(nv_z), float(alpha))
+            assert abs(got - ref) < 1e-12
+        # an in-plane field along the NV axis leaves no perpendicular axis
+        assert reconstruct._planar_residual_deg((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0) == 90.0
+
+
 class TestPlanarAlpha:
     def test_forward_inverse_consistency(self):
         # the measured axis for an in-plane field is nv_z x m(alpha); the
