@@ -449,6 +449,11 @@ class TestFitCos2:
             fitkit.fit_cos2([0.0, 0.3, 0.6, 1.0], [1.0, 0.9, 0.8, 0.7])  # span <= pi/2
         with pytest.raises(ValueError):
             fitkit.fit_cos2([0.0, 0.0, 1.0, 2.0], [1.0, 1.0, 0.5, 0.2])
+        depths = self.model(0.01, 0.002, 0.7)
+        with pytest.raises(ValueError, match="differ in length"):
+            fitkit.fit_cos2(self.PSIS, depths[:-1])
+        with pytest.raises(ValueError, match="finite"):
+            fitkit.fit_cos2(self.PSIS, np.where(self.PSIS > 1.0, np.nan, depths))
 
 
 @settings(max_examples=80, deadline=None)
