@@ -318,11 +318,14 @@ def _run_reconstruct_3d(cfg, out_dir, seed, fmt):
     else:
         est = reconstruct.end_to_end_3d(scene, (indices[0], indices[1]),
                                         _chain_config(cfg, seed))
+    # rounded like planar error_deg: past these digits the file would record
+    # float rounding, which depends on the order of the arithmetic; + 0.0
+    # writes a component rounded to -0.0 as 0.0, since its sign is rounding too
     payload = {
-        "axis": [float(c) for c in est.axis],
+        "axis": [round(float(c), 12) + 0.0 for c in est.axis],
         "sign_ambiguous": est.sign_ambiguous,
-        "angular_error_deg": est.angular_error_deg,
-        "truth_axis": [float(c) for c in truth],
+        "angular_error_deg": round(est.angular_error_deg, 9),
+        "truth_axis": [round(float(c), 12) + 0.0 for c in truth],
     }
     (out_dir / "reconstruct3d.json").write_text(json.dumps(payload, indent=2) + "\n")
     return ["reconstruct3d.json"]

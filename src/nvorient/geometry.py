@@ -120,12 +120,14 @@ def sweep_direction(basis: TransverseBasis, psi: float) -> np.ndarray:
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between two vectors in degrees, in [0, 180]."""
-    c = unit(u) @ unit(v)
-    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
+    """Angle between two vectors in degrees, in [0, 180], as
+    atan2(|u x v|, u . v), which resolves angles that acos of the dot
+    product would round to 0."""
+    u, v = unit(u), unit(v)
+    return math.degrees(math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v)))
 
 
 def line_angle_between(u: np.ndarray, v: np.ndarray) -> float:
     """Angle between two undirected axes in degrees, in [0, 90]."""
-    a = angle_between(u, v)
-    return min(a, 180.0 - a)
+    v = np.asarray(v, dtype=float)
+    return angle_between(u, -v if np.dot(u, v) < 0.0 else v)

@@ -12,6 +12,7 @@ carry numpy-array axes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -240,20 +241,54 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries):
     return list(zip(depths, depth_sigmas))
 
 
+# Noise studies rerun one scene with new seeds only; the few most recent
+# noiseless sweeps are kept so that they pay for geometry and synthesis once.
+_SWEEP_MEMO_SIZE = 16
+
+
+def _array_key(values) -> tuple[tuple[int, ...], bytes]:
+    """Value key of a float array: its shape and its float64 bytes."""
+    a = np.asarray(values, dtype=float)
+    return a.shape, a.tobytes()
+
+
+@functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
+def _noiseless_sweep(scene: WireScene, nv_index: int, constants: SpinConstants,
+                     b_static_mt: float, shape: LineshapeParams,
+                     grid_key: tuple[tuple[int, ...], bytes],
+                     psis_key: tuple[tuple[int, ...], bytes]
+                     ) -> tuple[TransverseBasis, odmrsim.SweepSeries]:
+    """Transverse basis and noiseless sweep of one NV orientation in a scene,
+    memoized by value; every array of the result is read-only."""
+    # rebuilt from the key, so the cached sweep shares no memory with the caller's arrays
+    grid = np.frombuffer(grid_key[1]).reshape(grid_key[0])
+    psis = np.frombuffer(psis_key[1]).reshape(psis_key[0])
+    basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
+    sweep = odmrsim.simulate_phi_sweep(constants, basis, b_static_mt,
+                                       geometry.mw_direction(scene),
+                                       geometry.wire_field_magnitude(scene), shape, grid, psis)
+    for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies, sweep.signals):
+        a.setflags(write=False)
+    return basis, sweep
+
+
 def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfig,
                   noise_keys: tuple[tuple[int, ...], ...]) -> list[tuple[NvYEstimate, Cos2Fit]]:
     """simulate_phi_sweep -> shot noise -> sweep_lp_depths -> fit_cos2 -> extract_nv_y
     for each NV orientation, with the sweeps of all of them in one dip fit.
 
-    Spectrum i of the sweep of nv_indices[k] draws its noise from spawn key
-    (*noise_keys[k], i).
+    The noiseless sweeps come from a memo of at most `_SWEEP_MEMO_SIZE`
+    entries, keyed by the scene, the NV index and the chain's constants,
+    static field, lineshape, grid and psis (arrays by shape and bytes); a
+    repeat of a scene returns the read-only sweep of its first run, bit for
+    bit what a new synthesis would give.  Spectrum i of the sweep of
+    nv_indices[k] draws its noise from spawn key (*noise_keys[k], i).
     """
-    mw, amplitude = geometry.mw_direction(scene), geometry.wire_field_magnitude(scene)
+    grid, psis = _array_key(cfg.grid), _array_key(cfg.psis)
     bases, sweeps = [], []
     for nv_index, key in zip(nv_indices, noise_keys):
-        basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
-        sweep = odmrsim.simulate_phi_sweep(cfg.constants, basis, cfg.b_static_mt, mw,
-                                           amplitude, cfg.shape, cfg.grid, cfg.psis)
+        basis, sweep = _noiseless_sweep(scene, nv_index, cfg.constants, cfg.b_static_mt,
+                                        cfg.shape, grid, psis)
         if cfg.noise is not None:
             sweep = odmrsim.noisy_copy_with_subseed(sweep, cfg.noise.rate_kcps,
                                                     cfg.noise.dwell_s, cfg.noise.seed, *key)

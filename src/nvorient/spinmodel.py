@@ -139,35 +139,14 @@ def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
     )
 
 
-@dataclass(frozen=True)
-class RabiAmplitudes:
-    """Coupling strengths gamma_e*B_mw*|<i|n.S|j>| for the three level pairs, MHz."""
-
-    omega_0m: float
-    omega_0p: float
-    omega_mp: float
-
-
 def zero_transition_elements(eig: EigenSystem) -> np.ndarray:
     """<Lm|S_j|L0> and <Lp|S_j|L0> for j = x, y, z as a (3, 2) array.
 
     For unit microwave directions n (rows of an (m, 3) array) the L0<->Lm and
-    L0<->Lp coupling amplitudes are gamma_e * B_mw * |n @ elements|, the
-    omega_0m and omega_0p of `rabi_amplitudes` for every direction at once.
+    L0<->Lp coupling amplitudes are gamma_e * B_mw * |n @ elements|, with
+    no rotating-wave 1/2 factor, for every direction at once.
     """
     v0, vm, vp = eig.states
     s_v0 = np.stack([SX @ v0, SY @ v0, SZ @ v0])
     return s_v0 @ np.stack([vm, vp], axis=1).conj()
 
-
-def rabi_amplitudes(eig: EigenSystem, consts: SpinConstants, mw: MwFieldNV) -> RabiAmplitudes:
-    """Microwave coupling amplitudes; no rotating-wave 1/2 factor."""
-    n = mw.direction()
-    op = n[0] * SX + n[1] * SY + n[2] * SZ
-    v0, vm, vp = eig.states
-    pref = consts.gamma_e * mw.amplitude_mt
-    return RabiAmplitudes(
-        omega_0m=pref * abs(np.vdot(vm, op @ v0)),
-        omega_0p=pref * abs(np.vdot(vp, op @ v0)),
-        omega_mp=pref * abs(np.vdot(vp, op @ vm)),
-    )

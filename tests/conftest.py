@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nvorient import geometry, odmrsim, spinmodel
+from nvorient import geometry, odmrsim, reconstruct, spinmodel
+
+
+@pytest.fixture(autouse=True)
+def empty_sweep_memo():
+    """Start every test with an empty noiseless-sweep memo, so that no test
+    depends on which scenes earlier tests simulated."""
+    reconstruct._noiseless_sweep.cache_clear()
 
 
 @pytest.fixture(scope="session")

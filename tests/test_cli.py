@@ -341,6 +341,24 @@ class TestReconstruct3d:
         payload = json.loads((out / "reconstruct3d.json").read_text())
         assert payload["angular_error_deg"] < 1e-3
 
+    def test_noiseless_error_written_as_zero(self, tmp_path):
+        # the noiseless axis is ~5e-14 deg off by float rounding (its y
+        # component is about -8e-16); the file rounds the error to 1e-9 deg and
+        # the axes to 12 decimals, and writes no signed zero
+        cfg = write_cfg(tmp_path, "r3.json", {
+            "mode": "reconstruct-3d",
+            "nv_indices": [3, 1],
+            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+        })
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_OK
+        text = (out / "reconstruct3d.json").read_text()
+        assert "-0.0," not in text and "-0.0\n" not in text
+        payload = json.loads(text)
+        assert payload["angular_error_deg"] == 0.0
+        for c in payload["axis"] + payload["truth_axis"]:
+            assert c == round(c, 12)
+
 
 class TestFieldmapAndSensitivity:
     def test_fieldmap_values(self, tmp_path):

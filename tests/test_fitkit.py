@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nvorient import fitkit, geometry, odmrsim, spinmodel
 from nvorient.errors import DegenerateFitError
+from test_spinmodel import rabi_amplitudes
 
 C = spinmodel.SpinConstants()
 STATIC = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, 0.0)
@@ -23,7 +24,7 @@ def two_dip_spectrum(shape=None, grid=None):
 def rabi_0m_0p():
     """Rabi amplitudes of the L0-Lm and L0-Lp dips of `two_dip_spectrum`."""
     eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
-    om = spinmodel.rabi_amplitudes(eig, C, MW)
+    om = rabi_amplitudes(eig, C, MW)
     return om.omega_0m, om.omega_0p
 
 

@@ -130,6 +130,15 @@ class TestAngles:
             assert 0.0 <= la <= 90.0
             assert abs(la - geo.line_angle_between(-u, v)) < 1e-9
 
+    def test_small_angles_resolved(self):
+        # acos of the dot product reads 0 below about 1e-6 deg
+        eps = 1e-9
+        u, v = [1.0, 0.0, 0.0], [math.cos(eps), math.sin(eps), 0.0]
+        expected = math.degrees(eps)  # 5.73e-8 deg
+        for angle in (geo.angle_between(u, v), geo.line_angle_between(u, v),
+                      geo.line_angle_between(u, [-c for c in v])):
+            assert abs(angle - expected) <= 1e-12 * expected
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             geo.angle_between([0, 0, 0], [1, 0, 0])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nvorient import geometry, odmrsim, spinmodel
 from nvorient.errors import ContrastOverflowError
+from test_spinmodel import rabi_amplitudes
 
 C = spinmodel.SpinConstants()
 STATIC = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, 0.0)
@@ -144,7 +145,7 @@ class TestPhiSweep:
         mw = odmrsim.mw_field_in_nv_frame(nv1_basis, mw_lab, 0.05)
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
         for psi, signal in zip(psis, sweep.signals):
-            om = spinmodel.rabi_amplitudes(eig, C, spinmodel.MwFieldNV(
+            om = rabi_amplitudes(eig, C, spinmodel.MwFieldNV(
                 mw.amplitude_mt, mw.zeta, mw.transverse_azimuth - psi))
             dips = [shape.contrast(omega) * odmrsim.lorentzian(grid, center, shape.fwhm_mhz)
                     for omega, center in ((om.omega_0m, eig.f_0m), (om.omega_0p, eig.f_0p))]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nvorient import fitkit, geometry, odmrsim, reconstruct, spinmodel
 from nvorient.errors import DegenerateFitError, NearParallelAxesError, PlanarModelError
@@ -218,7 +220,8 @@ class TestSweepChain:
                 assert np.array_equal(sigmas, one_sigmas)
 
     def test_one_dip_fit_per_reconstruction(self, monkeypatch):
-        # one eigensolve per sweep, and every sweep of a result in one dip fit
+        # one eigensolve per new noiseless sweep, none for a memoized one, and
+        # every sweep of a result in one dip fit
         calls = {"eigensystem": 0, "fit_pinned_dips": 0}
 
         def counted(module, name):
@@ -236,9 +239,11 @@ class TestSweepChain:
             noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.008, seed=2))
         reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
         assert calls == {"eigensystem": 1, "fit_pinned_dips": 1}
+        reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+        assert calls == {"eigensystem": 1, "fit_pinned_dips": 2}
         reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
                                           reconstruct.NV2_AXIS_INDEX), cfg)
-        assert calls == {"eigensystem": 3, "fit_pinned_dips": 2}
+        assert calls == {"eigensystem": 2, "fit_pinned_dips": 3}
 
     def test_degenerate_slot_named(self):
         # 200 counts per point, seed 0: the NV2 sweep's psi-6 fit runs to the
@@ -321,3 +326,93 @@ class TestSweepChain:
     def test_end_to_end_3d_same_orientation_rejected(self):
         with pytest.raises(NearParallelAxesError):
             reconstruct.end_to_end_3d(SCENE, (3, 3))
+
+
+def memo_sweep(scene, nv_index, cfg):
+    """The memo's (basis, noiseless sweep) for one NV orientation under cfg."""
+    return reconstruct._noiseless_sweep(scene, nv_index, cfg.constants, cfg.b_static_mt,
+                                        cfg.shape, reconstruct._array_key(cfg.grid),
+                                        reconstruct._array_key(cfg.psis))
+
+
+def assert_bit_identical(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSweepMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-80.0, 80.0)),
+           z=st.floats(30.0, 80.0), current=st.sampled_from([20.0, -20.0, 12.5]),
+           nv_index=st.integers(0, 3), n_psi=st.integers(1, 24),
+           start=st.floats(2840.0, 2870.0), n_f=st.integers(2, 300),
+           step=st.sampled_from([0.25, 0.5, 1.0]))
+    @example(x=0.0, z=40.0, current=20.0, nv_index=3, n_psi=12, start=2850.0, n_f=201, step=0.5)
+    @example(x=-0.0, z=40.0, current=-20.0, nv_index=1, n_psi=5, start=2850.0, n_f=201, step=0.5)
+    def test_hit_equals_miss(self, x, z, current, nv_index, n_psi, start, n_f, step):
+        # a hit returns what a direct synthesis of the same scene gives, bit
+        # for bit; x = 0.0 and x = -0.0 make equal keys, so one hits the other
+        cfg = reconstruct.ChainConfig(grid=start + step * np.arange(n_f),
+                                      psis=np.linspace(0.0, math.pi, n_psi, endpoint=False))
+        scene = geometry.WireScene(x, z, current)
+        twin = geometry.WireScene(-x if x == 0.0 else x, z, current)
+        for s in (scene, twin):
+            basis, sweep = memo_sweep(s, nv_index, cfg)
+            ref_basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
+            ref = odmrsim.simulate_phi_sweep(cfg.constants, ref_basis, cfg.b_static_mt,
+                                             geometry.mw_direction(s),
+                                             geometry.wire_field_magnitude(s), cfg.shape,
+                                             cfg.grid, cfg.psis)
+            for name in ("e1", "e2", "nv_z"):
+                assert_bit_identical(getattr(basis, name), getattr(ref_basis, name))
+            for name in ("psis", "frequencies", "signals"):
+                assert_bit_identical(getattr(sweep, name), getattr(ref, name))
+            assert sweep.centers_mhz == ref.centers_mhz and sweep.counts_meta is None
+        assert reconstruct._noiseless_sweep.cache_info().hits >= 1
+
+    def test_cached_arrays_read_only(self):
+        cfg = reconstruct.ChainConfig()
+        basis, sweep = memo_sweep(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+        for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies, sweep.signals):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # the chain config's own arrays stay writable and are not the cached ones
+        assert cfg.grid.flags.writeable and cfg.psis.flags.writeable
+        assert not np.shares_memory(cfg.grid, sweep.frequencies)
+        assert not np.shares_memory(cfg.psis, sweep.psis)
+        cfg.grid[0] = 0.0
+        assert memo_sweep(SCENE, reconstruct.NV1_AXIS_INDEX,
+                          reconstruct.ChainConfig())[1] is sweep
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("grid", odmrsim.default_grid()[:, None]),
+        ("psis", np.linspace(0.0, math.pi, 12, endpoint=False)[:, None]),
+        ("psis", np.array([])),
+    ])
+    def test_malformed_input_raises_every_time(self, field_name, value):
+        # the key carries the array shape, so a column array never hits the
+        # 1-D array of the same bytes, and a failed synthesis is not cached:
+        # every call raises what a direct synthesis raises
+        good = reconstruct.ChainConfig()
+        reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, good)
+        cfg = reconstruct.ChainConfig(**{field_name: value})
+        with pytest.raises(ValueError) as direct:
+            odmrsim.simulate_phi_sweep(cfg.constants, geometry.transverse_basis(NV1),
+                                       cfg.b_static_mt, geometry.mw_direction(SCENE),
+                                       geometry.wire_field_magnitude(SCENE), cfg.shape,
+                                       cfg.grid, cfg.psis)
+        for _ in range(2):
+            with pytest.raises(ValueError) as chained:
+                reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+            assert str(chained.value) == str(direct.value)
+        assert reconstruct._noiseless_sweep.cache_info().currsize == 1
+
+    def test_memo_stays_bounded(self):
+        size = reconstruct._SWEEP_MEMO_SIZE
+        cfg = reconstruct.ChainConfig()
+        for k in range(size + 5):
+            memo_sweep(geometry.WireScene(61.0 + k, 18.0, 40.0), reconstruct.NV1_AXIS_INDEX, cfg)
+        info = reconstruct._noiseless_sweep.cache_info()
+        assert info.maxsize == size
+        assert info.currsize == size
+        assert info.misses == size + 5

