@@ -25,13 +25,8 @@ class DegenerateFitError(NvOrientError):
     """Fit result unusable: modulation amplitude indistinguishable from zero;
     a fitted dip center outside the frequency grid; two free dips within one
     linewidth with depths of opposite sign; or a pinned-center fit whose
-    linewidth ends on its bracket [grid step, half the grid span] or does not
-    converge.  `spectrum` is the batch index of the failed spectrum of a
-    pinned-center fit, and None otherwise."""
-
-    def __init__(self, message: str, spectrum: int | None = None):
-        super().__init__(message)
-        self.spectrum = spectrum
+    shared linewidth ends on its bracket [grid step, half the grid span] or
+    does not converge."""
 
 
 class NearParallelAxesError(NvOrientError):

@@ -1,16 +1,17 @@
 """The two models the pipeline needs: multi-Lorentzian dip extraction and the
 a*cos^2(psi-psi0)+b intensity law (by linear least squares, in closed form).
 
-Dips at pinned centers are fitted a sweep at a time by variable projection:
-the model is linear in baseline and depths, so only the shared linewidth is
-searched (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), by Newton
-steps on t = log(fwhm).  The Lorentzian's t-derivatives are polynomials in
-the Lorentzian itself, dL/dt = 2L(1-L) and d2L/dt2 = 2(1-2L) dL/dt, so the
-projected chi-square's exact curvature (a Schur complement of the full
-Hessian) costs one more row of products, and a sweep converges in about
-five projections.  The depth covariance comes from the normal matrix of the
-final state, computed once.  Dips with free centers are fitted by damped
-Gauss-Newton (Levenberg-Marquardt).
+Dips at pinned centers are fitted a reconstruction at a time (one sweep, or
+both sweeps of a 3-D run) by variable projection: the model is linear in
+each spectrum's baseline and depths, and every spectrum shares one
+linewidth, so only one scalar is searched (Golub & Pereyra, SIAM J. Numer.
+Anal. 10, 413 (1973)), by Newton steps on t = log(fwhm).  The Lorentzian's
+t-derivatives are polynomials in the Lorentzian itself, dL/dt = 2L(1-L) and
+d2L/dt2 = 2(1-2L) dL/dt, so the projected chi-square's exact curvature (a
+Schur complement of the full Hessian) costs one more row of products, and
+a sweep converges in about four projections.  The depth covariance comes
+from the normal matrix of the final state, computed once.  Dips with free
+centers are fitted by damped Gauss-Newton (Levenberg-Marquardt).
 
 The cos^2 law is a linear fit of three terms to a dozen depths, solved by a
 thin QR (modified Gram-Schmidt) on Python floats: at that size numpy's fixed
@@ -156,10 +157,10 @@ def _dip_jacobian(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
 
 INIT_FWHM_MHZ = 8.0
 MAX_DIP_ITER = 200
-# pinned-center search: stop a spectrum when its fwhm step is at most
-# STEP_TOL * fwhm; a chi-square rise below RISE_SLACK (relative) is round-off,
-# and without that slack the search backtracks forever near the optimum.
-# MAX_HALVINGS halvings take any step below STEP_TOL * fwhm.
+# pinned-center search: stop when the fwhm step is at most STEP_TOL * fwhm;
+# a chi-square rise below RISE_SLACK (relative) is round-off, and without
+# that slack the search backtracks forever near the optimum.  MAX_HALVINGS
+# halvings take any step below STEP_TOL * fwhm.
 STEP_TOL = 1e-10
 RISE_SLACK = 1e-13
 MAX_HALVINGS = 40
@@ -169,7 +170,8 @@ MAX_LOG_STEP = 0.5
 
 @dataclass
 class PinnedDipFit:
-    """Per-spectrum results of `fit_pinned_dips`; the leading axis is the batch.
+    """Results of `fit_pinned_dips`: per-spectrum depths, with the batch as
+    the leading axis, and the one fwhm the batch shares.
 
     `depths` and `depth_sigmas` have one column per pinned center, in the
     order the centers were given; `depth_sigmas` is None for unweighted fits.
@@ -177,7 +179,7 @@ class PinnedDipFit:
 
     depths: np.ndarray
     depth_sigmas: np.ndarray | None
-    fwhm: np.ndarray
+    fwhm: float
 
 
 def fwhm_bracket(f: np.ndarray) -> tuple[float, float]:
@@ -194,55 +196,47 @@ def _check_centers(f: np.ndarray, centers: np.ndarray) -> None:
 class _Workspace:
     """The arrays of one pinned fit that span the frequency grid, allocated
     once and refilled in place by every `_project`, so that the search
-    allocates no array that spans the grid.  `rows` is row-major, each
+    allocates no (batch, n_f) array.  `rows` is row-major, each
     quantity one contiguous (batch, n_f) block: the weights wt = 1/sigma and
     wt*L_1..wt*L_n (together a, the weighted columns of [baseline, -depths]),
     the weighted signal yw, dl_k = wt*L_k(1-L_k) = (wt dL_k/dt)/2,
     d2l_k = (1-2L_k) dl_k = (wt d2L_k/dt2)/4, jw = dr/dt and the residual r,
     where L_k are the unit-peak Lorentzians at the trial fwhm and
     t = log(fwhm).  `cols` is the (batch, row, n_f) view that the batched
-    products take."""
+    products take.  The fwhm is shared, so L_k depends on frequency alone:
+    `_project` computes it once from the squared detunings `delta2`, an
+    (n, n_f) array, and broadcasts it against the weights."""
 
     def __init__(self, f, y, wt, centers):
         n = centers.size
         self.n = n
-        # one allocation: glibc raises its trim threshold to twice the
-        # largest block freed, so a single block goes back to the heap when
-        # the fit ends, where separate arrays can make it trim and re-fault
-        # the same pages on the next fit
-        block = np.empty((7 * n + 4, y.shape[0], f.size))
-        self.rows = block[:3 * n + 4]
+        self.rows = np.empty((3 * n + 4, y.shape[0], f.size))
         self.rows[0] = wt
         np.multiply(y, wt, out=self.rows[n + 1])
         self.cols = self.rows.transpose(1, 0, 2)
-        # the weights and squared detunings again at full size, so that every
-        # elementwise step runs on equal shapes, without ufunc buffers
-        self.lor, self.tmp, self.wt, self.delta2 = block[3 * n + 4:].reshape(4, n, *y.shape)
-        self.wt[...] = wt
-        self.delta2[...] = ((f - centers[:, None]) ** 2)[:, None, :]
+        self.delta2 = (f - centers[:, None]) ** 2
 
 
 def _project(ws, fwhm):
-    """Variable projection at fixed fwhm: the exact weighted linear fit c of
-    [baseline, -depths] and, at that fit, chi2, half its t-derivative r.jw and
-    half its t-curvature (see `fit_pinned_dips`); then G^-1, u = G^-1 a.jw
-    and the Kaufman curvature jw.jw - (a.jw).u, from which the depth
-    variances of the final state follow: with s = 2c[1:], jw = s.dl, and the
-    [baseline, -depths, t] normal matrix N = [[G, a.jw], [a.jw, jw.jw]] has,
-    by blockwise inversion, diag(N^-1) = diag(G^-1) + u^2/(jw.jw - (a.jw).u).
-    Returns a list of fresh arrays, each with the batch as its leading axis."""
-    n, rows, cols, lor, tmp = ws.n, ws.rows, ws.cols, ws.lor, ws.tmp
+    """Variable projection at the shared fwhm: each spectrum's exact weighted
+    linear fit c of [baseline, -depths] and, at those fits, the batch sums of
+    chi2, of r.jw (half its t-derivative) and of half its t-curvature (see
+    `fit_pinned_dips`); then each spectrum's G^-1 and u = G^-1 a.jw, and the
+    batch sum of the Kaufman curvature jw.jw - (a.jw).u.  With s = 2c[1:],
+    jw = s.dl.  The normal matrix over every spectrum's [baseline, -depths]
+    and the shared t is block-diagonal in the G's, bordered by the a.jw's,
+    so by blockwise inversion the depth variances of the final state are
+    diag(G^-1) + u^2 / (summed Kaufman curvature).  Returns [c, chi2, r.jw,
+    curvature, G^-1, u, Kaufman curvature], the batch sums as floats."""
+    n, rows, cols = ws.n, ws.rows, ws.cols
     m = n + 1
-    wl, dl, d2l = rows[1:m], rows[m + 1:2 * n + 2], rows[2 * n + 2:3 * n + 2]
+    h2 = (0.5 * fwhm) ** 2
+    lor = h2 / (ws.delta2 + h2)
+    dl = lor * (1.0 - lor)
+    np.multiply(lor[:, None], rows[0], out=rows[1:m])
+    np.multiply(np.concatenate([dl, dl * (1.0 - 2.0 * lor)])[:, None], rows[0],
+                out=rows[m + 1:3 * n + 2])
     jw, r = rows[3 * n + 2], rows[3 * n + 3]
-    lor[...] = (0.5 * fwhm[:, None]) ** 2
-    np.add(ws.delta2, lor, out=tmp)
-    np.divide(lor, tmp, out=lor)
-    np.multiply(lor, ws.wt, out=wl)
-    np.subtract(1.0, lor, out=tmp)
-    np.multiply(wl, tmp, out=dl)
-    np.subtract(tmp, lor, out=tmp)
-    np.multiply(dl, tmp, out=d2l)
     # G and a.yw; the extra column keeps numpy's matmul off its same-buffer
     # A @ A.T path, which is several times slower for these stacks
     g = cols[:, :m + 1] @ cols[:, :m + 2].transpose(0, 2, 1)
@@ -258,48 +252,60 @@ def _project(ws, fwhm):
     # every row dotted with jw and with r; r is orthogonal to a, so r.jw is
     # half the exact gradient of the projected chi2
     p = cols @ cols[:, 3 * n + 2:].transpose(0, 2, 1)
-    jj = p[:, 3 * n + 2, 0]
     aw = np.empty((s.shape[0], m, 2))   # columns a.jw and w (see `fit_pinned_dips`)
     aw[:, :, 0] = aw[:, :, 1] = p[:, :m, 0]
     aw[:, 1:, 1] += 2.0 * p[:, m + 1:2 * n + 2, 1]
     gw = ginv @ aw
-    quad = np.einsum("bij,bij->bj", aw, gw)
-    kaufman = jj - quad[:, 0]
-    exact = jj + 2.0 * np.einsum("ij,ij->i", s, p[:, 2 * n + 2:3 * n + 2, 1]) - quad[:, 1]
-    return [coef, p[:, 3 * n + 3, 1], p[:, 3 * n + 3, 0], np.where(exact > 0.0, exact, kaufman),
-            ginv, gw[:, :, 0], kaufman]
+    # batch sums of jw.jw and of the quadratic forms (a.jw).G^-1(a.jw) and w.G^-1 w
+    jj = float(p[:, 3 * n + 2, 0].sum())
+    quad0, quad1 = np.einsum("bij,bij->j", aw, gw).tolist()
+    kaufman = jj - quad0
+    exact = jj + 2.0 * float(np.einsum("ij,ij->", s, p[:, 2 * n + 2:3 * n + 2, 1])) - quad1
+    return [coef, float(p[:, 3 * n + 3, 1].sum()), float(p[:, 3 * n + 3, 0].sum()),
+            exact if exact > 0.0 else kaufman, ginv, gw[:, :, 0], kaufman]
 
 
 def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
-    """Fit Lorentzian dips at pinned centers (shared fwhm, free baseline and
-    depths) to a batch of spectra on one frequency grid.
+    """Fit Lorentzian dips at pinned centers to a batch of spectra on one
+    frequency grid: a baseline and depths per spectrum, and one fwhm shared
+    by the whole batch.
+
+    The shared fwhm is the model, not a shortcut: the simulator gives every
+    spectrum of a sweep, and both sweeps of a 3-D run, one linewidth, and a
+    linewidth fitted per spectrum biases the depths by O(1/N) at N counts
+    per point (Box, JRSS B 33, 171 (1971)).  A common fwhm error scales
+    every depth of a sweep together, so it leaves the cos^2 law's psi0
+    unchanged to first order, and `fit_cos2` may treat the depths as
+    independent.  In a real CW experiment power broadening makes the
+    linewidth grow with the Rabi frequency, and so with psi (Dreau et al.,
+    PRB 84, 195204 (2011)); batch only spectra whose linewidth is shared.
 
     `signals` and `sigmas` have shape (batch, n_f); `sigmas=None` fits
-    unweighted and returns no depth sigmas.  The model is linear in baseline
+    unweighted and returns no depth sigmas.  The model is linear in baselines
     and depths, so each trial fwhm is scored by their exact weighted fit
-    (variable projection) and only t = log(fwhm) is searched, by Newton
-    steps.  With h = fwhm/2 and L = h^2/(delta^2 + h^2), dL/dt = 2L(1-L) and
+    (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)) and only the scalar t = log(fwhm) is searched, by Newton steps.
+    With h = fwhm/2 and L = h^2/(delta^2 + h^2), dL/dt = 2L(1-L) and
     d2L/dt2 = 2(1-2L) dL/dt.  So, with r the weighted residual, a the
-    weighted columns of [baseline, -depths], G = a.a and jw = dr/dt, the
-    projected chi-square has the exact derivative 2 r.jw and the exact
-    second derivative 2(jw.jw + r.d2r/dt2 - w.G^-1 w), the Schur complement
-    of G in the Hessian of the full chi-square over [baseline, -depths, t],
-    where w = a.jw + [0, r.d2r/d(-depths)dt].  Where that is not positive,
-    the Gauss-Newton value 2(jw.jw - (a.jw).G^-1(a.jw)) (Kaufman, BIT 15,
-    49 (1975)) serves.  Each step is clamped to |dt| <= MAX_LOG_STEP and to
-    the bracket, and halved while chi-square rises.  Each spectrum stops on
-    its own when its fwhm step is at most STEP_TOL * fwhm; a finished
-    spectrum rides along at a zero step, and a spectrum whose chi-square
-    still rises after MAX_HALVINGS halvings keeps its previous state.  Depth
-    sigmas are computed once, after the search, from the [baseline, -depths,
-    t] normal matrix of the final state, [[G, a.jw], [a.jw, jw.jw]]; depth
-    variances do not depend on how the fwhm is parametrized.
+    weighted columns of [baseline, -depths], G = a.a and jw = dr/dt, each
+    spectrum's projected chi-square has the exact derivative 2 r.jw and the
+    exact second derivative 2(jw.jw + r.d2r/dt2 - w.G^-1 w), the Schur
+    complement of G in the Hessian of its full chi-square over
+    [baseline, -depths, t], where w = a.jw + [0, r.d2r/d(-depths)dt].  The
+    search sums these over the batch; where the summed curvature is not
+    positive, the summed Gauss-Newton value 2(jw.jw - (a.jw).G^-1(a.jw))
+    (Kaufman, BIT 15, 49 (1975)) serves.  Each step is clamped to
+    |dt| <= MAX_LOG_STEP and to the bracket, and halved while the summed
+    chi-square rises.  The search stops when a step is at most
+    STEP_TOL * fwhm, or, keeping its previous state, when the chi-square
+    still rises after MAX_HALVINGS halvings.  Depth sigmas are computed
+    once, from the final state (see `_project`); depth variances do not
+    depend on how the fwhm is parametrized.
 
     The fwhm is searched within `fwhm_bracket(f)`, [grid step, half the grid
-    span].  Raises DegenerateFitError, with the batch index of the first
-    failed spectrum as its `spectrum`, when a spectrum's fwhm ends on that
+    span].  Raises DegenerateFitError when the shared fwhm ends on that
     bracket (the dips would run wider or narrower than the grid can show) or
-    has not met the stopping rule after MAX_DIP_ITER steps.
+    the search has not stopped after MAX_DIP_ITER steps.
     """
     f = np.asarray(f, dtype=float)
     y = np.atleast_2d(np.asarray(signals, dtype=float))
@@ -307,6 +313,8 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     _check_centers(f, centers)
     if y.shape[1] != f.size:
         raise ValueError("signals do not match the frequency grid")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("signals must be finite")
     if f.size < centers.size + 2:
         raise ValueError("fewer data points than parameters")
     if sigmas is None:
@@ -319,48 +327,37 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     ws = _Workspace(f, y, wt, centers)
     lo, hi = fwhm_bracket(f)
 
-    fwhm = np.full(y.shape[0], min(max(INIT_FWHM_MHZ, lo), hi))
-    done = np.zeros(fwhm.size, dtype=bool)
+    fwhm = min(max(INIT_FWHM_MHZ, lo), hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         state = _project(ws, fwhm)
         for _ in range(MAX_DIP_ITER):
             chi2, grad, curv = state[1:4]
-            dt = np.minimum(np.maximum(-grad / curv, -MAX_LOG_STEP), MAX_LOG_STEP)
-            step = np.where(done | ~np.isfinite(dt), 0.0, fwhm * np.expm1(dt))
-            step = np.minimum(np.maximum(fwhm + step, lo), hi) - fwhm
-            done |= np.abs(step) <= STEP_TOL * fwhm
-            if done.all():
+            dt = min(max(-grad / curv, -MAX_LOG_STEP), MAX_LOG_STEP) if curv > 0.0 else 0.0
+            step = min(max(fwhm + fwhm * math.expm1(dt), lo), hi) - fwhm
+            if abs(step) <= STEP_TOL * fwhm:
                 break
-            # a finished spectrum is projected again at its own fwhm
-            step[done] = 0.0
+            bound = chi2 * (1.0 + RISE_SLACK)
             trial = _project(ws, fwhm + step)
-            rising = trial[1] > chi2 * (1.0 + RISE_SLACK)
             for _ in range(MAX_HALVINGS):
-                if not rising.any():
+                if not trial[1] > bound:
                     break
-                step[rising] *= 0.5
+                step *= 0.5
                 trial = _project(ws, fwhm + step)
-                rising &= trial[1] > chi2 * (1.0 + RISE_SLACK)
-            if rising.any():
-                step[rising] = 0.0
-                for new, old in zip(trial, state):
-                    new[rising] = old[rising]
-            fwhm = fwhm + step
+            if trial[1] > bound:
+                break  # the halvings ran out: keep the previous state and stop
+            fwhm += step
             state = trial
-            done |= np.abs(step) <= STEP_TOL * fwhm
-        if not done.all():
+            if abs(step) <= STEP_TOL * fwhm:
+                break
+        else:
+            raise DegenerateFitError(f"pinned dip fit did not converge in {MAX_DIP_ITER} steps")
+        if not lo < fwhm < hi:
             raise DegenerateFitError(
-                f"pinned dip fit did not converge in {MAX_DIP_ITER} steps",
-                spectrum=int(np.flatnonzero(~done)[0]))
-        on_bound = np.flatnonzero((fwhm <= lo) | (fwhm >= hi))
-        if on_bound.size:
-            raise DegenerateFitError(
-                f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid",
-                spectrum=int(on_bound[0]))
+                f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid")
         coef, ginv, u, kaufman = state[0], *state[4:]
         depth_sigmas = None
         if sigmas is not None:
-            var = np.diagonal(ginv, axis1=1, axis2=2)[:, 1:] + u[:, 1:] ** 2 / kaufman[:, None]
+            var = np.diagonal(ginv, axis1=1, axis2=2)[:, 1:] + u[:, 1:] ** 2 / kaufman
             depth_sigmas = np.sqrt(np.maximum(var, 0.0))
     return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=depth_sigmas, fwhm=fwhm)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitkit, geometry, odmrsim
-from .errors import DegenerateFitError, NearParallelAxesError, PlanarModelError
+from .errors import NearParallelAxesError, PlanarModelError
 from .fitkit import Cos2Fit
 from .geometry import TransverseBasis, WireScene, unit
 from .odmrsim import LineshapeParams
@@ -204,14 +204,15 @@ class PlanarRunResult:
 
 def sweep_lp_depths(*sweeps: odmrsim.SweepSeries):
     """L0<->Lp dip depths of every spectrum of the given sweeps and, for noisy
-    sweeps, their sigmas, from one batched fit at the sweeps' dip centers.
+    sweeps, their sigmas, from one batched fit at the sweeps' dip centers
+    with one linewidth for all of them.
 
     Returns one (depths, sigmas) pair per sweep, sigmas None when noiseless.
     At theta = pi/2 the transition frequencies depend neither on the sweep
     angle nor on the NV orientation, so the centers of each sweep's psi = 0
     eigensolve hold for every spectrum; sweeps fitted together must share
-    them, and their grid.  A spectrum whose fit degenerates is named by its
-    sweep's position among the arguments (its slot) and its psi index.
+    them, their grid and their linewidth.  Raises DegenerateFitError when
+    the shared linewidth cannot be fitted (see `fitkit.fit_pinned_dips`).
     """
     first = sweeps[0]
     for s in sweeps[1:]:
@@ -223,20 +224,12 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries):
     if any(noisy) and not all(noisy):
         raise ValueError("sweeps fitted together must be all noisy or all noiseless")
     sigmas = np.concatenate([s.point_sigmas() for s in sweeps]) if all(noisy) else None
-    starts = np.cumsum([0] + [s.psis.size for s in sweeps])
-    try:
-        fit = fitkit.fit_pinned_dips(first.frequencies,
-                                     np.concatenate([s.signals for s in sweeps]), sigmas,
-                                     first.centers_mhz)
-    except DegenerateFitError as exc:
-        if exc.spectrum is None:
-            raise
-        slot = int(np.searchsorted(starts, exc.spectrum, side="right")) - 1
-        raise DegenerateFitError(f"slot {slot}, psi index {exc.spectrum - starts[slot]}: "
-                                 f"{exc}") from exc
+    fit = fitkit.fit_pinned_dips(first.frequencies, np.concatenate([s.signals for s in sweeps]),
+                                 sigmas, first.centers_mhz)
+    starts = np.cumsum([s.psis.size for s in sweeps])[:-1]
     # column 1 is the dip at f_0p, the L0<->Lp transition
-    depths = np.split(fit.depths[:, 1], starts[1:-1])
-    depth_sigmas = (np.split(fit.depth_sigmas[:, 1], starts[1:-1]) if sigmas is not None
+    depths = np.split(fit.depths[:, 1], starts)
+    depth_sigmas = (np.split(fit.depth_sigmas[:, 1], starts) if sigmas is not None
                     else [None] * len(sweeps))
     return list(zip(depths, depth_sigmas))
 

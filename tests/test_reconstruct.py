@@ -207,17 +207,21 @@ class TestSweepChain:
             reconstruct.sweep_lp_depths(sweep, weaker)
 
     def test_stacked_fit_matches_single_sweeps(self):
-        # the 3-D chain fits both sweeps in one batch; that must change nothing
+        # the 3-D chain fits both sweeps in one batch with one linewidth:
+        # the pinned fit of their concatenated rows, split by sweep
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
         for seed in range(5):
             sweeps = [odmrsim.noisy_copy_with_subseed(s, 200.0, 0.008, seed, slot)
                       for slot, s in enumerate(pair_sweeps(psis))]
             stacked = reconstruct.sweep_lp_depths(*sweeps)
             assert len(stacked) == 2
-            for sweep, (depths, sigmas) in zip(sweeps, stacked):
-                [(one_depths, one_sigmas)] = reconstruct.sweep_lp_depths(sweep)
-                assert np.array_equal(depths, one_depths)
-                assert np.array_equal(sigmas, one_sigmas)
+            fit = fitkit.fit_pinned_dips(sweeps[0].frequencies,
+                                         np.concatenate([s.signals for s in sweeps]),
+                                         np.concatenate([s.point_sigmas() for s in sweeps]),
+                                         sweeps[0].centers_mhz)
+            for k, (depths, sigmas) in enumerate(stacked):
+                assert np.array_equal(depths, fit.depths[12 * k:12 * (k + 1), 1])
+                assert np.array_equal(sigmas, fit.depth_sigmas[12 * k:12 * (k + 1), 1])
 
     def test_one_dip_fit_per_reconstruction(self, monkeypatch):
         # one eigensolve per new noiseless sweep, none for a memoized one, and
@@ -245,20 +249,18 @@ class TestSweepChain:
                                           reconstruct.NV2_AXIS_INDEX), cfg)
         assert calls == {"eigensystem": 2, "fit_pinned_dips": 3}
 
-    def test_degenerate_slot_named(self):
-        # 200 counts per point, seed 0: the NV2 sweep's psi-6 fit runs to the
-        # fwhm bracket while the NV1 sweep fits; the error names slot 1
-        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-        sweeps = [odmrsim.noisy_copy_with_subseed(s, 200.0, 0.001, 0, slot)
-                  for slot, s in enumerate(pair_sweeps(psis))]
-        reconstruct.sweep_lp_depths(sweeps[0])
-        with pytest.raises(DegenerateFitError, match="^slot 1, psi index 6: dip fwhm ran to"):
-            reconstruct.sweep_lp_depths(*sweeps)
-        cfg = reconstruct.ChainConfig(
-            noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.001, seed=0))
-        with pytest.raises(DegenerateFitError, match="^slot 1, psi index 6: "):
-            reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
-                                              reconstruct.NV2_AXIS_INDEX), cfg)
+    def test_degenerate_shared_linewidth_raises(self):
+        # the shared fwhm of the 3-D pair runs to its bracket, and the error
+        # names no sweep or spectrum: for dips wider than half the grid
+        # span, and for noisy spectra with no dips (no wire current; at 200
+        # counts per point, seed 0 is one such run)
+        noise = reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.001, seed=0)
+        wide = reconstruct.ChainConfig(shape=odmrsim.LineshapeParams(fwhm_mhz=150.0), noise=noise)
+        no_current = geometry.WireScene(61.0, 18.0, 0.0)
+        for scene, cfg in ((SCENE, wide), (no_current, reconstruct.ChainConfig(noise=noise))):
+            with pytest.raises(DegenerateFitError, match="^dip fwhm ran to the bound"):
+                reconstruct.end_to_end_3d(scene, (reconstruct.NV1_AXIS_INDEX,
+                                                  reconstruct.NV2_AXIS_INDEX), cfg)
 
     def test_end_to_end_planar_noiseless(self):
         run = reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX)
