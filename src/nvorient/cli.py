@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -254,8 +255,14 @@ def _run_fit(cfg, out_dir, seed, fmt):
 
 def _planar_rows(cfg, seed, nv_index, positions, current, diameter):
     chain = _chain_config(cfg, seed)
+    noise = chain.noise
     rows = []
-    for x, z in positions:
+    for j, (x, z) in enumerate(positions):
+        if noise is not None:
+            # position j draws from its own stream, seeded by a word of
+            # SeedSequence(seed, spawn_key=(j,)), so no two positions share noise
+            words = np.random.SeedSequence(noise.seed, spawn_key=(j,)).generate_state(1, np.uint64)
+            chain = replace(chain, noise=replace(noise, seed=int(words[0])))
         res = reconstruct.end_to_end_planar(geometry.WireScene(x, z, current, diameter),
                                             nv_index, chain)
         # to 1e-9 deg: a noiseless error is float rounding (up to ~2e-13 deg),

@@ -276,20 +276,17 @@ def spectrum_to_json_dict(spec: OdmrSpectrum, shape: LineshapeParams | None = No
 
 def noisy_copy_with_subseed(sweep: SweepSeries, rate_kcps: float, dwell_s: float,
                             seed: int, *key: int) -> SweepSeries:
-    """Shot noise on every spectrum of a sweep, each with its own child seed.
+    """Shot noise on a whole sweep: one `poisson` call on its (n_psi, n_f)
+    expected counts, from the generator of SeedSequence(seed, spawn_key=key).
 
-    Row i is `add_shot_noise` of the noiseless row with seed
-    SeedSequence(seed, spawn_key=(*key, i)), bit for bit.  SeedSequence
-    spawning keeps results independent of execution order; distinct key
-    tuples, such as (slot,) for the sweeps of a 3-D run, never share a stream.
+    Row 0 is `add_shot_noise` of the noiseless row 0 with that SeedSequence.
+    Spawn keys keep results independent of execution order; distinct keys,
+    () for a planar sweep and (slot,) for a 3-D run's, never share a stream.
     """
     meta = CountsMeta(rate_kcps=rate_kcps, dwell_s=dwell_s, seed=(seed, *key))
     n_mean = meta.mean_counts
-    expected = sweep.signals * n_mean
-    counts = np.empty(expected.shape, dtype=np.int64)
-    for i, row in enumerate(expected):
-        child = np.random.SeedSequence(entropy=seed, spawn_key=(*key, i))
-        counts[i] = np.random.default_rng(child).poisson(row)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    counts = rng.poisson(sweep.signals * n_mean)
     return SweepSeries(psis=sweep.psis, frequencies=sweep.frequencies,
                        signals=counts / n_mean, centers_mhz=sweep.centers_mhz,
                        counts_meta=meta)

@@ -274,8 +274,8 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfi
     entries, keyed by the scene, the NV index and the chain's constants,
     static field, lineshape, grid and psis (arrays by shape and bytes); a
     repeat of a scene returns the read-only sweep of its first run, bit for
-    bit what a new synthesis would give.  Spectrum i of the sweep of
-    nv_indices[k] draws its noise from spawn key (*noise_keys[k], i).
+    bit what a new synthesis would give.  The sweep of nv_indices[k] draws
+    its noise in one call from spawn key noise_keys[k].
     """
     grid, psis = _array_key(cfg.grid), _array_key(cfg.psis)
     bases, sweeps = [], []
@@ -321,7 +321,7 @@ def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
                   cfg: ChainConfig | None = None) -> MwAxisEstimate:
     """Two-orientation reconstruction of the full 3-D microwave axis.
 
-    The sweep of slot k draws its noise from spawn keys (k, i).
+    The sweep of slot k draws its noise from spawn key (k,).
     """
     i1, i2 = nv_indices
     if i1 == i2:

@@ -314,6 +314,17 @@ class TestReconstructPlanar:
         assert cli.run("reconstruct-planar", cfg, out_b, seed=8) == cli.EXIT_OK
         assert (out_a / "planar.csv").read_bytes() != (out_b / "planar.csv").read_bytes()
 
+    def test_positions_draw_distinct_streams(self, tmp_path):
+        # each wire position of a noisy run has its own noise stream, so a
+        # position listed twice gives two different estimates
+        wire = {"current_ma": 40.0, "positions_um": [[61.0, 18.0], [61.0, 18.0]]}
+        cfg = write_cfg(tmp_path, "rp.json", dict(self.CFG, wire=wire))
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-planar", cfg, out) == cli.EXIT_OK
+        header, first, second = read_csv(out / "planar.csv")
+        col = header.index("alpha_est_deg")
+        assert first[col] != second[col]
+
 
 class TestReconstruct3d:
     def test_measured_axes_bypass(self, tmp_path):

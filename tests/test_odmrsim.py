@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -199,26 +200,56 @@ class TestShotNoise:
         assert spec.point_sigma() is None
 
     def test_subseed_schedule_independence(self, shape, grid, nv1_basis):
-        # row i of a noisy sweep is row i drawn alone from child seed (7, i),
-        # whatever order the rows are drawn in
+        # a noisy sweep is one Poisson draw on its expected counts from the
+        # generator of SeedSequence(7, spawn_key=key), whatever order the keys
+        # are drawn in, and its row 0 is add_shot_noise of row 0 from that seed
         psis = np.linspace(0.0, math.pi, 5, endpoint=False)
         sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
                                            shape, grid, psis)
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, 100.0, 1.0, 7)
-        for i in reversed(range(5)):
-            ref = odmrsim.add_shot_noise(odmrsim.OdmrSpectrum(grid, sweep.signals[i]), 100.0,
-                                         1.0, np.random.SeedSequence(7, spawn_key=(i,)))
-            assert np.array_equal(noisy.signals[i], ref.signal)
-        assert np.array_equal(noisy.point_sigmas(),
-                              np.sqrt(np.maximum(noisy.signals, 1e-12) / 100000.0))
+        keys = [(), (0,), (1,)]
+        noisy = [odmrsim.noisy_copy_with_subseed(sweep, 100.0, 1.0, 7, *key) for key in keys]
+        backwards = [odmrsim.noisy_copy_with_subseed(sweep, 100.0, 1.0, 7, *key)
+                     for key in reversed(keys)]
+        for sw, again, key in zip(noisy, reversed(backwards), keys):
+            rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=key))
+            assert np.array_equal(sw.signals, rng.poisson(sweep.signals * 100000.0) / 100000.0)
+            assert np.array_equal(sw.signals, again.signals)
+            row0 = odmrsim.add_shot_noise(odmrsim.OdmrSpectrum(grid, sweep.signals[0]), 100.0,
+                                          1.0, np.random.SeedSequence(7, spawn_key=key))
+            assert np.array_equal(sw.signals[0], row0.signal)
+            assert np.array_equal(sw.point_sigmas(),
+                                  np.sqrt(np.maximum(sw.signals, 1e-12) / 100000.0))
         assert sweep.point_sigmas() is None
-        # distinct indices give distinct streams
+        # planar () and 3-D slots (0,), (1,) never share a stream, and
+        # identical rows of one sweep get different noise
         same = odmrsim.SweepSeries(psis, grid, np.tile(sweep.signals[0], (5, 1)),
                                    sweep.centers_mhz)
-        rows = odmrsim.noisy_copy_with_subseed(same, 100.0, 1.0, 7).signals
-        assert not np.array_equal(rows[0], rows[1])
+        rows = np.concatenate([odmrsim.noisy_copy_with_subseed(same, 100.0, 1.0, 7, *key).signals
+                               for key in keys])
+        for a, b in itertools.combinations(rows, 2):
+            assert not np.array_equal(a, b)
         with pytest.raises(ValueError):
             odmrsim.noisy_copy_with_subseed(sweep, 0.0, 1.0, 7)
+
+    def test_sweep_noise_statistics(self, shape, grid, nv1_basis):
+        # 400 noisy copies of one sweep at 1,600 counts per point: unbiased,
+        # Poisson variance, and no noise shared between psi rows
+        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
+        sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
+                                           shape, grid, psis)
+        n_copies, counts = 400, 1600.0
+        draws = np.stack([odmrsim.noisy_copy_with_subseed(sweep, 200.0, 0.008, s).signals
+                          for s in range(n_copies)])
+        var_pred = sweep.signals / counts
+        # 5 sigma per point: over 2,412 points a correct stream passes 4 sigma
+        # only about six times in seven
+        assert np.all(np.abs(draws.mean(axis=0) - sweep.signals)
+                      < 5.0 * np.sqrt(var_pred / n_copies))
+        assert 0.9 <= np.mean(draws.var(axis=0, ddof=1) / var_pred) <= 1.1
+        # standardized residuals of each psi row, over copies and frequencies
+        z = ((draws - sweep.signals) / np.sqrt(var_pred)).transpose(1, 0, 2).reshape(psis.size, -1)
+        corr = np.corrcoef(z)
+        assert np.max(np.abs(corr[~np.eye(psis.size, dtype=bool)])) < 0.2
 
     def test_invalid_noise_params(self, shape, grid):
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)

@@ -253,14 +253,28 @@ class TestSweepChain:
         # the shared fwhm of the 3-D pair runs to its bracket, and the error
         # names no sweep or spectrum: for dips wider than half the grid
         # span, and for noisy spectra with no dips (no wire current; at 200
-        # counts per point, seed 0 is one such run)
-        noise = reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.001, seed=0)
-        wide = reconstruct.ChainConfig(shape=odmrsim.LineshapeParams(fwhm_mhz=150.0), noise=noise)
+        # counts per point, seed 1 is one such run)
+        def noise(seed):
+            return reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.001, seed=seed)
+
+        wide = reconstruct.ChainConfig(shape=odmrsim.LineshapeParams(fwhm_mhz=150.0),
+                                       noise=noise(0))
         no_current = geometry.WireScene(61.0, 18.0, 0.0)
-        for scene, cfg in ((SCENE, wide), (no_current, reconstruct.ChainConfig(noise=noise))):
+        for scene, cfg in ((SCENE, wide), (no_current, reconstruct.ChainConfig(noise=noise(1)))):
             with pytest.raises(DegenerateFitError, match="^dip fwhm ran to the bound"):
                 reconstruct.end_to_end_3d(scene, (reconstruct.NV1_AXIS_INDEX,
                                                   reconstruct.NV2_AXIS_INDEX), cfg)
+
+    def test_no_current_reports_no_axis(self):
+        # with no wire current a noisy 3-D run fails in the dip fit or the
+        # cos^2 fit, whichever seed draws its noise
+        no_current = geometry.WireScene(61.0, 18.0, 0.0)
+        for seed in range(20):
+            cfg = reconstruct.ChainConfig(
+                noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.001, seed=seed))
+            with pytest.raises(DegenerateFitError):
+                reconstruct.end_to_end_3d(no_current, (reconstruct.NV1_AXIS_INDEX,
+                                                       reconstruct.NV2_AXIS_INDEX), cfg)
 
     def test_end_to_end_planar_noiseless(self):
         run = reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX)
@@ -290,10 +304,10 @@ class TestSweepChain:
         truth = geometry.mw_direction(SCENE)
         assert geometry.line_angle_between(est.axis, truth) < 1e-3
 
-    def test_noise_keys_distinct_per_slot(self, monkeypatch, grid):
-        # row i of 3-D slot k's noisy sweep is add_shot_noise of the noiseless
-        # row with child seed (k, i), so no psi count makes two spectra share
-        # noise; planar keeps (i,)
+    def test_noise_keys_distinct_per_slot(self, monkeypatch):
+        # 3-D slot k's noisy sweep is one Poisson draw from the generator of
+        # SeedSequence(seed, spawn_key=(k,)) and planar's from spawn_key=(),
+        # so no two sweeps share a stream, whatever order the runs come in
         fitted = []
         real = reconstruct.sweep_lp_depths
 
@@ -305,25 +319,31 @@ class TestSweepChain:
         psis = np.linspace(0.0, math.pi, 5, endpoint=False)
         cfg = reconstruct.ChainConfig(
             psis=psis, noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=1.5, seed=4))
-        reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
-                                          reconstruct.NV2_AXIS_INDEX), cfg)
-        reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+
+        def run_3d():
+            reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
+                                              reconstruct.NV2_AXIS_INDEX), cfg)
+
+        def run_planar():
+            reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+
+        run_3d()
+        run_planar()
+        run_planar()
+        run_3d()
+        three_d, planar = fitted[:2]
+        for later, first in zip(fitted[2:], (planar, three_d)):
+            assert all(np.array_equal(a.signals, b.signals) for a, b in zip(later, first))
         clean = pair_sweeps(psis)
-        runs = [(fitted[0], clean, [(0,), (1,)]), (fitted[1], clean[:1], [()])]
+        counts = 200.0 * 1000.0 * 1.5
+        runs = [(three_d, clean, [(0,), (1,)]), (planar, clean[:1], [()])]
         for noisy_sweeps, clean_sweeps, keys in runs:
             assert len(noisy_sweeps) == len(keys)
             for noisy, sweep, key in zip(noisy_sweeps, clean_sweeps, keys):
-                for i in range(psis.size):
-                    ref = odmrsim.add_shot_noise(
-                        odmrsim.OdmrSpectrum(grid, sweep.signals[i]), 200.0, 1.5,
-                        np.random.SeedSequence(4, spawn_key=(*key, i)))
-                    assert np.array_equal(noisy.signals[i], ref.signal)
-        # slot 0 / psi 1000 and slot 1 / psi 0: a flat key 1000*slot + i maps both to 1000
-        flat = odmrsim.SweepSeries(np.zeros(1001), grid, np.ones((1001, grid.size)),
-                                   clean[0].centers_mhz)
-        assert not np.array_equal(
-            odmrsim.noisy_copy_with_subseed(flat, 100.0, 1.0, 4, 0).signals[1000],
-            odmrsim.noisy_copy_with_subseed(flat, 100.0, 1.0, 4, 1).signals[0])
+                rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=key))
+                assert np.array_equal(noisy.signals, rng.poisson(sweep.signals * counts) / counts)
+        # slot 0 and planar share the NV1 sweep but not its noise
+        assert not np.array_equal(three_d[0].signals, planar[0].signals)
 
     def test_end_to_end_3d_same_orientation_rejected(self):
         with pytest.raises(NearParallelAxesError):
