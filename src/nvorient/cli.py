@@ -3,7 +3,8 @@
 A run is described by a strict JSON config (unknown keys rejected, units at
 the boundary: mT, MHz, um, degrees) and emits CSV/JSON data files plus a
 manifest.  Reruns with the same config and seed produce byte-identical data
-files; timestamps live only in the manifest.
+files; timestamps live only in the manifest.  Every config key is declared
+once, in the schema tables below, and read by `_read`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,8 +28,8 @@ MODES = ("simulate", "fit", "reconstruct-planar", "reconstruct-3d",
          "table1", "fieldmap", "sensitivity")
 
 TABLE1_POSITIONS = [
-    (47.7, 16.5), (47.0, 18.5), (46.3, 20.0), (45.5, 22.0), (44.0, 25.0),
-    (43.0, 26.6), (38.6, 32.5), (36.9, 34.5), (38.5, 26.7),
+    [47.7, 16.5], [47.0, 18.5], [46.3, 20.0], [45.5, 22.0], [44.0, 25.0],
+    [43.0, 26.6], [38.6, 32.5], [36.9, 34.5], [38.5, 26.7],
 ]
 
 EXIT_OK, EXIT_CONFIG, EXIT_PIPELINE = 0, 2, 3
@@ -38,15 +39,11 @@ MAX_GRID_POINTS = 20_000  # frequency grid, and fieldmap rows
 MAX_PSI_COUNT = 360
 
 
-def _check_keys(obj: dict, ctx: str, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{ctx}: expected an object")
-    unknown = set(obj) - required - set(optional)
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
+# Value parsers: each takes a JSON value and its key path, for messages.
+
+def _as_is(obj, ctx):
+    # checked where it is used: the mode by `run`, the model by LineshapeParams
+    return obj
 
 
 def _number(obj, ctx):
@@ -63,6 +60,136 @@ def _positive(obj, ctx):
     return value
 
 
+def _nonnegative(obj, ctx):
+    value = _number(obj, ctx)
+    if value < 0:
+        raise ConfigError(f"{ctx}: expected a number >= 0")
+    return value
+
+
+def _integer(lo: int, hi: int | None = None):
+    """Parser of an integer in lo..hi, or >= lo when hi is None."""
+    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+
+    def parse(obj, ctx):
+        if (not isinstance(obj, int) or isinstance(obj, bool) or obj < lo
+                or (hi is not None and obj > hi)):
+            raise ConfigError(f"{ctx}: expected an integer {bounds}")
+        return obj
+    return parse
+
+
+def _list_of(item, length: int | None = None, what: str = "a nonempty list"):
+    """Parser of a nonempty list, of `length` entries when given, of `item` values."""
+    def parse(obj, ctx):
+        if (not isinstance(obj, list) or not obj
+                or (length is not None and len(obj) != length)):
+            raise ConfigError(f"{ctx}: expected {what}")
+        return [item(v, ctx) for v in obj]
+    return parse
+
+
+def _file(obj, ctx):
+    if not isinstance(obj, str):
+        raise ConfigError(f"{ctx}: expected a path string")
+    path = Path(obj)
+    if not path.is_file():
+        raise ConfigError(f"{ctx}: {path} is not a file")
+    return path
+
+
+# ---------------------------------------------------------------------------
+# Schema: one table per config object, mapping each key to (parser, default).
+# A nested object's parser is its own table.  An absent key takes its default
+# through the same parser; REQUIRED makes it an error and None leaves it None.
+# A present key always goes through its parser, so null is a bad value.
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()
+_MODE = {"mode": (_as_is, REQUIRED)}
+_PAIRS = "a nonempty list of [x, z] pairs"
+_VECTORS = "two 3-vectors"
+_NV_INDEX = _integer(0, 3)
+_RANGE = _list_of(_number, 3, "[min, max, step]")
+
+# the shared blocks, accepted only by the modes that simulate spectra
+SHARED = {
+    "constants": ({"d_mhz": (_number, 2870.0), "gamma_e": (_number, 28.02495)}, {}),
+    "lineshape": ({"fwhm_mhz": (_number, 8.0), "contrast_ref": (_number, 0.02),
+                   "omega_ref_mhz": (_number, 1.0), "model": (_as_is, "linear")}, {}),
+    "frequency_grid_mhz": ({"start": (_number, 2850.0), "stop": (_number, 2950.0),
+                            "step": (_number, 0.5)}, {}),
+    "noise": ({"rate_kcps": (_positive, REQUIRED), "dwell_s": (_positive, REQUIRED),
+               "seed": (_integer(0), None)}, None),
+}
+_CHAIN = {
+    **_MODE, **SHARED,
+    "static_field_mt": (_positive, 10.2),
+    "psi_count": (_integer(4, MAX_PSI_COUNT), 12),
+    "wire": ({"current_ma": (_number, REQUIRED),
+              "positions_um": (_list_of(_list_of(_number, 2, _PAIRS), what=_PAIRS),
+                               TABLE1_POSITIONS),
+              "diameter_um": (_nonnegative, 25.0)}, REQUIRED),
+}
+SCHEMAS = {
+    "simulate": {
+        **_MODE, **SHARED,
+        "static": ({"b_mt": (_number, REQUIRED), "theta_deg": (_number, REQUIRED),
+                    "phi_deg": (_number, 0.0)}, REQUIRED),
+        "mw": ({"amplitude_mt": (_number, REQUIRED), "zeta_deg": (_number, REQUIRED),
+                "transverse_azimuth_deg": (_number, 0.0)}, REQUIRED),
+    },
+    "fit": {**_MODE, "spectrum_csv": (_file, REQUIRED),
+            "init_centers_mhz": (_list_of(_number), REQUIRED)},
+    "reconstruct-planar": {**_CHAIN, "nv_index": (_NV_INDEX, REQUIRED)},
+    "reconstruct-3d": {
+        **_CHAIN,
+        "nv_indices": (_list_of(_NV_INDEX, 2, "two integers in 0..3"), REQUIRED),
+        "measured_y_axes": (_list_of(_list_of(_number, 3, _VECTORS), 2, _VECTORS), None),
+    },
+    "table1": {**_CHAIN, "nv_index": (_NV_INDEX, reconstruct.NV1_AXIS_INDEX)},
+    "fieldmap": {**_MODE, "grid_um": ({"x": (_RANGE, REQUIRED), "z": (_RANGE, REQUIRED)},
+                                      REQUIRED)},
+    "sensitivity": {
+        **_MODE, "phi_deg": (_number, REQUIRED),
+        # sigma_rel, or the shot-noise figures it follows from
+        "sigma_rel": (_number, None),
+        "rate_kcps": (_number, None), "contrast": (_number, None), "time_s": (_number, None),
+        "n": (_integer(1), 1), "t": (_number, 1.0),
+    },
+}
+# measured axes replace the simulated chain, so reconstruct-3d then reads only these
+_MEASURED_3D_KEYS = ("mode", "wire", "nv_indices", "measured_y_axes")
+
+
+def _read(obj, table: dict, path: str = "") -> dict:
+    """The values of config object `obj`, at key path `path`, read against `table`."""
+    ctx = path or "config"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{ctx}: expected an object")
+    unknown = set(obj) - set(table)
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+    missing = {key for key, (_, default) in table.items() if default is REQUIRED} - set(obj)
+    if missing:
+        raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
+    values = dict.fromkeys(table)  # None for an absent key without a default
+    for key, (parse, default) in table.items():
+        if key in obj or default is not None:
+            value = obj[key] if key in obj else default
+            name = f"{path}.{key}" if path else key
+            values[key] = _read(value, parse, name) if isinstance(parse, dict) else parse(value, name)
+    return values
+
+
+def _build(cls, ctx: str, values: dict):
+    """cls(**values), its range checks reported as config errors."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+
+
 def _grid_points(lo: float, hi: float, step: float, ctx: str) -> int:
     """Number of points of the grid lo, lo + step, ..., hi; bounded by MAX_GRID_POINTS."""
     if not (hi - lo) / step < MAX_GRID_POINTS:
@@ -70,88 +197,28 @@ def _grid_points(lo: float, hi: float, step: float, ctx: str) -> int:
     return int(round((hi - lo) / step)) + 1
 
 
-def _integer(obj, ctx, lo: int, hi: int | None = None) -> int:
-    if (not isinstance(obj, int) or isinstance(obj, bool) or obj < lo
-            or (hi is not None and obj > hi)):
-        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ConfigError(f"{ctx}: expected an integer {bounds}")
-    return obj
-
-
-def _parse_constants(cfg: dict) -> spinmodel.SpinConstants:
-    block = cfg.get("constants", {})
-    _check_keys(block, "constants", set(), {"d_mhz", "gamma_e"})
-    try:
-        return spinmodel.SpinConstants(
-            d_mhz=_number(block.get("d_mhz", 2870.0), "constants.d_mhz"),
-            gamma_e=_number(block.get("gamma_e", 28.02495), "constants.gamma_e"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"constants: {exc}") from exc
-
-
-def _parse_lineshape(cfg: dict) -> odmrsim.LineshapeParams:
-    block = cfg.get("lineshape", {})
-    _check_keys(block, "lineshape", set(),
-                {"fwhm_mhz", "contrast_ref", "omega_ref_mhz", "model"})
-    try:
-        return odmrsim.LineshapeParams(
-            fwhm_mhz=_number(block.get("fwhm_mhz", 8.0), "lineshape.fwhm_mhz"),
-            contrast_ref=_number(block.get("contrast_ref", 0.02), "lineshape.contrast_ref"),
-            omega_ref_mhz=_number(block.get("omega_ref_mhz", 1.0), "lineshape.omega_ref_mhz"),
-            model=block.get("model", "linear"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"lineshape: {exc}") from exc
-
-
-def _parse_grid(cfg: dict) -> np.ndarray:
-    block = cfg.get("frequency_grid_mhz", {})
-    _check_keys(block, "frequency_grid_mhz", set(), {"start", "stop", "step"})
-    start = _number(block.get("start", 2850.0), "frequency_grid_mhz.start")
-    stop = _number(block.get("stop", 2950.0), "frequency_grid_mhz.stop")
-    step = _number(block.get("step", 0.5), "frequency_grid_mhz.step")
+def _grid(block: dict) -> np.ndarray:
+    start, stop, step = block["start"], block["stop"], block["step"]
     if not step > 0 or not stop > start:
         raise ConfigError("frequency_grid_mhz: need stop > start and step > 0")
     _grid_points(start, stop, step, "frequency_grid_mhz")
     return odmrsim.default_grid(start, stop, step)
 
 
-def _parse_noise(cfg: dict, seed_override: int | None) -> reconstruct.NoiseConfig | None:
-    block = cfg.get("noise")
+def _noise(block: dict | None, seed_override: int | None) -> reconstruct.NoiseConfig | None:
+    """The read noise block, with `--seed` in place of its seed when given."""
     if block is None:
         return None
-    _check_keys(block, "noise", {"rate_kcps", "dwell_s"}, {"seed"})
-    seed = seed_override if seed_override is not None else block.get("seed")
+    seed = block["seed"] if seed_override is None else seed_override
     if seed is None:
         raise ConfigError("noise: seed required (config key or --seed)")
-    return reconstruct.NoiseConfig(
-        rate_kcps=_positive(block["rate_kcps"], "noise.rate_kcps"),
-        dwell_s=_positive(block["dwell_s"], "noise.dwell_s"),
-        seed=_integer(seed, "noise.seed", 0),
-    )
+    return reconstruct.NoiseConfig(block["rate_kcps"], block["dwell_s"],
+                                   _integer(0)(seed, "noise.seed"))
 
 
-def _parse_wire(cfg: dict) -> tuple[list[tuple[float, float]], float, float]:
-    block = cfg.get("wire")
-    if block is None:
-        raise ConfigError("wire: block required for this mode")
-    _check_keys(block, "wire", {"current_ma"}, {"positions_um", "diameter_um"})
-    current = _number(block["current_ma"], "wire.current_ma")
-    diameter = _number(block.get("diameter_um", 25.0), "wire.diameter_um")
-    if diameter < 0:
-        raise ConfigError("wire.diameter_um: expected a number >= 0")
-    positions = block.get("positions_um", TABLE1_POSITIONS)
-    if (not isinstance(positions, list) or not positions
-            or any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in positions)):
-        raise ConfigError("wire.positions_um: expected a nonempty list of [x, z] pairs")
-    return ([(_number(x, "wire.positions_um"), _number(z, "wire.positions_um"))
-             for x, z in positions], current, diameter)
-
-
-def _chain_config(cfg: dict, seed_override: int | None) -> reconstruct.ChainConfig:
-    psi_count = _integer(cfg.get("psi_count", 12), "psi_count", 4, MAX_PSI_COUNT)
-    shape, grid = _parse_lineshape(cfg), _parse_grid(cfg)
+def _chain_config(p: dict, noise) -> reconstruct.ChainConfig:
+    shape = _build(odmrsim.LineshapeParams, "lineshape", p["lineshape"])
+    grid = _grid(p["frequency_grid_mhz"])
     # the pinned dip fits search the linewidth inside this bracket only
     lo, hi = fitkit.fwhm_bracket(grid)
     if not lo < shape.fwhm_mhz < hi:
@@ -159,112 +226,70 @@ def _chain_config(cfg: dict, seed_override: int | None) -> reconstruct.ChainConf
             f"lineshape.fwhm_mhz: must lie strictly inside (grid step, half the grid span) "
             f"= ({lo:g}, {hi:g}) MHz")
     return reconstruct.ChainConfig(
-        constants=_parse_constants(cfg),
-        b_static_mt=_positive(cfg.get("static_field_mt", 10.2), "static_field_mt"),
-        shape=shape,
-        grid=grid,
-        psis=np.linspace(0.0, math.pi, psi_count, endpoint=False),
-        noise=_parse_noise(cfg, seed_override),
-    )
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
+        constants=_build(spinmodel.SpinConstants, "constants", p["constants"]),
+        b_static_mt=p["static_field_mt"], shape=shape, grid=grid,
+        psis=np.linspace(0.0, math.pi, p["psi_count"], endpoint=False), noise=noise)
 
 
 def _write_report(out_dir: Path, stem: str, header: list[str], rows, fmt: str) -> str:
+    name = f"{stem}.{fmt}"
     if fmt == "json":
-        name = f"{stem}.json"
         payload = [dict(zip(header, row)) for row in rows]
         (out_dir / name).write_text(json.dumps(payload, indent=2) + "\n")
     else:
-        name = f"{stem}.csv"
-        _write_csv(out_dir / name, header, rows)
+        with open(out_dir / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in row] for row in rows)
     return name
 
 
 # ---------------------------------------------------------------------------
-# Mode runners: each returns the list of output file names it wrote
+# Mode runners: each takes the values read by its schema and the noise
+# config, and returns the list of output file names it wrote
 # ---------------------------------------------------------------------------
 
-# the shared blocks, accepted only by the modes that simulate spectra
-_COMMON_KEYS = {"mode", "constants", "lineshape", "frequency_grid_mhz", "noise"}
-
-
-def _run_simulate(cfg, out_dir, seed, fmt):
-    _check_keys(cfg, "config", {"mode", "static", "mw"},
-                _COMMON_KEYS)
-    st = cfg["static"]
-    _check_keys(st, "static", {"b_mt", "theta_deg"}, {"phi_deg"})
-    mw = cfg["mw"]
-    _check_keys(mw, "mw", {"amplitude_mt", "zeta_deg"}, {"transverse_azimuth_deg"})
+def _run_simulate(p, noise, out_dir, fmt):
+    st, mw = p["static"], p["mw"]
     try:
-        static = spinmodel.StaticFieldNV(
-            b_mt=_number(st["b_mt"], "static.b_mt"),
-            theta=math.radians(_number(st["theta_deg"], "static.theta_deg")),
-            phi=math.radians(_number(st.get("phi_deg", 0.0), "static.phi_deg")) % (2 * math.pi),
-        )
-        mwf = spinmodel.MwFieldNV(
-            amplitude_mt=_number(mw["amplitude_mt"], "mw.amplitude_mt"),
-            zeta=math.radians(_number(mw["zeta_deg"], "mw.zeta_deg")),
-            transverse_azimuth=math.radians(
-                _number(mw.get("transverse_azimuth_deg", 0.0), "mw.transverse_azimuth_deg")),
-        )
+        static = spinmodel.StaticFieldNV(st["b_mt"], math.radians(st["theta_deg"]),
+                                         math.radians(st["phi_deg"]) % (2 * math.pi))
+        mwf = spinmodel.MwFieldNV(mw["amplitude_mt"], math.radians(mw["zeta_deg"]),
+                                  math.radians(mw["transverse_azimuth_deg"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    shape = _parse_lineshape(cfg)
-    spec = odmrsim.simulate_spectrum(_parse_constants(cfg), static, mwf, shape, _parse_grid(cfg))
-    noise = _parse_noise(cfg, seed)
+    shape = _build(odmrsim.LineshapeParams, "lineshape", p["lineshape"])
+    spec = odmrsim.simulate_spectrum(_build(spinmodel.SpinConstants, "constants", p["constants"]),
+                                     static, mwf, shape, _grid(p["frequency_grid_mhz"]))
     if noise is not None:
         spec = odmrsim.add_shot_noise(spec, noise.rate_kcps, noise.dwell_s, noise.seed)
-    outputs = []
+    name = f"spectrum.{fmt}"
     if fmt == "json":
-        (out_dir / "spectrum.json").write_text(
+        (out_dir / name).write_text(
             json.dumps(odmrsim.spectrum_to_json_dict(spec, shape), indent=2) + "\n")
-        outputs.append("spectrum.json")
     else:
-        odmrsim.spectrum_to_csv(spec, out_dir / "spectrum.csv")
-        outputs.append("spectrum.csv")
-    return outputs
+        odmrsim.spectrum_to_csv(spec, out_dir / name)
+    return [name]
 
 
-def _run_fit(cfg, out_dir, seed, fmt):
-    _check_keys(cfg, "config", {"mode", "spectrum_csv", "init_centers_mhz"})
-    centers = cfg["init_centers_mhz"]
-    if not isinstance(centers, list) or not centers:
-        raise ConfigError("init_centers_mhz: expected a nonempty list")
-    if not isinstance(cfg["spectrum_csv"], str):
-        raise ConfigError("spectrum_csv: expected a path string")
-    path = Path(cfg["spectrum_csv"])
-    if not path.is_file():
-        raise ConfigError(f"spectrum_csv: {path} is not a file")
-    spec = odmrsim.spectrum_from_csv(path)
-    dips = fitkit.fit_dips(spec, [_number(c, "init_centers_mhz") for c in centers])
-    payload = [
-        {"center_mhz": d.center_mhz, "fwhm_mhz": d.fwhm_mhz,
-         "depth": d.depth, "depth_sigma": d.depth_sigma}
-        for d in dips
-    ]
+def _run_fit(p, noise, out_dir, fmt):
+    spec = odmrsim.spectrum_from_csv(p["spectrum_csv"])
+    payload = [asdict(d) for d in fitkit.fit_dips(spec, p["init_centers_mhz"])]
     (out_dir / "dips.json").write_text(json.dumps(payload, indent=2) + "\n")
     return ["dips.json"]
 
 
-def _planar_rows(cfg, seed, nv_index, positions, current, diameter):
-    chain = _chain_config(cfg, seed)
-    noise = chain.noise
+def _planar_rows(p, noise):
+    chain, wire = _chain_config(p, noise), p["wire"]
     rows = []
-    for j, (x, z) in enumerate(positions):
+    for j, (x, z) in enumerate(wire["positions_um"]):
         if noise is not None:
             # position j draws from its own stream, seeded by a word of
             # SeedSequence(seed, spawn_key=(j,)), so no two positions share noise
             words = np.random.SeedSequence(noise.seed, spawn_key=(j,)).generate_state(1, np.uint64)
             chain = replace(chain, noise=replace(noise, seed=int(words[0])))
-        res = reconstruct.end_to_end_planar(geometry.WireScene(x, z, current, diameter),
-                                            nv_index, chain)
+        scene = geometry.WireScene(x, z, wire["current_ma"], wire["diameter_um"])
+        res = reconstruct.end_to_end_planar(scene, p["nv_index"], chain)
         # to 1e-9 deg: a noiseless error is float rounding (up to ~2e-13 deg),
         # and printing it would tie data files to the order of the arithmetic
         rows.append((x, z, res.alpha_est_deg, res.alpha_partner_deg,
@@ -272,59 +297,35 @@ def _planar_rows(cfg, seed, nv_index, positions, current, diameter):
     return rows
 
 
-def _run_reconstruct_planar(cfg, out_dir, seed, fmt):
-    _check_keys(cfg, "config", {"mode", "wire", "nv_index"},
-                _COMMON_KEYS | {"static_field_mt", "psi_count"})
-    positions, current, diameter = _parse_wire(cfg)
-    nv_index = _integer(cfg["nv_index"], "nv_index", 0, 3)
-    rows = _planar_rows(cfg, seed, nv_index, positions, current, diameter)
-    name = _write_report(out_dir, "planar",
-                         ["x_um", "z_um", "alpha_est_deg", "alpha_partner_deg",
-                          "alpha_theory_deg", "error_deg"], rows, fmt)
-    return [name]
+def _run_reconstruct_planar(p, noise, out_dir, fmt):
+    return [_write_report(out_dir, "planar",
+                          ["x_um", "z_um", "alpha_est_deg", "alpha_partner_deg",
+                           "alpha_theory_deg", "error_deg"], _planar_rows(p, noise), fmt)]
 
 
-def _run_table1(cfg, out_dir, seed, fmt):
-    _check_keys(cfg, "config", {"mode", "wire"},
-                _COMMON_KEYS | {"static_field_mt", "psi_count", "nv_index"})
-    positions, current, diameter = _parse_wire(cfg)
-    nv_index = _integer(cfg.get("nv_index", reconstruct.NV1_AXIS_INDEX), "nv_index", 0, 3)
-    rows = _planar_rows(cfg, seed, nv_index, positions, current, diameter)
-    table = [(x, z, est, theory, err) for x, z, est, _, theory, err in rows]
-    name = _write_report(out_dir, "table1",
-                         ["x_um", "z_um", "alpha_est_deg", "alpha_theory_deg", "error_deg"],
-                         table, fmt)
-    return [name]
+def _run_table1(p, noise, out_dir, fmt):
+    table = [(x, z, est, theory, err) for x, z, est, _, theory, err in _planar_rows(p, noise)]
+    return [_write_report(out_dir, "table1",
+                          ["x_um", "z_um", "alpha_est_deg", "alpha_theory_deg", "error_deg"],
+                          table, fmt)]
 
 
-def _run_reconstruct_3d(cfg, out_dir, seed, fmt):
-    # measured axes replace the simulated chain, so its keys are not read
-    measured = cfg.get("measured_y_axes")
-    chain_keys = set() if measured is not None else _COMMON_KEYS | {"static_field_mt", "psi_count"}
-    _check_keys(cfg, "config", {"mode", "wire", "nv_indices"}, {"measured_y_axes"} | chain_keys)
-    positions, current, diameter = _parse_wire(cfg)
-    if len(positions) != 1:
+def _run_reconstruct_3d(p, noise, out_dir, fmt):
+    wire = p["wire"]
+    if len(wire["positions_um"]) != 1:
         raise ConfigError("reconstruct-3d: exactly one wire position expected")
-    indices = cfg["nv_indices"]
-    if not isinstance(indices, list) or len(indices) != 2:
-        raise ConfigError("nv_indices: expected two integers in 0..3")
-    indices = [_integer(i, "nv_indices", 0, 3) for i in indices]
-    x, z = positions[0]
-    scene = geometry.WireScene(x, z, current, diameter)
+    (x, z), = wire["positions_um"]
+    scene = geometry.WireScene(x, z, wire["current_ma"], wire["diameter_um"])
     truth = geometry.mw_direction(scene)
-    if measured is not None:
-        if (not isinstance(measured, list) or len(measured) != 2
-                or any(not isinstance(v, list) or len(v) != 3 for v in measured)):
-            raise ConfigError("measured_y_axes: expected two 3-vectors")
+    if p["measured_y_axes"] is not None:
         try:
-            y1, y2 = (reconstruct.NvYEstimate(geometry.unit(np.array(
-                [_number(c, "measured_y_axes") for c in v])), 0.0) for v in measured)
+            y1, y2 = (reconstruct.NvYEstimate(geometry.unit(np.array(v)), 0.0)
+                      for v in p["measured_y_axes"])
         except ValueError as exc:
             raise ConfigError(f"measured_y_axes: {exc}") from exc
         est = reconstruct.mw_axis_from_two(y1, y2, truth_axis=truth)
     else:
-        est = reconstruct.end_to_end_3d(scene, (indices[0], indices[1]),
-                                        _chain_config(cfg, seed))
+        est = reconstruct.end_to_end_3d(scene, tuple(p["nv_indices"]), _chain_config(p, noise))
     # rounded like planar error_deg: past these digits the file would record
     # float rounding, which depends on the order of the arithmetic; + 0.0
     # writes a component rounded to -0.0 as 0.0, since its sign is rounding too
@@ -338,16 +339,10 @@ def _run_reconstruct_3d(cfg, out_dir, seed, fmt):
     return ["reconstruct3d.json"]
 
 
-def _run_fieldmap(cfg, out_dir, seed, fmt):
-    _check_keys(cfg, "config", {"mode", "grid_um"})
-    block = cfg["grid_um"]
-    _check_keys(block, "grid_um", {"x", "z"})
+def _run_fieldmap(p, noise, out_dir, fmt):
     axes = []
     for key in ("x", "z"):
-        spec = block[key]
-        if not isinstance(spec, list) or len(spec) != 3:
-            raise ConfigError(f"grid_um.{key}: expected [min, max, step]")
-        lo, hi, step = (_number(v, f"grid_um.{key}") for v in spec)
+        lo, hi, step = p["grid_um"][key]
         if not step > 0 or not hi >= lo:
             raise ConfigError(f"grid_um.{key}: need max >= min and step > 0")
         n = _grid_points(lo, hi, step, f"grid_um.{key}")
@@ -363,24 +358,17 @@ def _run_fieldmap(cfg, out_dir, seed, fmt):
             rows.append((x, z, float(m[0]), float(m[2])))
     if not rows:
         raise ConfigError("grid_um: no grid point away from the wire center")
-    name = _write_report(out_dir, "fieldmap", ["x_um", "z_um", "mx", "mz"], rows, fmt)
-    return [name]
+    return [_write_report(out_dir, "fieldmap", ["x_um", "z_um", "mx", "mz"], rows, fmt)]
 
 
-def _run_sensitivity(cfg, out_dir, seed, fmt):
-    _check_keys(cfg, "config", {"mode", "phi_deg"},
-                {"mode", "sigma_rel", "rate_kcps", "contrast", "time_s", "n", "t"})
-    phi = math.radians(_number(cfg["phi_deg"], "phi_deg"))
-    n = _integer(cfg.get("n", 1), "n", 1)
-    t = _number(cfg.get("t", 1.0), "t")
+def _run_sensitivity(p, noise, out_dir, fmt):
+    phi, n, t = math.radians(p["phi_deg"]), p["n"], p["t"]
+    shot_noise = (p["rate_kcps"], p["contrast"], p["time_s"])
     try:
-        if "sigma_rel" in cfg:
-            sigma_rel = _number(cfg["sigma_rel"], "sigma_rel")
-        elif all(k in cfg for k in ("rate_kcps", "contrast", "time_s")):
-            sigma_rel = sensitivity.shot_noise_sigma_rel(
-                _number(cfg["rate_kcps"], "rate_kcps"),
-                _number(cfg["contrast"], "contrast"),
-                _number(cfg["time_s"], "time_s"))
+        if p["sigma_rel"] is not None:
+            sigma_rel = p["sigma_rel"]
+        elif None not in shot_noise:
+            sigma_rel = sensitivity.shot_noise_sigma_rel(*shot_noise)
         else:
             raise ConfigError("sensitivity: need sigma_rel or rate_kcps+contrast+time_s")
         inp = sensitivity.SensitivityInput(phi=phi, sigma_rel=sigma_rel, n=n, t=t)
@@ -391,10 +379,9 @@ def _run_sensitivity(cfg, out_dir, seed, fmt):
         raise ConfigError(f"sensitivity: {exc}") from exc
     if not all(math.isfinite(v) for v in row):
         raise ConfigError("sensitivity: inputs overflow the figures of merit")
-    name = _write_report(out_dir, "sensitivity",
-                         ["phi_deg", "sigma_rel", "eta_rad_per_sqrt_hz",
-                          "eta_max_rad_per_sqrt_hz"], [row], fmt)
-    return [name]
+    return [_write_report(out_dir, "sensitivity",
+                          ["phi_deg", "sigma_rel", "eta_rad_per_sqrt_hz",
+                           "eta_max_rad_per_sqrt_hz"], [row], fmt)]
 
 
 _RUNNERS = {
@@ -425,8 +412,13 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
             raise ConfigError(f"config mode {cfg.get('mode')!r} does not match subcommand {mode!r}")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {fmt!r}")
+        table = SCHEMAS[mode]
+        if mode == "reconstruct-3d" and "measured_y_axes" in cfg:
+            table = {key: table[key] for key in _MEASURED_3D_KEYS}
+        values = _read(cfg, table)
+        noise = _noise(values["noise"], seed) if "noise" in table else None
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _RUNNERS[mode](cfg, out_dir, seed, fmt)
+        outputs = _RUNNERS[mode](values, noise, out_dir, fmt)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -437,7 +429,7 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
         "tool_version": __version__,
         "mode": mode,
         "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
-        "seed": seed if seed is not None else cfg.get("noise", {}).get("seed"),
+        "seed": noise.seed if noise is not None else seed,
         "started_utc": started,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,

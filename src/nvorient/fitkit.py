@@ -367,9 +367,10 @@ def fit_dips(spec: OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
     spectrum by Levenberg-Marquardt, started at the supplied centers.
 
     Uses the spectrum's shot-noise sigmas as weights when present.  Raises
-    DegenerateFitError when a fitted center leaves the frequency grid, or
-    when two dips within one linewidth have depths of opposite sign (a
-    degenerate pair that can cancel to almost any shape).  Returns estimates
+    DegenerateFitError when a fitted center leaves the frequency grid, when
+    two dips within one linewidth have depths of opposite sign (a degenerate
+    pair that can cancel to almost any shape), or when the fit does not
+    converge, rather than return the last step's parameters.  Returns estimates
     ordered by center; warns when fitted dips overlap within one linewidth.
     Dips at known centers are fitted by `fit_pinned_dips`.
     """
@@ -398,13 +399,17 @@ def fit_dips(spec: OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
     dips = sorted((DipEstimate(center_mhz=float(c), fwhm_mhz=float(abs(p[1])),
                                depth=float(p[2 + k]), depth_sigma=float(sig[2 + k]))
                    for k, c in enumerate(centers)), key=lambda d: d.center_mhz)
-    for a, b in zip(dips, dips[1:]):
-        if abs(b.center_mhz - a.center_mhz) < a.fwhm_mhz:
-            if a.depth * b.depth < 0.0:
-                raise DegenerateFitError(
-                    f"fitted dips at {a.center_mhz:.3f} and {b.center_mhz:.3f} MHz overlap "
-                    "with depths of opposite sign")
-            warnings.warn("fitted dips overlap within one linewidth", stacklevel=2)
+    close = [(a, b) for a, b in zip(dips, dips[1:])
+             if abs(b.center_mhz - a.center_mhz) < a.fwhm_mhz]
+    for a, b in close:
+        if a.depth * b.depth < 0.0:
+            raise DegenerateFitError(
+                f"fitted dips at {a.center_mhz:.3f} and {b.center_mhz:.3f} MHz overlap "
+                "with depths of opposite sign")
+    if not fit.converged:
+        raise DegenerateFitError(f"dip fit did not converge in {fit.iterations} steps")
+    for _ in close:
+        warnings.warn("fitted dips overlap within one linewidth", stacklevel=2)
     return dips
 
 

@@ -229,6 +229,29 @@ class TestErrorPaths:
         path = write_cfg(tmp_path, "cfg.json", cfg)
         assert cli.run(mode, path, tmp_path / "out") == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("mode, payload", [
+        ("simulate", dict(SIMULATE_CFG, noise=None)),
+        ("table1", {"mode": "table1", "wire": {"current_ma": 40.0}, "noise": None}),
+        ("reconstruct-planar", {"mode": "reconstruct-planar", "nv_index": 3, "noise": None,
+                                "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]}}),
+        ("reconstruct-3d", {"mode": "reconstruct-3d", "nv_indices": [3, 1], "noise": None,
+                            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]}}),
+        ("reconstruct-3d", {"mode": "reconstruct-3d", "nv_indices": [3, 1],
+                            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+                            "measured_y_axes": None}),
+    ], ids=["simulate-noise", "table1-noise", "reconstruct-planar-noise",
+            "reconstruct-3d-noise", "measured-y-axes"])
+    def test_null_value_exits_2(self, tmp_path, capsys, mode, payload):
+        # null is a bad value, not a missing key: a null noise block once
+        # ran noiseless and then crashed writing the manifest, and null
+        # measured axes ran the simulated chain
+        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert cli.run(mode, cfg, out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_no_outputs_on_config_error(self, tmp_path):
         payload = dict(SIMULATE_CFG, extra=1)
         cfg = write_cfg(tmp_path, "sim.json", payload)
@@ -570,3 +593,63 @@ def test_fuzzed_config_exits_2(fit_spectrum_csv, data):
         assert err.getvalue().startswith("error: ")
         assert "Traceback" not in err.getvalue()
         assert not (out / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Schema-driven checks: every key that a mode's table declares
+# ---------------------------------------------------------------------------
+
+def schema_keys(table, prefix=()):
+    """(key path, default) of every key of a schema table, nested keys too."""
+    for key, (parse, default) in table.items():
+        yield prefix + (key,), default
+        if isinstance(parse, dict):
+            yield from schema_keys(parse, prefix + (key,))
+
+
+SCHEMA_CASES = [(mode, path, default) for mode, table in cli.SCHEMAS.items()
+                for path, default in schema_keys(table)]
+
+
+@pytest.mark.parametrize("mode, path, default", SCHEMA_CASES,
+                         ids=[f"{mode}-{'.'.join(path)}" for mode, path, _ in SCHEMA_CASES])
+def test_schema_key_rejects_null_and_wrong_type(tmp_path, capsys, fit_spectrum_csv,
+                                                mode, path, default):
+    # measured axes are read only without the simulated chain's keys
+    name = "reconstruct-3d-measured" if path == ("measured_y_axes",) else mode
+    cfg = copy.deepcopy(FUZZ_BASES[name][0])
+    if mode == "fit":
+        cfg["spectrum_csv"] = fit_spectrum_csv
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]  # the valid base config holds every nested block
+    valid = parent.get(path[-1], default)
+    for value in (None, 1.0 if isinstance(valid, str) else "x"):
+        parent[path[-1]] = value
+        config = write_cfg(tmp_path, "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert cli.run(mode, config, out) == cli.EXIT_CONFIG, value
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert path[0] in err
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_readme_names_config_defaults():
+    # the README's config paragraph names every key of the shared blocks
+    # and of the reconstruction modes, with its default when it is a number
+    # or a string; the default wire positions are described in words
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("Config blocks shared by")
+    paragraph = " ".join(readme[start:readme.index("\n\n", start)].split())
+    shared = list(schema_keys(cli.SHARED))
+    chain = [(path, default) for mode in ("table1", "reconstruct-planar", "reconstruct-3d")
+             for path, default in schema_keys(cli.SCHEMAS[mode])
+             if path[0] not in cli.SHARED and path != ("mode",)]
+    for path, default in shared + chain:
+        key = f"`{path[-1]}`"
+        if isinstance(default, (int, float)):
+            key += f" {default:.12g}"
+        elif isinstance(default, str):
+            key += f" {json.dumps(default)}"
+        assert key in paragraph, key

@@ -176,6 +176,16 @@ class TestFitDips:
         with pytest.raises(DegenerateFitError, match="opposite sign"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
 
+    def test_unconverged_fit_fails(self):
+        # at 400 counts per point LM crawls on this sweep spectrum: it stops
+        # at MAX_DIP_ITER steps with a depth 3.8e-5 and the fwhm 0.011 MHz from
+        # where LM run to a relative drop of 1e-15 ends, after about 1,000 steps
+        _, _, _, sweep = noisy_sweeps(0, 0.002)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, 200.0, 0.002, 3)
+        spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[2], noisy.counts_meta)
+        with pytest.raises(DegenerateFitError, match="did not converge"):
+            fitkit.fit_dips(spec, [2898.0, 2926.0])
+
     def test_nonfinite_signal_rejected(self, grid):
         sig = np.ones_like(grid)
         sig[10] = np.nan
