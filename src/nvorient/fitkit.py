@@ -8,10 +8,11 @@ linewidth, so only one scalar is searched (Golub & Pereyra, SIAM J. Numer.
 Anal. 10, 413 (1973)), by Newton steps on t = log(fwhm).  The Lorentzian's
 t-derivatives are polynomials in the Lorentzian itself, dL/dt = 2L(1-L) and
 d2L/dt2 = 2(1-2L) dL/dt, so the projected chi-square's exact curvature (a
-Schur complement of the full Hessian) costs one more row of products, and
-a sweep converges in about four projections.  The depth covariance comes
-from the normal matrix of the final state, computed once.  Dips with free
-centers are fitted by damped Gauss-Newton (Levenberg-Marquardt).
+Schur complement of the full Hessian) costs one more row of products.  A
+sweep converges in under three projections: the last Newton step moves the
+fit along dc/dt = -G^-1 w in closed form, unprojected.  The depth covariance
+comes from the normal matrix of the last projected state, computed once.
+Dips with free centers are fitted by damped Gauss-Newton (Levenberg-Marquardt).
 
 The cos^2 law is a linear fit of three terms to a dozen depths, solved by a
 thin QR (modified Gram-Schmidt) on Python floats: at that size numpy's fixed
@@ -157,11 +158,12 @@ def _dip_jacobian(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
 
 INIT_FWHM_MHZ = 8.0
 MAX_DIP_ITER = 200
-# pinned-center search: stop when the fwhm step is at most STEP_TOL * fwhm;
-# a chi-square rise below RISE_SLACK (relative) is round-off, and without
-# that slack the search backtracks forever near the optimum.  MAX_HALVINGS
-# halvings take any step below STEP_TOL * fwhm.
-STEP_TOL = 1e-10
+# pinned-center search: a Newton step of at most STEP_TOL * fwhm is the last,
+# taken in closed form; Newton converges quadratically, so it leaves
+# O(STEP_TOL^2).  A chi-square rise below RISE_SLACK (relative) is round-off;
+# without that slack the search backtracks forever near the optimum.
+# MAX_HALVINGS halvings take any step below STEP_TOL * fwhm.
+STEP_TOL = 1e-5
 RISE_SLACK = 1e-13
 MAX_HALVINGS = 40
 # the largest Newton step in t = log(fwhm): a factor e^0.5 = 1.65 either way
@@ -194,75 +196,71 @@ def _check_centers(f: np.ndarray, centers: np.ndarray) -> None:
 
 
 class _Workspace:
-    """The arrays of one pinned fit that span the frequency grid, allocated
-    once and refilled in place by every `_project`, so that the search
-    allocates no (batch, n_f) array.  `rows` is row-major, each
-    quantity one contiguous (batch, n_f) block: the weights wt = 1/sigma and
-    wt*L_1..wt*L_n (together a, the weighted columns of [baseline, -depths]),
-    the weighted signal yw, dl_k = wt*L_k(1-L_k) = (wt dL_k/dt)/2,
-    d2l_k = (1-2L_k) dl_k = (wt d2L_k/dt2)/4, jw = dr/dt and the residual r,
-    where L_k are the unit-peak Lorentzians at the trial fwhm and
-    t = log(fwhm).  `cols` is the (batch, row, n_f) view that the batched
-    products take.  The fwhm is shared, so L_k depends on frequency alone:
-    `_project` computes it once from the squared detunings `delta2`, an
-    (n, n_f) array, and broadcasts it against the weights."""
+    """The arrays of one pinned fit, allocated once and refilled in place by
+    every `_project`, so that the search allocates no (batch, n_f) array:
+    per spectrum, from the weights wt = 1/sigma, w = wt, w2 = wt^2, yw = wt*y
+    and w2y = wt^2*y.  The fwhm is shared, so the Lorentzians depend on
+    frequency alone: `phi` is one (3n+1, n_f) block [1, L_k, dl_k, d2l_k],
+    with L_k the unit-peak Lorentzians at the trial fwhm, t = log(fwhm),
+    dl_k = L_k(1-L_k) = (dL_k/dt)/2 and d2l_k = (1-2L_k) dl_k = (d2L_k/dt2)/4,
+    and `prod` holds the pairwise products of its first n+1 rows."""
 
     def __init__(self, f, y, wt, centers):
-        n = centers.size
-        self.n = n
-        self.rows = np.empty((3 * n + 4, y.shape[0], f.size))
-        self.rows[0] = wt
-        np.multiply(y, wt, out=self.rows[n + 1])
-        self.cols = self.rows.transpose(1, 0, 2)
+        self.n = n = centers.size
+        self.yw = y * wt
+        self.w, self.w2, self.w2y = wt, wt * wt, self.yw * wt
+        self.phi = np.ones((3 * n + 1, f.size))
+        self.prod = np.empty((n + 1, n + 1, f.size))
         self.delta2 = (f - centers[:, None]) ** 2
+        self.r, self.rw, self.jw = (np.empty_like(y) for _ in range(3))
 
 
 def _project(ws, fwhm):
     """Variable projection at the shared fwhm: each spectrum's exact weighted
-    linear fit c of [baseline, -depths] and, at those fits, the batch sums of
-    chi2, of r.jw (half its t-derivative) and of half its t-curvature (see
-    `fit_pinned_dips`); then each spectrum's G^-1 and u = G^-1 a.jw, and the
-    batch sum of the Kaufman curvature jw.jw - (a.jw).u.  With s = 2c[1:],
-    jw = s.dl.  The normal matrix over every spectrum's [baseline, -depths]
-    and the shared t is block-diagonal in the G's, bordered by the a.jw's,
-    so by blockwise inversion the depth variances of the final state are
-    diag(G^-1) + u^2 / (summed Kaufman curvature).  Returns [c, chi2, r.jw,
-    curvature, G^-1, u, Kaufman curvature], the batch sums as floats."""
-    n, rows, cols = ws.n, ws.rows, ws.cols
+    linear fit c of [baseline, -depths], whose weighted columns are
+    a = wt*phi[:n+1], and, at those fits, the batch sums of chi2, of r.jw
+    (half its t-derivative) and of half its t-curvature (see
+    `fit_pinned_dips`); then each spectrum's G^-1, u = G^-1 a.jw and
+    G^-1 w = -dc/dt, and the batch sum of the Kaufman curvature
+    jw.jw - (a.jw).u.  With s = 2c[1:], jw = wt*(s.dl).  The normal matrix
+    over every spectrum's [baseline, -depths] and the shared t is
+    block-diagonal in the G's, bordered by the a.jw's, so by blockwise
+    inversion the depth variances are diag(G^-1) + u^2 / (summed Kaufman
+    curvature).  The residual is formed point by point: chi2 from moments
+    would lose digits to cancellation.  Returns [c, chi2, r.jw, curvature,
+    G^-1, u, Kaufman curvature, G^-1 w], the batch sums as floats."""
+    n, phi, w, r = ws.n, ws.phi, ws.w, ws.r
     m = n + 1
     h2 = (0.5 * fwhm) ** 2
-    lor = h2 / (ws.delta2 + h2)
-    dl = lor * (1.0 - lor)
-    np.multiply(lor[:, None], rows[0], out=rows[1:m])
-    np.multiply(np.concatenate([dl, dl * (1.0 - 2.0 * lor)])[:, None], rows[0],
-                out=rows[m + 1:3 * n + 2])
-    jw, r = rows[3 * n + 2], rows[3 * n + 3]
-    # G and a.yw; the extra column keeps numpy's matmul off its same-buffer
-    # A @ A.T path, which is several times slower for these stacks
-    g = cols[:, :m + 1] @ cols[:, :m + 2].transpose(0, 2, 1)
+    lor, dl = phi[1:m], phi[m:m + n]
+    np.divide(h2, ws.delta2 + h2, out=lor)
+    np.multiply(lor, 1.0 - lor, out=dl)
+    np.multiply(dl, 1.0 - 2.0 * lor, out=phi[m + n:])
+    np.multiply(phi[:m, None], phi[None, :m], out=ws.prod)
     try:
-        ginv = np.linalg.inv(g[:, :m, :m])
+        ginv = np.linalg.inv((ws.w2 @ ws.prod.reshape(m * m, -1).T).reshape(-1, m, m))
     except np.linalg.LinAlgError as exc:
         raise SingularNormalEquationsError(str(exc)) from exc
-    coef = (ginv @ g[:, :m, m:])[:, :, 0]
-    np.matmul(coef[:, None, :], cols[:, :m], out=r[:, None])
-    r -= rows[m]
+    coef = (ginv @ (ws.w2y @ phi[:m].T)[:, :, None])[:, :, 0]
+    np.matmul(coef, phi[:m], out=r)
+    r *= w
+    r -= ws.yw
+    # r.dl_k and r.d2l_k; r is orthogonal to a, so r.jw is half the exact gradient
+    rd = phi[m:] @ np.multiply(w, r, out=ws.rw).T
     s = 2.0 * coef[:, 1:]
-    np.matmul(s[:, None, :], cols[:, m + 1:2 * n + 2], out=jw[:, None])
-    # every row dotted with jw and with r; r is orthogonal to a, so r.jw is
-    # half the exact gradient of the projected chi2
-    p = cols @ cols[:, 3 * n + 2:].transpose(0, 2, 1)
-    aw = np.empty((s.shape[0], m, 2))   # columns a.jw and w (see `fit_pinned_dips`)
-    aw[:, :, 0] = aw[:, :, 1] = p[:, :m, 0]
-    aw[:, 1:, 1] += 2.0 * p[:, m + 1:2 * n + 2, 1]
+    jw = np.matmul(s, dl, out=ws.jw)
+    jw *= w
+    jj = float(np.vdot(jw, jw))
+    jw *= w                                 # now wt*jw, whose sums with phi[:m] are a.jw
+    aw = np.empty((s.shape[0], m, 2))       # columns a.jw and w (see `fit_pinned_dips`)
+    aw[:, :, 0] = aw[:, :, 1] = jw @ phi[:m].T
+    aw[:, 1:, 1] += 2.0 * rd[:n].T
     gw = ginv @ aw
-    # batch sums of jw.jw and of the quadratic forms (a.jw).G^-1(a.jw) and w.G^-1 w
-    jj = float(p[:, 3 * n + 2, 0].sum())
-    quad0, quad1 = np.einsum("bij,bij->j", aw, gw).tolist()
-    kaufman = jj - quad0
-    exact = jj + 2.0 * float(np.einsum("ij,ij->", s, p[:, 2 * n + 2:3 * n + 2, 1])) - quad1
-    return [coef, float(p[:, 3 * n + 3, 1].sum()), float(p[:, 3 * n + 3, 0].sum()),
-            exact if exact > 0.0 else kaufman, ginv, gw[:, :, 0], kaufman]
+    # the quadratic forms (a.jw).G^-1(a.jw) and w.G^-1 w, summed over the batch
+    kaufman = jj - float(np.vdot(aw[:, :, 0], gw[:, :, 0]))
+    exact = jj + 2.0 * float(np.vdot(s.T, rd[n:])) - float(np.vdot(aw[:, :, 1], gw[:, :, 1]))
+    return [coef, float(np.vdot(r, r)), float(np.vdot(s.T, rd[:n])),
+            exact if exact > 0.0 else kaufman, ginv, gw[:, :, 0], kaufman, gw[:, :, 1]]
 
 
 def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
@@ -296,11 +294,13 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     positive, the summed Gauss-Newton value 2(jw.jw - (a.jw).G^-1(a.jw))
     (Kaufman, BIT 15, 49 (1975)) serves.  Each step is clamped to
     |dt| <= MAX_LOG_STEP and to the bracket, and halved while the summed
-    chi-square rises.  The search stops when a step is at most
-    STEP_TOL * fwhm, or, keeping its previous state, when the chi-square
-    still rises after MAX_HALVINGS halvings.  Depth sigmas are computed
-    once, from the final state (see `_project`); depth variances do not
-    depend on how the fwhm is parametrized.
+    chi-square rises.  A step of at most STEP_TOL * fwhm is the last, and it
+    is not projected: differentiating G c = a.yw gives dc/dt = -G^-1 w, along
+    which c moves with an error of O(dt^2).  The search also stops, keeping
+    its previous state, when the chi-square still rises after MAX_HALVINGS
+    halvings.  Depth sigmas are computed once, from the last projected state
+    (see `_project`); depth variances do not depend on how the fwhm is
+    parametrized.
 
     The fwhm is searched within `fwhm_bracket(f)`, [grid step, half the grid
     span].  Raises DegenerateFitError when the shared fwhm ends on that
@@ -334,7 +334,9 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
             chi2, grad, curv = state[1:4]
             dt = min(max(-grad / curv, -MAX_LOG_STEP), MAX_LOG_STEP) if curv > 0.0 else 0.0
             step = min(max(fwhm + fwhm * math.expm1(dt), lo), hi) - fwhm
-            if abs(step) <= STEP_TOL * fwhm:
+            if abs(step) <= STEP_TOL * fwhm:  # the last step, in closed form
+                state[0] = state[0] - state[7] * math.log1p(step / fwhm)
+                fwhm += step
                 break
             bound = chi2 * (1.0 + RISE_SLACK)
             trial = _project(ws, fwhm + step)
@@ -347,14 +349,12 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
                 break  # the halvings ran out: keep the previous state and stop
             fwhm += step
             state = trial
-            if abs(step) <= STEP_TOL * fwhm:
-                break
         else:
             raise DegenerateFitError(f"pinned dip fit did not converge in {MAX_DIP_ITER} steps")
         if not lo < fwhm < hi:
             raise DegenerateFitError(
                 f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid")
-        coef, ginv, u, kaufman = state[0], *state[4:]
+        coef, ginv, u, kaufman = state[0], *state[4:7]
         depth_sigmas = None
         if sigmas is not None:
             var = np.diagonal(ginv, axis1=1, axis2=2)[:, 1:] + u[:, 1:] ** 2 / kaufman

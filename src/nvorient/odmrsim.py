@@ -76,8 +76,9 @@ def _check_grid(frequencies) -> np.ndarray:
     f = np.asarray(frequencies, dtype=float)
     if f.ndim != 1 or f.size == 0:
         raise ValueError("frequency grid must be a nonempty 1-D array")
-    if np.any(np.diff(f) <= 0):
-        raise ValueError("frequency grid must be strictly ascending")
+    # written so that NaN fails: it compares False
+    if not (np.all(np.diff(f) > 0) and math.isfinite(f[0]) and math.isfinite(f[-1])):
+        raise ValueError("frequency grid must be finite and strictly ascending")
     return f
 
 
@@ -248,6 +249,8 @@ def spectrum_from_csv(path) -> OdmrSpectrum:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["frequency_mhz", "signal"]:
         raise ValueError(f"{path}: not a spectrum CSV")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: spectrum CSV has no data rows")
     data = np.array([[float(a), float(b)] for a, b in rows[1:]])
     return OdmrSpectrum(frequencies=data[:, 0], signal=data[:, 1])
 

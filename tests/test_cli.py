@@ -96,6 +96,24 @@ class TestFit:
         })
         assert cli.run("fit", fit_cfg, tmp_path / "out") == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("body", ["", "2890.0,1.0\nnan,0.99\n2910.0,1.0\n",
+                                      "2890.0,1.0\n2900.0,0.99\ninf,1.0\n"],
+                             ids=["no-data-rows", "nan-frequency", "inf-frequency"])
+    def test_bad_spectrum_csv_is_pipeline_error(self, tmp_path, capsys, body):
+        # the file is refused as read, not by a fit that fails on it later
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("frequency_mhz,signal\n" + body)
+        fit_cfg = write_cfg(tmp_path, "fit.json", {
+            "mode": "fit",
+            "spectrum_csv": str(spectrum),
+            "init_centers_mhz": [2898.0],
+        })
+        capsys.readouterr()
+        assert cli.run("fit", fit_cfg, tmp_path / "out") == cli.EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "no data rows" in err or "frequency grid" in err
+
     def test_runaway_center_fails(self, tmp_path, capsys):
         # a vanishing noisy L0-Lm dip whose free center would leave the grid
         sim_cfg = write_cfg(tmp_path, "sim.json", dict(

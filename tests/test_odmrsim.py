@@ -274,6 +274,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             odmrsim.spectrum_from_csv(path)
 
+    def test_csv_without_data_rows_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("frequency_mhz,signal\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            odmrsim.spectrum_from_csv(path)
+
     def test_json_envelope(self, shape, grid):
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
         noisy = odmrsim.add_shot_noise(spec, 100.0, 1.0, seed=9)
@@ -291,6 +297,13 @@ class TestSpectrumValidation:
             odmrsim.OdmrSpectrum(np.array([1.0, 2.0]), np.ones(3))
         with pytest.raises(ValueError):
             odmrsim.OdmrSpectrum(np.array([]), np.array([]))
+
+    # NaN compares False, so a grid check written as "any step <= 0" passes it
+    @pytest.mark.parametrize("grid", [[1.0, np.nan, 3.0], [np.nan], [np.nan, 2.0],
+                                      [1.0, 2.0, np.inf], [-np.inf, 1.0], [np.inf]])
+    def test_nonfinite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            odmrsim.OdmrSpectrum(np.array(grid), np.ones(len(grid)))
 
 
 @settings(max_examples=60, deadline=None)
