@@ -29,7 +29,7 @@ from operator import mul
 import numpy as np
 
 from .errors import DegenerateFitError, SingularNormalEquationsError
-from .odmrsim import OdmrSpectrum
+from .odmrsim import OdmrSpectrum, _check_grid
 
 
 @dataclass
@@ -187,11 +187,11 @@ class PinnedDipFit:
 def fwhm_bracket(f: np.ndarray) -> tuple[float, float]:
     """The open interval (grid step, half the grid span) in which a pinned fit
     searches the fwhm; narrower or wider dips are not resolved by the grid."""
-    return float(np.min(np.diff(f))), 0.5 * float(f[-1] - f[0])
+    return float((f[1:] - f[:-1]).min()), 0.5 * float(f[-1] - f[0])
 
 
 def _check_centers(f: np.ndarray, centers: np.ndarray) -> None:
-    if np.any(~((centers >= f[0]) & (centers <= f[-1]))):
+    if not all(f[0] <= c <= f[-1] for c in centers.tolist()):
         raise ValueError("initial dip centers must lie inside the frequency grid")
 
 
@@ -209,10 +209,11 @@ class _Workspace:
         self.n = n = centers.size
         self.yw = y * wt
         self.w, self.w2, self.w2y = wt, wt * wt, self.yw * wt
-        self.phi = np.ones((3 * n + 1, f.size))
+        self.phi = np.empty((3 * n + 1, f.size))
+        self.phi[0] = 1.0
         self.prod = np.empty((n + 1, n + 1, f.size))
         self.delta2 = (f - centers[:, None]) ** 2
-        self.r, self.rw, self.jw = (np.empty_like(y) for _ in range(3))
+        self.r, self.rw, self.jw = np.empty((3, *y.shape))
 
 
 def _project(ws, fwhm):
@@ -303,17 +304,18 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     parametrized.
 
     The fwhm is searched within `fwhm_bracket(f)`, [grid step, half the grid
-    span].  Raises DegenerateFitError when the shared fwhm ends on that
+    span].  Raises ValueError unless `f` is a nonempty, finite and strictly
+    ascending 1-D grid, and DegenerateFitError when the shared fwhm ends on that
     bracket (the dips would run wider or narrower than the grid can show) or
     the search has not stopped after MAX_DIP_ITER steps.
     """
-    f = np.asarray(f, dtype=float)
+    f = _check_grid(f)
     y = np.atleast_2d(np.asarray(signals, dtype=float))
     centers = np.asarray(centers, dtype=float)
     _check_centers(f, centers)
     if y.shape[1] != f.size:
         raise ValueError("signals do not match the frequency grid")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("signals must be finite")
     if f.size < centers.size + 2:
         raise ValueError("fewer data points than parameters")
@@ -321,7 +323,7 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
         wt = np.ones_like(y)
     else:
         sig = np.atleast_2d(np.asarray(sigmas, dtype=float))
-        if sig.shape != y.shape or not np.all(np.isfinite(sig) & (sig > 0)):
+        if sig.shape != y.shape or not 0.0 < sig.min() <= sig.max() < math.inf:  # NaN fails
             raise ValueError("sigmas must be positive, finite and shaped like the signals")
         wt = 1.0 / sig
     ws = _Workspace(f, y, wt, centers)
@@ -357,7 +359,8 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
         coef, ginv, u, kaufman = state[0], *state[4:7]
         depth_sigmas = None
         if sigmas is not None:
-            var = np.diagonal(ginv, axis1=1, axis2=2)[:, 1:] + u[:, 1:] ** 2 / kaufman
+            m = ws.n + 1  # diag(G^-1)[1:] is entries m+1, 2(m+1), ... of each flat G^-1
+            var = ginv.reshape(-1, m * m)[:, m + 1::m + 1] + u[:, 1:] ** 2 / kaufman
             depth_sigmas = np.sqrt(np.maximum(var, 0.0))
     return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=depth_sigmas, fwhm=fwhm)
 

@@ -30,14 +30,14 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+_AXES = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / _SQRT3
+_AXES.setflags(write=False)
+_NV_AXES = tuple(_AXES)
+
+
 def crystallographic_axes() -> tuple[np.ndarray, ...]:
-    """The four <111> NV axis directions, unit norm, fixed order."""
-    return (
-        np.array([1.0, 1.0, 1.0]) / _SQRT3,
-        np.array([1.0, -1.0, -1.0]) / _SQRT3,
-        np.array([-1.0, 1.0, -1.0]) / _SQRT3,
-        np.array([-1.0, -1.0, 1.0]) / _SQRT3,
-    )
+    """The four <111> NV axis directions, unit norm, fixed order, read-only."""
+    return _NV_AXES
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def _check_grid(frequencies) -> np.ndarray:
     if f.ndim != 1 or f.size == 0:
         raise ValueError("frequency grid must be a nonempty 1-D array")
     # written so that NaN fails: it compares False
-    if not (np.all(np.diff(f) > 0) and math.isfinite(f[0]) and math.isfinite(f[-1])):
+    if not ((f[1:] > f[:-1]).all() and math.isfinite(f[0]) and math.isfinite(f[-1])):
         raise ValueError("frequency grid must be finite and strictly ascending")
     return f
 

@@ -436,6 +436,11 @@ class TestFitPinnedDips:
         y, sig = runs[0]
         with pytest.raises(ValueError):
             fitkit.fit_pinned_dips(f, y[:, :-1], None, centers)
+        for bad_sigma in (0.0, -1e-3, np.nan, np.inf):
+            bad = sig.copy()
+            bad[5, 7] = bad_sigma
+            with pytest.raises(ValueError, match="sigmas must be positive, finite"):
+                fitkit.fit_pinned_dips(f, y, bad, centers)
         with pytest.raises(ValueError):
             fitkit.fit_pinned_dips(f, y, np.zeros_like(sig), centers)
         with pytest.raises(ValueError):
@@ -445,6 +450,38 @@ class TestFitPinnedDips:
         bad[3, 10] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fitkit.fit_pinned_dips(f, bad, sig, centers)
+
+    # each grid used to be fitted, or to fail with some other error: a repeated
+    # point made the fwhm bracket start at 0, a descending grid put the centers
+    # "outside" it, a NaN ran the fwhm to a NaN bound, and a 2-D grid broke a
+    # broadcast
+    @pytest.mark.parametrize("bad, match", [
+        (lambda f: np.concatenate([f[:100], f[99:200]]), "strictly ascending"),
+        (lambda f: f[::-1], "strictly ascending"),
+        (lambda f: np.where(np.arange(f.size) == 50, np.nan, f), "strictly ascending"),
+        (lambda f: f[None], "1-D array"),
+    ], ids=["duplicate", "descending", "nan", "2-D"])
+    def test_bad_grid_rejected(self, bad, match):
+        f, centers, runs, _ = noisy_sweeps(1, 0.008)
+        y, sig = runs[0]
+        with pytest.raises(ValueError, match=match):
+            fitkit.fit_pinned_dips(bad(f), y, sig, centers)
+
+    def test_center_check_bounds(self):
+        # centers exactly on the grid's ends are inside it; NaN is not
+        f = odmrsim.default_grid()
+        fitkit._check_centers(f, np.array([f[0], f[-1]]))
+        below, above = np.nextafter(f[0], -np.inf), np.nextafter(f[-1], np.inf)
+        for centers in ([np.nan, 2900.0], [2900.0, np.nan], [below, 2900.0], [2900.0, above]):
+            with pytest.raises(ValueError, match="inside the frequency grid"):
+                fitkit._check_centers(f, np.array(centers))
+
+    def test_fwhm_bracket_on_nonuniform_grid(self):
+        # (the smallest step, half the span), wherever the smallest step lies
+        f = np.array([2850.0, 2851.0, 2851.25, 2853.0, 2860.0])
+        lo, hi = fitkit.fwhm_bracket(f)
+        assert (lo, hi) == (0.25, 5.0)
+        assert type(lo) is float and type(hi) is float
 
 
 class TestDipJacobian:

@@ -28,6 +28,19 @@ class TestCrystallographicAxes:
         assert np.allclose(axes[3] * math.sqrt(3.0), [-1.0, -1.0, 1.0])
         assert np.allclose(axes[1] * math.sqrt(3.0), [1.0, -1.0, -1.0])
 
+    def test_built_once_and_read_only(self):
+        # every call returns the same arrays, so none of them may be written
+        signs = [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+        for axis, s in zip(geo.crystallographic_axes(), signs):
+            assert axis.tobytes() == (np.array(s) / math.sqrt(3.0)).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                axis[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                axis *= 2.0
+            with pytest.raises(ValueError):
+                axis.setflags(write=True)
+        assert geo.crystallographic_axes()[0][0] == 1.0 / math.sqrt(3.0)
+
 
 class TestWireField:
     def test_tangent_above_wire(self):

@@ -207,21 +207,42 @@ class TestSweepChain:
             reconstruct.sweep_lp_depths(sweep, weaker)
 
     def test_stacked_fit_matches_single_sweeps(self):
-        # the 3-D chain fits both sweeps in one batch with one linewidth:
-        # the pinned fit of their concatenated rows, split by sweep
-        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-        for seed in range(5):
-            sweeps = [odmrsim.noisy_copy_with_subseed(s, 200.0, 0.008, seed, slot)
-                      for slot, s in enumerate(pair_sweeps(psis))]
-            stacked = reconstruct.sweep_lp_depths(*sweeps)
-            assert len(stacked) == 2
-            fit = fitkit.fit_pinned_dips(sweeps[0].frequencies,
-                                         np.concatenate([s.signals for s in sweeps]),
-                                         np.concatenate([s.point_sigmas() for s in sweeps]),
-                                         sweeps[0].centers_mhz)
-            for k, (depths, sigmas) in enumerate(stacked):
-                assert np.array_equal(depths, fit.depths[12 * k:12 * (k + 1), 1])
-                assert np.array_equal(sigmas, fit.depth_sigmas[12 * k:12 * (k + 1), 1])
+        # the 3-D chain fits its sweeps in one batch with one linewidth: the
+        # pinned fit of their concatenated rows, split by sweep, whatever
+        # each sweep's psi count; seed None fits the noiseless sweeps
+        for counts in ((12, 12), (12, 7), (12, 7, 9)):
+            clean = [odmrsim.simulate_phi_sweep(spinmodel.SpinConstants(),
+                                                geometry.transverse_basis(AXES[nv]), 10.2,
+                                                geometry.mw_direction(SCENE),
+                                                geometry.wire_field_magnitude(SCENE),
+                                                odmrsim.LineshapeParams(), odmrsim.default_grid(),
+                                                np.linspace(0.0, math.pi, n, endpoint=False))
+                     for nv, n in zip((3, 1, 0), counts)]
+            for seed in (*range(5), None):
+                sweeps = clean if seed is None else [
+                    odmrsim.noisy_copy_with_subseed(s, 200.0, 0.008, seed, slot)
+                    for slot, s in enumerate(clean)]
+                stacked = reconstruct.sweep_lp_depths(*sweeps)
+                assert len(stacked) == len(counts)
+                fit = fitkit.fit_pinned_dips(
+                    sweeps[0].frequencies, np.concatenate([s.signals for s in sweeps]),
+                    None if seed is None else np.concatenate([s.point_sigmas() for s in sweeps]),
+                    sweeps[0].centers_mhz)
+                start = 0
+                for n, (depths, sigmas) in zip(counts, stacked):
+                    assert np.array_equal(depths, fit.depths[start:start + n, 1])
+                    if seed is None:
+                        assert sigmas is None
+                    else:
+                        assert np.array_equal(sigmas, fit.depth_sigmas[start:start + n, 1])
+                    start += n
+
+    def test_default_psis_equal_linspace(self):
+        # the default sweep angles are built without np.linspace, bit for bit equal to it
+        psis = reconstruct.ChainConfig().psis
+        ref = np.linspace(0.0, math.pi, 12, endpoint=False)
+        assert psis.dtype == ref.dtype and psis.shape == ref.shape
+        assert psis.tobytes() == ref.tobytes()
 
     def test_one_dip_fit_per_reconstruction(self, monkeypatch):
         # one eigensolve per new noiseless sweep, none for a memoized one, and
