@@ -12,6 +12,8 @@ Schur complement of the full Hessian) costs one more row of products.  A
 sweep converges in under three projections: the last Newton step moves the
 fit along dc/dt = -G^-1 w in closed form, unprojected.  The depth covariance
 comes from the normal matrix of the last projected state, computed once.
+What depends on the grid and centers alone is a `FitPlan`, built and
+checked once per scene (a noise study refits one scene many times).
 Dips with free centers are fitted by damped Gauss-Newton (Levenberg-Marquardt).
 
 The cos^2 law is a linear fit of three terms to a dozen depths, solved by a
@@ -28,8 +30,8 @@ from operator import mul
 
 import numpy as np
 
+from . import odmrsim
 from .errors import DegenerateFitError, SingularNormalEquationsError
-from .odmrsim import OdmrSpectrum, _check_grid
 
 
 @dataclass
@@ -195,25 +197,71 @@ def _check_centers(f: np.ndarray, centers: np.ndarray) -> None:
         raise ValueError("initial dip centers must lie inside the frequency grid")
 
 
+def _fill_block(b, fwhm) -> None:
+    """Refill b.phi's Lorentzian rows [L, dl, d2l] and b.prod at `fwhm` from
+    b.delta2, and record that fwhm as b.fwhm (see `_Workspace`)."""
+    n, phi = b.n, b.phi
+    m = n + 1
+    h2 = (0.5 * fwhm) ** 2
+    lor, dl = phi[1:m], phi[m:m + n]
+    np.divide(h2, b.delta2 + h2, out=lor)
+    np.multiply(lor, 1.0 - lor, out=dl)
+    np.multiply(dl, 1.0 - 2.0 * lor, out=phi[m + n:])
+    np.multiply(phi[:m, None], phi[None, :m], out=b.prod)
+    b.fwhm = fwhm
+
+
+class FitPlan:
+    """What pinned dip fits on one grid `f` and `centers` share: both,
+    checked, the bracket (lo, hi) = `fwhm_bracket(f)` and the start `fwhm`
+    in it, `delta2` = (f - centers)^2, and the block `phi` and its products
+    `prod` at the start fwhm (see `_Workspace`), read-only.  Raises
+    ValueError unless `f` is a nonempty, finite, strictly ascending 1-D grid
+    and `centers` a 1-D array inside it, with at least n + 2 points for n
+    centers.
+    """
+
+    def __init__(self, f, centers):
+        self.f = f = odmrsim._check_grid(f)
+        self.centers = centers = np.asarray(centers, dtype=float)
+        if centers.ndim != 1:
+            raise ValueError("dip centers must be a 1-D array of frequencies")
+        _check_centers(f, centers)
+        self.n = n = centers.size
+        if f.size < n + 2:
+            raise ValueError("fewer data points than parameters")
+        self.lo, self.hi = fwhm_bracket(f)
+        self.delta2 = (f - centers[:, None]) ** 2
+        self.phi = np.empty((3 * n + 1, f.size))
+        self.phi[0] = 1.0
+        self.prod = np.empty((n + 1, n + 1, f.size))
+        _fill_block(self, min(max(INIT_FWHM_MHZ, self.lo), self.hi))
+        for a in (self.delta2, self.phi, self.prod):
+            a.setflags(write=False)
+
+
 class _Workspace:
     """The arrays of one pinned fit, allocated once and refilled in place by
     every `_project`, so that the search allocates no (batch, n_f) array:
     per spectrum, from the weights wt = 1/sigma, w = wt, w2 = wt^2, yw = wt*y
     and w2y = wt^2*y.  The fwhm is shared, so the Lorentzians depend on
     frequency alone: `phi` is one (3n+1, n_f) block [1, L_k, dl_k, d2l_k],
-    with L_k the unit-peak Lorentzians at the trial fwhm, t = log(fwhm),
+    with L_k the unit-peak Lorentzians at the block's fwhm, t = log(fwhm),
     dl_k = L_k(1-L_k) = (dL_k/dt)/2 and d2l_k = (1-2L_k) dl_k = (d2L_k/dt2)/4,
-    and `prod` holds the pairwise products of its first n+1 rows."""
+    and `prod` holds the pairwise products of its first n+1 rows.  Both
+    start as copies of the plan's; `fwhm` is the one they hold.  `a`, `dl`,
+    `dd` (= phi[n+1:]) and `prods` (prod as (n_f, (n+1)^2)) are views."""
 
-    def __init__(self, f, y, wt, centers):
-        self.n = n = centers.size
+    def __init__(self, plan, y, wt):
+        n, m = plan.n, plan.n + 1
+        self.n, self.delta2, self.fwhm = n, plan.delta2, plan.fwhm
+        self.phi, self.prod = plan.phi.copy(), plan.prod.copy()
+        self.a, self.dl, self.dd = self.phi[:m], self.phi[m:m + n], self.phi[m:]
+        self.prods = self.prod.reshape(m * m, -1).T
         self.yw = y * wt
         self.w, self.w2, self.w2y = wt, wt * wt, self.yw * wt
-        self.phi = np.empty((3 * n + 1, f.size))
-        self.phi[0] = 1.0
-        self.prod = np.empty((n + 1, n + 1, f.size))
-        self.delta2 = (f - centers[:, None]) ** 2
         self.r, self.rw, self.jw = np.empty((3, *y.shape))
+        self.aw = np.empty((y.shape[0], m, 2))
 
 
 def _project(ws, fwhm):
@@ -229,32 +277,29 @@ def _project(ws, fwhm):
     inversion the depth variances are diag(G^-1) + u^2 / (summed Kaufman
     curvature).  The residual is formed point by point: chi2 from moments
     would lose digits to cancellation.  Returns [c, chi2, r.jw, curvature,
-    G^-1, u, Kaufman curvature, G^-1 w], the batch sums as floats."""
-    n, phi, w, r = ws.n, ws.phi, ws.w, ws.r
+    G^-1, u, Kaufman curvature, G^-1 w], the batch sums as floats.  The
+    block is refilled only at a fwhm other than the one it holds."""
+    if fwhm != ws.fwhm:
+        _fill_block(ws, fwhm)
+    n, w, r = ws.n, ws.w, ws.r
     m = n + 1
-    h2 = (0.5 * fwhm) ** 2
-    lor, dl = phi[1:m], phi[m:m + n]
-    np.divide(h2, ws.delta2 + h2, out=lor)
-    np.multiply(lor, 1.0 - lor, out=dl)
-    np.multiply(dl, 1.0 - 2.0 * lor, out=phi[m + n:])
-    np.multiply(phi[:m, None], phi[None, :m], out=ws.prod)
     try:
-        ginv = np.linalg.inv((ws.w2 @ ws.prod.reshape(m * m, -1).T).reshape(-1, m, m))
+        ginv = np.linalg.inv((ws.w2 @ ws.prods).reshape(-1, m, m))
     except np.linalg.LinAlgError as exc:
         raise SingularNormalEquationsError(str(exc)) from exc
-    coef = (ginv @ (ws.w2y @ phi[:m].T)[:, :, None])[:, :, 0]
-    np.matmul(coef, phi[:m], out=r)
+    coef = (ginv @ (ws.w2y @ ws.a.T)[:, :, None])[:, :, 0]
+    np.matmul(coef, ws.a, out=r)
     r *= w
     r -= ws.yw
     # r.dl_k and r.d2l_k; r is orthogonal to a, so r.jw is half the exact gradient
-    rd = phi[m:] @ np.multiply(w, r, out=ws.rw).T
+    rd = ws.dd @ np.multiply(w, r, out=ws.rw).T
     s = 2.0 * coef[:, 1:]
-    jw = np.matmul(s, dl, out=ws.jw)
+    jw = np.matmul(s, ws.dl, out=ws.jw)
     jw *= w
     jj = float(np.vdot(jw, jw))
     jw *= w                                 # now wt*jw, whose sums with phi[:m] are a.jw
-    aw = np.empty((s.shape[0], m, 2))       # columns a.jw and w (see `fit_pinned_dips`)
-    aw[:, :, 0] = aw[:, :, 1] = jw @ phi[:m].T
+    aw = ws.aw                              # columns a.jw and w (see `fit_pinned_dips`)
+    aw[:, :, 0] = aw[:, :, 1] = jw @ ws.a.T
     aw[:, 1:, 1] += 2.0 * rd[:n].T
     gw = ginv @ aw
     # the quadratic forms (a.jw).G^-1(a.jw) and w.G^-1 w, summed over the batch
@@ -264,7 +309,8 @@ def _project(ws, fwhm):
             exact if exact > 0.0 else kaufman, ginv, gw[:, :, 0], kaufman, gw[:, :, 1]]
 
 
-def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
+def fit_pinned_dips(f, signals, sigmas, centers, plan: FitPlan | None = None
+                    ) -> PinnedDipFit:
     """Fit Lorentzian dips at pinned centers to a batch of spectra on one
     frequency grid: a baseline and depths per spectrum, and one fwhm shared
     by the whole batch.
@@ -303,22 +349,21 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     (see `_project`); depth variances do not depend on how the fwhm is
     parametrized.
 
-    The fwhm is searched within `fwhm_bracket(f)`, [grid step, half the grid
-    span].  Raises ValueError unless `f` is a nonempty, finite and strictly
-    ascending 1-D grid, and DegenerateFitError when the shared fwhm ends on that
-    bracket (the dips would run wider or narrower than the grid can show) or
-    the search has not stopped after MAX_DIP_ITER steps.
+    The fit runs from `plan`, the `FitPlan` of `f` and `centers`, built here
+    when not given; with one, `f` and `centers` are not read.  The fwhm is
+    searched within `fwhm_bracket(f)`, [grid step, half the grid span].
+    Raises ValueError on a grid or centers `FitPlan` rejects, and
+    DegenerateFitError when the shared fwhm ends on that bracket (the dips
+    would run wider or narrower than the grid can show) or the search has
+    not stopped after MAX_DIP_ITER steps.
     """
-    f = _check_grid(f)
+    if plan is None:
+        plan = FitPlan(f, centers)
     y = np.atleast_2d(np.asarray(signals, dtype=float))
-    centers = np.asarray(centers, dtype=float)
-    _check_centers(f, centers)
-    if y.shape[1] != f.size:
+    if y.shape[1] != plan.f.size:
         raise ValueError("signals do not match the frequency grid")
     if not np.isfinite(y).all():
         raise ValueError("signals must be finite")
-    if f.size < centers.size + 2:
-        raise ValueError("fewer data points than parameters")
     if sigmas is None:
         wt = np.ones_like(y)
     else:
@@ -326,10 +371,8 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
         if sig.shape != y.shape or not 0.0 < sig.min() <= sig.max() < math.inf:  # NaN fails
             raise ValueError("sigmas must be positive, finite and shaped like the signals")
         wt = 1.0 / sig
-    ws = _Workspace(f, y, wt, centers)
-    lo, hi = fwhm_bracket(f)
-
-    fwhm = min(max(INIT_FWHM_MHZ, lo), hi)
+    ws = _Workspace(plan, y, wt)
+    lo, hi, fwhm = plan.lo, plan.hi, plan.fwhm
     with np.errstate(divide="ignore", invalid="ignore"):
         state = _project(ws, fwhm)
         for _ in range(MAX_DIP_ITER):
@@ -365,7 +408,7 @@ def fit_pinned_dips(f, signals, sigmas, centers) -> PinnedDipFit:
     return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=depth_sigmas, fwhm=fwhm)
 
 
-def fit_dips(spec: OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
+def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
     """Fit n Lorentzian dips (shared fwhm, free baseline and centers) to a
     spectrum by Levenberg-Marquardt, started at the supplied centers.
 

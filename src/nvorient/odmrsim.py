@@ -6,6 +6,7 @@ with contrasts set by the microwave coupling of each allowed transition.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -285,11 +286,12 @@ def noisy_copy_with_subseed(sweep: SweepSeries, rate_kcps: float, dwell_s: float
     Row 0 is `add_shot_noise` of the noiseless row 0 with that SeedSequence.
     Spawn keys keep results independent of execution order; distinct keys,
     () for a planar sweep and (slot,) for a 3-D run's, never share a stream.
+    The copy shares the sweep's psis and grid, which the sweep has checked,
+    so they are not checked again.
     """
     meta = CountsMeta(rate_kcps=rate_kcps, dwell_s=dwell_s, seed=(seed, *key))
     n_mean = meta.mean_counts
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    counts = rng.poisson(sweep.signals * n_mean)
-    return SweepSeries(psis=sweep.psis, frequencies=sweep.frequencies,
-                       signals=counts / n_mean, centers_mhz=sweep.centers_mhz,
-                       counts_meta=meta)
+    noisy = copy.copy(sweep)
+    noisy.signals, noisy.counts_meta = rng.poisson(sweep.signals * n_mean) / n_mean, meta
+    return noisy

@@ -27,7 +27,6 @@ from .odmrsim import LineshapeParams
 from .spinmodel import SpinConstants
 
 NV1_AXIS_INDEX = 3  # (1/sqrt(3))[-1,-1,1]
-NV2_AXIS_INDEX = 1  # (1/sqrt(3))[1,-1,-1]
 
 
 @dataclass(frozen=True)
@@ -181,16 +180,22 @@ class NoiseConfig:
     seed: int
 
 
+# the default grid and psis, built once; every ChainConfig gets its own writable copy
+_DEFAULT_GRID = odmrsim.default_grid()
+# np.linspace(0, pi, 12, endpoint=False), bit for bit, at a third of its cost
+_DEFAULT_PSIS = np.arange(12) * (math.pi / 12)
+
+
 @dataclass
 class ChainConfig:
     """Simulation and fitting choices for the end-to-end planar pipeline."""
 
-    constants: SpinConstants = field(default_factory=SpinConstants)
+    # frozen, so every config may share one default instance
+    constants: SpinConstants = SpinConstants()
     b_static_mt: float = 10.2
-    shape: LineshapeParams = field(default_factory=LineshapeParams)
-    grid: np.ndarray = field(default_factory=odmrsim.default_grid)
-    # np.linspace(0, pi, 12, endpoint=False), bit for bit, at a third of its cost
-    psis: np.ndarray = field(default_factory=lambda: np.arange(12) * (math.pi / 12))
+    shape: LineshapeParams = LineshapeParams()
+    grid: np.ndarray = field(default_factory=_DEFAULT_GRID.copy)
+    psis: np.ndarray = field(default_factory=_DEFAULT_PSIS.copy)
     noise: NoiseConfig | None = None
 
 
@@ -204,7 +209,7 @@ class PlanarRunResult:
     cos2: Cos2Fit
 
 
-def sweep_lp_depths(*sweeps: odmrsim.SweepSeries):
+def sweep_lp_depths(*sweeps: odmrsim.SweepSeries, plan: fitkit.FitPlan | None = None):
     """L0<->Lp dip depths of every spectrum of the given sweeps and, for noisy
     sweeps, their sigmas, from one batched fit at the sweeps' dip centers
     with one linewidth for all of them.
@@ -213,8 +218,9 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries):
     At theta = pi/2 the transition frequencies depend neither on the sweep
     angle nor on the NV orientation, so the centers of each sweep's psi = 0
     eigensolve hold for every spectrum; sweeps fitted together must share
-    them, their grid and their linewidth.  Raises DegenerateFitError when
-    the shared linewidth cannot be fitted (see `fitkit.fit_pinned_dips`).
+    them, their grid and their linewidth; `plan` is their `fitkit.FitPlan`,
+    if built.  Raises DegenerateFitError when the shared linewidth cannot be
+    fitted (see `fitkit.fit_pinned_dips`).
     """
     first = sweeps[0]
     for s in sweeps[1:]:
@@ -227,7 +233,7 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries):
         raise ValueError("sweeps fitted together must be all noisy or all noiseless")
     sigmas = np.concatenate([s.point_sigmas() for s in sweeps]) if all(noisy) else None
     fit = fitkit.fit_pinned_dips(first.frequencies, np.concatenate([s.signals for s in sweeps]),
-                                 sigmas, first.centers_mhz)
+                                 sigmas, first.centers_mhz, plan)
     # column 1 is the dip at f_0p, the L0<->Lp transition; each sweep owns rows a:b
     rows = itertools.pairwise(itertools.accumulate((s.psis.size for s in sweeps), initial=0))
     return [(fit.depths[a:b, 1], None if sigmas is None else fit.depth_sigmas[a:b, 1])
@@ -235,7 +241,8 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries):
 
 
 # Noise studies rerun one scene with new seeds only; the few most recent
-# noiseless sweeps are kept so that they pay for geometry and synthesis once.
+# noiseless sweeps are kept so that they pay for geometry, synthesis and the
+# dip fit's plan once.
 _SWEEP_MEMO_SIZE = 16
 
 
@@ -245,12 +252,21 @@ def _array_key(values) -> tuple[tuple[int, ...], bytes]:
     return a.shape, a.tobytes()
 
 
+@dataclass(eq=False)
+class _SceneSweep:
+    """A memo entry: basis, noiseless sweep and, from its first dip fit on,
+    the `fitkit.FitPlan` of the sweep's grid and dip centers."""
+
+    basis: TransverseBasis
+    sweep: odmrsim.SweepSeries
+    plan: fitkit.FitPlan | None = None
+
+
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
 def _noiseless_sweep(scene: WireScene, nv_index: int, constants: SpinConstants,
                      b_static_mt: float, shape: LineshapeParams,
                      grid_key: tuple[tuple[int, ...], bytes],
-                     psis_key: tuple[tuple[int, ...], bytes]
-                     ) -> tuple[TransverseBasis, odmrsim.SweepSeries]:
+                     psis_key: tuple[tuple[int, ...], bytes]) -> _SceneSweep:
     """Transverse basis and noiseless sweep of one NV orientation in a scene,
     memoized by value; every array of the result is read-only."""
     # rebuilt from the key, so the cached sweep shares no memory with the caller's arrays
@@ -262,7 +278,7 @@ def _noiseless_sweep(scene: WireScene, nv_index: int, constants: SpinConstants,
                                        geometry.wire_field_magnitude(scene), shape, grid, psis)
     for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies, sweep.signals):
         a.setflags(write=False)
-    return basis, sweep
+    return _SceneSweep(basis, sweep)
 
 
 def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfig,
@@ -274,23 +290,29 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfi
     entries, keyed by the scene, the NV index and the chain's constants,
     static field, lineshape, grid and psis (arrays by shape and bytes); a
     repeat of a scene returns the read-only sweep of its first run, bit for
-    bit what a new synthesis would give.  The sweep of nv_indices[k] draws
-    its noise in one call from spawn key noise_keys[k].
+    bit what a new synthesis would give.  The first entry's fit plan, built
+    at its first fit, is stored on every entry of the run, which share grid
+    and dip centers.  The sweep of nv_indices[k] draws its noise in one call
+    from spawn key noise_keys[k].
     """
     grid, psis = _array_key(cfg.grid), _array_key(cfg.psis)
-    bases, sweeps = [], []
-    for nv_index, key in zip(nv_indices, noise_keys):
-        basis, sweep = _noiseless_sweep(scene, nv_index, cfg.constants, cfg.b_static_mt,
-                                        cfg.shape, grid, psis)
-        if cfg.noise is not None:
-            sweep = odmrsim.noisy_copy_with_subseed(sweep, cfg.noise.rate_kcps,
-                                                    cfg.noise.dwell_s, cfg.noise.seed, *key)
-        bases.append(basis)
-        sweeps.append(sweep)
+    entries = [_noiseless_sweep(scene, nv_index, cfg.constants, cfg.b_static_mt, cfg.shape,
+                                grid, psis) for nv_index in nv_indices]
+    sweeps = [e.sweep for e in entries]
+    if cfg.noise is not None:
+        sweeps = [odmrsim.noisy_copy_with_subseed(s, cfg.noise.rate_kcps, cfg.noise.dwell_s,
+                                                  cfg.noise.seed, *key)
+                  for s, key in zip(sweeps, noise_keys)]
+    plan = entries[0].plan
+    if plan is None:
+        plan = fitkit.FitPlan(sweeps[0].frequencies, sweeps[0].centers_mhz)
+    fits = sweep_lp_depths(*sweeps, plan=plan)
+    for e in entries:
+        e.plan = plan
     out = []
-    for basis, sweep, (depths, sigmas) in zip(bases, sweeps, sweep_lp_depths(*sweeps)):
+    for e, sweep, (depths, sigmas) in zip(entries, sweeps, fits):
         cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
-        out.append((extract_nv_y(basis, cos2), cos2))
+        out.append((extract_nv_y(e.basis, cos2), cos2))
     return out
 
 

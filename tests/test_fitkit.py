@@ -202,6 +202,11 @@ class TestFitDips:
             fitkit.fit_dips(spec, [2899.0, 2902.0])
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def noisy_sweeps(n_sweeps, dwell_s, nv_index=3, first_seed=0):
     """Signals and sigmas (12, n_f) of seeded noisy sweeps at (61, 18) um, and
     the sweep's grid and dip centers; sweep i has subseed first_seed + i."""
@@ -389,7 +394,7 @@ class TestFitPinnedDips:
         f, centers, runs, _ = noisy_sweeps(2, 0.008)
         h = 1e-3
         for y, sig in runs:
-            ws = fitkit._Workspace(f, y, 1.0 / sig, centers)
+            ws = fitkit._Workspace(fitkit.FitPlan(f, centers), y, 1.0 / sig)
             for fwhm in (5.0, 8.0, 12.0):
                 state = fitkit._project(ws, fwhm)
                 chi2, grad, curv = state[1:4]
@@ -424,6 +429,45 @@ class TestFitPinnedDips:
         assert max(calls) <= 4
         assert np.mean(calls) <= 3.0
 
+    def test_prebuilt_plan_changes_nothing(self):
+        # one plan serves every fit on its grid and centers, bit for bit what
+        # a fit that builds its own plan gives, and no fit changes it
+        f, centers, runs, sweep = noisy_sweeps(4, 0.008)
+        runs += noisy_sweeps(4, 0.002)[2]
+        (y0, s0), (y1, s1) = runs[:2]
+        stacked = np.concatenate([y0, y1[:7]]), np.concatenate([s0, s1[:7]])
+        runs += [(sweep.signals, None), stacked]
+        plan = fitkit.FitPlan(f, centers)
+        built = [a.copy() for a in (plan.delta2, plan.phi, plan.prod)]
+        for y, sig in runs:
+            own = fitkit.fit_pinned_dips(f, y, sig, centers)
+            shared = fitkit.fit_pinned_dips(f, y, sig, centers, plan)
+            assert own.fwhm == shared.fwhm
+            assert same_bits(own.depths, shared.depths)
+            assert (sig is None and shared.depth_sigmas is None
+                    or same_bits(own.depth_sigmas, shared.depth_sigmas))
+        for a, b in zip((plan.delta2, plan.phi, plan.prod), built):
+            assert same_bits(a, b)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+
+    def test_block_follows_requested_fwhm(self):
+        # the plan's block holds its start fwhm of 8 MHz; one workspace
+        # projected at 8 -> 9 -> 8 MHz gives, bit for bit, what a new one
+        # gives at each fwhm, and the chi-square of the linear fits there: a
+        # block is reused only at the fwhm it holds, never left stale
+        f, centers, runs, _ = noisy_sweeps(1, 0.008)
+        y, sig = runs[0]
+        plan = fitkit.FitPlan(f, centers)
+        assert plan.fwhm == fitkit.INIT_FWHM_MHZ == 8.0
+        ws = fitkit._Workspace(plan, y, 1.0 / sig)
+        for fwhm in (8.0, 9.0, 8.0):
+            again = fitkit._project(ws, fwhm)
+            fresh = fitkit._project(fitkit._Workspace(plan, y, 1.0 / sig), fwhm)
+            assert all(same_bits(a, b) for a, b in zip(again, fresh))
+            chi2 = sum(linear_fit_at(f, y[k], sig[k], centers, fwhm)[1] for k in range(y.shape[0]))
+            assert abs(again[1] / chi2 - 1.0) < 1e-12
+
     def test_unconverged_fit_raises(self, monkeypatch):
         f, centers, runs, _ = noisy_sweeps(1, 0.008)
         y, sig = runs[0]
@@ -450,6 +494,11 @@ class TestFitPinnedDips:
         bad[3, 10] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fitkit.fit_pinned_dips(f, bad, sig, centers)
+        # a scalar and a 2-D array of centers used to raise a TypeError and
+        # numpy's ambiguous-truth-value error
+        for bad_centers in (2900.0, [[2900.0, 2910.0]]):
+            with pytest.raises(ValueError, match="dip centers must be a 1-D array"):
+                fitkit.fit_pinned_dips(f, y, sig, bad_centers)
 
     # each grid used to be fitted, or to fail with some other error: a repeated
     # point made the fwhm bracket start at 0, a descending grid put the centers

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from nvorient import fitkit, geometry, odmrsim, reconstruct, spinmodel
 from nvorient.errors import DegenerateFitError, NearParallelAxesError, PlanarModelError
 
+NV2_AXIS_INDEX = 1  # (1/sqrt(3))[1,-1,-1]
 AXES = geometry.crystallographic_axes()
 NV1 = AXES[reconstruct.NV1_AXIS_INDEX]
-NV2 = geometry.crystallographic_axes()[reconstruct.NV2_AXIS_INDEX]
+NV2 = AXES[NV2_AXIS_INDEX]
 SCENE = geometry.WireScene(61.0, 18.0, 40.0)
 
 
@@ -32,7 +33,7 @@ def pair_sweeps(psis, b_static_mt=10.2, grid=None):
                                        geometry.wire_field_magnitude(SCENE),
                                        odmrsim.LineshapeParams(),
                                        odmrsim.default_grid() if grid is None else grid, psis)
-            for nv in (reconstruct.NV1_AXIS_INDEX, reconstruct.NV2_AXIS_INDEX)]
+            for nv in (reconstruct.NV1_AXIS_INDEX, NV2_AXIS_INDEX)]
 
 
 class TestExtractNvY:
@@ -267,7 +268,7 @@ class TestSweepChain:
         reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
         assert calls == {"eigensystem": 1, "fit_pinned_dips": 2}
         reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
-                                          reconstruct.NV2_AXIS_INDEX), cfg)
+                                          NV2_AXIS_INDEX), cfg)
         assert calls == {"eigensystem": 2, "fit_pinned_dips": 3}
 
     def test_degenerate_shared_linewidth_raises(self):
@@ -284,7 +285,7 @@ class TestSweepChain:
         for scene, cfg in ((SCENE, wide), (no_current, reconstruct.ChainConfig(noise=noise(1)))):
             with pytest.raises(DegenerateFitError, match="^dip fwhm ran to the bound"):
                 reconstruct.end_to_end_3d(scene, (reconstruct.NV1_AXIS_INDEX,
-                                                  reconstruct.NV2_AXIS_INDEX), cfg)
+                                                  NV2_AXIS_INDEX), cfg)
 
     def test_no_current_reports_no_axis(self):
         # with no wire current a noisy 3-D run fails in the dip fit or the
@@ -295,7 +296,7 @@ class TestSweepChain:
                 noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.001, seed=seed))
             with pytest.raises(DegenerateFitError):
                 reconstruct.end_to_end_3d(no_current, (reconstruct.NV1_AXIS_INDEX,
-                                                       reconstruct.NV2_AXIS_INDEX), cfg)
+                                                       NV2_AXIS_INDEX), cfg)
 
     def test_end_to_end_planar_noiseless(self):
         run = reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX)
@@ -320,7 +321,7 @@ class TestSweepChain:
 
     def test_end_to_end_3d_noiseless(self):
         est = reconstruct.end_to_end_3d(
-            SCENE, (reconstruct.NV1_AXIS_INDEX, reconstruct.NV2_AXIS_INDEX))
+            SCENE, (reconstruct.NV1_AXIS_INDEX, NV2_AXIS_INDEX))
         assert est.angular_error_deg < 1e-3
         truth = geometry.mw_direction(SCENE)
         assert geometry.line_angle_between(est.axis, truth) < 1e-3
@@ -332,9 +333,9 @@ class TestSweepChain:
         fitted = []
         real = reconstruct.sweep_lp_depths
 
-        def record(*sweeps):
+        def record(*sweeps, **kwargs):
             fitted.append(sweeps)
-            return real(*sweeps)
+            return real(*sweeps, **kwargs)
 
         monkeypatch.setattr(reconstruct, "sweep_lp_depths", record)
         psis = np.linspace(0.0, math.pi, 5, endpoint=False)
@@ -343,7 +344,7 @@ class TestSweepChain:
 
         def run_3d():
             reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
-                                              reconstruct.NV2_AXIS_INDEX), cfg)
+                                              NV2_AXIS_INDEX), cfg)
 
         def run_planar():
             reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
@@ -371,11 +372,17 @@ class TestSweepChain:
             reconstruct.end_to_end_3d(SCENE, (3, 3))
 
 
-def memo_sweep(scene, nv_index, cfg):
-    """The memo's (basis, noiseless sweep) for one NV orientation under cfg."""
+def memo_entry(scene, nv_index, cfg):
+    """The memo's entry for one NV orientation under cfg."""
     return reconstruct._noiseless_sweep(scene, nv_index, cfg.constants, cfg.b_static_mt,
                                         cfg.shape, reconstruct._array_key(cfg.grid),
                                         reconstruct._array_key(cfg.psis))
+
+
+def memo_sweep(scene, nv_index, cfg):
+    """The memo's (basis, noiseless sweep) for one NV orientation under cfg."""
+    entry = memo_entry(scene, nv_index, cfg)
+    return entry.basis, entry.sweep
 
 
 def assert_bit_identical(a, b):
@@ -449,6 +456,59 @@ class TestSweepMemo:
                 reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
             assert str(chained.value) == str(direct.value)
         assert reconstruct._noiseless_sweep.cache_info().currsize == 1
+
+    def test_warm_memo_equals_cold(self):
+        # noisy planar and 3-D results from memoized sweeps, whose entries
+        # carry the dip fit's plan, equal those of a cleared memo, bit for bit
+        pair = (reconstruct.NV1_AXIS_INDEX, NV2_AXIS_INDEX)
+
+        def results(seed, cold):
+            cfg = reconstruct.ChainConfig(
+                noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.008, seed=seed))
+            if cold:
+                reconstruct._noiseless_sweep.cache_clear()
+            planar = reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+            if cold:
+                reconstruct._noiseless_sweep.cache_clear()
+            axis = reconstruct.end_to_end_3d(SCENE, pair, cfg)
+            return ((planar.alpha_est_deg, planar.error_deg, planar.cos2, planar.nv_y.sigma_angle,
+                     axis.angular_error_deg),
+                    (planar.nv_y.axis, axis.axis))
+
+        results(0, cold=True)
+        entries = [memo_entry(SCENE, nv, reconstruct.ChainConfig()) for nv in pair]
+        assert entries[0].plan is not None and entries[1].plan is entries[0].plan
+        warm = [results(seed, cold=False) for seed in range(1, 6)]
+        for seed, (values, axes) in zip(range(1, 6), warm):
+            cold_values, cold_axes = results(seed, cold=True)
+            assert cold_values == values
+            for a, b in zip(cold_axes, axes):
+                assert_bit_identical(a, b)
+
+    def test_grid_checked_only_on_memo_misses(self, monkeypatch):
+        # the memoized sweep's grid was checked when it was synthesized and
+        # its plan's when the plan was built; a noisy copy and a fit on a
+        # memo hit check it no more (it was checked 2-3 times per result)
+        checks = []
+        real = odmrsim._check_grid
+
+        def counted(frequencies):
+            checks.append(1)
+            return real(frequencies)
+
+        monkeypatch.setattr(odmrsim, "_check_grid", counted)
+        info = reconstruct._noiseless_sweep.cache_info
+        for run in (lambda cfg: reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX,
+                                                              cfg),
+                    lambda cfg: reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
+                                                                  NV2_AXIS_INDEX), cfg)):
+            for seed in range(50):
+                misses, before = info().misses, len(checks)
+                run(reconstruct.ChainConfig(
+                    noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.008, seed=seed)))
+                if info().misses == misses:
+                    assert len(checks) == before
+        assert info().misses == 2 and info().hits == 49 + 99 and checks
 
     def test_memo_stays_bounded(self):
         size = reconstruct._SWEEP_MEMO_SIZE
