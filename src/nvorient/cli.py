@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -401,7 +402,10 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
     out_dir = Path(out_dir)
     started = datetime.now(timezone.utc).isoformat()
     try:
-        raw = Path(config_path).read_text()
+        try:
+            raw = Path(config_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from exc
         try:
             cfg = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -419,22 +423,30 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
         noise = _noise(values["noise"], seed) if "noise" in table else None
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = _RUNNERS[mode](values, noise, out_dir, fmt)
+        manifest = {
+            "tool_version": __version__,
+            "python_version": ".".join(map(str, sys.version_info[:3])),
+            # noisy data files depend on numpy's Poisson sampler
+            "numpy_version": np.__version__,
+            "mode": mode,
+            "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
+            "seed": noise.seed if noise is not None else seed,
+            "started_utc": started,
+            "finished_utc": datetime.now(timezone.utc).isoformat(),
+            "outputs": outputs,
+        }
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # a --config that cannot be read, or an --out that cannot be created
+        # or written; a write error without a file name (a full disk) is --out's
+        print(f"error: {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NvOrientError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
-    manifest = {
-        "tool_version": __version__,
-        "mode": mode,
-        "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
-        "seed": noise.seed if noise is not None else seed,
-        "started_utc": started,
-        "finished_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -456,6 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Entry of the `nvorient` command and of `python -m nvorient.cli`.
+
+    The objects made at import live until the process exits, so they are
+    frozen first: neither the run's collections nor interpreter shutdown
+    traverse them.  `run`, which library callers use, leaves the collector alone.
+    """
+    gc.freeze()
     args = build_parser().parse_args(argv)
     return run(args.mode, args.config, args.out, seed=args.seed, fmt=args.format)
 

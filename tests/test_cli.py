@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import gc
 import io
 import json
 import math
@@ -48,6 +49,9 @@ class TestSimulate:
         assert manifest["mode"] == "simulate"
         assert manifest["outputs"] == ["spectrum.csv"]
         assert len(manifest["config_sha256"]) == 64
+        # noisy data files depend on numpy's sampler, so the manifest says which ran
+        assert manifest["python_version"] == "{}.{}.{}".format(*sys.version_info)
+        assert manifest["numpy_version"] == np.__version__
 
     def test_json_format(self, tmp_path):
         cfg = write_cfg(tmp_path, "sim.json", SIMULATE_CFG)
@@ -161,6 +165,31 @@ class TestErrorPaths:
     def test_bad_format_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "sim.json", SIMULATE_CFG)
         assert cli.run("simulate", cfg, tmp_path / "out", fmt="xml") == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("case", ["config-missing", "config-directory",
+                                      "config-not-utf8", "out-is-a-file"])
+    def test_path_error_exits_2(self, tmp_path, capsys, case):
+        # an unreadable --config or an --out that cannot be created is a
+        # config error naming the path, not a traceback or a pipeline error
+        config = write_cfg(tmp_path, "sim.json", SIMULATE_CFG)
+        out = tmp_path / "out"
+        if case == "config-missing":
+            config = tmp_path / "absent.json"
+        elif case == "config-directory":
+            config = tmp_path / "cfg-dir"
+            config.mkdir()
+        elif case == "config-not-utf8":
+            config.write_bytes(b'{"mode": "simulate", "note": "\xff"}')
+        else:
+            out = tmp_path / "out-file"
+            out.write_text("not a directory")
+        bad = config if case.startswith("config") else out
+        capsys.readouterr()
+        assert cli.run("simulate", config, out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(bad) in err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("mode, raw", [
         ("table1", '{"mode": "table1", "wire": {"current_ma": NaN}}'),
@@ -444,7 +473,34 @@ class TestFieldmapAndSensitivity:
         assert abs(eta - eta_max) < 1e-12
 
 
+NOISE = {"rate_kcps": 200.0, "dwell_s": 0.008}
+T1_CFG = {"mode": "table1", "wire": {"current_ma": 40.0}}
+ENTRY_CASES = {
+    "table1-noiseless": T1_CFG,
+    "table1-noisy": dict(T1_CFG, noise=dict(NOISE, seed=11)),
+    "reconstruct-3d-noisy": {"mode": "reconstruct-3d", "nv_indices": [3, 1],
+                             "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+                             "noise": dict(NOISE, seed=7)},
+    "simulate-noisy": dict(SIMULATE_CFG, noise=dict(NOISE, seed=5)),
+}
+
+
+def run_module(*args, script=None):
+    """`python -m nvorient.cli args`, or `python -c script args`, with src/ on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    head = ["-m", "nvorient.cli"] if script is None else ["-c", script]
+    return subprocess.run([sys.executable, *head, *map(str, args)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
 class TestMain:
+    @pytest.fixture(autouse=True)
+    def unfreeze(self):
+        # main() freezes what the process has made so far; give the test
+        # process's objects back to the collector
+        yield
+        gc.unfreeze()
+
     def test_argv_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, "sim.json", SIMULATE_CFG)
         out = tmp_path / "out"
@@ -471,11 +527,44 @@ class TestMain:
             "code = cli.main(['table1', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
             "print(code, 'numpy.ma' in sys.modules)\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
-                              capture_output=True, text=True, check=True,
-                              env=dict(os.environ, PYTHONPATH=src))
+        proc = run_module(cfg, tmp_path / "out", script=script)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(cli.EXIT_OK), "False"]
+
+    def test_main_freezes_import_graph(self, tmp_path):
+        # the objects made at import are frozen, so interpreter shutdown does
+        # not collect over them
+        script = (
+            "import gc, sys\n"
+            "from nvorient import cli\n"
+            "code = cli.main(['table1', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, gc.get_freeze_count() > 0)\n"
+        )
+        proc = run_module(write_cfg(tmp_path, "t1.json", T1_CFG), tmp_path / "out",
+                          script=script)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == [str(cli.EXIT_OK), "True"]
+
+    def test_run_leaves_collector_alone(self, tmp_path):
+        cfg = write_cfg(tmp_path, "t1.json", T1_CFG)
+        frozen = gc.get_freeze_count()
+        assert cli.run("table1", cfg, tmp_path / "out") == cli.EXIT_OK
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+    def test_module_entry_matches_run(self, tmp_path, case):
+        # the command (which freezes its import graph) writes the data files
+        # that an in-process run writes, and nothing to stderr
+        payload = ENTRY_CASES[case]
+        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        proc = run_module(payload["mode"], "--config", cfg, "--out", tmp_path / "cmd")
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+        assert cli.run(payload["mode"], cfg, tmp_path / "lib") == cli.EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "lib").iterdir() if p.name != "manifest.json")
+        assert names and names == sorted(p.name for p in (tmp_path / "cmd").iterdir()
+                                         if p.name != "manifest.json")
+        for name in names:
+            assert (tmp_path / "cmd" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
