@@ -207,8 +207,11 @@ def _grid(block: dict) -> np.ndarray:
 
 
 def _noise(block: dict | None, seed_override: int | None) -> reconstruct.NoiseConfig | None:
-    """The read noise block, with `--seed` in place of its seed when given."""
+    """The read noise block, with `--seed` in place of its seed when given;
+    a seed for a run that draws no noise is an error."""
     if block is None:
+        if seed_override is not None:
+            raise ConfigError("--seed: this run draws no noise")
         return None
     seed = block["seed"] if seed_override is None else seed_override
     if seed is None:
@@ -420,7 +423,7 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
         if mode == "reconstruct-3d" and "measured_y_axes" in cfg:
             table = {key: table[key] for key in _MEASURED_3D_KEYS}
         values = _read(cfg, table)
-        noise = _noise(values["noise"], seed) if "noise" in table else None
+        noise = _noise(values.get("noise"), seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = _RUNNERS[mode](values, noise, out_dir, fmt)
         manifest = {
@@ -430,7 +433,7 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
             "numpy_version": np.__version__,
             "mode": mode,
             "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
-            "seed": noise.seed if noise is not None else seed,
+            "seed": None if noise is None else noise.seed,
             "started_utc": started,
             "finished_utc": datetime.now(timezone.utc).isoformat(),
             "outputs": outputs,

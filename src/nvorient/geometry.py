@@ -1,8 +1,11 @@
 """Lab-frame geometry: NV crystal axes, wire antenna field, sweep bases.
 
-The lab frame follows the experiment layout: Z_L normal to the diamond
-surface, Y_L along the wire, X_L completing the right-handed triad.  Lengths
+The lab frame follows the experiment layout: its z axis normal to the
+diamond surface, Y_L along the wire, X_L completing the right-handed triad.  Lengths
 are in micrometers, currents in mA, angles in degrees at the interfaces.
+
+Functions of one 3-vector at a time work on 3-tuples of Python floats,
+where numpy's fixed cost per call would outweigh the arithmetic.
 """
 
 from __future__ import annotations
@@ -16,9 +19,24 @@ from .errors import DegeneratePositionError
 
 X_L = np.array([1.0, 0.0, 0.0])
 Y_L = np.array([0.0, 1.0, 0.0])
-Z_L = np.array([0.0, 0.0, 1.0])
 
 _SQRT3 = math.sqrt(3.0)
+
+
+def _floats3(v) -> tuple[float, float, float]:
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return x, y, z
+
+
+def _cross(u, v) -> tuple[float, float, float]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _unit3(v) -> tuple[float, float, float]:
+    n = math.hypot(*v)
+    if n < 1e-300:
+        raise ValueError("cannot normalize a zero vector")
+    return v[0] / n, v[1] / n, v[2] / n
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -84,9 +102,9 @@ def wire_field_magnitude(scene: WireScene) -> float:
     return 0.2 * abs(scene.current_ma) / scene.radius_um
 
 
-def alpha_of_position(x_um: float, z_um: float) -> float:
-    """Angle (deg, in [0, 360)) between Z_L and the tangent field at (x, z)."""
-    m = wire_tangent(x_um, z_um)
+def alpha_deg(m) -> float:
+    """Angle (deg, in [0, 360)) of the in-plane direction m from the lab z
+    axis toward X_L."""
     return math.degrees(math.atan2(m[0], m[2])) % 360.0
 
 
@@ -116,18 +134,15 @@ def transverse_basis(nv_z: np.ndarray) -> TransverseBasis:
 
 def sweep_direction(basis: TransverseBasis, psi: float) -> np.ndarray:
     """In-plane unit direction at sweep angle psi (rad) from e1 toward e2."""
-    return math.cos(psi) * basis.e1 + math.sin(psi) * basis.e2
+    c, s = math.cos(psi), math.sin(psi)
+    e1, e2 = _floats3(basis.e1), _floats3(basis.e2)
+    return np.array([c * e1[0] + s * e2[0], c * e1[1] + s * e2[1], c * e1[2] + s * e2[2]])
 
 
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between two vectors in degrees, in [0, 180], as
-    atan2(|u x v|, u . v), which resolves angles that acos of the dot
-    product would round to 0."""
-    u, v = unit(u), unit(v)
-    return math.degrees(math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v)))
-
-
-def line_angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between two undirected axes in degrees, in [0, 90]."""
-    v = np.asarray(v, dtype=float)
-    return angle_between(u, -v if np.dot(u, v) < 0.0 else v)
+def line_angle_between(u, v) -> float:
+    """Angle between two undirected axes in degrees, in [0, 90], as
+    atan2(|u x v|, |u . v|) of the unit axes, which resolves angles that acos
+    of the dot product would round to 0."""
+    u, v = _unit3(_floats3(u)), _unit3(_floats3(v))
+    return math.degrees(math.atan2(math.hypot(*_cross(u, v)),
+                                   abs(u[0] * v[0] + u[1] * v[1] + u[2] * v[2])))

@@ -4,10 +4,9 @@ All reconstructed directions are axes (lines): a linearly polarized
 microwave field along +m and -m is indistinguishable, so every result
 carries an explicit sign ambiguity.
 
-The inversion works on one 3-vector at a time, so it computes cross
-products, norms and angles on 3-tuples of Python floats, where numpy's
-fixed cost per call would outweigh the arithmetic; result objects still
-carry numpy-array axes.
+The inversion works on one 3-vector at a time, on 3-tuples of Python
+floats, with the helpers and angle formulas of `geometry`; result objects
+still carry numpy-array axes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from . import fitkit, geometry, odmrsim
 from .errors import NearParallelAxesError, PlanarModelError
 from .fitkit import Cos2Fit
-from .geometry import TransverseBasis, WireScene, unit
+from .geometry import TransverseBasis, WireScene, _cross, _floats3, _unit3, unit
 from .odmrsim import LineshapeParams
 from .spinmodel import SpinConstants
 
@@ -44,35 +43,16 @@ class MwAxisEstimate:
     angular_error_deg: float | None = None
 
 
-def _floats3(v) -> tuple[float, float, float]:
-    x, y, z = np.asarray(v, dtype=float).tolist()
-    return x, y, z
-
-
-def _cross(u, v) -> tuple[float, float, float]:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _unit3(v) -> tuple[float, float, float]:
-    n = math.hypot(*v)
-    if n < 1e-300:
-        raise ValueError("cannot normalize a zero vector")
-    return v[0] / n, v[1] / n, v[2] / n
-
-
 def extract_nv_y(basis: TransverseBasis, cos2fit: Cos2Fit) -> NvYEstimate:
     """Depth-minimum direction of the L0<->Lp dip: sweep angle psi0 + pi/2."""
-    psi = cos2fit.psi0 + math.pi / 2.0
-    c, s = math.cos(psi), math.sin(psi)
-    e1, e2 = _floats3(basis.e1), _floats3(basis.e2)
-    axis = np.array([c * e1[0] + s * e2[0], c * e1[1] + s * e2[1], c * e1[2] + s * e2[2]])
+    axis = geometry.sweep_direction(basis, cos2fit.psi0 + math.pi / 2.0)
     return NvYEstimate(axis=axis, sigma_angle=cos2fit.sigma_psi0)
 
 
 def mw_axis_from_two(y1: NvYEstimate, y2: NvYEstimate,
                      truth_axis: np.ndarray | None = None) -> MwAxisEstimate:
     """Normalized cross product of the two NV_Y axes; with `truth_axis`, the
-    line angle to it, atan2(|axis x truth|, |axis . truth|) in degrees."""
+    line angle to it in degrees."""
     c = _cross(_floats3(y1.axis), _floats3(y2.axis))
     n = math.hypot(*c)
     if n <= 1e-3:
@@ -80,11 +60,7 @@ def mw_axis_from_two(y1: NvYEstimate, y2: NvYEstimate,
             f"NV_Y axes nearly parallel (|cross| = {n:.2e}); direction unresolvable"
         )
     axis = (c[0] / n, c[1] / n, c[2] / n)
-    err = None
-    if truth_axis is not None:
-        t = _unit3(_floats3(truth_axis))
-        err = math.degrees(math.atan2(math.hypot(*_cross(axis, t)),
-                                      abs(axis[0] * t[0] + axis[1] * t[1] + axis[2] * t[2])))
+    err = None if truth_axis is None else geometry.line_angle_between(axis, truth_axis)
     return MwAxisEstimate(axis=np.array(axis), angular_error_deg=err)
 
 
@@ -106,20 +82,6 @@ def _circ_dist(a_deg: float, b_deg: float) -> float:
     return min(d, 360.0 - d)
 
 
-def _planar_residual_deg(u, nv_z, alpha_deg: float) -> float:
-    """Line angle between the unit axis u and nv_z x m(alpha), on 3-tuples;
-    chord-based, stable to ~1e-8 deg."""
-    a = math.radians(alpha_deg)
-    v = _cross(nv_z, (math.sin(a), 0.0, math.cos(a)))
-    n = math.hypot(*v)
-    if n < 1e-12:
-        return 90.0
-    if u[0] * v[0] + u[1] * v[1] + u[2] * v[2] < 0.0:
-        n = -n
-    chord = math.hypot(u[0] - v[0] / n, u[1] - v[1] / n, u[2] - v[2] / n)
-    return math.degrees(2.0 * math.asin(min(1.0, 0.5 * chord)))
-
-
 def planar_alpha(u: np.ndarray, nv_z: np.ndarray) -> PlanarAlphaResult:
     """Invert the perpendicular-axis measurement for an in-plane MW field.
 
@@ -134,7 +96,10 @@ def planar_alpha(u: np.ndarray, nv_z: np.ndarray) -> PlanarAlphaResult:
     u = _unit3(_floats3(u))
     nv_z = _unit3(_floats3(nv_z))
     alpha = math.degrees(math.atan2(-u[2], u[0])) % 180.0
-    resid = _planar_residual_deg(u, nv_z, alpha)
+    a = math.radians(alpha)
+    v = _cross(nv_z, (math.sin(a), 0.0, math.cos(a)))
+    # an in-plane field along the NV axis leaves no perpendicular axis to match
+    resid = geometry.line_angle_between(u, v) if math.hypot(*v) >= 1e-12 else 90.0
     if resid > 1.0:
         raise PlanarModelError(
             f"axis inconsistent with an in-plane microwave field (residual {resid:.3f} deg)"
@@ -326,8 +291,7 @@ def end_to_end_planar(scene: WireScene, nv_index: int,
     cfg = cfg if cfg is not None else ChainConfig()
     [(nv_y, cos2)] = _measure_nv_y(scene, (nv_index,), cfg, ((),))
     pa = planar_alpha(nv_y.axis, geometry.crystallographic_axes()[nv_index])
-    m = geometry.mw_direction(scene)
-    truth = math.degrees(math.atan2(m[0], m[2])) % 360.0
+    truth = geometry.alpha_deg(geometry.mw_direction(scene))
     alpha_est = pa.nearest_to(truth)
     return PlanarRunResult(
         alpha_est_deg=alpha_est,

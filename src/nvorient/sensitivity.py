@@ -26,22 +26,6 @@ class SensitivityInput:
             raise ValueError("sensing time must be positive")
 
 
-def signal_ratio(i1: float, i2: float) -> float:
-    """Intensity ratio S = I1/I2 = tan^2(phi)."""
-    if i1 < 0:
-        raise ValueError("I1 must be nonnegative")
-    if not i2 > 0:
-        raise ValueError("I2 must be positive; the ratio diverges as phi -> pi/2")
-    return i1 / i2
-
-
-def phi_from_ratio(s: float) -> float:
-    """Invert S = tan^2(phi) on [0, pi/2)."""
-    if s < 0:
-        raise ValueError("ratio must be nonnegative")
-    return math.atan(math.sqrt(s))
-
-
 def eta(inp: SensitivityInput) -> float:
     """Angle sensitivity sin(2*phi)/(2*sqrt(2)) * sigma_rel * sqrt(n*t), rad/sqrt(Hz).
 
@@ -65,8 +49,3 @@ def shot_noise_sigma_rel(rate_kcps: float, contrast: float, t_s: float) -> float
     if not t_s > 0:
         raise ValueError("integration time must be positive")
     return 1.0 / (contrast * math.sqrt(rate_kcps * 1000.0 * t_s))
-
-
-def sigma_s(phi: float, sigma_rel: float) -> float:
-    """Uncertainty of the ratio signal: sqrt(2) * tan^2(phi) * sigma_rel."""
-    return math.sqrt(2.0) * math.tan(phi) ** 2 * sigma_rel

@@ -21,9 +21,6 @@ SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
 SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQRT2
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
-KET_MINUS = np.array([-1.0, 0.0, 1.0], dtype=complex) / _SQRT2  # (|-1> - |+1>)/sqrt(2)
-KET_PLUS = np.array([1.0, 0.0, 1.0], dtype=complex) / _SQRT2    # (|-1> + |+1>)/sqrt(2)
-
 
 @dataclass(frozen=True)
 class SpinConstants:

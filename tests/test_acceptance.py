@@ -10,6 +10,7 @@ import numpy as np
 
 from nvorient import fitkit, geometry, odmrsim, reconstruct, sensitivity, spinmodel
 from test_fitkit import numeric_jacobian
+from test_spinmodel import KET_MINUS, KET_PLUS
 
 C = spinmodel.SpinConstants()
 
@@ -71,7 +72,9 @@ def _table1_agrees(alpha_fn, table=TABLE1) -> bool:
 
 
 def test_criterion_2_reference_table_theory_column():
-    alpha = geometry.alpha_of_position
+    def alpha(x_um: float, z_um: float) -> float:
+        return geometry.alpha_deg(geometry.wire_tangent(x_um, z_um))
+
     ok = _table1_agrees(alpha)
     strict = [abs(alpha(x, z) - ref) for i, (x, z, ref) in enumerate(TABLE1)
               if i not in TABLE1_MISPRINT_ROWS]
@@ -219,8 +222,8 @@ def test_criterion_8_property_suite():
         v = np.column_stack(eig.states)
         ortho = max(ortho, float(np.max(np.abs(v.conj().T @ v - np.eye(3)))))
         overlap = min(overlap,
-                      abs(np.vdot(spinmodel.KET_MINUS, eig.states[1])),
-                      abs(np.vdot(spinmodel.KET_PLUS, eig.states[2])))
+                      abs(np.vdot(KET_MINUS, eig.states[1])),
+                      abs(np.vdot(KET_PLUS, eig.states[2])))
     checks["orthonormality"] = ortho < 1e-10
     checks["state overlap >= 0.995"] = overlap >= 0.995
 

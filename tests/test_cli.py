@@ -307,6 +307,32 @@ class TestErrorPaths:
         assert not (out / "manifest.json").exists()
 
 
+class TestSeedOverride:
+    # --seed replaces the seed of the noise block; a run without one has no
+    # seed to replace, so the flag is refused rather than recorded
+    @pytest.mark.parametrize("mode, payload", [
+        ("table1", {"mode": "table1", "wire": {"current_ma": 40.0}}),
+        ("sensitivity", {"mode": "sensitivity", "phi_deg": 45.0, "sigma_rel": 0.08}),
+    ], ids=["table1-noiseless", "sensitivity"])
+    def test_seed_without_noise_exits_2(self, tmp_path, capsys, mode, payload):
+        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.run(mode, cfg, out, seed=5) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed: ") and "Traceback" not in err
+        assert not out.exists()
+        # the same run without the flag records no seed
+        assert cli.run(mode, cfg, out) == cli.EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+    def test_noisy_override_recorded(self, tmp_path):
+        cfg = write_cfg(tmp_path, "rp.json", TestReconstructPlanar.CFG)
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-planar", cfg, out, seed=8) == cli.EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 8
+
+
 class TestTable1:
     def test_default_positions_and_accuracy(self, tmp_path):
         cfg = write_cfg(tmp_path, "t1.json", {

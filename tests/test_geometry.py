@@ -42,6 +42,11 @@ class TestCrystallographicAxes:
         assert geo.crystallographic_axes()[0][0] == 1.0 / math.sqrt(3.0)
 
 
+def alpha_at(x_um, z_um):
+    """In-plane angle of the positive-current field at (x, z), in degrees."""
+    return geo.alpha_deg(geo.wire_tangent(x_um, z_um))
+
+
 class TestWireField:
     def test_tangent_above_wire(self):
         # directly above the wire (x=0, z>0) the tangent points along +X_L
@@ -81,16 +86,16 @@ class TestWireField:
         assert abs(geo.wire_field_magnitude(double) - 0.32) < 1e-12
 
     def test_alpha_examples(self):
-        assert abs(geo.alpha_of_position(0.0, 30.0) - 90.0) < 1e-9
-        assert abs(geo.alpha_of_position(30.0, 0.0) - 180.0) < 1e-9
+        assert abs(alpha_at(0.0, 30.0) - 90.0) < 1e-9
+        assert abs(alpha_at(30.0, 0.0) - 180.0) < 1e-9
         # atan2(18, -61) = 163.55 deg at the (61, 18) reference position
-        assert abs(geo.alpha_of_position(61.0, 18.0) - 163.554) < 1e-2
+        assert abs(alpha_at(61.0, 18.0) - 163.554) < 1e-2
 
     @settings(max_examples=100, deadline=None)
     @given(p=nonzero_xz, s=st.floats(0.1, 10.0))
     def test_alpha_scale_invariant(self, p, s):
         x, z = p
-        assert abs(geo.alpha_of_position(x, z) - geo.alpha_of_position(s * x, s * z)) < 1e-9
+        assert abs(alpha_at(x, z) - alpha_at(s * x, s * z)) < 1e-9
 
 
 class TestTransverseBasis:
@@ -128,18 +133,17 @@ class TestTransverseBasis:
 
 class TestAngles:
     def test_examples(self):
-        assert abs(geo.angle_between([1, 0, 0], [0, 1, 0]) - 90.0) < 1e-12
-        assert abs(geo.angle_between([1, 0, 0], [-1, 0, 0]) - 180.0) < 1e-12
+        assert abs(geo.line_angle_between([1, 0, 0], [0, 1, 0]) - 90.0) < 1e-12
         assert abs(geo.line_angle_between([1, 0, 0], [-1, 0, 0])) < 1e-12
+        assert abs(geo.line_angle_between([1, 0, 0], [1, 1, 0]) - 45.0) < 1e-12
+        assert abs(geo.line_angle_between([1, 0, 0], [-1, 1, 0]) - 45.0) < 1e-12
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             u, v = rng.normal(size=3), rng.normal(size=3)
-            a = geo.angle_between(u, v)
-            assert abs(a - geo.angle_between(v, u)) < 1e-10
-            assert 0.0 <= a <= 180.0
             la = geo.line_angle_between(u, v)
+            assert abs(la - geo.line_angle_between(v, u)) < 1e-10
             assert 0.0 <= la <= 90.0
             assert abs(la - geo.line_angle_between(-u, v)) < 1e-9
 
@@ -148,12 +152,14 @@ class TestAngles:
         eps = 1e-9
         u, v = [1.0, 0.0, 0.0], [math.cos(eps), math.sin(eps), 0.0]
         expected = math.degrees(eps)  # 5.73e-8 deg
-        for angle in (geo.angle_between(u, v), geo.line_angle_between(u, v),
+        for angle in (geo.line_angle_between(u, v),
                       geo.line_angle_between(u, [-c for c in v])):
             assert abs(angle - expected) <= 1e-12 * expected
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            geo.angle_between([0, 0, 0], [1, 0, 0])
+            geo.line_angle_between([0, 0, 0], [1, 0, 0])
+        with pytest.raises(ValueError):
+            geo.line_angle_between([1, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError):
             geo.unit(np.zeros(3))

@@ -92,18 +92,27 @@ class TestFloatOracles:
             assert abs(est.angular_error_deg - geometry.line_angle_between(axis, truth)) < 1e-6
 
     def test_planar_residual_matches_numpy(self):
+        # axes of an in-plane field tilted by about half a degree, so that
+        # planar_alpha mostly reports a residual rather than raising
         rng = np.random.default_rng(6)
-        for u, nv_z, alpha in zip(random_axes(rng, 500), random_axes(rng, 500),
-                                  rng.uniform(0.0, 360.0, 500)):
-            v = np.cross(nv_z, planar_mw(alpha))
-            w = v / np.linalg.norm(v)
-            if float(u @ w) < 0.0:
-                w = -w
-            ref = math.degrees(2.0 * math.asin(min(1.0, 0.5 * np.linalg.norm(u - w))))
-            got = reconstruct._planar_residual_deg(tuple(u), tuple(nv_z), float(alpha))
-            assert abs(got - ref) < 1e-12
+        checked = 0
+        for nv_z, alpha, tilt in zip(random_axes(rng, 500), rng.uniform(0.0, 360.0, 500),
+                                     rng.normal(scale=0.01, size=(500, 3))):
+            u = np.cross(nv_z, planar_mw(alpha))
+            u = u / np.linalg.norm(u) + tilt
+            u = u / np.linalg.norm(u)
+            v = np.cross(nv_z, planar_mw(math.degrees(math.atan2(-u[2], u[0])) % 180.0))
+            ref = math.degrees(math.atan2(np.linalg.norm(np.cross(u, v)), abs(float(u @ v))))
+            if ref > 1.0:
+                with pytest.raises(PlanarModelError):
+                    reconstruct.planar_alpha(u, nv_z)
+                continue
+            assert abs(reconstruct.planar_alpha(u, nv_z).residual_deg - ref) < 1e-12
+            checked += 1
+        assert checked > 250
         # an in-plane field along the NV axis leaves no perpendicular axis
-        assert reconstruct._planar_residual_deg((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0) == 90.0
+        with pytest.raises(PlanarModelError):
+            reconstruct.planar_alpha((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
 
 
 class TestPlanarAlpha:
@@ -301,7 +310,7 @@ class TestSweepChain:
     def test_end_to_end_planar_noiseless(self):
         run = reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX)
         assert run.error_deg < 1e-4
-        expected = geometry.alpha_of_position(61.0, 18.0)
+        expected = geometry.alpha_deg(geometry.wire_tangent(61.0, 18.0))
         assert abs(run.alpha_theory_deg - expected) < 1e-9
 
     def test_end_to_end_planar_noisy_single_seed(self):

@@ -8,28 +8,6 @@ from hypothesis import strategies as st
 from nvorient import sensitivity as sens
 
 
-class TestRatioProtocol:
-    def test_ratio_and_inverse(self):
-        assert sens.signal_ratio(1.0, 1.0) == 1.0
-        assert abs(sens.phi_from_ratio(1.0) - math.pi / 4.0) < 1e-15
-        assert sens.phi_from_ratio(0.0) == 0.0
-        # tan^2(pi/3) = 3
-        assert abs(sens.phi_from_ratio(3.0) - math.pi / 3.0) < 1e-12
-
-    def test_round_trip(self):
-        for phi in np.linspace(0.0, 1.5, 40):
-            s = math.tan(phi) ** 2
-            assert abs(sens.phi_from_ratio(s) - phi) < 1e-9
-
-    def test_invalid_ratio_inputs(self):
-        with pytest.raises(ValueError):
-            sens.signal_ratio(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            sens.signal_ratio(1.0, 0.0)
-        with pytest.raises(ValueError):
-            sens.phi_from_ratio(-0.1)
-
-
 class TestEta:
     def test_reference_point(self):
         # phi = pi/4, sigma_rel = 0.08, single shot, 1 s
@@ -86,17 +64,6 @@ class TestShotNoise:
             sens.shot_noise_sigma_rel(100.0, 1.5, 1.0)
         with pytest.raises(ValueError):
             sens.shot_noise_sigma_rel(100.0, 0.2, 0.0)
-
-
-class TestSigmaS:
-    def test_error_propagation_consistency(self):
-        # sigma_s is the propagated uncertainty of S = tan^2(phi) when both
-        # intensities carry the same relative error; check against a direct
-        # finite-difference propagation
-        phi, rel = 0.7, 0.01
-        s = math.tan(phi) ** 2
-        # dS/dI1 * I1 = S, dS/dI2 * I2 = -S  ->  sigma_S = sqrt(2) * S * rel
-        assert abs(sens.sigma_s(phi, rel) - math.sqrt(2.0) * s * rel) < 1e-15
 
 
 @settings(max_examples=100, deadline=None)

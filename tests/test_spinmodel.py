@@ -11,6 +11,10 @@ from nvorient.errors import LabelingError
 
 C = sm.SpinConstants()
 
+# the hybridized transverse-field states, basis {|+1>, |0>, |-1>}
+KET_MINUS = np.array([-1.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)  # (|-1> - |+1>)/sqrt(2)
+KET_PLUS = np.array([1.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)    # (|-1> + |+1>)/sqrt(2)
+
 
 @dataclass(frozen=True)
 class RabiAmplitudes:
@@ -110,8 +114,8 @@ class TestEigensystem:
         rng = np.random.default_rng(3)
         for b in np.concatenate([[10.2], rng.uniform(0.5, 10.2, 40)]):
             eig = transverse_eig(b)
-            assert abs(np.vdot(sm.KET_MINUS, eig.states[1])) >= 0.995
-            assert abs(np.vdot(sm.KET_PLUS, eig.states[2])) >= 0.995
+            assert abs(np.vdot(KET_MINUS, eig.states[1])) >= 0.995
+            assert abs(np.vdot(KET_PLUS, eig.states[2])) >= 0.995
 
     def test_frequency_floor_transverse(self):
         for b in np.linspace(0.0, 10.2, 40):
