@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -278,7 +277,7 @@ def _run_simulate(p, noise, out_dir, fmt):
 
 def _run_fit(p, noise, out_dir, fmt):
     spec = odmrsim.spectrum_from_csv(p["spectrum_csv"])
-    payload = [asdict(d) for d in fitkit.fit_dips(spec, p["init_centers_mhz"])]
+    payload = [d._asdict() for d in fitkit.fit_dips(spec, p["init_centers_mhz"])]
     (out_dir / "dips.json").write_text(json.dumps(payload, indent=2) + "\n")
     return ["dips.json"]
 
@@ -291,7 +290,7 @@ def _planar_rows(p, noise):
             # position j draws from its own stream, seeded by a word of
             # SeedSequence(seed, spawn_key=(j,)), so no two positions share noise
             words = np.random.SeedSequence(noise.seed, spawn_key=(j,)).generate_state(1, np.uint64)
-            chain = replace(chain, noise=replace(noise, seed=int(words[0])))
+            chain = chain._replace(noise=noise._replace(seed=int(words[0])))
         scene = geometry.WireScene(x, z, wire["current_ma"], wire["diameter_um"])
         res = reconstruct.end_to_end_planar(scene, p["nv_index"], chain)
         # to 1e-9 deg: a noiseless error is float rounding (up to ~2e-13 deg),

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from . import odmrsim
 from .errors import DegenerateFitError, SingularNormalEquationsError
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     params: np.ndarray
     covariance: np.ndarray | None
     residual_norm: float
@@ -121,8 +120,7 @@ def nls_fit(
 # Multi-Lorentzian dip model
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DipEstimate:
+class DipEstimate(NamedTuple):
     """Fitted Lorentzian dip: center/fwhm in MHz, depth on the unit baseline."""
 
     center_mhz: float
@@ -172,8 +170,7 @@ MAX_HALVINGS = 40
 MAX_LOG_STEP = 0.5
 
 
-@dataclass
-class PinnedDipFit:
+class PinnedDipFit(NamedTuple):
     """Results of `fit_pinned_dips`: per-spectrum depths, with the batch as
     the leading axis, and the one fwhm the batch shares.
 
@@ -471,8 +468,7 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
 AMPLITUDE_FLOOR = float(np.finfo(float).eps)
 
 
-@dataclass
-class Cos2Fit:
+class Cos2Fit(NamedTuple):
     a: float
     b: float
     psi0: float

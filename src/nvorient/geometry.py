@@ -11,7 +11,7 @@ where numpy's fixed cost per call would outweigh the arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,25 +58,24 @@ def crystallographic_axes() -> tuple[np.ndarray, ...]:
     return _NV_AXES
 
 
-@dataclass(frozen=True)
-class WireScene:
+class WireScene(NamedTuple("WireScene", [("sensor_x_um", float), ("sensor_z_um", float),
+                                         ("current_ma", float), ("wire_diameter_um", float)])):
     """Sensor position relative to the wire center and the drive current.
 
     Positive current flows along +Y_L.  `wire_diameter_um` is documentation
     only; the field model treats the wire as a line current.
     """
 
-    sensor_x_um: float
-    sensor_z_um: float
-    current_ma: float
-    wire_diameter_um: float = 25.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = math.hypot(self.sensor_x_um, self.sensor_z_um)
+    def __new__(cls, sensor_x_um: float, sensor_z_um: float, current_ma: float,
+                wire_diameter_um: float = 25.0):
+        r = math.hypot(sensor_x_um, sensor_z_um)
         if r == 0.0:
             raise DegeneratePositionError("sensor placed at the wire center")
-        if r <= self.wire_diameter_um / 2.0:
+        if r <= wire_diameter_um / 2.0:
             raise ValueError("sensor radius must exceed the wire radius")
+        return super().__new__(cls, sensor_x_um, sensor_z_um, current_ma, wire_diameter_um)
 
     @property
     def radius_um(self) -> float:
@@ -108,8 +107,7 @@ def alpha_deg(m) -> float:
     return math.degrees(math.atan2(m[0], m[2])) % 360.0
 
 
-@dataclass(frozen=True)
-class TransverseBasis:
+class TransverseBasis(NamedTuple):
     """Right-handed orthonormal pair spanning the plane perpendicular to nv_z."""
 
     e1: np.ndarray

@@ -6,10 +6,9 @@ with contrasts set by the microwave coupling of each allowed transition.
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +18,9 @@ from .geometry import TransverseBasis, unit
 from .spinmodel import MwFieldNV, SpinConstants, StaticFieldNV
 
 
-@dataclass(frozen=True)
-class LineshapeParams:
+class LineshapeParams(NamedTuple("LineshapeParams", [
+        ("fwhm_mhz", float), ("contrast_ref", float), ("omega_ref_mhz", float),
+        ("model", str)])):
     """Dip shape and contrast scaling.
 
     `model` is "linear" (contrast proportional to Rabi amplitude squared) or
@@ -29,20 +29,19 @@ class LineshapeParams:
     values: fwhm 8 MHz keeps the two 10.2 mT dips (28 MHz apart) resolved.
     """
 
-    fwhm_mhz: float = 8.0
-    contrast_ref: float = 0.02
-    omega_ref_mhz: float = 1.0
-    model: str = "linear"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.fwhm_mhz > 0:
+    def __new__(cls, fwhm_mhz: float = 8.0, contrast_ref: float = 0.02,
+                omega_ref_mhz: float = 1.0, model: str = "linear"):
+        if not fwhm_mhz > 0:
             raise ValueError("fwhm must be positive")
-        if not 0.0 < self.contrast_ref <= 1.0:
+        if not 0.0 < contrast_ref <= 1.0:
             raise ValueError("contrast_ref must lie in (0, 1]")
-        if not self.omega_ref_mhz > 0:
+        if not omega_ref_mhz > 0:
             raise ValueError("omega_ref must be positive")
-        if self.model not in ("linear", "saturating"):
-            raise ValueError(f"unknown intensity model {self.model!r}")
+        if model not in ("linear", "saturating"):
+            raise ValueError(f"unknown intensity model {model!r}")
+        return super().__new__(cls, fwhm_mhz, contrast_ref, omega_ref_mhz, model)
 
     def contrast(self, omega_mhz):
         """Dip contrast of a Rabi amplitude (MHz); elementwise on arrays."""
@@ -52,17 +51,16 @@ class LineshapeParams:
         return self.contrast_ref * x / (x + 1.0)
 
 
-@dataclass(frozen=True)
-class CountsMeta:
+class CountsMeta(NamedTuple("CountsMeta",
+                            [("rate_kcps", float), ("dwell_s", float), ("seed", object)])):
     """Photon statistics attached to a noisy spectrum or sweep."""
 
-    rate_kcps: float
-    dwell_s: float
-    seed: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rate_kcps > 0 or not self.dwell_s > 0:
+    def __new__(cls, rate_kcps: float, dwell_s: float, seed: object):
+        if not rate_kcps > 0 or not dwell_s > 0:
             raise ValueError("count rate and dwell time must be positive")
+        return super().__new__(cls, rate_kcps, dwell_s, seed)
 
     @property
     def mean_counts(self) -> float:
@@ -83,19 +81,20 @@ def _check_grid(frequencies) -> np.ndarray:
     return f
 
 
-@dataclass
-class OdmrSpectrum:
+class OdmrSpectrum(NamedTuple("OdmrSpectrum", [
+        ("frequencies", np.ndarray), ("signal", np.ndarray),
+        ("counts_meta", CountsMeta | None)])):
     """Frequency grid (MHz, strictly ascending) and normalized fluorescence."""
 
-    frequencies: np.ndarray
-    signal: np.ndarray
-    counts_meta: CountsMeta | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.frequencies = _check_grid(self.frequencies)
-        self.signal = np.asarray(self.signal, dtype=float)
-        if self.frequencies.shape != self.signal.shape:
+    def __new__(cls, frequencies: np.ndarray, signal: np.ndarray,
+                counts_meta: CountsMeta | None = None):
+        frequencies = _check_grid(frequencies)
+        signal = np.asarray(signal, dtype=float)
+        if frequencies.shape != signal.shape:
             raise ValueError("grid and signal lengths differ")
+        return super().__new__(cls, frequencies, signal, counts_meta)
 
     def point_sigma(self) -> np.ndarray | None:
         """Per-point shot-noise sigma of the normalized signal, if known."""
@@ -158,27 +157,27 @@ def mw_field_in_nv_frame(basis: TransverseBasis, mw_lab: np.ndarray,
     return MwFieldNV(amplitude_mt=amplitude_mt, zeta=zeta, transverse_azimuth=az)
 
 
-@dataclass
-class SweepSeries:
+class SweepSeries(NamedTuple("SweepSeries", [
+        ("psis", np.ndarray), ("frequencies", np.ndarray), ("signals", np.ndarray),
+        ("centers_mhz", tuple[float, float]), ("counts_meta", CountsMeta | None)])):
     """Spectra recorded while rotating the static field in the transverse plane.
 
     Row i of `signals` (n_psi, n_f) is the spectrum at `psis[i]` on the one
-    `frequencies` grid.  Noisy sweeps carry their photon statistics.
+    `frequencies` grid; `centers_mhz` is (f_0m, f_0p), the same at every psi.
+    Noisy sweeps carry their photon statistics.
     """
 
-    psis: np.ndarray
-    frequencies: np.ndarray
-    signals: np.ndarray
-    centers_mhz: tuple[float, float]  # (f_0m, f_0p), the same at every psi
-    counts_meta: CountsMeta | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.psis = np.asarray(self.psis, dtype=float)
-        self.frequencies = _check_grid(self.frequencies)
-        self.signals = np.asarray(self.signals, dtype=float)
-        if self.psis.ndim != 1 or self.signals.shape != (self.psis.size, self.frequencies.size):
+    def __new__(cls, psis: np.ndarray, frequencies: np.ndarray, signals: np.ndarray,
+                centers_mhz: tuple[float, float], counts_meta: CountsMeta | None = None):
+        psis = np.asarray(psis, dtype=float)
+        frequencies = _check_grid(frequencies)
+        signals = np.asarray(signals, dtype=float)
+        if psis.ndim != 1 or signals.shape != (psis.size, frequencies.size):
             raise ValueError("sweep signals must have one row per psi and one column "
                              "per grid frequency")
+        return super().__new__(cls, psis, frequencies, signals, centers_mhz, counts_meta)
 
     def point_sigmas(self) -> np.ndarray | None:
         """Per-point shot-noise sigmas shaped like `signals`, if known."""
@@ -246,13 +245,24 @@ def spectrum_to_csv(spec: OdmrSpectrum, path) -> None:
 
 
 def spectrum_from_csv(path) -> OdmrSpectrum:
+    """Read a CSV written by `spectrum_to_csv`; a malformed row raises
+    ValueError naming the file and the row's 1-based line."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["frequency_mhz", "signal"]:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
+    if not rows or rows[0][1] != ["frequency_mhz", "signal"]:
         raise ValueError(f"{path}: not a spectrum CSV")
     if len(rows) < 2:
         raise ValueError(f"{path}: spectrum CSV has no data rows")
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
+    points = []
+    for line, row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {line}: expected 2 columns, got {len(row)}")
+        try:
+            points.append((float(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    data = np.array(points)
     return OdmrSpectrum(frequencies=data[:, 0], signal=data[:, 1])
 
 
@@ -287,11 +297,10 @@ def noisy_copy_with_subseed(sweep: SweepSeries, rate_kcps: float, dwell_s: float
     Spawn keys keep results independent of execution order; distinct keys,
     () for a planar sweep and (slot,) for a 3-D run's, never share a stream.
     The copy shares the sweep's psis and grid, which the sweep has checked,
-    so they are not checked again.
+    so they are not checked again: `_replace` runs no checks.
     """
     meta = CountsMeta(rate_kcps=rate_kcps, dwell_s=dwell_s, seed=(seed, *key))
     n_mean = meta.mean_counts
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    noisy = copy.copy(sweep)
-    noisy.signals, noisy.counts_meta = rng.poisson(sweep.signals * n_mean) / n_mean, meta
-    return noisy
+    return sweep._replace(signals=rng.poisson(sweep.signals * n_mean) / n_mean,
+                          counts_meta=meta)

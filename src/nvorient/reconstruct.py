@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,16 +28,14 @@ from .spinmodel import SpinConstants
 NV1_AXIS_INDEX = 3  # (1/sqrt(3))[-1,-1,1]
 
 
-@dataclass(frozen=True)
-class NvYEstimate:
+class NvYEstimate(NamedTuple):
     """Sign-ambiguous unit axis perpendicular to the NV axis and the MW field."""
 
     axis: np.ndarray
     sigma_angle: float
 
 
-@dataclass(frozen=True)
-class MwAxisEstimate:
+class MwAxisEstimate(NamedTuple):
     axis: np.ndarray
     sign_ambiguous: bool = True
     angular_error_deg: float | None = None
@@ -64,8 +62,7 @@ def mw_axis_from_two(y1: NvYEstimate, y2: NvYEstimate,
     return MwAxisEstimate(axis=np.array(axis), angular_error_deg=err)
 
 
-@dataclass(frozen=True)
-class PlanarAlphaResult:
+class PlanarAlphaResult(NamedTuple):
     alpha_deg: float
     partner_deg: float
     residual_deg: float
@@ -138,8 +135,7 @@ def closed_form_alpha_check(u: np.ndarray) -> float:
     return alpha % 360.0
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(NamedTuple):
     rate_kcps: float
     dwell_s: float
     seed: int
@@ -151,21 +147,27 @@ _DEFAULT_GRID = odmrsim.default_grid()
 _DEFAULT_PSIS = np.arange(12) * (math.pi / 12)
 
 
-@dataclass
-class ChainConfig:
-    """Simulation and fitting choices for the end-to-end planar pipeline."""
+class ChainConfig(NamedTuple("ChainConfig", [
+        ("constants", SpinConstants), ("b_static_mt", float), ("shape", LineshapeParams),
+        ("grid", np.ndarray), ("psis", np.ndarray), ("noise", NoiseConfig | None)])):
+    """Simulation and fitting choices for the end-to-end planar pipeline.
 
-    # frozen, so every config may share one default instance
-    constants: SpinConstants = SpinConstants()
-    b_static_mt: float = 10.2
-    shape: LineshapeParams = LineshapeParams()
-    grid: np.ndarray = field(default_factory=_DEFAULT_GRID.copy)
-    psis: np.ndarray = field(default_factory=_DEFAULT_PSIS.copy)
-    noise: NoiseConfig | None = None
+    `grid` and `psis` default to the default frequency grid and 12 sweep
+    angles over [0, pi), a fresh writable copy for every config.
+    """
+
+    __slots__ = ()
+
+    # constants and shape are immutable, so every config may share their defaults
+    def __new__(cls, constants: SpinConstants = SpinConstants(), b_static_mt: float = 10.2,
+                shape: LineshapeParams = LineshapeParams(), grid: np.ndarray | None = None,
+                psis: np.ndarray | None = None, noise: NoiseConfig | None = None):
+        return super().__new__(cls, constants, b_static_mt, shape,
+                               _DEFAULT_GRID.copy() if grid is None else grid,
+                               _DEFAULT_PSIS.copy() if psis is None else psis, noise)
 
 
-@dataclass
-class PlanarRunResult:
+class PlanarRunResult(NamedTuple):
     alpha_est_deg: float
     alpha_partner_deg: float
     alpha_theory_deg: float
@@ -217,14 +219,14 @@ def _array_key(values) -> tuple[tuple[int, ...], bytes]:
     return a.shape, a.tobytes()
 
 
-@dataclass(eq=False)
 class _SceneSweep:
     """A memo entry: basis, noiseless sweep and, from its first dip fit on,
     the `fitkit.FitPlan` of the sweep's grid and dip centers."""
 
-    basis: TransverseBasis
-    sweep: odmrsim.SweepSeries
-    plan: fitkit.FitPlan | None = None
+    __slots__ = ("basis", "sweep", "plan")
+
+    def __init__(self, basis: TransverseBasis, sweep: odmrsim.SweepSeries):
+        self.basis, self.sweep, self.plan = basis, sweep, None
 
 
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)

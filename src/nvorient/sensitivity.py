@@ -3,27 +3,25 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SensitivityInput:
+class SensitivityInput(NamedTuple("SensitivityInput", [("phi", float), ("sigma_rel", float),
+                                                       ("n", int), ("t", float)])):
     """Operating point: phi (rad), relative intensity error, repetitions, time (s)."""
 
-    phi: float
-    sigma_rel: float
-    n: int = 1
-    t: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.sigma_rel > 0:
+    def __new__(cls, phi: float, sigma_rel: float, n: int = 1, t: float = 1.0):
+        if not sigma_rel > 0:
             raise ValueError("sigma_rel must be positive")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("repetition count must be at least 1")
-        if not self.t > 0:
+        if not t > 0:
             raise ValueError("sensing time must be positive")
+        return super().__new__(cls, phi, sigma_rel, n, t)
 
 
 def eta(inp: SensitivityInput) -> float:

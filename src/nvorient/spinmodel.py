@@ -8,7 +8,7 @@ below depend on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,39 +22,37 @@ SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQRT2
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
-@dataclass(frozen=True)
-class SpinConstants:
+class SpinConstants(NamedTuple("SpinConstants", [("d_mhz", float), ("gamma_e", float)])):
     """Zero-field splitting D (MHz) and electron gyromagnetic ratio (MHz/mT)."""
 
-    d_mhz: float = 2870.0
-    gamma_e: float = 28.02495
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.d_mhz > 0:
+    def __new__(cls, d_mhz: float = 2870.0, gamma_e: float = 28.02495):
+        if not d_mhz > 0:
             raise ValueError("zero-field splitting must be positive")
-        if not self.gamma_e > 0:
+        if not gamma_e > 0:
             raise ValueError("gyromagnetic ratio must be positive")
+        return super().__new__(cls, d_mhz, gamma_e)
 
 
-@dataclass(frozen=True)
-class StaticFieldNV:
+class StaticFieldNV(NamedTuple("StaticFieldNV",
+                               [("b_mt", float), ("theta", float), ("phi", float)])):
     """Static field in the NV frame: magnitude (mT), polar and azimuthal angle (rad)."""
 
-    b_mt: float
-    theta: float
-    phi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b_mt < 0:
+    def __new__(cls, b_mt: float, theta: float, phi: float = 0.0):
+        if b_mt < 0:
             raise ValueError("field magnitude must be nonnegative")
-        if not 0.0 <= self.theta <= math.pi:
+        if not 0.0 <= theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
+        if not 0.0 <= phi < 2.0 * math.pi:
             raise ValueError("phi must lie in [0, 2*pi)")
+        return super().__new__(cls, b_mt, theta, phi)
 
 
-@dataclass(frozen=True)
-class MwFieldNV:
+class MwFieldNV(NamedTuple("MwFieldNV", [("amplitude_mt", float), ("zeta", float),
+                                         ("transverse_azimuth", float)])):
     """Microwave field in the NV frame.
 
     `zeta` is the angle from the NV Z-axis; `transverse_azimuth` locates the
@@ -62,15 +60,14 @@ class MwFieldNV:
     is defined by the microwave projection corresponds to azimuth 0).
     """
 
-    amplitude_mt: float
-    zeta: float
-    transverse_azimuth: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.amplitude_mt < 0:
+    def __new__(cls, amplitude_mt: float, zeta: float, transverse_azimuth: float = 0.0):
+        if amplitude_mt < 0:
             raise ValueError("microwave amplitude must be nonnegative")
-        if not 0.0 <= self.zeta <= math.pi:
+        if not 0.0 <= zeta <= math.pi:
             raise ValueError("zeta must lie in [0, pi]")
+        return super().__new__(cls, amplitude_mt, zeta, transverse_azimuth)
 
     def direction(self) -> np.ndarray:
         """Unit direction in the NV frame as (x, y, z)."""
@@ -90,8 +87,7 @@ def ground_hamiltonian(consts: SpinConstants, field: StaticFieldNV) -> np.ndarra
     return consts.d_mhz * (SZ @ SZ) + gb * (st * cp * SX + st * sp * SY + ct * SZ)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Labeled eigensystem: L0 has maximal overlap with |0>, Lm/Lp by energy.
 
     `energies` and `states` are ordered (L0, Lm, Lp); eigenvector components

@@ -118,6 +118,22 @@ class TestFit:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "no data rows" in err or "frequency grid" in err
 
+    @pytest.mark.parametrize("row", ["2900.0,0.99,1", "2900.0", "2900.0,abc"],
+                             ids=["three-columns", "one-column", "not-a-number"])
+    def test_malformed_spectrum_row_is_pipeline_error(self, tmp_path, capsys, row):
+        # the message names the file and the 1-based line of the bad row
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text(f"frequency_mhz,signal\n2890.0,1.0\n{row}\n2910.0,1.0\n")
+        fit_cfg = write_cfg(tmp_path, "fit.json", {
+            "mode": "fit",
+            "spectrum_csv": str(spectrum),
+            "init_centers_mhz": [2898.0],
+        })
+        capsys.readouterr()
+        assert cli.run("fit", fit_cfg, tmp_path / "out") == cli.EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spectrum}: line 3: ") and "Traceback" not in err
+
     def test_runaway_center_fails(self, tmp_path, capsys):
         # a vanishing noisy L0-Lm dip whose free center would leave the grid
         sim_cfg = write_cfg(tmp_path, "sim.json", dict(
@@ -556,6 +572,24 @@ class TestMain:
         proc = run_module(cfg, tmp_path / "out", script=script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(cli.EXIT_OK), "False"]
+
+    def test_fresh_process_skips_dataclasses_and_copy(self, tmp_path):
+        # the records are named tuples: dataclasses generated and compiled
+        # their methods at every import of nvorient, and nothing else of a
+        # run loads either module
+        script = (
+            "import sys\n"
+            "from nvorient import cli\n"
+            "codes = [cli.main(['table1', '--config', cfg, '--out', out])\n"
+            "         for cfg, out in zip(sys.argv[1::2], sys.argv[2::2])]\n"
+            "print(*codes, 'dataclasses' in sys.modules, 'copy' in sys.modules)\n"
+        )
+        noisy = dict(T1_CFG, noise=dict(NOISE, seed=11))
+        proc = run_module(write_cfg(tmp_path, "t1.json", T1_CFG), tmp_path / "out",
+                          write_cfg(tmp_path, "t1n.json", noisy), tmp_path / "noisy",
+                          script=script)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == [str(cli.EXIT_OK)] * 2 + ["False", "False"]
 
     def test_main_freezes_import_graph(self, tmp_path):
         # the objects made at import are frozen, so interpreter shutdown does

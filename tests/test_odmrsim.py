@@ -280,6 +280,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="no data rows"):
             odmrsim.spectrum_from_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("2900.0,0.99,1", "expected 2 columns, got 3"),
+        ("2900.0", "expected 2 columns, got 1"),
+        ("2900.0,abc", "could not convert string to float: 'abc'"),
+    ], ids=["three-columns", "one-column", "not-a-number"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"frequency_mhz,signal\n2890.0,1.0\n{row}\n2910.0,1.0\n")
+        with pytest.raises(ValueError) as info:
+            odmrsim.spectrum_from_csv(path)
+        assert str(info.value) == f"{path}: line 3: {message}"
+
     def test_json_envelope(self, shape, grid):
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
         noisy = odmrsim.add_shot_noise(spec, 100.0, 1.0, seed=9)

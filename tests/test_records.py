@@ -1,0 +1,160 @@
+"""The contracts of the library's record types.
+
+Every record is an immutable named tuple.  A record that checks or coerces
+its fields does so in `__new__`, so a bad value raises the same exception
+whether it is passed by position or by keyword.  `_replace` (and `_make`)
+build the tuple directly and run no checks: `src/` uses `_replace` only on
+fields that are already checked.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from nvorient import fitkit, geometry, odmrsim, reconstruct, sensitivity, spinmodel
+from nvorient.errors import DegeneratePositionError
+
+GRID = np.linspace(2850.0, 2950.0, 5)
+PSIS = np.array([0.0, 1.0, 2.0])
+
+# (record type, valid fields by name)
+VALID = [
+    (spinmodel.SpinConstants, {"d_mhz": 2870.0, "gamma_e": 28.02495}),
+    (spinmodel.StaticFieldNV, {"b_mt": 10.2, "theta": math.pi / 2, "phi": 0.0}),
+    (spinmodel.MwFieldNV, {"amplitude_mt": 0.0357, "zeta": 1.0, "transverse_azimuth": 0.5}),
+    (geometry.WireScene, {"sensor_x_um": 61.0, "sensor_z_um": 18.0, "current_ma": 40.0,
+                          "wire_diameter_um": 25.0}),
+    (odmrsim.LineshapeParams, {"fwhm_mhz": 8.0, "contrast_ref": 0.02, "omega_ref_mhz": 1.0,
+                               "model": "linear"}),
+    (odmrsim.CountsMeta, {"rate_kcps": 200.0, "dwell_s": 0.008, "seed": 1}),
+    (odmrsim.OdmrSpectrum, {"frequencies": GRID, "signal": np.ones(5), "counts_meta": None}),
+    (odmrsim.SweepSeries, {"psis": PSIS, "frequencies": GRID, "signals": np.ones((3, 5)),
+                           "centers_mhz": (2898.0, 2926.0), "counts_meta": None}),
+    (sensitivity.SensitivityInput, {"phi": 0.3, "sigma_rel": 0.01, "n": 1, "t": 1.0}),
+]
+VALID_FIELDS = {cls: fields for cls, fields in VALID}
+
+# (record type, fields that replace valid ones, exception, its message)
+BAD = [
+    (spinmodel.SpinConstants, {"d_mhz": 0.0}, ValueError, "zero-field splitting must be positive"),
+    (spinmodel.SpinConstants, {"d_mhz": math.nan}, ValueError,
+     "zero-field splitting must be positive"),
+    (spinmodel.SpinConstants, {"gamma_e": -1.0}, ValueError, "gyromagnetic ratio must be positive"),
+    (spinmodel.StaticFieldNV, {"b_mt": -0.1}, ValueError, "field magnitude must be nonnegative"),
+    (spinmodel.StaticFieldNV, {"theta": 3.2}, ValueError, "theta must lie in [0, pi]"),
+    (spinmodel.StaticFieldNV, {"phi": 2 * math.pi}, ValueError, "phi must lie in [0, 2*pi)"),
+    (spinmodel.MwFieldNV, {"amplitude_mt": -1.0}, ValueError,
+     "microwave amplitude must be nonnegative"),
+    (spinmodel.MwFieldNV, {"zeta": -0.1}, ValueError, "zeta must lie in [0, pi]"),
+    (geometry.WireScene, {"sensor_x_um": 0.0, "sensor_z_um": 0.0}, DegeneratePositionError,
+     "sensor placed at the wire center"),
+    (geometry.WireScene, {"sensor_x_um": 5.0, "sensor_z_um": 5.0}, ValueError,
+     "sensor radius must exceed the wire radius"),
+    (odmrsim.LineshapeParams, {"fwhm_mhz": 0.0}, ValueError, "fwhm must be positive"),
+    (odmrsim.LineshapeParams, {"contrast_ref": 1.5}, ValueError,
+     "contrast_ref must lie in (0, 1]"),
+    (odmrsim.LineshapeParams, {"omega_ref_mhz": -1.0}, ValueError, "omega_ref must be positive"),
+    (odmrsim.LineshapeParams, {"model": "cubic"}, ValueError, "unknown intensity model 'cubic'"),
+    (odmrsim.CountsMeta, {"rate_kcps": 0.0}, ValueError,
+     "count rate and dwell time must be positive"),
+    (odmrsim.CountsMeta, {"dwell_s": -1.0}, ValueError,
+     "count rate and dwell time must be positive"),
+    (odmrsim.OdmrSpectrum, {"frequencies": GRID[::-1]}, ValueError,
+     "frequency grid must be finite and strictly ascending"),
+    (odmrsim.OdmrSpectrum, {"frequencies": GRID[None]}, ValueError,
+     "frequency grid must be a nonempty 1-D array"),
+    (odmrsim.OdmrSpectrum, {"signal": np.ones(4)}, ValueError, "grid and signal lengths differ"),
+    (odmrsim.SweepSeries, {"frequencies": np.array([2850.0, math.nan, 2900.0, 2925.0, 2950.0])},
+     ValueError, "frequency grid must be finite and strictly ascending"),
+    (odmrsim.SweepSeries, {"signals": np.ones((5, 3))}, ValueError,
+     "sweep signals must have one row per psi and one column per grid frequency"),
+    (odmrsim.SweepSeries, {"psis": PSIS[None]}, ValueError,
+     "sweep signals must have one row per psi and one column per grid frequency"),
+    (sensitivity.SensitivityInput, {"sigma_rel": 0.0}, ValueError, "sigma_rel must be positive"),
+    (sensitivity.SensitivityInput, {"n": 0}, ValueError, "repetition count must be at least 1"),
+    (sensitivity.SensitivityInput, {"t": 0.0}, ValueError, "sensing time must be positive"),
+]
+BAD_IDS = [f"{cls.__name__}-{'-'.join(bad)}-{k}" for k, (cls, bad, _, _) in enumerate(BAD)]
+
+
+def valid(cls):
+    return cls(**VALID_FIELDS[cls])
+
+
+def plain(cls):
+    """A record that checks nothing, with a placeholder in every field."""
+    return cls(*range(len(cls._fields)))
+
+
+def instances():
+    """One instance of every record type of the library."""
+    return [valid(cls) for cls, _ in VALID] + [plain(cls) for cls in (
+        spinmodel.EigenSystem, geometry.TransverseBasis, fitkit.FitResult, fitkit.DipEstimate,
+        fitkit.PinnedDipFit, fitkit.Cos2Fit, reconstruct.NvYEstimate,
+        reconstruct.MwAxisEstimate, reconstruct.PlanarAlphaResult, reconstruct.NoiseConfig,
+        reconstruct.PlanarRunResult)] + [reconstruct.ChainConfig()]
+
+
+def test_every_record_type_is_covered():
+    defined = {obj for mod in (spinmodel, geometry, odmrsim, fitkit, sensitivity, reconstruct)
+               for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+               and obj.__module__.startswith("nvorient.")}
+    assert {type(r) for r in instances()} == defined
+
+
+@pytest.mark.parametrize("cls, bad, exc, message", BAD, ids=BAD_IDS)
+def test_bad_value_raises_by_position_and_keyword(cls, bad, exc, message):
+    fields = dict(VALID_FIELDS[cls], **bad)
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        cls(*(fields[name] for name in cls._fields))
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        cls(**fields)
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _ in VALID], ids=lambda cls: cls.__name__)
+def test_valid_fields_by_position_and_keyword(cls):
+    fields = VALID_FIELDS[cls]
+    by_position = cls(*(fields[name] for name in cls._fields))
+    by_keyword = cls(**fields)
+    assert by_position._fields == by_keyword._fields == tuple(fields)
+    for a, b in zip(by_position, by_keyword):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("cls, bad, exc, message", BAD, ids=BAD_IDS)
+def test_replace_runs_no_checks(cls, bad, exc, message):
+    # the bad value goes in unchecked: `_replace` is for fields already checked
+    replaced = valid(cls)._replace(**bad)
+    for name, value in bad.items():
+        assert getattr(replaced, name) is value
+
+
+@pytest.mark.parametrize("record", instances(), ids=lambda r: type(r).__name__)
+def test_attributes_cannot_be_assigned(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    with pytest.raises(AttributeError):
+        record.extra = 0.0
+
+
+@pytest.mark.parametrize("record", instances(), ids=lambda r: type(r).__name__)
+def test_repr_names_the_fields(record):
+    text = repr(record)
+    assert text.startswith(f"{type(record).__name__}(")
+    assert all(f"{name}=" in text for name in record._fields)
+
+
+def test_chain_configs_hold_distinct_writable_defaults():
+    a, b = reconstruct.ChainConfig(), reconstruct.ChainConfig()
+    assert np.array_equal(a.grid, odmrsim.default_grid())
+    assert np.array_equal(a.psis, np.linspace(0.0, math.pi, 12, endpoint=False))
+    for x, y in ((a.grid, b.grid), (a.psis, b.psis)):
+        assert x.flags.writeable and not np.shares_memory(x, y)
+        x[0] = -1.0
+        assert y[0] != -1.0
+    fresh = reconstruct.ChainConfig()
+    assert fresh.grid[0] == 2850.0 and fresh.psis[0] == 0.0
