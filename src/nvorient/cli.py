@@ -205,7 +205,7 @@ def _grid(block: dict) -> np.ndarray:
     return odmrsim.default_grid(start, stop, step)
 
 
-def _noise(block: dict | None, seed_override: int | None) -> reconstruct.NoiseConfig | None:
+def _noise(block: dict | None, seed_override: int | None) -> odmrsim.NoiseConfig | None:
     """The read noise block, with `--seed` in place of its seed when given;
     a seed for a run that draws no noise is an error."""
     if block is None:
@@ -215,8 +215,8 @@ def _noise(block: dict | None, seed_override: int | None) -> reconstruct.NoiseCo
     seed = block["seed"] if seed_override is None else seed_override
     if seed is None:
         raise ConfigError("noise: seed required (config key or --seed)")
-    return reconstruct.NoiseConfig(block["rate_kcps"], block["dwell_s"],
-                                   _integer(0)(seed, "noise.seed"))
+    return odmrsim.NoiseConfig(block["rate_kcps"], block["dwell_s"],
+                               _integer(0)(seed, "noise.seed"))
 
 
 def _chain_config(p: dict, noise) -> reconstruct.ChainConfig:
@@ -265,7 +265,7 @@ def _run_simulate(p, noise, out_dir, fmt):
     spec = odmrsim.simulate_spectrum(_build(spinmodel.SpinConstants, "constants", p["constants"]),
                                      static, mwf, shape, _grid(p["frequency_grid_mhz"]))
     if noise is not None:
-        spec = odmrsim.add_shot_noise(spec, noise.rate_kcps, noise.dwell_s, noise.seed)
+        spec = odmrsim.add_shot_noise(spec, noise)
     name = f"spectrum.{fmt}"
     if fmt == "json":
         (out_dir / name).write_text(

@@ -51,15 +51,19 @@ class LineshapeParams(NamedTuple("LineshapeParams", [
         return self.contrast_ref * x / (x + 1.0)
 
 
-class CountsMeta(NamedTuple("CountsMeta",
-                            [("rate_kcps", float), ("dwell_s", float), ("seed", object)])):
-    """Photon statistics attached to a noisy spectrum or sweep."""
+class NoiseConfig(NamedTuple("NoiseConfig",
+                             [("rate_kcps", float), ("dwell_s", float), ("seed", object)])):
+    """Photon statistics: count rate, dwell per point and the seed of the
+    Poisson draws.  A noisy spectrum or sweep carries the record it was drawn
+    with; a sweep drawn with spawn key k records the seed as (seed, *k)."""
 
     __slots__ = ()
 
-    def __new__(cls, rate_kcps: float, dwell_s: float, seed: object):
+    def __new__(cls, rate_kcps: float, dwell_s: float, seed: int):
         if not rate_kcps > 0 or not dwell_s > 0:
             raise ValueError("count rate and dwell time must be positive")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         return super().__new__(cls, rate_kcps, dwell_s, seed)
 
     @property
@@ -69,6 +73,15 @@ class CountsMeta(NamedTuple("CountsMeta",
     def point_sigma(self, signal: np.ndarray) -> np.ndarray:
         """Shot-noise sigma of each point of a normalized signal."""
         return np.sqrt(np.maximum(signal, 1e-12) / self.mean_counts)
+
+    def draw(self, signal: np.ndarray, *key: int) -> np.ndarray:
+        """Poisson photon noise on a normalized signal, in one call: k / n with
+        k ~ Poisson(signal * n), n = `mean_counts`, from the PCG64 generator of
+        SeedSequence(seed, spawn_key=key).  Equal seeds and keys give
+        bitwise-identical draws; distinct keys never share a stream."""
+        n = self.mean_counts
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+        return rng.poisson(signal * n) / n
 
 
 def _check_grid(frequencies) -> np.ndarray:
@@ -83,13 +96,13 @@ def _check_grid(frequencies) -> np.ndarray:
 
 class OdmrSpectrum(NamedTuple("OdmrSpectrum", [
         ("frequencies", np.ndarray), ("signal", np.ndarray),
-        ("counts_meta", CountsMeta | None)])):
+        ("counts_meta", NoiseConfig | None)])):
     """Frequency grid (MHz, strictly ascending) and normalized fluorescence."""
 
     __slots__ = ()
 
     def __new__(cls, frequencies: np.ndarray, signal: np.ndarray,
-                counts_meta: CountsMeta | None = None):
+                counts_meta: NoiseConfig | None = None):
         frequencies = _check_grid(frequencies)
         signal = np.asarray(signal, dtype=float)
         if frequencies.shape != signal.shape:
@@ -159,7 +172,7 @@ def mw_field_in_nv_frame(basis: TransverseBasis, mw_lab: np.ndarray,
 
 class SweepSeries(NamedTuple("SweepSeries", [
         ("psis", np.ndarray), ("frequencies", np.ndarray), ("signals", np.ndarray),
-        ("centers_mhz", tuple[float, float]), ("counts_meta", CountsMeta | None)])):
+        ("centers_mhz", tuple[float, float]), ("counts_meta", NoiseConfig | None)])):
     """Spectra recorded while rotating the static field in the transverse plane.
 
     Row i of `signals` (n_psi, n_f) is the spectrum at `psis[i]` on the one
@@ -170,7 +183,7 @@ class SweepSeries(NamedTuple("SweepSeries", [
     __slots__ = ()
 
     def __new__(cls, psis: np.ndarray, frequencies: np.ndarray, signals: np.ndarray,
-                centers_mhz: tuple[float, float], counts_meta: CountsMeta | None = None):
+                centers_mhz: tuple[float, float], counts_meta: NoiseConfig | None = None):
         psis = np.asarray(psis, dtype=float)
         frequencies = _check_grid(frequencies)
         signals = np.asarray(signals, dtype=float)
@@ -219,20 +232,11 @@ def simulate_phi_sweep(
                        centers_mhz=(eig.f_0m, eig.f_0p))
 
 
-def add_shot_noise(spec: OdmrSpectrum, rate_kcps: float, dwell_s: float,
-                   seed) -> OdmrSpectrum:
-    """Poisson photon noise from the seeded PCG64 generator.
-
-    Each point becomes k / (rate*1000*dwell) with k ~ Poisson(signal * that
-    mean).  `seed` may be an int or a numpy SeedSequence; equal seeds give
-    bitwise-identical output.
-    """
-    meta = CountsMeta(rate_kcps=rate_kcps, dwell_s=dwell_s,
-                      seed=seed if isinstance(seed, int) else repr(seed))
-    n_mean = meta.mean_counts
-    counts = np.random.default_rng(seed).poisson(spec.signal * n_mean)
-    return OdmrSpectrum(frequencies=spec.frequencies.copy(),
-                        signal=counts / n_mean, counts_meta=meta)
+def add_shot_noise(spec: OdmrSpectrum, noise: NoiseConfig) -> OdmrSpectrum:
+    """A copy of `spec` with Poisson photon noise drawn by `noise`
+    (`NoiseConfig.draw` with no spawn key)."""
+    return OdmrSpectrum(frequencies=spec.frequencies.copy(), signal=noise.draw(spec.signal),
+                        counts_meta=noise)
 
 
 def spectrum_to_csv(spec: OdmrSpectrum, path) -> None:
@@ -273,34 +277,21 @@ def spectrum_to_json_dict(spec: OdmrSpectrum, shape: LineshapeParams | None = No
         "signal": spec.signal.tolist(),
     }
     if shape is not None:
-        env["lineshape"] = {
-            "fwhm_mhz": shape.fwhm_mhz,
-            "contrast_ref": shape.contrast_ref,
-            "omega_ref_mhz": shape.omega_ref_mhz,
-            "model": shape.model,
-        }
+        env["lineshape"] = shape._asdict()
     if spec.counts_meta is not None:
-        env["counts"] = {
-            "rate_kcps": spec.counts_meta.rate_kcps,
-            "dwell_s": spec.counts_meta.dwell_s,
-            "seed": spec.counts_meta.seed,
-        }
+        env["counts"] = spec.counts_meta._asdict()
     return env
 
 
-def noisy_copy_with_subseed(sweep: SweepSeries, rate_kcps: float, dwell_s: float,
-                            seed: int, *key: int) -> SweepSeries:
-    """Shot noise on a whole sweep: one `poisson` call on its (n_psi, n_f)
-    expected counts, from the generator of SeedSequence(seed, spawn_key=key).
+def noisy_copy_with_subseed(sweep: SweepSeries, noise: NoiseConfig, *key: int) -> SweepSeries:
+    """Shot noise on a whole sweep: one draw of `noise` on its (n_psi, n_f)
+    signals with spawn key `key`, recorded as seed (seed, *key).
 
-    Row 0 is `add_shot_noise` of the noiseless row 0 with that SeedSequence.
     Spawn keys keep results independent of execution order; distinct keys,
     () for a planar sweep and (slot,) for a 3-D run's, never share a stream.
     The copy shares the sweep's psis and grid, which the sweep has checked,
-    so they are not checked again: `_replace` runs no checks.
+    and records the checked `noise` with its seed replaced, so nothing is
+    checked again: `_replace` runs no checks.
     """
-    meta = CountsMeta(rate_kcps=rate_kcps, dwell_s=dwell_s, seed=(seed, *key))
-    n_mean = meta.mean_counts
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    return sweep._replace(signals=rng.poisson(sweep.signals * n_mean) / n_mean,
-                          counts_meta=meta)
+    return sweep._replace(signals=noise.draw(sweep.signals, *key),
+                          counts_meta=noise._replace(seed=(noise.seed, *key)))

@@ -22,7 +22,7 @@ from . import fitkit, geometry, odmrsim
 from .errors import NearParallelAxesError, PlanarModelError
 from .fitkit import Cos2Fit
 from .geometry import TransverseBasis, WireScene, _cross, _floats3, _unit3, unit
-from .odmrsim import LineshapeParams
+from .odmrsim import LineshapeParams, NoiseConfig
 from .spinmodel import SpinConstants
 
 NV1_AXIS_INDEX = 3  # (1/sqrt(3))[-1,-1,1]
@@ -135,12 +135,6 @@ def closed_form_alpha_check(u: np.ndarray) -> float:
     return alpha % 360.0
 
 
-class NoiseConfig(NamedTuple):
-    rate_kcps: float
-    dwell_s: float
-    seed: int
-
-
 # the default grid and psis, built once; every ChainConfig gets its own writable copy
 _DEFAULT_GRID = odmrsim.default_grid()
 # np.linspace(0, pi, 12, endpoint=False), bit for bit, at a third of its cost
@@ -219,14 +213,13 @@ def _array_key(values) -> tuple[tuple[int, ...], bytes]:
     return a.shape, a.tobytes()
 
 
-class _SceneSweep:
-    """A memo entry: basis, noiseless sweep and, from its first dip fit on,
-    the `fitkit.FitPlan` of the sweep's grid and dip centers."""
+class _SceneSweep(NamedTuple):
+    """A memo entry: basis, noiseless sweep and the `fitkit.FitPlan` of the
+    sweep's grid and dip centers."""
 
-    __slots__ = ("basis", "sweep", "plan")
-
-    def __init__(self, basis: TransverseBasis, sweep: odmrsim.SweepSeries):
-        self.basis, self.sweep, self.plan = basis, sweep, None
+    basis: TransverseBasis
+    sweep: odmrsim.SweepSeries
+    plan: fitkit.FitPlan
 
 
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
@@ -234,8 +227,10 @@ def _noiseless_sweep(scene: WireScene, nv_index: int, constants: SpinConstants,
                      b_static_mt: float, shape: LineshapeParams,
                      grid_key: tuple[tuple[int, ...], bytes],
                      psis_key: tuple[tuple[int, ...], bytes]) -> _SceneSweep:
-    """Transverse basis and noiseless sweep of one NV orientation in a scene,
-    memoized by value; every array of the result is read-only."""
+    """Transverse basis, noiseless sweep and dip-fit plan of one NV
+    orientation in a scene, memoized by value; every array of the result is
+    read-only.  A grid the plan rejects (one that cannot hold both dips)
+    raises its ValueError here, and nothing is cached."""
     # rebuilt from the key, so the cached sweep shares no memory with the caller's arrays
     grid = np.frombuffer(grid_key[1]).reshape(grid_key[0])
     psis = np.frombuffer(psis_key[1]).reshape(psis_key[0])
@@ -245,7 +240,7 @@ def _noiseless_sweep(scene: WireScene, nv_index: int, constants: SpinConstants,
                                        geometry.wire_field_magnitude(scene), shape, grid, psis)
     for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies, sweep.signals):
         a.setflags(write=False)
-    return _SceneSweep(basis, sweep)
+    return _SceneSweep(basis, sweep, fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz))
 
 
 def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfig,
@@ -257,25 +252,18 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfi
     entries, keyed by the scene, the NV index and the chain's constants,
     static field, lineshape, grid and psis (arrays by shape and bytes); a
     repeat of a scene returns the read-only sweep of its first run, bit for
-    bit what a new synthesis would give.  The first entry's fit plan, built
-    at its first fit, is stored on every entry of the run, which share grid
-    and dip centers.  The sweep of nv_indices[k] draws its noise in one call
-    from spawn key noise_keys[k].
+    bit what a new synthesis would give.  The sweeps of a run share grid and
+    dip centers, so all are fitted with the first entry's plan.  The sweep
+    of nv_indices[k] draws its noise in one call from spawn key noise_keys[k].
     """
     grid, psis = _array_key(cfg.grid), _array_key(cfg.psis)
     entries = [_noiseless_sweep(scene, nv_index, cfg.constants, cfg.b_static_mt, cfg.shape,
                                 grid, psis) for nv_index in nv_indices]
     sweeps = [e.sweep for e in entries]
     if cfg.noise is not None:
-        sweeps = [odmrsim.noisy_copy_with_subseed(s, cfg.noise.rate_kcps, cfg.noise.dwell_s,
-                                                  cfg.noise.seed, *key)
+        sweeps = [odmrsim.noisy_copy_with_subseed(s, cfg.noise, *key)
                   for s, key in zip(sweeps, noise_keys)]
-    plan = entries[0].plan
-    if plan is None:
-        plan = fitkit.FitPlan(sweeps[0].frequencies, sweeps[0].centers_mhz)
-    fits = sweep_lp_depths(*sweeps, plan=plan)
-    for e in entries:
-        e.plan = plan
+    fits = sweep_lp_depths(*sweeps, plan=entries[0].plan)
     out = []
     for e, sweep, (depths, sigmas) in zip(entries, sweeps, fits):
         cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)

@@ -146,7 +146,7 @@ def test_criterion_5_noisy_end_to_end_statistics():
                                        psis)
     rels = []
     for seed in range(10):
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, rate, dwell, seed)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(rate, dwell, seed))
         [(depths, sigmas)] = reconstruct.sweep_lp_depths(noisy)
         k = int(np.argmax(depths))
         rels.append(float(sigmas[k] / depths[k]))
@@ -272,8 +272,8 @@ def test_criterion_8_property_suite():
 
     # seeded shot noise is reproducible
     clean = odmrsim.OdmrSpectrum(sweep.frequencies, sweep.signals[0])
-    a = odmrsim.add_shot_noise(clean, 100.0, 1.0, seed=5).signal
-    b = odmrsim.add_shot_noise(clean, 100.0, 1.0, seed=5).signal
+    a = odmrsim.add_shot_noise(clean, odmrsim.NoiseConfig(100.0, 1.0, 5)).signal
+    b = odmrsim.add_shot_noise(clean, odmrsim.NoiseConfig(100.0, 1.0, 5)).signal
     checks["seeded noise reproducible"] = bool(np.array_equal(a, b))
 
     ok = all(checks.values())

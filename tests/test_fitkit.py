@@ -122,7 +122,7 @@ class TestFitDips:
             assert abs(d.depth - shape.contrast(omega)) < 1e-4
 
     def test_noisy_recovery_within_uncertainty(self):
-        spec = odmrsim.add_shot_noise(two_dip_spectrum(), 200.0, 1.0, seed=3)
+        spec = odmrsim.add_shot_noise(two_dip_spectrum(), odmrsim.NoiseConfig(200.0, 1.0, 3))
         dips = fitkit.fit_dips(spec, [2898.0, 2926.0])
         shape = odmrsim.LineshapeParams()
         for d, omega in zip(dips, rabi_0m_0p()):
@@ -153,7 +153,7 @@ class TestFitDips:
         # center runs far off the grid while the fit reports convergence
         mw = spinmodel.MwFieldNV(0.126, math.pi / 2.0, 0.0)
         clean = odmrsim.simulate_spectrum(C, STATIC, mw, shape, grid)
-        spec = odmrsim.add_shot_noise(clean, 200.0, 0.008, seed=0)
+        spec = odmrsim.add_shot_noise(clean, odmrsim.NoiseConfig(200.0, 0.008, 0))
         with pytest.raises(DegenerateFitError, match="left the frequency grid"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
         # the same spectrum fits at the known centers
@@ -171,7 +171,7 @@ class TestFitDips:
         sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
                                            geometry.wire_field_magnitude(scene), shape, grid,
                                            psis)
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, 200.0, 0.008, 16)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 16))
         spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[11], noisy.counts_meta)
         with pytest.raises(DegenerateFitError, match="opposite sign"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
@@ -181,7 +181,7 @@ class TestFitDips:
         # at MAX_DIP_ITER steps with a depth 3.8e-5 and the fwhm 0.011 MHz from
         # where LM run to a relative drop of 1e-15 ends, after about 1,000 steps
         _, _, _, sweep = noisy_sweeps(0, 0.002)
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, 200.0, 0.002, 3)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.002, 3))
         spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[2], noisy.counts_meta)
         with pytest.raises(DegenerateFitError, match="did not converge"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
@@ -218,7 +218,7 @@ def noisy_sweeps(n_sweeps, dwell_s, nv_index=3, first_seed=0):
                                        np.linspace(0.0, math.pi, 12, endpoint=False))
     runs = []
     for seed in range(first_seed, first_seed + n_sweeps):
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, 200.0, dwell_s, seed)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, dwell_s, seed))
         runs.append((noisy.signals, noisy.point_sigmas()))
     return sweep.frequencies, np.array(sweep.centers_mhz), runs, sweep
 

@@ -41,6 +41,8 @@ PINS = {
         "46c65c24b4365c01cd2747619c1505fb3a5186b24af8a0272794a3f150875840", False),
     "out8/sensitivity.csv": (
         "a1266fe87459ad34b7ea780d0725cb41aa47cea995b0e90a9720b342440bcf51", False),
+    "out9/spectrum.json": (
+        "fe02cea50fb5b064f75955db621bd6ee592d48f498faba5803eae92ee94a7a0a", True),
 }
 
 

@@ -173,9 +173,9 @@ class TestPhiSweep:
 class TestShotNoise:
     def test_seed_reproducibility(self, shape, grid):
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
-        a = odmrsim.add_shot_noise(spec, 150.0, 1.0, seed=42)
-        b = odmrsim.add_shot_noise(spec, 150.0, 1.0, seed=42)
-        c = odmrsim.add_shot_noise(spec, 150.0, 1.0, seed=43)
+        a = odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(150.0, 1.0, 42))
+        b = odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(150.0, 1.0, 42))
+        c = odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(150.0, 1.0, 43))
         assert np.array_equal(a.signal, b.signal)
         assert not np.array_equal(a.signal, c.signal)
 
@@ -183,7 +183,7 @@ class TestShotNoise:
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
         rate, dwell = 150.0, 1.0
         draws = np.stack([
-            odmrsim.add_shot_noise(spec, rate, dwell, seed=s).signal
+            odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(rate, dwell, s)).signal
             for s in range(300)
         ])
         sigma_pred = np.sqrt(spec.signal / (rate * 1000.0 * dwell))
@@ -193,43 +193,49 @@ class TestShotNoise:
 
     def test_point_sigma_matches_meta(self, shape, grid):
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
-        noisy = odmrsim.add_shot_noise(spec, 100.0, 2.0, seed=1)
+        noisy = odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(100.0, 2.0, 1))
         sig = noisy.point_sigma()
         assert sig is not None
         assert np.allclose(sig, np.sqrt(np.maximum(noisy.signal, 1e-12) / 200000.0))
         assert spec.point_sigma() is None
 
     def test_subseed_schedule_independence(self, shape, grid, nv1_basis):
-        # a noisy sweep is one Poisson draw on its expected counts from the
-        # generator of SeedSequence(7, spawn_key=key), whatever order the keys
-        # are drawn in, and its row 0 is add_shot_noise of row 0 from that seed
+        # a noisy spectrum and a noisy sweep are each one Poisson draw on their
+        # expected counts from the generator of SeedSequence(seed, spawn_key=key),
+        # a spectrum with key (); equal records and keys give equal draws
         psis = np.linspace(0.0, math.pi, 5, endpoint=False)
         sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
                                            shape, grid, psis)
+        spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
+        noise, counts = odmrsim.NoiseConfig(100.0, 1.0, 7), 100000.0
+
+        def reference(signal, *key):
+            rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=key))
+            return rng.poisson(signal * counts) / counts
+
+        noisy_spec = odmrsim.add_shot_noise(spec, noise)
+        assert np.array_equal(noisy_spec.signal, reference(spec.signal))
+        assert noisy_spec.counts_meta is noise
+        assert not np.shares_memory(noisy_spec.frequencies, spec.frequencies)
         keys = [(), (0,), (1,)]
-        noisy = [odmrsim.noisy_copy_with_subseed(sweep, 100.0, 1.0, 7, *key) for key in keys]
-        backwards = [odmrsim.noisy_copy_with_subseed(sweep, 100.0, 1.0, 7, *key)
+        noisy = [odmrsim.noisy_copy_with_subseed(sweep, noise, *key) for key in keys]
+        backwards = [odmrsim.noisy_copy_with_subseed(sweep, noise, *key)
                      for key in reversed(keys)]
         for sw, again, key in zip(noisy, reversed(backwards), keys):
-            rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=key))
-            assert np.array_equal(sw.signals, rng.poisson(sweep.signals * 100000.0) / 100000.0)
+            assert np.array_equal(sw.signals, reference(sweep.signals, *key))
             assert np.array_equal(sw.signals, again.signals)
-            row0 = odmrsim.add_shot_noise(odmrsim.OdmrSpectrum(grid, sweep.signals[0]), 100.0,
-                                          1.0, np.random.SeedSequence(7, spawn_key=key))
-            assert np.array_equal(sw.signals[0], row0.signal)
+            assert sw.counts_meta == (100.0, 1.0, (7, *key))
             assert np.array_equal(sw.point_sigmas(),
-                                  np.sqrt(np.maximum(sw.signals, 1e-12) / 100000.0))
+                                  np.sqrt(np.maximum(sw.signals, 1e-12) / counts))
         assert sweep.point_sigmas() is None
         # planar () and 3-D slots (0,), (1,) never share a stream, and
         # identical rows of one sweep get different noise
         same = odmrsim.SweepSeries(psis, grid, np.tile(sweep.signals[0], (5, 1)),
                                    sweep.centers_mhz)
-        rows = np.concatenate([odmrsim.noisy_copy_with_subseed(same, 100.0, 1.0, 7, *key).signals
+        rows = np.concatenate([odmrsim.noisy_copy_with_subseed(same, noise, *key).signals
                                for key in keys])
         for a, b in itertools.combinations(rows, 2):
             assert not np.array_equal(a, b)
-        with pytest.raises(ValueError):
-            odmrsim.noisy_copy_with_subseed(sweep, 0.0, 1.0, 7)
 
     def test_sweep_noise_statistics(self, shape, grid, nv1_basis):
         # 400 noisy copies of one sweep at 1,600 counts per point: unbiased,
@@ -238,8 +244,9 @@ class TestShotNoise:
         sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
                                            shape, grid, psis)
         n_copies, counts = 400, 1600.0
-        draws = np.stack([odmrsim.noisy_copy_with_subseed(sweep, 200.0, 0.008, s).signals
-                          for s in range(n_copies)])
+        draws = np.stack([
+            odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, s)).signals
+            for s in range(n_copies)])
         var_pred = sweep.signals / counts
         # 5 sigma per point: over 2,412 points a correct stream passes 4 sigma
         # only about six times in seven
@@ -254,9 +261,9 @@ class TestShotNoise:
     def test_invalid_noise_params(self, shape, grid):
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
         with pytest.raises(ValueError):
-            odmrsim.add_shot_noise(spec, 0.0, 1.0, seed=0)
+            odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(0.0, 1.0, 0))
         with pytest.raises(ValueError):
-            odmrsim.add_shot_noise(spec, 100.0, -1.0, seed=0)
+            odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(100.0, -1.0, 0))
 
 
 class TestSerialization:
@@ -294,7 +301,7 @@ class TestSerialization:
 
     def test_json_envelope(self, shape, grid):
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
-        noisy = odmrsim.add_shot_noise(spec, 100.0, 1.0, seed=9)
+        noisy = odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(100.0, 1.0, 9))
         env = odmrsim.spectrum_to_json_dict(noisy, shape)
         assert env["lineshape"]["fwhm_mhz"] == 8.0
         assert env["counts"]["seed"] == 9

@@ -70,6 +70,8 @@ def run_every_mode(cli, tmp_path):
                                                       "z": [18.0, 30.0, 6.0]}}, []),
         ("sensitivity", {"mode": "sensitivity", "phi_deg": 30.0, "rate_kcps": 200.0,
                          "contrast": 0.3, "time_s": 1.0}, []),
+        # a noisy spectrum as JSON, so its `counts` block is written
+        ("simulate", dict(SIMULATE, noise=NOISE), ["--format", "json"]),
     ]
     for k, (mode, payload, extra) in enumerate(configs):
         cfg = tmp_path / f"cfg{k}.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestSweepChain:
                     sweep.signals[None]):
             with pytest.raises(ValueError, match="one row per psi"):
                 odmrsim.SweepSeries(psis, sweep.frequencies, bad, sweep.centers_mhz)
-        noisy = odmrsim.noisy_copy_with_subseed(other, 200.0, 0.008, 1)
+        noisy = odmrsim.noisy_copy_with_subseed(other, odmrsim.NoiseConfig(200.0, 0.008, 1))
         with pytest.raises(ValueError, match="all noisy or all noiseless"):
             reconstruct.sweep_lp_depths(sweep, noisy)
         shifted = pair_sweeps(psis, grid=odmrsim.default_grid(2850.5, 2950.5))[0]
@@ -230,7 +231,8 @@ class TestSweepChain:
                      for nv, n in zip((3, 1, 0), counts)]
             for seed in (*range(5), None):
                 sweeps = clean if seed is None else [
-                    odmrsim.noisy_copy_with_subseed(s, 200.0, 0.008, seed, slot)
+                    odmrsim.noisy_copy_with_subseed(
+                        s, odmrsim.NoiseConfig(200.0, 0.008, seed), slot)
                     for slot, s in enumerate(clean)]
                 stacked = reconstruct.sweep_lp_depths(*sweeps)
                 assert len(stacked) == len(counts)
@@ -408,25 +410,41 @@ class TestSweepMemo:
            step=st.sampled_from([0.25, 0.5, 1.0]))
     @example(x=0.0, z=40.0, current=20.0, nv_index=3, n_psi=12, start=2850.0, n_f=201, step=0.5)
     @example(x=-0.0, z=40.0, current=-20.0, nv_index=1, n_psi=5, start=2850.0, n_f=201, step=0.5)
+    @example(x=61.0, z=40.0, current=20.0, nv_index=3, n_psi=3, start=2850.0, n_f=20, step=0.5)
     def test_hit_equals_miss(self, x, z, current, nv_index, n_psi, start, n_f, step):
-        # a hit returns what a direct synthesis of the same scene gives, bit
-        # for bit; x = 0.0 and x = -0.0 make equal keys, so one hits the other
+        # a hit returns what a direct synthesis of the same scene gives, and
+        # the plan built on its grid and dip centers, bit for bit; x = 0.0 and
+        # x = -0.0 make equal keys, so one hits the other
         cfg = reconstruct.ChainConfig(grid=start + step * np.arange(n_f),
                                       psis=np.linspace(0.0, math.pi, n_psi, endpoint=False))
         scene = geometry.WireScene(x, z, current)
         twin = geometry.WireScene(-x if x == 0.0 else x, z, current)
-        for s in (scene, twin):
-            basis, sweep = memo_sweep(s, nv_index, cfg)
-            ref_basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
-            ref = odmrsim.simulate_phi_sweep(cfg.constants, ref_basis, cfg.b_static_mt,
-                                             geometry.mw_direction(s),
-                                             geometry.wire_field_magnitude(s), cfg.shape,
-                                             cfg.grid, cfg.psis)
+        ref_basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
+        refs = [odmrsim.simulate_phi_sweep(cfg.constants, ref_basis, cfg.b_static_mt,
+                                           geometry.mw_direction(s),
+                                           geometry.wire_field_magnitude(s), cfg.shape,
+                                           cfg.grid, cfg.psis) for s in (scene, twin)]
+        try:
+            ref_plan = fitkit.FitPlan(refs[0].frequencies, refs[0].centers_mhz)
+        except ValueError as exc:
+            # a grid that cannot hold both dips: both calls raise the plan's
+            # error, and nothing is cached
+            cached = reconstruct._noiseless_sweep.cache_info().currsize
+            for s in (scene, twin):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    memo_entry(s, nv_index, cfg)
+            assert reconstruct._noiseless_sweep.cache_info().currsize == cached
+            return
+        for s, ref in zip((scene, twin), refs):
+            basis, sweep, plan = memo_entry(s, nv_index, cfg)
             for name in ("e1", "e2", "nv_z"):
                 assert_bit_identical(getattr(basis, name), getattr(ref_basis, name))
             for name in ("psis", "frequencies", "signals"):
                 assert_bit_identical(getattr(sweep, name), getattr(ref, name))
             assert sweep.centers_mhz == ref.centers_mhz and sweep.counts_meta is None
+            assert plan.f is sweep.frequencies and (plan.lo, plan.hi) == (ref_plan.lo, ref_plan.hi)
+            for name in ("centers", "delta2", "phi", "prod"):
+                assert_bit_identical(getattr(plan, name), getattr(ref_plan, name))
         assert reconstruct._noiseless_sweep.cache_info().hits >= 1
 
     def test_cached_arrays_read_only(self):
@@ -485,8 +503,11 @@ class TestSweepMemo:
                     (planar.nv_y.axis, axis.axis))
 
         results(0, cold=True)
-        entries = [memo_entry(SCENE, nv, reconstruct.ChainConfig()) for nv in pair]
-        assert entries[0].plan is not None and entries[1].plan is entries[0].plan
+        # each entry was built with the plan of its own sweep's grid and centers
+        for nv in pair:
+            _, sweep, plan = memo_entry(SCENE, nv, reconstruct.ChainConfig())
+            assert plan.f is sweep.frequencies
+            assert tuple(plan.centers.tolist()) == sweep.centers_mhz
         warm = [results(seed, cold=False) for seed in range(1, 6)]
         for seed, (values, axes) in zip(range(1, 6), warm):
             cold_values, cold_axes = results(seed, cold=True)

@@ -4,7 +4,8 @@ Every record is an immutable named tuple.  A record that checks or coerces
 its fields does so in `__new__`, so a bad value raises the same exception
 whether it is passed by position or by keyword.  `_replace` (and `_make`)
 build the tuple directly and run no checks: `src/` uses `_replace` only on
-fields that are already checked.
+fields that are already checked, and to record a noisy sweep's seed as
+(seed, *spawn key).
 """
 
 import math
@@ -28,7 +29,7 @@ VALID = [
                           "wire_diameter_um": 25.0}),
     (odmrsim.LineshapeParams, {"fwhm_mhz": 8.0, "contrast_ref": 0.02, "omega_ref_mhz": 1.0,
                                "model": "linear"}),
-    (odmrsim.CountsMeta, {"rate_kcps": 200.0, "dwell_s": 0.008, "seed": 1}),
+    (odmrsim.NoiseConfig, {"rate_kcps": 200.0, "dwell_s": 0.008, "seed": 1}),
     (odmrsim.OdmrSpectrum, {"frequencies": GRID, "signal": np.ones(5), "counts_meta": None}),
     (odmrsim.SweepSeries, {"psis": PSIS, "frequencies": GRID, "signals": np.ones((3, 5)),
                            "centers_mhz": (2898.0, 2926.0), "counts_meta": None}),
@@ -57,9 +58,9 @@ BAD = [
      "contrast_ref must lie in (0, 1]"),
     (odmrsim.LineshapeParams, {"omega_ref_mhz": -1.0}, ValueError, "omega_ref must be positive"),
     (odmrsim.LineshapeParams, {"model": "cubic"}, ValueError, "unknown intensity model 'cubic'"),
-    (odmrsim.CountsMeta, {"rate_kcps": 0.0}, ValueError,
+    (odmrsim.NoiseConfig, {"rate_kcps": 0.0}, ValueError,
      "count rate and dwell time must be positive"),
-    (odmrsim.CountsMeta, {"dwell_s": -1.0}, ValueError,
+    (odmrsim.NoiseConfig, {"dwell_s": -1.0}, ValueError,
      "count rate and dwell time must be positive"),
     (odmrsim.OdmrSpectrum, {"frequencies": GRID[::-1]}, ValueError,
      "frequency grid must be finite and strictly ascending"),
@@ -75,6 +76,9 @@ BAD = [
     (sensitivity.SensitivityInput, {"sigma_rel": 0.0}, ValueError, "sigma_rel must be positive"),
     (sensitivity.SensitivityInput, {"n": 0}, ValueError, "repetition count must be at least 1"),
     (sensitivity.SensitivityInput, {"t": 0.0}, ValueError, "sensing time must be positive"),
+    (odmrsim.NoiseConfig, {"seed": 1.5}, ValueError, "seed must be an integer >= 0"),
+    (odmrsim.NoiseConfig, {"seed": -1}, ValueError, "seed must be an integer >= 0"),
+    (odmrsim.NoiseConfig, {"seed": True}, ValueError, "seed must be an integer >= 0"),
 ]
 BAD_IDS = [f"{cls.__name__}-{'-'.join(bad)}-{k}" for k, (cls, bad, _, _) in enumerate(BAD)]
 
@@ -93,8 +97,21 @@ def instances():
     return [valid(cls) for cls, _ in VALID] + [plain(cls) for cls in (
         spinmodel.EigenSystem, geometry.TransverseBasis, fitkit.FitResult, fitkit.DipEstimate,
         fitkit.PinnedDipFit, fitkit.Cos2Fit, reconstruct.NvYEstimate,
-        reconstruct.MwAxisEstimate, reconstruct.PlanarAlphaResult, reconstruct.NoiseConfig,
-        reconstruct.PlanarRunResult)] + [reconstruct.ChainConfig()]
+        reconstruct.MwAxisEstimate, reconstruct.PlanarAlphaResult, reconstruct.PlanarRunResult,
+        reconstruct._SceneSweep)] + [reconstruct.ChainConfig()]
+
+
+def carried_noise():
+    """The noise record a noisy sweep carries as `counts_meta`: built by
+    `_replace`, with its seed recorded as (seed, *spawn key)."""
+    noise = valid(odmrsim.NoiseConfig)
+    carried = odmrsim.noisy_copy_with_subseed(valid(odmrsim.SweepSeries), noise, 3).counts_meta
+    assert carried.seed == (noise.seed, 3)
+    return carried
+
+
+RECORDS = ([pytest.param(r, id=type(r).__name__) for r in instances()]
+           + [pytest.param(carried_noise(), id="CountsMeta")])
 
 
 def test_every_record_type_is_covered():
@@ -132,7 +149,7 @@ def test_replace_runs_no_checks(cls, bad, exc, message):
         assert getattr(replaced, name) is value
 
 
-@pytest.mark.parametrize("record", instances(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", RECORDS)
 def test_attributes_cannot_be_assigned(record):
     for name in record._fields:
         with pytest.raises(AttributeError):
@@ -141,7 +158,7 @@ def test_attributes_cannot_be_assigned(record):
         record.extra = 0.0
 
 
-@pytest.mark.parametrize("record", instances(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", RECORDS)
 def test_repr_names_the_fields(record):
     text = repr(record)
     assert text.startswith(f"{type(record).__name__}(")
@@ -158,3 +175,12 @@ def test_chain_configs_hold_distinct_writable_defaults():
         assert y[0] != -1.0
     fresh = reconstruct.ChainConfig()
     assert fresh.grid[0] == 2850.0 and fresh.psis[0] == 0.0
+
+
+def test_one_noise_record():
+    # the chain's noise config is the record noisy spectra and sweeps carry,
+    # so a bad one fails when it is built, not at the first noisy copy
+    assert reconstruct.NoiseConfig is odmrsim.NoiseConfig
+    with pytest.raises(ValueError, match="^count rate and dwell time must be positive$"):
+        reconstruct.ChainConfig(
+            noise=reconstruct.NoiseConfig(rate_kcps=0.0, dwell_s=0.008, seed=1))
