@@ -22,11 +22,10 @@ class SingularNormalEquationsError(NvOrientError):
 
 
 class DegenerateFitError(NvOrientError):
-    """Fit result unusable: modulation amplitude indistinguishable from zero;
-    a fitted dip center outside the frequency grid; two free dips within one
-    linewidth with depths of opposite sign; a free-center fit that does not
-    converge; or a pinned-center fit whose shared linewidth ends on its
-    bracket [grid step, half the grid span] or does not converge."""
+    """Fit result unusable: modulation amplitude or a free dip's depth not
+    above three sigmas; a fitted dip center outside the frequency grid; or a
+    dip fit that does not converge or whose linewidth ends on its bracket
+    [grid step, half the grid span]."""
 
 
 class NearParallelAxesError(NvOrientError):

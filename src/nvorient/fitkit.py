@@ -14,7 +14,8 @@ fit along dc/dt = -G^-1 w in closed form, unprojected.  The depth covariance
 comes from the normal matrix of the last projected state, computed once.
 What depends on the grid and centers alone is a `FitPlan`, built and
 checked once per scene (a noise study refits one scene many times).
-Dips with free centers are fitted by damped Gauss-Newton (Levenberg-Marquardt).
+Dips with free centers are fitted by the same projection, with Gauss-Newton
+steps on t and the centers.
 
 The cos^2 law is a linear fit of three terms to a dozen depths, solved by a
 thin QR (modified Gram-Schmidt) on Python floats: at that size numpy's fixed
@@ -34,88 +35,6 @@ from . import odmrsim
 from .errors import DegenerateFitError, SingularNormalEquationsError
 
 
-class FitResult(NamedTuple):
-    params: np.ndarray
-    covariance: np.ndarray | None
-    residual_norm: float
-    converged: bool
-    iterations: int
-
-    @property
-    def sigmas(self) -> np.ndarray | None:
-        if self.covariance is None:
-            return None
-        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
-
-
-def nls_fit(
-    residuals,
-    x0,
-    jacobian,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-    scale_covariance: bool = True,
-) -> FitResult:
-    """Levenberg-Marquardt minimization of sum(residuals(x)^2), with
-    `jacobian(x)` the Jacobian of the residuals.
-
-    The damping factor starts at 1e-3; it is multiplied by 10 on a rejected
-    step and divided by 10 on an accepted one.  Convergence is declared when
-    the relative reduction of the residual norm falls below `tol`.  When
-    `scale_covariance` is set, the covariance is (J^T J)^-1 times the reduced
-    chi-square; leave it unset when the residuals are already sigma-weighted.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial parameters must be finite")
-    r = np.asarray(residuals(x), dtype=float)
-    if r.size < x.size:
-        raise ValueError("fewer data points than parameters")
-    cost = float(r @ r)
-    lam = 1e-3
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        jac = np.asarray(jacobian(x), dtype=float)
-        g = jac.T @ r
-        jtj = jac.T @ jac
-        accepted = False
-        for _ in range(25):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30)), -g)
-            except np.linalg.LinAlgError as exc:
-                raise SingularNormalEquationsError(str(exc)) from exc
-            if not np.all(np.isfinite(step)):
-                raise SingularNormalEquationsError("non-finite LM step")
-            x_try = x + step
-            r_try = np.asarray(residuals(x_try), dtype=float)
-            cost_try = float(r_try @ r_try)
-            if np.isfinite(cost_try) and cost_try <= cost:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-        rel_drop = (cost - cost_try) / max(cost, 1e-300)
-        x, r, cost = x_try, r_try, cost_try
-        lam = max(lam / 10.0, 1e-12)
-        if rel_drop < tol:
-            converged = True
-            break
-    try:
-        jac = np.asarray(jacobian(x), dtype=float)
-        jtj = jac.T @ jac
-        cov = np.linalg.inv(jtj)
-        if scale_covariance:
-            dof = max(r.size - x.size, 1)
-            cov = cov * (cost / dof)
-        cov = 0.5 * (cov + cov.T)
-    except np.linalg.LinAlgError:
-        cov = None
-    return FitResult(params=x, covariance=cov, residual_norm=math.sqrt(cost),
-                     converged=converged, iterations=it)
-
-
 # ---------------------------------------------------------------------------
 # Multi-Lorentzian dip model
 # ---------------------------------------------------------------------------
@@ -127,33 +46,6 @@ class DipEstimate(NamedTuple):
     fwhm_mhz: float
     depth: float
     depth_sigma: float
-
-
-def _dip_model(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
-    # params: [baseline, fwhm, d1..dn], plus c1..cn when fitted; `centers` are those in use
-    base, fwhm = params[0], params[1]
-    h2 = (0.5 * fwhm) ** 2
-    y = np.full_like(f, base)
-    for k in range(len(centers)):
-        y -= params[2 + k] * h2 / ((f - centers[k]) ** 2 + h2)
-    return y
-
-
-def _dip_jacobian(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
-    n = len(centers)
-    h = 0.5 * params[1]
-    jac = np.zeros((f.size, params.size))
-    jac[:, 0] = 1.0
-    for k in range(n):
-        d = params[2 + k]
-        delta = f - centers[k]
-        den = delta ** 2 + h * h
-        # d(model)/d(fwhm) = -d * h * delta^2 / den^2, accumulated over dips
-        jac[:, 1] += -d * h * delta ** 2 / den ** 2
-        jac[:, 2 + k] = -h * h / den
-        if params.size > 2 + n:  # center columns, when params carries them
-            jac[:, 2 + n + k] = -d * 2.0 * h * h * delta / den ** 2
-    return jac
 
 
 INIT_FWHM_MHZ = 8.0
@@ -168,6 +60,8 @@ RISE_SLACK = 1e-13
 MAX_HALVINGS = 40
 # the largest Newton step in t = log(fwhm): a factor e^0.5 = 1.65 either way
 MAX_LOG_STEP = 0.5
+# a fitted dip depth or cos^2 amplitude must exceed this many of its sigmas
+SIGNIFICANT_SIGMAS = 3.0
 
 
 class PinnedDipFit(NamedTuple):
@@ -405,54 +299,100 @@ def fit_pinned_dips(f, signals, sigmas, centers, plan: FitPlan | None = None
     return PinnedDipFit(depths=-coef[:, 1:], depth_sigmas=depth_sigmas, fwhm=fwhm)
 
 
-def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
-    """Fit n Lorentzian dips (shared fwhm, free baseline and centers) to a
-    spectrum by Levenberg-Marquardt, started at the supplied centers.
+def _free_project(f, yw, wt, x):
+    """Variable projection for free centers at x = [fwhm, centers]: returns
+    [chi2, c, step, Jacobian] of the exact weighted linear fit c of
+    [baseline, -depths], whose weighted columns are a = wt*[1, L_k]; step is
+    the Gauss-Newton step in [t = log(fwhm), centers] from Kaufman's Jacobian
+    (I - QQ^T) d, Q an orthonormal basis of a, and the Jacobian is [a, d].
+    With h = fwhm/2 and delta = f - c_k, d = dr/d(t, c) has the columns
+    wt*sum_k 2 c_k L_k(1-L_k) and wt*2 c_k L_k^2 delta/h^2."""
+    h2 = (0.5 * x[0]) ** 2
+    delta = f - x[1:, None]
+    lor = h2 / (delta * delta + h2)
+    a = np.vstack([np.ones_like(f), lor]).T * wt[:, None]
+    q, rr = np.linalg.qr(a)
+    coef = np.linalg.solve(rr, q.T @ yw)
+    r = a @ coef - yw
+    s = 2.0 * coef[1:, None] * lor
+    d = np.vstack([(s * (1.0 - lor)).sum(axis=0), s * lor * delta / h2]).T * wt[:, None]
+    step = np.linalg.lstsq(d - q @ (q.T @ d), -r, rcond=None)[0]
+    return [float(r @ r), coef, step, np.hstack([a, d])]
 
-    Uses the spectrum's shot-noise sigmas as weights when present.  Raises
-    DegenerateFitError when a fitted center leaves the frequency grid, when
-    two dips within one linewidth have depths of opposite sign (a degenerate
-    pair that can cancel to almost any shape), or when the fit does not
-    converge, rather than return the last step's parameters.  Returns estimates
-    ordered by center; warns when fitted dips overlap within one linewidth.
-    Dips at known centers are fitted by `fit_pinned_dips`.
+
+def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
+    """Fit n Lorentzian dips (shared fwhm, free baseline, depths and centers)
+    to a spectrum, weighted by its shot-noise sigmas when it has them.
+
+    As in `fit_pinned_dips`, baseline and depths are projected out (O'Leary
+    & Rust, Comput. Optim. Appl. 54, 579 (2013)) and the search starts at
+    INIT_FWHM_MHZ, here with the given centers.  The Gauss-Newton steps of
+    `_free_project` are scaled to |dt| <= MAX_LOG_STEP, clamped to
+    `fwhm_bracket(f)` and halved by the same rules; a step of at most
+    STEP_TOL * fwhm in the fwhm and every center is the last, and is taken.
+    Depth sigmas come from the full Jacobian's normal matrix, scaled by the
+    reduced chi-square when unweighted.  Raises DegenerateFitError when the
+    search has not stopped after MAX_DIP_ITER steps, a center ends off the
+    grid, the fwhm on its bracket, or a depth is not above SIGNIFICANT_SIGMAS
+    sigmas.  Returns dips ordered by center; warns when two overlap.
     """
-    init = np.array([float(c) for c in init_centers_mhz])
+    x = np.array([INIT_FWHM_MHZ, *(float(c) for c in init_centers_mhz)])
     f, y = spec.frequencies, spec.signal
-    _check_centers(f, init)
+    _check_centers(f, x[1:])
     if not np.all(np.isfinite(y)):
         raise ValueError("spectrum signal must be finite")
-    n = init.size
-    ys = np.sort(y)
-    base = 0.5 * float(ys[(y.size - 1) // 2] + ys[y.size // 2])  # the median
-    depths = [max(base - float(np.interp(c, f, y)), 1e-4) for c in init]
-    x0 = np.array([base, INIT_FWHM_MHZ, *depths, *init])
-
+    if not 1 < x.size <= f.size // 2:
+        raise ValueError("need a dip center, and no fewer data points than parameters")
     sigma = spec.point_sigma()
-    s = np.ones_like(y) if sigma is None else sigma
-    fit = nls_fit(lambda p: (_dip_model(p, f, p[2 + n:]) - y) / s, x0,
-                  jacobian=lambda p: _dip_jacobian(p, f, p[2 + n:]) / s[:, None],
-                  max_iter=MAX_DIP_ITER, tol=1e-12, scale_covariance=sigma is None)
-    p = fit.params
-    centers = p[2 + n:]
+    wt = np.ones_like(y) if sigma is None else 1.0 / sigma
+    yw = y * wt
+    lo, hi = fwhm_bracket(f)
+    x[0] = min(max(x[0], lo), hi)
+    state = _free_project(f, yw, wt, x)
+    for _ in range(MAX_DIP_ITER):
+        step = state[2] * (MAX_LOG_STEP / max(abs(state[2][0]), MAX_LOG_STEP))
+        step[0] = min(max(x[0] * math.exp(step[0]), lo), hi) - x[0]
+        if np.abs(step).max() <= STEP_TOL * x[0]:  # the last step, taken
+            x += step
+            state = _free_project(f, yw, wt, x)
+            break
+        bound = state[0] * (1.0 + RISE_SLACK)
+        trial = _free_project(f, yw, wt, x + step)
+        for _ in range(MAX_HALVINGS):
+            if not trial[0] > bound:
+                break
+            step *= 0.5
+            trial = _free_project(f, yw, wt, x + step)
+        if trial[0] > bound:
+            break  # the halvings ran out: keep the previous state and stop
+        x += step
+        state = trial
+    else:
+        raise DegenerateFitError(f"dip fit did not converge in {MAX_DIP_ITER} steps")
+    fwhm, centers = float(x[0]), x[1:]
     if not np.all((centers >= f[0]) & (centers <= f[-1])):
         raise DegenerateFitError(
             f"fitted dip center left the frequency grid [{f[0]:g}, {f[-1]:g}] MHz")
-    sig = fit.sigmas if fit.sigmas is not None else np.full(p.size, np.nan)
-    dips = sorted((DipEstimate(center_mhz=float(c), fwhm_mhz=float(abs(p[1])),
-                               depth=float(p[2 + k]), depth_sigma=float(sig[2 + k]))
+    if not lo < fwhm < hi:
+        raise DegenerateFitError(
+            f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid")
+    chi2, coef, _, jac = state
+    try:
+        rinv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
+    except np.linalg.LinAlgError as exc:
+        raise SingularNormalEquationsError(str(exc)) from exc
+    var = (rinv[1:centers.size + 1] ** 2).sum(axis=1)
+    if sigma is None:
+        var *= chi2 / max(y.size - jac.shape[1], 1)
+    dips = sorted((DipEstimate(float(c), fwhm, float(-coef[1 + k]), float(math.sqrt(var[k])))
                    for k, c in enumerate(centers)), key=lambda d: d.center_mhz)
-    close = [(a, b) for a, b in zip(dips, dips[1:])
-             if abs(b.center_mhz - a.center_mhz) < a.fwhm_mhz]
-    for a, b in close:
-        if a.depth * b.depth < 0.0:
-            raise DegenerateFitError(
-                f"fitted dips at {a.center_mhz:.3f} and {b.center_mhz:.3f} MHz overlap "
-                "with depths of opposite sign")
-    if not fit.converged:
-        raise DegenerateFitError(f"dip fit did not converge in {fit.iterations} steps")
-    for _ in close:
-        warnings.warn("fitted dips overlap within one linewidth", stacklevel=2)
+    for d in dips:
+        if not d.depth > SIGNIFICANT_SIGMAS * d.depth_sigma:
+            raise DegenerateFitError(f"dip at {d.center_mhz:.3f} MHz not significant: "
+                                     f"depth {d.depth:.3g}, sigma {d.depth_sigma:.3g}")
+    for a, b in zip(dips, dips[1:]):
+        if b.center_mhz - a.center_mhz < fwhm:
+            warnings.warn("fitted dips overlap within one linewidth", stacklevel=2)
     return dips
 
 
@@ -495,7 +435,7 @@ def fit_cos2(psis, depths, depth_sigmas=None) -> Cos2Fit:
     pi/2, or a sigma that is not positive and finite; DegenerateFitError
     when the psi values fix fewer than three model terms (|R_kk| at most
     eps*max(n, 3)*max_j |R_jj|), or when the amplitude is not significant
-    (a <= 3*sigma_a) or below AMPLITUDE_FLOOR.
+    (a <= SIGNIFICANT_SIGMAS * sigma_a) or below AMPLITUDE_FLOOR.
     """
     psis = np.asarray(psis, dtype=float).ravel().tolist()
     depths = np.asarray(depths, dtype=float).ravel().tolist()
@@ -550,7 +490,7 @@ def fit_cos2(psis, depths, depth_sigmas=None) -> Cos2Fit:
             f"modulation amplitude {a:.3g} below the float64 resolution of the baseline")
     # delta method: d|c|/dc = c/|c| and d(psi0)/dc = (-c2, c1)/(2|c|^2)
     sigma_a = 2.0 * math.hypot(b11 * c1, b12 * c1 + b22 * c2) / half
-    if not a > 3.0 * sigma_a:
+    if not a > SIGNIFICANT_SIGMAS * sigma_a:
         raise DegenerateFitError(
             f"modulation amplitude {a:.3g} not significant (sigma {sigma_a:.3g})"
         )

@@ -51,20 +51,26 @@ class LineshapeParams(NamedTuple("LineshapeParams", [
         return self.contrast_ref * x / (x + 1.0)
 
 
-class NoiseConfig(NamedTuple("NoiseConfig",
-                             [("rate_kcps", float), ("dwell_s", float), ("seed", object)])):
-    """Photon statistics: count rate, dwell per point and the seed of the
-    Poisson draws.  A noisy spectrum or sweep carries the record it was drawn
-    with; a sweep drawn with spawn key k records the seed as (seed, *k)."""
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+class NoiseConfig(NamedTuple("NoiseConfig", [("rate_kcps", float), ("dwell_s", float),
+                                             ("seed", int), ("key", tuple[int, ...])])):
+    """Photon statistics: count rate, dwell per point, and the seed and spawn
+    key of the Poisson draws.  A noisy spectrum or sweep carries the record
+    it was drawn with, so its `draw` on the clean signal re-draws its data."""
 
     __slots__ = ()
 
-    def __new__(cls, rate_kcps: float, dwell_s: float, seed: int):
+    def __new__(cls, rate_kcps: float, dwell_s: float, seed: int, key: tuple[int, ...] = ()):
         if not rate_kcps > 0 or not dwell_s > 0:
             raise ValueError("count rate and dwell time must be positive")
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        if not _is_count(seed):
             raise ValueError("seed must be an integer >= 0")
-        return super().__new__(cls, rate_kcps, dwell_s, seed)
+        if not (isinstance(key, tuple) and all(map(_is_count, key))):
+            raise ValueError("key must be a tuple of integers >= 0")
+        return super().__new__(cls, rate_kcps, dwell_s, seed, key)
 
     @property
     def mean_counts(self) -> float:
@@ -77,10 +83,10 @@ class NoiseConfig(NamedTuple("NoiseConfig",
     def draw(self, signal: np.ndarray, *key: int) -> np.ndarray:
         """Poisson photon noise on a normalized signal, in one call: k / n with
         k ~ Poisson(signal * n), n = `mean_counts`, from the PCG64 generator of
-        SeedSequence(seed, spawn_key=key).  Equal seeds and keys give
-        bitwise-identical draws; distinct keys never share a stream."""
+        SeedSequence(seed, spawn_key=self.key + key).  Equal seeds and keys
+        give bitwise-identical draws; distinct keys never share a stream."""
         n = self.mean_counts
-        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.key + key))
         return rng.poisson(signal * n) / n
 
 
@@ -285,13 +291,14 @@ def spectrum_to_json_dict(spec: OdmrSpectrum, shape: LineshapeParams | None = No
 
 def noisy_copy_with_subseed(sweep: SweepSeries, noise: NoiseConfig, *key: int) -> SweepSeries:
     """Shot noise on a whole sweep: one draw of `noise` on its (n_psi, n_f)
-    signals with spawn key `key`, recorded as seed (seed, *key).
+    signals with spawn key `key` after the record's own, recorded as that
+    record with the key appended, which re-draws the copy's signals.
 
     Spawn keys keep results independent of execution order; distinct keys,
     () for a planar sweep and (slot,) for a 3-D run's, never share a stream.
     The copy shares the sweep's psis and grid, which the sweep has checked,
-    and records the checked `noise` with its seed replaced, so nothing is
+    and records the checked `noise` with its key extended, so nothing is
     checked again: `_replace` runs no checks.
     """
     return sweep._replace(signals=noise.draw(sweep.signals, *key),
-                          counts_meta=noise._replace(seed=(noise.seed, *key)))
+                          counts_meta=noise._replace(key=noise.key + key))

@@ -243,12 +243,16 @@ def test_criterion_8_property_suite():
     ss_tot = float(np.sum((depths - depths.mean()) ** 2))
     checks["cos^2 law R^2 > 0.999"] = 1.0 - ss_res / ss_tot > 0.999
 
-    # analytic dip Jacobian vs finite differences
-    spec = odmrsim.OdmrSpectrum(sweep.frequencies, sweep.signals[0])
-    x = np.array([1.0, 8.0, 0.01, 0.02, 2898.2, 2926.4])
-    res_fn = lambda p: fitkit._dip_model(p, spec.frequencies, p[4:]) - spec.signal
+    # analytic Jacobian of the free-center dip fit vs finite differences: the
+    # columns over [baseline, -depths, t = log(fwhm), centers] that
+    # `fitkit._free_project` returns at its unweighted linear fit, off the optimum
+    f, y = sweep.frequencies, sweep.signals[0]
+    _, coef, _, jac_ana = fitkit._free_project(f, y, np.ones_like(f),
+                                               np.array([7.0, 2898.9, 2925.7]))
+    x = np.concatenate([coef, [math.log(7.0), 2898.9, 2925.7]])
+    res_fn = lambda p: p[0] + sum(p[1 + k] * odmrsim.lorentzian(f, p[4 + k], math.exp(p[3]))
+                                  for k in range(2)) - y
     jac_num = numeric_jacobian(res_fn, x)
-    jac_ana = fitkit._dip_jacobian(x, spec.frequencies, x[4:])
     checks["jacobian vs finite diff"] = float(np.max(np.abs(jac_num - jac_ana))) < 1e-6
 
     # sweep direction period-pi sign identity

@@ -1,5 +1,7 @@
+import functools
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,8 +9,125 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nvorient import fitkit, geometry, odmrsim, spinmodel
-from nvorient.errors import DegenerateFitError
+from nvorient.errors import DegenerateFitError, SingularNormalEquationsError
 from test_spinmodel import rabi_amplitudes
+
+# ---------------------------------------------------------------------------
+# The oracle: a general Levenberg-Marquardt, and the multi-Lorentzian dip
+# model and its Jacobian over [baseline, fwhm, depths] and, when fitted,
+# the centers.  The library fits dips by variable projection; these check it.
+# ---------------------------------------------------------------------------
+
+
+class FitResult(NamedTuple):
+    params: np.ndarray
+    covariance: np.ndarray | None
+    residual_norm: float
+    converged: bool
+    iterations: int
+
+    @property
+    def sigmas(self) -> np.ndarray | None:
+        if self.covariance is None:
+            return None
+        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
+
+
+def nls_fit(
+    residuals,
+    x0,
+    jacobian,
+    max_iter: int = 100,
+    tol: float = 1e-10,
+    scale_covariance: bool = True,
+) -> FitResult:
+    """Levenberg-Marquardt minimization of sum(residuals(x)^2), with
+    `jacobian(x)` the Jacobian of the residuals.
+
+    The damping factor starts at 1e-3; it is multiplied by 10 on a rejected
+    step and divided by 10 on an accepted one.  Convergence is declared when
+    the relative reduction of the residual norm falls below `tol`.  When
+    `scale_covariance` is set, the covariance is (J^T J)^-1 times the reduced
+    chi-square; leave it unset when the residuals are already sigma-weighted.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial parameters must be finite")
+    r = np.asarray(residuals(x), dtype=float)
+    if r.size < x.size:
+        raise ValueError("fewer data points than parameters")
+    cost = float(r @ r)
+    lam = 1e-3
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        jac = np.asarray(jacobian(x), dtype=float)
+        g = jac.T @ r
+        jtj = jac.T @ jac
+        accepted = False
+        for _ in range(25):
+            try:
+                step = np.linalg.solve(jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30)), -g)
+            except np.linalg.LinAlgError as exc:
+                raise SingularNormalEquationsError(str(exc)) from exc
+            if not np.all(np.isfinite(step)):
+                raise SingularNormalEquationsError("non-finite LM step")
+            x_try = x + step
+            r_try = np.asarray(residuals(x_try), dtype=float)
+            cost_try = float(r_try @ r_try)
+            if np.isfinite(cost_try) and cost_try <= cost:
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            break
+        rel_drop = (cost - cost_try) / max(cost, 1e-300)
+        x, r, cost = x_try, r_try, cost_try
+        lam = max(lam / 10.0, 1e-12)
+        if rel_drop < tol:
+            converged = True
+            break
+    try:
+        jac = np.asarray(jacobian(x), dtype=float)
+        jtj = jac.T @ jac
+        cov = np.linalg.inv(jtj)
+        if scale_covariance:
+            dof = max(r.size - x.size, 1)
+            cov = cov * (cost / dof)
+        cov = 0.5 * (cov + cov.T)
+    except np.linalg.LinAlgError:
+        cov = None
+    return FitResult(params=x, covariance=cov, residual_norm=math.sqrt(cost),
+                     converged=converged, iterations=it)
+
+
+
+def _dip_model(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
+    # params: [baseline, fwhm, d1..dn], plus c1..cn when fitted; `centers` are those in use
+    base, fwhm = params[0], params[1]
+    h2 = (0.5 * fwhm) ** 2
+    y = np.full_like(f, base)
+    for k in range(len(centers)):
+        y -= params[2 + k] * h2 / ((f - centers[k]) ** 2 + h2)
+    return y
+
+
+def _dip_jacobian(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
+    n = len(centers)
+    h = 0.5 * params[1]
+    jac = np.zeros((f.size, params.size))
+    jac[:, 0] = 1.0
+    for k in range(n):
+        d = params[2 + k]
+        delta = f - centers[k]
+        den = delta ** 2 + h * h
+        # d(model)/d(fwhm) = -d * h * delta^2 / den^2, accumulated over dips
+        jac[:, 1] += -d * h * delta ** 2 / den ** 2
+        jac[:, 2 + k] = -h * h / den
+        if params.size > 2 + n:  # center columns, when params carries them
+            jac[:, 2 + n + k] = -d * 2.0 * h * h * delta / den ** 2
+    return jac
+
 
 C = spinmodel.SpinConstants()
 STATIC = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, 0.0)
@@ -45,8 +164,8 @@ def numeric_jacobian(residuals, x: np.ndarray, rel_step: float = 1e-6) -> np.nda
 
 
 def nls_numeric(residuals, x0, **kwargs):
-    """`fitkit.nls_fit` with the finite-difference Jacobian."""
-    return fitkit.nls_fit(residuals, x0, lambda p: numeric_jacobian(residuals, p), **kwargs)
+    """`nls_fit` with the finite-difference Jacobian."""
+    return nls_fit(residuals, x0, lambda p: numeric_jacobian(residuals, p), **kwargs)
 
 
 class TestNumericJacobian:
@@ -149,12 +268,13 @@ class TestFitDips:
             fitkit.fit_dips(spec, [2700.0, 2926.0])
 
     def test_runaway_center_fails(self, shape, grid):
-        # at this MW azimuth the L0-Lm dip vanishes, and under noise its free
-        # center runs far off the grid while the fit reports convergence
+        # at this MW azimuth the L0-Lm dip vanishes; under noise a free fit
+        # sent its center far off the grid while reporting convergence, and
+        # now the dip the free fit finds there is refused as noise
         mw = spinmodel.MwFieldNV(0.126, math.pi / 2.0, 0.0)
         clean = odmrsim.simulate_spectrum(C, STATIC, mw, shape, grid)
         spec = odmrsim.add_shot_noise(clean, odmrsim.NoiseConfig(200.0, 0.008, 0))
-        with pytest.raises(DegenerateFitError, match="left the frequency grid"):
+        with pytest.raises(DegenerateFitError, match="not significant"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
         # the same spectrum fits at the known centers
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
@@ -163,8 +283,9 @@ class TestFitDips:
         assert np.all(np.isfinite(pinned.depths)) and np.all(pinned.depth_sigmas > 0.0)
 
     def test_opposite_sign_overlap_fails(self, shape, grid):
-        # a noisy sweep spectrum whose free fit puts two dips 0.4 MHz apart
-        # with depths +0.74 and -0.65 (sigma 251) that cancel to the real dip
+        # a noisy sweep spectrum whose free fit put two dips 0.4 MHz apart
+        # with depths +0.74 and -0.65 (sigma 251) that cancel to the real dip;
+        # a negative depth is never significant, so such a pair is refused
         basis = geometry.transverse_basis(geometry.crystallographic_axes()[3])
         scene = geometry.WireScene(61.0, 18.0, 40.0)
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
@@ -173,18 +294,25 @@ class TestFitDips:
                                            psis)
         noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 16))
         spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[11], noisy.counts_meta)
-        with pytest.raises(DegenerateFitError, match="opposite sign"):
+        with pytest.raises(DegenerateFitError, match="not significant"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
 
     def test_unconverged_fit_fails(self):
-        # at 400 counts per point LM crawls on this sweep spectrum: it stops
-        # at MAX_DIP_ITER steps with a depth 3.8e-5 and the fwhm 0.011 MHz from
-        # where LM run to a relative drop of 1e-15 ends, after about 1,000 steps
+        # at 400 counts per point the Gauss-Newton steps on this sweep
+        # spectrum swing in a two-cycle of the fwhm between 7.3722 and 7.3727
+        # MHz, and the search stops at MAX_DIP_ITER steps
         _, _, _, sweep = noisy_sweeps(0, 0.002)
         noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.002, 3))
         spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[2], noisy.counts_meta)
         with pytest.raises(DegenerateFitError, match="did not converge"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
+
+    def test_center_count_checked(self, grid):
+        # no centers, or more parameters (2n + 2) than data points
+        spec = two_dip_spectrum()
+        for centers, f in (([], grid), ([2850.5, 2851.5], grid[:5])):
+            with pytest.raises(ValueError, match="need a dip center, and no fewer data points"):
+                fitkit.fit_dips(odmrsim.OdmrSpectrum(f, spec.signal[:f.size]), centers)
 
     def test_nonfinite_signal_rejected(self, grid):
         sig = np.ones_like(grid)
@@ -200,6 +328,62 @@ class TestFitDips:
         spec = odmrsim.OdmrSpectrum(grid, sig)
         with pytest.warns(UserWarning):
             fitkit.fit_dips(spec, [2899.0, 2902.0])
+
+    def test_noiseless_fwhm(self, shape):
+        # the free fit ends on the simulated linewidth of a noiseless spectrum
+        for dip in fitkit.fit_dips(two_dip_spectrum(), [2898.0, 2926.0]):
+            assert abs(dip.fwhm_mhz - shape.fwhm_mhz) < 1e-9
+
+    @pytest.mark.parametrize("sigmas, found", [(4.0, True), (2.0, False)])
+    def test_injected_dip_significance(self, grid, sigmas, found):
+        # a weak dip next to a strong one in a noiseless spectrum weighted by
+        # the shot noise of 1,600 counts per point, its depth a given number
+        # of the sigma the fit reports for a depth of 0.05 there (the sigma
+        # moves by a few percent with the depth): found at 4, refused at 2
+        noise = odmrsim.NoiseConfig(200.0, 0.008, 0)
+
+        def spectrum(depth):
+            sig = (1.0 - depth * odmrsim.lorentzian(grid, 2898.3, 8.0)
+                   - 0.05 * odmrsim.lorentzian(grid, 2926.4, 8.0))
+            return odmrsim.OdmrSpectrum(grid, sig, noise)
+
+        sigma = fitkit.fit_dips(spectrum(0.05), [2898.0, 2926.0])[0].depth_sigma
+        spec = spectrum(sigmas * sigma)
+        if found:
+            weak = fitkit.fit_dips(spec, [2898.0, 2926.0])[0]
+            assert abs(weak.center_mhz - 2898.3) < 1e-6
+            assert abs(weak.depth - sigmas * sigma) < 1e-9
+            assert weak.depth > 3.0 * weak.depth_sigma
+        else:
+            with pytest.raises(DegenerateFitError, match="dip at 2898.300 MHz not significant"):
+                fitkit.fit_dips(spec, [2898.0, 2926.0])
+
+    def test_returned_dips_are_significant(self):
+        fits = [dips for _, dips, _ in free_fits() if dips is not None]
+        assert len(fits) >= 20
+        assert all(d.depth > 3.0 * d.depth_sigma for dips in fits for d in dips)
+
+    def test_returned_fit_is_a_minimum(self):
+        # LM started at each returned fit and run to a relative drop of
+        # 1e-15 finds no lower chi-square beyond round-off
+        for spec, dips, _ in free_fits():
+            if dips is None:
+                continue
+            chi2, base = free_chi2(spec, dips)
+            x0 = np.array([base, dips[0].fwhm_mhz, *(d.depth for d in dips),
+                           *(d.center_mhz for d in dips)])
+            ref = lm_free(spec, x0, tol=1e-15, max_iter=2000)
+            assert ref.residual_norm ** 2 > chi2 * (1.0 - 1e-9)
+
+    def test_never_worse_than_lm(self):
+        # where LM from the start the library used before variable projection
+        # also returns a fit, the free fit's chi-square is not higher
+        both = 0
+        for spec, dips, lm in free_fits():
+            if dips is not None and lm is not None:
+                both += 1
+                assert free_chi2(spec, dips)[0] <= lm.residual_norm ** 2 * (1.0 + 1e-9)
+        assert both >= 20
 
 
 def same_bits(a, b):
@@ -223,6 +407,75 @@ def noisy_sweeps(n_sweeps, dwell_s, nv_index=3, first_seed=0):
     return sweep.frequencies, np.array(sweep.centers_mhz), runs, sweep
 
 
+def lm_free(spec, x0, **kwargs):
+    """Reference: Levenberg-Marquardt on the free-center dip model, with
+    parameters [baseline, fwhm, depths, centers], weighted by the spectrum's
+    shot noise when it has any."""
+    f, y, n = spec.frequencies, spec.signal, (len(x0) - 2) // 2
+    sigma = spec.point_sigma()
+    s = np.ones_like(y) if sigma is None else sigma
+    return nls_fit(lambda p: (_dip_model(p, f, p[2 + n:]) - y) / s, x0,
+                   lambda p: _dip_jacobian(p, f, p[2 + n:]) / s[:, None],
+                   scale_covariance=sigma is None, **kwargs)
+
+
+def lm_free_dips(spec, init_centers):
+    """Reference: the Levenberg-Marquardt free-center fit the library ran
+    before variable projection, from the same start (the median baseline,
+    depths read off the spectrum at the initial centers, fwhm INIT_FWHM_MHZ)
+    and with the same stop, 200 steps or a relative drop of 1e-12.  Its
+    result, or None where that fit raised: when it did not converge, a
+    center left the grid, or two dips within a linewidth had depths of
+    opposite sign."""
+    f, y = spec.frequencies, spec.signal
+    base = float(np.median(y))
+    depths = [max(base - float(np.interp(c, f, y)), 1e-4) for c in init_centers]
+    fit = lm_free(spec, np.array([base, fitkit.INIT_FWHM_MHZ, *depths, *init_centers]),
+                  max_iter=fitkit.MAX_DIP_ITER, tol=1e-12)
+    n = len(init_centers)
+    centers, depths = fit.params[2 + n:], fit.params[2:2 + n]
+    order = np.argsort(centers)
+    opposite = any(abs(centers[j] - centers[i]) < abs(fit.params[1])
+                   and depths[i] * depths[j] < 0.0 for i, j in zip(order, order[1:]))
+    inside = np.all((centers >= f[0]) & (centers <= f[-1]))
+    return fit if fit.converged and inside and not opposite else None
+
+
+def free_chi2(spec, dips):
+    """Chi-square and baseline of the weighted linear fit of baseline and
+    depths at the fitted fwhm and centers of `dips`."""
+    f, sigma = spec.frequencies, spec.point_sigma()
+    w = np.ones_like(f) if sigma is None else 1.0 / sigma
+    design = np.column_stack([np.ones_like(f)] + [
+        -odmrsim.lorentzian(f, d.center_mhz, d.fwhm_mhz) for d in dips]) * w[:, None]
+    coef = np.linalg.lstsq(design, spec.signal * w, rcond=None)[0]
+    r = design @ coef - spec.signal * w
+    return float(r @ r), float(coef[0])
+
+
+@functools.cache
+def free_fits():
+    """(spectrum, free fit or None, `lm_free_dips` or None) for every
+    spectrum of 10 noisy sweeps of NV 3 at (61, 18) um at 1,600 and at 400
+    counts per point, both fits started at 2898 and 2926 MHz."""
+    out = []
+    for dwell_s in (0.008, 0.002):
+        sweep = noisy_sweeps(0, dwell_s)[3]
+        for seed in range(10):
+            noise = odmrsim.NoiseConfig(200.0, dwell_s, seed)
+            noisy = odmrsim.noisy_copy_with_subseed(sweep, noise)
+            for y in noisy.signals:
+                spec = odmrsim.OdmrSpectrum(noisy.frequencies, y, noisy.counts_meta)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        dips = fitkit.fit_dips(spec, [2898.0, 2926.0])
+                    except DegenerateFitError:
+                        dips = None
+                out.append((spec, dips, lm_free_dips(spec, [2898.0, 2926.0])))
+    return out
+
+
 def lm_pinned(f, y, sigma, centers):
     """Reference: Levenberg-Marquardt on the model of `fit_pinned_dips`, a
     baseline and depths per spectrum and one shared fwhm, with parameters
@@ -241,17 +494,17 @@ def lm_pinned(f, y, sigma, centers):
     index = [[k, rows, *range(rows + 1 + n * k, rows + 1 + n * (k + 1))] for k in range(rows)]
 
     def residuals(p):
-        return np.concatenate([(fitkit._dip_model(p[ix], f, centers) - y[k]) * w[k]
+        return np.concatenate([(_dip_model(p[ix], f, centers) - y[k]) * w[k]
                                for k, ix in enumerate(index)])
 
     def jacobian(p):
         jac = np.zeros((y.size, p.size))
         for k, ix in enumerate(index):
-            jac[k * f.size:(k + 1) * f.size, ix] = (fitkit._dip_jacobian(p[ix], f, centers)
+            jac[k * f.size:(k + 1) * f.size, ix] = (_dip_jacobian(p[ix], f, centers)
                                                     * w[k][:, None])
         return jac
 
-    fit = fitkit.nls_fit(residuals, x0, jacobian, max_iter=2000, tol=1e-15,
+    fit = nls_fit(residuals, x0, jacobian, max_iter=2000, tol=1e-15,
                          scale_covariance=sigma is None)
     return fit, index
 
@@ -545,8 +798,8 @@ class TestDipJacobian:
         x = np.array(x)
         centers_of = (lambda p: p[4:]) if x.size > 4 else (lambda p: np.array([2897.5, 2927.0]))
         jac_num = numeric_jacobian(
-            lambda p: fitkit._dip_model(p, f, centers_of(p)) - spec.signal, x)
-        jac_ana = fitkit._dip_jacobian(x, f, centers_of(x))
+            lambda p: _dip_model(p, f, centers_of(p)) - spec.signal, x)
+        jac_ana = _dip_jacobian(x, f, centers_of(x))
         assert jac_ana.shape == (f.size, x.size)
         assert float(np.max(np.abs(jac_num - jac_ana))) < 1e-6
 
@@ -626,7 +879,7 @@ class TestFitCos2:
                 return np.column_stack([np.cos(d) ** 2, np.ones_like(d),
                                         p[0] * np.sin(2.0 * d)]) * w[:, None]
 
-            ref = fitkit.nls_fit(res, np.array([fit.a, fit.b, fit.psi0]), jacobian=jac,
+            ref = nls_fit(res, np.array([fit.a, fit.b, fit.psi0]), jacobian=jac,
                                  tol=1e-14, scale_covariance=not weighted)
             assert ref.converged
             assert abs(fit.a - ref.params[0]) <= 1e-7 * abs(ref.params[0])

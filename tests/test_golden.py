@@ -28,7 +28,7 @@ PINS = {
     "out1/spectrum.json": (
         "0b8f9b90ff764eb586a6deb4f3c4abe3a7e79d5738caad740c10694e2b5a0814", False),
     "out2/dips.json": (
-        "8bc33b036456ad2a28590f1e4ccb6a31643096c772aed4615855fa7bc93d9ce2", True),
+        "5b3a064adab74de0f412835b8a2a98c8e191e0aa0bd64e7dbcc45a92ba28f0c4", True),
     "out3/table1.csv": (
         "504f182a31e37ab31c553b898cf647522cc49e9103144c67c24c0b5bf3a2aa2f", False),
     "out4/planar.json": (
@@ -42,7 +42,7 @@ PINS = {
     "out8/sensitivity.csv": (
         "a1266fe87459ad34b7ea780d0725cb41aa47cea995b0e90a9720b342440bcf51", False),
     "out9/spectrum.json": (
-        "fe02cea50fb5b064f75955db621bd6ee592d48f498faba5803eae92ee94a7a0a", True),
+        "bdc0fadd50d433bcfc7c67cc1b6ee5ba9b65a861a4f526319eeecb6c09f6577d", True),
 }
 
 
@@ -70,3 +70,53 @@ def test_data_file_bytes(run_dir, name):
     if noisy and np.__version__ != NOISY_PINS_NUMPY:
         pytest.skip(f"noisy pin computed under numpy {NOISY_PINS_NUMPY}, not {np.__version__}")
     assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == digest
+
+
+# The library's own results, pinned as the data files are: the float.hex of
+# the named fields of every planar (NV 3) and 3-D (NV 3, 1) result over 50
+# seeds at two operating points and two count levels, or the name of the
+# error a run raises.  Only named fields enter, so a field added to a result
+# record does not move the pin.
+RESULTS_PIN = "0ee4f656de648238dbc5ca0a616a0149819f45aaaafae8d781b49cda66097930"
+
+
+def _hex(values):
+    return " ".join(float(v).hex() for v in np.ravel(values))
+
+
+def _planar_fields(r):
+    return [r.alpha_est_deg, r.alpha_partner_deg, r.alpha_theory_deg, r.error_deg,
+            r.nv_y.axis, r.nv_y.sigma_angle,
+            r.cos2.a, r.cos2.b, r.cos2.psi0, r.cos2.sigma_psi0, r.cos2.sigma_a]
+
+
+def _axis_fields(r):
+    return [r.axis, r.sign_ambiguous, r.angular_error_deg]
+
+
+def library_results_digest():
+    from nvorient import geometry, reconstruct
+    from nvorient.errors import NvOrientError
+
+    h = hashlib.sha256()
+    for x, current in ((61.0, 40.0), (40.0, -40.0)):
+        scene = geometry.WireScene(x, 18.0, current)
+        for dwell_s in (0.008, 0.002):  # 1,600 and 400 counts per point at 200 kcps
+            for seed in range(50):
+                cfg = reconstruct.ChainConfig(noise=reconstruct.NoiseConfig(200.0, dwell_s, seed))
+                for run, fields in ((lambda: reconstruct.end_to_end_planar(scene, 3, cfg),
+                                     _planar_fields),
+                                    (lambda: reconstruct.end_to_end_3d(scene, (3, 1), cfg),
+                                     _axis_fields)):
+                    try:
+                        line = " | ".join(_hex(v) for v in fields(run()))
+                    except NvOrientError as exc:
+                        line = type(exc).__name__
+                    h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_library_results():
+    if np.__version__ != NOISY_PINS_NUMPY:
+        pytest.skip(f"noisy pin computed under numpy {NOISY_PINS_NUMPY}, not {np.__version__}")
+    assert library_results_digest() == RESULTS_PIN

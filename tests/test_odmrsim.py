@@ -224,7 +224,7 @@ class TestShotNoise:
         for sw, again, key in zip(noisy, reversed(backwards), keys):
             assert np.array_equal(sw.signals, reference(sweep.signals, *key))
             assert np.array_equal(sw.signals, again.signals)
-            assert sw.counts_meta == (100.0, 1.0, (7, *key))
+            assert sw.counts_meta == (100.0, 1.0, 7, key)
             assert np.array_equal(sw.point_sigmas(),
                                   np.sqrt(np.maximum(sw.signals, 1e-12) / counts))
         assert sweep.point_sigmas() is None

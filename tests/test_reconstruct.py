@@ -401,20 +401,29 @@ def assert_bit_identical(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# (start, n_f, step) of a memo test's grid.  Most grids of the first branch
+# end below the 2926.4 MHz dip, and the plan rejects them; every grid of the
+# second ends at or above `end` >= 2927 MHz, so it holds both dips.
+GRID_STEPS = st.sampled_from([0.25, 0.5, 1.0])
+MEMO_GRIDS = st.one_of(
+    st.tuples(st.floats(2840.0, 2870.0), st.integers(2, 300), GRID_STEPS),
+    st.builds(lambda start, step, end: (start, math.ceil((end - start) / step) + 1, step),
+              st.floats(2840.0, 2870.0), GRID_STEPS, st.floats(2927.0, 2960.0)))
+
+
 class TestSweepMemo:
     @settings(max_examples=60, deadline=None)
     @given(x=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-80.0, 80.0)),
            z=st.floats(30.0, 80.0), current=st.sampled_from([20.0, -20.0, 12.5]),
-           nv_index=st.integers(0, 3), n_psi=st.integers(1, 24),
-           start=st.floats(2840.0, 2870.0), n_f=st.integers(2, 300),
-           step=st.sampled_from([0.25, 0.5, 1.0]))
-    @example(x=0.0, z=40.0, current=20.0, nv_index=3, n_psi=12, start=2850.0, n_f=201, step=0.5)
-    @example(x=-0.0, z=40.0, current=-20.0, nv_index=1, n_psi=5, start=2850.0, n_f=201, step=0.5)
-    @example(x=61.0, z=40.0, current=20.0, nv_index=3, n_psi=3, start=2850.0, n_f=20, step=0.5)
-    def test_hit_equals_miss(self, x, z, current, nv_index, n_psi, start, n_f, step):
+           nv_index=st.integers(0, 3), n_psi=st.integers(1, 24), grid=MEMO_GRIDS)
+    @example(x=0.0, z=40.0, current=20.0, nv_index=3, n_psi=12, grid=(2850.0, 201, 0.5))
+    @example(x=-0.0, z=40.0, current=-20.0, nv_index=1, n_psi=5, grid=(2850.0, 201, 0.5))
+    @example(x=61.0, z=40.0, current=20.0, nv_index=3, n_psi=3, grid=(2850.0, 20, 0.5))
+    def test_hit_equals_miss(self, x, z, current, nv_index, n_psi, grid):
         # a hit returns what a direct synthesis of the same scene gives, and
         # the plan built on its grid and dip centers, bit for bit; x = 0.0 and
         # x = -0.0 make equal keys, so one hits the other
+        start, n_f, step = grid
         cfg = reconstruct.ChainConfig(grid=start + step * np.arange(n_f),
                                       psis=np.linspace(0.0, math.pi, n_psi, endpoint=False))
         scene = geometry.WireScene(x, z, current)
@@ -549,3 +558,77 @@ class TestSweepMemo:
         assert info.maxsize == size
         assert info.currsize == size
         assert info.misses == size + 5
+
+
+class TestNoiseRecord:
+    def test_every_noisy_sweep_redraws_from_its_record(self, monkeypatch):
+        # each noisy sweep of a planar and a 3-D run carries the record it was
+        # drawn with: that record's draw on the clean signals gives its
+        # signals bit for bit, and the record rebuilds through its own checks;
+        # a chain record with a key of its own passes it on as the prefix
+        copy, made = odmrsim.noisy_copy_with_subseed, []
+
+        def recording(sweep, noise, *key):
+            noisy = copy(sweep, noise, *key)
+            made.append((sweep, noisy))
+            return noisy
+
+        monkeypatch.setattr(odmrsim, "noisy_copy_with_subseed", recording)
+        for x, current in ((61.0, 40.0), (40.0, -40.0)):
+            scene = geometry.WireScene(x, 18.0, current)
+            for noise in (reconstruct.NoiseConfig(200.0, 0.008, 7),
+                          reconstruct.NoiseConfig(200.0, 0.002, 7, (5,))):
+                cfg = reconstruct.ChainConfig(noise=noise)
+                reconstruct.end_to_end_planar(scene, 3, cfg)
+                reconstruct.end_to_end_3d(scene, (3, 1), cfg)
+        assert len(made) == 12
+        assert {noisy.counts_meta.key for _, noisy in made} == {(), (0,), (1,),
+                                                                (5,), (5, 0), (5, 1)}
+        for clean, noisy in made:
+            meta = noisy.counts_meta
+            assert_bit_identical(meta.draw(clean.signals), noisy.signals)
+            assert odmrsim.NoiseConfig(*meta) == meta
+            assert meta.seed == 7
+
+    def test_noisy_spectrum_redraws_from_its_record(self):
+        clean = odmrsim.OdmrSpectrum(odmrsim.default_grid(),
+                                     1.0 - 0.01 * odmrsim.lorentzian(odmrsim.default_grid(),
+                                                                     2900.0, 8.0))
+        for noise in (odmrsim.NoiseConfig(200.0, 0.008, 3),
+                      odmrsim.NoiseConfig(50.0, 0.01, 0, (2, 4))):
+            spec = odmrsim.add_shot_noise(clean, noise)
+            assert_bit_identical(spec.counts_meta.draw(clean.signal), spec.signal)
+            assert odmrsim.NoiseConfig(*spec.counts_meta) == spec.counts_meta
+
+
+class TestCalibration:
+    """The reported uncertainties of the pinned chain against the scatter
+    they describe: 200 seeds of NV 3 at (61, 18) um, 40 mA, 1,600 counts per
+    point (200 kcps x 8 ms)."""
+
+    SEEDS = range(200)
+
+    def test_psi0_pulls(self):
+        # (psi0 - truth) / sigma_psi0, with truth the noiseless fit's psi0
+        truth = reconstruct.end_to_end_planar(SCENE, 3).cos2.psi0
+        pulls = []
+        for seed in self.SEEDS:
+            cfg = reconstruct.ChainConfig(noise=reconstruct.NoiseConfig(200.0, 0.008, seed))
+            cos2 = reconstruct.end_to_end_planar(SCENE, 3, cfg).cos2
+            d = (cos2.psi0 - truth + math.pi / 2.0) % math.pi - math.pi / 2.0
+            pulls.append(d / cos2.sigma_psi0)
+        assert abs(np.mean(pulls)) < 0.2
+        assert 0.85 <= np.std(pulls) <= 1.15
+
+    def test_pinned_fit_reduced_chi2(self):
+        # chi-square of each sweep's linear fits at the fitted shared fwhm,
+        # over its 12 n_f - (3 x 12 + 1) degrees of freedom
+        from test_fitkit import linear_fit_at, noisy_sweeps
+
+        f, centers, runs, _ = noisy_sweeps(len(self.SEEDS), 0.008)
+        reduced = []
+        for y, sig in runs:
+            fwhm = fitkit.fit_pinned_dips(f, y, sig, centers).fwhm
+            chi2 = sum(linear_fit_at(f, y[k], sig[k], centers, fwhm)[1] for k in range(y.shape[0]))
+            reduced.append(chi2 / (y.size - 3 * y.shape[0] - 1))
+        assert abs(np.mean(reduced) - 1.0) < 0.02

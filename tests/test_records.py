@@ -4,8 +4,8 @@ Every record is an immutable named tuple.  A record that checks or coerces
 its fields does so in `__new__`, so a bad value raises the same exception
 whether it is passed by position or by keyword.  `_replace` (and `_make`)
 build the tuple directly and run no checks: `src/` uses `_replace` only on
-fields that are already checked, and to record a noisy sweep's seed as
-(seed, *spawn key).
+fields that are already checked, and to extend a noisy sweep's recorded
+spawn key.
 """
 
 import math
@@ -29,7 +29,7 @@ VALID = [
                           "wire_diameter_um": 25.0}),
     (odmrsim.LineshapeParams, {"fwhm_mhz": 8.0, "contrast_ref": 0.02, "omega_ref_mhz": 1.0,
                                "model": "linear"}),
-    (odmrsim.NoiseConfig, {"rate_kcps": 200.0, "dwell_s": 0.008, "seed": 1}),
+    (odmrsim.NoiseConfig, {"rate_kcps": 200.0, "dwell_s": 0.008, "seed": 1, "key": (2,)}),
     (odmrsim.OdmrSpectrum, {"frequencies": GRID, "signal": np.ones(5), "counts_meta": None}),
     (odmrsim.SweepSeries, {"psis": PSIS, "frequencies": GRID, "signals": np.ones((3, 5)),
                            "centers_mhz": (2898.0, 2926.0), "counts_meta": None}),
@@ -79,6 +79,11 @@ BAD = [
     (odmrsim.NoiseConfig, {"seed": 1.5}, ValueError, "seed must be an integer >= 0"),
     (odmrsim.NoiseConfig, {"seed": -1}, ValueError, "seed must be an integer >= 0"),
     (odmrsim.NoiseConfig, {"seed": True}, ValueError, "seed must be an integer >= 0"),
+    (odmrsim.NoiseConfig, {"key": (1.5,)}, ValueError, "key must be a tuple of integers >= 0"),
+    (odmrsim.NoiseConfig, {"key": (0, -1)}, ValueError, "key must be a tuple of integers >= 0"),
+    (odmrsim.NoiseConfig, {"key": (True,)}, ValueError, "key must be a tuple of integers >= 0"),
+    (odmrsim.NoiseConfig, {"key": [0]}, ValueError, "key must be a tuple of integers >= 0"),
+    (odmrsim.NoiseConfig, {"key": 0}, ValueError, "key must be a tuple of integers >= 0"),
 ]
 BAD_IDS = [f"{cls.__name__}-{'-'.join(bad)}-{k}" for k, (cls, bad, _, _) in enumerate(BAD)]
 
@@ -95,7 +100,7 @@ def plain(cls):
 def instances():
     """One instance of every record type of the library."""
     return [valid(cls) for cls, _ in VALID] + [plain(cls) for cls in (
-        spinmodel.EigenSystem, geometry.TransverseBasis, fitkit.FitResult, fitkit.DipEstimate,
+        spinmodel.EigenSystem, geometry.TransverseBasis, fitkit.DipEstimate,
         fitkit.PinnedDipFit, fitkit.Cos2Fit, reconstruct.NvYEstimate,
         reconstruct.MwAxisEstimate, reconstruct.PlanarAlphaResult, reconstruct.PlanarRunResult,
         reconstruct._SceneSweep)] + [reconstruct.ChainConfig()]
@@ -103,10 +108,10 @@ def instances():
 
 def carried_noise():
     """The noise record a noisy sweep carries as `counts_meta`: built by
-    `_replace`, with its seed recorded as (seed, *spawn key)."""
+    `_replace`, with the spawn key of its draw appended to the record's."""
     noise = valid(odmrsim.NoiseConfig)
     carried = odmrsim.noisy_copy_with_subseed(valid(odmrsim.SweepSeries), noise, 3).counts_meta
-    assert carried.seed == (noise.seed, 3)
+    assert carried == noise._replace(key=(2, 3))
     return carried
 
 
