@@ -287,10 +287,8 @@ def _planar_rows(p, noise):
     rows = []
     for j, (x, z) in enumerate(wire["positions_um"]):
         if noise is not None:
-            # position j draws from its own stream, seeded by a word of
-            # SeedSequence(seed, spawn_key=(j,)), so no two positions share noise
-            words = np.random.SeedSequence(noise.seed, spawn_key=(j,)).generate_state(1, np.uint64)
-            chain = chain._replace(noise=noise._replace(seed=int(words[0])))
+            # position j draws from spawn key (j,), so no two positions share noise
+            chain = chain._replace(noise=noise._replace(key=(j,)))
         scene = geometry.WireScene(x, z, wire["current_ma"], wire["diameter_um"])
         res = reconstruct.end_to_end_planar(scene, p["nv_index"], chain)
         # to 1e-9 deg: a noiseless error is float rounding (up to ~2e-13 deg),
@@ -322,13 +320,15 @@ def _run_reconstruct_3d(p, noise, out_dir, fmt):
     truth = geometry.mw_direction(scene)
     if p["measured_y_axes"] is not None:
         try:
-            y1, y2 = (reconstruct.NvYEstimate(geometry.unit(np.array(v)), 0.0)
-                      for v in p["measured_y_axes"])
+            y1, y2 = (geometry.unit(np.array(v)) for v in p["measured_y_axes"])
         except ValueError as exc:
             raise ConfigError(f"measured_y_axes: {exc}") from exc
         est = reconstruct.mw_axis_from_two(y1, y2, truth_axis=truth)
     else:
-        est = reconstruct.end_to_end_3d(scene, tuple(p["nv_indices"]), _chain_config(p, noise))
+        i1, i2 = p["nv_indices"]
+        if i1 == i2:
+            raise ConfigError("nv_indices: the two NV orientations must differ")
+        est = reconstruct.end_to_end_3d(scene, (i1, i2), _chain_config(p, noise))
     # rounded like planar error_deg: past these digits the file would record
     # float rounding, which depends on the order of the arithmetic; + 0.0
     # writes a component rounded to -0.0 as 0.0, since its sign is rounding too

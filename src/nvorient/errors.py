@@ -23,17 +23,15 @@ class SingularNormalEquationsError(NvOrientError):
 
 class DegenerateFitError(NvOrientError):
     """Fit result unusable: modulation amplitude or a free dip's depth not
-    above three sigmas; a fitted dip center outside the frequency grid; or a
+    above three sigmas; a fitted dip center outside the frequency grid; a
     dip fit that does not converge or whose linewidth ends on its bracket
-    [grid step, half the grid span]."""
+    [grid step, half the grid span]; or a pinned dip fit whose data do not
+    fix the linewidth (zero chi-square curvature in it, as when every
+    signal is 0)."""
 
 
 class NearParallelAxesError(NvOrientError):
     """The two NV_Y estimates are (anti)parallel; cross product unusable."""
-
-
-class PlanarModelError(NvOrientError):
-    """Measured axis is inconsistent with an in-plane microwave field."""
 
 
 class ConfigError(NvOrientError):

@@ -245,8 +245,10 @@ def fit_pinned_dips(f, signals, sigmas, centers, plan: FitPlan | None = None
     searched within `fwhm_bracket(f)`, [grid step, half the grid span].
     Raises ValueError on a grid or centers `FitPlan` rejects, and
     DegenerateFitError when the shared fwhm ends on that bracket (the dips
-    would run wider or narrower than the grid can show) or the search has
-    not stopped after MAX_DIP_ITER steps.
+    would run wider or narrower than the grid can show), when the search has
+    not stopped after MAX_DIP_ITER steps, or when the final summed Kaufman
+    curvature is not positive: then nothing in the data fixes the fwhm (all
+    depths are zero), and the depth sigmas would divide by it.
     """
     if plan is None:
         plan = FitPlan(f, centers)
@@ -291,6 +293,9 @@ def fit_pinned_dips(f, signals, sigmas, centers, plan: FitPlan | None = None
             raise DegenerateFitError(
                 f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid")
         coef, ginv, u, kaufman = state[0], *state[4:7]
+        if not kaufman > 0.0:  # no dip has depth, so nothing fixes the fwhm
+            raise DegenerateFitError("the data do not fix the dip fwhm (zero chi-square "
+                                     "curvature in the linewidth)")
         depth_sigmas = None
         if sigmas is not None:
             m = ws.n + 1  # diag(G^-1)[1:] is entries m+1, 2(m+1), ... of each flat G^-1

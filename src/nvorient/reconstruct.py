@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fitkit, geometry, odmrsim
-from .errors import NearParallelAxesError, PlanarModelError
+from .errors import NearParallelAxesError
 from .fitkit import Cos2Fit
 from .geometry import TransverseBasis, WireScene, _cross, _floats3, _unit3, unit
 from .odmrsim import LineshapeParams, NoiseConfig
@@ -47,11 +47,10 @@ def extract_nv_y(basis: TransverseBasis, cos2fit: Cos2Fit) -> NvYEstimate:
     return NvYEstimate(axis=axis, sigma_angle=cos2fit.sigma_psi0)
 
 
-def mw_axis_from_two(y1: NvYEstimate, y2: NvYEstimate,
-                     truth_axis: np.ndarray | None = None) -> MwAxisEstimate:
-    """Normalized cross product of the two NV_Y axes; with `truth_axis`, the
-    line angle to it in degrees."""
-    c = _cross(_floats3(y1.axis), _floats3(y2.axis))
+def mw_axis_from_two(y1, y2, truth_axis: np.ndarray | None = None) -> MwAxisEstimate:
+    """Normalized cross product of two NV_Y axes (3-vectors), the one line
+    perpendicular to both; with `truth_axis`, the line angle to it in degrees."""
+    c = _cross(_floats3(y1), _floats3(y2))
     n = math.hypot(*c)
     if n <= 1e-3:
         raise NearParallelAxesError(
@@ -62,47 +61,24 @@ def mw_axis_from_two(y1: NvYEstimate, y2: NvYEstimate,
     return MwAxisEstimate(axis=np.array(axis), angular_error_deg=err)
 
 
-class PlanarAlphaResult(NamedTuple):
-    alpha_deg: float
-    partner_deg: float
-    residual_deg: float
-
-    def nearest_to(self, hint_deg: float) -> float:
-        """Ambiguity member nearest a reference angle (circular distance)."""
-        d0 = _circ_dist(self.alpha_deg, hint_deg)
-        d1 = _circ_dist(self.partner_deg, hint_deg)
-        return self.alpha_deg if d0 <= d1 else self.partner_deg
-
-
 def _circ_dist(a_deg: float, b_deg: float) -> float:
     d = abs(a_deg - b_deg) % 360.0
     return min(d, 360.0 - d)
 
 
-def planar_alpha(u: np.ndarray, nv_z: np.ndarray) -> PlanarAlphaResult:
-    """Invert the perpendicular-axis measurement for an in-plane MW field.
+def planar_alpha(u) -> float:
+    """In-plane angle alpha, in [0, 180), of a microwave field perpendicular
+    to the measured NV_Y axis u.
 
-    The field m(alpha) = (sin a, 0, cos a) is perpendicular to both the
-    measured axis u (parallel to nv_z x m) and to Y_L, so m is parallel to
-    u x Y_L = (-u_z, 0, u_x) and alpha = atan2(-u_z, u_x) for any NV axis.
-    The residual (line angle between u and nv_z x m(alpha)) tests that u is
-    consistent with an in-plane field at all.  alpha is reported in [0, 180),
-    so the sign of u does not matter, with its pi-degenerate partner alongside.
-    Both vectors are handled as 3-tuples of Python floats.
+    The same constraint as `mw_axis_from_two`, with the wire axis Y_L as the
+    second axis: a wire's field has no component along the wire, so m is
+    parallel to u x Y_L.  alpha is `geometry.alpha_deg` of that axis, taken
+    mod 180 because the sign of u is arbitrary; alpha + 180 is its partner.
+    u is normalized first, as a 3-tuple of Python floats.  A measured u lies
+    across an NV axis, and every <111> axis has |y| = 1/sqrt(3), so
+    |u x Y_L| >= 1/sqrt(3): the axis is never near zero.
     """
-    u = _unit3(_floats3(u))
-    nv_z = _unit3(_floats3(nv_z))
-    alpha = math.degrees(math.atan2(-u[2], u[0])) % 180.0
-    a = math.radians(alpha)
-    v = _cross(nv_z, (math.sin(a), 0.0, math.cos(a)))
-    # an in-plane field along the NV axis leaves no perpendicular axis to match
-    resid = geometry.line_angle_between(u, v) if math.hypot(*v) >= 1e-12 else 90.0
-    if resid > 1.0:
-        raise PlanarModelError(
-            f"axis inconsistent with an in-plane microwave field (residual {resid:.3f} deg)"
-        )
-    return PlanarAlphaResult(alpha_deg=alpha, partner_deg=(alpha + 180.0) % 360.0,
-                             residual_deg=resid)
+    return geometry.alpha_deg(_cross(_unit3(_floats3(u)), (0.0, 1.0, 0.0))) % 180.0
 
 
 def closed_form_alpha_check(u: np.ndarray) -> float:
@@ -280,9 +256,10 @@ def end_to_end_planar(scene: WireScene, nv_index: int,
     """
     cfg = cfg if cfg is not None else ChainConfig()
     [(nv_y, cos2)] = _measure_nv_y(scene, (nv_index,), cfg, ((),))
-    pa = planar_alpha(nv_y.axis, geometry.crystallographic_axes()[nv_index])
+    alpha = planar_alpha(nv_y.axis)
+    partner = (alpha + 180.0) % 360.0
     truth = geometry.alpha_deg(geometry.mw_direction(scene))
-    alpha_est = pa.nearest_to(truth)
+    alpha_est = alpha if _circ_dist(alpha, truth) <= _circ_dist(partner, truth) else partner
     return PlanarRunResult(
         alpha_est_deg=alpha_est,
         alpha_partner_deg=(alpha_est + 180.0) % 360.0,
@@ -304,4 +281,4 @@ def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
         raise NearParallelAxesError("the two NV orientations must differ")
     cfg = cfg if cfg is not None else ChainConfig()
     (y1, _), (y2, _) = _measure_nv_y(scene, (i1, i2), cfg, ((0,), (1,)))
-    return mw_axis_from_two(y1, y2, truth_axis=geometry.mw_direction(scene))
+    return mw_axis_from_two(y1.axis, y2.axis, truth_axis=geometry.mw_direction(scene))

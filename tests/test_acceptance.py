@@ -185,12 +185,12 @@ def test_criterion_7_planar_inversion_oracle_equivalence():
     for alpha in np.arange(0.0, 360.0, 0.1):
         a = math.radians(alpha)
         u = geometry.unit(np.cross(nv_z, [math.sin(a), 0.0, math.cos(a)]))
-        res = reconstruct.planar_alpha(u, nv_z)
+        res = reconstruct.planar_alpha(u)
         oracle = reconstruct.closed_form_alpha_check(u)
-        d_pair = min(reconstruct._circ_dist(res.alpha_deg, oracle),
-                     reconstruct._circ_dist(res.alpha_deg, (oracle + 180.0) % 360.0))
-        d_inv = min(reconstruct._circ_dist(res.alpha_deg, alpha),
-                    reconstruct._circ_dist(res.partner_deg, alpha))
+        d_pair = min(reconstruct._circ_dist(res, oracle),
+                     reconstruct._circ_dist(res, (oracle + 180.0) % 360.0))
+        d_inv = min(reconstruct._circ_dist(res, alpha),
+                    reconstruct._circ_dist(res + 180.0, alpha))
         worst_pair = max(worst_pair, d_pair)
         worst_inv = max(worst_inv, d_inv)
     ok = worst_pair <= 1e-6 and worst_inv <= 1e-6

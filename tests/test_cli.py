@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvorient import cli
+from nvorient import cli, geometry, odmrsim, reconstruct
 
 
 def write_cfg(tmp_path, name, payload):
@@ -428,17 +428,43 @@ class TestReconstructPlanar:
 
     def test_positions_draw_distinct_streams(self, tmp_path):
         # each wire position of a noisy run has its own noise stream, so a
-        # position listed twice gives two different estimates
+        # position listed twice gives two different estimates: row j is the
+        # library's result with the run's noise at spawn key (j,)
         wire = {"current_ma": 40.0, "positions_um": [[61.0, 18.0], [61.0, 18.0]]}
         cfg = write_cfg(tmp_path, "rp.json", dict(self.CFG, wire=wire))
         out = tmp_path / "out"
         assert cli.run("reconstruct-planar", cfg, out) == cli.EXIT_OK
-        header, first, second = read_csv(out / "planar.csv")
+        header, *rows = read_csv(out / "planar.csv")
         col = header.index("alpha_est_deg")
-        assert first[col] != second[col]
+        assert rows[0][col] != rows[1][col]
+        noise, scene = self.CFG["noise"], geometry.WireScene(61.0, 18.0, 40.0)
+        for j, row in enumerate(rows):
+            chain = reconstruct.ChainConfig(noise=odmrsim.NoiseConfig(
+                noise["rate_kcps"], noise["dwell_s"], noise["seed"], key=(j,)))
+            res = reconstruct.end_to_end_planar(scene, self.CFG["nv_index"], chain)
+            assert row == [f"{v:.10g}" for v in (61.0, 18.0, res.alpha_est_deg,
+                                                 res.alpha_partner_deg, res.alpha_theory_deg,
+                                                 round(res.error_deg, 9))]
+
+    def test_all_zero_signals_fail(self, tmp_path, capsys):
+        # 1e-15 counts per point: every noisy signal is 0, and the dip fit
+        # refuses to report the linewidth it started from
+        cfg = write_cfg(tmp_path, "rp.json", dict(
+            self.CFG, noise={"rate_kcps": 1e-9, "dwell_s": 1e-9, "seed": 1}))
+        assert cli.run("reconstruct-planar", cfg, tmp_path / "out") == cli.EXIT_PIPELINE
+        assert "do not fix the dip fwhm" in capsys.readouterr().err
 
 
 class TestReconstruct3d:
+    def test_equal_nv_indices_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "r3.json", {
+            "mode": "reconstruct-3d",
+            "nv_indices": [3, 3],
+            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+        })
+        assert cli.run("reconstruct-3d", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+        assert "nv_indices" in capsys.readouterr().err
+
     def test_measured_axes_bypass(self, tmp_path):
         cfg = write_cfg(tmp_path, "r3.json", {
             "mode": "reconstruct-3d",

@@ -728,6 +728,16 @@ class TestFitPinnedDips:
         with pytest.raises(DegenerateFitError, match="did not converge"):
             fitkit.fit_pinned_dips(f, y, sig, centers)
 
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_all_zero_batch_raises(self, weighted):
+        # every signal 0 (as a draw at 1e-15 counts per point gives): no dip
+        # has depth, so the chi-square has no curvature in the fwhm, and the
+        # depth sigmas would divide by it
+        f, centers, runs, _ = noisy_sweeps(1, 0.008)
+        sig = runs[0][1] if weighted else None
+        with pytest.raises(DegenerateFitError, match="do not fix the dip fwhm"):
+            fitkit.fit_pinned_dips(f, np.zeros_like(runs[0][0]), sig, centers)
+
     def test_input_validation(self):
         f, centers, runs, _ = noisy_sweeps(1, 0.008)
         y, sig = runs[0]

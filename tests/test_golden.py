@@ -32,7 +32,7 @@ PINS = {
     "out3/table1.csv": (
         "504f182a31e37ab31c553b898cf647522cc49e9103144c67c24c0b5bf3a2aa2f", False),
     "out4/planar.json": (
-        "400eaabc15bda457dfcb2baa025ac508064d9d929455f87c13398ea12837f0b2", True),
+        "ba2983b3f59d228bcb6e214535326e34eb68888885b50d0f8b2e05ec6508c9bd", True),
     "out5/reconstruct3d.json": (
         "84ee89156aedae56af1a234269cfd3cd0531f74fb41292d3c9efd5dd7cc637e2", True),
     "out6/reconstruct3d.json": (

@@ -1,11 +1,14 @@
-"""Every function defined in `src/nvorient` is entered by some run of the command.
+"""Every function defined in `src/nvorient` is entered by some run of the command,
+and every exception class of `errors.py` is raised by some module of it.
 
 A fresh import of `nvorient.cli` and one `cli.main` call per mode run under
 `sys.setprofile`, which records the code object of every Python frame
 entered.  A function that neither the import nor any mode enters serves only
-tests or the benchmark, and does not belong in `src/`.
+tests or the benchmark, and does not belong in `src/`; nor does an error
+class that no `raise` names.
 """
 
+import ast
 import gc
 import importlib
 import inspect
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import nvorient
+from nvorient import errors
 from test_cli import SIMULATE_CFG as SIMULATE
 
 SRC = Path(nvorient.__file__).resolve().parent
@@ -116,3 +120,24 @@ def test_every_function_runs(tmp_path, fresh_package):
     assert not ALLOWED & reached, "an allowed function now runs; drop it from ALLOWED"
     never = sorted(defined_functions() - reached - ALLOWED)
     assert not never, f"functions no run enters: {never}"
+
+
+def raised_names():
+    """Names of the classes that some `raise` statement of the package source names."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, (ast.Name, ast.Attribute)):
+                    out.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return out
+
+
+def test_every_error_is_raised():
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.NvOrientError)
+               and obj is not errors.NvOrientError}
+    assert defined, "errors.py defines no error classes"
+    never = sorted(defined - raised_names())
+    assert not never, f"error classes no module raises: {never}"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvorient import fitkit, geometry, odmrsim, reconstruct, spinmodel
-from nvorient.errors import DegenerateFitError, NearParallelAxesError, PlanarModelError
+from nvorient.errors import DegenerateFitError, NearParallelAxesError
 
 NV2_AXIS_INDEX = 1  # (1/sqrt(3))[1,-1,-1]
 AXES = geometry.crystallographic_axes()
@@ -48,23 +48,20 @@ class TestExtractNvY:
 
 class TestMwAxisFromTwo:
     def test_cross_product_direction(self):
-        y1 = reconstruct.NvYEstimate(np.array([1.0, 0.0, 0.0]), 0.01)
-        y2 = reconstruct.NvYEstimate(np.array([0.0, 1.0, 0.0]), 0.01)
-        est = reconstruct.mw_axis_from_two(y1, y2)
+        est = reconstruct.mw_axis_from_two(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
         assert np.allclose(est.axis, [0.0, 0.0, 1.0])
         assert est.sign_ambiguous
 
     def test_truth_axis_sign_insensitive(self):
-        y1 = reconstruct.NvYEstimate(np.array([1.0, 0.0, 0.0]), 0.01)
-        y2 = reconstruct.NvYEstimate(np.array([0.0, 1.0, 0.0]), 0.01)
+        y1, y2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
         up = reconstruct.mw_axis_from_two(y1, y2, truth_axis=np.array([0.0, 0.0, 1.0]))
         down = reconstruct.mw_axis_from_two(y1, y2, truth_axis=np.array([0.0, 0.0, -1.0]))
         assert abs(up.angular_error_deg) < 1e-9
         assert abs(down.angular_error_deg) < 1e-9
 
     def test_near_parallel_rejected(self):
-        y1 = reconstruct.NvYEstimate(np.array([1.0, 0.0, 0.0]), 0.01)
-        y2 = reconstruct.NvYEstimate(np.array([1.0, 1e-5, 0.0]) / math.hypot(1.0, 1e-5), 0.01)
+        y1 = np.array([1.0, 0.0, 0.0])
+        y2 = np.array([1.0, 1e-5, 0.0]) / math.hypot(1.0, 1e-5)
         with pytest.raises(NearParallelAxesError):
             reconstruct.mw_axis_from_two(y1, y2)
 
@@ -75,15 +72,14 @@ def random_axes(rng, count):
 
 
 class TestFloatOracles:
-    # the inversion runs on 3-tuples of Python floats; these are the numpy
-    # formulas it replaced
+    # the inversion runs on 3-tuples of Python floats; this is the numpy
+    # formula it replaced
     def test_mw_axis_matches_numpy_cross(self):
         rng = np.random.default_rng(5)
         y1s, y2s, truths = random_axes(rng, 500), random_axes(rng, 500), random_axes(rng, 500)
         for y1, y2, truth in zip(y1s, y2s, truths):
             c = np.cross(y1, y2)
-            est = reconstruct.mw_axis_from_two(reconstruct.NvYEstimate(y1, 0.0),
-                                               reconstruct.NvYEstimate(y2, 0.0), truth_axis=truth)
+            est = reconstruct.mw_axis_from_two(y1, y2, truth_axis=truth)
             assert isinstance(est.axis, np.ndarray)
             assert np.max(np.abs(est.axis - c / np.linalg.norm(c))) < 1e-12
             axis = c / np.linalg.norm(c)
@@ -92,29 +88,6 @@ class TestFloatOracles:
             assert abs(est.angular_error_deg - ref) < 1e-12
             assert abs(est.angular_error_deg - geometry.line_angle_between(axis, truth)) < 1e-6
 
-    def test_planar_residual_matches_numpy(self):
-        # axes of an in-plane field tilted by about half a degree, so that
-        # planar_alpha mostly reports a residual rather than raising
-        rng = np.random.default_rng(6)
-        checked = 0
-        for nv_z, alpha, tilt in zip(random_axes(rng, 500), rng.uniform(0.0, 360.0, 500),
-                                     rng.normal(scale=0.01, size=(500, 3))):
-            u = np.cross(nv_z, planar_mw(alpha))
-            u = u / np.linalg.norm(u) + tilt
-            u = u / np.linalg.norm(u)
-            v = np.cross(nv_z, planar_mw(math.degrees(math.atan2(-u[2], u[0])) % 180.0))
-            ref = math.degrees(math.atan2(np.linalg.norm(np.cross(u, v)), abs(float(u @ v))))
-            if ref > 1.0:
-                with pytest.raises(PlanarModelError):
-                    reconstruct.planar_alpha(u, nv_z)
-                continue
-            assert abs(reconstruct.planar_alpha(u, nv_z).residual_deg - ref) < 1e-12
-            checked += 1
-        assert checked > 250
-        # an in-plane field along the NV axis leaves no perpendicular axis
-        with pytest.raises(PlanarModelError):
-            reconstruct.planar_alpha((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-
 
 class TestPlanarAlpha:
     def test_forward_inverse_consistency(self):
@@ -122,38 +95,24 @@ class TestPlanarAlpha:
         # inversion must return alpha or its half-turn partner, for every axis
         for nv_z, alpha in itertools.product(AXES, np.arange(0.0, 360.0, 7.3)):
             u = geometry.unit(np.cross(nv_z, planar_mw(alpha)))
-            res = reconstruct.planar_alpha(u, nv_z)
-            d = min(reconstruct._circ_dist(res.alpha_deg, alpha),
-                    reconstruct._circ_dist(res.partner_deg, alpha))
+            res = reconstruct.planar_alpha(u)
+            assert 0.0 <= res < 180.0
+            d = min(reconstruct._circ_dist(res, alpha), reconstruct._circ_dist(res + 180.0, alpha))
             assert d < 1e-6
-            assert res.residual_deg < 1e-6
-            assert abs(res.partner_deg - (res.alpha_deg + 180.0) % 360.0) < 1e-12
 
     def test_matches_closed_form_oracle(self):
         for alpha in np.arange(0.0, 360.0, 3.7):
             u = geometry.unit(np.cross(NV1, planar_mw(alpha)))
-            grid_alpha = reconstruct.planar_alpha(u, NV1).nearest_to(alpha)
+            res = reconstruct.planar_alpha(u)
             oracle = reconstruct.closed_form_alpha_check(u)
-            d = min(reconstruct._circ_dist(grid_alpha, oracle),
-                    reconstruct._circ_dist(grid_alpha, (oracle + 180.0) % 360.0))
+            d = min(reconstruct._circ_dist(res, oracle),
+                    reconstruct._circ_dist(res, (oracle + 180.0) % 360.0))
             assert d < 1e-6
 
     def test_sign_flip_invariance(self):
         u = geometry.unit(np.cross(NV1, planar_mw(123.0)))
-        a = reconstruct.planar_alpha(u, NV1)
-        b = reconstruct.planar_alpha(-u, NV1)
-        assert reconstruct._circ_dist(a.alpha_deg, b.alpha_deg) < 1e-6 or \
-            reconstruct._circ_dist(a.alpha_deg, b.partner_deg) < 1e-6
-
-    def test_inconsistent_axis_rejected(self):
-        for nv_z in AXES:
-            with pytest.raises(PlanarModelError):
-                reconstruct.planar_alpha(nv_z, nv_z)
-
-    def test_nearest_to(self):
-        res = reconstruct.PlanarAlphaResult(10.0, 190.0, 0.0)
-        assert res.nearest_to(350.0) == 10.0
-        assert res.nearest_to(200.0) == 190.0
+        assert reconstruct._circ_dist(reconstruct.planar_alpha(u),
+                                      reconstruct.planar_alpha(-u)) < 1e-6
 
 
 class TestClosedForm:
