@@ -215,8 +215,7 @@ def _noise(block: dict | None, seed_override: int | None) -> odmrsim.NoiseConfig
     seed = block["seed"] if seed_override is None else seed_override
     if seed is None:
         raise ConfigError("noise: seed required (config key or --seed)")
-    return odmrsim.NoiseConfig(block["rate_kcps"], block["dwell_s"],
-                               _integer(0)(seed, "noise.seed"))
+    return _build(odmrsim.NoiseConfig, "noise", dict(block, seed=_integer(0)(seed, "noise.seed")))
 
 
 def _chain_config(p: dict, noise) -> reconstruct.ChainConfig:

@@ -66,6 +66,10 @@ class NoiseConfig(NamedTuple("NoiseConfig", [("rate_kcps", float), ("dwell_s", f
     def __new__(cls, rate_kcps: float, dwell_s: float, seed: int, key: tuple[int, ...] = ()):
         if not rate_kcps > 0 or not dwell_s > 0:
             raise ValueError("count rate and dwell time must be positive")
+        # numpy's Poisson sampler refuses means above about 9.2e18
+        if not rate_kcps * 1000.0 * dwell_s <= 1e18:
+            raise ValueError("count rate and dwell time must be finite, with at most 1e18 "
+                             "mean counts per point")
         if not _is_count(seed):
             raise ValueError("seed must be an integer >= 0")
         if not (isinstance(key, tuple) and all(map(_is_count, key))):
@@ -132,27 +136,19 @@ def lorentzian(f: np.ndarray, center_mhz: float, fwhm_mhz: float) -> np.ndarray:
     return h * h / ((f - center_mhz) ** 2 + h * h)
 
 
-def simulate_spectrum(
-    consts: SpinConstants,
-    static: StaticFieldNV,
-    mw: MwFieldNV,
-    shape: LineshapeParams,
-    grid: np.ndarray,
-) -> OdmrSpectrum:
-    """Noiseless two-dip CW-ODMR spectrum on a unit baseline."""
-    grid = np.asarray(grid, dtype=float)
-    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(consts, static))
-    signals = _dip_signals(eig, consts, mw.amplitude_mt, mw.direction()[None], shape, grid)
-    return OdmrSpectrum(frequencies=grid, signal=signals[0])
-
-
-def _dip_signals(eig: spinmodel.EigenSystem, consts: SpinConstants, amplitude_mt: float,
-                 directions: np.ndarray, shape: LineshapeParams,
-                 grid: np.ndarray) -> np.ndarray:
-    """Signals (n, n_f), one per microwave direction (rows of `directions`,
-    unit vectors in the NV frame): dips at the two |0>-connected transitions
-    of `eig`, depths set by each direction's coupling.  The grid is checked
-    by the spectrum or sweep that receives the signals."""
+def _synthesize(consts: SpinConstants, b_mt: float, theta: float, mw_nv, amplitude_mt: float,
+                shape: LineshapeParams, grid: np.ndarray,
+                psis: np.ndarray) -> tuple[spinmodel.EigenSystem, np.ndarray]:
+    """The eigensystem at (theta, azimuth 0) and signals (n_psi, n_f), row i
+    the spectrum at static azimuth psis[i]: H(psi) = U H(0) U^dagger with
+    U = exp(-i psi Sz), so row i sees the NV-frame unit microwave `mw_nv`
+    rotated by -psis[i] about the NV axis.  Dips sit at the two
+    |0>-connected transitions; the receiving record checks the grid."""
+    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(
+        consts, StaticFieldNV(b_mt, theta, 0.0)))
+    x, y, z = mw_nv
+    c, s = np.cos(psis), np.sin(psis)
+    directions = np.column_stack([c * x + s * y, c * y - s * x, np.full(psis.shape, z)])
     omegas = (consts.gamma_e * amplitude_mt
               * np.abs(directions @ spinmodel.zero_transition_elements(eig)))
     contrasts = shape.contrast(omegas)
@@ -163,17 +159,17 @@ def _dip_signals(eig: spinmodel.EigenSystem, consts: SpinConstants, amplitude_mt
         raise ContrastOverflowError(
             f"summed dip contrast reaches {peak:.3f} > 1; signal would go negative"
         )
-    return 1.0 - absorb
+    return eig, 1.0 - absorb
 
 
-def mw_field_in_nv_frame(basis: TransverseBasis, mw_lab: np.ndarray,
-                         amplitude_mt: float) -> MwFieldNV:
-    """Express a lab-frame microwave direction in NV-frame angles."""
-    m = unit(mw_lab)
-    mz = max(-1.0, min(1.0, float(m @ basis.nv_z)))
-    zeta = math.acos(mz)
-    az = math.atan2(float(m @ basis.e2), float(m @ basis.e1))
-    return MwFieldNV(amplitude_mt=amplitude_mt, zeta=zeta, transverse_azimuth=az)
+def simulate_spectrum(consts: SpinConstants, static: StaticFieldNV, mw: MwFieldNV,
+                      shape: LineshapeParams, grid: np.ndarray) -> OdmrSpectrum:
+    """Noiseless two-dip CW-ODMR spectrum on a unit baseline: the psi = phi
+    row of the synthesis at the static field's theta."""
+    grid = np.asarray(grid, dtype=float)
+    _, signals = _synthesize(consts, static.b_mt, static.theta, mw.direction(),
+                             mw.amplitude_mt, shape, grid, np.array([static.phi]))
+    return OdmrSpectrum(frequencies=grid, signal=signals[0])
 
 
 class SweepSeries(NamedTuple("SweepSeries", [
@@ -215,25 +211,22 @@ def simulate_phi_sweep(
 ) -> SweepSeries:
     """Sweep the static field direction over psi with theta = pi/2 throughout.
 
-    H(psi) = U H(0) U^dagger with U = exp(-i psi Sz), so one eigensolve at
-    psi = 0 serves the sweep, seen by the microwave rotated by -psi.  At
-    theta = pi/2 the dip centers do not depend on psi either, so the sweep is
-    two Lorentzians weighted by an (n_psi, 2) array of contrasts.
+    The synthesis at theta = pi/2, with the microwave's components along
+    e1, e2 and nv_z of `basis`.  At theta = pi/2 the dip centers do not
+    depend on psi, so one pair (f_0m, f_0p) serves the sweep.
     """
     psis = np.asarray(psis, dtype=float)
     if psis.size == 0:
         raise ValueError("psi list is empty")
     if not b_static_mt > 0:
         raise ValueError("static field must be positive for a sweep")
+    m = unit(mw_lab)
+    if mw_amplitude_mt < 0:
+        raise ValueError("microwave amplitude must be nonnegative")
     grid = np.asarray(grid, dtype=float)
-    mw = mw_field_in_nv_frame(basis, mw_lab, mw_amplitude_mt)
-    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(
-        consts, StaticFieldNV(b_static_mt, math.pi / 2.0, 0.0)))
-    azimuths = mw.transverse_azimuth - psis
-    sin_zeta = math.sin(mw.zeta)
-    directions = np.column_stack([sin_zeta * np.cos(azimuths), sin_zeta * np.sin(azimuths),
-                                  np.full(psis.shape, math.cos(mw.zeta))])
-    signals = _dip_signals(eig, consts, mw.amplitude_mt, directions, shape, grid)
+    eig, signals = _synthesize(consts, b_static_mt, math.pi / 2.0,
+                               (m @ basis.e1, m @ basis.e2, m @ basis.nv_z),
+                               mw_amplitude_mt, shape, grid, psis)
     return SweepSeries(psis=psis, frequencies=grid, signals=signals,
                        centers_mhz=(eig.f_0m, eig.f_0p))
 

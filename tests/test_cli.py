@@ -389,6 +389,33 @@ class TestTable1:
         else:
             assert "(0.5, 50) MHz" in capsys.readouterr().err
 
+    def test_defaults_are_the_library_defaults(self):
+        # the schema restates the defaults of SpinConstants, LineshapeParams,
+        # default_grid and ChainConfig; a config that sets only the current
+        # must build the library's default chain, grid and psis bit for bit
+        p = cli._read({"mode": "table1", "wire": {"current_ma": 40.0}}, cli.SCHEMAS["table1"])
+        chain, ref = cli._chain_config(p, None), reconstruct.ChainConfig()
+        assert chain.constants == ref.constants
+        assert chain.b_static_mt == ref.b_static_mt
+        assert chain.shape == ref.shape
+        assert chain.noise is None
+        for got, want in ((chain.grid, ref.grid), (chain.psis, ref.psis)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_noise_beyond_the_poisson_sampler_exits_2(self, tmp_path, capsys):
+        # 1e21 mean counts per point are finite and positive, but numpy's
+        # Poisson sampler refuses means above about 9.2e18
+        cfg = write_cfg(tmp_path, "t1.json", {
+            "mode": "table1", "wire": {"current_ma": 40.0},
+            "noise": {"rate_kcps": 1e12, "dwell_s": 1e6, "seed": 1}})
+        out = tmp_path / "out"
+        assert cli.run("table1", cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: noise: count rate and dwell time must be finite, with at most 1e18 "
+            "mean counts per point\n")
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("current_ma, code", [(0.0, cli.EXIT_PIPELINE),
                                                   (0.01, cli.EXIT_OK)])
     def test_no_signal_fails(self, tmp_path, current_ma, code):

@@ -7,12 +7,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvorient import geometry, odmrsim, spinmodel
-from nvorient.errors import ContrastOverflowError
+from nvorient.errors import ContrastOverflowError, LabelingError
 from test_spinmodel import rabi_amplitudes
 
 C = spinmodel.SpinConstants()
 STATIC = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, 0.0)
 MW = spinmodel.MwFieldNV(0.0357, math.pi / 2.0, math.pi / 4.0)
+
+
+def reference_signal(consts, static, mw, shape, grid):
+    """The direct model: an eigensolve of the Hamiltonian at the static
+    field's own (theta, phi) and the coupling of the unrotated
+    `mw.direction()`, where the synthesis solves at azimuth 0 and rotates
+    the microwave instead."""
+    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(consts, static))
+    omegas = (consts.gamma_e * mw.amplitude_mt
+              * np.abs(mw.direction()[None] @ spinmodel.zero_transition_elements(eig)))
+    contrasts = shape.contrast(omegas)
+    absorb = (contrasts[:, :1] * odmrsim.lorentzian(grid, eig.f_0m, shape.fwhm_mhz)
+              + contrasts[:, 1:] * odmrsim.lorentzian(grid, eig.f_0p, shape.fwhm_mhz))
+    if float(np.max(absorb, initial=0.0)) > 1.0:
+        raise ContrastOverflowError("summed dip contrast exceeds 1")
+    return 1.0 - absorb[0]
+
+
+def nv_frame_mw(basis, mw_lab, amplitude_mt):
+    """The lab microwave as NV-frame angles, by acos and atan2 of its
+    components along the basis."""
+    m = geometry.unit(mw_lab)
+    zeta = math.acos(max(-1.0, min(1.0, float(m @ basis.nv_z))))
+    azimuth = math.atan2(float(m @ basis.e2), float(m @ basis.e1))
+    return spinmodel.MwFieldNV(amplitude_mt, zeta, azimuth)
 
 
 class TestLineshapeParams:
@@ -84,25 +109,47 @@ class TestSimulateSpectrum:
         assert np.array_equal(a.signal, b.signal)
 
 
-class TestNvFrameConversion:
-    def test_axis_aligned_mw(self, nv1_basis):
-        mw = odmrsim.mw_field_in_nv_frame(nv1_basis, nv1_basis.nv_z, 0.05)
-        assert abs(mw.zeta) < 1e-9
-        mw = odmrsim.mw_field_in_nv_frame(nv1_basis, nv1_basis.e1, 0.05)
-        assert abs(mw.zeta - math.pi / 2.0) < 1e-9
-        assert abs(mw.transverse_azimuth) < 1e-9
-        mw = odmrsim.mw_field_in_nv_frame(nv1_basis, nv1_basis.e2, 0.05)
-        assert abs(mw.transverse_azimuth - math.pi / 2.0) < 1e-9
+def _outcome(fn):
+    """fn's result, or the class of the LabelingError or ContrastOverflowError it raised."""
+    try:
+        return fn()
+    except (LabelingError, ContrastOverflowError) as exc:
+        return type(exc)
 
-    def test_round_trip_direction(self, nv1_basis):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            v = geometry.unit(rng.normal(size=3))
-            mw = odmrsim.mw_field_in_nv_frame(nv1_basis, v, 0.05)
-            rebuilt = (math.cos(mw.zeta) * nv1_basis.nv_z
-                       + math.sin(mw.zeta) * math.cos(mw.transverse_azimuth) * nv1_basis.e1
-                       + math.sin(mw.zeta) * math.sin(mw.transverse_azimuth) * nv1_basis.e2)
-            assert np.allclose(rebuilt, v, atol=1e-10)
+
+class TestSpectrumOracle:
+    # a spectrum is the psi = phi row of the one-eigensolve synthesis; the
+    # reference solves the Hamiltonian at (theta, phi) itself
+    DRAWS = 500
+
+    @pytest.mark.parametrize("model", ["linear", "saturating"])
+    def test_random_spectra_match_reference(self, grid, model):
+        shape = odmrsim.LineshapeParams(model=model)
+        rng = np.random.default_rng(1)
+        lo, hi = (0.0, 0.0, 0.0, 0.0, 0.0), (120.0, math.pi, 2 * math.pi, math.pi, 2 * math.pi)
+        draws = [rng.uniform(lo, hi) for _ in range(self.DRAWS)]
+        # three near zero field, where |+1> and |-1> are (nearly) degenerate,
+        # and one where no level keeps half its |0> weight
+        draws += [(b, *rng.uniform(lo[1:], hi[1:])) for b in (0.0, 1e-9, 1e-3)]
+        draws.append((113.0, 0.35, *rng.uniform(lo[2:], hi[2:])))
+        raised = set()
+        for b, theta, phi, zeta, azimuth in draws:
+            mw = spinmodel.MwFieldNV(10 ** rng.uniform(-3.0, 0.0), zeta, azimuth)
+            for static in (spinmodel.StaticFieldNV(b, theta, phi),
+                           spinmodel.StaticFieldNV(b, theta, 0.0)):
+                ref = _outcome(lambda: reference_signal(C, static, mw, shape, grid))
+                got = _outcome(lambda: odmrsim.simulate_spectrum(C, static, mw, shape,
+                                                                 grid).signal)
+                if isinstance(ref, type):
+                    raised.add(ref)
+                    assert got is ref
+                elif static.phi == 0.0:
+                    assert np.array_equal(got, ref)
+                else:
+                    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(1.0 - ref)
+        # the sample reaches both errors: overflow needs the linear model
+        assert raised == ({LabelingError, ContrastOverflowError} if model == "linear"
+                          else {LabelingError})
 
 
 class TestPhiSweep:
@@ -128,12 +175,11 @@ class TestPhiSweep:
         mw_lab = geometry.wire_tangent(61.0, 18.0)
         psis = np.array([-7.0, -math.pi, -0.3, 0.0, 1.1, math.pi, 2 * math.pi, 9.5, 20.0])
         sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, mw_lab, 0.05, shape, grid, psis)
-        mw = odmrsim.mw_field_in_nv_frame(basis, mw_lab, 0.05)
+        mw = nv_frame_mw(basis, mw_lab, 0.05)
         for psi, signal in zip(psis, sweep.signals):
             static = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, psi % (2 * math.pi))
-            ref = odmrsim.simulate_spectrum(C, static, mw, shape, grid)
-            assert np.array_equal(sweep.frequencies, ref.frequencies)
-            assert np.max(np.abs(signal - ref.signal)) < 1e-12
+            ref = reference_signal(C, static, mw, shape, grid)
+            assert np.max(np.abs(signal - ref)) < 1e-12
 
     @pytest.mark.parametrize("model", ["linear", "saturating"])
     def test_contrasts_match_rabi_amplitudes(self, grid, nv1_basis, model):
@@ -143,7 +189,7 @@ class TestPhiSweep:
         mw_lab = geometry.wire_tangent(61.0, 18.0)
         psis = np.array([-2.0, 0.0, 0.5, 1.7, 3.0, 8.0])
         sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, mw_lab, 0.05, shape, grid, psis)
-        mw = odmrsim.mw_field_in_nv_frame(nv1_basis, mw_lab, 0.05)
+        mw = nv_frame_mw(nv1_basis, mw_lab, 0.05)
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
         for psi, signal in zip(psis, sweep.signals):
             om = rabi_amplitudes(eig, C, spinmodel.MwFieldNV(

@@ -65,6 +65,16 @@ class TestMwAxisFromTwo:
         with pytest.raises(NearParallelAxesError):
             reconstruct.mw_axis_from_two(y1, y2)
 
+    def test_cut_is_on_the_angle_not_the_length(self):
+        # short perpendicular axes resolve the line; long axes 0.03 deg apart do not
+        est = reconstruct.mw_axis_from_two([0.01, 0.0, 0.0], [0.0, 0.01, 0.0])
+        assert np.array_equal(est.axis, [0.0, 0.0, 1.0])
+        a = math.radians(0.03)
+        y1, y2 = np.array([1.0, 0.0, 0.0]), np.array([math.cos(a), math.sin(a), 0.0])
+        for length in (1.0, 100.0):
+            with pytest.raises(NearParallelAxesError):
+                reconstruct.mw_axis_from_two(length * y1, length * y2)
+
 
 def random_axes(rng, count):
     v = rng.standard_normal((count, 3))

@@ -37,6 +37,8 @@ VALID = [
 ]
 VALID_FIELDS = {cls: fields for cls, fields in VALID}
 
+NOISE_BOUND = "count rate and dwell time must be finite, with at most 1e18 mean counts per point"
+
 # (record type, fields that replace valid ones, exception, its message)
 BAD = [
     (spinmodel.SpinConstants, {"d_mhz": 0.0}, ValueError, "zero-field splitting must be positive"),
@@ -84,6 +86,10 @@ BAD = [
     (odmrsim.NoiseConfig, {"key": (True,)}, ValueError, "key must be a tuple of integers >= 0"),
     (odmrsim.NoiseConfig, {"key": [0]}, ValueError, "key must be a tuple of integers >= 0"),
     (odmrsim.NoiseConfig, {"key": 0}, ValueError, "key must be a tuple of integers >= 0"),
+    (odmrsim.NoiseConfig, {"rate_kcps": math.inf}, ValueError, NOISE_BOUND),
+    (odmrsim.NoiseConfig, {"dwell_s": math.inf}, ValueError, NOISE_BOUND),
+    # 1e21 mean counts: numpy's Poisson sampler refuses means above about 9.2e18
+    (odmrsim.NoiseConfig, {"rate_kcps": 1e12, "dwell_s": 1e6}, ValueError, NOISE_BOUND),
 ]
 BAD_IDS = [f"{cls.__name__}-{'-'.join(bad)}-{k}" for k, (cls, bad, _, _) in enumerate(BAD)]
 
