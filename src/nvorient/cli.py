@@ -182,6 +182,16 @@ def _read(obj, table: dict, path: str = "") -> dict:
     return values
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; json.loads alone keeps the last value of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _build(cls, ctx: str, values: dict):
     """cls(**values), its range checks reported as config errors."""
     try:
@@ -190,19 +200,23 @@ def _build(cls, ctx: str, values: dict):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _grid_points(lo: float, hi: float, step: float, ctx: str) -> int:
-    """Number of points of the grid lo, lo + step, ..., hi; bounded by MAX_GRID_POINTS."""
-    if not (hi - lo) / step < MAX_GRID_POINTS:
+def _grid(lo: float, hi: float, step: float, ctx: str) -> np.ndarray:
+    """odmrsim.default_grid(lo, hi, step), its range errors reported as
+    config errors, and refused, before it is allocated, above MAX_GRID_POINTS."""
+    try:
+        n = odmrsim._grid_size(lo, hi, step)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+    if n > MAX_GRID_POINTS:
         raise ConfigError(f"{ctx}: more than {MAX_GRID_POINTS} grid points")
-    return int(round((hi - lo) / step)) + 1
+    return odmrsim.default_grid(lo, hi, step)
 
 
-def _grid(block: dict) -> np.ndarray:
-    start, stop, step = block["start"], block["stop"], block["step"]
-    if not step > 0 or not stop > start:
-        raise ConfigError("frequency_grid_mhz: need stop > start and step > 0")
-    _grid_points(start, stop, step, "frequency_grid_mhz")
-    return odmrsim.default_grid(start, stop, step)
+def _frequency_grid(block: dict) -> np.ndarray:
+    grid = _grid(block["start"], block["stop"], block["step"], "frequency_grid_mhz")
+    if grid.size < 2:
+        raise ConfigError("frequency_grid_mhz: need at least two points (stop >= start + step)")
+    return grid
 
 
 def _noise(block: dict | None, seed_override: int | None) -> odmrsim.NoiseConfig | None:
@@ -220,17 +234,18 @@ def _noise(block: dict | None, seed_override: int | None) -> odmrsim.NoiseConfig
 
 def _chain_config(p: dict, noise) -> reconstruct.ChainConfig:
     shape = _build(odmrsim.LineshapeParams, "lineshape", p["lineshape"])
-    grid = _grid(p["frequency_grid_mhz"])
+    block = p["frequency_grid_mhz"]
     # the pinned dip fits search the linewidth inside this bracket only
-    lo, hi = fitkit.fwhm_bracket(grid)
+    lo, hi = fitkit.fwhm_bracket(_frequency_grid(block))
     if not lo < shape.fwhm_mhz < hi:
         raise ConfigError(
             f"lineshape.fwhm_mhz: must lie strictly inside (grid step, half the grid span) "
             f"= ({lo:g}, {hi:g}) MHz")
     return reconstruct.ChainConfig(
         constants=_build(spinmodel.SpinConstants, "constants", p["constants"]),
-        b_static_mt=p["static_field_mt"], shape=shape, grid=grid,
-        psis=np.linspace(0.0, math.pi, p["psi_count"], endpoint=False), noise=noise)
+        b_static_mt=p["static_field_mt"], shape=shape,
+        grid_mhz=(block["start"], block["stop"], block["step"]), psi_count=p["psi_count"],
+        noise=noise)
 
 
 def _write_report(out_dir: Path, stem: str, header: list[str], rows, fmt: str) -> str:
@@ -262,7 +277,7 @@ def _run_simulate(p, noise, out_dir, fmt):
         raise ConfigError(str(exc)) from exc
     shape = _build(odmrsim.LineshapeParams, "lineshape", p["lineshape"])
     spec = odmrsim.simulate_spectrum(_build(spinmodel.SpinConstants, "constants", p["constants"]),
-                                     static, mwf, shape, _grid(p["frequency_grid_mhz"]))
+                                     static, mwf, shape, _frequency_grid(p["frequency_grid_mhz"]))
     if noise is not None:
         spec = odmrsim.add_shot_noise(spec, noise)
     name = f"spectrum.{fmt}"
@@ -342,13 +357,7 @@ def _run_reconstruct_3d(p, noise, out_dir, fmt):
 
 
 def _run_fieldmap(p, noise, out_dir, fmt):
-    axes = []
-    for key in ("x", "z"):
-        lo, hi, step = p["grid_um"][key]
-        if not step > 0 or not hi >= lo:
-            raise ConfigError(f"grid_um.{key}: need max >= min and step > 0")
-        n = _grid_points(lo, hi, step, f"grid_um.{key}")
-        axes.append([lo + k * step for k in range(n)])
+    axes = [_grid(*p["grid_um"][key], f"grid_um.{key}").tolist() for key in ("x", "z")]
     if len(axes[0]) * len(axes[1]) > MAX_GRID_POINTS:
         raise ConfigError(f"grid_um: more than {MAX_GRID_POINTS} grid points")
     rows = []
@@ -408,7 +417,7 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{config_path}: {exc}") from exc
         try:
-            cfg = json.loads(raw)
+            cfg = json.loads(raw, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         if not isinstance(cfg, dict):

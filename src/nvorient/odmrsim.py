@@ -124,10 +124,24 @@ class OdmrSpectrum(NamedTuple("OdmrSpectrum", [
         return None if self.counts_meta is None else self.counts_meta.point_sigma(self.signal)
 
 
+def _grid_size(start: float, stop: float, step: float) -> int:
+    """Points of `default_grid`: floor((stop - start) / step) + 1, with 1e-9 of
+    a step to spare, so a whole number of steps ends on stop and none passes it.
+    Raises ValueError unless step is finite and > 0 and stop finite and >= start."""
+    if not 0.0 < step < math.inf:
+        raise ValueError("grid step must be finite and positive")
+    steps = (stop - start) / step
+    # written so that NaN fails: it compares False
+    if not 0.0 <= steps < math.inf:
+        raise ValueError("grid start and stop must be finite, with stop >= start")
+    return math.floor(steps + 1e-9) + 1
+
+
 def default_grid(start_mhz: float = 2850.0, stop_mhz: float = 2950.0,
                  step_mhz: float = 0.5) -> np.ndarray:
-    n = int(round((stop_mhz - start_mhz) / step_mhz))
-    return start_mhz + step_mhz * np.arange(n + 1)
+    """start_mhz, start_mhz + step_mhz, ... up to stop_mhz (see `_grid_size`)."""
+    n = _grid_size(start_mhz, stop_mhz, step_mhz)
+    return start_mhz + step_mhz * np.arange(n, dtype=float)
 
 
 def lorentzian(f: np.ndarray, center_mhz: float, fwhm_mhz: float) -> np.ndarray:

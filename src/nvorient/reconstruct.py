@@ -114,30 +114,18 @@ def closed_form_alpha_check(u: np.ndarray) -> float:
     return alpha % 360.0
 
 
-# the default grid and psis, built once; every ChainConfig gets its own writable copy
-_DEFAULT_GRID = odmrsim.default_grid()
-# np.linspace(0, pi, 12, endpoint=False), bit for bit, at a third of its cost
-_DEFAULT_PSIS = np.arange(12) * (math.pi / 12)
+class ChainConfig(NamedTuple):
+    """Simulation and fitting choices for the end-to-end chains: values only,
+    so a config is hashable and the sweep memo keys on it.  `grid_mhz` is the
+    (start, stop, step) of `odmrsim.default_grid`, and `psi_count` the number
+    of sweep angles, evenly spaced over [0, pi)."""
 
-
-class ChainConfig(NamedTuple("ChainConfig", [
-        ("constants", SpinConstants), ("b_static_mt", float), ("shape", LineshapeParams),
-        ("grid", np.ndarray), ("psis", np.ndarray), ("noise", NoiseConfig | None)])):
-    """Simulation and fitting choices for the end-to-end planar pipeline.
-
-    `grid` and `psis` default to the default frequency grid and 12 sweep
-    angles over [0, pi), a fresh writable copy for every config.
-    """
-
-    __slots__ = ()
-
-    # constants and shape are immutable, so every config may share their defaults
-    def __new__(cls, constants: SpinConstants = SpinConstants(), b_static_mt: float = 10.2,
-                shape: LineshapeParams = LineshapeParams(), grid: np.ndarray | None = None,
-                psis: np.ndarray | None = None, noise: NoiseConfig | None = None):
-        return super().__new__(cls, constants, b_static_mt, shape,
-                               _DEFAULT_GRID.copy() if grid is None else grid,
-                               _DEFAULT_PSIS.copy() if psis is None else psis, noise)
+    constants: SpinConstants = SpinConstants()
+    b_static_mt: float = 10.2
+    shape: LineshapeParams = LineshapeParams()
+    grid_mhz: tuple[float, float, float] = (2850.0, 2950.0, 0.5)
+    psi_count: int = 12
+    noise: NoiseConfig | None = None
 
 
 class PlanarRunResult(NamedTuple):
@@ -186,12 +174,6 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries, plan: fitkit.FitPlan | None = 
 _SWEEP_MEMO_SIZE = 16
 
 
-def _array_key(values) -> tuple[tuple[int, ...], bytes]:
-    """Value key of a float array: its shape and its float64 bytes."""
-    a = np.asarray(values, dtype=float)
-    return a.shape, a.tobytes()
-
-
 class _SceneSweep(NamedTuple):
     """A memo entry: basis, noiseless sweep and the `fitkit.FitPlan` of the
     sweep's grid and dip centers."""
@@ -202,21 +184,16 @@ class _SceneSweep(NamedTuple):
 
 
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
-def _noiseless_sweep(scene: WireScene, nv_index: int, constants: SpinConstants,
-                     b_static_mt: float, shape: LineshapeParams,
-                     grid_key: tuple[tuple[int, ...], bytes],
-                     psis_key: tuple[tuple[int, ...], bytes]) -> _SceneSweep:
-    """Transverse basis, noiseless sweep and dip-fit plan of one NV
-    orientation in a scene, memoized by value; every array of the result is
-    read-only.  A grid the plan rejects (one that cannot hold both dips)
-    raises its ValueError here, and nothing is cached."""
-    # rebuilt from the key, so the cached sweep shares no memory with the caller's arrays
-    grid = np.frombuffer(grid_key[1]).reshape(grid_key[0])
-    psis = np.frombuffer(psis_key[1]).reshape(psis_key[0])
+def _noiseless_sweep(scene: WireScene, nv_index: int, cfg: ChainConfig) -> _SceneSweep:
+    """Transverse basis, noiseless sweep and dip-fit plan of one NV orientation
+    in a scene under `cfg` without noise, memoized by value; every array of the
+    result is read-only.  A grid or psi count that the synthesis or the plan
+    rejects (a grid without both dips) raises its ValueError, uncached."""
     basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
-    sweep = odmrsim.simulate_phi_sweep(constants, basis, b_static_mt,
-                                       geometry.mw_direction(scene),
-                                       geometry.wire_field_magnitude(scene), shape, grid, psis)
+    sweep = odmrsim.simulate_phi_sweep(
+        cfg.constants, basis, cfg.b_static_mt, geometry.mw_direction(scene),
+        geometry.wire_field_magnitude(scene), cfg.shape, odmrsim.default_grid(*cfg.grid_mhz),
+        np.linspace(0.0, math.pi, cfg.psi_count, endpoint=False))
     for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies, sweep.signals):
         a.setflags(write=False)
     return _SceneSweep(basis, sweep, fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz))
@@ -228,16 +205,15 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfi
     for each NV orientation, with the sweeps of all of them in one dip fit.
 
     The noiseless sweeps come from a memo of at most `_SWEEP_MEMO_SIZE`
-    entries, keyed by the scene, the NV index and the chain's constants,
-    static field, lineshape, grid and psis (arrays by shape and bytes); a
-    repeat of a scene returns the read-only sweep of its first run, bit for
-    bit what a new synthesis would give.  The sweeps of a run share grid and
-    dip centers, so all are fitted with the first entry's plan.  The sweep
-    of nv_indices[k] draws its noise in one call from spawn key noise_keys[k].
+    entries, keyed by the scene, the NV index and the chain config without
+    its noise; a repeat of a scene returns the read-only sweep of its first
+    run, bit for bit what a new synthesis would give.  The sweeps of a run
+    share grid and dip centers, so all are fitted with the first entry's
+    plan.  The sweep of nv_indices[k] draws its noise in one call from spawn
+    key noise_keys[k].
     """
-    grid, psis = _array_key(cfg.grid), _array_key(cfg.psis)
-    entries = [_noiseless_sweep(scene, nv_index, cfg.constants, cfg.b_static_mt, cfg.shape,
-                                grid, psis) for nv_index in nv_indices]
+    clean = cfg._replace(noise=None)
+    entries = [_noiseless_sweep(scene, nv_index, clean) for nv_index in nv_indices]
     sweeps = [e.sweep for e in entries]
     if cfg.noise is not None:
         sweeps = [odmrsim.noisy_copy_with_subseed(s, cfg.noise, *key)
@@ -251,13 +227,12 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfi
 
 
 def end_to_end_planar(scene: WireScene, nv_index: int,
-                      cfg: ChainConfig | None = None) -> PlanarRunResult:
+                      cfg: ChainConfig = ChainConfig()) -> PlanarRunResult:
     """simulate_phi_sweep -> sweep_lp_depths -> fit_cos2 -> extract_nv_y -> planar_alpha.
 
     Truth comes from the wire tangent at the scene position; the reported
     error is the distance to the nearer member of the ambiguity pair.
     """
-    cfg = cfg if cfg is not None else ChainConfig()
     [(nv_y, cos2)] = _measure_nv_y(scene, (nv_index,), cfg, ((),))
     alpha = planar_alpha(nv_y.axis)
     partner = (alpha + 180.0) % 360.0
@@ -274,7 +249,7 @@ def end_to_end_planar(scene: WireScene, nv_index: int,
 
 
 def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
-                  cfg: ChainConfig | None = None) -> MwAxisEstimate:
+                  cfg: ChainConfig = ChainConfig()) -> MwAxisEstimate:
     """Two-orientation reconstruction of the full 3-D microwave axis.
 
     The sweep of slot k draws its noise from spawn key (k,).
@@ -282,6 +257,5 @@ def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
     i1, i2 = nv_indices
     if i1 == i2:
         raise NearParallelAxesError("the two NV orientations must differ")
-    cfg = cfg if cfg is not None else ChainConfig()
     (y1, _), (y2, _) = _measure_nv_y(scene, (i1, i2), cfg, ((0,), (1,)))
     return mw_axis_from_two(y1.axis, y2.axis, truth_axis=geometry.mw_direction(scene))

@@ -265,6 +265,12 @@ class TestErrorPaths:
         ("reconstruct-planar", '{"mode": "reconstruct-planar", "nv_index": 3, '
                                '"wire": {"current_ma": 40, "positions_um": [[61, 18]]}, '
                                '"frequency_grid_mhz": {"step": 10}}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
+                   '"frequency_grid_mhz": {"start": 2850, "stop": 2851, "step": 5}}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, "wire": {"current_ma": 20}}'),
+        ("simulate", '{"mode": "simulate", "static": {"b_mt": 10.2, "theta_deg": 90}, '
+                     '"mw": {"amplitude_mt": 0.0357, "zeta_deg": 90}, '
+                     '"frequency_grid_mhz": {"step": 0}}'),
     ], ids=["nan", "infinity", "overflow", "position-string", "seed-nan", "n-string",
             "n-float", "phi-minus-infinity", "measured-axes-scalars", "fieldmap-origin-only",
             "spectrum-path-number", "rate-negative", "dwell-zero", "static-field-zero",
@@ -272,7 +278,8 @@ class TestErrorPaths:
             "grid-step-tiny", "psi-count-oversized", "fieldmap-axis-oversized",
             "fieldmap-grid-oversized", "n-oversized", "eta-overflow", "rate-zero",
             "fieldmap-unread-blocks", "measured-axes-static-field", "measured-axes-psi-count",
-            "fwhm-below-grid-step", "fwhm-above-half-span", "grid-step-above-fwhm"])
+            "fwhm-below-grid-step", "fwhm-above-half-span", "grid-step-above-fwhm",
+            "grid-one-point", "duplicate-key", "grid-step-zero"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, mode, raw):
         path = tmp_path / "cfg.json"
         path.write_text(raw)
@@ -392,16 +399,11 @@ class TestTable1:
     def test_defaults_are_the_library_defaults(self):
         # the schema restates the defaults of SpinConstants, LineshapeParams,
         # default_grid and ChainConfig; a config that sets only the current
-        # must build the library's default chain, grid and psis bit for bit
+        # must build the library's default chain, field by field
         p = cli._read({"mode": "table1", "wire": {"current_ma": 40.0}}, cli.SCHEMAS["table1"])
         chain, ref = cli._chain_config(p, None), reconstruct.ChainConfig()
-        assert chain.constants == ref.constants
-        assert chain.b_static_mt == ref.b_static_mt
-        assert chain.shape == ref.shape
-        assert chain.noise is None
-        for got, want in ((chain.grid, ref.grid), (chain.psis, ref.psis)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        assert chain == ref
+        assert chain.grid_mhz == odmrsim.default_grid.__defaults__
 
     def test_noise_beyond_the_poisson_sampler_exits_2(self, tmp_path, capsys):
         # 1e21 mean counts per point are finite and positive, but numpy's
@@ -534,6 +536,52 @@ class TestReconstruct3d:
         assert payload["angular_error_deg"] == 0.0
         for c in payload["axis"] + payload["truth_axis"]:
             assert c == round(c, 12)
+
+
+class TestGridRanges:
+    # a [start, stop, step] range never passes stop: odmrsim.default_grid
+    # takes floor((stop - start) / step) + 1 points, and a whole number of
+    # steps still ends on stop
+    def test_fieldmap_axis_stops_at_its_max(self, tmp_path):
+        cfg = write_cfg(tmp_path, "fm.json", {
+            "mode": "fieldmap", "grid_um": {"x": [40.0, 41.0, 0.6], "z": [18.0, 19.0, 0.5]}})
+        out = tmp_path / "out"
+        assert cli.run("fieldmap", cfg, out) == cli.EXIT_OK
+        rows = read_csv(out / "fieldmap.csv")[1:]
+        assert [(float(x), float(z)) for x, z, _, _ in rows] == [
+            (x, z) for x in (40.0, 40.6) for z in (18.0, 18.5, 19.0)]
+
+    def test_simulate_grid_stops_at_its_stop(self, tmp_path):
+        cfg = write_cfg(tmp_path, "sim.json", dict(
+            SIMULATE_CFG, frequency_grid_mhz={"start": 2850.0, "stop": 2851.0, "step": 0.6}))
+        out = tmp_path / "out"
+        assert cli.run("simulate", cfg, out) == cli.EXIT_OK
+        assert [row[0] for row in read_csv(out / "spectrum.csv")[1:]] == ["2850", "2850.6"]
+
+    @pytest.mark.parametrize("stop, step, size", [(19999.6, 1.0, 20000), (19999.0, 1.0, 20000),
+                                                  (0.3, 0.1, 4), (0.35, 0.1, 4)])
+    def test_size_bound_counts_the_points_made(self, stop, step, size):
+        # 19999.6 steps make 20,000 points, within the bound (it counted
+        # 20,001 and allocated them); 0.3 / 0.1 is 2.9999999999999996 in
+        # floats and still ends on stop
+        grid = cli._grid(0.0, stop, step, "frequency_grid_mhz")
+        assert grid.size == size and grid[-1] <= stop + 1e-12
+        assert grid.size <= cli.MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("raw, message", [
+        ('{"mode": "table1", "wire": {"current_ma": 40}, '
+         '"frequency_grid_mhz": {"start": 2850, "stop": 2851, "step": 5}}',
+         "frequency_grid_mhz: need at least two points (stop >= start + step)"),
+        ('{"mode": "table1", "wire": {"current_ma": 40, "current_ma": 20}}',
+         "config: duplicate key 'current_ma'"),
+    ], ids=["grid-one-point", "duplicate-key"])
+    def test_error_names_the_key(self, tmp_path, capsys, raw, message):
+        # a one-point grid once exited 3 from the linewidth bracket, and a
+        # repeated key ran on its last value
+        path = tmp_path / "t1.json"
+        path.write_text(raw)
+        assert cli.run("table1", path, tmp_path / "out") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestFieldmapAndSensitivity:

@@ -73,6 +73,20 @@ class TestGridAndLorentzian:
         assert grid[-1] == 2950.0
         assert grid.size == 201
         assert np.allclose(np.diff(grid), 0.5)
+        # a range that is not a whole number of steps stops short of its
+        # end; one that is, even by float rounding (0.3 / 0.1 < 3), ends on it
+        for (start, stop, step), size in [((2850.0, 2851.0, 0.6), 2), ((40.0, 41.0, 0.6), 2),
+                                          ((0.0, 19999.6, 1.0), 20000), ((0.0, 0.3, 0.1), 4),
+                                          ((2850.0, 2850.0, 0.5), 1), ((2850, 2950, 1), 101)]:
+            g = odmrsim.default_grid(start, stop, step)
+            assert g.size == size and g.dtype == float and g[-1] <= stop + 1e-12
+            assert g.tobytes() == (float(start) + float(step) * np.arange(size)).tobytes()
+        for start, stop, step in [(2850.0, 2950.0, 0.0), (2850.0, 2950.0, -0.5),
+                                  (2850.0, 2950.0, math.inf), (2850.0, 2950.0, math.nan),
+                                  (2950.0, 2850.0, 0.5), (2850.0, math.inf, 0.5),
+                                  (math.nan, 2950.0, 0.5)]:
+            with pytest.raises(ValueError, match="^grid "):
+                odmrsim.default_grid(start, stop, step)
 
     def test_lorentzian_peak_and_halfwidth(self):
         f = np.array([2900.0, 2904.0, 2896.0])

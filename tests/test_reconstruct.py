@@ -218,13 +218,6 @@ class TestSweepChain:
                         assert np.array_equal(sigmas, fit.depth_sigmas[start:start + n, 1])
                     start += n
 
-    def test_default_psis_equal_linspace(self):
-        # the default sweep angles are built without np.linspace, bit for bit equal to it
-        psis = reconstruct.ChainConfig().psis
-        ref = np.linspace(0.0, math.pi, 12, endpoint=False)
-        assert psis.dtype == ref.dtype and psis.shape == ref.shape
-        assert psis.tobytes() == ref.tobytes()
-
     def test_one_dip_fit_per_reconstruction(self, monkeypatch):
         # one eigensolve per new noiseless sweep, none for a memoized one, and
         # every sweep of a result in one dip fit
@@ -320,7 +313,7 @@ class TestSweepChain:
         monkeypatch.setattr(reconstruct, "sweep_lp_depths", record)
         psis = np.linspace(0.0, math.pi, 5, endpoint=False)
         cfg = reconstruct.ChainConfig(
-            psis=psis, noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=1.5, seed=4))
+            psi_count=5, noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=1.5, seed=4))
 
         def run_3d():
             reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
@@ -354,9 +347,17 @@ class TestSweepChain:
 
 def memo_entry(scene, nv_index, cfg):
     """The memo's entry for one NV orientation under cfg."""
-    return reconstruct._noiseless_sweep(scene, nv_index, cfg.constants, cfg.b_static_mt,
-                                        cfg.shape, reconstruct._array_key(cfg.grid),
-                                        reconstruct._array_key(cfg.psis))
+    return reconstruct._noiseless_sweep(scene, nv_index, cfg._replace(noise=None))
+
+
+def direct_sweep(scene, nv_index, cfg):
+    """A new synthesis of what the memo holds for one NV orientation under
+    cfg: the sweep on cfg's grid and psi count."""
+    return odmrsim.simulate_phi_sweep(
+        cfg.constants, geometry.transverse_basis(AXES[nv_index]), cfg.b_static_mt,
+        geometry.mw_direction(scene), geometry.wire_field_magnitude(scene), cfg.shape,
+        odmrsim.default_grid(*cfg.grid_mhz),
+        np.linspace(0.0, math.pi, cfg.psi_count, endpoint=False))
 
 
 def memo_sweep(scene, nv_index, cfg):
@@ -370,7 +371,8 @@ def assert_bit_identical(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-# (start, n_f, step) of a memo test's grid.  Most grids of the first branch
+# (start, n_f, step) of a memo test's grid, whose stop is start + (n_f - 1)
+# step.  Most grids of the first branch
 # end below the 2926.4 MHz dip, and the plan rejects them; every grid of the
 # second ends at or above `end` >= 2927 MHz, so it holds both dips.
 GRID_STEPS = st.sampled_from([0.25, 0.5, 1.0])
@@ -393,15 +395,13 @@ class TestSweepMemo:
         # the plan built on its grid and dip centers, bit for bit; x = 0.0 and
         # x = -0.0 make equal keys, so one hits the other
         start, n_f, step = grid
-        cfg = reconstruct.ChainConfig(grid=start + step * np.arange(n_f),
-                                      psis=np.linspace(0.0, math.pi, n_psi, endpoint=False))
+        cfg = reconstruct.ChainConfig(grid_mhz=(start, start + (n_f - 1) * step, step),
+                                      psi_count=n_psi)
         scene = geometry.WireScene(x, z, current)
         twin = geometry.WireScene(-x if x == 0.0 else x, z, current)
         ref_basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
-        refs = [odmrsim.simulate_phi_sweep(cfg.constants, ref_basis, cfg.b_static_mt,
-                                           geometry.mw_direction(s),
-                                           geometry.wire_field_magnitude(s), cfg.shape,
-                                           cfg.grid, cfg.psis) for s in (scene, twin)]
+        refs = [direct_sweep(s, nv_index, cfg) for s in (scene, twin)]
+        assert refs[0].frequencies.size == n_f and refs[0].psis.size == n_psi
         try:
             ref_plan = fitkit.FitPlan(refs[0].frequencies, refs[0].centers_mhz)
         except ValueError as exc:
@@ -431,36 +431,46 @@ class TestSweepMemo:
         for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies, sweep.signals):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
-        # the chain config's own arrays stay writable and are not the cached ones
-        assert cfg.grid.flags.writeable and cfg.psis.flags.writeable
-        assert not np.shares_memory(cfg.grid, sweep.frequencies)
-        assert not np.shares_memory(cfg.psis, sweep.psis)
-        cfg.grid[0] = 0.0
         assert memo_sweep(SCENE, reconstruct.NV1_AXIS_INDEX,
                           reconstruct.ChainConfig())[1] is sweep
 
     @pytest.mark.parametrize("field_name, value", [
-        ("grid", odmrsim.default_grid()[:, None]),
-        ("psis", np.linspace(0.0, math.pi, 12, endpoint=False)[:, None]),
-        ("psis", np.array([])),
-    ])
+        ("grid_mhz", (2850.0, 2900.0, 0.5)),
+        ("psi_count", -1),
+        ("psi_count", 0),
+        ("grid_mhz", (2950.0, 2850.0, 0.5)),
+    ], ids=["grid-without-dips", "psi-count-negative", "psi-count-zero",
+            "grid-stop-below-start"])
     def test_malformed_input_raises_every_time(self, field_name, value):
-        # the key carries the array shape, so a column array never hits the
-        # 1-D array of the same bytes, and a failed synthesis is not cached:
-        # every call raises what a direct synthesis raises
+        # a failed synthesis or plan is not cached: every call raises what
+        # a direct synthesis and plan raise (the first grid ends below the
+        # 2926.4 MHz dip)
         good = reconstruct.ChainConfig()
         reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, good)
         cfg = reconstruct.ChainConfig(**{field_name: value})
         with pytest.raises(ValueError) as direct:
-            odmrsim.simulate_phi_sweep(cfg.constants, geometry.transverse_basis(NV1),
-                                       cfg.b_static_mt, geometry.mw_direction(SCENE),
-                                       geometry.wire_field_magnitude(SCENE), cfg.shape,
-                                       cfg.grid, cfg.psis)
+            sweep = direct_sweep(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+            fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz)
         for _ in range(2):
             with pytest.raises(ValueError) as chained:
                 reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
             assert str(chained.value) == str(direct.value)
         assert reconstruct._noiseless_sweep.cache_info().currsize == 1
+
+    def test_config_is_the_key(self):
+        # a config holds only values, so it hashes, and equal configs share
+        # one entry whatever their number types or noise
+        assert hash(reconstruct.ChainConfig()) == hash(reconstruct.ChainConfig())
+        noise = reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.008, seed=1)
+        for cfg in (reconstruct.ChainConfig(),
+                    reconstruct.ChainConfig(grid_mhz=(2850, 2950, 0.5)),
+                    reconstruct.ChainConfig(grid_mhz=(2850, 2950, 0.5), noise=noise)):
+            reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+        info = reconstruct._noiseless_sweep.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        _, sweep = memo_sweep(SCENE, reconstruct.NV1_AXIS_INDEX, reconstruct.ChainConfig())
+        assert_bit_identical(sweep.frequencies, odmrsim.default_grid())
+        assert_bit_identical(sweep.psis, np.linspace(0.0, math.pi, 12, endpoint=False))
 
     def test_warm_memo_equals_cold(self):
         # noisy planar and 3-D results from memoized sweeps, whose entries

@@ -175,18 +175,6 @@ def test_repr_names_the_fields(record):
     assert all(f"{name}=" in text for name in record._fields)
 
 
-def test_chain_configs_hold_distinct_writable_defaults():
-    a, b = reconstruct.ChainConfig(), reconstruct.ChainConfig()
-    assert np.array_equal(a.grid, odmrsim.default_grid())
-    assert np.array_equal(a.psis, np.linspace(0.0, math.pi, 12, endpoint=False))
-    for x, y in ((a.grid, b.grid), (a.psis, b.psis)):
-        assert x.flags.writeable and not np.shares_memory(x, y)
-        x[0] = -1.0
-        assert y[0] != -1.0
-    fresh = reconstruct.ChainConfig()
-    assert fresh.grid[0] == 2850.0 and fresh.psis[0] == 0.0
-
-
 def test_one_noise_record():
     # the chain's noise config is the record noisy spectra and sweeps carry,
     # so a bad one fails when it is built, not at the first noisy copy
