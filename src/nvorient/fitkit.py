@@ -14,8 +14,9 @@ fit along dc/dt = -G^-1 w in closed form, unprojected.  The depth covariance
 comes from the normal matrix of the last projected state, computed once.
 What depends on the grid and centers alone is a `FitPlan`, built and
 checked once per scene (a noise study refits one scene many times).
-Dips with free centers are fitted by the same projection, with Gauss-Newton
-steps on t and the centers.
+Dips with free centers are fitted by the same projection, with
+Gauss-Newton steps on t and the centers, from a plan and a step control
+(`_search`) that both fits share.
 
 The cos^2 law is a linear fit of three terms to a dozen depths, solved by a
 thin QR (modified Gram-Schmidt) on Python floats: at that size numpy's fixed
@@ -24,6 +25,7 @@ cost per call is larger than the arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from operator import mul
@@ -50,8 +52,8 @@ class DipEstimate(NamedTuple):
 
 INIT_FWHM_MHZ = 8.0
 MAX_DIP_ITER = 200
-# pinned-center search: a Newton step of at most STEP_TOL * fwhm is the last,
-# taken in closed form; Newton converges quadratically, so it leaves
+# both dip searches (`_search`): a step of at most STEP_TOL * fwhm is the
+# last; the pinned fit's Newton converges quadratically, so it leaves
 # O(STEP_TOL^2).  A chi-square rise below RISE_SLACK (relative) is round-off;
 # without that slack the search backtracks forever near the optimum.
 # MAX_HALVINGS halvings take any step below STEP_TOL * fwhm.
@@ -78,14 +80,9 @@ class PinnedDipFit(NamedTuple):
 
 
 def fwhm_bracket(f: np.ndarray) -> tuple[float, float]:
-    """The open interval (grid step, half the grid span) in which a pinned fit
-    searches the fwhm; narrower or wider dips are not resolved by the grid."""
+    """The open interval (grid step, half the grid span) in which the dip fits
+    search the fwhm; narrower or wider dips are not resolved by the grid."""
     return float((f[1:] - f[:-1]).min()), 0.5 * float(f[-1] - f[0])
-
-
-def _check_centers(f: np.ndarray, centers: np.ndarray) -> None:
-    if not all(f[0] <= c <= f[-1] for c in centers.tolist()):
-        raise ValueError("initial dip centers must lie inside the frequency grid")
 
 
 def _fill_block(b, fwhm) -> None:
@@ -103,21 +100,27 @@ def _fill_block(b, fwhm) -> None:
 
 
 class FitPlan:
-    """What pinned dip fits on one grid `f` and `centers` share: both,
-    checked, the bracket (lo, hi) = `fwhm_bracket(f)` and the start `fwhm`
-    in it, `delta2` = (f - centers)^2, and the block `phi` and its products
-    `prod` at the start fwhm (see `_Workspace`), read-only.  Raises
-    ValueError unless `f` is a nonempty, finite, strictly ascending 1-D grid
-    and `centers` a 1-D array inside it, with at least n + 2 points for n
-    centers.
-    """
+    """Where both dip fits start on grid `f` at `centers`: both, checked,
+    the bracket (lo, hi) = `fwhm_bracket(f)`, the start `fwhm`
+    (INIT_FWHM_MHZ clamped to it) and, for pinned fits, `delta2` =
+    (f - centers)^2 and the block `phi` and its products `prod` at the start
+    fwhm (see `_Workspace`), read-only.  Raises ValueError, naming the
+    centers, unless `f` is a nonempty, finite, strictly ascending 1-D grid
+    and `centers` a 1-D array of distinct frequencies inside it, with at
+    least n + 2 points for n centers."""
 
     def __init__(self, f, centers):
         self.f = f = odmrsim._check_grid(f)
         self.centers = centers = np.asarray(centers, dtype=float)
         if centers.ndim != 1:
             raise ValueError("dip centers must be a 1-D array of frequencies")
-        _check_centers(f, centers)
+        listed = centers.tolist()
+        named = f"dip centers {', '.join(f'{c:.3f}' for c in listed)} MHz"
+        if not all(f[0] <= c <= f[-1] for c in listed):
+            raise ValueError(f"{named} must lie inside the frequency grid "
+                             f"[{f[0]:g}, {f[-1]:g}] MHz")
+        if len(set(listed)) < len(listed):
+            raise ValueError(f"{named} must all differ")
         self.n = n = centers.size
         if f.size < n + 2:
             raise ValueError("fewer data points than parameters")
@@ -167,7 +170,7 @@ def _project(ws, fwhm):
     block-diagonal in the G's, bordered by the a.jw's, so by blockwise
     inversion the depth variances are diag(G^-1) + u^2 / (summed Kaufman
     curvature).  The residual is formed point by point: chi2 from moments
-    would lose digits to cancellation.  Returns [c, chi2, r.jw, curvature,
+    would lose digits to cancellation.  Returns [chi2, r.jw, curvature, c,
     G^-1, u, Kaufman curvature, G^-1 w], the batch sums as floats.  The
     block is refilled only at a fwhm other than the one it holds."""
     if fwhm != ws.fwhm:
@@ -196,12 +199,44 @@ def _project(ws, fwhm):
     # the quadratic forms (a.jw).G^-1(a.jw) and w.G^-1 w, summed over the batch
     kaufman = jj - float(np.vdot(aw[:, :, 0], gw[:, :, 0]))
     exact = jj + 2.0 * float(np.vdot(s.T, rd[n:])) - float(np.vdot(aw[:, :, 1], gw[:, :, 1]))
-    return [coef, float(np.vdot(r, r)), float(np.vdot(s.T, rd[:n])),
-            exact if exact > 0.0 else kaufman, ginv, gw[:, :, 0], kaufman, gw[:, :, 1]]
+    return [float(np.vdot(r, r)), float(np.vdot(s.T, rd[:n])), exact if exact > 0.0 else kaufman,
+            coef, ginv, gw[:, :, 0], kaufman, gw[:, :, 1]]
 
 
-def fit_pinned_dips(f, signals, sigmas, centers, plan: FitPlan | None = None
-                    ) -> PinnedDipFit:
+def _search(project, propose, x):
+    """The step control of both dip fits, from x, the fwhm or an array that
+    starts with it: `project(x)` gives a state that starts with the
+    chi-square, `propose(state, x)` a step and, if it is the last (at most
+    STEP_TOL * fwhm), the state it ends in, else None.  A step is halved
+    while the chi-square rises by more than RISE_SLACK; after MAX_HALVINGS
+    halvings the search stops at its previous state.  Returns the last x
+    and state; raises DegenerateFitError after MAX_DIP_ITER steps."""
+    state = project(x)
+    for _ in range(MAX_DIP_ITER):
+        step, last = propose(state, x)
+        if last is not None:
+            return x + step, last
+        bound = state[0] * (1.0 + RISE_SLACK)
+        trial = project(x + step)
+        for _ in range(MAX_HALVINGS):
+            if not trial[0] > bound:
+                break
+            step = step * 0.5
+            trial = project(x + step)
+        if trial[0] > bound:
+            return x, state  # the halvings ran out: keep the previous state
+        x, state = x + step, trial
+    raise DegenerateFitError(f"dip fit did not converge in {MAX_DIP_ITER} steps")
+
+
+def _check_fwhm(plan, fwhm):
+    """Refuse a fwhm on the plan's bracket, which the grid cannot resolve."""
+    if not plan.lo < fwhm < plan.hi:
+        raise DegenerateFitError(
+            f"dip fwhm ran to the bound of [{plan.lo:g}, {plan.hi:g}] MHz set by the grid")
+
+
+def fit_pinned_dips(plan: FitPlan, signals, sigmas) -> PinnedDipFit:
     """Fit Lorentzian dips at pinned centers to a batch of spectra on one
     frequency grid: a baseline and depths per spectrum, and one fwhm shared
     by the whole batch.
@@ -231,27 +266,21 @@ def fit_pinned_dips(f, signals, sigmas, centers, plan: FitPlan | None = None
     search sums these over the batch; where the summed curvature is not
     positive, the summed Gauss-Newton value 2(jw.jw - (a.jw).G^-1(a.jw))
     (Kaufman, BIT 15, 49 (1975)) serves.  Each step is clamped to
-    |dt| <= MAX_LOG_STEP and to the bracket, and halved while the summed
-    chi-square rises.  A step of at most STEP_TOL * fwhm is the last, and it
-    is not projected: differentiating G c = a.yw gives dc/dt = -G^-1 w, along
-    which c moves with an error of O(dt^2).  The search also stops, keeping
-    its previous state, when the chi-square still rises after MAX_HALVINGS
-    halvings.  Depth sigmas are computed once, from the last projected state
-    (see `_project`); depth variances do not depend on how the fwhm is
+    |dt| <= MAX_LOG_STEP and to the bracket, and controlled by `_search`;
+    the last is not projected: differentiating G c = a.yw gives
+    dc/dt = -G^-1 w, along which c moves with an error of O(dt^2).  Depth
+    sigmas are computed once, from the last projected state (see
+    `_project`); depth variances do not depend on how the fwhm is
     parametrized.
 
-    The fit runs from `plan`, the `FitPlan` of `f` and `centers`, built here
-    when not given; with one, `f` and `centers` are not read.  The fwhm is
-    searched within `fwhm_bracket(f)`, [grid step, half the grid span].
-    Raises ValueError on a grid or centers `FitPlan` rejects, and
-    DegenerateFitError when the shared fwhm ends on that bracket (the dips
-    would run wider or narrower than the grid can show), when the search has
-    not stopped after MAX_DIP_ITER steps, or when the final summed Kaufman
-    curvature is not positive: then nothing in the data fixes the fwhm (all
-    depths are zero), and the depth sigmas would divide by it.
+    The fit runs from `plan`, the `FitPlan` of the grid and the centers, and
+    searches the fwhm within its bracket, (grid step, half the grid span).
+    Raises DegenerateFitError when the shared fwhm ends on that bracket,
+    when the search has not stopped after MAX_DIP_ITER steps, or when the
+    final summed Kaufman curvature is not positive: then nothing in the data
+    fixes the fwhm (all depths are zero), and the depth sigmas would divide
+    by it.
     """
-    if plan is None:
-        plan = FitPlan(f, centers)
     y = np.atleast_2d(np.asarray(signals, dtype=float))
     if y.shape[1] != plan.f.size:
         raise ValueError("signals do not match the frequency grid")
@@ -265,34 +294,20 @@ def fit_pinned_dips(f, signals, sigmas, centers, plan: FitPlan | None = None
             raise ValueError("sigmas must be positive, finite and shaped like the signals")
         wt = 1.0 / sig
     ws = _Workspace(plan, y, wt)
-    lo, hi, fwhm = plan.lo, plan.hi, plan.fwhm
+
+    def newton(state, fwhm):
+        grad, curv = state[1:3]
+        dt = min(max(-grad / curv, -MAX_LOG_STEP), MAX_LOG_STEP) if curv > 0.0 else 0.0
+        step = min(max(fwhm + fwhm * math.expm1(dt), plan.lo), plan.hi) - fwhm
+        if abs(step) > STEP_TOL * fwhm:
+            return step, None
+        state[3] = state[3] - state[7] * math.log1p(step / fwhm)  # the last step, closed form
+        return step, state
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        state = _project(ws, fwhm)
-        for _ in range(MAX_DIP_ITER):
-            chi2, grad, curv = state[1:4]
-            dt = min(max(-grad / curv, -MAX_LOG_STEP), MAX_LOG_STEP) if curv > 0.0 else 0.0
-            step = min(max(fwhm + fwhm * math.expm1(dt), lo), hi) - fwhm
-            if abs(step) <= STEP_TOL * fwhm:  # the last step, in closed form
-                state[0] = state[0] - state[7] * math.log1p(step / fwhm)
-                fwhm += step
-                break
-            bound = chi2 * (1.0 + RISE_SLACK)
-            trial = _project(ws, fwhm + step)
-            for _ in range(MAX_HALVINGS):
-                if not trial[1] > bound:
-                    break
-                step *= 0.5
-                trial = _project(ws, fwhm + step)
-            if trial[1] > bound:
-                break  # the halvings ran out: keep the previous state and stop
-            fwhm += step
-            state = trial
-        else:
-            raise DegenerateFitError(f"pinned dip fit did not converge in {MAX_DIP_ITER} steps")
-        if not lo < fwhm < hi:
-            raise DegenerateFitError(
-                f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid")
-        coef, ginv, u, kaufman = state[0], *state[4:7]
+        fwhm, state = _search(functools.partial(_project, ws), newton, plan.fwhm)
+        _check_fwhm(plan, fwhm)
+        coef, ginv, u, kaufman = state[3:7]
         if not kaufman > 0.0:  # no dip has depth, so nothing fixes the fwhm
             raise DegenerateFitError("the data do not fix the dip fwhm (zero chi-square "
                                      "curvature in the linewidth)")
@@ -330,57 +345,40 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
     to a spectrum, weighted by its shot-noise sigmas when it has them.
 
     As in `fit_pinned_dips`, baseline and depths are projected out (O'Leary
-    & Rust, Comput. Optim. Appl. 54, 579 (2013)) and the search starts at
-    INIT_FWHM_MHZ, here with the given centers.  The Gauss-Newton steps of
-    `_free_project` are scaled to |dt| <= MAX_LOG_STEP, clamped to
-    `fwhm_bracket(f)` and halved by the same rules; a step of at most
-    STEP_TOL * fwhm in the fwhm and every center is the last, and is taken.
-    Depth sigmas come from the full Jacobian's normal matrix, scaled by the
-    reduced chi-square when unweighted.  Raises DegenerateFitError when the
-    search has not stopped after MAX_DIP_ITER steps, a center ends off the
-    grid, the fwhm on its bracket, or a depth is not above SIGNIFICANT_SIGMAS
-    sigmas.  Returns dips ordered by center; warns when two overlap.
+    & Rust, Comput. Optim. Appl. 54, 579 (2013)) and the search starts from
+    the `FitPlan` of the grid and the given centers; its Gauss-Newton steps
+    (`_free_project`) are scaled to |dt| <= MAX_LOG_STEP, clamped to the
+    bracket and controlled by `_search`, the last projected.  Depth sigmas
+    come from the full Jacobian's normal matrix, scaled by the reduced
+    chi-square when unweighted.  Raises ValueError on centers the plan
+    rejects, and DegenerateFitError when the search has not stopped after
+    MAX_DIP_ITER steps, a center ends off the grid, the fwhm on its bracket,
+    or a depth is not above SIGNIFICANT_SIGMAS sigmas.  Returns dips ordered
+    by center; warns when two overlap.
     """
-    x = np.array([INIT_FWHM_MHZ, *(float(c) for c in init_centers_mhz)])
-    f, y = spec.frequencies, spec.signal
-    _check_centers(f, x[1:])
+    plan = FitPlan(spec.frequencies, init_centers_mhz)
+    f, y = plan.f, spec.signal
     if not np.all(np.isfinite(y)):
         raise ValueError("spectrum signal must be finite")
-    if not 1 < x.size <= f.size // 2:
+    if plan.n == 0 or f.size < 2 * plan.n + 2:
         raise ValueError("need a dip center, and no fewer data points than parameters")
     sigma = spec.point_sigma()
     wt = np.ones_like(y) if sigma is None else 1.0 / sigma
-    yw = y * wt
-    lo, hi = fwhm_bracket(f)
-    x[0] = min(max(x[0], lo), hi)
-    state = _free_project(f, yw, wt, x)
-    for _ in range(MAX_DIP_ITER):
+    project = functools.partial(_free_project, f, y * wt, wt)
+
+    def gauss_newton(state, x):
         step = state[2] * (MAX_LOG_STEP / max(abs(state[2][0]), MAX_LOG_STEP))
-        step[0] = min(max(x[0] * math.exp(step[0]), lo), hi) - x[0]
-        if np.abs(step).max() <= STEP_TOL * x[0]:  # the last step, taken
-            x += step
-            state = _free_project(f, yw, wt, x)
-            break
-        bound = state[0] * (1.0 + RISE_SLACK)
-        trial = _free_project(f, yw, wt, x + step)
-        for _ in range(MAX_HALVINGS):
-            if not trial[0] > bound:
-                break
-            step *= 0.5
-            trial = _free_project(f, yw, wt, x + step)
-        if trial[0] > bound:
-            break  # the halvings ran out: keep the previous state and stop
-        x += step
-        state = trial
-    else:
-        raise DegenerateFitError(f"dip fit did not converge in {MAX_DIP_ITER} steps")
+        step[0] = min(max(x[0] * math.exp(step[0]), plan.lo), plan.hi) - x[0]
+        if np.abs(step).max() > STEP_TOL * x[0]:
+            return step, None
+        return step, project(x + step)  # the last step, projected
+
+    x, state = _search(project, gauss_newton, np.array([plan.fwhm, *plan.centers]))
     fwhm, centers = float(x[0]), x[1:]
     if not np.all((centers >= f[0]) & (centers <= f[-1])):
         raise DegenerateFitError(
             f"fitted dip center left the frequency grid [{f[0]:g}, {f[-1]:g}] MHz")
-    if not lo < fwhm < hi:
-        raise DegenerateFitError(
-            f"dip fwhm ran to the bound of [{lo:g}, {hi:g}] MHz set by the grid")
+    _check_fwhm(plan, fwhm)
     chi2, coef, _, jac = state
     try:
         rinv = np.linalg.inv(np.linalg.qr(jac, mode="r"))

@@ -147,8 +147,8 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries, plan: fitkit.FitPlan | None = 
     angle nor on the NV orientation, so the centers of each sweep's psi = 0
     eigensolve hold for every spectrum; sweeps fitted together must share
     them, their grid and their linewidth; `plan` is their `fitkit.FitPlan`,
-    if built.  Raises DegenerateFitError when the shared linewidth cannot be
-    fitted (see `fitkit.fit_pinned_dips`).
+    built here when not given.  Raises DegenerateFitError when the shared
+    linewidth cannot be fitted (see `fitkit.fit_pinned_dips`).
     """
     first = sweeps[0]
     for s in sweeps[1:]:
@@ -160,8 +160,9 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries, plan: fitkit.FitPlan | None = 
     if any(noisy) and not all(noisy):
         raise ValueError("sweeps fitted together must be all noisy or all noiseless")
     sigmas = np.concatenate([s.point_sigmas() for s in sweeps]) if all(noisy) else None
-    fit = fitkit.fit_pinned_dips(first.frequencies, np.concatenate([s.signals for s in sweeps]),
-                                 sigmas, first.centers_mhz, plan)
+    if plan is None:
+        plan = fitkit.FitPlan(first.frequencies, first.centers_mhz)
+    fit = fitkit.fit_pinned_dips(plan, np.concatenate([s.signals for s in sweeps]), sigmas)
     # column 1 is the dip at f_0p, the L0<->Lp transition; each sweep owns rows a:b
     rows = itertools.pairwise(itertools.accumulate((s.psis.size for s in sweeps), initial=0))
     return [(fit.depths[a:b, 1], None if sigmas is None else fit.depth_sigmas[a:b, 1])

@@ -3,9 +3,11 @@ import copy
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -568,19 +570,34 @@ class TestGridRanges:
         assert grid.size == size and grid[-1] <= stop + 1e-12
         assert grid.size <= cli.MAX_GRID_POINTS
 
-    @pytest.mark.parametrize("raw, message", [
+    @pytest.mark.parametrize("raw, code, message", [
         ('{"mode": "table1", "wire": {"current_ma": 40}, '
-         '"frequency_grid_mhz": {"start": 2850, "stop": 2851, "step": 5}}',
+         '"frequency_grid_mhz": {"start": 2850, "stop": 2851, "step": 5}}', cli.EXIT_CONFIG,
          "frequency_grid_mhz: need at least two points (stop >= start + step)"),
-        ('{"mode": "table1", "wire": {"current_ma": 40, "current_ma": 20}}',
+        ('{"mode": "table1", "wire": {"current_ma": 40, "current_ma": 20}}', cli.EXIT_CONFIG,
          "config: duplicate key 'current_ma'"),
-    ], ids=["grid-one-point", "duplicate-key"])
-    def test_error_names_the_key(self, tmp_path, capsys, raw, message):
+        ('{"mode": "table1", "wire": {"current_ma": 40}, '
+         '"frequency_grid_mhz": {"start": 2850, "stop": 2900, "step": 0.5}}', cli.EXIT_PIPELINE,
+         "dip centers 2898.194, 2926.389 MHz must lie inside the frequency grid [2850, 2900] MHz"),
+        ('{"mode": "table1", "wire": {"current_ma": 40}, "constants": {"d_mhz": 1e-3}}',
+         cli.EXIT_PIPELINE,
+         "dip centers 285.855, 571.709 MHz must lie inside the frequency grid [2850, 2950] MHz"),
+        ('{"mode": "table1", "wire": {"current_ma": 40}, "static_field_mt": 1e-9}',
+         cli.EXIT_PIPELINE, "dip centers 2870.000, 2870.000 MHz must all differ"),
+        ('{"mode": "fit", "spectrum_csv": "SPECTRUM", "init_centers_mhz": [2898.0, 2898.0]}',
+         cli.EXIT_PIPELINE, "dip centers 2898.000, 2898.000 MHz must all differ"),
+    ], ids=["grid-one-point", "duplicate-key", "grid-without-dips", "d-tiny", "equal-centers",
+            "fit-equal-centers"])
+    def test_error_names_the_key(self, tmp_path, capsys, fit_spectrum_csv, raw, code, message):
         # a one-point grid once exited 3 from the linewidth bracket, and a
-        # repeated key ran on its last value
-        path = tmp_path / "t1.json"
-        path.write_text(raw)
-        assert cli.run("table1", path, tmp_path / "out") == cli.EXIT_CONFIG
+        # repeated key ran on its last value; a grid without the dips exited
+        # 3 with "initial dip centers must lie inside the frequency grid",
+        # though table1 takes no initial centers, and dips at one center with
+        # "Singular matrix" or, in `fit`, a depth of -4.7e12 not significant
+        path = tmp_path / "cfg.json"
+        path.write_text(raw.replace("SPECTRUM", fit_spectrum_csv))
+        capsys.readouterr()
+        assert cli.run(json.loads(raw)["mode"], path, tmp_path / "out") == code
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -651,6 +668,29 @@ class TestMain:
                          "--format", "json"])
         assert code == cli.EXIT_OK
         assert (out / "spectrum.json").exists()
+
+    def test_readme_examples_run(self, tmp_path):
+        # the configs of README's sh blocks (heredocs and echo lines) and the
+        # runs on them, in README order with out/ moved into tmp_path: each
+        # run exits 0 and writes its data file
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        out = f"{tmp_path / 'out'}/"
+        data_file = {"simulate": "spectrum.csv", "fit": "dips.json", "table1": "table1.csv"}
+        runs = []
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+            lines = iter(block.splitlines())
+            for line in lines:
+                if m := re.fullmatch(r"cat > (\S+) <<'JSON'", line):
+                    body = "\n".join(itertools.takewhile(lambda t: t != "JSON", lines))
+                    (tmp_path / m[1]).write_text(body.replace("out/", out))
+                elif m := re.fullmatch(r"echo '(.*)' > (\S+)", line):
+                    (tmp_path / m[2]).write_text(m[1].replace("out/", out))
+                elif m := re.fullmatch(r"nvorient (\S+) --config (\S+) --out out/", line):
+                    runs.append(m[1])
+                    argv = [m[1], "--config", str(tmp_path / m[2]), "--out", out]
+                    assert cli.main(argv) == cli.EXIT_OK
+                    assert (tmp_path / "out" / data_file[m[1]]).is_file()
+        assert runs == ["simulate", "fit", "table1"]
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):

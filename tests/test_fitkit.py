@@ -253,10 +253,10 @@ class TestFitDips:
         # pinned depths come in the order the centers are given
         spec = two_dip_spectrum()
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
-        fit = fitkit.fit_pinned_dips(spec.frequencies, spec.signal[None], None,
-                                     [eig.f_0m, eig.f_0p])
-        swapped = fitkit.fit_pinned_dips(spec.frequencies, spec.signal[None], None,
-                                         [eig.f_0p, eig.f_0m])
+        fit = fitkit.fit_pinned_dips(fitkit.FitPlan(spec.frequencies, [eig.f_0m, eig.f_0p]),
+                                     spec.signal[None], None)
+        swapped = fitkit.fit_pinned_dips(fitkit.FitPlan(spec.frequencies, [eig.f_0p, eig.f_0m]),
+                                         spec.signal[None], None)
         assert np.max(np.abs(swapped.depths[0] - fit.depths[0, ::-1])) < 1e-12
         free = fitkit.fit_dips(spec, [2898.0, 2926.0])
         assert abs(fit.depths[0, 0] - free[0].depth) < 1e-4
@@ -278,8 +278,8 @@ class TestFitDips:
             fitkit.fit_dips(spec, [2898.0, 2926.0])
         # the same spectrum fits at the known centers
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
-        pinned = fitkit.fit_pinned_dips(grid, spec.signal[None], spec.point_sigma()[None],
-                                        [eig.f_0m, eig.f_0p])
+        pinned = fitkit.fit_pinned_dips(fitkit.FitPlan(grid, [eig.f_0m, eig.f_0p]),
+                                        spec.signal[None], spec.point_sigma()[None])
         assert np.all(np.isfinite(pinned.depths)) and np.all(pinned.depth_sigmas > 0.0)
 
     def test_opposite_sign_overlap_fails(self, shape, grid):
@@ -551,9 +551,10 @@ class TestFitPinnedDips:
         # same optimum as LM on the shared-fwhm model from the same start,
         # never a worse chi-square
         f, centers, runs, _ = noisy_sweeps(50, dwell_s)
+        plan = fitkit.FitPlan(f, centers)
         for y, sig in runs:
             s = sig if weighted else None
-            fit = fitkit.fit_pinned_dips(f, y, s, centers)
+            fit = fitkit.fit_pinned_dips(plan, y, s)
             assert (fit.depth_sigmas is None) == (not weighted)
             ref, index = lm_pinned(f, y, s, centers)
             assert abs(fit.fwhm - ref.params[y.shape[0]]) < 1e-6 * fit.fwhm
@@ -575,22 +576,23 @@ class TestFitPinnedDips:
         f, centers, runs, _ = noisy_sweeps(3, 0.008)
         runs += noisy_sweeps(3, 0.002)[2]
         perm = np.roll(np.arange(12)[::-1], 5)
+        plan = fitkit.FitPlan(f, centers)
         for y, sig in runs:
-            batch = fitkit.fit_pinned_dips(f, y, sig, centers)
-            shuffled = fitkit.fit_pinned_dips(f, y[perm], sig[perm], centers)
+            batch = fitkit.fit_pinned_dips(plan, y, sig)
+            shuffled = fitkit.fit_pinned_dips(plan, y[perm], sig[perm])
             assert abs(shuffled.fwhm - batch.fwhm) < 1e-12
             assert np.max(np.abs(shuffled.depths - batch.depths[perm])) < 1e-12
             assert np.max(np.abs(shuffled.depth_sigmas - batch.depth_sigmas[perm])) < 1e-12
             for k in range(y.shape[0]):
-                one = fitkit.fit_pinned_dips(f, y[k:k + 1], sig[k:k + 1], centers)
-                single = fitkit.fit_pinned_dips(f, y[k], sig[k], centers)
+                one = fitkit.fit_pinned_dips(plan, y[k:k + 1], sig[k:k + 1])
+                single = fitkit.fit_pinned_dips(plan, y[k], sig[k])
                 assert abs(one.fwhm - single.fwhm) < 1e-12
                 assert np.max(np.abs(one.depths - single.depths)) < 1e-12
                 assert np.max(np.abs(one.depth_sigmas - single.depth_sigmas)) < 1e-12
 
     def test_noiseless_recovers_simulated_lineshape(self, shape):
         f, centers, _, sweep = noisy_sweeps(0, 0.008)
-        fit = fitkit.fit_pinned_dips(f, sweep.signals, None, centers)
+        fit = fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), sweep.signals, None)
         assert abs(fit.fwhm - shape.fwhm_mhz) < 1e-9
         for s in sweep.signals:
             assert linear_fit_at(f, s, None, centers, fit.fwhm)[1] < 1e-20
@@ -602,11 +604,12 @@ class TestFitPinnedDips:
         f, centers, runs, _ = noisy_sweeps(40, 0.0005)
         lo, hi = 0.5, 50.0  # the default grid's step and half span
         assert fitkit.fwhm_bracket(f) == (lo, hi)
+        plan = fitkit.FitPlan(f, centers)
         raised, fwhms = 0, []
         for y, sig in runs:
             for k in range(y.shape[0]):
                 try:
-                    fit = fitkit.fit_pinned_dips(f, y[k:k + 1], sig[k:k + 1], centers)
+                    fit = fitkit.fit_pinned_dips(plan, y[k:k + 1], sig[k:k + 1])
                 except DegenerateFitError:
                     raised += 1
                     continue
@@ -614,7 +617,7 @@ class TestFitPinnedDips:
         assert lo < min(fwhms) and max(fwhms) < hi
         assert raised > 0
         for y, sig in runs:
-            assert lo < fitkit.fit_pinned_dips(f, y, sig, centers).fwhm < hi
+            assert lo < fitkit.fit_pinned_dips(plan, y, sig).fwhm < hi
 
     def test_shared_fwhm_is_global_minimum(self):
         # 100 counts per point: the search must not stop in a local minimum;
@@ -623,7 +626,7 @@ class TestFitPinnedDips:
         grid = np.geomspace(*fitkit.fwhm_bracket(f), 600)
         on_grid = summed_chi2(f, centers, grid)
         for y, sig in runs:
-            fit = fitkit.fit_pinned_dips(f, y, sig, centers)
+            fit = fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), y, sig)
             at_fit = summed_chi2(f, centers, np.array([fit.fwhm]))(y, sig)[0]
             assert at_fit <= np.min(on_grid(y, sig)) * (1.0 + 1e-9)
 
@@ -631,9 +634,10 @@ class TestFitPinnedDips:
         # a linewidth fitted per spectrum biased the deepest depths by
         # +1.4..+6.2% at 400 counts per point; the shared one stays within 2%
         f, centers, runs, sweep = noisy_sweeps(1000, 0.002, first_seed=10_000)
-        truth = fitkit.fit_pinned_dips(f, sweep.signals, None, centers).depths[:, 1]
+        plan = fitkit.FitPlan(f, centers)
+        truth = fitkit.fit_pinned_dips(plan, sweep.signals, None).depths[:, 1]
         deepest = np.argsort(truth)[-6:]
-        depths = np.array([fitkit.fit_pinned_dips(f, y, sig, centers).depths[deepest, 1]
+        depths = np.array([fitkit.fit_pinned_dips(plan, y, sig).depths[deepest, 1]
                            for y, sig in runs])
         assert np.max(np.abs(depths.mean(axis=0) / truth[deepest] - 1.0)) < 0.02
 
@@ -650,7 +654,7 @@ class TestFitPinnedDips:
             ws = fitkit._Workspace(fitkit.FitPlan(f, centers), y, 1.0 / sig)
             for fwhm in (5.0, 8.0, 12.0):
                 state = fitkit._project(ws, fwhm)
-                chi2, grad, curv = state[1:4]
+                chi2, grad, curv = state[:3]
                 fwhms = fwhm * np.exp([-h, 0.0, h])
                 down, mid, up = summed_chi2(f, centers, fwhms)(y, sig)
                 assert abs(chi2 / mid - 1.0) < 1e-12
@@ -678,7 +682,7 @@ class TestFitPinnedDips:
         monkeypatch.setattr(fitkit, "_project", counted)
         for y, sig in runs:
             calls.append(0)
-            fitkit.fit_pinned_dips(f, y, sig, centers)
+            fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), y, sig)
         assert max(calls) <= 4
         assert np.mean(calls) <= 3.0
 
@@ -693,8 +697,8 @@ class TestFitPinnedDips:
         plan = fitkit.FitPlan(f, centers)
         built = [a.copy() for a in (plan.delta2, plan.phi, plan.prod)]
         for y, sig in runs:
-            own = fitkit.fit_pinned_dips(f, y, sig, centers)
-            shared = fitkit.fit_pinned_dips(f, y, sig, centers, plan)
+            own = fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), y, sig)
+            shared = fitkit.fit_pinned_dips(plan, y, sig)
             assert own.fwhm == shared.fwhm
             assert same_bits(own.depths, shared.depths)
             assert (sig is None and shared.depth_sigmas is None
@@ -719,14 +723,7 @@ class TestFitPinnedDips:
             fresh = fitkit._project(fitkit._Workspace(plan, y, 1.0 / sig), fwhm)
             assert all(same_bits(a, b) for a, b in zip(again, fresh))
             chi2 = sum(linear_fit_at(f, y[k], sig[k], centers, fwhm)[1] for k in range(y.shape[0]))
-            assert abs(again[1] / chi2 - 1.0) < 1e-12
-
-    def test_unconverged_fit_raises(self, monkeypatch):
-        f, centers, runs, _ = noisy_sweeps(1, 0.008)
-        y, sig = runs[0]
-        monkeypatch.setattr(fitkit, "MAX_DIP_ITER", 2)
-        with pytest.raises(DegenerateFitError, match="did not converge"):
-            fitkit.fit_pinned_dips(f, y, sig, centers)
+            assert abs(again[0] / chi2 - 1.0) < 1e-12
 
     @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
     def test_all_zero_batch_raises(self, weighted):
@@ -736,32 +733,33 @@ class TestFitPinnedDips:
         f, centers, runs, _ = noisy_sweeps(1, 0.008)
         sig = runs[0][1] if weighted else None
         with pytest.raises(DegenerateFitError, match="do not fix the dip fwhm"):
-            fitkit.fit_pinned_dips(f, np.zeros_like(runs[0][0]), sig, centers)
+            fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), np.zeros_like(runs[0][0]), sig)
 
     def test_input_validation(self):
         f, centers, runs, _ = noisy_sweeps(1, 0.008)
         y, sig = runs[0]
+        plan = fitkit.FitPlan(f, centers)
         with pytest.raises(ValueError):
-            fitkit.fit_pinned_dips(f, y[:, :-1], None, centers)
+            fitkit.fit_pinned_dips(plan, y[:, :-1], None)
         for bad_sigma in (0.0, -1e-3, np.nan, np.inf):
             bad = sig.copy()
             bad[5, 7] = bad_sigma
             with pytest.raises(ValueError, match="sigmas must be positive, finite"):
-                fitkit.fit_pinned_dips(f, y, bad, centers)
+                fitkit.fit_pinned_dips(plan, y, bad)
         with pytest.raises(ValueError):
-            fitkit.fit_pinned_dips(f, y, np.zeros_like(sig), centers)
+            fitkit.fit_pinned_dips(plan, y, np.zeros_like(sig))
         with pytest.raises(ValueError):
-            fitkit.fit_pinned_dips(f, y, sig, [2700.0, centers[1]])
+            fitkit.FitPlan(f, [2700.0, centers[1]])
         # one bad point would stall the linewidth every spectrum shares
         bad = y.copy()
         bad[3, 10] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            fitkit.fit_pinned_dips(f, bad, sig, centers)
+            fitkit.fit_pinned_dips(plan, bad, sig)
         # a scalar and a 2-D array of centers used to raise a TypeError and
         # numpy's ambiguous-truth-value error
         for bad_centers in (2900.0, [[2900.0, 2910.0]]):
             with pytest.raises(ValueError, match="dip centers must be a 1-D array"):
-                fitkit.fit_pinned_dips(f, y, sig, bad_centers)
+                fitkit.FitPlan(f, bad_centers)
 
     # each grid used to be fitted, or to fail with some other error: a repeated
     # point made the fwhm bracket start at 0, a descending grid put the centers
@@ -777,16 +775,24 @@ class TestFitPinnedDips:
         f, centers, runs, _ = noisy_sweeps(1, 0.008)
         y, sig = runs[0]
         with pytest.raises(ValueError, match=match):
-            fitkit.fit_pinned_dips(bad(f), y, sig, centers)
+            fitkit.fit_pinned_dips(fitkit.FitPlan(bad(f), centers), y, sig)
 
     def test_center_check_bounds(self):
-        # centers exactly on the grid's ends are inside it; NaN is not
+        # centers exactly on the grid's ends are inside it; NaN is not; the
+        # message names the centers and the grid's ends; equal centers,
+        # whose Lorentzian columns coincide, are refused by name
         f = odmrsim.default_grid()
-        fitkit._check_centers(f, np.array([f[0], f[-1]]))
+        fitkit.FitPlan(f, [f[0], f[-1]])
         below, above = np.nextafter(f[0], -np.inf), np.nextafter(f[-1], np.inf)
         for centers in ([np.nan, 2900.0], [2900.0, np.nan], [below, 2900.0], [2900.0, above]):
             with pytest.raises(ValueError, match="inside the frequency grid"):
-                fitkit._check_centers(f, np.array(centers))
+                fitkit.FitPlan(f, centers)
+        with pytest.raises(ValueError, match=r"^dip centers 2700\.000, 2926\.000 MHz must lie "
+                                             r"inside the frequency grid \[2850, 2950\] MHz$"):
+            fitkit.FitPlan(f, [2700.0, 2926.0])
+        with pytest.raises(ValueError, match=r"^dip centers 2898\.000, 2898\.000 MHz must all "
+                                             r"differ$"):
+            fitkit.FitPlan(f, [2898.0, 2898.0])
 
     def test_fwhm_bracket_on_nonuniform_grid(self):
         # (the smallest step, half the span), wherever the smallest step lies
@@ -794,6 +800,36 @@ class TestFitPinnedDips:
         lo, hi = fitkit.fwhm_bracket(f)
         assert (lo, hi) == (0.25, 5.0)
         assert type(lo) is float and type(hi) is float
+
+
+@pytest.mark.parametrize("fit", ["pinned", "free"])
+@pytest.mark.parametrize("fwhm, cap, match", [
+    (6.0, 2, "^dip fit did not converge in 2 steps$"),
+    (150.0, None, r"^dip fwhm ran to the bound of \[0.5, 50\] MHz set by the grid$"),
+], ids=["iteration-cap", "wide-dips"])
+def test_search_refusals(monkeypatch, fit, fwhm, cap, match):
+    # both dip fits run one step control and share its refusals: a search
+    # still stepping after MAX_DIP_ITER steps (here 2: from the 8 MHz start
+    # a 6 MHz dip takes more), and a fwhm that ends on the bracket, as for
+    # dips wider than half the grid span; without the cap both fits converge
+    spec = two_dip_spectrum(odmrsim.LineshapeParams(fwhm_mhz=fwhm))
+    eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
+
+    def run():
+        if fit == "pinned":
+            plan = fitkit.FitPlan(spec.frequencies, [eig.f_0m, eig.f_0p])
+            return fitkit.fit_pinned_dips(plan, spec.signal, None).fwhm
+        return fitkit.fit_dips(spec, [2898.0, 2926.0])[0].fwhm_mhz
+
+    if cap is not None:
+        with monkeypatch.context() as patched:
+            patched.setattr(fitkit, "MAX_DIP_ITER", cap)
+            with pytest.raises(DegenerateFitError, match=match):
+                run()
+        assert abs(run() - fwhm) < 1e-9
+    else:
+        with pytest.raises(DegenerateFitError, match=match):
+            run()
 
 
 class TestDipJacobian:

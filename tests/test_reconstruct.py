@@ -206,9 +206,9 @@ class TestSweepChain:
                 stacked = reconstruct.sweep_lp_depths(*sweeps)
                 assert len(stacked) == len(counts)
                 fit = fitkit.fit_pinned_dips(
-                    sweeps[0].frequencies, np.concatenate([s.signals for s in sweeps]),
-                    None if seed is None else np.concatenate([s.point_sigmas() for s in sweeps]),
-                    sweeps[0].centers_mhz)
+                    fitkit.FitPlan(sweeps[0].frequencies, sweeps[0].centers_mhz),
+                    np.concatenate([s.signals for s in sweeps]),
+                    None if seed is None else np.concatenate([s.point_sigmas() for s in sweeps]))
                 start = 0
                 for n, (depths, sigmas) in zip(counts, stacked):
                     assert np.array_equal(depths, fit.depths[start:start + n, 1])
@@ -607,7 +607,7 @@ class TestCalibration:
         f, centers, runs, _ = noisy_sweeps(len(self.SEEDS), 0.008)
         reduced = []
         for y, sig in runs:
-            fwhm = fitkit.fit_pinned_dips(f, y, sig, centers).fwhm
+            fwhm = fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), y, sig).fwhm
             chi2 = sum(linear_fit_at(f, y[k], sig[k], centers, fwhm)[1] for k in range(y.shape[0]))
             reduced.append(chi2 / (y.size - 3 * y.shape[0] - 1))
         assert abs(np.mean(reduced) - 1.0) < 0.02
