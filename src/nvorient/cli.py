@@ -4,7 +4,8 @@ A run is described by a strict JSON config (unknown keys rejected, units at
 the boundary: mT, MHz, um, degrees) and emits CSV/JSON data files plus a
 manifest.  Reruns with the same config and seed produce byte-identical data
 files; timestamps live only in the manifest.  Every config key is declared
-once, in the schema tables below, and read by `_read`.
+once, in the schema tables below, and read by `_read`.  Only `run` writes
+files, once the mode's runner has returned them: a failed run writes nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import gc
 import hashlib
+import io
 import json
 import math
 import sys
@@ -200,21 +202,28 @@ def _build(cls, ctx: str, values: dict):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _grid(lo: float, hi: float, step: float, ctx: str) -> np.ndarray:
-    """odmrsim.default_grid(lo, hi, step), its range errors reported as
-    config errors, and refused, before it is allocated, above MAX_GRID_POINTS."""
+def _grid_size(lo: float, hi: float, step: float, ctx: str) -> int:
+    """The points of odmrsim.default_grid(lo, hi, step), counted without
+    building it; a bad range, or more than MAX_GRID_POINTS, is a config error."""
     try:
         n = odmrsim._grid_size(lo, hi, step)
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
     if n > MAX_GRID_POINTS:
         raise ConfigError(f"{ctx}: more than {MAX_GRID_POINTS} grid points")
+    return n
+
+
+def _grid(lo: float, hi: float, step: float, ctx: str) -> np.ndarray:
+    """odmrsim.default_grid(lo, hi, step), sized by `_grid_size` before it is allocated."""
+    _grid_size(lo, hi, step, ctx)
     return odmrsim.default_grid(lo, hi, step)
 
 
-def _frequency_grid(block: dict) -> np.ndarray:
-    grid = _grid(block["start"], block["stop"], block["step"], "frequency_grid_mhz")
-    if grid.size < 2:
+def _frequency_grid(block: dict) -> tuple[float, float, float]:
+    """The grid block's (start, stop, step), refused unless it makes two or more points."""
+    grid = (block["start"], block["stop"], block["step"])
+    if _grid_size(*grid, "frequency_grid_mhz") < 2:
         raise ConfigError("frequency_grid_mhz: need at least two points (stop >= start + step)")
     return grid
 
@@ -233,40 +242,35 @@ def _noise(block: dict | None, seed_override: int | None) -> odmrsim.NoiseConfig
 
 
 def _chain_config(p: dict, noise) -> reconstruct.ChainConfig:
-    shape = _build(odmrsim.LineshapeParams, "lineshape", p["lineshape"])
-    block = p["frequency_grid_mhz"]
-    # the pinned dip fits search the linewidth inside this bracket only
-    lo, hi = fitkit.fwhm_bracket(_frequency_grid(block))
-    if not lo < shape.fwhm_mhz < hi:
-        raise ConfigError(
-            f"lineshape.fwhm_mhz: must lie strictly inside (grid step, half the grid span) "
-            f"= ({lo:g}, {hi:g}) MHz")
+    # a linewidth the grid cannot resolve is refused by the pinned dip fit
     return reconstruct.ChainConfig(
+        shape=_build(odmrsim.LineshapeParams, "lineshape", p["lineshape"]),
+        grid_mhz=_frequency_grid(p["frequency_grid_mhz"]),
         constants=_build(spinmodel.SpinConstants, "constants", p["constants"]),
-        b_static_mt=p["static_field_mt"], shape=shape,
-        grid_mhz=(block["start"], block["stop"], block["step"]), psi_count=p["psi_count"],
-        noise=noise)
+        b_static_mt=p["static_field_mt"], psi_count=p["psi_count"], noise=noise)
 
 
-def _write_report(out_dir: Path, stem: str, header: list[str], rows, fmt: str) -> str:
-    name = f"{stem}.{fmt}"
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _report(stem: str, header: list[str], rows, fmt: str) -> dict[str, str]:
+    """{file name: text} of a table of `rows` under `header`."""
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        (out_dir / name).write_text(json.dumps(payload, indent=2) + "\n")
-    else:
-        with open(out_dir / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in row] for row in rows)
-    return name
+        return {f"{stem}.json": _json([dict(zip(header, row)) for row in rows])}
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in row] for row in rows)
+    return {f"{stem}.csv": buf.getvalue()}
 
 
 # ---------------------------------------------------------------------------
-# Mode runners: each takes the values read by its schema and the noise
-# config, and returns the list of output file names it wrote
+# Mode runners: each takes the values read by its schema, the noise config
+# and the format, and returns {file name: text} of its data files
 # ---------------------------------------------------------------------------
 
-def _run_simulate(p, noise, out_dir, fmt):
+def _run_simulate(p, noise, fmt):
     st, mw = p["static"], p["mw"]
     try:
         static = spinmodel.StaticFieldNV(st["b_mt"], math.radians(st["theta_deg"]),
@@ -276,24 +280,20 @@ def _run_simulate(p, noise, out_dir, fmt):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     shape = _build(odmrsim.LineshapeParams, "lineshape", p["lineshape"])
-    spec = odmrsim.simulate_spectrum(_build(spinmodel.SpinConstants, "constants", p["constants"]),
-                                     static, mwf, shape, _frequency_grid(p["frequency_grid_mhz"]))
+    consts = _build(spinmodel.SpinConstants, "constants", p["constants"])
+    grid = odmrsim.default_grid(*_frequency_grid(p["frequency_grid_mhz"]))
+    spec = odmrsim.simulate_spectrum(consts, static, mwf, shape, grid)
     if noise is not None:
         spec = odmrsim.add_shot_noise(spec, noise)
-    name = f"spectrum.{fmt}"
     if fmt == "json":
-        (out_dir / name).write_text(
-            json.dumps(odmrsim.spectrum_to_json_dict(spec, shape), indent=2) + "\n")
-    else:
-        odmrsim.spectrum_to_csv(spec, out_dir / name)
-    return [name]
+        return {"spectrum.json": _json(odmrsim.spectrum_to_json_dict(spec, shape))}
+    return {"spectrum.csv": odmrsim.spectrum_to_csv(spec)}
 
 
-def _run_fit(p, noise, out_dir, fmt):
+def _run_fit(p, noise, fmt):
     spec = odmrsim.spectrum_from_csv(p["spectrum_csv"])
-    payload = [d._asdict() for d in fitkit.fit_dips(spec, p["init_centers_mhz"])]
-    (out_dir / "dips.json").write_text(json.dumps(payload, indent=2) + "\n")
-    return ["dips.json"]
+    return {"dips.json": _json([d._asdict()
+                                for d in fitkit.fit_dips(spec, p["init_centers_mhz"])])}
 
 
 def _planar_rows(p, noise):
@@ -312,20 +312,18 @@ def _planar_rows(p, noise):
     return rows
 
 
-def _run_reconstruct_planar(p, noise, out_dir, fmt):
-    return [_write_report(out_dir, "planar",
-                          ["x_um", "z_um", "alpha_est_deg", "alpha_partner_deg",
-                           "alpha_theory_deg", "error_deg"], _planar_rows(p, noise), fmt)]
+def _run_reconstruct_planar(p, noise, fmt):
+    return _report("planar", ["x_um", "z_um", "alpha_est_deg", "alpha_partner_deg",
+                              "alpha_theory_deg", "error_deg"], _planar_rows(p, noise), fmt)
 
 
-def _run_table1(p, noise, out_dir, fmt):
+def _run_table1(p, noise, fmt):
     table = [(x, z, est, theory, err) for x, z, est, _, theory, err in _planar_rows(p, noise)]
-    return [_write_report(out_dir, "table1",
-                          ["x_um", "z_um", "alpha_est_deg", "alpha_theory_deg", "error_deg"],
-                          table, fmt)]
+    return _report("table1", ["x_um", "z_um", "alpha_est_deg", "alpha_theory_deg", "error_deg"],
+                   table, fmt)
 
 
-def _run_reconstruct_3d(p, noise, out_dir, fmt):
+def _run_reconstruct_3d(p, noise, fmt):
     wire = p["wire"]
     if len(wire["positions_um"]) != 1:
         raise ConfigError("reconstruct-3d: exactly one wire position expected")
@@ -346,17 +344,15 @@ def _run_reconstruct_3d(p, noise, out_dir, fmt):
     # rounded like planar error_deg: past these digits the file would record
     # float rounding, which depends on the order of the arithmetic; + 0.0
     # writes a component rounded to -0.0 as 0.0, since its sign is rounding too
-    payload = {
+    return {"reconstruct3d.json": _json({
         "axis": [round(float(c), 12) + 0.0 for c in est.axis],
         "sign_ambiguous": est.sign_ambiguous,
         "angular_error_deg": round(est.angular_error_deg, 9),
         "truth_axis": [round(float(c), 12) + 0.0 for c in truth],
-    }
-    (out_dir / "reconstruct3d.json").write_text(json.dumps(payload, indent=2) + "\n")
-    return ["reconstruct3d.json"]
+    })}
 
 
-def _run_fieldmap(p, noise, out_dir, fmt):
+def _run_fieldmap(p, noise, fmt):
     axes = [_grid(*p["grid_um"][key], f"grid_um.{key}").tolist() for key in ("x", "z")]
     if len(axes[0]) * len(axes[1]) > MAX_GRID_POINTS:
         raise ConfigError(f"grid_um: more than {MAX_GRID_POINTS} grid points")
@@ -369,10 +365,10 @@ def _run_fieldmap(p, noise, out_dir, fmt):
             rows.append((x, z, float(m[0]), float(m[2])))
     if not rows:
         raise ConfigError("grid_um: no grid point away from the wire center")
-    return [_write_report(out_dir, "fieldmap", ["x_um", "z_um", "mx", "mz"], rows, fmt)]
+    return _report("fieldmap", ["x_um", "z_um", "mx", "mz"], rows, fmt)
 
 
-def _run_sensitivity(p, noise, out_dir, fmt):
+def _run_sensitivity(p, noise, fmt):
     phi, n, t = math.radians(p["phi_deg"]), p["n"], p["t"]
     shot_noise = (p["rate_kcps"], p["contrast"], p["time_s"])
     try:
@@ -390,9 +386,8 @@ def _run_sensitivity(p, noise, out_dir, fmt):
         raise ConfigError(f"sensitivity: {exc}") from exc
     if not all(math.isfinite(v) for v in row):
         raise ConfigError("sensitivity: inputs overflow the figures of merit")
-    return [_write_report(out_dir, "sensitivity",
-                          ["phi_deg", "sigma_rel", "eta_rad_per_sqrt_hz",
-                           "eta_max_rad_per_sqrt_hz"], [row], fmt)]
+    return _report("sensitivity", ["phi_deg", "sigma_rel", "eta_rad_per_sqrt_hz",
+                                   "eta_max_rad_per_sqrt_hz"], [row], fmt)
 
 
 _RUNNERS = {
@@ -431,8 +426,7 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
             table = {key: table[key] for key in _MEASURED_3D_KEYS}
         values = _read(cfg, table)
         noise = _noise(values.get("noise"), seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _RUNNERS[mode](values, noise, out_dir, fmt)
+        files = _RUNNERS[mode](values, noise, fmt)
         manifest = {
             "tool_version": __version__,
             "python_version": ".".join(map(str, sys.version_info[:3])),
@@ -443,9 +437,12 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
             "seed": None if noise is None else noise.seed,
             "started_utc": started,
             "finished_utc": datetime.now(timezone.utc).isoformat(),
-            "outputs": outputs,
+            "outputs": list(files),
         }
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # newline="" keeps the CSV files' \r\n line ends as csv wrote them
+        for name, text in [*files.items(), ("manifest.json", _json(manifest))]:
+            (out_dir / name).write_text(text, newline="")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,6 +7,7 @@ with contrasts set by the microwave coupling of each allowed transition.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from typing import NamedTuple
 
@@ -252,13 +253,14 @@ def add_shot_noise(spec: OdmrSpectrum, noise: NoiseConfig) -> OdmrSpectrum:
                         counts_meta=noise)
 
 
-def spectrum_to_csv(spec: OdmrSpectrum, path) -> None:
-    """Two-column CSV: frequency_mhz, signal."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frequency_mhz", "signal"])
-        for f, s in zip(spec.frequencies, spec.signal):
-            w.writerow([f"{f:.10g}", f"{s:.12g}"])
+def spectrum_to_csv(spec: OdmrSpectrum) -> str:
+    """Two-column CSV text, frequency_mhz and signal, with csv's CRLF line
+    ends (write it with newline="" to keep them)."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["frequency_mhz", "signal"])
+    w.writerows([f"{f:.10g}", f"{s:.12g}"] for f, s in zip(spec.frequencies, spec.signal))
+    return buf.getvalue()
 
 
 def spectrum_from_csv(path) -> OdmrSpectrum:

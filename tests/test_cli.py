@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvorient import cli, geometry, odmrsim, reconstruct
+from nvorient.errors import NvOrientError
 
 
 def write_cfg(tmp_path, name, payload):
@@ -153,7 +154,7 @@ class TestFit:
         capsys.readouterr()
         assert cli.run("fit", fit_cfg, out) == cli.EXIT_PIPELINE
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
 
 class TestErrorPaths:
@@ -207,7 +208,10 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert str(bad) in err
-        assert not (out / "manifest.json").exists()
+        if case == "out-is-a-file":
+            assert out.read_text() == "not a directory"
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("mode, raw", [
         ("table1", '{"mode": "table1", "wire": {"current_ma": NaN}}'),
@@ -261,13 +265,6 @@ class TestErrorPaths:
                            '"measured_y_axes": [[-0.86, 0.42, -0.29], [0.85, 0.46, 0.25]], '
                            '"psi_count": 2}'),
         ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
-                   '"lineshape": {"fwhm_mhz": 0.4}}'),
-        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
-                   '"lineshape": {"fwhm_mhz": 60}}'),
-        ("reconstruct-planar", '{"mode": "reconstruct-planar", "nv_index": 3, '
-                               '"wire": {"current_ma": 40, "positions_um": [[61, 18]]}, '
-                               '"frequency_grid_mhz": {"step": 10}}'),
-        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
                    '"frequency_grid_mhz": {"start": 2850, "stop": 2851, "step": 5}}'),
         ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, "wire": {"current_ma": 20}}'),
         ("simulate", '{"mode": "simulate", "static": {"b_mt": 10.2, "theta_deg": 90}, '
@@ -280,7 +277,6 @@ class TestErrorPaths:
             "grid-step-tiny", "psi-count-oversized", "fieldmap-axis-oversized",
             "fieldmap-grid-oversized", "n-oversized", "eta-overflow", "rate-zero",
             "fieldmap-unread-blocks", "measured-axes-static-field", "measured-axes-psi-count",
-            "fwhm-below-grid-step", "fwhm-above-half-span", "grid-step-above-fwhm",
             "grid-one-point", "duplicate-key", "grid-step-zero"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, mode, raw):
         path = tmp_path / "cfg.json"
@@ -288,7 +284,46 @@ class TestErrorPaths:
         out = tmp_path / "out"
         assert cli.run(mode, path, out) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, raw, bracket", [
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
+                   '"lineshape": {"fwhm_mhz": 0.4}}', "[0.5, 50]"),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
+                   '"lineshape": {"fwhm_mhz": 60}}', "[0.5, 50]"),
+        ("reconstruct-planar", '{"mode": "reconstruct-planar", "nv_index": 3, '
+                               '"wire": {"current_ma": 40, "positions_um": [[61, 18]]}, '
+                               '"frequency_grid_mhz": {"step": 10}}', "[10, 50]"),
+    ], ids=["fwhm-below-grid-step", "fwhm-above-half-span", "grid-step-above-fwhm"])
+    def test_unresolved_linewidth_exits_3(self, tmp_path, capsys, mode, raw, bracket):
+        # the pinned dip fit owns the bracket (grid step, half the grid span):
+        # a linewidth outside it runs to the bracket and is refused there
+        path = tmp_path / "cfg.json"
+        path.write_text(raw)
+        out = tmp_path / "out"
+        assert cli.run(mode, path, out) == cli.EXIT_PIPELINE
+        assert capsys.readouterr().err == (
+            f"error: dip fwhm ran to the bound of {bracket} MHz set by the grid\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, code", [
+        ({"mode": "table1", "wire": {"current_ma": 0.0, "positions_um": [[47.7, 16.5]]}},
+         cli.EXIT_PIPELINE),
+        ({"mode": "table1", "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+          "lineshape": {"model": "cubic"}}, cli.EXIT_CONFIG),
+    ], ids=["no-signal", "unknown-model"])
+    def test_failed_rerun_keeps_previous_files(self, tmp_path, payload, code):
+        # a run that fails into the --out of a good run leaves its files as they were
+        out = tmp_path / "out"
+        good = write_cfg(tmp_path, "good.json", {
+            "mode": "table1", "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]}})
+        assert cli.run("table1", good, out) == cli.EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["manifest.json", "table1.csv"]
+        for fmt in ("csv", "json"):
+            assert cli.run("table1", write_cfg(tmp_path, "bad.json", payload), out,
+                           fmt=fmt) == code
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("block", ["constants", "lineshape", "frequency_grid_mhz", "noise"])
     @pytest.mark.parametrize("mode", ["fit", "fieldmap"])
@@ -322,14 +357,14 @@ class TestErrorPaths:
         assert cli.run(mode, cfg, out) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_no_outputs_on_config_error(self, tmp_path):
         payload = dict(SIMULATE_CFG, extra=1)
         cfg = write_cfg(tmp_path, "sim.json", payload)
         out = tmp_path / "out"
         cli.run("simulate", cfg, out)
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
 
 class TestSeedOverride:
@@ -380,12 +415,12 @@ class TestTable1:
         assert cli.run("table1", cfg, out) == cli.EXIT_OK
         assert [row[4] for row in read_csv(out / "table1.csv")[1:]] == ["0"] * 9
 
-    @pytest.mark.parametrize("fwhm_mhz, code", [(0.5, cli.EXIT_CONFIG), (0.51, cli.EXIT_OK),
-                                                (49.5, cli.EXIT_OK), (50.0, cli.EXIT_CONFIG)])
-    def test_linewidth_bracket(self, tmp_path, capsys, fwhm_mhz, code):
-        # the pinned dip fits resolve linewidths strictly inside (grid step,
-        # half the grid span); inside it a noiseless run is exact, outside it
-        # the config is rejected with the bracket named
+    @pytest.mark.parametrize("fwhm_mhz, code", [(0.5, cli.EXIT_OK), (0.51, cli.EXIT_OK),
+                                                (49.5, cli.EXIT_OK), (50.0, cli.EXIT_OK)])
+    def test_linewidth_bracket(self, tmp_path, fwhm_mhz, code):
+        # the pinned dip fits search the linewidth strictly inside (grid step,
+        # half the grid span) = (0.5, 50) MHz; a noiseless run is exact up to
+        # and at its ends, where the fitted linewidth still lies inside
         cfg = write_cfg(tmp_path, "t1.json", {
             "mode": "table1",
             "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
@@ -393,10 +428,25 @@ class TestTable1:
         })
         out = tmp_path / "out"
         assert cli.run("table1", cfg, out) == code
-        if code == cli.EXIT_OK:
-            assert abs(float(read_csv(out / "table1.csv")[1][4])) < 1e-9
-        else:
-            assert "(0.5, 50) MHz" in capsys.readouterr().err
+        assert float(read_csv(out / "table1.csv")[1][4]) == 0.0
+
+    @pytest.mark.parametrize("fwhm_mhz", [0.3, 0.5, 49.5, 50.0, 60.0])
+    def test_linewidth_refused_as_the_library_refuses(self, tmp_path, capsys, fwhm_mhz):
+        # one owner of the bracket: the command exits 0 exactly when
+        # end_to_end_planar returns, and otherwise with the library's error
+        chain = reconstruct.ChainConfig(shape=odmrsim.LineshapeParams(fwhm_mhz=fwhm_mhz))
+        try:
+            reconstruct.end_to_end_planar(geometry.WireScene(61.0, 18.0, 40.0), 3, chain)
+            expected = (cli.EXIT_OK, "")
+        except NvOrientError as exc:
+            expected = (cli.EXIT_PIPELINE, f"error: {exc}\n")
+        cfg = write_cfg(tmp_path, "t1.json", {
+            "mode": "table1",
+            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+            "lineshape": {"fwhm_mhz": fwhm_mhz},
+        })
+        capsys.readouterr()
+        assert (cli.run("table1", cfg, tmp_path / "out"), capsys.readouterr().err) == expected
 
     def test_defaults_are_the_library_defaults(self):
         # the schema restates the defaults of SpinConstants, LineshapeParams,
@@ -418,13 +468,13 @@ class TestTable1:
         assert capsys.readouterr().err == (
             "error: noise: count rate and dwell time must be finite, with at most 1e18 "
             "mean counts per point\n")
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("current_ma, code", [(0.0, cli.EXIT_PIPELINE),
                                                   (0.01, cli.EXIT_OK)])
     def test_no_signal_fails(self, tmp_path, current_ma, code):
         # without microwave current there is no dip modulation to locate;
-        # a weak but resolvable one still reconstructs
+        # a weak but resolvable one still reconstructs; a failed run makes no --out
         cfg = write_cfg(tmp_path, "t1.json", {
             "mode": "table1",
             "wire": {"current_ma": current_ma, "positions_um": [[47.7, 16.5]]},
@@ -433,6 +483,8 @@ class TestTable1:
         assert cli.run("table1", cfg, out) == code
         if code == cli.EXIT_OK:
             assert float(read_csv(out / "table1.csv")[1][4]) < 1e-3
+        else:
+            assert not out.exists()
 
 
 class TestReconstructPlanar:
@@ -493,8 +545,23 @@ class TestReconstruct3d:
             "nv_indices": [3, 3],
             "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
         })
-        assert cli.run("reconstruct-3d", cfg, tmp_path / "out") == cli.EXIT_CONFIG
-        assert "nv_indices" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: nv_indices: the two NV orientations must differ\n")
+        assert not out.exists()
+
+    def test_two_positions_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "r3.json", {
+            "mode": "reconstruct-3d",
+            "nv_indices": [3, 1],
+            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0], [40.0, 18.0]]},
+        })
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: reconstruct-3d: exactly one wire position expected\n")
+        assert not out.exists()
 
     def test_measured_axes_bypass(self, tmp_path):
         cfg = write_cfg(tmp_path, "r3.json", {
@@ -900,7 +967,7 @@ def test_fuzzed_config_exits_2(fit_spectrum_csv, data):
         assert code == cli.EXIT_CONFIG
         assert err.getvalue().startswith("error: ")
         assert "Traceback" not in err.getvalue()
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +1007,7 @@ def test_schema_key_rejects_null_and_wrong_type(tmp_path, capsys, fit_spectrum_c
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert path[0] in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_readme_names_config_defaults():

@@ -11,6 +11,7 @@ and skipped under any other.
 
 import gc
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ def test_every_data_file_is_pinned(run_dir):
     written = {p.relative_to(run_dir).as_posix() for p in run_dir.glob("*/*")
                if p.name != "manifest.json"}
     assert written == set(PINS)
+
+
+def test_manifest_lists_its_directory(run_dir):
+    # each run's directory holds its manifest and exactly the data files it names
+    run_dirs = {p.parent for p in run_dir.glob("*/*")}
+    assert run_dirs == {p.parent for p in run_dir.glob("*/manifest.json")}
+    for path in run_dirs:
+        outputs = json.loads((path / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == sorted(p.name for p in path.iterdir()
+                                         if p.name != "manifest.json")
 
 
 @pytest.mark.parametrize("name", sorted(PINS))

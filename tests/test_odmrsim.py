@@ -330,7 +330,9 @@ class TestSerialization:
     def test_csv_round_trip(self, shape, grid, tmp_path):
         spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
         path = tmp_path / "spec.csv"
-        odmrsim.spectrum_to_csv(spec, path)
+        text = odmrsim.spectrum_to_csv(spec)
+        assert text.startswith("frequency_mhz,signal\r\n")
+        path.write_text(text, newline="")
         back = odmrsim.spectrum_from_csv(path)
         assert np.allclose(back.frequencies, spec.frequencies, atol=1e-9)
         assert np.allclose(back.signal, spec.signal, atol=1e-11)
