@@ -113,21 +113,28 @@ _PAIRS = "a nonempty list of [x, z] pairs"
 _VECTORS = "two 3-vectors"
 _NV_INDEX = _integer(0, 3)
 _RANGE = _list_of(_number, 3, "[min, max, step]")
+# the chain's defaults are the library's
+_DEFAULT = reconstruct.ChainConfig()
+_CONSTANTS, _SHAPE = _DEFAULT.constants, _DEFAULT.shape
+_START, _STOP, _STEP = _DEFAULT.grid_mhz
 
 # the shared blocks, accepted only by the modes that simulate spectra
 SHARED = {
-    "constants": ({"d_mhz": (_number, 2870.0), "gamma_e": (_number, 28.02495)}, {}),
-    "lineshape": ({"fwhm_mhz": (_number, 8.0), "contrast_ref": (_number, 0.02),
-                   "omega_ref_mhz": (_number, 1.0), "model": (_as_is, "linear")}, {}),
-    "frequency_grid_mhz": ({"start": (_number, 2850.0), "stop": (_number, 2950.0),
-                            "step": (_number, 0.5)}, {}),
+    "constants": ({"d_mhz": (_number, _CONSTANTS.d_mhz),
+                   "gamma_e": (_number, _CONSTANTS.gamma_e)}, {}),
+    "lineshape": ({"fwhm_mhz": (_number, _SHAPE.fwhm_mhz),
+                   "contrast_ref": (_number, _SHAPE.contrast_ref),
+                   "omega_ref_mhz": (_number, _SHAPE.omega_ref_mhz),
+                   "model": (_as_is, _SHAPE.model)}, {}),
+    "frequency_grid_mhz": ({"start": (_number, _START), "stop": (_number, _STOP),
+                            "step": (_number, _STEP)}, {}),
     "noise": ({"rate_kcps": (_positive, REQUIRED), "dwell_s": (_positive, REQUIRED),
                "seed": (_integer(0), None)}, None),
 }
 _CHAIN = {
     **_MODE, **SHARED,
-    "static_field_mt": (_positive, 10.2),
-    "psi_count": (_integer(4, MAX_PSI_COUNT), 12),
+    "static_field_mt": (_positive, _DEFAULT.b_static_mt),
+    "psi_count": (_integer(4, MAX_PSI_COUNT), _DEFAULT.psi_count),
     "wire": ({"current_ma": (_number, REQUIRED),
               "positions_um": (_list_of(_list_of(_number, 2, _PAIRS), what=_PAIRS),
                                TABLE1_POSITIONS),
@@ -343,10 +350,11 @@ def _run_reconstruct_3d(p, noise, fmt):
         est = reconstruct.end_to_end_3d(scene, (i1, i2), _chain_config(p, noise))
     # rounded like planar error_deg: past these digits the file would record
     # float rounding, which depends on the order of the arithmetic; + 0.0
-    # writes a component rounded to -0.0 as 0.0, since its sign is rounding too
+    # writes a component rounded to -0.0 as 0.0, since its sign is rounding too;
+    # a reconstructed axis is a line, so its sign is always ambiguous
     return {"reconstruct3d.json": _json({
         "axis": [round(float(c), 12) + 0.0 for c in est.axis],
-        "sign_ambiguous": est.sign_ambiguous,
+        "sign_ambiguous": True,
         "angular_error_deg": round(est.angular_error_deg, 9),
         "truth_axis": [round(float(c), 12) + 0.0 for c in truth],
     })}

@@ -79,35 +79,26 @@ class PinnedDipFit(NamedTuple):
     fwhm: float
 
 
-def fwhm_bracket(f: np.ndarray) -> tuple[float, float]:
-    """The open interval (grid step, half the grid span) in which the dip fits
-    search the fwhm; narrower or wider dips are not resolved by the grid."""
-    return float((f[1:] - f[:-1]).min()), 0.5 * float(f[-1] - f[0])
-
-
-def _fill_block(b, fwhm) -> None:
-    """Refill b.phi's Lorentzian rows [L, dl, d2l] and b.prod at `fwhm` from
-    b.delta2, and record that fwhm as b.fwhm (see `_Workspace`)."""
-    n, phi = b.n, b.phi
-    m = n + 1
+def _fill_block(phi, prod, delta2, fwhm) -> None:
+    """Refill phi's Lorentzian rows [L, dl, d2l] and prod at `fwhm` from
+    delta2 (see `_Workspace`)."""
+    m = prod.shape[0]
     h2 = (0.5 * fwhm) ** 2
-    lor, dl = phi[1:m], phi[m:m + n]
-    np.divide(h2, b.delta2 + h2, out=lor)
+    lor, dl = phi[1:m], phi[m:2 * m - 1]
+    np.divide(h2, delta2 + h2, out=lor)
     np.multiply(lor, 1.0 - lor, out=dl)
-    np.multiply(dl, 1.0 - 2.0 * lor, out=phi[m + n:])
-    np.multiply(phi[:m, None], phi[None, :m], out=b.prod)
-    b.fwhm = fwhm
+    np.multiply(dl, 1.0 - 2.0 * lor, out=phi[2 * m - 1:])
+    np.multiply(phi[:m, None], phi[None, :m], out=prod)
 
 
 class FitPlan:
     """Where both dip fits start on grid `f` at `centers`: both, checked,
-    the bracket (lo, hi) = `fwhm_bracket(f)`, the start `fwhm`
-    (INIT_FWHM_MHZ clamped to it) and, for pinned fits, `delta2` =
-    (f - centers)^2 and the block `phi` and its products `prod` at the start
-    fwhm (see `_Workspace`), read-only.  Raises ValueError, naming the
-    centers, unless `f` is a nonempty, finite, strictly ascending 1-D grid
-    and `centers` a 1-D array of distinct frequencies inside it, with at
-    least n + 2 points for n centers."""
+    the bracket (lo, hi) = (grid step, half the grid span) in which the fits
+    search the fwhm, since the grid resolves no narrower or wider dip, and
+    the start `fwhm`, INIT_FWHM_MHZ clamped to it.  Raises ValueError,
+    naming the centers, unless `f` is a nonempty, finite, strictly ascending
+    1-D grid and `centers` a 1-D array of frequencies inside it, no two
+    closer than the grid step, with at least n + 2 points for n centers."""
 
     def __init__(self, f, centers):
         self.f = f = odmrsim._check_grid(f)
@@ -119,19 +110,28 @@ class FitPlan:
         if not all(f[0] <= c <= f[-1] for c in listed):
             raise ValueError(f"{named} must lie inside the frequency grid "
                              f"[{f[0]:g}, {f[-1]:g}] MHz")
-        if len(set(listed)) < len(listed):
-            raise ValueError(f"{named} must all differ")
-        self.n = n = centers.size
-        if f.size < n + 2:
+        self.n = centers.size
+        if f.size < self.n + 2:
             raise ValueError("fewer data points than parameters")
-        self.lo, self.hi = fwhm_bracket(f)
-        self.delta2 = (f - centers[:, None]) ** 2
-        self.phi = np.empty((3 * n + 1, f.size))
-        self.phi[0] = 1.0
-        self.prod = np.empty((n + 1, n + 1, f.size))
-        _fill_block(self, min(max(INIT_FWHM_MHZ, self.lo), self.hi))
-        for a in (self.delta2, self.phi, self.prod):
+        self.lo, self.hi = float((f[1:] - f[:-1]).min()), 0.5 * float(f[-1] - f[0])
+        listed.sort()
+        if any(b - a < self.lo for a, b in zip(listed, listed[1:])):
+            raise ValueError(f"{named} must differ by at least the grid step {self.lo:g} MHz")
+        self.fwhm = min(max(INIT_FWHM_MHZ, self.lo), self.hi)
+
+    @functools.cached_property
+    def block(self):
+        """The pinned fit's (delta2, phi, prod): delta2 = (f - centers)^2,
+        and the block phi and its products prod at the start fwhm (see
+        `_Workspace`), read-only; built when a pinned fit first reads it,
+        then kept."""
+        delta2 = (self.f - self.centers[:, None]) ** 2
+        phi = np.ones((3 * self.n + 1, self.f.size))
+        prod = np.empty((self.n + 1, self.n + 1, self.f.size))
+        _fill_block(phi, prod, delta2, self.fwhm)
+        for a in (delta2, phi, prod):
             a.setflags(write=False)
+        return delta2, phi, prod
 
 
 class _Workspace:
@@ -143,13 +143,14 @@ class _Workspace:
     with L_k the unit-peak Lorentzians at the block's fwhm, t = log(fwhm),
     dl_k = L_k(1-L_k) = (dL_k/dt)/2 and d2l_k = (1-2L_k) dl_k = (d2L_k/dt2)/4,
     and `prod` holds the pairwise products of its first n+1 rows.  Both
-    start as copies of the plan's; `fwhm` is the one they hold.  `a`, `dl`,
-    `dd` (= phi[n+1:]) and `prods` (prod as (n_f, (n+1)^2)) are views."""
+    start as copies of the plan's `block`; `fwhm` is the one they hold.
+    `a`, `dl`, `dd` (= phi[n+1:]) and `prods` (prod as (n_f, (n+1)^2)) are
+    views."""
 
     def __init__(self, plan, y, wt):
         n, m = plan.n, plan.n + 1
-        self.n, self.delta2, self.fwhm = n, plan.delta2, plan.fwhm
-        self.phi, self.prod = plan.phi.copy(), plan.prod.copy()
+        self.delta2, phi, prod = plan.block
+        self.n, self.fwhm, self.phi, self.prod = n, plan.fwhm, phi.copy(), prod.copy()
         self.a, self.dl, self.dd = self.phi[:m], self.phi[m:m + n], self.phi[m:]
         self.prods = self.prod.reshape(m * m, -1).T
         self.yw = y * wt
@@ -174,7 +175,8 @@ def _project(ws, fwhm):
     G^-1, u, Kaufman curvature, G^-1 w], the batch sums as floats.  The
     block is refilled only at a fwhm other than the one it holds."""
     if fwhm != ws.fwhm:
-        _fill_block(ws, fwhm)
+        _fill_block(ws.phi, ws.prod, ws.delta2, fwhm)
+        ws.fwhm = fwhm
     n, w, r = ws.n, ws.w, ws.r
     m = n + 1
     try:
@@ -210,12 +212,13 @@ def _search(project, propose, x):
     STEP_TOL * fwhm), the state it ends in, else None.  A step is halved
     while the chi-square rises by more than RISE_SLACK; after MAX_HALVINGS
     halvings the search stops at its previous state.  Returns the last x
-    and state; raises DegenerateFitError after MAX_DIP_ITER steps."""
+    and state, and None, or, after MAX_DIP_ITER steps, the DegenerateFitError
+    that says the search has not stopped, for the caller to raise."""
     state = project(x)
     for _ in range(MAX_DIP_ITER):
         step, last = propose(state, x)
         if last is not None:
-            return x + step, last
+            return x + step, last, None
         bound = state[0] * (1.0 + RISE_SLACK)
         trial = project(x + step)
         for _ in range(MAX_HALVINGS):
@@ -224,9 +227,9 @@ def _search(project, propose, x):
             step = step * 0.5
             trial = project(x + step)
         if trial[0] > bound:
-            return x, state  # the halvings ran out: keep the previous state
+            return x, state, None  # the halvings ran out: keep the previous state
         x, state = x + step, trial
-    raise DegenerateFitError(f"dip fit did not converge in {MAX_DIP_ITER} steps")
+    return x, state, DegenerateFitError(f"dip fit did not converge in {MAX_DIP_ITER} steps")
 
 
 def _check_fwhm(plan, fwhm):
@@ -305,7 +308,9 @@ def fit_pinned_dips(plan: FitPlan, signals, sigmas) -> PinnedDipFit:
         return step, state
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        fwhm, state = _search(functools.partial(_project, ws), newton, plan.fwhm)
+        fwhm, state, unconverged = _search(functools.partial(_project, ws), newton, plan.fwhm)
+        if unconverged is not None:
+            raise unconverged
         _check_fwhm(plan, fwhm)
         coef, ginv, u, kaufman = state[3:7]
         if not kaufman > 0.0:  # no dip has depth, so nothing fixes the fwhm
@@ -351,10 +356,11 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
     bracket and controlled by `_search`, the last projected.  Depth sigmas
     come from the full Jacobian's normal matrix, scaled by the reduced
     chi-square when unweighted.  Raises ValueError on centers the plan
-    rejects, and DegenerateFitError when the search has not stopped after
-    MAX_DIP_ITER steps, a center ends off the grid, the fwhm on its bracket,
-    or a depth is not above SIGNIFICANT_SIGMAS sigmas.  Returns dips ordered
-    by center; warns when two overlap.
+    rejects, and DegenerateFitError when a center ends off the grid, the
+    fwhm on its bracket, or a depth is not above SIGNIFICANT_SIGMAS sigmas.
+    A search that has not stopped after MAX_DIP_ITER steps is checked so at
+    its last state, and refused as unconverged only if it passes.  Returns
+    dips ordered by center; warns when two overlap.
     """
     plan = FitPlan(spec.frequencies, init_centers_mhz)
     f, y = plan.f, spec.signal
@@ -373,7 +379,7 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
             return step, None
         return step, project(x + step)  # the last step, projected
 
-    x, state = _search(project, gauss_newton, np.array([plan.fwhm, *plan.centers]))
+    x, state, unconverged = _search(project, gauss_newton, np.array([plan.fwhm, *plan.centers]))
     fwhm, centers = float(x[0]), x[1:]
     if not np.all((centers >= f[0]) & (centers <= f[-1])):
         raise DegenerateFitError(
@@ -393,6 +399,8 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
         if not d.depth > SIGNIFICANT_SIGMAS * d.depth_sigma:
             raise DegenerateFitError(f"dip at {d.center_mhz:.3f} MHz not significant: "
                                      f"depth {d.depth:.3g}, sigma {d.depth_sigma:.3g}")
+    if unconverged is not None:  # the data pass every check, the search did not stop
+        raise unconverged
     for a, b in zip(dips, dips[1:]):
         if b.center_mhz - a.center_mhz < fwhm:
             warnings.warn("fitted dips overlap within one linewidth", stacklevel=2)

@@ -62,8 +62,9 @@ class WireScene(NamedTuple("WireScene", [("sensor_x_um", float), ("sensor_z_um",
                                          ("current_ma", float), ("wire_diameter_um", float)])):
     """Sensor position relative to the wire center and the drive current.
 
-    Positive current flows along +Y_L.  `wire_diameter_um` is documentation
-    only; the field model treats the wire as a line current.
+    Positive current flows along +Y_L.  `wire_diameter_um`, finite and
+    nonnegative, only keeps the sensor outside the wire; the field model
+    treats the wire as a line current.
     """
 
     __slots__ = ()
@@ -73,6 +74,8 @@ class WireScene(NamedTuple("WireScene", [("sensor_x_um", float), ("sensor_z_um",
         r = math.hypot(sensor_x_um, sensor_z_um)
         if r == 0.0:
             raise DegeneratePositionError("sensor placed at the wire center")
+        if not 0.0 <= wire_diameter_um < math.inf:  # NaN fails
+            raise ValueError("wire diameter must be finite and nonnegative")
         if r <= wire_diameter_um / 2.0:
             raise ValueError("sensor radius must exceed the wire radius")
         return super().__new__(cls, sensor_x_um, sensor_z_um, current_ma, wire_diameter_um)

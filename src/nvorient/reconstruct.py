@@ -1,8 +1,8 @@
 """Inverse problem: sweep minima -> NV_Y axes -> microwave field orientation.
 
 All reconstructed directions are axes (lines): a linearly polarized
-microwave field along +m and -m is indistinguishable, so every result
-carries an explicit sign ambiguity.
+microwave field along +m and -m is indistinguishable, so the sign of every
+reconstructed axis is arbitrary.
 
 The inversion works on one 3-vector at a time, on 3-tuples of Python
 floats, with the helpers and angle formulas of `geometry`; result objects
@@ -36,8 +36,10 @@ class NvYEstimate(NamedTuple):
 
 
 class MwAxisEstimate(NamedTuple):
+    """Unit microwave axis, of arbitrary sign, and, with a truth axis, the
+    line angle to it in degrees."""
+
     axis: np.ndarray
-    sign_ambiguous: bool = True
     angular_error_deg: float | None = None
 
 

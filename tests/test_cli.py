@@ -449,9 +449,9 @@ class TestTable1:
         assert (cli.run("table1", cfg, tmp_path / "out"), capsys.readouterr().err) == expected
 
     def test_defaults_are_the_library_defaults(self):
-        # the schema restates the defaults of SpinConstants, LineshapeParams,
-        # default_grid and ChainConfig; a config that sets only the current
-        # must build the library's default chain, field by field
+        # the schema reads its defaults from ChainConfig() and its constants
+        # and shape; a config that sets only the current must build the
+        # library's default chain, field by field, on default_grid's defaults
         p = cli._read({"mode": "table1", "wire": {"current_ma": 40.0}}, cli.SCHEMAS["table1"])
         chain, ref = cli._chain_config(p, None), reconstruct.ChainConfig()
         assert chain == ref
@@ -650,17 +650,27 @@ class TestGridRanges:
          cli.EXIT_PIPELINE,
          "dip centers 285.855, 571.709 MHz must lie inside the frequency grid [2850, 2950] MHz"),
         ('{"mode": "table1", "wire": {"current_ma": 40}, "static_field_mt": 1e-9}',
-         cli.EXIT_PIPELINE, "dip centers 2870.000, 2870.000 MHz must all differ"),
+         cli.EXIT_PIPELINE,
+         "dip centers 2870.000, 2870.000 MHz must differ by at least the grid step 0.5 MHz"),
+        ('{"mode": "table1", "wire": {"current_ma": 40}, "static_field_mt": 1e-4}',
+         cli.EXIT_PIPELINE,
+         "dip centers 2870.000, 2870.000 MHz must differ by at least the grid step 0.5 MHz"),
+        ('{"mode": "table1", "wire": {"current_ma": 40}, "static_field_mt": 1e-6}',
+         cli.EXIT_PIPELINE,
+         "dip centers 2870.000, 2870.000 MHz must differ by at least the grid step 0.5 MHz"),
         ('{"mode": "fit", "spectrum_csv": "SPECTRUM", "init_centers_mhz": [2898.0, 2898.0]}',
-         cli.EXIT_PIPELINE, "dip centers 2898.000, 2898.000 MHz must all differ"),
+         cli.EXIT_PIPELINE,
+         "dip centers 2898.000, 2898.000 MHz must differ by at least the grid step 0.5 MHz"),
     ], ids=["grid-one-point", "duplicate-key", "grid-without-dips", "d-tiny", "equal-centers",
-            "fit-equal-centers"])
+            "close-centers-1e-4", "close-centers-1e-6", "fit-equal-centers"])
     def test_error_names_the_key(self, tmp_path, capsys, fit_spectrum_csv, raw, code, message):
         # a one-point grid once exited 3 from the linewidth bracket, and a
         # repeated key ran on its last value; a grid without the dips exited
         # 3 with "initial dip centers must lie inside the frequency grid",
         # though table1 takes no initial centers, and dips at one center with
-        # "Singular matrix" or, in `fit`, a depth of -4.7e12 not significant
+        # "Singular matrix" or, in `fit`, a depth of -4.7e12 not significant;
+        # dips 2.7e-9 and 4.5e-13 MHz apart (static fields of 1e-4 and 1e-6
+        # mT) with "Singular matrix" and "zero chi-square curvature"
         path = tmp_path / "cfg.json"
         path.write_text(raw.replace("SPECTRUM", fit_spectrum_csv))
         capsys.readouterr()

@@ -298,13 +298,26 @@ class TestFitDips:
             fitkit.fit_dips(spec, [2898.0, 2926.0])
 
     def test_unconverged_fit_fails(self):
-        # at 400 counts per point the Gauss-Newton steps on this sweep
-        # spectrum swing in a two-cycle of the fwhm between 7.3722 and 7.3727
-        # MHz, and the search stops at MAX_DIP_ITER steps
+        # at 1,600 counts per point the Gauss-Newton steps on this sweep
+        # spectrum swing in a two-cycle of the fwhm between 8.8547 and 8.8549
+        # MHz, and the search stops at MAX_DIP_ITER steps, in a state whose
+        # centers lie on the grid and whose dips are significant
+        _, _, _, sweep = noisy_sweeps(0, 0.008)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 21))
+        spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[1], noisy.counts_meta)
+        with pytest.raises(DegenerateFitError, match="^dip fit did not converge in 200 steps$"):
+            fitkit.fit_dips(spec, [2898.0, 2926.0])
+
+    def test_capped_fit_names_the_data_cause(self):
+        # at 400 counts per point the steps on this sweep spectrum swing in a
+        # two-cycle of the fwhm between 7.3722 and 7.3727 MHz until
+        # MAX_DIP_ITER; it was refused as "did not converge", though at the
+        # last state, as at LM's optimum, a dip is not significant
         _, _, _, sweep = noisy_sweeps(0, 0.002)
         noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.002, 3))
         spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[2], noisy.counts_meta)
-        with pytest.raises(DegenerateFitError, match="did not converge"):
+        with pytest.raises(DegenerateFitError, match=r"^dip at 2897\.845 MHz not significant: "
+                                                     r"depth 0\.0403, sigma 0\.0171$"):
             fitkit.fit_dips(spec, [2898.0, 2926.0])
 
     def test_center_count_checked(self, grid):
@@ -603,8 +616,8 @@ class TestFitPinnedDips:
         # half span] or raise, and no sweep's shared fwhm runs to the bracket
         f, centers, runs, _ = noisy_sweeps(40, 0.0005)
         lo, hi = 0.5, 50.0  # the default grid's step and half span
-        assert fitkit.fwhm_bracket(f) == (lo, hi)
         plan = fitkit.FitPlan(f, centers)
+        assert (plan.lo, plan.hi) == (lo, hi)
         raised, fwhms = 0, []
         for y, sig in runs:
             for k in range(y.shape[0]):
@@ -623,10 +636,11 @@ class TestFitPinnedDips:
         # 100 counts per point: the search must not stop in a local minimum;
         # the oracle is the summed chi-square on a dense log grid over the bracket
         f, centers, runs, _ = noisy_sweeps(200, 0.0005)
-        grid = np.geomspace(*fitkit.fwhm_bracket(f), 600)
+        plan = fitkit.FitPlan(f, centers)
+        grid = np.geomspace(plan.lo, plan.hi, 600)
         on_grid = summed_chi2(f, centers, grid)
         for y, sig in runs:
-            fit = fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), y, sig)
+            fit = fitkit.fit_pinned_dips(plan, y, sig)
             at_fit = summed_chi2(f, centers, np.array([fit.fwhm]))(y, sig)[0]
             assert at_fit <= np.min(on_grid(y, sig)) * (1.0 + 1e-9)
 
@@ -686,16 +700,24 @@ class TestFitPinnedDips:
         assert max(calls) <= 4
         assert np.mean(calls) <= 3.0
 
-    def test_prebuilt_plan_changes_nothing(self):
+    def test_prebuilt_plan_changes_nothing(self, monkeypatch):
         # one plan serves every fit on its grid and centers, bit for bit what
-        # a fit that builds its own plan gives, and no fit changes it
+        # a fit that builds its own plan gives, and no fit changes it; a
+        # fresh plan holds no pinned block (a free fit reads none) until a
+        # pinned fit reads it, and then keeps the one it built
+        with monkeypatch.context() as patched:
+            patched.delattr(fitkit.FitPlan, "block")
+            fitkit.fit_dips(two_dip_spectrum(), [2898.0, 2926.0])
         f, centers, runs, sweep = noisy_sweeps(4, 0.008)
         runs += noisy_sweeps(4, 0.002)[2]
         (y0, s0), (y1, s1) = runs[:2]
         stacked = np.concatenate([y0, y1[:7]]), np.concatenate([s0, s1[:7]])
         runs += [(sweep.signals, None), stacked]
         plan = fitkit.FitPlan(f, centers)
-        built = [a.copy() for a in (plan.delta2, plan.phi, plan.prod)]
+        assert "block" not in vars(plan)
+        fitkit.fit_pinned_dips(plan, *runs[0])
+        block = vars(plan)["block"]
+        built = [a.copy() for a in block]
         for y, sig in runs:
             own = fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), y, sig)
             shared = fitkit.fit_pinned_dips(plan, y, sig)
@@ -703,7 +725,8 @@ class TestFitPinnedDips:
             assert same_bits(own.depths, shared.depths)
             assert (sig is None and shared.depth_sigmas is None
                     or same_bits(own.depth_sigmas, shared.depth_sigmas))
-        for a, b in zip((plan.delta2, plan.phi, plan.prod), built):
+        assert plan.block is block
+        for a, b in zip(block, built):
             assert same_bits(a, b)
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 0.0
@@ -779,10 +802,12 @@ class TestFitPinnedDips:
 
     def test_center_check_bounds(self):
         # centers exactly on the grid's ends are inside it; NaN is not; the
-        # message names the centers and the grid's ends; equal centers,
-        # whose Lorentzian columns coincide, are refused by name
+        # message names the centers and the grid's ends; centers closer than
+        # the grid step, whose Lorentzian columns the grid cannot tell apart,
+        # are refused by name, in any order
         f = odmrsim.default_grid()
         fitkit.FitPlan(f, [f[0], f[-1]])
+        fitkit.FitPlan(f, [2898.5, 2926.0, 2898.0])
         below, above = np.nextafter(f[0], -np.inf), np.nextafter(f[-1], np.inf)
         for centers in ([np.nan, 2900.0], [2900.0, np.nan], [below, 2900.0], [2900.0, above]):
             with pytest.raises(ValueError, match="inside the frequency grid"):
@@ -790,14 +815,17 @@ class TestFitPinnedDips:
         with pytest.raises(ValueError, match=r"^dip centers 2700\.000, 2926\.000 MHz must lie "
                                              r"inside the frequency grid \[2850, 2950\] MHz$"):
             fitkit.FitPlan(f, [2700.0, 2926.0])
-        with pytest.raises(ValueError, match=r"^dip centers 2898\.000, 2898\.000 MHz must all "
-                                             r"differ$"):
-            fitkit.FitPlan(f, [2898.0, 2898.0])
+        for centers, named in (([2898.0, 2898.0], "2898.000, 2898.000"),
+                               ([2898.4, 2926.0, 2898.0], "2898.400, 2926.000, 2898.000")):
+            with pytest.raises(ValueError, match=rf"^dip centers {named} MHz must differ by at "
+                                                 r"least the grid step 0\.5 MHz$"):
+                fitkit.FitPlan(f, centers)
 
     def test_fwhm_bracket_on_nonuniform_grid(self):
         # (the smallest step, half the span), wherever the smallest step lies
         f = np.array([2850.0, 2851.0, 2851.25, 2853.0, 2860.0])
-        lo, hi = fitkit.fwhm_bracket(f)
+        plan = fitkit.FitPlan(f, [2855.0])
+        lo, hi = plan.lo, plan.hi
         assert (lo, hi) == (0.25, 5.0)
         assert type(lo) is float and type(hi) is float
 

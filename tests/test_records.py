@@ -90,6 +90,11 @@ BAD = [
     (odmrsim.NoiseConfig, {"dwell_s": math.inf}, ValueError, NOISE_BOUND),
     # 1e21 mean counts: numpy's Poisson sampler refuses means above about 9.2e18
     (odmrsim.NoiseConfig, {"rate_kcps": 1e12, "dwell_s": 1e6}, ValueError, NOISE_BOUND),
+    # each once switched the inside-the-wire check off
+    (geometry.WireScene, {"wire_diameter_um": -5.0}, ValueError,
+     "wire diameter must be finite and nonnegative"),
+    (geometry.WireScene, {"sensor_x_um": 1.0, "sensor_z_um": 0.0, "wire_diameter_um": math.nan},
+     ValueError, "wire diameter must be finite and nonnegative"),
 ]
 BAD_IDS = [f"{cls.__name__}-{'-'.join(bad)}-{k}" for k, (cls, bad, _, _) in enumerate(BAD)]
 
