@@ -36,6 +36,9 @@ TABLE1_POSITIONS = [
 
 EXIT_OK, EXIT_CONFIG, EXIT_PIPELINE = 0, 2, 3
 
+# the columns of spectrum.csv, which `simulate` writes and `fit` reads
+_SPECTRUM_HEADER = ["frequency_mhz", "signal"]
+
 # size bounds that keep a config from asking for unbounded memory
 MAX_GRID_POINTS = 20_000  # frequency grid, and fieldmap rows
 MAX_PSI_COUNT = 360
@@ -138,7 +141,7 @@ _CHAIN = {
     "wire": ({"current_ma": (_number, REQUIRED),
               "positions_um": (_list_of(_list_of(_number, 2, _PAIRS), what=_PAIRS),
                                TABLE1_POSITIONS),
-              "diameter_um": (_nonnegative, 25.0)}, REQUIRED),
+              "diameter_um": (_nonnegative, geometry.WIRE_DIAMETER_UM)}, REQUIRED),
 }
 SCHEMAS = {
     "simulate": {
@@ -209,30 +212,20 @@ def _build(cls, ctx: str, values: dict):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _grid_size(lo: float, hi: float, step: float, ctx: str) -> int:
-    """The points of odmrsim.default_grid(lo, hi, step), counted without
-    building it; a bad range, or more than MAX_GRID_POINTS, is a config error."""
+def _grid_range(start: float, stop: float, step: float, ctx: str,
+                at_least_two: bool = False) -> tuple[float, float, float]:
+    """(start, stop, step), checked before odmrsim.default_grid builds it: a
+    bad range, more than MAX_GRID_POINTS points, or one point when
+    `at_least_two`, is a config error."""
     try:
-        n = odmrsim._grid_size(lo, hi, step)
+        n = odmrsim._grid_size(start, stop, step)
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
     if n > MAX_GRID_POINTS:
         raise ConfigError(f"{ctx}: more than {MAX_GRID_POINTS} grid points")
-    return n
-
-
-def _grid(lo: float, hi: float, step: float, ctx: str) -> np.ndarray:
-    """odmrsim.default_grid(lo, hi, step), sized by `_grid_size` before it is allocated."""
-    _grid_size(lo, hi, step, ctx)
-    return odmrsim.default_grid(lo, hi, step)
-
-
-def _frequency_grid(block: dict) -> tuple[float, float, float]:
-    """The grid block's (start, stop, step), refused unless it makes two or more points."""
-    grid = (block["start"], block["stop"], block["step"])
-    if _grid_size(*grid, "frequency_grid_mhz") < 2:
-        raise ConfigError("frequency_grid_mhz: need at least two points (stop >= start + step)")
-    return grid
+    if at_least_two and n < 2:
+        raise ConfigError(f"{ctx}: need at least two points (stop >= start + step)")
+    return start, stop, step
 
 
 def _noise(block: dict | None, seed_override: int | None) -> odmrsim.NoiseConfig | None:
@@ -252,7 +245,8 @@ def _chain_config(p: dict, noise) -> reconstruct.ChainConfig:
     # a linewidth the grid cannot resolve is refused by the pinned dip fit
     return reconstruct.ChainConfig(
         shape=_build(odmrsim.LineshapeParams, "lineshape", p["lineshape"]),
-        grid_mhz=_frequency_grid(p["frequency_grid_mhz"]),
+        grid_mhz=_grid_range(**p["frequency_grid_mhz"], ctx="frequency_grid_mhz",
+                             at_least_two=True),
         constants=_build(spinmodel.SpinConstants, "constants", p["constants"]),
         b_static_mt=p["static_field_mt"], psi_count=p["psi_count"], noise=noise)
 
@@ -288,17 +282,47 @@ def _run_simulate(p, noise, fmt):
         raise ConfigError(str(exc)) from exc
     shape = _build(odmrsim.LineshapeParams, "lineshape", p["lineshape"])
     consts = _build(spinmodel.SpinConstants, "constants", p["constants"])
-    grid = odmrsim.default_grid(*_frequency_grid(p["frequency_grid_mhz"]))
+    grid = odmrsim.default_grid(*_grid_range(**p["frequency_grid_mhz"],
+                                             ctx="frequency_grid_mhz", at_least_two=True))
     spec = odmrsim.simulate_spectrum(consts, static, mwf, shape, grid)
     if noise is not None:
         spec = odmrsim.add_shot_noise(spec, noise)
     if fmt == "json":
-        return {"spectrum.json": _json(odmrsim.spectrum_to_json_dict(spec, shape))}
-    return {"spectrum.csv": odmrsim.spectrum_to_csv(spec)}
+        env = {"frequencies_mhz": spec.frequencies.tolist(), "signal": spec.signal.tolist(),
+               "lineshape": shape._asdict()}
+        if noise is not None:
+            env["counts"] = noise._asdict()
+        return {"spectrum.json": _json(env)}
+    # strings pass through _report as they are: 10 and 12 significant digits
+    return _report("spectrum", _SPECTRUM_HEADER,
+                   [(f"{f:.10g}", f"{s:.12g}") for f, s in zip(spec.frequencies, spec.signal)],
+                   fmt)
+
+
+def _read_spectrum(path) -> odmrsim.OdmrSpectrum:
+    """The spectrum of a CSV that `simulate` wrote; a malformed row raises
+    ValueError naming the file and the row's 1-based line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
+    if not rows or rows[0][1] != _SPECTRUM_HEADER:
+        raise ValueError(f"{path}: not a spectrum CSV")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: spectrum CSV has no data rows")
+    points = []
+    for line, row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {line}: expected 2 columns, got {len(row)}")
+        try:
+            points.append((float(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    data = np.array(points)
+    return odmrsim.OdmrSpectrum(frequencies=data[:, 0], signal=data[:, 1])
 
 
 def _run_fit(p, noise, fmt):
-    spec = odmrsim.spectrum_from_csv(p["spectrum_csv"])
+    spec = _read_spectrum(p["spectrum_csv"])
     return {"dips.json": _json([d._asdict()
                                 for d in fitkit.fit_dips(spec, p["init_centers_mhz"])])}
 
@@ -361,7 +385,8 @@ def _run_reconstruct_3d(p, noise, fmt):
 
 
 def _run_fieldmap(p, noise, fmt):
-    axes = [_grid(*p["grid_um"][key], f"grid_um.{key}").tolist() for key in ("x", "z")]
+    axes = [odmrsim.default_grid(*_grid_range(*p["grid_um"][key], f"grid_um.{key}")).tolist()
+            for key in ("x", "z")]
     if len(axes[0]) * len(axes[1]) > MAX_GRID_POINTS:
         raise ConfigError(f"grid_um: more than {MAX_GRID_POINTS} grid points")
     rows = []

@@ -22,6 +22,8 @@ Y_L = np.array([0.0, 1.0, 0.0])
 
 _SQRT3 = math.sqrt(3.0)
 
+WIRE_DIAMETER_UM = 25.0  # a scene's wire when none is given, in the library and the config
+
 
 def _floats3(v) -> tuple[float, float, float]:
     x, y, z = np.asarray(v, dtype=float).tolist()
@@ -70,7 +72,7 @@ class WireScene(NamedTuple("WireScene", [("sensor_x_um", float), ("sensor_z_um",
     __slots__ = ()
 
     def __new__(cls, sensor_x_um: float, sensor_z_um: float, current_ma: float,
-                wire_diameter_um: float = 25.0):
+                wire_diameter_um: float = WIRE_DIAMETER_UM):
         r = math.hypot(sensor_x_um, sensor_z_um)
         if r == 0.0:
             raise DegeneratePositionError("sensor placed at the wire center")

@@ -6,8 +6,6 @@ with contrasts set by the microwave coupling of each allowed transition.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from typing import NamedTuple
 
@@ -138,8 +136,7 @@ def _grid_size(start: float, stop: float, step: float) -> int:
     return math.floor(steps + 1e-9) + 1
 
 
-def default_grid(start_mhz: float = 2850.0, stop_mhz: float = 2950.0,
-                 step_mhz: float = 0.5) -> np.ndarray:
+def default_grid(start_mhz: float, stop_mhz: float, step_mhz: float) -> np.ndarray:
     """start_mhz, start_mhz + step_mhz, ... up to stop_mhz (see `_grid_size`)."""
     n = _grid_size(start_mhz, stop_mhz, step_mhz)
     return start_mhz + step_mhz * np.arange(n, dtype=float)
@@ -236,8 +233,8 @@ def simulate_phi_sweep(
     if not b_static_mt > 0:
         raise ValueError("static field must be positive for a sweep")
     m = unit(mw_lab)
-    if mw_amplitude_mt < 0:
-        raise ValueError("microwave amplitude must be nonnegative")
+    if not 0.0 <= mw_amplitude_mt < math.inf:  # NaN fails
+        raise ValueError("microwave amplitude must be finite and nonnegative")
     grid = np.asarray(grid, dtype=float)
     eig, signals = _synthesize(consts, b_static_mt, math.pi / 2.0,
                                (m @ basis.e1, m @ basis.e2, m @ basis.nv_z),
@@ -251,51 +248,6 @@ def add_shot_noise(spec: OdmrSpectrum, noise: NoiseConfig) -> OdmrSpectrum:
     (`NoiseConfig.draw` with no spawn key)."""
     return OdmrSpectrum(frequencies=spec.frequencies.copy(), signal=noise.draw(spec.signal),
                         counts_meta=noise)
-
-
-def spectrum_to_csv(spec: OdmrSpectrum) -> str:
-    """Two-column CSV text, frequency_mhz and signal, with csv's CRLF line
-    ends (write it with newline="" to keep them)."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["frequency_mhz", "signal"])
-    w.writerows([f"{f:.10g}", f"{s:.12g}"] for f, s in zip(spec.frequencies, spec.signal))
-    return buf.getvalue()
-
-
-def spectrum_from_csv(path) -> OdmrSpectrum:
-    """Read a CSV written by `spectrum_to_csv`; a malformed row raises
-    ValueError naming the file and the row's 1-based line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader]
-    if not rows or rows[0][1] != ["frequency_mhz", "signal"]:
-        raise ValueError(f"{path}: not a spectrum CSV")
-    if len(rows) < 2:
-        raise ValueError(f"{path}: spectrum CSV has no data rows")
-    points = []
-    for line, row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"{path}: line {line}: expected 2 columns, got {len(row)}")
-        try:
-            points.append((float(row[0]), float(row[1])))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line}: {exc}") from None
-    data = np.array(points)
-    return OdmrSpectrum(frequencies=data[:, 0], signal=data[:, 1])
-
-
-def spectrum_to_json_dict(spec: OdmrSpectrum, shape: LineshapeParams | None = None) -> dict:
-    """JSON envelope carrying grid, signal, lineshape params, and noise meta."""
-    env = {
-        "frequencies_mhz": spec.frequencies.tolist(),
-        "signal": spec.signal.tolist(),
-    }
-    if shape is not None:
-        env["lineshape"] = shape._asdict()
-    if spec.counts_meta is not None:
-        env["counts"] = spec.counts_meta._asdict()
-    return env
 
 
 def noisy_copy_with_subseed(sweep: SweepSeries, noise: NoiseConfig, *key: int) -> SweepSeries:

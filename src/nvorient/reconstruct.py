@@ -202,8 +202,8 @@ def _noiseless_sweep(scene: WireScene, nv_index: int, cfg: ChainConfig) -> _Scen
     return _SceneSweep(basis, sweep, fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz))
 
 
-def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfig,
-                  noise_keys: tuple[tuple[int, ...], ...]) -> list[tuple[NvYEstimate, Cos2Fit]]:
+def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
+                  cfg: ChainConfig) -> list[tuple[NvYEstimate, Cos2Fit]]:
     """simulate_phi_sweep -> shot noise -> sweep_lp_depths -> fit_cos2 -> extract_nv_y
     for each NV orientation, with the sweeps of all of them in one dip fit.
 
@@ -212,15 +212,16 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfi
     its noise; a repeat of a scene returns the read-only sweep of its first
     run, bit for bit what a new synthesis would give.  The sweeps of a run
     share grid and dip centers, so all are fitted with the first entry's
-    plan.  The sweep of nv_indices[k] draws its noise in one call from spawn
-    key noise_keys[k].
+    plan.  Each sweep draws its noise in one call: a lone sweep from spawn
+    key (), the sweep of nv_indices[k] of several from (k,).
     """
     clean = cfg._replace(noise=None)
     entries = [_noiseless_sweep(scene, nv_index, clean) for nv_index in nv_indices]
     sweeps = [e.sweep for e in entries]
     if cfg.noise is not None:
-        sweeps = [odmrsim.noisy_copy_with_subseed(s, cfg.noise, *key)
-                  for s, key in zip(sweeps, noise_keys)]
+        several = len(sweeps) > 1
+        sweeps = [odmrsim.noisy_copy_with_subseed(s, cfg.noise, *((k,) if several else ()))
+                  for k, s in enumerate(sweeps)]
     fits = sweep_lp_depths(*sweeps, plan=entries[0].plan)
     out = []
     for e, sweep, (depths, sigmas) in zip(entries, sweeps, fits):
@@ -236,7 +237,7 @@ def end_to_end_planar(scene: WireScene, nv_index: int,
     Truth comes from the wire tangent at the scene position; the reported
     error is the distance to the nearer member of the ambiguity pair.
     """
-    [(nv_y, cos2)] = _measure_nv_y(scene, (nv_index,), cfg, ((),))
+    [(nv_y, cos2)] = _measure_nv_y(scene, (nv_index,), cfg)
     alpha = planar_alpha(nv_y.axis)
     partner = (alpha + 180.0) % 360.0
     truth = geometry.alpha_deg(geometry.mw_direction(scene))
@@ -260,5 +261,5 @@ def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
     i1, i2 = nv_indices
     if i1 == i2:
         raise NearParallelAxesError("the two NV orientations must differ")
-    (y1, _), (y2, _) = _measure_nv_y(scene, (i1, i2), cfg, ((0,), (1,)))
+    (y1, _), (y2, _) = _measure_nv_y(scene, (i1, i2), cfg)
     return mw_axis_from_two(y1.axis, y2.axis, truth_axis=geometry.mw_direction(scene))

@@ -42,8 +42,8 @@ class StaticFieldNV(NamedTuple("StaticFieldNV",
     __slots__ = ()
 
     def __new__(cls, b_mt: float, theta: float, phi: float = 0.0):
-        if b_mt < 0:
-            raise ValueError("field magnitude must be nonnegative")
+        if not 0.0 <= b_mt < math.inf:  # NaN fails
+            raise ValueError("field magnitude must be finite and nonnegative")
         if not 0.0 <= theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
         if not 0.0 <= phi < 2.0 * math.pi:
@@ -63,8 +63,8 @@ class MwFieldNV(NamedTuple("MwFieldNV", [("amplitude_mt", float), ("zeta", float
     __slots__ = ()
 
     def __new__(cls, amplitude_mt: float, zeta: float, transverse_azimuth: float = 0.0):
-        if amplitude_mt < 0:
-            raise ValueError("microwave amplitude must be nonnegative")
+        if not 0.0 <= amplitude_mt < math.inf:  # NaN fails
+            raise ValueError("microwave amplitude must be finite and nonnegative")
         if not 0.0 <= zeta <= math.pi:
             raise ValueError("zeta must lie in [0, pi]")
         return super().__new__(cls, amplitude_mt, zeta, transverse_azimuth)
@@ -80,10 +80,16 @@ class MwFieldNV(NamedTuple("MwFieldNV", [("amplitude_mt", float), ("zeta", float
 
 
 def ground_hamiltonian(consts: SpinConstants, field: StaticFieldNV) -> np.ndarray:
-    """D*Sz^2 + gamma_e*B*(sin(t)cos(p)*Sx + sin(t)sin(p)*Sy + cos(t)*Sz), MHz."""
+    """D*Sz^2 + gamma_e*B*(sin(t)cos(p)*Sx + sin(t)sin(p)*Sy + cos(t)*Sz), MHz.
+
+    Raises ValueError when gamma_e*B overflows, which would fill the matrix
+    with NaN."""
+    gb = consts.gamma_e * field.b_mt
+    if not math.isfinite(gb):
+        raise ValueError(f"Zeeman term gamma_e*B is not finite: {consts.gamma_e} MHz/mT "
+                         f"times {field.b_mt} mT")
     st, ct = math.sin(field.theta), math.cos(field.theta)
     sp, cp = math.sin(field.phi), math.cos(field.phi)
-    gb = consts.gamma_e * field.b_mt
     return consts.d_mhz * (SZ @ SZ) + gb * (st * cp * SX + st * sp * SY + ct * SZ)
 
 

@@ -25,7 +25,7 @@ def shape():
 
 @pytest.fixture(scope="session")
 def grid():
-    return odmrsim.default_grid()
+    return odmrsim.default_grid(*reconstruct.ChainConfig().grid_mhz)
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from test_fitkit import numeric_jacobian
 from test_spinmodel import KET_MINUS, KET_PLUS
 
 C = spinmodel.SpinConstants()
+GRID_MHZ = reconstruct.ChainConfig().grid_mhz
 
 TABLE1 = [
     (47.7, 16.5, 160.9), (47.0, 18.5, 158.5), (46.3, 20.0, 156.6),
@@ -142,7 +143,7 @@ def test_criterion_5_noisy_end_to_end_statistics():
     psis = np.linspace(0.0, math.pi, 12, endpoint=False)
     sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
                                        geometry.wire_field_magnitude(scene),
-                                       odmrsim.LineshapeParams(), odmrsim.default_grid(),
+                                       odmrsim.LineshapeParams(), odmrsim.default_grid(*GRID_MHZ),
                                        psis)
     rels = []
     for seed in range(10):
@@ -234,7 +235,7 @@ def test_criterion_8_property_suite():
     psis = np.linspace(0.0, math.pi, 12, endpoint=False)
     sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
                                        geometry.wire_field_magnitude(scene),
-                                       odmrsim.LineshapeParams(), odmrsim.default_grid(),
+                                       odmrsim.LineshapeParams(), odmrsim.default_grid(*GRID_MHZ),
                                        psis)
     [(depths, _)] = reconstruct.sweep_lp_depths(sweep)
     fit = fitkit.fit_cos2(psis, depths)

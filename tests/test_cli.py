@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvorient import cli, geometry, odmrsim, reconstruct
+from nvorient import cli, geometry, odmrsim, reconstruct, spinmodel
 from nvorient.errors import NvOrientError
 
 
@@ -77,6 +78,59 @@ class TestSimulate:
         out = tmp_path / "out"
         assert cli.run("simulate", cfg, out, seed=99) == cli.EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["seed"] == 99
+
+
+class TestSerialization:
+    # spectrum.csv and spectrum.json as `simulate` writes them, and
+    # spectrum.csv as `fit` reads it back
+    def test_csv_round_trip(self, consts, shape, grid, tmp_path):
+        # the spectrum of SIMULATE_CFG
+        static = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, 0.0)
+        mw = spinmodel.MwFieldNV(0.0357, math.pi / 2.0, math.pi / 4.0)
+        spec = odmrsim.simulate_spectrum(consts, static, mw, shape, grid)
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "sim.json", SIMULATE_CFG)
+        assert cli.run("simulate", cfg, out) == cli.EXIT_OK
+        path = out / "spectrum.csv"
+        assert path.read_bytes().startswith(b"frequency_mhz,signal\r\n")
+        back = cli._read_spectrum(path)
+        assert np.allclose(back.frequencies, spec.frequencies, atol=1e-9)
+        assert np.allclose(back.signal, spec.signal, atol=1e-11)
+
+    def test_csv_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError):
+            cli._read_spectrum(path)
+
+    def test_csv_without_data_rows_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("frequency_mhz,signal\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            cli._read_spectrum(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2900.0,0.99,1", "expected 2 columns, got 3"),
+        ("2900.0", "expected 2 columns, got 1"),
+        ("2900.0,abc", "could not convert string to float: 'abc'"),
+    ], ids=["three-columns", "one-column", "not-a-number"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"frequency_mhz,signal\n2890.0,1.0\n{row}\n2910.0,1.0\n")
+        with pytest.raises(ValueError) as info:
+            cli._read_spectrum(path)
+        assert str(info.value) == f"{path}: line 3: {message}"
+
+    def test_json_envelope(self, tmp_path):
+        payload = dict(SIMULATE_CFG, noise={"rate_kcps": 100.0, "dwell_s": 1.0, "seed": 9})
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "sim.json", payload)
+        assert cli.run("simulate", cfg, out, fmt="json") == cli.EXIT_OK
+        env = json.loads((out / "spectrum.json").read_text())
+        assert list(env) == ["frequencies_mhz", "signal", "lineshape", "counts"]
+        assert env["lineshape"]["fwhm_mhz"] == 8.0
+        assert env["counts"]["seed"] == 9
+        assert len(env["frequencies_mhz"]) == len(env["signal"])
 
 
 class TestFit:
@@ -158,6 +212,26 @@ class TestFit:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("mode, raw", [
+        ("simulate", '{"mode": "simulate", "static": {"b_mt": 1e307, "theta_deg": 90}, '
+                     '"mw": {"amplitude_mt": 0.0357, "zeta_deg": 90}}'),
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, "static_field_mt": 1e307}'),
+    ], ids=["simulate", "table1"])
+    def test_overflowing_static_field_exits_3(self, tmp_path, capsys, mode, raw):
+        # a finite field whose Zeeman term overflows once warned twice on a
+        # Hamiltonian of NaNs and exited 3 with "Eigenvalues did not converge"
+        path = tmp_path / "cfg.json"
+        path.write_text(raw)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.run(mode, path, out)
+        assert (code, capsys.readouterr().err, caught) == (
+            cli.EXIT_PIPELINE,
+            "error: Zeeman term gamma_e*B is not finite: 28.02495 MHz/mT times 1e+307 mT\n", [])
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         payload = dict(SIMULATE_CFG, extra=1)
         cfg = write_cfg(tmp_path, "sim.json", payload)
@@ -450,12 +524,14 @@ class TestTable1:
 
     def test_defaults_are_the_library_defaults(self):
         # the schema reads its defaults from ChainConfig() and its constants
-        # and shape; a config that sets only the current must build the
-        # library's default chain, field by field, on default_grid's defaults
+        # and shape, and the wire's from WireScene; a config that sets only
+        # the current must build the library's default chain, field by
+        # field, and scene; the grid's defaults are ChainConfig's alone
         p = cli._read({"mode": "table1", "wire": {"current_ma": 40.0}}, cli.SCHEMAS["table1"])
         chain, ref = cli._chain_config(p, None), reconstruct.ChainConfig()
         assert chain == ref
-        assert chain.grid_mhz == odmrsim.default_grid.__defaults__
+        assert odmrsim.default_grid.__defaults__ is None
+        assert p["wire"]["diameter_um"] == geometry.WireScene(61.0, 18.0, 40.0).wire_diameter_um
 
     def test_noise_beyond_the_poisson_sampler_exits_2(self, tmp_path, capsys):
         # 1e21 mean counts per point are finite and positive, but numpy's
@@ -633,7 +709,7 @@ class TestGridRanges:
         # 19999.6 steps make 20,000 points, within the bound (it counted
         # 20,001 and allocated them); 0.3 / 0.1 is 2.9999999999999996 in
         # floats and still ends on stop
-        grid = cli._grid(0.0, stop, step, "frequency_grid_mhz")
+        grid = odmrsim.default_grid(*cli._grid_range(0.0, stop, step, "frequency_grid_mhz"))
         assert grid.size == size and grid[-1] <= stop + 1e-12
         assert grid.size <= cli.MAX_GRID_POINTS
 

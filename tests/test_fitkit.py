@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nvorient import fitkit, geometry, odmrsim, spinmodel
+from nvorient import fitkit, geometry, odmrsim, reconstruct, spinmodel
 from nvorient.errors import DegenerateFitError, SingularNormalEquationsError
 from test_spinmodel import rabi_amplitudes
 
@@ -130,13 +130,14 @@ def _dip_jacobian(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
 
 
 C = spinmodel.SpinConstants()
+GRID_MHZ = reconstruct.ChainConfig().grid_mhz
 STATIC = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, 0.0)
 MW = spinmodel.MwFieldNV(0.0357, math.pi / 2.0, math.pi / 4.0)
 
 
 def two_dip_spectrum(shape=None, grid=None):
     shape = shape if shape is not None else odmrsim.LineshapeParams()
-    grid = grid if grid is not None else odmrsim.default_grid()
+    grid = grid if grid is not None else odmrsim.default_grid(*GRID_MHZ)
     return odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
 
 
@@ -411,7 +412,7 @@ def noisy_sweeps(n_sweeps, dwell_s, nv_index=3, first_seed=0):
     scene = geometry.WireScene(61.0, 18.0, 40.0)
     sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
                                        geometry.wire_field_magnitude(scene),
-                                       odmrsim.LineshapeParams(), odmrsim.default_grid(),
+                                       odmrsim.LineshapeParams(), odmrsim.default_grid(*GRID_MHZ),
                                        np.linspace(0.0, math.pi, 12, endpoint=False))
     runs = []
     for seed in range(first_seed, first_seed + n_sweeps):
@@ -805,7 +806,7 @@ class TestFitPinnedDips:
         # message names the centers and the grid's ends; centers closer than
         # the grid step, whose Lorentzian columns the grid cannot tell apart,
         # are refused by name, in any order
-        f = odmrsim.default_grid()
+        f = odmrsim.default_grid(*GRID_MHZ)
         fitkit.FitPlan(f, [f[0], f[-1]])
         fitkit.FitPlan(f, [2898.5, 2926.0, 2898.0])
         below, above = np.nextafter(f[0], -np.inf), np.nextafter(f[-1], np.inf)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvorient import geometry, odmrsim, spinmodel
+from nvorient import geometry, odmrsim, reconstruct, spinmodel
 from nvorient.errors import ContrastOverflowError, LabelingError
 from test_spinmodel import rabi_amplitudes
 
 C = spinmodel.SpinConstants()
+GRID_MHZ = reconstruct.ChainConfig().grid_mhz
 STATIC = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, 0.0)
 MW = spinmodel.MwFieldNV(0.0357, math.pi / 2.0, math.pi / 4.0)
 
@@ -229,6 +230,14 @@ class TestPhiSweep:
             odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
                                        shape, grid, np.array([]))
 
+    @pytest.mark.parametrize("amplitude_mt", [-1.0, math.nan, math.inf])
+    def test_bad_amplitude_rejected(self, shape, grid, nv1_basis, amplitude_mt):
+        # as MwFieldNV refuses it; NaN once passed and made a sweep of NaNs
+        with pytest.raises(ValueError,
+                           match="^microwave amplitude must be finite and nonnegative$"):
+            odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], amplitude_mt,
+                                       shape, grid, np.array([0.0]))
+
 
 class TestShotNoise:
     def test_seed_reproducibility(self, shape, grid):
@@ -326,50 +335,6 @@ class TestShotNoise:
             odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(100.0, -1.0, 0))
 
 
-class TestSerialization:
-    def test_csv_round_trip(self, shape, grid, tmp_path):
-        spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
-        path = tmp_path / "spec.csv"
-        text = odmrsim.spectrum_to_csv(spec)
-        assert text.startswith("frequency_mhz,signal\r\n")
-        path.write_text(text, newline="")
-        back = odmrsim.spectrum_from_csv(path)
-        assert np.allclose(back.frequencies, spec.frequencies, atol=1e-9)
-        assert np.allclose(back.signal, spec.signal, atol=1e-11)
-
-    def test_csv_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            odmrsim.spectrum_from_csv(path)
-
-    def test_csv_without_data_rows_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("frequency_mhz,signal\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            odmrsim.spectrum_from_csv(path)
-
-    @pytest.mark.parametrize("row, message", [
-        ("2900.0,0.99,1", "expected 2 columns, got 3"),
-        ("2900.0", "expected 2 columns, got 1"),
-        ("2900.0,abc", "could not convert string to float: 'abc'"),
-    ], ids=["three-columns", "one-column", "not-a-number"])
-    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"frequency_mhz,signal\n2890.0,1.0\n{row}\n2910.0,1.0\n")
-        with pytest.raises(ValueError) as info:
-            odmrsim.spectrum_from_csv(path)
-        assert str(info.value) == f"{path}: line 3: {message}"
-
-    def test_json_envelope(self, shape, grid):
-        spec = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
-        noisy = odmrsim.add_shot_noise(spec, odmrsim.NoiseConfig(100.0, 1.0, 9))
-        env = odmrsim.spectrum_to_json_dict(noisy, shape)
-        assert env["lineshape"]["fwhm_mhz"] == 8.0
-        assert env["counts"]["seed"] == 9
-        assert len(env["frequencies_mhz"]) == len(env["signal"])
-
-
 class TestSpectrumValidation:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -392,7 +357,7 @@ class TestSpectrumValidation:
        amp=st.floats(0.001, 0.05))
 def test_simulated_signal_stays_in_unit_interval(zeta, delta, amp):
     shape = odmrsim.LineshapeParams()
-    grid = odmrsim.default_grid()
+    grid = odmrsim.default_grid(*GRID_MHZ)
     mw = spinmodel.MwFieldNV(amp, zeta, delta)
     spec = odmrsim.simulate_spectrum(C, STATIC, mw, shape, grid)
     assert np.all(spec.signal <= 1.0 + 1e-12)

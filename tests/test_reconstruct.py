@@ -15,6 +15,7 @@ AXES = geometry.crystallographic_axes()
 NV1 = AXES[reconstruct.NV1_AXIS_INDEX]
 NV2 = AXES[NV2_AXIS_INDEX]
 SCENE = geometry.WireScene(61.0, 18.0, 40.0)
+GRID_MHZ = reconstruct.ChainConfig().grid_mhz
 
 
 def planar_mw(alpha_deg):
@@ -33,7 +34,8 @@ def pair_sweeps(psis, b_static_mt=10.2, grid=None):
                                        geometry.mw_direction(SCENE),
                                        geometry.wire_field_magnitude(SCENE),
                                        odmrsim.LineshapeParams(),
-                                       odmrsim.default_grid() if grid is None else grid, psis)
+                                       odmrsim.default_grid(*GRID_MHZ) if grid is None else grid,
+                                       psis)
             for nv in (reconstruct.NV1_AXIS_INDEX, NV2_AXIS_INDEX)]
 
 
@@ -178,7 +180,7 @@ class TestSweepChain:
         noisy = odmrsim.noisy_copy_with_subseed(other, odmrsim.NoiseConfig(200.0, 0.008, 1))
         with pytest.raises(ValueError, match="all noisy or all noiseless"):
             reconstruct.sweep_lp_depths(sweep, noisy)
-        shifted = pair_sweeps(psis, grid=odmrsim.default_grid(2850.5, 2950.5))[0]
+        shifted = pair_sweeps(psis, grid=odmrsim.default_grid(2850.5, 2950.5, 0.5))[0]
         with pytest.raises(ValueError, match="one frequency grid"):
             reconstruct.sweep_lp_depths(sweep, shifted)
         weaker = pair_sweeps(psis, b_static_mt=9.0)[0]
@@ -194,7 +196,8 @@ class TestSweepChain:
                                                 geometry.transverse_basis(AXES[nv]), 10.2,
                                                 geometry.mw_direction(SCENE),
                                                 geometry.wire_field_magnitude(SCENE),
-                                                odmrsim.LineshapeParams(), odmrsim.default_grid(),
+                                                odmrsim.LineshapeParams(),
+                                                odmrsim.default_grid(*GRID_MHZ),
                                                 np.linspace(0.0, math.pi, n, endpoint=False))
                      for nv, n in zip((3, 1, 0), counts)]
             for seed in (*range(5), None):
@@ -469,7 +472,7 @@ class TestSweepMemo:
         info = reconstruct._noiseless_sweep.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
         _, sweep = memo_sweep(SCENE, reconstruct.NV1_AXIS_INDEX, reconstruct.ChainConfig())
-        assert_bit_identical(sweep.frequencies, odmrsim.default_grid())
+        assert_bit_identical(sweep.frequencies, odmrsim.default_grid(*GRID_MHZ))
         assert_bit_identical(sweep.psis, np.linspace(0.0, math.pi, 12, endpoint=False))
 
     def test_warm_memo_equals_cold(self):
@@ -570,9 +573,8 @@ class TestNoiseRecord:
             assert meta.seed == 7
 
     def test_noisy_spectrum_redraws_from_its_record(self):
-        clean = odmrsim.OdmrSpectrum(odmrsim.default_grid(),
-                                     1.0 - 0.01 * odmrsim.lorentzian(odmrsim.default_grid(),
-                                                                     2900.0, 8.0))
+        grid = odmrsim.default_grid(*GRID_MHZ)
+        clean = odmrsim.OdmrSpectrum(grid, 1.0 - 0.01 * odmrsim.lorentzian(grid, 2900.0, 8.0))
         for noise in (odmrsim.NoiseConfig(200.0, 0.008, 3),
                       odmrsim.NoiseConfig(50.0, 0.01, 0, (2, 4))):
             spec = odmrsim.add_shot_noise(clean, noise)

@@ -38,65 +38,105 @@ VALID = [
 VALID_FIELDS = {cls: fields for cls, fields in VALID}
 
 NOISE_BOUND = "count rate and dwell time must be finite, with at most 1e18 mean counts per point"
+FIELD_BOUND = "field magnitude must be finite and nonnegative"
+AMPLITUDE_BOUND = "microwave amplitude must be finite and nonnegative"
 
-# (record type, fields that replace valid ones, exception, its message)
+# (test id, record type, fields that replace valid ones, exception, its
+# message).  Each case names its own id, so a case added anywhere renames no
+# other; the numbered ids keep the list positions they were first given.
 BAD = [
-    (spinmodel.SpinConstants, {"d_mhz": 0.0}, ValueError, "zero-field splitting must be positive"),
-    (spinmodel.SpinConstants, {"d_mhz": math.nan}, ValueError,
+    ("SpinConstants-d_mhz-0", spinmodel.SpinConstants, {"d_mhz": 0.0}, ValueError,
      "zero-field splitting must be positive"),
-    (spinmodel.SpinConstants, {"gamma_e": -1.0}, ValueError, "gyromagnetic ratio must be positive"),
-    (spinmodel.StaticFieldNV, {"b_mt": -0.1}, ValueError, "field magnitude must be nonnegative"),
-    (spinmodel.StaticFieldNV, {"theta": 3.2}, ValueError, "theta must lie in [0, pi]"),
-    (spinmodel.StaticFieldNV, {"phi": 2 * math.pi}, ValueError, "phi must lie in [0, 2*pi)"),
-    (spinmodel.MwFieldNV, {"amplitude_mt": -1.0}, ValueError,
-     "microwave amplitude must be nonnegative"),
-    (spinmodel.MwFieldNV, {"zeta": -0.1}, ValueError, "zeta must lie in [0, pi]"),
-    (geometry.WireScene, {"sensor_x_um": 0.0, "sensor_z_um": 0.0}, DegeneratePositionError,
+    ("SpinConstants-d_mhz-1", spinmodel.SpinConstants, {"d_mhz": math.nan}, ValueError,
+     "zero-field splitting must be positive"),
+    ("SpinConstants-gamma_e-2", spinmodel.SpinConstants, {"gamma_e": -1.0}, ValueError,
+     "gyromagnetic ratio must be positive"),
+    ("StaticFieldNV-b_mt-3", spinmodel.StaticFieldNV, {"b_mt": -0.1}, ValueError, FIELD_BOUND),
+    # NaN and inf once passed, and reached LAPACK as a Hamiltonian of NaNs
+    ("StaticFieldNV-b_mt=nan", spinmodel.StaticFieldNV, {"b_mt": math.nan}, ValueError,
+     FIELD_BOUND),
+    ("StaticFieldNV-b_mt=inf", spinmodel.StaticFieldNV, {"b_mt": math.inf}, ValueError,
+     FIELD_BOUND),
+    ("StaticFieldNV-theta-4", spinmodel.StaticFieldNV, {"theta": 3.2}, ValueError,
+     "theta must lie in [0, pi]"),
+    ("StaticFieldNV-phi-5", spinmodel.StaticFieldNV, {"phi": 2 * math.pi}, ValueError,
+     "phi must lie in [0, 2*pi)"),
+    ("MwFieldNV-amplitude_mt-6", spinmodel.MwFieldNV, {"amplitude_mt": -1.0}, ValueError,
+     AMPLITUDE_BOUND),
+    ("MwFieldNV-amplitude_mt=nan", spinmodel.MwFieldNV, {"amplitude_mt": math.nan}, ValueError,
+     AMPLITUDE_BOUND),
+    ("MwFieldNV-amplitude_mt=inf", spinmodel.MwFieldNV, {"amplitude_mt": math.inf}, ValueError,
+     AMPLITUDE_BOUND),
+    ("MwFieldNV-zeta-7", spinmodel.MwFieldNV, {"zeta": -0.1}, ValueError,
+     "zeta must lie in [0, pi]"),
+    ("WireScene-sensor_x_um-sensor_z_um-8", geometry.WireScene,
+     {"sensor_x_um": 0.0, "sensor_z_um": 0.0}, DegeneratePositionError,
      "sensor placed at the wire center"),
-    (geometry.WireScene, {"sensor_x_um": 5.0, "sensor_z_um": 5.0}, ValueError,
+    ("WireScene-sensor_x_um-sensor_z_um-9", geometry.WireScene,
+     {"sensor_x_um": 5.0, "sensor_z_um": 5.0}, ValueError,
      "sensor radius must exceed the wire radius"),
-    (odmrsim.LineshapeParams, {"fwhm_mhz": 0.0}, ValueError, "fwhm must be positive"),
-    (odmrsim.LineshapeParams, {"contrast_ref": 1.5}, ValueError,
-     "contrast_ref must lie in (0, 1]"),
-    (odmrsim.LineshapeParams, {"omega_ref_mhz": -1.0}, ValueError, "omega_ref must be positive"),
-    (odmrsim.LineshapeParams, {"model": "cubic"}, ValueError, "unknown intensity model 'cubic'"),
-    (odmrsim.NoiseConfig, {"rate_kcps": 0.0}, ValueError,
-     "count rate and dwell time must be positive"),
-    (odmrsim.NoiseConfig, {"dwell_s": -1.0}, ValueError,
-     "count rate and dwell time must be positive"),
-    (odmrsim.OdmrSpectrum, {"frequencies": GRID[::-1]}, ValueError,
-     "frequency grid must be finite and strictly ascending"),
-    (odmrsim.OdmrSpectrum, {"frequencies": GRID[None]}, ValueError,
-     "frequency grid must be a nonempty 1-D array"),
-    (odmrsim.OdmrSpectrum, {"signal": np.ones(4)}, ValueError, "grid and signal lengths differ"),
-    (odmrsim.SweepSeries, {"frequencies": np.array([2850.0, math.nan, 2900.0, 2925.0, 2950.0])},
-     ValueError, "frequency grid must be finite and strictly ascending"),
-    (odmrsim.SweepSeries, {"signals": np.ones((5, 3))}, ValueError,
-     "sweep signals must have one row per psi and one column per grid frequency"),
-    (odmrsim.SweepSeries, {"psis": PSIS[None]}, ValueError,
-     "sweep signals must have one row per psi and one column per grid frequency"),
-    (sensitivity.SensitivityInput, {"sigma_rel": 0.0}, ValueError, "sigma_rel must be positive"),
-    (sensitivity.SensitivityInput, {"n": 0}, ValueError, "repetition count must be at least 1"),
-    (sensitivity.SensitivityInput, {"t": 0.0}, ValueError, "sensing time must be positive"),
-    (odmrsim.NoiseConfig, {"seed": 1.5}, ValueError, "seed must be an integer >= 0"),
-    (odmrsim.NoiseConfig, {"seed": -1}, ValueError, "seed must be an integer >= 0"),
-    (odmrsim.NoiseConfig, {"seed": True}, ValueError, "seed must be an integer >= 0"),
-    (odmrsim.NoiseConfig, {"key": (1.5,)}, ValueError, "key must be a tuple of integers >= 0"),
-    (odmrsim.NoiseConfig, {"key": (0, -1)}, ValueError, "key must be a tuple of integers >= 0"),
-    (odmrsim.NoiseConfig, {"key": (True,)}, ValueError, "key must be a tuple of integers >= 0"),
-    (odmrsim.NoiseConfig, {"key": [0]}, ValueError, "key must be a tuple of integers >= 0"),
-    (odmrsim.NoiseConfig, {"key": 0}, ValueError, "key must be a tuple of integers >= 0"),
-    (odmrsim.NoiseConfig, {"rate_kcps": math.inf}, ValueError, NOISE_BOUND),
-    (odmrsim.NoiseConfig, {"dwell_s": math.inf}, ValueError, NOISE_BOUND),
-    # 1e21 mean counts: numpy's Poisson sampler refuses means above about 9.2e18
-    (odmrsim.NoiseConfig, {"rate_kcps": 1e12, "dwell_s": 1e6}, ValueError, NOISE_BOUND),
     # each once switched the inside-the-wire check off
-    (geometry.WireScene, {"wire_diameter_um": -5.0}, ValueError,
-     "wire diameter must be finite and nonnegative"),
-    (geometry.WireScene, {"sensor_x_um": 1.0, "sensor_z_um": 0.0, "wire_diameter_um": math.nan},
+    ("WireScene-wire_diameter_um-36", geometry.WireScene, {"wire_diameter_um": -5.0},
      ValueError, "wire diameter must be finite and nonnegative"),
+    ("WireScene-sensor_x_um-sensor_z_um-wire_diameter_um-37", geometry.WireScene,
+     {"sensor_x_um": 1.0, "sensor_z_um": 0.0, "wire_diameter_um": math.nan},
+     ValueError, "wire diameter must be finite and nonnegative"),
+    ("LineshapeParams-fwhm_mhz-10", odmrsim.LineshapeParams, {"fwhm_mhz": 0.0}, ValueError,
+     "fwhm must be positive"),
+    ("LineshapeParams-contrast_ref-11", odmrsim.LineshapeParams, {"contrast_ref": 1.5},
+     ValueError, "contrast_ref must lie in (0, 1]"),
+    ("LineshapeParams-omega_ref_mhz-12", odmrsim.LineshapeParams, {"omega_ref_mhz": -1.0},
+     ValueError, "omega_ref must be positive"),
+    ("LineshapeParams-model-13", odmrsim.LineshapeParams, {"model": "cubic"}, ValueError,
+     "unknown intensity model 'cubic'"),
+    ("NoiseConfig-rate_kcps-14", odmrsim.NoiseConfig, {"rate_kcps": 0.0}, ValueError,
+     "count rate and dwell time must be positive"),
+    ("NoiseConfig-dwell_s-15", odmrsim.NoiseConfig, {"dwell_s": -1.0}, ValueError,
+     "count rate and dwell time must be positive"),
+    ("NoiseConfig-rate_kcps-33", odmrsim.NoiseConfig, {"rate_kcps": math.inf}, ValueError,
+     NOISE_BOUND),
+    ("NoiseConfig-dwell_s-34", odmrsim.NoiseConfig, {"dwell_s": math.inf}, ValueError,
+     NOISE_BOUND),
+    # 1e21 mean counts: numpy's Poisson sampler refuses means above about 9.2e18
+    ("NoiseConfig-rate_kcps-dwell_s-35", odmrsim.NoiseConfig,
+     {"rate_kcps": 1e12, "dwell_s": 1e6}, ValueError, NOISE_BOUND),
+    ("NoiseConfig-seed-25", odmrsim.NoiseConfig, {"seed": 1.5}, ValueError,
+     "seed must be an integer >= 0"),
+    ("NoiseConfig-seed-26", odmrsim.NoiseConfig, {"seed": -1}, ValueError,
+     "seed must be an integer >= 0"),
+    ("NoiseConfig-seed-27", odmrsim.NoiseConfig, {"seed": True}, ValueError,
+     "seed must be an integer >= 0"),
+    ("NoiseConfig-key-28", odmrsim.NoiseConfig, {"key": (1.5,)}, ValueError,
+     "key must be a tuple of integers >= 0"),
+    ("NoiseConfig-key-29", odmrsim.NoiseConfig, {"key": (0, -1)}, ValueError,
+     "key must be a tuple of integers >= 0"),
+    ("NoiseConfig-key-30", odmrsim.NoiseConfig, {"key": (True,)}, ValueError,
+     "key must be a tuple of integers >= 0"),
+    ("NoiseConfig-key-31", odmrsim.NoiseConfig, {"key": [0]}, ValueError,
+     "key must be a tuple of integers >= 0"),
+    ("NoiseConfig-key-32", odmrsim.NoiseConfig, {"key": 0}, ValueError,
+     "key must be a tuple of integers >= 0"),
+    ("OdmrSpectrum-frequencies-16", odmrsim.OdmrSpectrum, {"frequencies": GRID[::-1]},
+     ValueError, "frequency grid must be finite and strictly ascending"),
+    ("OdmrSpectrum-frequencies-17", odmrsim.OdmrSpectrum, {"frequencies": GRID[None]},
+     ValueError, "frequency grid must be a nonempty 1-D array"),
+    ("OdmrSpectrum-signal-18", odmrsim.OdmrSpectrum, {"signal": np.ones(4)}, ValueError,
+     "grid and signal lengths differ"),
+    ("SweepSeries-frequencies-19", odmrsim.SweepSeries,
+     {"frequencies": np.array([2850.0, math.nan, 2900.0, 2925.0, 2950.0])},
+     ValueError, "frequency grid must be finite and strictly ascending"),
+    ("SweepSeries-signals-20", odmrsim.SweepSeries, {"signals": np.ones((5, 3))}, ValueError,
+     "sweep signals must have one row per psi and one column per grid frequency"),
+    ("SweepSeries-psis-21", odmrsim.SweepSeries, {"psis": PSIS[None]}, ValueError,
+     "sweep signals must have one row per psi and one column per grid frequency"),
+    ("SensitivityInput-sigma_rel-22", sensitivity.SensitivityInput, {"sigma_rel": 0.0},
+     ValueError, "sigma_rel must be positive"),
+    ("SensitivityInput-n-23", sensitivity.SensitivityInput, {"n": 0}, ValueError,
+     "repetition count must be at least 1"),
+    ("SensitivityInput-t-24", sensitivity.SensitivityInput, {"t": 0.0}, ValueError,
+     "sensing time must be positive"),
 ]
-BAD_IDS = [f"{cls.__name__}-{'-'.join(bad)}-{k}" for k, (cls, bad, _, _) in enumerate(BAD)]
+BAD_PARAMS = [pytest.param(*case, id=case_id) for case_id, *case in BAD]
 
 
 def valid(cls):
@@ -137,7 +177,7 @@ def test_every_record_type_is_covered():
     assert {type(r) for r in instances()} == defined
 
 
-@pytest.mark.parametrize("cls, bad, exc, message", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("cls, bad, exc, message", BAD_PARAMS)
 def test_bad_value_raises_by_position_and_keyword(cls, bad, exc, message):
     fields = dict(VALID_FIELDS[cls], **bad)
     with pytest.raises(exc, match=f"^{re.escape(message)}$"):
@@ -156,7 +196,7 @@ def test_valid_fields_by_position_and_keyword(cls):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("cls, bad, exc, message", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("cls, bad, exc, message", BAD_PARAMS)
 def test_replace_runs_no_checks(cls, bad, exc, message):
     # the bad value goes in unchecked: `_replace` is for fields already checked
     replaced = valid(cls)._replace(**bad)

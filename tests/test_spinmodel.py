@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,13 @@ class TestGroundHamiltonian:
             sm.StaticFieldNV(1.0, 4.0, 0.0)
         with pytest.raises(ValueError):
             sm.SpinConstants(d_mhz=-1.0)
+
+    def test_overflowing_zeeman_term_refused(self):
+        # gamma_e * 1e307 mT overflows to inf, which filled the matrix with
+        # NaN and failed in LAPACK as "Eigenvalues did not converge"
+        message = "Zeeman term gamma_e*B is not finite: 28.02495 MHz/mT times 1e+307 mT"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sm.ground_hamiltonian(C, sm.StaticFieldNV(1e307, math.pi / 2.0, 0.0))
 
 
 class TestEigensystem:
