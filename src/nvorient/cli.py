@@ -204,10 +204,11 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _build(cls, ctx: str, values: dict):
-    """cls(**values), its range checks reported as config errors."""
+def _build(make, ctx: str, values: dict):
+    """make(**values), a record or a checked value, its ValueError reported
+    as a config error under `ctx`."""
     try:
-        return cls(**values)
+        return make(**values)
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
@@ -217,10 +218,7 @@ def _grid_range(start: float, stop: float, step: float, ctx: str,
     """(start, stop, step), checked before odmrsim.default_grid builds it: a
     bad range, more than MAX_GRID_POINTS points, or one point when
     `at_least_two`, is a config error."""
-    try:
-        n = odmrsim._grid_size(start, stop, step)
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+    n = _build(odmrsim._grid_size, ctx, {"start": start, "stop": stop, "step": step})
     if n > MAX_GRID_POINTS:
         raise ConfigError(f"{ctx}: more than {MAX_GRID_POINTS} grid points")
     if at_least_two and n < 2:
@@ -273,13 +271,12 @@ def _report(stem: str, header: list[str], rows, fmt: str) -> dict[str, str]:
 
 def _run_simulate(p, noise, fmt):
     st, mw = p["static"], p["mw"]
-    try:
-        static = spinmodel.StaticFieldNV(st["b_mt"], math.radians(st["theta_deg"]),
-                                         math.radians(st["phi_deg"]) % (2 * math.pi))
-        mwf = spinmodel.MwFieldNV(mw["amplitude_mt"], math.radians(mw["zeta_deg"]),
-                                  math.radians(mw["transverse_azimuth_deg"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    static = _build(spinmodel.StaticFieldNV, "static", {
+        "b_mt": st["b_mt"], "theta": math.radians(st["theta_deg"]),
+        "phi": math.radians(st["phi_deg"]) % (2 * math.pi)})
+    mwf = _build(spinmodel.MwFieldNV, "mw", {
+        "amplitude_mt": mw["amplitude_mt"], "zeta": math.radians(mw["zeta_deg"]),
+        "transverse_azimuth": math.radians(mw["transverse_azimuth_deg"])})
     shape = _build(odmrsim.LineshapeParams, "lineshape", p["lineshape"])
     consts = _build(spinmodel.SpinConstants, "constants", p["constants"])
     grid = odmrsim.default_grid(*_grid_range(**p["frequency_grid_mhz"],
@@ -332,8 +329,8 @@ def _planar_rows(p, noise):
     rows = []
     for j, (x, z) in enumerate(wire["positions_um"]):
         if noise is not None:
-            # position j draws from spawn key (j,), so no two positions share noise
-            chain = chain._replace(noise=noise._replace(key=(j,)))
+            # position j appends j to the record's key, so no two positions share noise
+            chain = chain._replace(noise=noise._replace(key=noise.key + (j,)))
         scene = geometry.WireScene(x, z, wire["current_ma"], wire["diameter_um"])
         res = reconstruct.end_to_end_planar(scene, p["nv_index"], chain)
         # to 1e-9 deg: a noiseless error is float rounding (up to ~2e-13 deg),
@@ -361,16 +358,14 @@ def _run_reconstruct_3d(p, noise, fmt):
     (x, z), = wire["positions_um"]
     scene = geometry.WireScene(x, z, wire["current_ma"], wire["diameter_um"])
     truth = geometry.mw_direction(scene)
+    i1, i2 = p["nv_indices"]
+    if i1 == i2:
+        raise ConfigError("nv_indices: the two NV orientations must differ")
     if p["measured_y_axes"] is not None:
-        try:
-            y1, y2 = (geometry.unit(np.array(v)) for v in p["measured_y_axes"])
-        except ValueError as exc:
-            raise ConfigError(f"measured_y_axes: {exc}") from exc
+        y1, y2 = (_build(geometry.unit, "measured_y_axes", {"v": np.array(v)})
+                  for v in p["measured_y_axes"])
         est = reconstruct.mw_axis_from_two(y1, y2, truth_axis=truth)
     else:
-        i1, i2 = p["nv_indices"]
-        if i1 == i2:
-            raise ConfigError("nv_indices: the two NV orientations must differ")
         est = reconstruct.end_to_end_3d(scene, (i1, i2), _chain_config(p, noise))
     # rounded like planar error_deg: past these digits the file would record
     # float rounding, which depends on the order of the arithmetic; + 0.0
@@ -406,14 +401,16 @@ def _run_sensitivity(p, noise, fmt):
     shot_noise = (p["rate_kcps"], p["contrast"], p["time_s"])
     try:
         if p["sigma_rel"] is not None:
+            if shot_noise != (None, None, None):
+                raise ConfigError("sensitivity: give sigma_rel or rate_kcps+contrast+time_s, "
+                                  "not both")
             sigma_rel = p["sigma_rel"]
         elif None not in shot_noise:
             sigma_rel = sensitivity.shot_noise_sigma_rel(*shot_noise)
         else:
             raise ConfigError("sensitivity: need sigma_rel or rate_kcps+contrast+time_s")
-        inp = sensitivity.SensitivityInput(phi=phi, sigma_rel=sigma_rel, n=n, t=t)
-        row = (math.degrees(phi), sigma_rel, sensitivity.eta(inp),
-               sensitivity.eta_max(sigma_rel, n=n, t=t))
+        row = (math.degrees(phi), sigma_rel, sensitivity.eta(phi, sigma_rel, n, t),
+               sensitivity.eta_max(sigma_rel, n, t))
     except (ValueError, ArithmeticError) as exc:
         # ArithmeticError: n * t beyond float range, or a sigma_rel that divides by 0
         raise ConfigError(f"sensitivity: {exc}") from exc

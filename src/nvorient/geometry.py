@@ -64,9 +64,9 @@ class WireScene(NamedTuple("WireScene", [("sensor_x_um", float), ("sensor_z_um",
                                          ("current_ma", float), ("wire_diameter_um", float)])):
     """Sensor position relative to the wire center and the drive current.
 
-    Positive current flows along +Y_L.  `wire_diameter_um`, finite and
-    nonnegative, only keeps the sensor outside the wire; the field model
-    treats the wire as a line current.
+    Position and current are finite; positive current flows along +Y_L.
+    `wire_diameter_um`, finite and nonnegative, only keeps the sensor
+    outside the wire; the field model treats the wire as a line current.
     """
 
     __slots__ = ()
@@ -74,6 +74,8 @@ class WireScene(NamedTuple("WireScene", [("sensor_x_um", float), ("sensor_z_um",
     def __new__(cls, sensor_x_um: float, sensor_z_um: float, current_ma: float,
                 wire_diameter_um: float = WIRE_DIAMETER_UM):
         r = math.hypot(sensor_x_um, sensor_z_um)
+        if not (r < math.inf and math.isfinite(current_ma)):  # NaN fails
+            raise ValueError("sensor position and current must be finite")
         if r == 0.0:
             raise DegeneratePositionError("sensor placed at the wire center")
         if not 0.0 <= wire_diameter_um < math.inf:  # NaN fails

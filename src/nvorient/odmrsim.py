@@ -57,8 +57,10 @@ def _is_count(v) -> bool:
 class NoiseConfig(NamedTuple("NoiseConfig", [("rate_kcps", float), ("dwell_s", float),
                                              ("seed", int), ("key", tuple[int, ...])])):
     """Photon statistics: count rate, dwell per point, and the seed and spawn
-    key of the Poisson draws.  A noisy spectrum or sweep carries the record
-    it was drawn with, so its `draw` on the clean signal re-draws its data."""
+    key of the Poisson draws.  The key names the whole stream: a run that
+    draws several sweeps from one record appends each one's slot to it.  A
+    noisy spectrum or sweep carries the record it was drawn with, so its
+    `draw` on the clean signal re-draws its data."""
 
     __slots__ = ()
 
@@ -83,13 +85,13 @@ class NoiseConfig(NamedTuple("NoiseConfig", [("rate_kcps", float), ("dwell_s", f
         """Shot-noise sigma of each point of a normalized signal."""
         return np.sqrt(np.maximum(signal, 1e-12) / self.mean_counts)
 
-    def draw(self, signal: np.ndarray, *key: int) -> np.ndarray:
+    def draw(self, signal: np.ndarray) -> np.ndarray:
         """Poisson photon noise on a normalized signal, in one call: k / n with
         k ~ Poisson(signal * n), n = `mean_counts`, from the PCG64 generator of
-        SeedSequence(seed, spawn_key=self.key + key).  Equal seeds and keys
-        give bitwise-identical draws; distinct keys never share a stream."""
+        SeedSequence(seed, spawn_key=key).  Equal seeds and keys give
+        bitwise-identical draws; distinct keys never share a stream."""
         n = self.mean_counts
-        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.key + key))
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.key))
         return rng.poisson(signal * n) / n
 
 
@@ -244,22 +246,16 @@ def simulate_phi_sweep(
 
 
 def add_shot_noise(spec: OdmrSpectrum, noise: NoiseConfig) -> OdmrSpectrum:
-    """A copy of `spec` with Poisson photon noise drawn by `noise`
-    (`NoiseConfig.draw` with no spawn key)."""
+    """A copy of `spec` with Poisson photon noise drawn by `noise`."""
     return OdmrSpectrum(frequencies=spec.frequencies.copy(), signal=noise.draw(spec.signal),
                         counts_meta=noise)
 
 
-def noisy_copy_with_subseed(sweep: SweepSeries, noise: NoiseConfig, *key: int) -> SweepSeries:
+def noisy_copy_with_subseed(sweep: SweepSeries, noise: NoiseConfig) -> SweepSeries:
     """Shot noise on a whole sweep: one draw of `noise` on its (n_psi, n_f)
-    signals with spawn key `key` after the record's own, recorded as that
-    record with the key appended, which re-draws the copy's signals.
+    signals, recorded as `noise`, which re-draws the copy's signals.
 
-    Spawn keys keep results independent of execution order; distinct keys,
-    () for a planar sweep and (slot,) for a 3-D run's, never share a stream.
     The copy shares the sweep's psis and grid, which the sweep has checked,
-    and records the checked `noise` with its key extended, so nothing is
-    checked again: `_replace` runs no checks.
+    so nothing is checked again: `_replace` runs no checks.
     """
-    return sweep._replace(signals=noise.draw(sweep.signals, *key),
-                          counts_meta=noise._replace(key=noise.key + key))
+    return sweep._replace(signals=noise.draw(sweep.signals), counts_meta=noise)

@@ -212,15 +212,17 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
     its noise; a repeat of a scene returns the read-only sweep of its first
     run, bit for bit what a new synthesis would give.  The sweeps of a run
     share grid and dip centers, so all are fitted with the first entry's
-    plan.  Each sweep draws its noise in one call: a lone sweep from spawn
-    key (), the sweep of nv_indices[k] of several from (k,).
+    plan.  Each sweep draws its noise in one call: a lone sweep from the
+    chain's noise record, the sweep of nv_indices[k] of several from that
+    record with k appended to its key.
     """
     clean = cfg._replace(noise=None)
     entries = [_noiseless_sweep(scene, nv_index, clean) for nv_index in nv_indices]
     sweeps = [e.sweep for e in entries]
     if cfg.noise is not None:
-        several = len(sweeps) > 1
-        sweeps = [odmrsim.noisy_copy_with_subseed(s, cfg.noise, *((k,) if several else ()))
+        noise, several = cfg.noise, len(sweeps) > 1
+        sweeps = [odmrsim.noisy_copy_with_subseed(
+                      s, noise._replace(key=noise.key + (k,)) if several else noise)
                   for k, s in enumerate(sweeps)]
     fits = sweep_lp_depths(*sweeps, plan=entries[0].plan)
     out = []
@@ -256,7 +258,7 @@ def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
                   cfg: ChainConfig = ChainConfig()) -> MwAxisEstimate:
     """Two-orientation reconstruction of the full 3-D microwave axis.
 
-    The sweep of slot k draws its noise from spawn key (k,).
+    The sweep of slot k draws its noise with k appended to the noise record's key.
     """
     i1, i2 = nv_indices
     if i1 == i2:

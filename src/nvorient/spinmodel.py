@@ -28,10 +28,10 @@ class SpinConstants(NamedTuple("SpinConstants", [("d_mhz", float), ("gamma_e", f
     __slots__ = ()
 
     def __new__(cls, d_mhz: float = 2870.0, gamma_e: float = 28.02495):
-        if not d_mhz > 0:
-            raise ValueError("zero-field splitting must be positive")
-        if not gamma_e > 0:
-            raise ValueError("gyromagnetic ratio must be positive")
+        if not 0.0 < d_mhz < math.inf:  # NaN fails
+            raise ValueError("zero-field splitting must be finite and positive")
+        if not 0.0 < gamma_e < math.inf:
+            raise ValueError("gyromagnetic ratio must be finite and positive")
         return super().__new__(cls, d_mhz, gamma_e)
 
 
@@ -120,6 +120,9 @@ def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (3, 3):
         raise ValueError("Hamiltonian must be 3x3")
+    # NaN would pass the Hermitian check below and fail inside LAPACK
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian must be finite")
     if np.max(np.abs(h - h.conj().T)) > 1e-9:
         raise ValueError("Hamiltonian must be Hermitian")
     vals, vecs = np.linalg.eigh(h)

@@ -169,7 +169,7 @@ def test_criterion_5_noisy_end_to_end_statistics():
 
 
 def test_criterion_6_sensitivity_figures():
-    eta = sensitivity.eta(sensitivity.SensitivityInput(phi=math.pi / 4.0, sigma_rel=0.08))
+    eta = sensitivity.eta(math.pi / 4.0, 0.08)
     sig = sensitivity.shot_noise_sigma_rel(200.0, 0.30, 1.0)
     eta_best = sensitivity.eta_max(sig)
     ok = abs(eta - 28.3e-3) <= 0.1e-3 and abs(eta_best - 2.64e-3) <= 0.05e-3

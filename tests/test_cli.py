@@ -80,6 +80,22 @@ class TestSimulate:
         assert json.loads((out / "manifest.json").read_text())["seed"] == 99
 
 
+    @pytest.mark.parametrize("block, bad, message", [
+        ("static", {"theta_deg": 200.0}, "static: theta must lie in [0, pi]"),
+        ("static", {"b_mt": -1.0}, "static: field magnitude must be finite and nonnegative"),
+        ("mw", {"zeta_deg": -1.0}, "mw: zeta must lie in [0, pi]"),
+        ("mw", {"amplitude_mt": -1.0},
+         "mw: microwave amplitude must be finite and nonnegative"),
+    ], ids=["static-theta_deg", "static-b_mt", "mw-zeta_deg", "mw-amplitude_mt"])
+    def test_field_error_names_its_block(self, tmp_path, capsys, block, bad, message):
+        cfg = write_cfg(tmp_path, "sim.json",
+                        dict(SIMULATE_CFG, **{block: dict(SIMULATE_CFG[block], **bad)}))
+        out = tmp_path / "out"
+        assert cli.run("simulate", cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestSerialization:
     # spectrum.csv and spectrum.json as `simulate` writes them, and
     # spectrum.csv as `fit` reads it back
@@ -627,6 +643,20 @@ class TestReconstruct3d:
             "error: nv_indices: the two NV orientations must differ\n")
         assert not out.exists()
 
+    def test_equal_nv_indices_rejected_with_measured_axes(self, tmp_path, capsys):
+        # measured axes once skipped the check, and [3, 3] exited 0
+        cfg = write_cfg(tmp_path, "r3.json", {
+            "mode": "reconstruct-3d",
+            "nv_indices": [3, 3],
+            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+            "measured_y_axes": [[-0.86, 0.42, -0.29], [0.85, 0.46, 0.25]],
+        })
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: nv_indices: the two NV orientations must differ\n")
+        assert not out.exists()
+
     def test_two_positions_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "r3.json", {
             "mode": "reconstruct-3d",
@@ -784,6 +814,24 @@ class TestFieldmapAndSensitivity:
         eta_max = float(rows[1][3])
         assert abs(eta - 2.64e-3) < 0.01e-3
         assert abs(eta - eta_max) < 1e-12
+
+    @pytest.mark.parametrize("extra", [
+        {"rate_kcps": -5, "contrast": 7},
+        {"rate_kcps": 200.0},
+        {"contrast": 0.3},
+        {"time_s": 1.0},
+        {"rate_kcps": 200.0, "contrast": 0.3, "time_s": 1.0},
+    ], ids=["bad-rate-and-contrast", "rate_kcps", "contrast", "time_s", "all-three"])
+    def test_sigma_rel_with_shot_noise_keys_rejected(self, tmp_path, capsys, extra):
+        # sigma_rel once won and the shot-noise keys were ignored, so a
+        # negative rate and a contrast of 7 exited 0
+        cfg = write_cfg(tmp_path, "sens.json", {
+            "mode": "sensitivity", "phi_deg": 45, "sigma_rel": 0.01, **extra})
+        out = tmp_path / "out"
+        assert cli.run("sensitivity", cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: sensitivity: give sigma_rel or rate_kcps+contrast+time_s, not both\n")
+        assert not out.exists()
 
 
 NOISE = {"rate_kcps": 200.0, "dwell_s": 0.008}

@@ -270,8 +270,9 @@ class TestShotNoise:
 
     def test_subseed_schedule_independence(self, shape, grid, nv1_basis):
         # a noisy spectrum and a noisy sweep are each one Poisson draw on their
-        # expected counts from the generator of SeedSequence(seed, spawn_key=key),
-        # a spectrum with key (); equal records and keys give equal draws
+        # expected counts from the generator of SeedSequence(seed, spawn_key=key)
+        # of the record they are given, which they carry; equal records give
+        # equal draws
         psis = np.linspace(0.0, math.pi, 5, endpoint=False)
         sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
                                            shape, grid, psis)
@@ -287,8 +288,9 @@ class TestShotNoise:
         assert noisy_spec.counts_meta is noise
         assert not np.shares_memory(noisy_spec.frequencies, spec.frequencies)
         keys = [(), (0,), (1,)]
-        noisy = [odmrsim.noisy_copy_with_subseed(sweep, noise, *key) for key in keys]
-        backwards = [odmrsim.noisy_copy_with_subseed(sweep, noise, *key)
+        noisy = [odmrsim.noisy_copy_with_subseed(sweep, noise._replace(key=key))
+                 for key in keys]
+        backwards = [odmrsim.noisy_copy_with_subseed(sweep, noise._replace(key=key))
                      for key in reversed(keys)]
         for sw, again, key in zip(noisy, reversed(backwards), keys):
             assert np.array_equal(sw.signals, reference(sweep.signals, *key))
@@ -301,8 +303,9 @@ class TestShotNoise:
         # identical rows of one sweep get different noise
         same = odmrsim.SweepSeries(psis, grid, np.tile(sweep.signals[0], (5, 1)),
                                    sweep.centers_mhz)
-        rows = np.concatenate([odmrsim.noisy_copy_with_subseed(same, noise, *key).signals
-                               for key in keys])
+        rows = np.concatenate([
+            odmrsim.noisy_copy_with_subseed(same, noise._replace(key=key)).signals
+            for key in keys])
         for a, b in itertools.combinations(rows, 2):
             assert not np.array_equal(a, b)
 

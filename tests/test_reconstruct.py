@@ -203,7 +203,7 @@ class TestSweepChain:
             for seed in (*range(5), None):
                 sweeps = clean if seed is None else [
                     odmrsim.noisy_copy_with_subseed(
-                        s, odmrsim.NoiseConfig(200.0, 0.008, seed), slot)
+                        s, odmrsim.NoiseConfig(200.0, 0.008, seed, (slot,)))
                     for slot, s in enumerate(clean)]
                 stacked = reconstruct.sweep_lp_depths(*sweeps)
                 assert len(stacked) == len(counts)
@@ -550,8 +550,8 @@ class TestNoiseRecord:
         # a chain record with a key of its own passes it on as the prefix
         copy, made = odmrsim.noisy_copy_with_subseed, []
 
-        def recording(sweep, noise, *key):
-            noisy = copy(sweep, noise, *key)
+        def recording(sweep, noise):
+            noisy = copy(sweep, noise)
             made.append((sweep, noisy))
             return noisy
 

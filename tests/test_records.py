@@ -4,7 +4,7 @@ Every record is an immutable named tuple.  A record that checks or coerces
 its fields does so in `__new__`, so a bad value raises the same exception
 whether it is passed by position or by keyword.  `_replace` (and `_make`)
 build the tuple directly and run no checks: `src/` uses `_replace` only on
-fields that are already checked, and to extend a noisy sweep's recorded
+fields that are already checked, and to append a slot to a noise record's
 spawn key.
 """
 
@@ -33,24 +33,31 @@ VALID = [
     (odmrsim.OdmrSpectrum, {"frequencies": GRID, "signal": np.ones(5), "counts_meta": None}),
     (odmrsim.SweepSeries, {"psis": PSIS, "frequencies": GRID, "signals": np.ones((3, 5)),
                            "centers_mhz": (2898.0, 2926.0), "counts_meta": None}),
-    (sensitivity.SensitivityInput, {"phi": 0.3, "sigma_rel": 0.01, "n": 1, "t": 1.0}),
 ]
 VALID_FIELDS = {cls: fields for cls, fields in VALID}
 
 NOISE_BOUND = "count rate and dwell time must be finite, with at most 1e18 mean counts per point"
 FIELD_BOUND = "field magnitude must be finite and nonnegative"
 AMPLITUDE_BOUND = "microwave amplitude must be finite and nonnegative"
+SPLITTING_BOUND = "zero-field splitting must be finite and positive"
+GYRO_BOUND = "gyromagnetic ratio must be finite and positive"
+SCENE_BOUND = "sensor position and current must be finite"
 
 # (test id, record type, fields that replace valid ones, exception, its
 # message).  Each case names its own id, so a case added anywhere renames no
 # other; the numbered ids keep the list positions they were first given.
 BAD = [
     ("SpinConstants-d_mhz-0", spinmodel.SpinConstants, {"d_mhz": 0.0}, ValueError,
-     "zero-field splitting must be positive"),
+     SPLITTING_BOUND),
     ("SpinConstants-d_mhz-1", spinmodel.SpinConstants, {"d_mhz": math.nan}, ValueError,
-     "zero-field splitting must be positive"),
+     SPLITTING_BOUND),
+    # inf once passed, and failed in the eigensolve as LinAlgError
+    ("SpinConstants-d_mhz=inf", spinmodel.SpinConstants, {"d_mhz": math.inf}, ValueError,
+     SPLITTING_BOUND),
     ("SpinConstants-gamma_e-2", spinmodel.SpinConstants, {"gamma_e": -1.0}, ValueError,
-     "gyromagnetic ratio must be positive"),
+     GYRO_BOUND),
+    ("SpinConstants-gamma_e=inf", spinmodel.SpinConstants, {"gamma_e": math.inf}, ValueError,
+     GYRO_BOUND),
     ("StaticFieldNV-b_mt-3", spinmodel.StaticFieldNV, {"b_mt": -0.1}, ValueError, FIELD_BOUND),
     # NaN and inf once passed, and reached LAPACK as a Hamiltonian of NaNs
     ("StaticFieldNV-b_mt=nan", spinmodel.StaticFieldNV, {"b_mt": math.nan}, ValueError,
@@ -75,6 +82,18 @@ BAD = [
     ("WireScene-sensor_x_um-sensor_z_um-9", geometry.WireScene,
      {"sensor_x_um": 5.0, "sensor_z_um": 5.0}, ValueError,
      "sensor radius must exceed the wire radius"),
+    # each once passed, and failed later by naming the microwave amplitude or
+    # with a divide warning
+    ("WireScene-sensor_x_um=nan", geometry.WireScene, {"sensor_x_um": math.nan}, ValueError,
+     SCENE_BOUND),
+    ("WireScene-sensor_x_um=inf", geometry.WireScene, {"sensor_x_um": math.inf}, ValueError,
+     SCENE_BOUND),
+    ("WireScene-sensor_z_um=-inf", geometry.WireScene, {"sensor_z_um": -math.inf},
+     ValueError, SCENE_BOUND),
+    ("WireScene-current_ma=nan", geometry.WireScene, {"current_ma": math.nan}, ValueError,
+     SCENE_BOUND),
+    ("WireScene-current_ma=inf", geometry.WireScene, {"current_ma": math.inf}, ValueError,
+     SCENE_BOUND),
     # each once switched the inside-the-wire check off
     ("WireScene-wire_diameter_um-36", geometry.WireScene, {"wire_diameter_um": -5.0},
      ValueError, "wire diameter must be finite and nonnegative"),
@@ -129,12 +148,6 @@ BAD = [
      "sweep signals must have one row per psi and one column per grid frequency"),
     ("SweepSeries-psis-21", odmrsim.SweepSeries, {"psis": PSIS[None]}, ValueError,
      "sweep signals must have one row per psi and one column per grid frequency"),
-    ("SensitivityInput-sigma_rel-22", sensitivity.SensitivityInput, {"sigma_rel": 0.0},
-     ValueError, "sigma_rel must be positive"),
-    ("SensitivityInput-n-23", sensitivity.SensitivityInput, {"n": 0}, ValueError,
-     "repetition count must be at least 1"),
-    ("SensitivityInput-t-24", sensitivity.SensitivityInput, {"t": 0.0}, ValueError,
-     "sensing time must be positive"),
 ]
 BAD_PARAMS = [pytest.param(*case, id=case_id) for case_id, *case in BAD]
 
@@ -157,10 +170,12 @@ def instances():
 
 
 def carried_noise():
-    """The noise record a noisy sweep carries as `counts_meta`: built by
-    `_replace`, with the spawn key of its draw appended to the record's."""
+    """The noise record a noisy sweep of a fan-out carries as `counts_meta`:
+    built by `_replace`, with the slot of its draw appended to the key."""
     noise = valid(odmrsim.NoiseConfig)
-    carried = odmrsim.noisy_copy_with_subseed(valid(odmrsim.SweepSeries), noise, 3).counts_meta
+    slot = noise._replace(key=noise.key + (3,))
+    carried = odmrsim.noisy_copy_with_subseed(valid(odmrsim.SweepSeries), slot).counts_meta
+    assert carried is slot
     assert carried == noise._replace(key=(2, 3))
     return carried
 

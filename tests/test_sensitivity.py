@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,16 +9,18 @@ from hypothesis import strategies as st
 from nvorient import sensitivity as sens
 
 
+ETA_VALID = {"phi": 0.3, "sigma_rel": 0.01, "n": 1, "t": 1.0}
+
+
 class TestEta:
     def test_reference_point(self):
         # phi = pi/4, sigma_rel = 0.08, single shot, 1 s
-        val = sens.eta(sens.SensitivityInput(phi=math.pi / 4.0, sigma_rel=0.08))
+        val = sens.eta(math.pi / 4.0, 0.08)
         assert abs(val - 0.08 / (2.0 * math.sqrt(2.0))) < 1e-15
         assert abs(val - 28.3e-3) < 0.1e-3
 
     def test_eta_max_equals_quarter_pi_point(self):
-        assert sens.eta_max(0.08) == sens.eta(
-            sens.SensitivityInput(phi=math.pi / 4.0, sigma_rel=0.08))
+        assert sens.eta_max(0.08) == sens.eta(math.pi / 4.0, 0.08)
 
     def test_best_case_from_shot_noise(self):
         # 200 kcps at 30% contrast integrated for 1 s
@@ -27,27 +30,40 @@ class TestEta:
 
     def test_phi_dependence(self):
         sig = 0.05
-        etas = [sens.eta(sens.SensitivityInput(phi=p, sigma_rel=sig))
-                for p in np.linspace(0.01, math.pi / 2.0 - 0.01, 50)]
+        etas = [sens.eta(p, sig) for p in np.linspace(0.01, math.pi / 2.0 - 0.01, 50)]
         # maximized at phi = pi/4, symmetric falloff toward the endpoints
         assert max(etas) <= sens.eta_max(sig) + 1e-15
         assert etas[0] < max(etas)
         assert etas[-1] < max(etas)
 
     def test_averaging_scaling(self):
-        base = sens.eta(sens.SensitivityInput(phi=0.6, sigma_rel=0.05))
-        n4 = sens.eta(sens.SensitivityInput(phi=0.6, sigma_rel=0.05, n=4))
-        t9 = sens.eta(sens.SensitivityInput(phi=0.6, sigma_rel=0.05, t=9.0))
+        base = sens.eta(0.6, 0.05)
+        n4 = sens.eta(0.6, 0.05, n=4)
+        t9 = sens.eta(0.6, 0.05, t=9.0)
         assert abs(n4 - 2.0 * base) < 1e-15
         assert abs(t9 - 3.0 * base) < 1e-15
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            sens.SensitivityInput(phi=0.3, sigma_rel=0.0)
-        with pytest.raises(ValueError):
-            sens.SensitivityInput(phi=0.3, sigma_rel=0.1, n=0)
-        with pytest.raises(ValueError):
-            sens.SensitivityInput(phi=0.3, sigma_rel=0.1, t=-1.0)
+        # eta takes the same inputs by position or by keyword alike
+        assert sens.eta(*ETA_VALID.values()) == sens.eta(**ETA_VALID) > 0.0
+
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param({"sigma_rel": 0.0}, "sigma_rel must be positive", id="sigma_rel-22"),
+        pytest.param({"sigma_rel": math.nan}, "sigma_rel must be positive", id="sigma_rel=nan"),
+        pytest.param({"n": 0}, "repetition count must be at least 1", id="n-23"),
+        pytest.param({"t": 0.0}, "sensing time must be positive", id="t-24"),
+        pytest.param({"t": -1.0}, "sensing time must be positive", id="t=-1"),
+    ])
+    def test_bad_value_raises_by_position_and_keyword(self, bad, message):
+        # eta checks its own inputs: the same exception and message whether a
+        # bad value is passed by position or by keyword, and through eta_max
+        args = dict(ETA_VALID, **bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sens.eta(*args.values())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sens.eta(**args)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sens.eta_max(**{k: v for k, v in args.items() if k != "phi"})
 
 
 class TestShotNoise:
@@ -70,6 +86,6 @@ class TestShotNoise:
 @given(phi=st.floats(0.0, math.pi / 2.0 - 1e-6),
        rel=st.floats(1e-4, 0.5), n=st.integers(1, 100))
 def test_eta_nonnegative_and_bounded(phi, rel, n):
-    val = sens.eta(sens.SensitivityInput(phi=phi, sigma_rel=rel, n=n))
+    val = sens.eta(phi, rel, n)
     assert val >= 0.0
     assert val <= sens.eta_max(rel, n=n) + 1e-12

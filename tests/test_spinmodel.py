@@ -141,6 +141,15 @@ class TestEigensystem:
         with pytest.raises(ValueError):
             sm.eigensystem(h)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_matrix_not_finite_rejected(self, value):
+        # a NaN passed the Hermitian check and failed in LAPACK as
+        # "Eigenvalues did not converge"
+        h = np.diag([1.0, 0.0, 1.0]).astype(complex)
+        h[0, 0] = value
+        with pytest.raises(ValueError, match="^Hamiltonian must be finite$"):
+            sm.eigensystem(h)
+
 
 class TestRabiAmplitudes:
     B_MW = 0.0357
