@@ -239,14 +239,20 @@ def _noise(block: dict | None, seed_override: int | None) -> odmrsim.NoiseConfig
     return _build(odmrsim.NoiseConfig, "noise", dict(block, seed=_integer(0)(seed, "noise.seed")))
 
 
+def _spectrum_blocks(p: dict):
+    """The lineshape, spin constants and checked frequency grid range of a
+    mode that simulates spectra, in that order of refusal."""
+    return (_build(odmrsim.LineshapeParams, "lineshape", p["lineshape"]),
+            _build(spinmodel.SpinConstants, "constants", p["constants"]),
+            _grid_range(**p["frequency_grid_mhz"], ctx="frequency_grid_mhz", at_least_two=True))
+
+
 def _chain_config(p: dict, noise) -> reconstruct.ChainConfig:
     # a linewidth the grid cannot resolve is refused by the pinned dip fit
+    shape, consts, grid_mhz = _spectrum_blocks(p)
     return reconstruct.ChainConfig(
-        shape=_build(odmrsim.LineshapeParams, "lineshape", p["lineshape"]),
-        grid_mhz=_grid_range(**p["frequency_grid_mhz"], ctx="frequency_grid_mhz",
-                             at_least_two=True),
-        constants=_build(spinmodel.SpinConstants, "constants", p["constants"]),
-        b_static_mt=p["static_field_mt"], psi_count=p["psi_count"], noise=noise)
+        constants=consts, b_static_mt=p["static_field_mt"], shape=shape, grid_mhz=grid_mhz,
+        psi_count=p["psi_count"], noise=noise)
 
 
 def _json(obj) -> str:
@@ -277,11 +283,8 @@ def _run_simulate(p, noise, fmt):
     mwf = _build(spinmodel.MwFieldNV, "mw", {
         "amplitude_mt": mw["amplitude_mt"], "zeta": math.radians(mw["zeta_deg"]),
         "transverse_azimuth": math.radians(mw["transverse_azimuth_deg"])})
-    shape = _build(odmrsim.LineshapeParams, "lineshape", p["lineshape"])
-    consts = _build(spinmodel.SpinConstants, "constants", p["constants"])
-    grid = odmrsim.default_grid(*_grid_range(**p["frequency_grid_mhz"],
-                                             ctx="frequency_grid_mhz", at_least_two=True))
-    spec = odmrsim.simulate_spectrum(consts, static, mwf, shape, grid)
+    shape, consts, grid_mhz = _spectrum_blocks(p)
+    spec = odmrsim.simulate_spectrum(consts, static, mwf, shape, odmrsim.default_grid(*grid_mhz))
     if noise is not None:
         spec = odmrsim.add_shot_noise(spec, noise)
     if fmt == "json":
@@ -362,7 +365,7 @@ def _run_reconstruct_3d(p, noise, fmt):
     if i1 == i2:
         raise ConfigError("nv_indices: the two NV orientations must differ")
     if p["measured_y_axes"] is not None:
-        y1, y2 = (_build(geometry.unit, "measured_y_axes", {"v": np.array(v)})
+        y1, y2 = (_build(geometry.unit, "measured_y_axes", {"v": v})
                   for v in p["measured_y_axes"])
         est = reconstruct.mw_axis_from_two(y1, y2, truth_axis=truth)
     else:

@@ -4,8 +4,9 @@ The lab frame follows the experiment layout: its z axis normal to the
 diamond surface, Y_L along the wire, X_L completing the right-handed triad.  Lengths
 are in micrometers, currents in mA, angles in degrees at the interfaces.
 
-Functions of one 3-vector at a time work on 3-tuples of Python floats,
-where numpy's fixed cost per call would outweigh the arithmetic.
+Functions of one 3-vector at a time read it as a 3-tuple of finite Python
+floats (`_floats3`) and normalize it with `_unit3`, where numpy's fixed cost
+per call would outweigh the arithmetic.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import numpy as np
 
 from .errors import DegeneratePositionError
 
-X_L = np.array([1.0, 0.0, 0.0])
-Y_L = np.array([0.0, 1.0, 0.0])
-
 _SQRT3 = math.sqrt(3.0)
 
 WIRE_DIAMETER_UM = 25.0  # a scene's wire when none is given, in the library and the config
@@ -27,6 +25,8 @@ WIRE_DIAMETER_UM = 25.0  # a scene's wire when none is given, in the library and
 
 def _floats3(v) -> tuple[float, float, float]:
     x, y, z = np.asarray(v, dtype=float).tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("vector components must be finite")
     return x, y, z
 
 
@@ -35,19 +35,17 @@ def _cross(u, v) -> tuple[float, float, float]:
 
 
 def _unit3(v) -> tuple[float, float, float]:
+    # math.hypot neither under- nor overflows where its result does not
     n = math.hypot(*v)
-    if n < 1e-300:
-        raise ValueError("cannot normalize a zero vector")
+    if not 1e-300 <= n < math.inf:
+        raise ValueError("cannot normalize a zero vector or one whose length overflows")
     return v[0] / n, v[1] / n, v[2] / n
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    """Normalize to unit length; raises on (near-)zero input."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < 1e-300:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
+def unit(v) -> np.ndarray:
+    """Normalize a 3-vector to unit length; raises ValueError on a component
+    that is not finite and on a (near-)zero or overflowing length."""
+    return np.array(_unit3(_floats3(v)))
 
 
 _AXES = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / _SQRT3
@@ -122,19 +120,18 @@ class TransverseBasis(NamedTuple):
     nv_z: np.ndarray
 
 
-def transverse_basis(nv_z: np.ndarray) -> TransverseBasis:
-    """Deterministic basis of the NV transverse plane.
+def transverse_basis(nv_z) -> TransverseBasis:
+    """Deterministic basis of the NV transverse plane, of the unit axis nv_z.
 
     e1 is the normalized projection of X_L (falling back to Y_L when nv_z is
     within 1e-6 of +-X_L); e2 = nv_z x e1 closes a right-handed triad.
     """
-    nv_z = np.asarray(nv_z, dtype=float)
-    proj = X_L - (X_L @ nv_z) * nv_z
-    if np.linalg.norm(proj) < 1e-6:
-        proj = Y_L - (Y_L @ nv_z) * nv_z
-    e1 = unit(proj)
-    e2 = np.cross(nv_z, e1)
-    return TransverseBasis(e1=e1, e2=e2, nv_z=nv_z)
+    z = _floats3(nv_z)
+    proj = (1.0 - z[0] * z[0], -z[0] * z[1], -z[0] * z[2])
+    if math.hypot(*proj) < 1e-6:
+        proj = (-z[1] * z[0], 1.0 - z[1] * z[1], -z[1] * z[2])
+    e1 = _unit3(proj)
+    return TransverseBasis(e1=np.array(e1), e2=np.array(_cross(z, e1)), nv_z=np.array(z))
 
 
 def sweep_direction(basis: TransverseBasis, psi: float) -> np.ndarray:

@@ -32,12 +32,12 @@ class LineshapeParams(NamedTuple("LineshapeParams", [
 
     def __new__(cls, fwhm_mhz: float = 8.0, contrast_ref: float = 0.02,
                 omega_ref_mhz: float = 1.0, model: str = "linear"):
-        if not fwhm_mhz > 0:
-            raise ValueError("fwhm must be positive")
+        if not 0.0 < fwhm_mhz < math.inf:  # NaN fails
+            raise ValueError("fwhm must be finite and positive")
         if not 0.0 < contrast_ref <= 1.0:
             raise ValueError("contrast_ref must lie in (0, 1]")
-        if not omega_ref_mhz > 0:
-            raise ValueError("omega_ref must be positive")
+        if not 0.0 < omega_ref_mhz < math.inf:
+            raise ValueError("omega_ref must be finite and positive")
         if model not in ("linear", "saturating"):
             raise ValueError(f"unknown intensity model {model!r}")
         return super().__new__(cls, fwhm_mhz, contrast_ref, omega_ref_mhz, model)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -214,8 +215,12 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
     share grid and dip centers, so all are fitted with the first entry's
     plan.  Each sweep draws its noise in one call: a lone sweep from the
     chain's noise record, the sweep of nv_indices[k] of several from that
-    record with k appended to its key.
+    record with k appended to its key.  Raises ValueError for an NV index
+    that is not an integer in 0..3, before the memo, where True would alias 1.
     """
+    for i in nv_indices:
+        if isinstance(i, bool) or not (isinstance(i, numbers.Integral) and 0 <= i < 4):
+            raise ValueError(f"NV index {i!r} is not an integer in 0..3")
     clean = cfg._replace(noise=None)
     entries = [_noiseless_sweep(scene, nv_index, clean) for nv_index in nv_indices]
     sweeps = [e.sweep for e in entries]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -14,12 +15,14 @@ def eta(phi: float, sigma_rel: float, n: int = 1, t: float = 1.0) -> float:
     Reported verbatim from the formula; its vanishing at phi = 0 and phi =
     pi/2 is a linearization artifact.
     """
-    if not sigma_rel > 0:
-        raise ValueError("sigma_rel must be positive")
-    if n < 1:
-        raise ValueError("repetition count must be at least 1")
-    if not t > 0:
-        raise ValueError("sensing time must be positive")
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    if not 0.0 < sigma_rel < math.inf:  # NaN fails
+        raise ValueError("sigma_rel must be finite and positive")
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError("repetition count must be an integer >= 1")
+    if not 0.0 < t < math.inf:
+        raise ValueError("sensing time must be finite and positive")
     return math.sin(2.0 * phi) / _TWO_SQRT2 * sigma_rel * math.sqrt(n * t)
 
 
@@ -30,10 +33,10 @@ def eta_max(sigma_rel: float, n: int = 1, t: float = 1.0) -> float:
 
 def shot_noise_sigma_rel(rate_kcps: float, contrast: float, t_s: float) -> float:
     """Shot-noise model sigma_I/I = 1 / (contrast * sqrt(rate * 1000 * t))."""
-    if not rate_kcps > 0:
-        raise ValueError("count rate must be positive")
+    if not 0.0 < rate_kcps < math.inf:  # NaN fails
+        raise ValueError("count rate must be finite and positive")
     if not 0.0 < contrast <= 1.0:
         raise ValueError("contrast must lie in (0, 1]")
-    if not t_s > 0:
-        raise ValueError("integration time must be positive")
+    if not 0.0 < t_s < math.inf:
+        raise ValueError("integration time must be finite and positive")
     return 1.0 / (contrast * math.sqrt(rate_kcps * 1000.0 * t_s))

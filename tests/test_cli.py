@@ -683,6 +683,38 @@ class TestReconstruct3d:
         assert 1.5 < payload["angular_error_deg"] < 3.5
         assert abs(np.linalg.norm(payload["axis"]) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("axes", [[[1e-200, 0, 0], [0, 1e-200, 0]],
+                                      [[1e200, 0, 0], [0, 1, 0]]], ids=["1e-200", "1e200"])
+    def test_measured_axes_of_any_length(self, tmp_path, capsys, axes):
+        # numpy's norm once read 1e-200 as a zero vector (exit 2) and
+        # overflowed at 1e200 with a RuntimeWarning (exit 3, "nearly parallel")
+        texts = []
+        for name, measured in (("unit", [[1, 0, 0], [0, 1, 0]]), ("scaled", axes)):
+            cfg = write_cfg(tmp_path, f"{name}.json", {
+                "mode": "reconstruct-3d",
+                "nv_indices": [3, 1],
+                "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+                "measured_y_axes": measured,
+            })
+            assert cli.run("reconstruct-3d", cfg, tmp_path / name) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            texts.append((tmp_path / name / "reconstruct3d.json").read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_measured_axis_of_overflowing_length_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "r3.json", {
+            "mode": "reconstruct-3d",
+            "nv_indices": [3, 1],
+            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+            "measured_y_axes": [[1.5e308, 1.5e308, 0], [0, 1, 0]],
+        })
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: measured_y_axes: cannot normalize a zero vector or one whose length "
+            "overflows\n")
+        assert not out.exists()
+
     def test_full_chain_accuracy(self, tmp_path):
         cfg = write_cfg(tmp_path, "r3.json", {
             "mode": "reconstruct-3d",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvorient import geometry as geo
+from nvorient import reconstruct
 from nvorient.errors import DegeneratePositionError
 
 nonzero_xz = st.tuples(
@@ -163,3 +164,42 @@ class TestAngles:
             geo.line_angle_between([1, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError):
             geo.unit(np.zeros(3))
+
+
+# every function of 3-vectors reads them through one check; each of these
+# once returned NaN or a RuntimeWarning for a component that is not finite
+VECTOR_READERS = {
+    "unit": geo.unit,
+    "line_angle_between-u": lambda v: geo.line_angle_between(v, [0.0, 1.0, 0.0]),
+    "line_angle_between-v": lambda v: geo.line_angle_between([0.0, 1.0, 0.0], v),
+    "transverse_basis": geo.transverse_basis,
+    "sweep_direction": lambda v: geo.sweep_direction(
+        geo.TransverseBasis(np.array(v), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])),
+        0.3),
+    "planar_alpha": reconstruct.planar_alpha,
+    "mw_axis_from_two-y1": lambda v: reconstruct.mw_axis_from_two(v, [0.0, 1.0, 0.0]),
+    "mw_axis_from_two-y2": lambda v: reconstruct.mw_axis_from_two([0.0, 1.0, 0.0], v),
+    "mw_axis_from_two-truth": lambda v: reconstruct.mw_axis_from_two(
+        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], truth_axis=v),
+}
+
+
+class TestVectorInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("reader", VECTOR_READERS.values(), ids=VECTOR_READERS.keys())
+    def test_component_not_finite_rejected(self, reader, bad):
+        with pytest.raises(ValueError, match="^vector components must be finite$"):
+            reader([0.6, bad, 0.8])
+
+    def test_overflowing_length_rejected(self):
+        # finite components whose length overflows: numpy's norm once
+        # returned inf and unit gave [0, 0, 0] after a RuntimeWarning
+        with pytest.raises(ValueError, match="^cannot normalize a zero vector or one whose "
+                                             "length overflows$"):
+            geo.unit((1.5e308, 1.5e308, 0.0))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e307])
+    def test_unit_of_any_finite_length(self, scale):
+        # numpy's norm under- or overflowed on each of these
+        assert geo.unit([3.0 * scale, 0.0, -4.0 * scale]).tolist() == pytest.approx(
+            [0.6, 0.0, -0.8], rel=1e-15, abs=0.0)

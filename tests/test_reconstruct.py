@@ -346,6 +346,23 @@ class TestSweepChain:
         with pytest.raises(NearParallelAxesError):
             reconstruct.end_to_end_3d(SCENE, (3, 3))
 
+    @pytest.mark.parametrize("bad", [-1, -3, 4, True, 3.0, "3"],
+                             ids=["-1", "-3", "4", "True", "3.0", "str"])
+    def test_nv_index_outside_0_to_3_rejected(self, bad):
+        # -1 and -3 once aliased NV 3 and NV 1, so (3, -1) returned NV 3's own
+        # axis; True aliased NV 1, and 4 raised IndexError
+        message = f"^NV index {re.escape(repr(bad))} is not an integer in 0..3$"
+        cfg = reconstruct.ChainConfig(noise=odmrsim.NoiseConfig(200.0, 0.008, 1))
+        with pytest.raises(ValueError, match=message):
+            reconstruct.end_to_end_planar(SCENE, bad, cfg)
+        for pair in ((2, bad), (bad, 2)):
+            with pytest.raises(ValueError, match=message):
+                reconstruct.end_to_end_3d(SCENE, pair, cfg)
+
+    def test_numpy_integer_nv_index_accepted(self):
+        assert (reconstruct.end_to_end_planar(SCENE, np.int64(3)).alpha_est_deg
+                == reconstruct.end_to_end_planar(SCENE, 3).alpha_est_deg)
+
 
 def memo_entry(scene, nv_index, cfg):
     """The memo's entry for one NV orientation under cfg."""

@@ -101,11 +101,17 @@ BAD = [
      {"sensor_x_um": 1.0, "sensor_z_um": 0.0, "wire_diameter_um": math.nan},
      ValueError, "wire diameter must be finite and nonnegative"),
     ("LineshapeParams-fwhm_mhz-10", odmrsim.LineshapeParams, {"fwhm_mhz": 0.0}, ValueError,
-     "fwhm must be positive"),
+     "fwhm must be finite and positive"),
+    # once accepted: a divide warning in the synthesis
+    ("LineshapeParams-fwhm_mhz=inf", odmrsim.LineshapeParams, {"fwhm_mhz": math.inf},
+     ValueError, "fwhm must be finite and positive"),
     ("LineshapeParams-contrast_ref-11", odmrsim.LineshapeParams, {"contrast_ref": 1.5},
      ValueError, "contrast_ref must lie in (0, 1]"),
     ("LineshapeParams-omega_ref_mhz-12", odmrsim.LineshapeParams, {"omega_ref_mhz": -1.0},
-     ValueError, "omega_ref must be positive"),
+     ValueError, "omega_ref must be finite and positive"),
+    # once accepted: zero contrast, refused later as a modulation below resolution
+    ("LineshapeParams-omega_ref_mhz=inf", odmrsim.LineshapeParams, {"omega_ref_mhz": math.inf},
+     ValueError, "omega_ref must be finite and positive"),
     ("LineshapeParams-model-13", odmrsim.LineshapeParams, {"model": "cubic"}, ValueError,
      "unknown intensity model 'cubic'"),
     ("NoiseConfig-rate_kcps-14", odmrsim.NoiseConfig, {"rate_kcps": 0.0}, ValueError,

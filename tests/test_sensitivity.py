@@ -10,6 +10,9 @@ from nvorient import sensitivity as sens
 
 
 ETA_VALID = {"phi": 0.3, "sigma_rel": 0.01, "n": 1, "t": 1.0}
+SIGMA_REL = "sigma_rel must be finite and positive"
+REPETITIONS = "repetition count must be an integer >= 1"
+SENSING_TIME = "sensing time must be finite and positive"
 
 
 class TestEta:
@@ -46,13 +49,19 @@ class TestEta:
     def test_input_validation(self):
         # eta takes the same inputs by position or by keyword alike
         assert sens.eta(*ETA_VALID.values()) == sens.eta(**ETA_VALID) > 0.0
+        assert sens.eta(0.3, 0.01, np.int64(4)) == sens.eta(0.3, 0.01, 4)
 
     @pytest.mark.parametrize("bad, message", [
-        pytest.param({"sigma_rel": 0.0}, "sigma_rel must be positive", id="sigma_rel-22"),
-        pytest.param({"sigma_rel": math.nan}, "sigma_rel must be positive", id="sigma_rel=nan"),
-        pytest.param({"n": 0}, "repetition count must be at least 1", id="n-23"),
-        pytest.param({"t": 0.0}, "sensing time must be positive", id="t-24"),
-        pytest.param({"t": -1.0}, "sensing time must be positive", id="t=-1"),
+        pytest.param({"sigma_rel": 0.0}, SIGMA_REL, id="sigma_rel-22"),
+        pytest.param({"sigma_rel": math.nan}, SIGMA_REL, id="sigma_rel=nan"),
+        pytest.param({"n": 0}, REPETITIONS, id="n-23"),
+        pytest.param({"t": 0.0}, SENSING_TIME, id="t-24"),
+        pytest.param({"t": -1.0}, SENSING_TIME, id="t=-1"),
+        # each once returned nan or inf, or was accepted as a repetition count
+        pytest.param({"sigma_rel": math.inf}, SIGMA_REL, id="sigma_rel=inf"),
+        pytest.param({"t": math.inf}, SENSING_TIME, id="t=inf"),
+        pytest.param({"n": 2.5}, REPETITIONS, id="n=2.5"),
+        pytest.param({"n": True}, REPETITIONS, id="n=True"),
     ])
     def test_bad_value_raises_by_position_and_keyword(self, bad, message):
         # eta checks its own inputs: the same exception and message whether a
@@ -64,6 +73,12 @@ class TestEta:
             sens.eta(**args)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sens.eta_max(**{k: v for k, v in args.items() if k != "phi"})
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_phi_not_finite_rejected(self, phi):
+        # nan once returned nan, and inf raised "math domain error"
+        with pytest.raises(ValueError, match="^phi must be finite$"):
+            sens.eta(phi, 0.1)
 
 
 class TestShotNoise:
@@ -80,6 +95,17 @@ class TestShotNoise:
             sens.shot_noise_sigma_rel(100.0, 1.5, 1.0)
         with pytest.raises(ValueError):
             sens.shot_noise_sigma_rel(100.0, 0.2, 0.0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.inf, 0.3, 1.0), "count rate must be finite and positive"),
+        ((math.nan, 0.3, 1.0), "count rate must be finite and positive"),
+        ((200.0, 0.3, math.inf), "integration time must be finite and positive"),
+        ((200.0, 0.3, math.nan), "integration time must be finite and positive"),
+    ], ids=["rate=inf", "rate=nan", "time=inf", "time=nan"])
+    def test_not_finite_rejected(self, args, message):
+        # inf once returned sigma_rel 0.0, a noise-free figure
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sens.shot_noise_sigma_rel(*args)
 
 
 @settings(max_examples=100, deadline=None)
