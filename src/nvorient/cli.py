@@ -26,9 +26,6 @@ import numpy as np
 from . import __version__, fitkit, geometry, odmrsim, reconstruct, sensitivity, spinmodel
 from .errors import ConfigError, NvOrientError
 
-MODES = ("simulate", "fit", "reconstruct-planar", "reconstruct-3d",
-         "table1", "fieldmap", "sensitivity")
-
 TABLE1_POSITIONS = [
     [47.7, 16.5], [47.0, 18.5], [46.3, 20.0], [45.5, 22.0], [44.0, 25.0],
     [43.0, 26.6], [38.6, 32.5], [36.9, 34.5], [38.5, 26.7],
@@ -38,6 +35,11 @@ EXIT_OK, EXIT_CONFIG, EXIT_PIPELINE = 0, 2, 3
 
 # the columns of spectrum.csv, which `simulate` writes and `fit` reads
 _SPECTRUM_HEADER = ["frequency_mhz", "signal"]
+# the columns of the planar files after the wire position: PlanarRunResult
+# fields; table1 leaves out the partner
+_PLANAR_FIELDS = ["alpha_est_deg", "alpha_partner_deg", "alpha_theory_deg", "error_deg"]
+_PLANAR_FILES = {"reconstruct-planar": ("planar", _PLANAR_FIELDS),
+                 "table1": ("table1", [f for f in _PLANAR_FIELDS if f != "alpha_partner_deg"])}
 
 # size bounds that keep a config from asking for unbounded memory
 MAX_GRID_POINTS = 20_000  # frequency grid, and fieldmap rows
@@ -279,7 +281,8 @@ def _run_simulate(p, noise, fmt):
     st, mw = p["static"], p["mw"]
     static = _build(spinmodel.StaticFieldNV, "static", {
         "b_mt": st["b_mt"], "theta": math.radians(st["theta_deg"]),
-        "phi": math.radians(st["phi_deg"]) % (2 * math.pi)})
+        # a wrapped angle just below 0 rounds to 2*pi, which the second % maps to 0
+        "phi": math.radians(st["phi_deg"]) % (2 * math.pi) % (2 * math.pi)})
     mwf = _build(spinmodel.MwFieldNV, "mw", {
         "amplitude_mt": mw["amplitude_mt"], "zeta": math.radians(mw["zeta_deg"]),
         "transverse_azimuth": math.radians(mw["transverse_azimuth_deg"])})
@@ -327,7 +330,8 @@ def _run_fit(p, noise, fmt):
                                 for d in fitkit.fit_dips(spec, p["init_centers_mhz"])])}
 
 
-def _planar_rows(p, noise):
+def _run_planar(p, noise, fmt):
+    stem, fields = _PLANAR_FILES[p["mode"]]
     chain, wire = _chain_config(p, noise), p["wire"]
     rows = []
     for j, (x, z) in enumerate(wire["positions_um"]):
@@ -338,20 +342,9 @@ def _planar_rows(p, noise):
         res = reconstruct.end_to_end_planar(scene, p["nv_index"], chain)
         # to 1e-9 deg: a noiseless error is float rounding (up to ~2e-13 deg),
         # and printing it would tie data files to the order of the arithmetic
-        rows.append((x, z, res.alpha_est_deg, res.alpha_partner_deg,
-                     res.alpha_theory_deg, round(res.error_deg, 9)))
-    return rows
-
-
-def _run_reconstruct_planar(p, noise, fmt):
-    return _report("planar", ["x_um", "z_um", "alpha_est_deg", "alpha_partner_deg",
-                              "alpha_theory_deg", "error_deg"], _planar_rows(p, noise), fmt)
-
-
-def _run_table1(p, noise, fmt):
-    table = [(x, z, est, theory, err) for x, z, est, _, theory, err in _planar_rows(p, noise)]
-    return _report("table1", ["x_um", "z_um", "alpha_est_deg", "alpha_theory_deg", "error_deg"],
-                   table, fmt)
+        res = res._replace(error_deg=round(res.error_deg, 9))
+        rows.append((x, z, *(getattr(res, f) for f in fields)))
+    return _report(stem, ["x_um", "z_um", *fields], rows, fmt)
 
 
 def _run_reconstruct_3d(p, noise, fmt):
@@ -365,9 +358,8 @@ def _run_reconstruct_3d(p, noise, fmt):
     if i1 == i2:
         raise ConfigError("nv_indices: the two NV orientations must differ")
     if p["measured_y_axes"] is not None:
-        y1, y2 = (_build(geometry.unit, "measured_y_axes", {"v": v})
-                  for v in p["measured_y_axes"])
-        est = reconstruct.mw_axis_from_two(y1, y2, truth_axis=truth)
+        est = _build(reconstruct.mw_axis_from_two, "measured_y_axes",
+                     dict(zip(("y1", "y2"), p["measured_y_axes"]), truth_axis=truth))
     else:
         est = reconstruct.end_to_end_3d(scene, (i1, i2), _chain_config(p, noise))
     # rounded like planar error_deg: past these digits the file would record
@@ -426,9 +418,9 @@ def _run_sensitivity(p, noise, fmt):
 _RUNNERS = {
     "simulate": _run_simulate,
     "fit": _run_fit,
-    "reconstruct-planar": _run_reconstruct_planar,
+    "reconstruct-planar": _run_planar,
     "reconstruct-3d": _run_reconstruct_3d,
-    "table1": _run_table1,
+    "table1": _run_planar,
     "fieldmap": _run_fieldmap,
     "sensitivity": _run_sensitivity,
 }
@@ -497,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "field orientation.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
+    for mode in SCHEMAS:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", required=True, help="scenario JSON file")
         sp.add_argument("--out", required=True, help="output directory")

@@ -51,14 +51,14 @@ def extract_nv_y(basis: TransverseBasis, cos2fit: Cos2Fit) -> NvYEstimate:
 
 
 def mw_axis_from_two(y1, y2, truth_axis: np.ndarray | None = None) -> MwAxisEstimate:
-    """Normalized cross product of two NV_Y axes (3-vectors of any length),
-    the one line perpendicular to both; with `truth_axis`, the line angle to
-    it in degrees.  Raises NearParallelAxesError when the sine of the angle
-    between the axes, |y1 x y2| / (|y1| |y2|), is at most 1e-3."""
-    y1, y2 = _floats3(y1), _floats3(y2)
-    c = _cross(y1, y2)
+    """Normalized cross product of two NV_Y axes, the one line perpendicular
+    to both; with `truth_axis`, the line angle to it in degrees.  The axes
+    are lines, 3-vectors of any length, normalized first as in `planar_alpha`.
+    Raises NearParallelAxesError when the sine of the angle between them,
+    |u1 x u2| of the unit axes u1 and u2, is at most 1e-3."""
+    c = _cross(_unit3(_floats3(y1)), _unit3(_floats3(y2)))
     n = math.hypot(*c)
-    if n <= 1e-3 * math.hypot(*y1) * math.hypot(*y2):
+    if n <= 1e-3:
         raise NearParallelAxesError(
             f"NV_Y axes nearly parallel (|cross| = {n:.2e}); direction unresolvable"
         )

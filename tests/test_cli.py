@@ -79,6 +79,19 @@ class TestSimulate:
         assert cli.run("simulate", cfg, out, seed=99) == cli.EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["seed"] == 99
 
+    @pytest.mark.parametrize("phi_deg", [-1e-14, -1e-300, 359.99999999999994])
+    def test_phi_just_below_a_turn_wraps_to_zero(self, tmp_path, capsys, phi_deg):
+        # radians(phi_deg) % 2pi once rounded to 2pi for phi_deg just below 0,
+        # which StaticFieldNV refused (exit 2, "phi must lie in [0, 2*pi)")
+        texts = []
+        for name, phi in (("zero", 0.0), ("wrapped", phi_deg)):
+            static = dict(SIMULATE_CFG["static"], phi_deg=phi)
+            cfg = write_cfg(tmp_path, f"{name}.json", dict(SIMULATE_CFG, static=static))
+            assert cli.run("simulate", cfg, tmp_path / name) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            texts.append((tmp_path / name / "spectrum.csv").read_bytes())
+        assert texts[0] == texts[1]
+
 
     @pytest.mark.parametrize("block, bad, message", [
         ("static", {"theta_deg": 200.0}, "static: theta must lie in [0, pi]"),
@@ -601,15 +614,18 @@ class TestReconstructPlanar:
         assert cli.run("reconstruct-planar", cfg, out_b, seed=8) == cli.EXIT_OK
         assert (out_a / "planar.csv").read_bytes() != (out_b / "planar.csv").read_bytes()
 
-    def test_positions_draw_distinct_streams(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["reconstruct-planar", "table1"])
+    def test_positions_draw_distinct_streams(self, tmp_path, mode):
         # each wire position of a noisy run has its own noise stream, so a
         # position listed twice gives two different estimates: row j is the
-        # library's result with the run's noise at spawn key (j,)
+        # library's result with the run's noise at spawn key (j,); table1
+        # writes the same row without the partner
         wire = {"current_ma": 40.0, "positions_um": [[61.0, 18.0], [61.0, 18.0]]}
-        cfg = write_cfg(tmp_path, "rp.json", dict(self.CFG, wire=wire))
+        cfg = write_cfg(tmp_path, "rp.json", dict(self.CFG, mode=mode, wire=wire))
         out = tmp_path / "out"
-        assert cli.run("reconstruct-planar", cfg, out) == cli.EXIT_OK
-        header, *rows = read_csv(out / "planar.csv")
+        assert cli.run(mode, cfg, out) == cli.EXIT_OK
+        stem = "planar" if mode == "reconstruct-planar" else "table1"
+        header, *rows = read_csv(out / f"{stem}.csv")
         col = header.index("alpha_est_deg")
         assert rows[0][col] != rows[1][col]
         noise, scene = self.CFG["noise"], geometry.WireScene(61.0, 18.0, 40.0)
@@ -617,8 +633,9 @@ class TestReconstructPlanar:
             chain = reconstruct.ChainConfig(noise=odmrsim.NoiseConfig(
                 noise["rate_kcps"], noise["dwell_s"], noise["seed"], key=(j,)))
             res = reconstruct.end_to_end_planar(scene, self.CFG["nv_index"], chain)
-            assert row == [f"{v:.10g}" for v in (61.0, 18.0, res.alpha_est_deg,
-                                                 res.alpha_partner_deg, res.alpha_theory_deg,
+            partner = [res.alpha_partner_deg] if mode == "reconstruct-planar" else []
+            assert row == [f"{v:.10g}" for v in (61.0, 18.0, res.alpha_est_deg, *partner,
+                                                 res.alpha_theory_deg,
                                                  round(res.error_deg, 9))]
 
     def test_all_zero_signals_fail(self, tmp_path, capsys):

@@ -76,6 +76,25 @@ class TestMwAxisFromTwo:
             with pytest.raises(NearParallelAxesError):
                 reconstruct.mw_axis_from_two(length * y1, length * y2)
 
+    @pytest.mark.parametrize("length", [1e-200, 1e200])
+    def test_axes_of_any_length(self, length):
+        # the cross product of the raw axes once under- or overflowed, and
+        # both pairs were refused as nearly parallel
+        est = reconstruct.mw_axis_from_two([length, 0.0, 0.0], [0.0, length, 0.0])
+        assert np.array_equal(est.axis, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_cut_is_on_the_sine_at_every_scale(self, scale):
+        y1 = [scale, 0.0, 0.0]
+        for sine, resolved in ((2e-3, True), (5e-4, False)):
+            y2 = [scale * math.sqrt(1.0 - sine * sine), scale * sine, 0.0]
+            if resolved:
+                assert np.array_equal(reconstruct.mw_axis_from_two(y1, y2).axis,
+                                      [0.0, 0.0, 1.0])
+            else:
+                with pytest.raises(NearParallelAxesError, match="nearly parallel"):
+                    reconstruct.mw_axis_from_two(y1, y2)
+
 
 def random_axes(rng, count):
     v = rng.standard_normal((count, 3))
