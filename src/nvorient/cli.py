@@ -296,10 +296,11 @@ def _run_simulate(p, noise, fmt):
         if noise is not None:
             env["counts"] = noise._asdict()
         return {"spectrum.json": _json(env)}
-    # strings pass through _report as they are: 10 and 12 significant digits
+    # strings pass through _report as they are: each frequency in the fewest
+    # significant digits, from 10, that read back to it, and 12 for the signal
     return _report("spectrum", _SPECTRUM_HEADER,
-                   [(f"{f:.10g}", f"{s:.12g}") for f, s in zip(spec.frequencies, spec.signal)],
-                   fmt)
+                   [(next(t for d in range(10, 18) if float(t := f"{f:.{d}g}") == f),
+                     f"{s:.12g}") for f, s in zip(spec.frequencies.tolist(), spec.signal)], fmt)
 
 
 def _read_spectrum(path) -> odmrsim.OdmrSpectrum:

@@ -64,6 +64,12 @@ MAX_HALVINGS = 40
 MAX_LOG_STEP = 0.5
 # a fitted dip depth or cos^2 amplitude must exceed this many of its sigmas
 SIGNIFICANT_SIGMAS = 3.0
+# Depths are fractions of a unit fluorescence baseline, which float64 resolves
+# only to machine epsilon: a depth or cos^2 amplitude below that is rounding.
+# Without microwaves the noiseless depths are ~1e-17, and the cos^2 amplitude
+# and its unweighted sigma are both below 1e-32, so a > 3*sigma_a alone can
+# pass on rounding.
+AMPLITUDE_FLOOR = float(np.finfo(float).eps)
 
 
 class PinnedDipFit(NamedTuple):
@@ -212,13 +218,13 @@ def _search(project, propose, x):
     STEP_TOL * fwhm), the state it ends in, else None.  A step is halved
     while the chi-square rises by more than RISE_SLACK; after MAX_HALVINGS
     halvings the search stops at its previous state.  Returns the last x
-    and state, and None, or, after MAX_DIP_ITER steps, the DegenerateFitError
-    that says the search has not stopped, for the caller to raise."""
+    and state; raises DegenerateFitError when the search has not stopped
+    after MAX_DIP_ITER steps."""
     state = project(x)
     for _ in range(MAX_DIP_ITER):
         step, last = propose(state, x)
         if last is not None:
-            return x + step, last, None
+            return x + step, last
         bound = state[0] * (1.0 + RISE_SLACK)
         trial = project(x + step)
         for _ in range(MAX_HALVINGS):
@@ -227,9 +233,9 @@ def _search(project, propose, x):
             step = step * 0.5
             trial = project(x + step)
         if trial[0] > bound:
-            return x, state, None  # the halvings ran out: keep the previous state
+            return x, state  # the halvings ran out: keep the previous state
         x, state = x + step, trial
-    return x, state, DegenerateFitError(f"dip fit did not converge in {MAX_DIP_ITER} steps")
+    raise DegenerateFitError(f"dip fit did not converge in {MAX_DIP_ITER} steps")
 
 
 def _check_fwhm(plan, fwhm):
@@ -279,10 +285,10 @@ def fit_pinned_dips(plan: FitPlan, signals, sigmas) -> PinnedDipFit:
     The fit runs from `plan`, the `FitPlan` of the grid and the centers, and
     searches the fwhm within its bracket, (grid step, half the grid span).
     Raises DegenerateFitError when the shared fwhm ends on that bracket,
-    when the search has not stopped after MAX_DIP_ITER steps, or when the
-    final summed Kaufman curvature is not positive: then nothing in the data
-    fixes the fwhm (all depths are zero), and the depth sigmas would divide
-    by it.
+    when the search has not stopped after MAX_DIP_ITER steps, or when no
+    |depth| exceeds AMPLITUDE_FLOOR or the final summed Kaufman curvature is
+    not positive: then nothing in the data fixes the fwhm, and the depth
+    sigmas would divide by it.
     """
     y = np.atleast_2d(np.asarray(signals, dtype=float))
     if y.shape[1] != plan.f.size:
@@ -308,12 +314,10 @@ def fit_pinned_dips(plan: FitPlan, signals, sigmas) -> PinnedDipFit:
         return step, state
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        fwhm, state, unconverged = _search(functools.partial(_project, ws), newton, plan.fwhm)
-        if unconverged is not None:
-            raise unconverged
+        fwhm, state = _search(functools.partial(_project, ws), newton, plan.fwhm)
         _check_fwhm(plan, fwhm)
         coef, ginv, u, kaufman = state[3:7]
-        if not kaufman > 0.0:  # no dip has depth, so nothing fixes the fwhm
+        if not (kaufman > 0.0 and np.abs(coef[:, 1:]).max() > AMPLITUDE_FLOOR):
             raise DegenerateFitError("the data do not fix the dip fwhm (zero chi-square "
                                      "curvature in the linewidth)")
         depth_sigmas = None
@@ -357,10 +361,9 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
     come from the full Jacobian's normal matrix, scaled by the reduced
     chi-square when unweighted.  Raises ValueError on centers the plan
     rejects, and DegenerateFitError when a center ends off the grid, the
-    fwhm on its bracket, or a depth is not above SIGNIFICANT_SIGMAS sigmas.
-    A search that has not stopped after MAX_DIP_ITER steps is checked so at
-    its last state, and refused as unconverged only if it passes.  Returns
-    dips ordered by center; warns when two overlap.
+    fwhm on its bracket, a depth is not above SIGNIFICANT_SIGMAS sigmas, or
+    the search has not stopped after MAX_DIP_ITER steps.  Returns dips
+    ordered by center; warns when two overlap.
     """
     plan = FitPlan(spec.frequencies, init_centers_mhz)
     f, y = plan.f, spec.signal
@@ -379,7 +382,7 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
             return step, None
         return step, project(x + step)  # the last step, projected
 
-    x, state, unconverged = _search(project, gauss_newton, np.array([plan.fwhm, *plan.centers]))
+    x, state = _search(project, gauss_newton, np.array([plan.fwhm, *plan.centers]))
     fwhm, centers = float(x[0]), x[1:]
     if not np.all((centers >= f[0]) & (centers <= f[-1])):
         raise DegenerateFitError(
@@ -399,8 +402,6 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
         if not d.depth > SIGNIFICANT_SIGMAS * d.depth_sigma:
             raise DegenerateFitError(f"dip at {d.center_mhz:.3f} MHz not significant: "
                                      f"depth {d.depth:.3g}, sigma {d.depth_sigma:.3g}")
-    if unconverged is not None:  # the data pass every check, the search did not stop
-        raise unconverged
     for a, b in zip(dips, dips[1:]):
         if b.center_mhz - a.center_mhz < fwhm:
             warnings.warn("fitted dips overlap within one linewidth", stacklevel=2)
@@ -410,14 +411,6 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
 # ---------------------------------------------------------------------------
 # a*cos^2(psi - psi0) + b intensity law
 # ---------------------------------------------------------------------------
-
-# Depths are fractions of a unit fluorescence baseline, which float64 resolves
-# only to machine epsilon.  A modulation amplitude below that is rounding, not
-# signal: without microwaves the noiseless depths are ~1e-17 and the fitted
-# amplitude and its unweighted sigma are both below 1e-32, so a > 3*sigma_a
-# alone can pass on rounding.
-AMPLITUDE_FLOOR = float(np.finfo(float).eps)
-
 
 class Cos2Fit(NamedTuple):
     a: float

@@ -148,23 +148,24 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries, plan: fitkit.FitPlan | None = 
     Returns one (depths, sigmas) pair per sweep, sigmas None when noiseless.
     At theta = pi/2 the transition frequencies depend neither on the sweep
     angle nor on the NV orientation, so the centers of each sweep's psi = 0
-    eigensolve hold for every spectrum; sweeps fitted together must share
-    them, their grid and their linewidth; `plan` is their `fitkit.FitPlan`,
-    built here when not given.  Raises DegenerateFitError when the shared
-    linewidth cannot be fitted (see `fitkit.fit_pinned_dips`).
+    eigensolve hold for every spectrum; sweeps fitted together share them,
+    their grid and their linewidth.  `plan`, their `fitkit.FitPlan`, built
+    from the first sweep when not given, is the batch's one reference: a
+    sweep off `plan.f` (tested by identity first, since a memo sweep holds
+    that array) or without `plan.centers` raises ValueError naming it.
+    Raises DegenerateFitError when the shared linewidth cannot be fitted.
     """
-    first = sweeps[0]
-    for s in sweeps[1:]:
-        if not np.array_equal(s.frequencies, first.frequencies):
-            raise ValueError("sweeps fitted together must share one frequency grid")
-        if s.centers_mhz != first.centers_mhz:
-            raise ValueError("sweeps fitted together must share their dip centers")
+    if plan is None:
+        plan = fitkit.FitPlan(sweeps[0].frequencies, sweeps[0].centers_mhz)
+    for k, s in enumerate(sweeps):
+        if not (s.frequencies is plan.f or np.array_equal(s.frequencies, plan.f)):
+            raise ValueError(f"sweep {k} does not share one frequency grid with the fit plan")
+        if list(s.centers_mhz) != plan.centers.tolist():
+            raise ValueError(f"sweep {k} does not share its dip centers with the fit plan")
     noisy = [s.counts_meta is not None for s in sweeps]
     if any(noisy) and not all(noisy):
         raise ValueError("sweeps fitted together must be all noisy or all noiseless")
     sigmas = np.concatenate([s.point_sigmas() for s in sweeps]) if all(noisy) else None
-    if plan is None:
-        plan = fitkit.FitPlan(first.frequencies, first.centers_mhz)
     fit = fitkit.fit_pinned_dips(plan, np.concatenate([s.signals for s in sweeps]), sigmas)
     # column 1 is the dip at f_0p, the L0<->Lp transition; each sweep owns rows a:b
     rows = itertools.pairwise(itertools.accumulate((s.psis.size for s in sweeps), initial=0))

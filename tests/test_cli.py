@@ -93,6 +93,23 @@ class TestSimulate:
         assert texts[0] == texts[1]
 
 
+    def test_fine_grid_reads_back_bit_for_bit(self, tmp_path, capsys):
+        # points 1e-7 MHz apart need 11 significant digits: at 10, rows 2 and 3
+        # both read 2897.9, and `fit` refused the grid as not strictly ascending
+        grid = {"start": 2897.9, "stop": 2897.902, "step": 1e-7}
+        cfg = write_cfg(tmp_path, "sim.json", dict(SIMULATE_CFG, frequency_grid_mhz=grid))
+        assert cli.run("simulate", cfg, tmp_path / "sim") == cli.EXIT_OK
+        path = tmp_path / "sim" / "spectrum.csv"
+        expected = odmrsim.default_grid(2897.9, 2897.902, 1e-7)
+        assert cli._read_spectrum(path).frequencies.tobytes() == expected.tobytes()
+        # the grid passes, so `fit` goes on to the centers, which lie outside it
+        fit = write_cfg(tmp_path, "fit.json", {"mode": "fit", "spectrum_csv": str(path),
+                                               "init_centers_mhz": [2898.0]})
+        capsys.readouterr()
+        assert cli.run("fit", fit, tmp_path / "fit") == cli.EXIT_PIPELINE
+        assert capsys.readouterr().err.startswith(
+            "error: dip centers 2898.000 MHz must lie inside the frequency grid")
+
     @pytest.mark.parametrize("block, bad, message", [
         ("static", {"theta_deg": 200.0}, "static: theta must lie in [0, pi]"),
         ("static", {"b_mt": -1.0}, "static: field magnitude must be finite and nonnegative"),

@@ -199,12 +199,35 @@ class TestSweepChain:
         noisy = odmrsim.noisy_copy_with_subseed(other, odmrsim.NoiseConfig(200.0, 0.008, 1))
         with pytest.raises(ValueError, match="all noisy or all noiseless"):
             reconstruct.sweep_lp_depths(sweep, noisy)
+        # without a plan the first sweep's is the reference, and the message
+        # names the sweep that differs from it
         shifted = pair_sweeps(psis, grid=odmrsim.default_grid(2850.5, 2950.5, 0.5))[0]
-        with pytest.raises(ValueError, match="one frequency grid"):
-            reconstruct.sweep_lp_depths(sweep, shifted)
+        with pytest.raises(ValueError, match="^sweep 2 does not share one frequency grid with "
+                                             "the fit plan$"):
+            reconstruct.sweep_lp_depths(sweep, other, shifted)
         weaker = pair_sweeps(psis, b_static_mt=9.0)[0]
-        with pytest.raises(ValueError, match="dip centers"):
+        with pytest.raises(ValueError, match="^sweep 1 does not share its dip centers with the "
+                                             "fit plan$"):
             reconstruct.sweep_lp_depths(sweep, weaker)
+
+    def test_plan_is_the_batch_reference(self):
+        # a plan 3 MHz off the sweep's dip centers, or on another grid, is
+        # refused: it was fitted, and gave depths 0.0014, 0.0168, ... where the
+        # sweep's own plan gives 0.0062, 0.0261, ...; an equal plan, given or
+        # built, gives the same depths bit for bit
+        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
+        sweep, other = pair_sweeps(psis)
+        centers = np.array(sweep.centers_mhz)
+        for plan, named in ((fitkit.FitPlan(sweep.frequencies, centers + 3.0), "its dip centers"),
+                            (fitkit.FitPlan(sweep.frequencies + 0.5, centers), "one frequency grid")):
+            for sweeps in ((sweep,), (sweep, other)):
+                with pytest.raises(ValueError, match=rf"^sweep 0 does not share {named} with "
+                                                     r"the fit plan$"):
+                    reconstruct.sweep_lp_depths(*sweeps, plan=plan)
+        [(built, _)] = reconstruct.sweep_lp_depths(sweep)
+        [(given, _)] = reconstruct.sweep_lp_depths(
+            sweep, plan=fitkit.FitPlan(sweep.frequencies.copy(), sweep.centers_mhz))
+        assert built.tobytes() == given.tobytes()
 
     def test_stacked_fit_matches_single_sweeps(self):
         # the 3-D chain fits its sweeps in one batch with one linewidth: the
