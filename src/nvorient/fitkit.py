@@ -114,8 +114,12 @@ class FitPlan:
         listed = centers.tolist()
         named = f"dip centers {', '.join(f'{c:.3f}' for c in listed)} MHz"
         if not all(f[0] <= c <= f[-1] for c in listed):
+            # the grid's ends in the fewest significant digits, from 6, that
+            # tell them apart (17 tell any two floats apart; equal ends print in 6)
+            a, b = f[0], f[-1]
+            d = next((d for d in range(6, 18) if f"{a:.{d}g}" != f"{b:.{d}g}"), 6)
             raise ValueError(f"{named} must lie inside the frequency grid "
-                             f"[{f[0]:g}, {f[-1]:g}] MHz")
+                             f"[{a:.{d}g}, {b:.{d}g}] MHz")
         self.n = centers.size
         if f.size < self.n + 2:
             raise ValueError("fewer data points than parameters")

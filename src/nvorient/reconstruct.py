@@ -50,18 +50,26 @@ def extract_nv_y(basis: TransverseBasis, cos2fit: Cos2Fit) -> NvYEstimate:
     return NvYEstimate(axis=axis, sigma_angle=cos2fit.sigma_psi0)
 
 
+def _perpendicular(y1, y2) -> tuple[tuple[float, float, float], float]:
+    """Cross product c of the unit axes of y1 and y2, 3-vectors of any
+    length, and its length |c|, the sine of the angle between them.  Raises
+    NearParallelAxesError when that sine is at most 1e-3: no line is then
+    perpendicular to both."""
+    c = _cross(_unit3(_floats3(y1)), _unit3(_floats3(y2)))
+    n = math.hypot(*c)
+    if n <= 1e-3:
+        raise NearParallelAxesError(
+            f"axes nearly parallel (|cross| = {n:.2e}); direction unresolvable")
+    return c, n
+
+
 def mw_axis_from_two(y1, y2, truth_axis: np.ndarray | None = None) -> MwAxisEstimate:
     """Normalized cross product of two NV_Y axes, the one line perpendicular
     to both; with `truth_axis`, the line angle to it in degrees.  The axes
     are lines, 3-vectors of any length, normalized first as in `planar_alpha`.
     Raises NearParallelAxesError when the sine of the angle between them,
     |u1 x u2| of the unit axes u1 and u2, is at most 1e-3."""
-    c = _cross(_unit3(_floats3(y1)), _unit3(_floats3(y2)))
-    n = math.hypot(*c)
-    if n <= 1e-3:
-        raise NearParallelAxesError(
-            f"NV_Y axes nearly parallel (|cross| = {n:.2e}); direction unresolvable"
-        )
+    c, n = _perpendicular(y1, y2)
     axis = (c[0] / n, c[1] / n, c[2] / n)
     err = None if truth_axis is None else geometry.line_angle_between(axis, truth_axis)
     return MwAxisEstimate(axis=np.array(axis), angular_error_deg=err)
@@ -80,11 +88,12 @@ def planar_alpha(u) -> float:
     second axis: a wire's field has no component along the wire, so m is
     parallel to u x Y_L.  alpha is `geometry.alpha_deg` of that axis, taken
     mod 180 because the sign of u is arbitrary; alpha + 180 is its partner.
-    u is normalized first, as a 3-tuple of Python floats.  A measured u lies
-    across an NV axis, and every <111> axis has |y| = 1/sqrt(3), so
-    |u x Y_L| >= 1/sqrt(3): the axis is never near zero.
+    u is normalized first, and an axis within a sine of 1e-3 of Y_L fixes
+    no angle: it raises NearParallelAxesError, as `mw_axis_from_two` does.
+    A measured u lies across an NV axis, and every <111> axis has
+    |y| = 1/sqrt(3), so |u x Y_L| >= 1/sqrt(3): a chain never meets that.
     """
-    return geometry.alpha_deg(_cross(_unit3(_floats3(u)), (0.0, 1.0, 0.0))) % 180.0
+    return geometry.alpha_deg(_perpendicular(u, (0.0, 1.0, 0.0))[0]) % 180.0
 
 
 def closed_form_alpha_check(u: np.ndarray) -> float:
@@ -140,23 +149,21 @@ class PlanarRunResult(NamedTuple):
     cos2: Cos2Fit
 
 
-def sweep_lp_depths(*sweeps: odmrsim.SweepSeries, plan: fitkit.FitPlan | None = None):
+def sweep_lp_depths(plan: fitkit.FitPlan, *sweeps: odmrsim.SweepSeries):
     """L0<->Lp dip depths of every spectrum of the given sweeps and, for noisy
-    sweeps, their sigmas, from one batched fit at the sweeps' dip centers
-    with one linewidth for all of them.
+    sweeps, their sigmas, from one batched fit with `plan`, their
+    `fitkit.FitPlan`, at the sweeps' dip centers with one linewidth for all
+    of them.
 
     Returns one (depths, sigmas) pair per sweep, sigmas None when noiseless.
     At theta = pi/2 the transition frequencies depend neither on the sweep
     angle nor on the NV orientation, so the centers of each sweep's psi = 0
     eigensolve hold for every spectrum; sweeps fitted together share them,
-    their grid and their linewidth.  `plan`, their `fitkit.FitPlan`, built
-    from the first sweep when not given, is the batch's one reference: a
-    sweep off `plan.f` (tested by identity first, since a memo sweep holds
+    their grid and their linewidth.  The plan is the batch's one reference:
+    a sweep off `plan.f` (tested by identity first, since a memo sweep holds
     that array) or without `plan.centers` raises ValueError naming it.
     Raises DegenerateFitError when the shared linewidth cannot be fitted.
     """
-    if plan is None:
-        plan = fitkit.FitPlan(sweeps[0].frequencies, sweeps[0].centers_mhz)
     for k, s in enumerate(sweeps):
         if not (s.frequencies is plan.f or np.array_equal(s.frequencies, plan.f)):
             raise ValueError(f"sweep {k} does not share one frequency grid with the fit plan")
@@ -173,35 +180,33 @@ def sweep_lp_depths(*sweeps: odmrsim.SweepSeries, plan: fitkit.FitPlan | None = 
             for a, b in rows]
 
 
-# Noise studies rerun one scene with new seeds only; the few most recent
-# noiseless sweeps are kept so that they pay for geometry, synthesis and the
-# dip fit's plan once.
+# Noise studies rerun one scene with new seeds only; the noiseless sweeps of
+# the few most recent reconstructions are kept so that they pay for geometry,
+# synthesis and the dip fit's plan once.
 _SWEEP_MEMO_SIZE = 16
 
 
-class _SceneSweep(NamedTuple):
-    """A memo entry: basis, noiseless sweep and the `fitkit.FitPlan` of the
-    sweep's grid and dip centers."""
-
-    basis: TransverseBasis
-    sweep: odmrsim.SweepSeries
-    plan: fitkit.FitPlan
-
-
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
-def _noiseless_sweep(scene: WireScene, nv_index: int, cfg: ChainConfig) -> _SceneSweep:
-    """Transverse basis, noiseless sweep and dip-fit plan of one NV orientation
-    in a scene under `cfg` without noise, memoized by value; every array of the
-    result is read-only.  A grid or psi count that the synthesis or the plan
-    rejects (a grid without both dips) raises its ValueError, uncached."""
-    basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
-    sweep = odmrsim.simulate_phi_sweep(
+def _noiseless_sweeps(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfig):
+    """(bases, sweeps, plan) of one reconstruction of a scene under `cfg`
+    without noise, memoized by value: the transverse basis and noiseless
+    sweep of each NV orientation of `nv_indices`, all sweeps on one grid
+    array and one psi array, and the one dip-fit plan built on that grid;
+    every array is read-only.  At theta = pi/2 the dip centers depend on no
+    orientation, so the first sweep's centers serve the plan, and `sweep_lp_depths`
+    checks every sweep against it.  A grid or psi count that the synthesis
+    or the plan rejects (a grid without both dips) raises its ValueError,
+    uncached."""
+    grid = odmrsim.default_grid(*cfg.grid_mhz)
+    psis = np.linspace(0.0, math.pi, cfg.psi_count, endpoint=False)
+    bases = tuple(geometry.transverse_basis(geometry.crystallographic_axes()[i])
+                  for i in nv_indices)
+    sweeps = tuple(odmrsim.simulate_phi_sweep(
         cfg.constants, basis, cfg.b_static_mt, geometry.mw_direction(scene),
-        geometry.wire_field_magnitude(scene), cfg.shape, odmrsim.default_grid(*cfg.grid_mhz),
-        np.linspace(0.0, math.pi, cfg.psi_count, endpoint=False))
-    for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies, sweep.signals):
+        geometry.wire_field_magnitude(scene), cfg.shape, grid, psis) for basis in bases)
+    for a in (grid, psis, *(s.signals for s in sweeps), *itertools.chain(*bases)):
         a.setflags(write=False)
-    return _SceneSweep(basis, sweep, fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz))
+    return bases, sweeps, fitkit.FitPlan(grid, sweeps[0].centers_mhz)
 
 
 def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
@@ -210,31 +215,30 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
     for each NV orientation, with the sweeps of all of them in one dip fit.
 
     The noiseless sweeps come from a memo of at most `_SWEEP_MEMO_SIZE`
-    entries, keyed by the scene, the NV index and the chain config without
-    its noise; a repeat of a scene returns the read-only sweep of its first
-    run, bit for bit what a new synthesis would give.  The sweeps of a run
-    share grid and dip centers, so all are fitted with the first entry's
-    plan.  Each sweep draws its noise in one call: a lone sweep from the
-    chain's noise record, the sweep of nv_indices[k] of several from that
-    record with k appended to its key.  Raises ValueError for an NV index
-    that is not an integer in 0..3, before the memo, where True would alias 1.
+    reconstructions, keyed by the scene, the NV indices and the chain config
+    without its noise; a repeat returns the read-only sweeps and plan of its
+    first run, bit for bit what a new synthesis would give.  Each sweep draws
+    its noise in one call: a lone sweep from the chain's noise record, the
+    sweep of nv_indices[k] of several from that record with k appended to
+    its key.  Raises ValueError for an NV index that is not an integer in
+    0..3, before the memo, where True would alias 1, and then
+    NearParallelAxesError for indices that are not distinct.
     """
     for i in nv_indices:
         if isinstance(i, bool) or not (isinstance(i, numbers.Integral) and 0 <= i < 4):
             raise ValueError(f"NV index {i!r} is not an integer in 0..3")
-    clean = cfg._replace(noise=None)
-    entries = [_noiseless_sweep(scene, nv_index, clean) for nv_index in nv_indices]
-    sweeps = [e.sweep for e in entries]
+    if len(set(nv_indices)) < len(nv_indices):
+        raise NearParallelAxesError("the two NV orientations must differ")
+    bases, sweeps, plan = _noiseless_sweeps(scene, nv_indices, cfg._replace(noise=None))
     if cfg.noise is not None:
         noise, several = cfg.noise, len(sweeps) > 1
         sweeps = [odmrsim.noisy_copy_with_subseed(
                       s, noise._replace(key=noise.key + (k,)) if several else noise)
                   for k, s in enumerate(sweeps)]
-    fits = sweep_lp_depths(*sweeps, plan=entries[0].plan)
     out = []
-    for e, sweep, (depths, sigmas) in zip(entries, sweeps, fits):
+    for basis, sweep, (depths, sigmas) in zip(bases, sweeps, sweep_lp_depths(plan, *sweeps)):
         cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
-        out.append((extract_nv_y(e.basis, cos2), cos2))
+        out.append((extract_nv_y(basis, cos2), cos2))
     return out
 
 
@@ -267,7 +271,5 @@ def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
     The sweep of slot k draws its noise with k appended to the noise record's key.
     """
     i1, i2 = nv_indices
-    if i1 == i2:
-        raise NearParallelAxesError("the two NV orientations must differ")
     (y1, _), (y2, _) = _measure_nv_y(scene, (i1, i2), cfg)
     return mw_axis_from_two(y1.axis, y2.axis, truth_axis=geometry.mw_direction(scene))

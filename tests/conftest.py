@@ -10,7 +10,7 @@ from nvorient import geometry, odmrsim, reconstruct, spinmodel
 def empty_sweep_memo():
     """Start every test with an empty noiseless-sweep memo, so that no test
     depends on which scenes earlier tests simulated."""
-    reconstruct._noiseless_sweep.cache_clear()
+    reconstruct._noiseless_sweeps.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -145,10 +145,11 @@ def test_criterion_5_noisy_end_to_end_statistics():
                                        geometry.wire_field_magnitude(scene),
                                        odmrsim.LineshapeParams(), odmrsim.default_grid(*GRID_MHZ),
                                        psis)
+    plan = fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz)
     rels = []
     for seed in range(10):
         noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(rate, dwell, seed))
-        [(depths, sigmas)] = reconstruct.sweep_lp_depths(noisy)
+        [(depths, sigmas)] = reconstruct.sweep_lp_depths(plan, noisy)
         k = int(np.argmax(depths))
         rels.append(float(sigmas[k] / depths[k]))
     rel = float(np.median(rels))
@@ -237,7 +238,8 @@ def test_criterion_8_property_suite():
                                        geometry.wire_field_magnitude(scene),
                                        odmrsim.LineshapeParams(), odmrsim.default_grid(*GRID_MHZ),
                                        psis)
-    [(depths, _)] = reconstruct.sweep_lp_depths(sweep)
+    [(depths, _)] = reconstruct.sweep_lp_depths(
+        fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz), sweep)
     fit = fitkit.fit_cos2(psis, depths)
     model = fit.a * np.cos(psis - fit.psi0) ** 2 + fit.b
     ss_res = float(np.sum((depths - model) ** 2))

@@ -107,8 +107,8 @@ class TestSimulate:
                                                "init_centers_mhz": [2898.0]})
         capsys.readouterr()
         assert cli.run("fit", fit, tmp_path / "fit") == cli.EXIT_PIPELINE
-        assert capsys.readouterr().err.startswith(
-            "error: dip centers 2898.000 MHz must lie inside the frequency grid")
+        assert capsys.readouterr().err == ("error: dip centers 2898.000 MHz must lie inside the "
+                                           "frequency grid [2897.9, 2897.902] MHz\n")
 
     @pytest.mark.parametrize("block, bad, message", [
         ("static", {"theta_deg": 200.0}, "static: theta must lie in [0, pi]"),

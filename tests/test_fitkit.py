@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 from typing import NamedTuple
 
@@ -814,9 +815,11 @@ class TestFitPinnedDips:
 
     def test_center_check_bounds(self):
         # centers exactly on the grid's ends are inside it; NaN is not; the
-        # message names the centers and the grid's ends; centers closer than
-        # the grid step, whose Lorentzian columns the grid cannot tell apart,
-        # are refused by name, in any order
+        # message names the centers and the grid's ends, in the fewest
+        # significant digits, from 6, that tell them apart (the fine grid's
+        # read [2897.9, 2897.9]); centers closer than the grid step, whose
+        # Lorentzian columns the grid cannot tell apart, are refused by name,
+        # in any order
         f = odmrsim.default_grid(*GRID_MHZ)
         fitkit.FitPlan(f, [f[0], f[-1]])
         fitkit.FitPlan(f, [2898.5, 2926.0, 2898.0])
@@ -824,9 +827,16 @@ class TestFitPinnedDips:
         for centers in ([np.nan, 2900.0], [2900.0, np.nan], [below, 2900.0], [2900.0, above]):
             with pytest.raises(ValueError, match="inside the frequency grid"):
                 fitkit.FitPlan(f, centers)
-        with pytest.raises(ValueError, match=r"^dip centers 2700\.000, 2926\.000 MHz must lie "
-                                             r"inside the frequency grid \[2850, 2950\] MHz$"):
-            fitkit.FitPlan(f, [2700.0, 2926.0])
+        for grid, centers, named, ends in (
+                (f, [2700.0, 2926.0], "2700.000, 2926.000", "2850, 2950"),
+                (odmrsim.default_grid(2897.9, 2897.902, 1e-7), [2898.0], "2898.000",
+                 "2897.9, 2897.902"),
+                (np.array([1.0, np.nextafter(1.0, 2.0)]), [2898.0], "2898.000",
+                 "1, 1.0000000000000002"),
+                (np.array([2850.0]), [2898.0], "2898.000", "2850, 2850")):
+            with pytest.raises(ValueError, match=rf"^dip centers {named} MHz must lie inside the "
+                                                 rf"frequency grid \[{re.escape(ends)}\] MHz$"):
+                fitkit.FitPlan(grid, centers)
         for centers, named in (([2898.0, 2898.0], "2898.000, 2898.000"),
                                ([2898.4, 2926.0, 2898.0], "2898.400, 2926.000, 2898.000")):
             with pytest.raises(ValueError, match=rf"^dip centers {named} MHz must differ by at "

@@ -23,6 +23,11 @@ def planar_mw(alpha_deg):
     return np.array([math.sin(a), 0.0, math.cos(a)])
 
 
+def own_plan(sweep):
+    """The `FitPlan` of a sweep's grid and dip centers."""
+    return fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz)
+
+
 def fake_cos2(psi0, sigma=1e-4):
     return fitkit.Cos2Fit(a=1.0, b=0.0, psi0=psi0, sigma_psi0=sigma, sigma_a=1e-4)
 
@@ -144,6 +149,15 @@ class TestPlanarAlpha:
         assert reconstruct._circ_dist(reconstruct.planar_alpha(u),
                                       reconstruct.planar_alpha(-u)) < 1e-6
 
+    def test_axis_along_the_wire_rejected(self):
+        # an axis within a sine of 1e-3 of the wire axis Y_L fixes no angle
+        # (the cut of `mw_axis_from_two`); (0, 1, 0) returned 0.0
+        for u in ((0.0, 1.0, 0.0), (0.0, -3.0, 0.0), (5e-4, 1.0, 0.0), (0.0, 1.0, -5e-4)):
+            with pytest.raises(NearParallelAxesError, match="^axes nearly parallel"):
+                reconstruct.planar_alpha(u)
+        assert reconstruct.planar_alpha((2e-3, 1.0, 0.0)) == 0.0
+        assert reconstruct.planar_alpha((0.0, 1.0, 2e-3)) == 90.0
+
 
 class TestClosedForm:
     def test_recovers_alpha_exactly(self):
@@ -165,7 +179,7 @@ class TestSweepChain:
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
         sweep = odmrsim.simulate_phi_sweep(consts, nv1_basis, 10.2, m, 0.05,
                                            shape, grid, psis)
-        [(depths, sigmas)] = reconstruct.sweep_lp_depths(sweep)
+        [(depths, sigmas)] = reconstruct.sweep_lp_depths(own_plan(sweep), sweep)
         assert sigmas is None
         cos2 = fitkit.fit_cos2(psis, depths)
         # depth peaks when the static field is parallel to the in-plane
@@ -184,7 +198,7 @@ class TestSweepChain:
             raise AssertionError("sweep_lp_depths solved a Hamiltonian")
 
         monkeypatch.setattr(spinmodel, "eigensystem", no_eigensolve)
-        [(depths, sigmas)] = reconstruct.sweep_lp_depths(sweep)
+        [(depths, sigmas)] = reconstruct.sweep_lp_depths(own_plan(sweep), sweep)
         assert depths.shape == (12,) and sigmas is None
 
     def test_sweep_shape_invariant(self):
@@ -192,29 +206,30 @@ class TestSweepChain:
         # needs sigmas for every row, one grid and one pair of centers
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
         sweep, other = pair_sweeps(psis)
+        plan = own_plan(sweep)
         for bad in (sweep.signals.T, sweep.signals[0], sweep.signals[1:], sweep.signals[:, 1:],
                     sweep.signals[None]):
             with pytest.raises(ValueError, match="one row per psi"):
                 odmrsim.SweepSeries(psis, sweep.frequencies, bad, sweep.centers_mhz)
         noisy = odmrsim.noisy_copy_with_subseed(other, odmrsim.NoiseConfig(200.0, 0.008, 1))
         with pytest.raises(ValueError, match="all noisy or all noiseless"):
-            reconstruct.sweep_lp_depths(sweep, noisy)
-        # without a plan the first sweep's is the reference, and the message
-        # names the sweep that differs from it
+            reconstruct.sweep_lp_depths(plan, sweep, noisy)
+        # with the first sweep's plan, the message names the sweep that
+        # differs from it
         shifted = pair_sweeps(psis, grid=odmrsim.default_grid(2850.5, 2950.5, 0.5))[0]
         with pytest.raises(ValueError, match="^sweep 2 does not share one frequency grid with "
                                              "the fit plan$"):
-            reconstruct.sweep_lp_depths(sweep, other, shifted)
+            reconstruct.sweep_lp_depths(plan, sweep, other, shifted)
         weaker = pair_sweeps(psis, b_static_mt=9.0)[0]
         with pytest.raises(ValueError, match="^sweep 1 does not share its dip centers with the "
                                              "fit plan$"):
-            reconstruct.sweep_lp_depths(sweep, weaker)
+            reconstruct.sweep_lp_depths(plan, sweep, weaker)
 
     def test_plan_is_the_batch_reference(self):
         # a plan 3 MHz off the sweep's dip centers, or on another grid, is
         # refused: it was fitted, and gave depths 0.0014, 0.0168, ... where the
-        # sweep's own plan gives 0.0062, 0.0261, ...; an equal plan, given or
-        # built, gives the same depths bit for bit
+        # sweep's own plan gives 0.0062, 0.0261, ...; an equal plan, on the
+        # sweep's grid or on a copy of it, gives the same depths bit for bit
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
         sweep, other = pair_sweeps(psis)
         centers = np.array(sweep.centers_mhz)
@@ -223,11 +238,11 @@ class TestSweepChain:
             for sweeps in ((sweep,), (sweep, other)):
                 with pytest.raises(ValueError, match=rf"^sweep 0 does not share {named} with "
                                                      r"the fit plan$"):
-                    reconstruct.sweep_lp_depths(*sweeps, plan=plan)
-        [(built, _)] = reconstruct.sweep_lp_depths(sweep)
-        [(given, _)] = reconstruct.sweep_lp_depths(
-            sweep, plan=fitkit.FitPlan(sweep.frequencies.copy(), sweep.centers_mhz))
-        assert built.tobytes() == given.tobytes()
+                    reconstruct.sweep_lp_depths(plan, *sweeps)
+        [(own, _)] = reconstruct.sweep_lp_depths(own_plan(sweep), sweep)
+        [(copied, _)] = reconstruct.sweep_lp_depths(
+            fitkit.FitPlan(sweep.frequencies.copy(), sweep.centers_mhz), sweep)
+        assert own.tobytes() == copied.tobytes()
 
     def test_stacked_fit_matches_single_sweeps(self):
         # the 3-D chain fits its sweeps in one batch with one linewidth: the
@@ -247,11 +262,11 @@ class TestSweepChain:
                     odmrsim.noisy_copy_with_subseed(
                         s, odmrsim.NoiseConfig(200.0, 0.008, seed, (slot,)))
                     for slot, s in enumerate(clean)]
-                stacked = reconstruct.sweep_lp_depths(*sweeps)
+                plan = own_plan(sweeps[0])
+                stacked = reconstruct.sweep_lp_depths(plan, *sweeps)
                 assert len(stacked) == len(counts)
                 fit = fitkit.fit_pinned_dips(
-                    fitkit.FitPlan(sweeps[0].frequencies, sweeps[0].centers_mhz),
-                    np.concatenate([s.signals for s in sweeps]),
+                    plan, np.concatenate([s.signals for s in sweeps]),
                     None if seed is None else np.concatenate([s.point_sigmas() for s in sweeps]))
                 start = 0
                 for n, (depths, sigmas) in zip(counts, stacked):
@@ -263,8 +278,9 @@ class TestSweepChain:
                     start += n
 
     def test_one_dip_fit_per_reconstruction(self, monkeypatch):
-        # one eigensolve per new noiseless sweep, none for a memoized one, and
-        # every sweep of a result in one dip fit
+        # one eigensolve per new noiseless sweep, none for a memoized
+        # reconstruction, and every sweep of a result in one dip fit; the
+        # planar and 3-D chains do not share an entry
         calls = {"eigensystem": 0, "fit_pinned_dips": 0}
 
         def counted(module, name):
@@ -286,7 +302,7 @@ class TestSweepChain:
         assert calls == {"eigensystem": 1, "fit_pinned_dips": 2}
         reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
                                           NV2_AXIS_INDEX), cfg)
-        assert calls == {"eigensystem": 2, "fit_pinned_dips": 3}
+        assert calls == {"eigensystem": 3, "fit_pinned_dips": 3}
 
     def test_degenerate_shared_linewidth_raises(self):
         # the shared fwhm of the 3-D pair runs to its bracket, and the error
@@ -350,9 +366,9 @@ class TestSweepChain:
         fitted = []
         real = reconstruct.sweep_lp_depths
 
-        def record(*sweeps, **kwargs):
+        def record(plan, *sweeps):
             fitted.append(sweeps)
-            return real(*sweeps, **kwargs)
+            return real(plan, *sweeps)
 
         monkeypatch.setattr(reconstruct, "sweep_lp_depths", record)
         psis = np.linspace(0.0, math.pi, 5, endpoint=False)
@@ -385,8 +401,13 @@ class TestSweepChain:
         assert not np.array_equal(three_d[0].signals, planar[0].signals)
 
     def test_end_to_end_3d_same_orientation_rejected(self):
-        with pytest.raises(NearParallelAxesError):
-            reconstruct.end_to_end_3d(SCENE, (3, 3))
+        for pair in ((3, 3), (np.int64(1), 1)):
+            with pytest.raises(NearParallelAxesError,
+                               match="^the two NV orientations must differ$"):
+                reconstruct.end_to_end_3d(SCENE, pair)
+        # the indices are checked first: True is no NV index, though it equals 1
+        with pytest.raises(ValueError, match="^NV index True is not an integer in 0..3$"):
+            reconstruct.end_to_end_3d(SCENE, (True, 1))
 
     @pytest.mark.parametrize("bad", [-1, -3, 4, True, 3.0, "3"],
                              ids=["-1", "-3", "4", "True", "3.0", "str"])
@@ -406,9 +427,9 @@ class TestSweepChain:
                 == reconstruct.end_to_end_planar(SCENE, 3).alpha_est_deg)
 
 
-def memo_entry(scene, nv_index, cfg):
-    """The memo's entry for one NV orientation under cfg."""
-    return reconstruct._noiseless_sweep(scene, nv_index, cfg._replace(noise=None))
+def memo_entry(scene, nv_indices, cfg):
+    """The memo's (bases, sweeps, plan) for one reconstruction under cfg."""
+    return reconstruct._noiseless_sweeps(scene, nv_indices, cfg._replace(noise=None))
 
 
 def direct_sweep(scene, nv_index, cfg):
@@ -422,9 +443,9 @@ def direct_sweep(scene, nv_index, cfg):
 
 
 def memo_sweep(scene, nv_index, cfg):
-    """The memo's (basis, noiseless sweep) for one NV orientation under cfg."""
-    entry = memo_entry(scene, nv_index, cfg)
-    return entry.basis, entry.sweep
+    """The memo's (basis, noiseless sweep) for a planar reconstruction under cfg."""
+    [basis], [sweep], _ = memo_entry(scene, (nv_index,), cfg)
+    return basis, sweep
 
 
 def assert_bit_identical(a, b):
@@ -443,58 +464,71 @@ MEMO_GRIDS = st.one_of(
               st.floats(2840.0, 2870.0), GRID_STEPS, st.floats(2927.0, 2960.0)))
 
 
+# the NV indices of a planar or a 3-D reconstruction
+MEMO_INDICES = st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True).map(tuple)
+
+
 class TestSweepMemo:
     @settings(max_examples=60, deadline=None)
     @given(x=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-80.0, 80.0)),
            z=st.floats(30.0, 80.0), current=st.sampled_from([20.0, -20.0, 12.5]),
-           nv_index=st.integers(0, 3), n_psi=st.integers(1, 24), grid=MEMO_GRIDS)
-    @example(x=0.0, z=40.0, current=20.0, nv_index=3, n_psi=12, grid=(2850.0, 201, 0.5))
-    @example(x=-0.0, z=40.0, current=-20.0, nv_index=1, n_psi=5, grid=(2850.0, 201, 0.5))
-    @example(x=61.0, z=40.0, current=20.0, nv_index=3, n_psi=3, grid=(2850.0, 20, 0.5))
-    def test_hit_equals_miss(self, x, z, current, nv_index, n_psi, grid):
-        # a hit returns what a direct synthesis of the same scene gives, and
-        # the plan built on its grid and dip centers, bit for bit; x = 0.0 and
-        # x = -0.0 make equal keys, so one hits the other
+           nv_indices=MEMO_INDICES, n_psi=st.integers(1, 24), grid=MEMO_GRIDS)
+    @example(x=0.0, z=40.0, current=20.0, nv_indices=(3,), n_psi=12, grid=(2850.0, 201, 0.5))
+    @example(x=-0.0, z=40.0, current=-20.0, nv_indices=(1,), n_psi=5, grid=(2850.0, 201, 0.5))
+    @example(x=61.0, z=40.0, current=20.0, nv_indices=(3,), n_psi=3, grid=(2850.0, 20, 0.5))
+    @example(x=61.0, z=18.0, current=40.0, nv_indices=(3, 1), n_psi=12, grid=(2850.0, 201, 0.5))
+    def test_hit_equals_miss(self, x, z, current, nv_indices, n_psi, grid):
+        # a hit returns what direct syntheses of the same scene give, one per
+        # NV orientation, and the plan built on the first one's grid and dip
+        # centers, bit for bit; every sweep holds the plan's grid and one psi
+        # array; x = 0.0 and x = -0.0 make equal keys, so one hits the other
         start, n_f, step = grid
         cfg = reconstruct.ChainConfig(grid_mhz=(start, start + (n_f - 1) * step, step),
                                       psi_count=n_psi)
         scene = geometry.WireScene(x, z, current)
         twin = geometry.WireScene(-x if x == 0.0 else x, z, current)
-        ref_basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
-        refs = [direct_sweep(s, nv_index, cfg) for s in (scene, twin)]
-        assert refs[0].frequencies.size == n_f and refs[0].psis.size == n_psi
+        ref_bases = [geometry.transverse_basis(AXES[i]) for i in nv_indices]
+        refs = [[direct_sweep(s, i, cfg) for i in nv_indices] for s in (scene, twin)]
+        assert refs[0][0].frequencies.size == n_f and refs[0][0].psis.size == n_psi
         try:
-            ref_plan = fitkit.FitPlan(refs[0].frequencies, refs[0].centers_mhz)
+            ref_plan = own_plan(refs[0][0])
         except ValueError as exc:
             # a grid that cannot hold both dips: both calls raise the plan's
             # error, and nothing is cached
-            cached = reconstruct._noiseless_sweep.cache_info().currsize
+            cached = reconstruct._noiseless_sweeps.cache_info().currsize
             for s in (scene, twin):
                 with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                    memo_entry(s, nv_index, cfg)
-            assert reconstruct._noiseless_sweep.cache_info().currsize == cached
+                    memo_entry(s, nv_indices, cfg)
+            assert reconstruct._noiseless_sweeps.cache_info().currsize == cached
             return
-        for s, ref in zip((scene, twin), refs):
-            basis, sweep, plan = memo_entry(s, nv_index, cfg)
-            for name in ("e1", "e2", "nv_z"):
-                assert_bit_identical(getattr(basis, name), getattr(ref_basis, name))
-            for name in ("psis", "frequencies", "signals"):
-                assert_bit_identical(getattr(sweep, name), getattr(ref, name))
-            assert sweep.centers_mhz == ref.centers_mhz and sweep.counts_meta is None
-            assert plan.f is sweep.frequencies and (plan.lo, plan.hi) == (ref_plan.lo, ref_plan.hi)
+        for s, s_refs in zip((scene, twin), refs):
+            bases, sweeps, plan = memo_entry(s, nv_indices, cfg)
+            assert len(bases) == len(sweeps) == len(nv_indices)
+            for basis, ref_basis in zip(bases, ref_bases):
+                for name in ("e1", "e2", "nv_z"):
+                    assert_bit_identical(getattr(basis, name), getattr(ref_basis, name))
+            for sweep, ref in zip(sweeps, s_refs):
+                for name in ("psis", "frequencies", "signals"):
+                    assert_bit_identical(getattr(sweep, name), getattr(ref, name))
+                assert sweep.centers_mhz == ref.centers_mhz and sweep.counts_meta is None
+                assert sweep.frequencies is plan.f and sweep.psis is sweeps[0].psis
+            assert (plan.lo, plan.hi) == (ref_plan.lo, ref_plan.hi)
             assert_bit_identical(plan.centers, ref_plan.centers)
             for a, b in zip(plan.block, ref_plan.block):
                 assert_bit_identical(a, b)
-        assert reconstruct._noiseless_sweep.cache_info().hits >= 1
+        assert reconstruct._noiseless_sweeps.cache_info().hits >= 1
 
     def test_cached_arrays_read_only(self):
         cfg = reconstruct.ChainConfig()
-        basis, sweep = memo_sweep(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
-        for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies, sweep.signals):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
-        assert memo_sweep(SCENE, reconstruct.NV1_AXIS_INDEX,
-                          reconstruct.ChainConfig())[1] is sweep
+        for nv_indices in ((reconstruct.NV1_AXIS_INDEX,), (reconstruct.NV1_AXIS_INDEX,
+                                                           NV2_AXIS_INDEX)):
+            bases, sweeps, _ = memo_entry(SCENE, nv_indices, cfg)
+            for basis, sweep in zip(bases, sweeps):
+                for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies,
+                          sweep.signals):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = 0.0
+            assert memo_entry(SCENE, nv_indices, reconstruct.ChainConfig())[1] is sweeps
 
     @pytest.mark.parametrize("field_name, value", [
         ("grid_mhz", (2850.0, 2900.0, 0.5)),
@@ -517,7 +551,7 @@ class TestSweepMemo:
             with pytest.raises(ValueError) as chained:
                 reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
             assert str(chained.value) == str(direct.value)
-        assert reconstruct._noiseless_sweep.cache_info().currsize == 1
+        assert reconstruct._noiseless_sweeps.cache_info().currsize == 1
 
     def test_config_is_the_key(self):
         # a config holds only values, so it hashes, and equal configs share
@@ -528,36 +562,38 @@ class TestSweepMemo:
                     reconstruct.ChainConfig(grid_mhz=(2850, 2950, 0.5)),
                     reconstruct.ChainConfig(grid_mhz=(2850, 2950, 0.5), noise=noise)):
             reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
-        info = reconstruct._noiseless_sweep.cache_info()
+        info = reconstruct._noiseless_sweeps.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
         _, sweep = memo_sweep(SCENE, reconstruct.NV1_AXIS_INDEX, reconstruct.ChainConfig())
         assert_bit_identical(sweep.frequencies, odmrsim.default_grid(*GRID_MHZ))
         assert_bit_identical(sweep.psis, np.linspace(0.0, math.pi, 12, endpoint=False))
 
     def test_warm_memo_equals_cold(self):
-        # noisy planar and 3-D results from memoized sweeps, whose entries
-        # carry the dip fit's plan, equal those of a cleared memo, bit for bit
+        # noisy planar and 3-D results from memoized reconstructions, whose
+        # entries carry the dip fit's plan, equal those of a cleared memo,
+        # bit for bit
         pair = (reconstruct.NV1_AXIS_INDEX, NV2_AXIS_INDEX)
 
         def results(seed, cold):
             cfg = reconstruct.ChainConfig(
                 noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.008, seed=seed))
             if cold:
-                reconstruct._noiseless_sweep.cache_clear()
+                reconstruct._noiseless_sweeps.cache_clear()
             planar = reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
             if cold:
-                reconstruct._noiseless_sweep.cache_clear()
+                reconstruct._noiseless_sweeps.cache_clear()
             axis = reconstruct.end_to_end_3d(SCENE, pair, cfg)
             return ((planar.alpha_est_deg, planar.error_deg, planar.cos2, planar.nv_y.sigma_angle,
                      axis.angular_error_deg),
                     (planar.nv_y.axis, axis.axis))
 
         results(0, cold=True)
-        # each entry was built with the plan of its own sweep's grid and centers
-        for nv in pair:
-            _, sweep, plan = memo_entry(SCENE, nv, reconstruct.ChainConfig())
-            assert plan.f is sweep.frequencies
-            assert tuple(plan.centers.tolist()) == sweep.centers_mhz
+        # each entry was built with the plan of its sweeps' one grid and centers
+        for nv_indices in ((reconstruct.NV1_AXIS_INDEX,), pair):
+            _, sweeps, plan = memo_entry(SCENE, nv_indices, reconstruct.ChainConfig())
+            for sweep in sweeps:
+                assert plan.f is sweep.frequencies
+                assert tuple(plan.centers.tolist()) == sweep.centers_mhz
         warm = [results(seed, cold=False) for seed in range(1, 6)]
         for seed, (values, axes) in zip(range(1, 6), warm):
             cold_values, cold_axes = results(seed, cold=True)
@@ -568,7 +604,8 @@ class TestSweepMemo:
     def test_grid_checked_only_on_memo_misses(self, monkeypatch):
         # the memoized sweep's grid was checked when it was synthesized and
         # its plan's when the plan was built; a noisy copy and a fit on a
-        # memo hit check it no more (it was checked 2-3 times per result)
+        # memo hit check it no more (it was checked 2-3 times per result);
+        # the planar and 3-D chains miss once each
         checks = []
         real = odmrsim._check_grid
 
@@ -577,7 +614,7 @@ class TestSweepMemo:
             return real(frequencies)
 
         monkeypatch.setattr(odmrsim, "_check_grid", counted)
-        info = reconstruct._noiseless_sweep.cache_info
+        info = reconstruct._noiseless_sweeps.cache_info
         for run in (lambda cfg: reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX,
                                                               cfg),
                     lambda cfg: reconstruct.end_to_end_3d(SCENE, (reconstruct.NV1_AXIS_INDEX,
@@ -588,14 +625,47 @@ class TestSweepMemo:
                     noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.008, seed=seed)))
                 if info().misses == misses:
                     assert len(checks) == before
-        assert info().misses == 2 and info().hits == 49 + 99 and checks
+        assert info().misses == 2 and info().hits == 49 + 49 and checks
+
+    def test_memo_hit_compares_no_grid(self, monkeypatch):
+        # every sweep of a memo entry holds its plan's grid and one psi array,
+        # so a noisy 3-D result on a memo hit checks its sweeps against the
+        # plan by identity and compares no grid (the second sweep's grid was
+        # compared with np.array_equal on every result)
+        pair = (reconstruct.NV1_AXIS_INDEX, NV2_AXIS_INDEX)
+
+        def cfg(seed):
+            return reconstruct.ChainConfig(
+                noise=reconstruct.NoiseConfig(rate_kcps=200.0, dwell_s=0.008, seed=seed))
+
+        reconstruct.end_to_end_3d(SCENE, pair, cfg(0))
+        fitted, compared = [], []
+        real_fit, real_equal = reconstruct.sweep_lp_depths, np.array_equal
+
+        def record(*args, **kwargs):
+            fitted.append(args)
+            return real_fit(*args, **kwargs)
+
+        def counted(*args, **kwargs):
+            compared.append(args)
+            return real_equal(*args, **kwargs)
+
+        monkeypatch.setattr(reconstruct, "sweep_lp_depths", record)
+        monkeypatch.setattr(np, "array_equal", counted)
+        reconstruct.end_to_end_3d(SCENE, pair, cfg(1))
+        assert len(compared) == 0
+        assert reconstruct._noiseless_sweeps.cache_info().hits == 1
+        [(plan, *sweeps)] = fitted
+        assert len(sweeps) == 2 and all(s.counts_meta is not None for s in sweeps)
+        for s in sweeps:
+            assert s.frequencies is plan.f and s.psis is sweeps[0].psis
 
     def test_memo_stays_bounded(self):
         size = reconstruct._SWEEP_MEMO_SIZE
         cfg = reconstruct.ChainConfig()
         for k in range(size + 5):
             memo_sweep(geometry.WireScene(61.0 + k, 18.0, 40.0), reconstruct.NV1_AXIS_INDEX, cfg)
-        info = reconstruct._noiseless_sweep.cache_info()
+        info = reconstruct._noiseless_sweeps.cache_info()
         assert info.maxsize == size
         assert info.currsize == size
         assert info.misses == size + 5

@@ -172,7 +172,7 @@ def instances():
     return [valid(cls) for cls, _ in VALID] + [plain(cls) for cls in (
         spinmodel.EigenSystem, geometry.TransverseBasis, fitkit.DipEstimate,
         fitkit.PinnedDipFit, fitkit.Cos2Fit, reconstruct.NvYEstimate,
-        reconstruct.MwAxisEstimate, reconstruct.PlanarRunResult, reconstruct._SceneSweep)] + [reconstruct.ChainConfig()]
+        reconstruct.MwAxisEstimate, reconstruct.PlanarRunResult)] + [reconstruct.ChainConfig()]
 
 
 def carried_noise():
