@@ -477,7 +477,7 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
         # or written; a write error without a file name (a full disk) is --out's
         print(f"error: {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NvOrientError, ValueError, np.linalg.LinAlgError) as exc:
+    except (NvOrientError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     return EXIT_OK

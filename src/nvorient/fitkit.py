@@ -15,8 +15,9 @@ comes from the normal matrix of the last projected state, computed once.
 What depends on the grid and centers alone is a `FitPlan`, built and
 checked once per scene (a noise study refits one scene many times).
 Dips with free centers are fitted by the same projection, with
-Gauss-Newton steps on t and the centers, from a plan and a step control
-(`_search`) that both fits share.
+Gauss-Newton steps on t and the centers, from a plan, an input check
+(`_weights`), a grid test (`_off_grid`) and a step control (`_search`) that
+both fits share.
 
 The cos^2 law is a linear fit of three terms to a dozen depths, solved by a
 thin QR (modified Gram-Schmidt) on Python floats: at that size numpy's fixed
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import odmrsim
-from .errors import DegenerateFitError, SingularNormalEquationsError
+from .errors import DegenerateFitError
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,44 @@ def _fill_block(phi, prod, delta2, fwhm) -> None:
     np.multiply(phi[:m, None], phi[None, :m], out=prod)
 
 
+def _off_grid(f, centers) -> str | None:
+    """None when every center lies on the grid [f[0], f[-1]] (NaN does not),
+    else the grid named "[a, b] MHz", its ends in the fewest significant
+    digits, from 6, that tell them apart (17 tell any two floats apart;
+    equal ends print in 6)."""
+    a, b = f[0], f[-1]
+    if all(a <= c <= b for c in centers):
+        return None
+    d = next((d for d in range(6, 18) if f"{a:.{d}g}" != f"{b:.{d}g}"), 6)
+    return f"[{a:.{d}g}, {b:.{d}g}] MHz"
+
+
+def _weights(plan, signals, sigmas):
+    """The signals as a (batch, n_f) array and their weights 1/sigma, or
+    ones when `sigmas` is None.  Raises ValueError unless the signals are
+    finite and on the plan's grid and the sigmas positive, finite and
+    shaped like them."""
+    y = np.atleast_2d(np.asarray(signals, dtype=float))
+    if y.shape[1] != plan.f.size:
+        raise ValueError("signals do not match the frequency grid")
+    if not np.isfinite(y).all():
+        raise ValueError("signals must be finite")
+    if sigmas is None:
+        return y, np.ones_like(y)
+    sig = np.atleast_2d(np.asarray(sigmas, dtype=float))
+    if sig.shape != y.shape or not 0.0 < sig.min() <= sig.max() < math.inf:  # NaN fails
+        raise ValueError("sigmas must be positive, finite and shaped like the signals")
+    return y, 1.0 / sig
+
+
+def _inv(a):
+    """np.linalg.inv, a singular `a` refused as an unusable dip fit."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise DegenerateFitError("the dip fit's normal equations are singular") from None
+
+
 class FitPlan:
     """Where both dip fits start on grid `f` at `centers`: both, checked,
     the bracket (lo, hi) = (grid step, half the grid span) in which the fits
@@ -113,13 +152,8 @@ class FitPlan:
             raise ValueError("dip centers must be a 1-D array of frequencies")
         listed = centers.tolist()
         named = f"dip centers {', '.join(f'{c:.3f}' for c in listed)} MHz"
-        if not all(f[0] <= c <= f[-1] for c in listed):
-            # the grid's ends in the fewest significant digits, from 6, that
-            # tell them apart (17 tell any two floats apart; equal ends print in 6)
-            a, b = f[0], f[-1]
-            d = next((d for d in range(6, 18) if f"{a:.{d}g}" != f"{b:.{d}g}"), 6)
-            raise ValueError(f"{named} must lie inside the frequency grid "
-                             f"[{a:.{d}g}, {b:.{d}g}] MHz")
+        if off := _off_grid(f, listed):
+            raise ValueError(f"{named} must lie inside the frequency grid {off}")
         self.n = centers.size
         if f.size < self.n + 2:
             raise ValueError("fewer data points than parameters")
@@ -189,10 +223,7 @@ def _project(ws, fwhm):
         ws.fwhm = fwhm
     n, w, r = ws.n, ws.w, ws.r
     m = n + 1
-    try:
-        ginv = np.linalg.inv((ws.w2 @ ws.prods).reshape(-1, m, m))
-    except np.linalg.LinAlgError as exc:
-        raise SingularNormalEquationsError(str(exc)) from exc
+    ginv = _inv((ws.w2 @ ws.prods).reshape(-1, m, m))
     coef = (ginv @ (ws.w2y @ ws.a.T)[:, :, None])[:, :, 0]
     np.matmul(coef, ws.a, out=r)
     r *= w
@@ -288,25 +319,14 @@ def fit_pinned_dips(plan: FitPlan, signals, sigmas) -> PinnedDipFit:
 
     The fit runs from `plan`, the `FitPlan` of the grid and the centers, and
     searches the fwhm within its bracket, (grid step, half the grid span).
-    Raises DegenerateFitError when the shared fwhm ends on that bracket,
-    when the search has not stopped after MAX_DIP_ITER steps, or when no
-    |depth| exceeds AMPLITUDE_FLOOR or the final summed Kaufman curvature is
-    not positive: then nothing in the data fixes the fwhm, and the depth
-    sigmas would divide by it.
+    Raises ValueError on signals or sigmas that `_weights` refuses, and
+    DegenerateFitError when a normal matrix is singular, when the shared
+    fwhm ends on that bracket, when the search has not stopped after
+    MAX_DIP_ITER steps, or when no |depth| exceeds AMPLITUDE_FLOOR or the
+    final summed Kaufman curvature is not positive: then nothing in the data
+    fixes the fwhm, and the depth sigmas would divide by it.
     """
-    y = np.atleast_2d(np.asarray(signals, dtype=float))
-    if y.shape[1] != plan.f.size:
-        raise ValueError("signals do not match the frequency grid")
-    if not np.isfinite(y).all():
-        raise ValueError("signals must be finite")
-    if sigmas is None:
-        wt = np.ones_like(y)
-    else:
-        sig = np.atleast_2d(np.asarray(sigmas, dtype=float))
-        if sig.shape != y.shape or not 0.0 < sig.min() <= sig.max() < math.inf:  # NaN fails
-            raise ValueError("sigmas must be positive, finite and shaped like the signals")
-        wt = 1.0 / sig
-    ws = _Workspace(plan, y, wt)
+    ws = _Workspace(plan, *_weights(plan, signals, sigmas))
 
     def newton(state, fwhm):
         grad, curv = state[1:3]
@@ -364,19 +384,17 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
     bracket and controlled by `_search`, the last projected.  Depth sigmas
     come from the full Jacobian's normal matrix, scaled by the reduced
     chi-square when unweighted.  Raises ValueError on centers the plan
-    rejects, and DegenerateFitError when a center ends off the grid, the
-    fwhm on its bracket, a depth is not above SIGNIFICANT_SIGMAS sigmas, or
-    the search has not stopped after MAX_DIP_ITER steps.  Returns dips
-    ordered by center; warns when two overlap.
+    rejects or a signal that is not finite, and DegenerateFitError when a
+    center ends off the grid, the fwhm on its bracket, the normal matrix is
+    singular, a depth is not above SIGNIFICANT_SIGMAS sigmas, or the search
+    has not stopped after MAX_DIP_ITER steps.  Returns dips ordered by
+    center; warns when two overlap.
     """
     plan = FitPlan(spec.frequencies, init_centers_mhz)
-    f, y = plan.f, spec.signal
-    if not np.all(np.isfinite(y)):
-        raise ValueError("spectrum signal must be finite")
+    f, sigma = plan.f, spec.point_sigma()
+    (y,), (wt,) = _weights(plan, spec.signal, sigma)
     if plan.n == 0 or f.size < 2 * plan.n + 2:
         raise ValueError("need a dip center, and no fewer data points than parameters")
-    sigma = spec.point_sigma()
-    wt = np.ones_like(y) if sigma is None else 1.0 / sigma
     project = functools.partial(_free_project, f, y * wt, wt)
 
     def gauss_newton(state, x):
@@ -387,20 +405,16 @@ def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
         return step, project(x + step)  # the last step, projected
 
     x, state = _search(project, gauss_newton, np.array([plan.fwhm, *plan.centers]))
-    fwhm, centers = float(x[0]), x[1:]
-    if not np.all((centers >= f[0]) & (centers <= f[-1])):
-        raise DegenerateFitError(
-            f"fitted dip center left the frequency grid [{f[0]:g}, {f[-1]:g}] MHz")
+    fwhm, centers = float(x[0]), x[1:].tolist()
+    if off := _off_grid(f, centers):
+        raise DegenerateFitError(f"fitted dip center left the frequency grid {off}")
     _check_fwhm(plan, fwhm)
     chi2, coef, _, jac = state
-    try:
-        rinv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
-    except np.linalg.LinAlgError as exc:
-        raise SingularNormalEquationsError(str(exc)) from exc
-    var = (rinv[1:centers.size + 1] ** 2).sum(axis=1)
+    rinv = _inv(np.linalg.qr(jac, mode="r"))
+    var = (rinv[1:plan.n + 1] ** 2).sum(axis=1)
     if sigma is None:
         var *= chi2 / max(y.size - jac.shape[1], 1)
-    dips = sorted((DipEstimate(float(c), fwhm, float(-coef[1 + k]), float(math.sqrt(var[k])))
+    dips = sorted((DipEstimate(c, fwhm, float(-coef[1 + k]), float(math.sqrt(var[k])))
                    for k, c in enumerate(centers)), key=lambda d: d.center_mhz)
     for d in dips:
         if not d.depth > SIGNIFICANT_SIGMAS * d.depth_sigma:

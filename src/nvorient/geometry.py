@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegeneratePositionError
-
 _SQRT3 = math.sqrt(3.0)
 
 WIRE_DIAMETER_UM = 25.0  # a scene's wire when none is given, in the library and the config
@@ -75,7 +73,7 @@ class WireScene(NamedTuple("WireScene", [("sensor_x_um", float), ("sensor_z_um",
         if not (r < math.inf and math.isfinite(current_ma)):  # NaN fails
             raise ValueError("sensor position and current must be finite")
         if r == 0.0:
-            raise DegeneratePositionError("sensor placed at the wire center")
+            raise ValueError("sensor placed at the wire center")
         if not 0.0 <= wire_diameter_um < math.inf:  # NaN fails
             raise ValueError("wire diameter must be finite and nonnegative")
         if r <= wire_diameter_um / 2.0:
@@ -91,7 +89,7 @@ def wire_tangent(x_um: float, z_um: float) -> np.ndarray:
     """Unit tangent of the circular field line at (x, 0, z), positive current."""
     r = math.hypot(x_um, z_um)
     if r == 0.0:
-        raise DegeneratePositionError("field direction undefined at the wire center")
+        raise ValueError("field direction undefined at the wire center")
     return np.array([z_um, 0.0, -x_um]) / r
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nvorient import fitkit, geometry, odmrsim, reconstruct, spinmodel
-from nvorient.errors import DegenerateFitError, SingularNormalEquationsError
+from nvorient.errors import DegenerateFitError
 from test_spinmodel import rabi_amplitudes
 
 # ---------------------------------------------------------------------------
@@ -67,12 +67,10 @@ def nls_fit(
         jtj = jac.T @ jac
         accepted = False
         for _ in range(25):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30)), -g)
-            except np.linalg.LinAlgError as exc:
-                raise SingularNormalEquationsError(str(exc)) from exc
+            # a singular system raises numpy's LinAlgError
+            step = np.linalg.solve(jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30)), -g)
             if not np.all(np.isfinite(step)):
-                raise SingularNormalEquationsError("non-finite LM step")
+                raise np.linalg.LinAlgError("non-finite LM step")
             x_try = x + step
             r_try = np.asarray(residuals(x_try), dtype=float)
             cost_try = float(r_try @ r_try)
@@ -104,30 +102,27 @@ def nls_fit(
 
 
 def _dip_model(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
-    # params: [baseline, fwhm, d1..dn], plus c1..cn when fitted; `centers` are those in use
-    base, fwhm = params[0], params[1]
-    h2 = (0.5 * fwhm) ** 2
-    y = np.full_like(f, base)
-    for k in range(len(centers)):
-        y -= params[2 + k] * h2 / ((f - centers[k]) ** 2 + h2)
-    return y
+    # params: [baseline, fwhm, d1..dn], plus c1..cn when fitted, or a stack of
+    # such rows; `centers` are those in use, shared by the rows
+    n = len(centers)
+    h2 = (0.5 * params[..., 1, None, None]) ** 2
+    lor = h2 / ((f - np.asarray(centers)[:, None]) ** 2 + h2)
+    return params[..., 0, None] - (params[..., 2:2 + n, None] * lor).sum(axis=-2)
 
 
 def _dip_jacobian(params: np.ndarray, f: np.ndarray, centers) -> np.ndarray:
+    # columns [baseline, fwhm, depths] and, when params carries them, centers
     n = len(centers)
-    h = 0.5 * params[1]
-    jac = np.zeros((f.size, params.size))
-    jac[:, 0] = 1.0
-    for k in range(n):
-        d = params[2 + k]
-        delta = f - centers[k]
-        den = delta ** 2 + h * h
-        # d(model)/d(fwhm) = -d * h * delta^2 / den^2, accumulated over dips
-        jac[:, 1] += -d * h * delta ** 2 / den ** 2
-        jac[:, 2 + k] = -h * h / den
-        if params.size > 2 + n:  # center columns, when params carries them
-            jac[:, 2 + n + k] = -d * 2.0 * h * h * delta / den ** 2
-    return jac
+    h = 0.5 * params[..., 1, None, None]
+    d = params[..., 2:2 + n, None]
+    delta = f - np.asarray(centers)[:, None]
+    den = delta ** 2 + h * h
+    # d(model)/d(fwhm) = -d * h * delta^2 / den^2, summed over dips
+    cols = [np.ones_like(den[..., :1, :]),
+            (-d * h * delta ** 2 / den ** 2).sum(axis=-2, keepdims=True), -h * h / den]
+    if params.shape[-1] > 2 + n:
+        cols.append(-d * 2.0 * h * h * delta / den ** 2)
+    return np.swapaxes(np.concatenate(cols, axis=-2), -1, -2)
 
 
 C = spinmodel.SpinConstants()
@@ -330,10 +325,32 @@ class TestFitDips:
                 fitkit.fit_dips(odmrsim.OdmrSpectrum(f, spec.signal[:f.size]), centers)
 
     def test_nonfinite_signal_rejected(self, grid):
+        # the pinned fit's check and message, weighted or not
         sig = np.ones_like(grid)
         sig[10] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            fitkit.fit_dips(odmrsim.OdmrSpectrum(grid, sig), [2898.0])
+        for noise in (None, odmrsim.NoiseConfig(200.0, 0.008, 0)):
+            with pytest.raises(ValueError, match="^signals must be finite$"):
+                fitkit.fit_dips(odmrsim.OdmrSpectrum(grid, sig, noise), [2898.0])
+
+    def test_center_left_the_grid(self):
+        # a noisy sweep spectrum (1,600 counts per point) whose free fit runs
+        # a center off the default grid
+        _, _, _, sweep = noisy_sweeps(0, 0.008)
+        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 0))
+        spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[10], noisy.counts_meta)
+        with pytest.raises(DegenerateFitError, match=r"^fitted dip center left the frequency "
+                                                     r"grid \[2850, 2950\] MHz$"):
+            fitkit.fit_dips(spec, [2898.0, 2926.0])
+
+    def test_center_left_a_fine_grid(self):
+        # a noiseless dip just past the end of a fine grid: the message names
+        # the grid's ends in enough digits to tell them apart, as `FitPlan`'s
+        # does (6 read [2897.9, 2897.9])
+        f = odmrsim.default_grid(2897.9, 2897.902, 1e-6)
+        spec = odmrsim.OdmrSpectrum(f, 1.0 - 0.02 * odmrsim.lorentzian(f, 2897.9025, 5e-4))
+        with pytest.raises(DegenerateFitError, match=r"^fitted dip center left the frequency "
+                                                     r"grid \[2897\.9, 2897\.902\] MHz$"):
+            fitkit.fit_dips(spec, [2897.9015])
 
     def test_overlapping_dips_warn(self, grid):
         shape = odmrsim.LineshapeParams()
@@ -508,16 +525,16 @@ def lm_pinned(f, y, sigma, centers):
     # the columns of spectrum k's [baseline, fwhm, depths] in the parameters
     index = [[k, rows, *range(rows + 1 + n * k, rows + 1 + n * (k + 1))] for k in range(rows)]
 
+    rows_ix, cols_ix = np.arange(rows)[:, None], np.array(index)
+
     def residuals(p):
-        return np.concatenate([(_dip_model(p[ix], f, centers) - y[k]) * w[k]
-                               for k, ix in enumerate(index)])
+        return ((_dip_model(p[cols_ix], f, centers) - y) * w).ravel()
 
     def jacobian(p):
-        jac = np.zeros((y.size, p.size))
-        for k, ix in enumerate(index):
-            jac[k * f.size:(k + 1) * f.size, ix] = (_dip_jacobian(p[ix], f, centers)
-                                                    * w[k][:, None])
-        return jac
+        jac = np.zeros((rows, f.size, p.size))
+        block = _dip_jacobian(p[cols_ix], f, centers) * w[:, :, None]
+        jac[rows_ix, :, cols_ix] = np.swapaxes(block, 1, 2)
+        return jac.reshape(y.size, p.size)
 
     fit = nls_fit(residuals, x0, jacobian, max_iter=2000, tol=1e-15,
                          scale_covariance=sigma is None)
@@ -775,7 +792,7 @@ class TestFitPinnedDips:
         f, centers, runs, _ = noisy_sweeps(1, 0.008)
         y, sig = runs[0]
         plan = fitkit.FitPlan(f, centers)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^signals do not match the frequency grid$"):
             fitkit.fit_pinned_dips(plan, y[:, :-1], None)
         for bad_sigma in (0.0, -1e-3, np.nan, np.inf):
             bad = sig.copy()
@@ -789,13 +806,23 @@ class TestFitPinnedDips:
         # one bad point would stall the linewidth every spectrum shares
         bad = y.copy()
         bad[3, 10] = np.nan
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^signals must be finite$"):
             fitkit.fit_pinned_dips(plan, bad, sig)
         # a scalar and a 2-D array of centers used to raise a TypeError and
         # numpy's ambiguous-truth-value error
         for bad_centers in (2900.0, [[2900.0, 2910.0]]):
             with pytest.raises(ValueError, match="dip centers must be a 1-D array"):
                 fitkit.FitPlan(f, bad_centers)
+
+    def test_singular_normal_equations_raise(self):
+        # sigmas of 1e200 are valid, but their squared weights underflow to 0,
+        # so every spectrum's normal matrix is 0; numpy's "Singular matrix"
+        # once escaped as its own error class
+        f, centers, runs, _ = noisy_sweeps(1, 0.008)
+        y = runs[0][0]
+        with pytest.raises(DegenerateFitError, match="^the dip fit's normal equations are "
+                                                     "singular$"):
+            fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), y, np.full_like(y, 1e200))
 
     # each grid used to be fitted, or to fail with some other error: a repeated
     # point made the fwhm bracket start at 0, a descending grid put the centers
@@ -898,6 +925,14 @@ class TestDipJacobian:
         jac_ana = _dip_jacobian(x, f, centers_of(x))
         assert jac_ana.shape == (f.size, x.size)
         assert float(np.max(np.abs(jac_num - jac_ana))) < 1e-6
+        # a stack of rows on the same centers, as `lm_pinned` passes, gives
+        # each row's model and Jacobian
+        other = x.copy()
+        other[:4] = [0.9, 6.0, 0.03, 0.005]
+        stack = np.array([x, other])
+        for got, one in ((_dip_model(stack, f, centers_of(x)), _dip_model),
+                         (_dip_jacobian(stack, f, centers_of(x)), _dip_jacobian)):
+            assert all(np.array_equal(g, one(row, f, centers_of(x))) for g, row in zip(got, stack))
 
 
 class TestFitCos2:
