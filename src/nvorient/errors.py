@@ -1,17 +1,10 @@
 """Exception types shared across the package.  The library's input checks
-raise ValueError, and its unusable fits DegenerateFitError."""
+raise ValueError, its unusable fits DegenerateFitError and its axes that fix
+no direction NearParallelAxesError."""
 
 
 class NvOrientError(Exception):
     """Base class for all package-specific errors."""
-
-
-class LabelingError(NvOrientError):
-    """No eigenvector has majority overlap with |0>; level labels undefined."""
-
-
-class ContrastOverflowError(NvOrientError):
-    """Summed dip contrasts would drive the normalized signal negative."""
 
 
 class DegenerateFitError(NvOrientError):
@@ -24,7 +17,9 @@ class DegenerateFitError(NvOrientError):
 
 
 class NearParallelAxesError(NvOrientError):
-    """The two NV_Y estimates are (anti)parallel; cross product unusable."""
+    """Two axes fix no direction: the sine of the angle between them is at
+    most 1e-3, for the two NV_Y estimates of `mw_axis_from_two` or for an
+    axis and the wire axis Y_L in `planar_alpha`."""
 
 
 class ConfigError(NvOrientError):

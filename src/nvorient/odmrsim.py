@@ -12,7 +12,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spinmodel
-from .errors import ContrastOverflowError
 from .geometry import TransverseBasis, unit
 from .spinmodel import MwFieldNV, SpinConstants, StaticFieldNV
 
@@ -170,9 +169,7 @@ def _synthesize(consts: SpinConstants, b_mt: float, theta: float, mw_nv, amplitu
               + contrasts[:, 1:] * lorentzian(grid, eig.f_0p, shape.fwhm_mhz))
     peak = float(np.max(absorb, initial=0.0))
     if peak > 1.0:
-        raise ContrastOverflowError(
-            f"summed dip contrast reaches {peak:.3f} > 1; signal would go negative"
-        )
+        raise ValueError(f"summed dip contrast reaches {peak:.3f} > 1; signal would go negative")
     return eig, 1.0 - absorb
 
 

@@ -221,14 +221,14 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
     its noise in one call: a lone sweep from the chain's noise record, the
     sweep of nv_indices[k] of several from that record with k appended to
     its key.  Raises ValueError for an NV index that is not an integer in
-    0..3, before the memo, where True would alias 1, and then
-    NearParallelAxesError for indices that are not distinct.
+    0..3, before the memo, where True would alias 1, and then for indices
+    that are not distinct.
     """
     for i in nv_indices:
         if isinstance(i, bool) or not (isinstance(i, numbers.Integral) and 0 <= i < 4):
             raise ValueError(f"NV index {i!r} is not an integer in 0..3")
     if len(set(nv_indices)) < len(nv_indices):
-        raise NearParallelAxesError("the two NV orientations must differ")
+        raise ValueError("the two NV orientations must differ")
     bases, sweeps, plan = _noiseless_sweeps(scene, nv_indices, cfg._replace(noise=None))
     if cfg.noise is not None:
         noise, several = cfg.noise, len(sweeps) > 1

@@ -12,8 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LabelingError
-
 _SQRT2 = math.sqrt(2.0)
 
 # Spin-1 angular momentum matrices, basis {|+1>, |0>, |-1>}.
@@ -113,10 +111,8 @@ class EigenSystem(NamedTuple):
 
 
 def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
-    """Exact eigen-decomposition with L0/Lm/Lp labeling.
-
-    Raises LabelingError when no eigenvector carries majority |0> weight.
-    """
+    """Exact eigen-decomposition with L0/Lm/Lp labeling.  Raises ValueError
+    when no eigenvector carries majority |0> weight."""
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (3, 3):
         raise ValueError("Hamiltonian must be 3x3")
@@ -129,9 +125,7 @@ def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
     weights = np.abs(vecs[1, :]) ** 2
     i0 = int(np.argmax(weights))
     if weights[i0] <= 0.5:
-        raise LabelingError(
-            f"maximal |0> weight is {weights[i0]:.3f} <= 0.5; labels undefined"
-        )
+        raise ValueError(f"maximal |0> weight is {weights[i0]:.3f} <= 0.5; labels undefined")
     rest = sorted((i for i in range(3) if i != i0), key=lambda i: vals[i])
     order = (i0, rest[0], rest[1])
     return EigenSystem(

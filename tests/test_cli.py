@@ -2,6 +2,8 @@ import contextlib
 import copy
 import csv
 import gc
+import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -276,6 +278,24 @@ class TestErrorPaths:
         assert (code, capsys.readouterr().err, caught) == (
             cli.EXIT_PIPELINE,
             "error: Zeeman term gamma_e*B is not finite: 28.02495 MHz/mT times 1e+307 mT\n", [])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ('{"mode": "simulate", "static": {"b_mt": 113, "theta_deg": 20}, '
+         '"mw": {"amplitude_mt": 0.0357, "zeta_deg": 90}}',
+         "maximal |0> weight is 0.492 <= 0.5; labels undefined"),
+        ('{"mode": "simulate", "static": {"b_mt": 10.2, "theta_deg": 90}, '
+         '"mw": {"amplitude_mt": 1, "zeta_deg": 90}, "lineshape": {"contrast_ref": 1}}',
+         "summed dip contrast reaches 754.838 > 1; signal would go negative"),
+    ], ids=["labels-undefined", "contrast-overflow"])
+    def test_unusable_spectrum_exits_3(self, tmp_path, capsys, raw, message):
+        # the library refuses the model it was given, not the config's form
+        path = tmp_path / "cfg.json"
+        path.write_text(raw)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.run("simulate", path, out) == cli.EXIT_PIPELINE
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -703,6 +723,19 @@ class TestReconstruct3d:
             "error: reconstruct-3d: exactly one wire position expected\n")
         assert not out.exists()
 
+    def test_near_parallel_measured_axes_exit_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "r3.json", {
+            "mode": "reconstruct-3d",
+            "nv_indices": [3, 1],
+            "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
+            "measured_y_axes": [[1.0, 0.0, 0.0], [2.0, 0.0, 0.001]],
+        })
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_PIPELINE
+        assert capsys.readouterr().err == (
+            "error: axes nearly parallel (|cross| = 5.00e-04); direction unresolvable\n")
+        assert not out.exists()
+
     def test_measured_axes_bypass(self, tmp_path):
         cfg = write_cfg(tmp_path, "r3.json", {
             "mode": "reconstruct-3d",
@@ -850,6 +883,10 @@ class TestGridRanges:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+ETA_RANGE = "sigma_rel * sqrt(n * t) lies outside the float range"
+SIGMA_REL_RANGE = "rate, contrast and time give a sigma_rel outside the float range"
+
+
 class TestFieldmapAndSensitivity:
     def test_fieldmap_values(self, tmp_path):
         cfg = write_cfg(tmp_path, "fm.json", {
@@ -880,6 +917,23 @@ class TestFieldmapAndSensitivity:
         eta_max = float(rows[1][3])
         assert abs(eta - 2.64e-3) < 0.01e-3
         assert abs(eta - eta_max) < 1e-12
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"sigma_rel": 0.01, "n": 10 ** 400}, ETA_RANGE),
+        ({"sigma_rel": 1e300, "t": 1e300}, ETA_RANGE),
+        ({"rate_kcps": 1e300, "contrast": 1.0, "time_s": 1e300}, SIGMA_REL_RANGE),
+        ({"rate_kcps": 1e-300, "contrast": 1e-300, "time_s": 1e-300}, SIGMA_REL_RANGE),
+    ], ids=["n-oversized", "eta-overflow", "counts-overflow", "counts-underflow"])
+    def test_figures_outside_float_range_exit_2(self, tmp_path, capsys, extra, message):
+        # the library refuses them: these printed "int too large to convert to
+        # float", "inputs overflow the figures of merit", "sigma_rel must be
+        # finite and positive" for a sigma_rel the config never gave, and
+        # "float division by zero"
+        cfg = write_cfg(tmp_path, "sens.json", {"mode": "sensitivity", "phi_deg": 45, **extra})
+        out = tmp_path / "out"
+        assert cli.run("sensitivity", cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: sensitivity: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [
         {"rate_kcps": -5, "contrast": 7},
@@ -958,6 +1012,26 @@ class TestMain:
                     assert cli.main(argv) == cli.EXIT_OK
                     assert (tmp_path / "out" / data_file[m[1]]).is_file()
         assert runs == ["simulate", "fit", "table1"]
+
+    def test_console_script_target(self, tmp_path, monkeypatch):
+        # the `nvorient` command an install makes calls pyproject.toml's
+        # target with no arguments and exits with what it returns; a typo in
+        # the target would ship a broken command (test_golden imports this
+        # module, so its pins are imported here)
+        from test_golden import PINS
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["nvorient"]
+        module, _, attrs = target.partition(":")
+        entry = importlib.import_module(module)
+        for attr in attrs.split("."):
+            entry = getattr(entry, attr)
+        cfg, out = write_cfg(tmp_path, "t1.json", T1_CFG), tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["nvorient", "table1", "--config", str(cfg),
+                                          "--out", str(out)])
+        assert entry() == cli.EXIT_OK
+        digest = hashlib.sha256((out / "table1.csv").read_bytes()).hexdigest()
+        assert digest == PINS["out3/table1.csv"][0]
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):

@@ -840,6 +840,11 @@ class TestFitPinnedDips:
         with pytest.raises(ValueError, match=match):
             fitkit.fit_pinned_dips(fitkit.FitPlan(bad(f), centers), y, sig)
 
+    def test_grid_shorter_than_the_parameters_rejected(self):
+        # two centers, a baseline and a linewidth are four parameters on three points
+        with pytest.raises(ValueError, match="^fewer data points than parameters$"):
+            fitkit.FitPlan(np.array([2850.0, 2850.5, 2851.0]), [2850.0, 2851.0])
+
     def test_center_check_bounds(self):
         # centers exactly on the grid's ends are inside it; NaN is not; the
         # message names the centers and the grid's ends, in the fewest
@@ -1018,6 +1023,13 @@ class TestFitCos2:
             assert abs(fit.psi0 - ref.params[2]) <= 1e-7
             assert abs(fit.sigma_a - ref.sigmas[0]) <= 1e-7 * ref.sigmas[0]
             assert abs(fit.sigma_psi0 - ref.sigmas[2]) <= 1e-7 * ref.sigmas[2]
+
+    def test_psis_a_half_turn_apart_rejected(self):
+        # cos 2 psi is exactly 1 at every multiple of pi, so Gram-Schmidt
+        # leaves the cos column at exactly zero norm inside its loop
+        with pytest.raises(DegenerateFitError,
+                           match="^psi values determine fewer than three model terms$"):
+            fitkit.fit_cos2([0.0, math.pi, 2.0 * math.pi, 3.0 * math.pi], [0.1, 0.2, 0.3, 0.4])
 
     @pytest.mark.parametrize("sigma", [-0.01, 0.0, -np.inf, np.nan])
     def test_nonpositive_sigmas_rejected(self, sigma):

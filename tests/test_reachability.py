@@ -1,5 +1,6 @@
 """Every function defined in `src/nvorient` is entered by some run of the command,
-and every exception class of `errors.py` is raised by some module of it.
+every exception class of `errors.py` is raised by some module of it, and every
+`raise` names a class of the refusal contract.
 
 A fresh import of `nvorient.cli` and one `cli.main` call per mode run under
 `sys.setprofile`, which records the code object of every Python frame
@@ -122,16 +123,16 @@ def test_every_function_runs(tmp_path, fresh_package):
     assert not never, f"functions no run enters: {never}"
 
 
-def raised_names():
-    """Names of the classes that some `raise` statement of the package source names."""
-    out = set()
-    for path in SRC.glob("*.py"):
+def raises():
+    """(file, line, name) of every `raise` statement of the package source that
+    names what it raises: the class called or raised, or the expression
+    raised; a bare re-raise names nothing."""
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, (ast.Name, ast.Attribute)):
-                    out.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
-    return out
+                name = exc.attr if isinstance(exc, ast.Attribute) else ast.unparse(exc)
+                yield path.name, node.lineno, name
 
 
 def test_every_error_is_raised():
@@ -139,5 +140,17 @@ def test_every_error_is_raised():
                if isinstance(obj, type) and issubclass(obj, errors.NvOrientError)
                and obj is not errors.NvOrientError}
     assert defined, "errors.py defines no error classes"
-    never = sorted(defined - raised_names())
+    never = sorted(defined - {name for _, _, name in raises()})
     assert not never, f"error classes no module raises: {never}"
+
+
+def test_every_raise_follows_the_contract():
+    # errors.py's contract: input checks raise ValueError, unusable fits
+    # DegenerateFitError and axes that fix no direction NearParallelAxesError;
+    # ConfigError, which the command maps to exit 2, is the command's alone
+    contract = {"ValueError", "DegenerateFitError", "NearParallelAxesError"}
+    found = list(raises())
+    assert found, "the package source has no raise statement"
+    stray = [(file, line, name) for file, line, name in found
+             if name not in contract and (file, name) != ("cli.py", "ConfigError")]
+    assert not stray, f"raises outside the refusal contract: {stray}"

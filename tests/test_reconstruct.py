@@ -172,6 +172,11 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             reconstruct.closed_form_alpha_check(np.array([0.0, 1.0, 0.0]))
 
+    def test_arcsin_argument_outside_unit_interval_rejected(self):
+        # no in-plane field makes this NV_Y: the identity's ratio is far outside [-1, 1]
+        with pytest.raises(ValueError, match=r"^arcsin argument 48\.005000 outside \[-1, 1\]$"):
+            reconstruct.closed_form_alpha_check(np.array([0.1, 0.99, 0.1]))
+
 
 class TestSweepChain:
     def test_depth_modulation_phase(self, consts, shape, grid, nv1_basis):
@@ -402,8 +407,7 @@ class TestSweepChain:
 
     def test_end_to_end_3d_same_orientation_rejected(self):
         for pair in ((3, 3), (np.int64(1), 1)):
-            with pytest.raises(NearParallelAxesError,
-                               match="^the two NV orientations must differ$"):
+            with pytest.raises(ValueError, match="^the two NV orientations must differ$"):
                 reconstruct.end_to_end_3d(SCENE, pair)
         # the indices are checked first: True is no NV index, though it equals 1
         with pytest.raises(ValueError, match="^NV index True is not an integer in 0..3$"):

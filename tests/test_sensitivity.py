@@ -13,6 +13,8 @@ ETA_VALID = {"phi": 0.3, "sigma_rel": 0.01, "n": 1, "t": 1.0}
 SIGMA_REL = "sigma_rel must be finite and positive"
 REPETITIONS = "repetition count must be an integer >= 1"
 SENSING_TIME = "sensing time must be finite and positive"
+ETA_RANGE = "sigma_rel * sqrt(n * t) lies outside the float range"
+SIGMA_REL_RANGE = "rate, contrast and time give a sigma_rel outside the float range"
 
 
 class TestEta:
@@ -74,6 +76,17 @@ class TestEta:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sens.eta_max(**{k: v for k, v in args.items() if k != "phi"})
 
+    @pytest.mark.parametrize("args", [
+        (0.3, 0.1, 10 ** 300, 1e10), (0.3, 0.1, 10 ** 400, 1.0), (0.3, 1e300, 1, 1e300),
+        (0.0, 0.1, 10 ** 300, 1e10), (0.3, 1e-300, 1, 1e-300),
+    ], ids=["n-times-t", "n-beyond-float", "sigma-times-root", "phi-zero", "underflow"])
+    def test_figure_outside_float_range_rejected(self, args):
+        # the first and third once returned inf, the second raised
+        # OverflowError and the fourth returned nan; an underflow read 0.0
+        for fn, fn_args in ((sens.eta, args), (sens.eta_max, args[1:])):
+            with pytest.raises(ValueError, match=f"^{re.escape(ETA_RANGE)}$"):
+                fn(*fn_args)
+
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_phi_not_finite_rejected(self, phi):
         # nan once returned nan, and inf raised "math domain error"
@@ -105,6 +118,14 @@ class TestShotNoise:
     def test_not_finite_rejected(self, args, message):
         # inf once returned sigma_rel 0.0, a noise-free figure
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sens.shot_noise_sigma_rel(*args)
+
+    @pytest.mark.parametrize("args", [(1e-300, 1e-300, 1e-300), (1e300, 1.0, 1e300),
+                                      (1e-300, 1e-170, 1e-5)],
+                             ids=["counts-underflow", "counts-overflow", "figure-overflow"])
+    def test_figure_outside_float_range_rejected(self, args):
+        # finite inputs once raised ZeroDivisionError or returned 0.0 or inf
+        with pytest.raises(ValueError, match=f"^{re.escape(SIGMA_REL_RANGE)}$"):
             sens.shot_noise_sigma_rel(*args)
 
 

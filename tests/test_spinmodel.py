@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvorient import spinmodel as sm
-from nvorient.errors import LabelingError
 
 C = sm.SpinConstants()
 
@@ -132,8 +131,13 @@ class TestEigensystem:
             assert eig.f_0p >= 2870.0 - 1e-8
 
     def test_labeling_error(self):
-        with pytest.raises(LabelingError):
+        with pytest.raises(ValueError, match=r"^maximal \|0> weight is 0\.\d{3} <= 0\.5; "
+                                             "labels undefined$"):
             sm.eigensystem(np.ones((3, 3), dtype=complex))
+
+    def test_matrix_not_3x3_rejected(self):
+        with pytest.raises(ValueError, match="^Hamiltonian must be 3x3$"):
+            sm.eigensystem(np.eye(2))
 
     def test_non_hermitian_rejected(self):
         h = np.zeros((3, 3), dtype=complex)
