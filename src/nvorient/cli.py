@@ -287,11 +287,12 @@ def _run_simulate(p, noise, fmt):
         "amplitude_mt": mw["amplitude_mt"], "zeta": math.radians(mw["zeta_deg"]),
         "transverse_azimuth": math.radians(mw["transverse_azimuth_deg"])})
     shape, consts, grid_mhz = _spectrum_blocks(p)
-    spec = odmrsim.simulate_spectrum(consts, static, mwf, shape, odmrsim.default_grid(*grid_mhz))
+    grid = odmrsim.default_grid(*grid_mhz)
+    signal = odmrsim.simulate_spectrum(consts, static, mwf, shape, grid)
     if noise is not None:
-        spec = odmrsim.add_shot_noise(spec, noise)
+        signal = noise.draw(signal)
     if fmt == "json":
-        env = {"frequencies_mhz": spec.frequencies.tolist(), "signal": spec.signal.tolist(),
+        env = {"frequencies_mhz": grid.tolist(), "signal": signal.tolist(),
                "lineshape": shape._asdict()}
         if noise is not None:
             env["counts"] = noise._asdict()
@@ -300,12 +301,12 @@ def _run_simulate(p, noise, fmt):
     # significant digits, from 10, that read back to it, and 12 for the signal
     return _report("spectrum", _SPECTRUM_HEADER,
                    [(next(t for d in range(10, 18) if float(t := f"{f:.{d}g}") == f),
-                     f"{s:.12g}") for f, s in zip(spec.frequencies.tolist(), spec.signal)], fmt)
+                     f"{s:.12g}") for f, s in zip(grid.tolist(), signal)], fmt)
 
 
-def _read_spectrum(path) -> odmrsim.OdmrSpectrum:
-    """The spectrum of a CSV that `simulate` wrote; a malformed row raises
-    ValueError naming the file and the row's 1-based line."""
+def _read_spectrum(path) -> tuple[np.ndarray, np.ndarray]:
+    """(frequencies, signal) of a CSV that `simulate` wrote; a malformed row
+    raises ValueError naming the file and the row's 1-based line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader]
@@ -322,13 +323,13 @@ def _read_spectrum(path) -> odmrsim.OdmrSpectrum:
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: {exc}") from None
     data = np.array(points)
-    return odmrsim.OdmrSpectrum(frequencies=data[:, 0], signal=data[:, 1])
+    return data[:, 0], data[:, 1]
 
 
 def _run_fit(p, noise, fmt):
-    spec = _read_spectrum(p["spectrum_csv"])
-    return {"dips.json": _json([d._asdict()
-                                for d in fitkit.fit_dips(spec, p["init_centers_mhz"])])}
+    f, signal = _read_spectrum(p["spectrum_csv"])
+    dips = fitkit.fit_dips(fitkit.FitPlan(f, p["init_centers_mhz"]), signal, None)
+    return {"dips.json": _json([d._asdict() for d in dips])}
 
 
 def _run_planar(p, noise, fmt):

@@ -373,26 +373,27 @@ def _free_project(f, yw, wt, x):
     return [float(r @ r), coef, step, np.hstack([a, d])]
 
 
-def fit_dips(spec: odmrsim.OdmrSpectrum, init_centers_mhz) -> list[DipEstimate]:
+def fit_dips(plan: FitPlan, signal, sigma) -> list[DipEstimate]:
     """Fit n Lorentzian dips (shared fwhm, free baseline, depths and centers)
-    to a spectrum, weighted by its shot-noise sigmas when it has them.
-
-    As in `fit_pinned_dips`, baseline and depths are projected out (O'Leary
-    & Rust, Comput. Optim. Appl. 54, 579 (2013)) and the search starts from
-    the `FitPlan` of the grid and the given centers; its Gauss-Newton steps
+    to one spectrum, from `plan`, the `FitPlan` of its grid and the start
+    centers, weighted by `sigma` unless it is None, as `fit_pinned_dips`
+    fits a batch.  Baseline and depths are projected out (O'Leary & Rust,
+    Comput. Optim. Appl. 54, 579 (2013)); the Gauss-Newton steps
     (`_free_project`) are scaled to |dt| <= MAX_LOG_STEP, clamped to the
     bracket and controlled by `_search`, the last projected.  Depth sigmas
     come from the full Jacobian's normal matrix, scaled by the reduced
-    chi-square when unweighted.  Raises ValueError on centers the plan
-    rejects or a signal that is not finite, and DegenerateFitError when a
-    center ends off the grid, the fwhm on its bracket, the normal matrix is
+    chi-square when unweighted.  Raises ValueError on data `_weights`
+    refuses, a signal of more than one row, or a plan without centers or
+    with fewer points than parameters, and DegenerateFitError when a center
+    ends off the grid, the fwhm on its bracket, the normal matrix is
     singular, a depth is not above SIGNIFICANT_SIGMAS sigmas, or the search
     has not stopped after MAX_DIP_ITER steps.  Returns dips ordered by
     center; warns when two overlap.
     """
-    plan = FitPlan(spec.frequencies, init_centers_mhz)
-    f, sigma = plan.f, spec.point_sigma()
-    (y,), (wt,) = _weights(plan, spec.signal, sigma)
+    y, wt = _weights(plan, signal, sigma)
+    if len(y) != 1:
+        raise ValueError(f"fit_dips fits one spectrum, not a signal of {len(y)} rows")
+    f, y, wt = plan.f, y[0], wt[0]
     if plan.n == 0 or f.size < 2 * plan.n + 2:
         raise ValueError("need a dip center, and no fewer data points than parameters")
     project = functools.partial(_free_project, f, y * wt, wt)

@@ -58,18 +58,21 @@ class NoiseConfig(NamedTuple("NoiseConfig", [("rate_kcps", float), ("dwell_s", f
     """Photon statistics: count rate, dwell per point, and the seed and spawn
     key of the Poisson draws.  The key names the whole stream: a run that
     draws several sweeps from one record appends each one's slot to it.  A
-    noisy spectrum or sweep carries the record it was drawn with, so its
-    `draw` on the clean signal re-draws its data."""
+    noisy sweep carries the record it was drawn with, so its `draw` on the
+    clean signals re-draws its data."""
 
     __slots__ = ()
 
     def __new__(cls, rate_kcps: float, dwell_s: float, seed: int, key: tuple[int, ...] = ()):
         if not rate_kcps > 0 or not dwell_s > 0:
             raise ValueError("count rate and dwell time must be positive")
+        mean = rate_kcps * 1000.0 * dwell_s
         # numpy's Poisson sampler refuses means above about 9.2e18
-        if not rate_kcps * 1000.0 * dwell_s <= 1e18:
+        if not mean <= 1e18:
             raise ValueError("count rate and dwell time must be finite, with at most 1e18 "
                              "mean counts per point")
+        if mean == 0.0:  # both are positive, so only underflow gives 0
+            raise ValueError("count rate times dwell time underflows to 0 mean counts per point")
         if not _is_count(seed):
             raise ValueError("seed must be an integer >= 0")
         if not (isinstance(key, tuple) and all(map(_is_count, key))):
@@ -104,26 +107,6 @@ def _check_grid(frequencies) -> np.ndarray:
     return f
 
 
-class OdmrSpectrum(NamedTuple("OdmrSpectrum", [
-        ("frequencies", np.ndarray), ("signal", np.ndarray),
-        ("counts_meta", NoiseConfig | None)])):
-    """Frequency grid (MHz, strictly ascending) and normalized fluorescence."""
-
-    __slots__ = ()
-
-    def __new__(cls, frequencies: np.ndarray, signal: np.ndarray,
-                counts_meta: NoiseConfig | None = None):
-        frequencies = _check_grid(frequencies)
-        signal = np.asarray(signal, dtype=float)
-        if frequencies.shape != signal.shape:
-            raise ValueError("grid and signal lengths differ")
-        return super().__new__(cls, frequencies, signal, counts_meta)
-
-    def point_sigma(self) -> np.ndarray | None:
-        """Per-point shot-noise sigma of the normalized signal, if known."""
-        return None if self.counts_meta is None else self.counts_meta.point_sigma(self.signal)
-
-
 def _grid_size(start: float, stop: float, step: float) -> int:
     """Points of `default_grid`: floor((stop - start) / step) + 1, with 1e-9 of
     a step to spare, so a whole number of steps ends on stop and none passes it.
@@ -156,7 +139,7 @@ def _synthesize(consts: SpinConstants, b_mt: float, theta: float, mw_nv, amplitu
     the spectrum at static azimuth psis[i]: H(psi) = U H(0) U^dagger with
     U = exp(-i psi Sz), so row i sees the NV-frame unit microwave `mw_nv`
     rotated by -psis[i] about the NV axis.  Dips sit at the two
-    |0>-connected transitions; the receiving record checks the grid."""
+    |0>-connected transitions; the caller checks the grid."""
     eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(
         consts, StaticFieldNV(b_mt, theta, 0.0)))
     x, y, z = mw_nv
@@ -174,13 +157,14 @@ def _synthesize(consts: SpinConstants, b_mt: float, theta: float, mw_nv, amplitu
 
 
 def simulate_spectrum(consts: SpinConstants, static: StaticFieldNV, mw: MwFieldNV,
-                      shape: LineshapeParams, grid: np.ndarray) -> OdmrSpectrum:
-    """Noiseless two-dip CW-ODMR spectrum on a unit baseline: the psi = phi
-    row of the synthesis at the static field's theta."""
-    grid = np.asarray(grid, dtype=float)
+                      shape: LineshapeParams, grid: np.ndarray) -> np.ndarray:
+    """Noiseless two-dip CW-ODMR signal on a unit baseline at each point of
+    `grid`, which is checked first: the psi = phi row of the synthesis at
+    the static field's theta.  A noisy spectrum is `noise.draw(signal)`."""
+    grid = _check_grid(grid)
     _, signals = _synthesize(consts, static.b_mt, static.theta, mw.direction(),
                              mw.amplitude_mt, shape, grid, np.array([static.phi]))
-    return OdmrSpectrum(frequencies=grid, signal=signals[0])
+    return signals[0]
 
 
 class SweepSeries(NamedTuple("SweepSeries", [
@@ -240,12 +224,6 @@ def simulate_phi_sweep(
                                mw_amplitude_mt, shape, grid, psis)
     return SweepSeries(psis=psis, frequencies=grid, signals=signals,
                        centers_mhz=(eig.f_0m, eig.f_0p))
-
-
-def add_shot_noise(spec: OdmrSpectrum, noise: NoiseConfig) -> OdmrSpectrum:
-    """A copy of `spec` with Poisson photon noise drawn by `noise`."""
-    return OdmrSpectrum(frequencies=spec.frequencies.copy(), signal=noise.draw(spec.signal),
-                        counts_meta=noise)
 
 
 def noisy_copy_with_subseed(sweep: SweepSeries, noise: NoiseConfig) -> SweepSeries:

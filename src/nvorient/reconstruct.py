@@ -209,6 +209,11 @@ def _noiseless_sweeps(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainC
     return bases, sweeps, fitkit.FitPlan(grid, sweeps[0].centers_mhz)
 
 
+def _integer(v) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
                   cfg: ChainConfig) -> list[tuple[NvYEstimate, Cos2Fit]]:
     """simulate_phi_sweep -> shot noise -> sweep_lp_depths -> fit_cos2 -> extract_nv_y
@@ -220,15 +225,22 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
     first run, bit for bit what a new synthesis would give.  Each sweep draws
     its noise in one call: a lone sweep from the chain's noise record, the
     sweep of nv_indices[k] of several from that record with k appended to
-    its key.  Raises ValueError for an NV index that is not an integer in
-    0..3, before the memo, where True would alias 1, and then for indices
-    that are not distinct.
+    its key.  Raises ValueError before the memo, where True would alias 1
+    and a list would not hash: for an NV index that is not an integer in
+    0..3, then for indices that are not distinct, a `psi_count` that is not
+    an integer, or a `grid_mhz` that is not a tuple of three numbers.
     """
     for i in nv_indices:
-        if isinstance(i, bool) or not (isinstance(i, numbers.Integral) and 0 <= i < 4):
+        if not (_integer(i) and 0 <= i < 4):
             raise ValueError(f"NV index {i!r} is not an integer in 0..3")
     if len(set(nv_indices)) < len(nv_indices):
         raise ValueError("the two NV orientations must differ")
+    if not _integer(cfg.psi_count):
+        raise ValueError(f"psi_count {cfg.psi_count!r} is not an integer")
+    grid = cfg.grid_mhz
+    if not (isinstance(grid, tuple) and len(grid) == 3
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in grid)):
+        raise ValueError(f"grid_mhz {grid!r} is not a (start, stop, step) tuple of numbers")
     bases, sweeps, plan = _noiseless_sweeps(scene, nv_indices, cfg._replace(noise=None))
     if cfg.noise is not None:
         noise, several = cfg.noise, len(sweeps) > 1
@@ -268,8 +280,10 @@ def end_to_end_3d(scene: WireScene, nv_indices: tuple[int, int],
                   cfg: ChainConfig = ChainConfig()) -> MwAxisEstimate:
     """Two-orientation reconstruction of the full 3-D microwave axis.
 
-    The sweep of slot k draws its noise with k appended to the noise record's key.
+    The sweep of slot k draws its noise with k appended to the noise record's
+    key.  Raises ValueError, naming the count, unless two NV indices are given.
     """
-    i1, i2 = nv_indices
-    (y1, _), (y2, _) = _measure_nv_y(scene, (i1, i2), cfg)
+    if len(nv_indices) != 2:
+        raise ValueError(f"end_to_end_3d takes two NV indices, not {len(nv_indices)}")
+    (y1, _), (y2, _) = _measure_nv_y(scene, tuple(nv_indices), cfg)
     return mw_axis_from_two(y1.axis, y2.axis, truth_axis=geometry.mw_direction(scene))

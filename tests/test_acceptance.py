@@ -278,9 +278,9 @@ def test_criterion_8_property_suite():
     checks["cross perpendicularity"] = perp < 1e-12
 
     # seeded shot noise is reproducible
-    clean = odmrsim.OdmrSpectrum(sweep.frequencies, sweep.signals[0])
-    a = odmrsim.add_shot_noise(clean, odmrsim.NoiseConfig(100.0, 1.0, 5)).signal
-    b = odmrsim.add_shot_noise(clean, odmrsim.NoiseConfig(100.0, 1.0, 5)).signal
+    clean = sweep.signals[0]
+    a = odmrsim.NoiseConfig(100.0, 1.0, 5).draw(clean)
+    b = odmrsim.NoiseConfig(100.0, 1.0, 5).draw(clean)
     checks["seeded noise reproducible"] = bool(np.array_equal(a, b))
 
     ok = all(checks.values())

@@ -39,7 +39,7 @@ def test_noise_study_runs_and_checks(perfbench, tmp_path, name):
     try:
         # every layer but Levenberg-Marquardt, which the library no longer has, is found
         assert tracer.absent == ["fitkit.nls_fit"]
-        assert tracer.missing_functions == ["fitkit.nls_fit"]
+        assert tracer.missing_functions == ["odmrsim.add_shot_noise", "fitkit.nls_fit"]
         failures = [msg for i in range(3) for msg in study.check(i, study.run(i, tracer))]
     finally:
         tracer.uninstall()

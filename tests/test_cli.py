@@ -103,7 +103,7 @@ class TestSimulate:
         assert cli.run("simulate", cfg, tmp_path / "sim") == cli.EXIT_OK
         path = tmp_path / "sim" / "spectrum.csv"
         expected = odmrsim.default_grid(2897.9, 2897.902, 1e-7)
-        assert cli._read_spectrum(path).frequencies.tobytes() == expected.tobytes()
+        assert cli._read_spectrum(path)[0].tobytes() == expected.tobytes()
         # the grid passes, so `fit` goes on to the centers, which lie outside it
         fit = write_cfg(tmp_path, "fit.json", {"mode": "fit", "spectrum_csv": str(path),
                                                "init_centers_mhz": [2898.0]})
@@ -135,15 +135,15 @@ class TestSerialization:
         # the spectrum of SIMULATE_CFG
         static = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, 0.0)
         mw = spinmodel.MwFieldNV(0.0357, math.pi / 2.0, math.pi / 4.0)
-        spec = odmrsim.simulate_spectrum(consts, static, mw, shape, grid)
+        signal = odmrsim.simulate_spectrum(consts, static, mw, shape, grid)
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, "sim.json", SIMULATE_CFG)
         assert cli.run("simulate", cfg, out) == cli.EXIT_OK
         path = out / "spectrum.csv"
         assert path.read_bytes().startswith(b"frequency_mhz,signal\r\n")
-        back = cli._read_spectrum(path)
-        assert np.allclose(back.frequencies, spec.frequencies, atol=1e-9)
-        assert np.allclose(back.signal, spec.signal, atol=1e-11)
+        back_f, back_signal = cli._read_spectrum(path)
+        assert np.allclose(back_f, grid, atol=1e-9)
+        assert np.allclose(back_signal, signal, atol=1e-11)
 
     def test_csv_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -410,6 +410,9 @@ class TestErrorPaths:
         ("simulate", '{"mode": "simulate", "static": {"b_mt": 10.2, "theta_deg": 90}, '
                      '"mw": {"amplitude_mt": 0.0357, "zeta_deg": 90}, '
                      '"frequency_grid_mhz": {"step": 0}}'),
+        # both positive, but 0 mean counts per point: the draw divided 0 by 0
+        ("table1", '{"mode": "table1", "wire": {"current_ma": 40}, '
+                   '"noise": {"rate_kcps": 1e-300, "dwell_s": 1e-300, "seed": 1}}'),
     ], ids=["nan", "infinity", "overflow", "position-string", "seed-nan", "n-string",
             "n-float", "phi-minus-infinity", "measured-axes-scalars", "fieldmap-origin-only",
             "spectrum-path-number", "rate-negative", "dwell-zero", "static-field-zero",
@@ -417,7 +420,7 @@ class TestErrorPaths:
             "grid-step-tiny", "psi-count-oversized", "fieldmap-axis-oversized",
             "fieldmap-grid-oversized", "n-oversized", "eta-overflow", "rate-zero",
             "fieldmap-unread-blocks", "measured-axes-static-field", "measured-axes-psi-count",
-            "grid-one-point", "duplicate-key", "grid-step-zero"])
+            "grid-one-point", "duplicate-key", "grid-step-zero", "noise-underflow"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, mode, raw):
         path = tmp_path / "cfg.json"
         path.write_text(raw)

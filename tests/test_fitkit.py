@@ -131,10 +131,18 @@ STATIC = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, 0.0)
 MW = spinmodel.MwFieldNV(0.0357, math.pi / 2.0, math.pi / 4.0)
 
 
-def two_dip_spectrum(shape=None, grid=None):
+GRID = odmrsim.default_grid(*GRID_MHZ)
+
+
+def two_dip_spectrum(shape=None):
+    """The noiseless two-dip signal on `GRID`."""
     shape = shape if shape is not None else odmrsim.LineshapeParams()
-    grid = grid if grid is not None else odmrsim.default_grid(*GRID_MHZ)
-    return odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
+    return odmrsim.simulate_spectrum(C, STATIC, MW, shape, GRID)
+
+
+def fit_free(f, signal, sigma=None, centers=(2898.0, 2926.0)):
+    """`fitkit.fit_dips` from the `FitPlan` of grid `f` and start `centers`."""
+    return fitkit.fit_dips(fitkit.FitPlan(f, centers), signal, sigma)
 
 
 def rabi_0m_0p():
@@ -220,9 +228,9 @@ class TestNlsFit:
 
 class TestFitDips:
     def test_noiseless_recovery(self):
-        spec = two_dip_spectrum()
+        signal = two_dip_spectrum()
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
-        dips = fitkit.fit_dips(spec, [2898.0, 2926.0])
+        dips = fit_free(GRID, signal)
         assert len(dips) == 2
         assert abs(dips[0].center_mhz - eig.f_0m) < 0.01
         assert abs(dips[1].center_mhz - eig.f_0p) < 0.01
@@ -232,14 +240,14 @@ class TestFitDips:
             assert 0.0 < d.depth < 0.05
 
     def test_depth_matches_contrast_law(self, shape):
-        spec = two_dip_spectrum()
-        dips = fitkit.fit_dips(spec, [2898.0, 2926.0])
+        dips = fit_free(GRID, two_dip_spectrum())
         for d, omega in zip(dips, rabi_0m_0p()):
             assert abs(d.depth - shape.contrast(omega)) < 1e-4
 
     def test_noisy_recovery_within_uncertainty(self):
-        spec = odmrsim.add_shot_noise(two_dip_spectrum(), odmrsim.NoiseConfig(200.0, 1.0, 3))
-        dips = fitkit.fit_dips(spec, [2898.0, 2926.0])
+        noise = odmrsim.NoiseConfig(200.0, 1.0, 3)
+        signal = noise.draw(two_dip_spectrum())
+        dips = fit_free(GRID, signal, noise.point_sigma(signal))
         shape = odmrsim.LineshapeParams()
         for d, omega in zip(dips, rabi_0m_0p()):
             truth = shape.contrast(omega)
@@ -248,35 +256,35 @@ class TestFitDips:
 
     def test_fixed_centers_layout(self):
         # pinned depths come in the order the centers are given
-        spec = two_dip_spectrum()
+        signal = two_dip_spectrum()
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
-        fit = fitkit.fit_pinned_dips(fitkit.FitPlan(spec.frequencies, [eig.f_0m, eig.f_0p]),
-                                     spec.signal[None], None)
-        swapped = fitkit.fit_pinned_dips(fitkit.FitPlan(spec.frequencies, [eig.f_0p, eig.f_0m]),
-                                         spec.signal[None], None)
+        fit = fitkit.fit_pinned_dips(fitkit.FitPlan(GRID, [eig.f_0m, eig.f_0p]),
+                                     signal[None], None)
+        swapped = fitkit.fit_pinned_dips(fitkit.FitPlan(GRID, [eig.f_0p, eig.f_0m]),
+                                         signal[None], None)
         assert np.max(np.abs(swapped.depths[0] - fit.depths[0, ::-1])) < 1e-12
-        free = fitkit.fit_dips(spec, [2898.0, 2926.0])
+        free = fit_free(GRID, signal)
         assert abs(fit.depths[0, 0] - free[0].depth) < 1e-4
         assert abs(fit.depths[0, 1] - free[1].depth) < 1e-4
 
     def test_center_outside_grid_rejected(self):
-        spec = two_dip_spectrum()
         with pytest.raises(ValueError):
-            fitkit.fit_dips(spec, [2700.0, 2926.0])
+            fit_free(GRID, two_dip_spectrum(), centers=[2700.0, 2926.0])
 
     def test_runaway_center_fails(self, shape, grid):
         # at this MW azimuth the L0-Lm dip vanishes; under noise a free fit
         # sent its center far off the grid while reporting convergence, and
         # now the dip the free fit finds there is refused as noise
         mw = spinmodel.MwFieldNV(0.126, math.pi / 2.0, 0.0)
-        clean = odmrsim.simulate_spectrum(C, STATIC, mw, shape, grid)
-        spec = odmrsim.add_shot_noise(clean, odmrsim.NoiseConfig(200.0, 0.008, 0))
+        noise = odmrsim.NoiseConfig(200.0, 0.008, 0)
+        signal = noise.draw(odmrsim.simulate_spectrum(C, STATIC, mw, shape, grid))
+        sigma = noise.point_sigma(signal)
         with pytest.raises(DegenerateFitError, match="not significant"):
-            fitkit.fit_dips(spec, [2898.0, 2926.0])
+            fit_free(grid, signal, sigma)
         # the same spectrum fits at the known centers
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
         pinned = fitkit.fit_pinned_dips(fitkit.FitPlan(grid, [eig.f_0m, eig.f_0p]),
-                                        spec.signal[None], spec.point_sigma()[None])
+                                        signal[None], sigma[None])
         assert np.all(np.isfinite(pinned.depths)) and np.all(pinned.depth_sigmas > 0.0)
 
     def test_opposite_sign_overlap_fails(self, shape, grid):
@@ -290,9 +298,8 @@ class TestFitDips:
                                            geometry.wire_field_magnitude(scene), shape, grid,
                                            psis)
         noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 16))
-        spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[11], noisy.counts_meta)
         with pytest.raises(DegenerateFitError, match="not significant"):
-            fitkit.fit_dips(spec, [2898.0, 2926.0])
+            fit_free(noisy.frequencies, noisy.signals[11], noisy.point_sigmas()[11])
 
     def test_unconverged_fit_fails(self):
         # at 1,600 counts per point the Gauss-Newton steps on this sweep
@@ -301,9 +308,8 @@ class TestFitDips:
         # centers lie on the grid and whose dips are significant
         _, _, _, sweep = noisy_sweeps(0, 0.008)
         noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 21))
-        spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[1], noisy.counts_meta)
         with pytest.raises(DegenerateFitError, match="^dip fit did not converge in 200 steps$"):
-            fitkit.fit_dips(spec, [2898.0, 2926.0])
+            fit_free(noisy.frequencies, noisy.signals[1], noisy.point_sigmas()[1])
 
     def test_capped_fit_names_the_data_cause(self):
         # at 400 counts per point the steps on this sweep spectrum swing in a
@@ -313,57 +319,64 @@ class TestFitDips:
         # cause the optimum need not share), so the data checks do not run
         _, _, _, sweep = noisy_sweeps(0, 0.002)
         noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.002, 3))
-        spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[2], noisy.counts_meta)
         with pytest.raises(DegenerateFitError, match="^dip fit did not converge in 200 steps$"):
-            fitkit.fit_dips(spec, [2898.0, 2926.0])
+            fit_free(noisy.frequencies, noisy.signals[2], noisy.point_sigmas()[2])
 
     def test_center_count_checked(self, grid):
         # no centers, or more parameters (2n + 2) than data points
-        spec = two_dip_spectrum()
+        signal = two_dip_spectrum()
         for centers, f in (([], grid), ([2850.5, 2851.5], grid[:5])):
             with pytest.raises(ValueError, match="need a dip center, and no fewer data points"):
-                fitkit.fit_dips(odmrsim.OdmrSpectrum(f, spec.signal[:f.size]), centers)
+                fit_free(f, signal[:f.size], centers=centers)
+
+    def test_signal_shape_checked(self, grid):
+        # one spectrum on the plan's grid: a batch is the pinned fit's input,
+        # and the free fit refuses it by name rather than fail to unpack it
+        signal = two_dip_spectrum()
+        fit_free(grid, signal[None])
+        with pytest.raises(ValueError, match="^signals do not match the frequency grid$"):
+            fit_free(grid, signal[:-1])
+        with pytest.raises(ValueError, match="^fit_dips fits one spectrum, not a signal of "
+                                             "2 rows$"):
+            fit_free(grid, np.stack([signal, signal]))
 
     def test_nonfinite_signal_rejected(self, grid):
         # the pinned fit's check and message, weighted or not
         sig = np.ones_like(grid)
         sig[10] = np.nan
-        for noise in (None, odmrsim.NoiseConfig(200.0, 0.008, 0)):
+        for sigma in (None, odmrsim.NoiseConfig(200.0, 0.008, 0).point_sigma(sig)):
             with pytest.raises(ValueError, match="^signals must be finite$"):
-                fitkit.fit_dips(odmrsim.OdmrSpectrum(grid, sig, noise), [2898.0])
+                fit_free(grid, sig, sigma, centers=[2898.0])
 
     def test_center_left_the_grid(self):
         # a noisy sweep spectrum (1,600 counts per point) whose free fit runs
         # a center off the default grid
         _, _, _, sweep = noisy_sweeps(0, 0.008)
         noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 0))
-        spec = odmrsim.OdmrSpectrum(noisy.frequencies, noisy.signals[10], noisy.counts_meta)
         with pytest.raises(DegenerateFitError, match=r"^fitted dip center left the frequency "
                                                      r"grid \[2850, 2950\] MHz$"):
-            fitkit.fit_dips(spec, [2898.0, 2926.0])
+            fit_free(noisy.frequencies, noisy.signals[10], noisy.point_sigmas()[10])
 
     def test_center_left_a_fine_grid(self):
         # a noiseless dip just past the end of a fine grid: the message names
         # the grid's ends in enough digits to tell them apart, as `FitPlan`'s
         # does (6 read [2897.9, 2897.9])
         f = odmrsim.default_grid(2897.9, 2897.902, 1e-6)
-        spec = odmrsim.OdmrSpectrum(f, 1.0 - 0.02 * odmrsim.lorentzian(f, 2897.9025, 5e-4))
+        signal = 1.0 - 0.02 * odmrsim.lorentzian(f, 2897.9025, 5e-4)
         with pytest.raises(DegenerateFitError, match=r"^fitted dip center left the frequency "
                                                      r"grid \[2897\.9, 2897\.902\] MHz$"):
-            fitkit.fit_dips(spec, [2897.9015])
+            fit_free(f, signal, centers=[2897.9015])
 
     def test_overlapping_dips_warn(self, grid):
-        shape = odmrsim.LineshapeParams()
         sig = (1.0
                - 0.02 * odmrsim.lorentzian(grid, 2899.0, 8.0)
                - 0.02 * odmrsim.lorentzian(grid, 2902.0, 8.0))
-        spec = odmrsim.OdmrSpectrum(grid, sig)
         with pytest.warns(UserWarning):
-            fitkit.fit_dips(spec, [2899.0, 2902.0])
+            fit_free(grid, sig, centers=[2899.0, 2902.0])
 
     def test_noiseless_fwhm(self, shape):
         # the free fit ends on the simulated linewidth of a noiseless spectrum
-        for dip in fitkit.fit_dips(two_dip_spectrum(), [2898.0, 2926.0]):
+        for dip in fit_free(GRID, two_dip_spectrum()):
             assert abs(dip.fwhm_mhz - shape.fwhm_mhz) < 1e-9
 
     @pytest.mark.parametrize("sigmas, found", [(4.0, True), (2.0, False)])
@@ -377,18 +390,18 @@ class TestFitDips:
         def spectrum(depth):
             sig = (1.0 - depth * odmrsim.lorentzian(grid, 2898.3, 8.0)
                    - 0.05 * odmrsim.lorentzian(grid, 2926.4, 8.0))
-            return odmrsim.OdmrSpectrum(grid, sig, noise)
+            return sig, noise.point_sigma(sig)
 
-        sigma = fitkit.fit_dips(spectrum(0.05), [2898.0, 2926.0])[0].depth_sigma
+        sigma = fit_free(grid, *spectrum(0.05))[0].depth_sigma
         spec = spectrum(sigmas * sigma)
         if found:
-            weak = fitkit.fit_dips(spec, [2898.0, 2926.0])[0]
+            weak = fit_free(grid, *spec)[0]
             assert abs(weak.center_mhz - 2898.3) < 1e-6
             assert abs(weak.depth - sigmas * sigma) < 1e-9
             assert weak.depth > 3.0 * weak.depth_sigma
         else:
             with pytest.raises(DegenerateFitError, match="dip at 2898.300 MHz not significant"):
-                fitkit.fit_dips(spec, [2898.0, 2926.0])
+                fit_free(grid, *spec)
 
     def test_returned_dips_are_significant(self):
         fits = [dips for _, dips, _ in free_fits() if dips is not None]
@@ -441,10 +454,9 @@ def noisy_sweeps(n_sweeps, dwell_s, nv_index=3, first_seed=0):
 
 def lm_free(spec, x0, **kwargs):
     """Reference: Levenberg-Marquardt on the free-center dip model, with
-    parameters [baseline, fwhm, depths, centers], weighted by the spectrum's
-    shot noise when it has any."""
-    f, y, n = spec.frequencies, spec.signal, (len(x0) - 2) // 2
-    sigma = spec.point_sigma()
+    parameters [baseline, fwhm, depths, centers], on a spectrum (f, y,
+    sigma), weighted by its shot-noise sigma unless that is None."""
+    (f, y, sigma), n = spec, (len(x0) - 2) // 2
     s = np.ones_like(y) if sigma is None else sigma
     return nls_fit(lambda p: (_dip_model(p, f, p[2 + n:]) - y) / s, x0,
                    lambda p: _dip_jacobian(p, f, p[2 + n:]) / s[:, None],
@@ -459,7 +471,7 @@ def lm_free_dips(spec, init_centers):
     result, or None where that fit raised: when it did not converge, a
     center left the grid, or two dips within a linewidth had depths of
     opposite sign."""
-    f, y = spec.frequencies, spec.signal
+    f, y, _ = spec
     base = float(np.median(y))
     depths = [max(base - float(np.interp(c, f, y)), 1e-4) for c in init_centers]
     fit = lm_free(spec, np.array([base, fitkit.INIT_FWHM_MHZ, *depths, *init_centers]),
@@ -476,18 +488,18 @@ def lm_free_dips(spec, init_centers):
 def free_chi2(spec, dips):
     """Chi-square and baseline of the weighted linear fit of baseline and
     depths at the fitted fwhm and centers of `dips`."""
-    f, sigma = spec.frequencies, spec.point_sigma()
+    f, y, sigma = spec
     w = np.ones_like(f) if sigma is None else 1.0 / sigma
     design = np.column_stack([np.ones_like(f)] + [
         -odmrsim.lorentzian(f, d.center_mhz, d.fwhm_mhz) for d in dips]) * w[:, None]
-    coef = np.linalg.lstsq(design, spec.signal * w, rcond=None)[0]
-    r = design @ coef - spec.signal * w
+    coef = np.linalg.lstsq(design, y * w, rcond=None)[0]
+    r = design @ coef - y * w
     return float(r @ r), float(coef[0])
 
 
 @functools.cache
 def free_fits():
-    """(spectrum, free fit or None, `lm_free_dips` or None) for every
+    """(spectrum (f, y, sigma), free fit or None, `lm_free_dips` or None) for every
     spectrum of 10 noisy sweeps of NV 3 at (61, 18) um at 1,600 and at 400
     counts per point, both fits started at 2898 and 2926 MHz."""
     out = []
@@ -496,12 +508,12 @@ def free_fits():
         for seed in range(10):
             noise = odmrsim.NoiseConfig(200.0, dwell_s, seed)
             noisy = odmrsim.noisy_copy_with_subseed(sweep, noise)
-            for y in noisy.signals:
-                spec = odmrsim.OdmrSpectrum(noisy.frequencies, y, noisy.counts_meta)
+            for y, sigma in zip(noisy.signals, noisy.point_sigmas()):
+                spec = (noisy.frequencies, y, sigma)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     try:
-                        dips = fitkit.fit_dips(spec, [2898.0, 2926.0])
+                        dips = fit_free(*spec)
                     except DegenerateFitError:
                         dips = None
                 out.append((spec, dips, lm_free_dips(spec, [2898.0, 2926.0])))
@@ -726,7 +738,7 @@ class TestFitPinnedDips:
         # pinned fit reads it, and then keeps the one it built
         with monkeypatch.context() as patched:
             patched.delattr(fitkit.FitPlan, "block")
-            fitkit.fit_dips(two_dip_spectrum(), [2898.0, 2926.0])
+            fit_free(GRID, two_dip_spectrum())
         f, centers, runs, sweep = noisy_sweeps(4, 0.008)
         runs += noisy_sweeps(4, 0.002)[2]
         (y0, s0), (y1, s1) = runs[:2]
@@ -894,14 +906,14 @@ def test_search_refusals(monkeypatch, fit, fwhm, cap, match):
     # still stepping after MAX_DIP_ITER steps (here 2: from the 8 MHz start
     # a 6 MHz dip takes more), and a fwhm that ends on the bracket, as for
     # dips wider than half the grid span; without the cap both fits converge
-    spec = two_dip_spectrum(odmrsim.LineshapeParams(fwhm_mhz=fwhm))
+    signal = two_dip_spectrum(odmrsim.LineshapeParams(fwhm_mhz=fwhm))
     eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
 
     def run():
         if fit == "pinned":
-            plan = fitkit.FitPlan(spec.frequencies, [eig.f_0m, eig.f_0p])
-            return fitkit.fit_pinned_dips(plan, spec.signal, None).fwhm
-        return fitkit.fit_dips(spec, [2898.0, 2926.0])[0].fwhm_mhz
+            plan = fitkit.FitPlan(GRID, [eig.f_0m, eig.f_0p])
+            return fitkit.fit_pinned_dips(plan, signal, None).fwhm
+        return fit_free(GRID, signal)[0].fwhm_mhz
 
     if cap is not None:
         with monkeypatch.context() as patched:
@@ -921,12 +933,11 @@ class TestDipJacobian:
                                    [1.0, 8.0, 0.01, 0.02, 2898.2, 2926.4]],
                              ids=["pinned", "free"])
     def test_matches_numeric(self, x):
-        spec = two_dip_spectrum()
-        f = spec.frequencies
+        signal, f = two_dip_spectrum(), GRID
         x = np.array(x)
         centers_of = (lambda p: p[4:]) if x.size > 4 else (lambda p: np.array([2897.5, 2927.0]))
         jac_num = numeric_jacobian(
-            lambda p: _dip_model(p, f, centers_of(p)) - spec.signal, x)
+            lambda p: _dip_model(p, f, centers_of(p)) - signal, x)
         jac_ana = _dip_jacobian(x, f, centers_of(x))
         assert jac_ana.shape == (f.size, x.size)
         assert float(np.max(np.abs(jac_num - jac_ana))) < 1e-6

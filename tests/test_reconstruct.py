@@ -430,6 +430,40 @@ class TestSweepChain:
         assert (reconstruct.end_to_end_planar(SCENE, np.int64(3)).alpha_est_deg
                 == reconstruct.end_to_end_planar(SCENE, 3).alpha_est_deg)
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("psi_count", 2.5, "psi_count 2.5 is not an integer"),
+        ("psi_count", True, "psi_count True is not an integer"),
+        ("grid_mhz", [2850.0, 2950.0, 0.5],
+         "grid_mhz [2850.0, 2950.0, 0.5] is not a (start, stop, step) tuple of numbers"),
+        ("grid_mhz", (2850.0, 2950.0),
+         "grid_mhz (2850.0, 2950.0) is not a (start, stop, step) tuple of numbers"),
+        ("grid_mhz", (2850.0, 2950.0, "0.5"),
+         "grid_mhz (2850.0, 2950.0, '0.5') is not a (start, stop, step) tuple of numbers"),
+    ], ids=["psi_count=2.5", "psi_count=True", "grid_mhz-list", "grid_mhz-pair",
+            "grid_mhz-str"])
+    def test_chain_config_types_checked(self, field, bad, message):
+        # 2.5 and the list once raised TypeError ("'float' object cannot be
+        # interpreted as an integer", "unhashable type: 'list'"), in the memo
+        cfg = reconstruct.ChainConfig(**{field: bad})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reconstruct.end_to_end_planar(SCENE, 3, cfg)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reconstruct.end_to_end_3d(SCENE, (3, 1), cfg)
+        assert reconstruct._noiseless_sweeps.cache_info().currsize == 0
+
+    def test_numpy_chain_config_values_accepted(self):
+        cfg = reconstruct.ChainConfig(psi_count=np.int64(12),
+                                      grid_mhz=tuple(np.array([2850.0, 2950.0, 0.5])))
+        assert (reconstruct.end_to_end_planar(SCENE, 3, cfg).cos2
+                == reconstruct.end_to_end_planar(SCENE, 3).cos2)
+
+    @pytest.mark.parametrize("nv_indices", [(3, 1, 0), (3,), ()], ids=["three", "one", "none"])
+    def test_end_to_end_3d_needs_two_indices(self, nv_indices):
+        # these once raised "too many / not enough values to unpack"
+        with pytest.raises(ValueError, match=f"^end_to_end_3d takes two NV indices, not "
+                                             f"{len(nv_indices)}$"):
+            reconstruct.end_to_end_3d(SCENE, nv_indices)
+
 
 def memo_entry(scene, nv_indices, cfg):
     """The memo's (bases, sweeps, plan) for one reconstruction under cfg."""
@@ -704,15 +738,6 @@ class TestNoiseRecord:
             assert_bit_identical(meta.draw(clean.signals), noisy.signals)
             assert odmrsim.NoiseConfig(*meta) == meta
             assert meta.seed == 7
-
-    def test_noisy_spectrum_redraws_from_its_record(self):
-        grid = odmrsim.default_grid(*GRID_MHZ)
-        clean = odmrsim.OdmrSpectrum(grid, 1.0 - 0.01 * odmrsim.lorentzian(grid, 2900.0, 8.0))
-        for noise in (odmrsim.NoiseConfig(200.0, 0.008, 3),
-                      odmrsim.NoiseConfig(50.0, 0.01, 0, (2, 4))):
-            spec = odmrsim.add_shot_noise(clean, noise)
-            assert_bit_identical(spec.counts_meta.draw(clean.signal), spec.signal)
-            assert odmrsim.NoiseConfig(*spec.counts_meta) == spec.counts_meta
 
 
 class TestCalibration:

@@ -29,7 +29,6 @@ VALID = [
     (odmrsim.LineshapeParams, {"fwhm_mhz": 8.0, "contrast_ref": 0.02, "omega_ref_mhz": 1.0,
                                "model": "linear"}),
     (odmrsim.NoiseConfig, {"rate_kcps": 200.0, "dwell_s": 0.008, "seed": 1, "key": (2,)}),
-    (odmrsim.OdmrSpectrum, {"frequencies": GRID, "signal": np.ones(5), "counts_meta": None}),
     (odmrsim.SweepSeries, {"psis": PSIS, "frequencies": GRID, "signals": np.ones((3, 5)),
                            "centers_mhz": (2898.0, 2926.0), "counts_meta": None}),
 ]
@@ -124,6 +123,10 @@ BAD = [
     # 1e21 mean counts: numpy's Poisson sampler refuses means above about 9.2e18
     ("NoiseConfig-rate_kcps-dwell_s-35", odmrsim.NoiseConfig,
      {"rate_kcps": 1e12, "dwell_s": 1e6}, ValueError, NOISE_BOUND),
+    # both positive, but their product underflows: the draw divided 0 by 0
+    ("NoiseConfig-rate_kcps-dwell_s=underflow", odmrsim.NoiseConfig,
+     {"rate_kcps": 1e-300, "dwell_s": 1e-300}, ValueError,
+     "count rate times dwell time underflows to 0 mean counts per point"),
     ("NoiseConfig-seed-25", odmrsim.NoiseConfig, {"seed": 1.5}, ValueError,
      "seed must be an integer >= 0"),
     ("NoiseConfig-seed-26", odmrsim.NoiseConfig, {"seed": -1}, ValueError,
@@ -140,12 +143,6 @@ BAD = [
      "key must be a tuple of integers >= 0"),
     ("NoiseConfig-key-32", odmrsim.NoiseConfig, {"key": 0}, ValueError,
      "key must be a tuple of integers >= 0"),
-    ("OdmrSpectrum-frequencies-16", odmrsim.OdmrSpectrum, {"frequencies": GRID[::-1]},
-     ValueError, "frequency grid must be finite and strictly ascending"),
-    ("OdmrSpectrum-frequencies-17", odmrsim.OdmrSpectrum, {"frequencies": GRID[None]},
-     ValueError, "frequency grid must be a nonempty 1-D array"),
-    ("OdmrSpectrum-signal-18", odmrsim.OdmrSpectrum, {"signal": np.ones(4)}, ValueError,
-     "grid and signal lengths differ"),
     ("SweepSeries-frequencies-19", odmrsim.SweepSeries,
      {"frequencies": np.array([2850.0, math.nan, 2900.0, 2925.0, 2950.0])},
      ValueError, "frequency grid must be finite and strictly ascending"),
@@ -241,7 +238,7 @@ def test_repr_names_the_fields(record):
 
 
 def test_one_noise_record():
-    # the chain's noise config is the record noisy spectra and sweeps carry,
+    # the chain's noise config is the record noisy sweeps carry,
     # so a bad one fails when it is built, not at the first noisy copy
     assert reconstruct.NoiseConfig is odmrsim.NoiseConfig
     with pytest.raises(ValueError, match="^count rate and dwell time must be positive$"):
