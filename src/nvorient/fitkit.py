@@ -113,10 +113,10 @@ def _off_grid(f, centers) -> str | None:
 def _weights(plan, signals, sigmas):
     """The signals as a (batch, n_f) array and their weights 1/sigma, or
     ones when `sigmas` is None.  Raises ValueError unless the signals are
-    finite and on the plan's grid and the sigmas positive, finite and
-    shaped like them."""
+    finite, at most 2-D and on the plan's grid and the sigmas positive,
+    finite and shaped like them."""
     y = np.atleast_2d(np.asarray(signals, dtype=float))
-    if y.shape[1] != plan.f.size:
+    if y.ndim != 2 or y.shape[1] != plan.f.size:
         raise ValueError("signals do not match the frequency grid")
     if not np.isfinite(y).all():
         raise ValueError("signals must be finite")

@@ -57,9 +57,8 @@ class NoiseConfig(NamedTuple("NoiseConfig", [("rate_kcps", float), ("dwell_s", f
                                              ("seed", int), ("key", tuple[int, ...])])):
     """Photon statistics: count rate, dwell per point, and the seed and spawn
     key of the Poisson draws.  The key names the whole stream: a run that
-    draws several sweeps from one record appends each one's slot to it.  A
-    noisy sweep carries the record it was drawn with, so its `draw` on the
-    clean signals re-draws its data."""
+    draws several sweeps from one record appends each one's slot to it (see
+    `noisy_copy_with_subseed`)."""
 
     __slots__ = ()
 
@@ -167,33 +166,6 @@ def simulate_spectrum(consts: SpinConstants, static: StaticFieldNV, mw: MwFieldN
     return signals[0]
 
 
-class SweepSeries(NamedTuple("SweepSeries", [
-        ("psis", np.ndarray), ("frequencies", np.ndarray), ("signals", np.ndarray),
-        ("centers_mhz", tuple[float, float]), ("counts_meta", NoiseConfig | None)])):
-    """Spectra recorded while rotating the static field in the transverse plane.
-
-    Row i of `signals` (n_psi, n_f) is the spectrum at `psis[i]` on the one
-    `frequencies` grid; `centers_mhz` is (f_0m, f_0p), the same at every psi.
-    Noisy sweeps carry their photon statistics.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, psis: np.ndarray, frequencies: np.ndarray, signals: np.ndarray,
-                centers_mhz: tuple[float, float], counts_meta: NoiseConfig | None = None):
-        psis = np.asarray(psis, dtype=float)
-        frequencies = _check_grid(frequencies)
-        signals = np.asarray(signals, dtype=float)
-        if psis.ndim != 1 or signals.shape != (psis.size, frequencies.size):
-            raise ValueError("sweep signals must have one row per psi and one column "
-                             "per grid frequency")
-        return super().__new__(cls, psis, frequencies, signals, centers_mhz, counts_meta)
-
-    def point_sigmas(self) -> np.ndarray | None:
-        """Per-point shot-noise sigmas shaped like `signals`, if known."""
-        return None if self.counts_meta is None else self.counts_meta.point_sigma(self.signals)
-
-
 def simulate_phi_sweep(
     consts: SpinConstants,
     basis: TransverseBasis,
@@ -203,34 +175,44 @@ def simulate_phi_sweep(
     shape: LineshapeParams,
     grid: np.ndarray,
     psis: np.ndarray,
-) -> SweepSeries:
+) -> tuple[tuple[float, float], np.ndarray]:
     """Sweep the static field direction over psi with theta = pi/2 throughout.
 
     The synthesis at theta = pi/2, with the microwave's components along
-    e1, e2 and nv_z of `basis`.  At theta = pi/2 the dip centers do not
-    depend on psi, so one pair (f_0m, f_0p) serves the sweep.
+    e1, e2 and nv_z of `basis`, on `grid`, which is checked first.  Returns
+    (centers_mhz, signals): signals (n_psi, n_f), row i the spectrum at
+    psis[i].  At theta = pi/2 the dip centers do not depend on psi, so one
+    pair (f_0m, f_0p) serves the sweep.  Raises ValueError unless psis is a
+    nonempty 1-D array of finite angles.
     """
+    grid = _check_grid(grid)
     psis = np.asarray(psis, dtype=float)
-    if psis.size == 0:
-        raise ValueError("psi list is empty")
+    if not (psis.ndim == 1 and psis.size and np.isfinite(psis).all()):
+        raise ValueError("psi values must be a nonempty 1-D array of finite angles")
     if not b_static_mt > 0:
         raise ValueError("static field must be positive for a sweep")
     m = unit(mw_lab)
     if not 0.0 <= mw_amplitude_mt < math.inf:  # NaN fails
         raise ValueError("microwave amplitude must be finite and nonnegative")
-    grid = np.asarray(grid, dtype=float)
     eig, signals = _synthesize(consts, b_static_mt, math.pi / 2.0,
                                (m @ basis.e1, m @ basis.e2, m @ basis.nv_z),
                                mw_amplitude_mt, shape, grid, psis)
-    return SweepSeries(psis=psis, frequencies=grid, signals=signals,
-                       centers_mhz=(eig.f_0m, eig.f_0p))
+    return (eig.f_0m, eig.f_0p), signals
 
 
-def noisy_copy_with_subseed(sweep: SweepSeries, noise: NoiseConfig) -> SweepSeries:
-    """Shot noise on a whole sweep: one draw of `noise` on its (n_psi, n_f)
-    signals, recorded as `noise`, which re-draws the copy's signals.
-
-    The copy shares the sweep's psis and grid, which the sweep has checked,
-    so nothing is checked again: `_replace` runs no checks.
-    """
-    return sweep._replace(signals=noise.draw(sweep.signals), counts_meta=noise)
+def noisy_copy_with_subseed(signals: np.ndarray,
+                            noise: NoiseConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Shot noise on a reconstruction's (k, n_psi, n_f) stack of sweeps:
+    (noisy, sigmas), both shaped like it, sigmas the shot-noise sigma of
+    each noisy point.  Each sweep is one draw, in slot order: a lone sweep
+    with `noise` itself, sweep j of several with j appended to its key, so
+    no two sweeps share a stream.  Raises ValueError unless `signals` has
+    three dimensions."""
+    signals = np.asarray(signals, dtype=float)
+    if signals.ndim != 3:
+        raise ValueError("signals must be a (k, n_psi, n_f) stack of sweeps")
+    noisy = np.empty(signals.shape)
+    several = len(signals) > 1
+    for j, sweep in enumerate(signals):
+        noisy[j] = (noise._replace(key=noise.key + (j,)) if several else noise).draw(sweep)
+    return noisy, noise.point_sigma(noisy)

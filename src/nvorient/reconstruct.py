@@ -149,35 +149,31 @@ class PlanarRunResult(NamedTuple):
     cos2: Cos2Fit
 
 
-def sweep_lp_depths(plan: fitkit.FitPlan, *sweeps: odmrsim.SweepSeries):
-    """L0<->Lp dip depths of every spectrum of the given sweeps and, for noisy
-    sweeps, their sigmas, from one batched fit with `plan`, their
-    `fitkit.FitPlan`, at the sweeps' dip centers with one linewidth for all
-    of them.
-
-    Returns one (depths, sigmas) pair per sweep, sigmas None when noiseless.
-    At theta = pi/2 the transition frequencies depend neither on the sweep
-    angle nor on the NV orientation, so the centers of each sweep's psi = 0
-    eigensolve hold for every spectrum; sweeps fitted together share them,
-    their grid and their linewidth.  The plan is the batch's one reference:
-    a sweep off `plan.f` (tested by identity first, since a memo sweep holds
-    that array) or without `plan.centers` raises ValueError naming it.
-    Raises DegenerateFitError when the shared linewidth cannot be fitted.
+def sweep_lp_depths(plan: fitkit.FitPlan, signals, sigmas):
+    """L0<->Lp dip depths of every spectrum of `signals`, a stack of sweeps
+    whose last axis is the grid of `plan`, their `fitkit.FitPlan`, and
+    their sigmas when `sigmas` (shaped like the signals) is not None:
+    (depths, sigmas), each shaped like the stack's leading axes, sigmas None
+    when `sigmas` is.  All spectra go through one fit of their rows with one
+    linewidth, at the plan's dip centers: at theta = pi/2 the transition
+    frequencies depend neither on the sweep angle nor on the NV orientation,
+    so the plan is the stack's one record of its grid and centers.  Raises
+    ValueError on sigmas not shaped like the signals or on rows that
+    `fit_pinned_dips` refuses, and DegenerateFitError when the shared
+    linewidth cannot be fitted.
     """
-    for k, s in enumerate(sweeps):
-        if not (s.frequencies is plan.f or np.array_equal(s.frequencies, plan.f)):
-            raise ValueError(f"sweep {k} does not share one frequency grid with the fit plan")
-        if list(s.centers_mhz) != plan.centers.tolist():
-            raise ValueError(f"sweep {k} does not share its dip centers with the fit plan")
-    noisy = [s.counts_meta is not None for s in sweeps]
-    if any(noisy) and not all(noisy):
-        raise ValueError("sweeps fitted together must be all noisy or all noiseless")
-    sigmas = np.concatenate([s.point_sigmas() for s in sweeps]) if all(noisy) else None
-    fit = fitkit.fit_pinned_dips(plan, np.concatenate([s.signals for s in sweeps]), sigmas)
-    # column 1 is the dip at f_0p, the L0<->Lp transition; each sweep owns rows a:b
-    rows = itertools.pairwise(itertools.accumulate((s.psis.size for s in sweeps), initial=0))
-    return [(fit.depths[a:b, 1], None if sigmas is None else fit.depth_sigmas[a:b, 1])
-            for a, b in rows]
+    y = np.asarray(signals, dtype=float)
+    lead = y.shape[:-1]
+    rows = math.prod(lead)
+    if sigmas is not None:
+        sigmas = np.asarray(sigmas, dtype=float)
+        if sigmas.shape != y.shape:
+            raise ValueError("sigmas must be positive, finite and shaped like the signals")
+        sigmas = sigmas.reshape(rows, -1)
+    fit = fitkit.fit_pinned_dips(plan, y.reshape(rows, -1), sigmas)
+    # column 1 is the dip at f_0p, the L0<->Lp transition
+    return (fit.depths[:, 1].reshape(lead),
+            None if sigmas is None else fit.depth_sigmas[:, 1].reshape(lead))
 
 
 # Noise studies rerun one scene with new seeds only; the noiseless sweeps of
@@ -188,30 +184,36 @@ _SWEEP_MEMO_SIZE = 16
 
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
 def _noiseless_sweeps(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainConfig):
-    """(bases, sweeps, plan) of one reconstruction of a scene under `cfg`
-    without noise, memoized by value: the transverse basis and noiseless
-    sweep of each NV orientation of `nv_indices`, all sweeps on one grid
-    array and one psi array, and the one dip-fit plan built on that grid;
-    every array is read-only.  At theta = pi/2 the dip centers depend on no
-    orientation, so the first sweep's centers serve the plan, and `sweep_lp_depths`
-    checks every sweep against it.  A grid or psi count that the synthesis
-    or the plan rejects (a grid without both dips) raises its ValueError,
-    uncached."""
+    """(bases, psis, signals, plan) of one reconstruction of a scene under
+    `cfg` without noise, memoized by value: the transverse basis of each NV
+    orientation of `nv_indices`, the psi array, the (k, n_psi, n_f) stack of
+    their noiseless sweeps, one per orientation in that order, and the one
+    dip-fit plan, the stack's record of its grid and dip centers; every
+    array is read-only.  At theta = pi/2 the dip centers depend on no
+    orientation, so the first sweep's serve the plan.  A grid, psi count or
+    config that the synthesis or the plan rejects (a grid without both dips)
+    raises its ValueError, uncached."""
     grid = odmrsim.default_grid(*cfg.grid_mhz)
     psis = np.linspace(0.0, math.pi, cfg.psi_count, endpoint=False)
     bases = tuple(geometry.transverse_basis(geometry.crystallographic_axes()[i])
                   for i in nv_indices)
-    sweeps = tuple(odmrsim.simulate_phi_sweep(
-        cfg.constants, basis, cfg.b_static_mt, geometry.mw_direction(scene),
-        geometry.wire_field_magnitude(scene), cfg.shape, grid, psis) for basis in bases)
-    for a in (grid, psis, *(s.signals for s in sweeps), *itertools.chain(*bases)):
+    mw, amplitude = geometry.mw_direction(scene), geometry.wire_field_magnitude(scene)
+    sweeps = [odmrsim.simulate_phi_sweep(cfg.constants, basis, cfg.b_static_mt, mw, amplitude,
+                                         cfg.shape, grid, psis) for basis in bases]
+    signals = np.stack([s for _, s in sweeps])
+    for a in (grid, psis, signals, *itertools.chain(*bases)):
         a.setflags(write=False)
-    return bases, sweeps, fitkit.FitPlan(grid, sweeps[0].centers_mhz)
+    return bases, psis, signals, fitkit.FitPlan(grid, sweeps[0][0])
 
 
 def _integer(v) -> bool:
     """An int or numpy integer, and not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    """A real number, numpy's included, and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
@@ -221,35 +223,40 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
 
     The noiseless sweeps come from a memo of at most `_SWEEP_MEMO_SIZE`
     reconstructions, keyed by the scene, the NV indices and the chain config
-    without its noise; a repeat returns the read-only sweeps and plan of its
-    first run, bit for bit what a new synthesis would give.  Each sweep draws
-    its noise in one call: a lone sweep from the chain's noise record, the
-    sweep of nv_indices[k] of several from that record with k appended to
-    its key.  Raises ValueError before the memo, where True would alias 1
-    and a list would not hash: for an NV index that is not an integer in
-    0..3, then for indices that are not distinct, a `psi_count` that is not
-    an integer, or a `grid_mhz` that is not a tuple of three numbers.
+    without its noise; a repeat returns the read-only stack and plan of its
+    first run, bit for bit what a new synthesis would give.  The noise is
+    drawn per sweep by `odmrsim.noisy_copy_with_subseed`, and row k of the
+    one dip fit's depths is the sweep of nv_indices[k].  Raises ValueError
+    before the memo, where True would alias 1 and a list would not hash:
+    for an NV index that is not an integer in 0..3, then for indices that
+    are not distinct, then for a config field of the wrong type, named.
     """
     for i in nv_indices:
         if not (_integer(i) and 0 <= i < 4):
             raise ValueError(f"NV index {i!r} is not an integer in 0..3")
     if len(set(nv_indices)) < len(nv_indices):
         raise ValueError("the two NV orientations must differ")
+    if not isinstance(cfg.constants, SpinConstants):
+        raise ValueError(f"constants {cfg.constants!r} is not a SpinConstants")
+    if not _real(cfg.b_static_mt):
+        raise ValueError(f"b_static_mt {cfg.b_static_mt!r} is not a number")
+    if not isinstance(cfg.shape, LineshapeParams):
+        raise ValueError(f"shape {cfg.shape!r} is not a LineshapeParams")
+    grid = cfg.grid_mhz
+    if not (isinstance(grid, tuple) and len(grid) == 3 and all(map(_real, grid))):
+        raise ValueError(f"grid_mhz {grid!r} is not a (start, stop, step) tuple of numbers")
     if not _integer(cfg.psi_count):
         raise ValueError(f"psi_count {cfg.psi_count!r} is not an integer")
-    grid = cfg.grid_mhz
-    if not (isinstance(grid, tuple) and len(grid) == 3
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in grid)):
-        raise ValueError(f"grid_mhz {grid!r} is not a (start, stop, step) tuple of numbers")
-    bases, sweeps, plan = _noiseless_sweeps(scene, nv_indices, cfg._replace(noise=None))
+    if not (cfg.noise is None or isinstance(cfg.noise, NoiseConfig)):
+        raise ValueError(f"noise {cfg.noise!r} is not a NoiseConfig or None")
+    bases, psis, signals, plan = _noiseless_sweeps(scene, nv_indices, cfg._replace(noise=None))
+    sigmas = None
     if cfg.noise is not None:
-        noise, several = cfg.noise, len(sweeps) > 1
-        sweeps = [odmrsim.noisy_copy_with_subseed(
-                      s, noise._replace(key=noise.key + (k,)) if several else noise)
-                  for k, s in enumerate(sweeps)]
+        signals, sigmas = odmrsim.noisy_copy_with_subseed(signals, cfg.noise)
+    depths, sigmas = sweep_lp_depths(plan, signals, sigmas)
     out = []
-    for basis, sweep, (depths, sigmas) in zip(bases, sweeps, sweep_lp_depths(plan, *sweeps)):
-        cos2 = fitkit.fit_cos2(sweep.psis, depths, sigmas)
+    for k, basis in enumerate(bases):
+        cos2 = fitkit.fit_cos2(psis, depths[k], None if sigmas is None else sigmas[k])
         out.append((extract_nv_y(basis, cos2), cos2))
     return out
 

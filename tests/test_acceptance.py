@@ -141,15 +141,16 @@ def test_criterion_5_noisy_end_to_end_statistics():
     basis = geometry.transverse_basis(
         geometry.crystallographic_axes()[reconstruct.NV1_AXIS_INDEX])
     psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-    sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
-                                       geometry.wire_field_magnitude(scene),
-                                       odmrsim.LineshapeParams(), odmrsim.default_grid(*GRID_MHZ),
-                                       psis)
-    plan = fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz)
+    grid = odmrsim.default_grid(*GRID_MHZ)
+    centers, clean = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
+                                                geometry.wire_field_magnitude(scene),
+                                                odmrsim.LineshapeParams(), grid, psis)
+    plan = fitkit.FitPlan(grid, centers)
     rels = []
     for seed in range(10):
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(rate, dwell, seed))
-        [(depths, sigmas)] = reconstruct.sweep_lp_depths(plan, noisy)
+        noisy, sigmas = odmrsim.noisy_copy_with_subseed(clean[None],
+                                                        odmrsim.NoiseConfig(rate, dwell, seed))
+        depths, sigmas = reconstruct.sweep_lp_depths(plan, noisy[0], sigmas[0])
         k = int(np.argmax(depths))
         rels.append(float(sigmas[k] / depths[k]))
     rel = float(np.median(rels))
@@ -234,12 +235,11 @@ def test_criterion_8_property_suite():
         geometry.crystallographic_axes()[reconstruct.NV1_AXIS_INDEX])
     scene = geometry.WireScene(61.0, 18.0, 40.0)
     psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-    sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
-                                       geometry.wire_field_magnitude(scene),
-                                       odmrsim.LineshapeParams(), odmrsim.default_grid(*GRID_MHZ),
-                                       psis)
-    [(depths, _)] = reconstruct.sweep_lp_depths(
-        fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz), sweep)
+    f = odmrsim.default_grid(*GRID_MHZ)
+    centers, signals = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
+                                                  geometry.wire_field_magnitude(scene),
+                                                  odmrsim.LineshapeParams(), f, psis)
+    depths, _ = reconstruct.sweep_lp_depths(fitkit.FitPlan(f, centers), signals, None)
     fit = fitkit.fit_cos2(psis, depths)
     model = fit.a * np.cos(psis - fit.psi0) ** 2 + fit.b
     ss_res = float(np.sum((depths - model) ** 2))
@@ -249,7 +249,7 @@ def test_criterion_8_property_suite():
     # analytic Jacobian of the free-center dip fit vs finite differences: the
     # columns over [baseline, -depths, t = log(fwhm), centers] that
     # `fitkit._free_project` returns at its unweighted linear fit, off the optimum
-    f, y = sweep.frequencies, sweep.signals[0]
+    y = signals[0]
     _, coef, _, jac_ana = fitkit._free_project(f, y, np.ones_like(f),
                                                np.array([7.0, 2898.9, 2925.7]))
     x = np.concatenate([coef, [math.log(7.0), 2898.9, 2925.7]])
@@ -278,7 +278,7 @@ def test_criterion_8_property_suite():
     checks["cross perpendicularity"] = perp < 1e-12
 
     # seeded shot noise is reproducible
-    clean = sweep.signals[0]
+    clean = signals[0]
     a = odmrsim.NoiseConfig(100.0, 1.0, 5).draw(clean)
     b = odmrsim.NoiseConfig(100.0, 1.0, 5).draw(clean)
     checks["seeded noise reproducible"] = bool(np.array_equal(a, b))

@@ -294,22 +294,22 @@ class TestFitDips:
         basis = geometry.transverse_basis(geometry.crystallographic_axes()[3])
         scene = geometry.WireScene(61.0, 18.0, 40.0)
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-        sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
-                                           geometry.wire_field_magnitude(scene), shape, grid,
-                                           psis)
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 16))
+        _, clean = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
+                                              geometry.wire_field_magnitude(scene), shape, grid,
+                                              psis)
+        y, sigma = noisy_sweep(clean, odmrsim.NoiseConfig(200.0, 0.008, 16))
         with pytest.raises(DegenerateFitError, match="not significant"):
-            fit_free(noisy.frequencies, noisy.signals[11], noisy.point_sigmas()[11])
+            fit_free(grid, y[11], sigma[11])
 
     def test_unconverged_fit_fails(self):
         # at 1,600 counts per point the Gauss-Newton steps on this sweep
         # spectrum swing in a two-cycle of the fwhm between 8.8547 and 8.8549
         # MHz, and the search stops at MAX_DIP_ITER steps, in a state whose
         # centers lie on the grid and whose dips are significant
-        _, _, _, sweep = noisy_sweeps(0, 0.008)
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 21))
+        f, _, _, clean = noisy_sweeps(0, 0.008)
+        y, sigma = noisy_sweep(clean, odmrsim.NoiseConfig(200.0, 0.008, 21))
         with pytest.raises(DegenerateFitError, match="^dip fit did not converge in 200 steps$"):
-            fit_free(noisy.frequencies, noisy.signals[1], noisy.point_sigmas()[1])
+            fit_free(f, y[1], sigma[1])
 
     def test_capped_fit_names_the_data_cause(self):
         # at 400 counts per point the steps on this sweep spectrum swing in a
@@ -317,10 +317,10 @@ class TestFitDips:
         # MAX_DIP_ITER; the cause is the search that did not stop, not what
         # its unfinished state shows (there a dip is not significant, a
         # cause the optimum need not share), so the data checks do not run
-        _, _, _, sweep = noisy_sweeps(0, 0.002)
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.002, 3))
+        f, _, _, clean = noisy_sweeps(0, 0.002)
+        y, sigma = noisy_sweep(clean, odmrsim.NoiseConfig(200.0, 0.002, 3))
         with pytest.raises(DegenerateFitError, match="^dip fit did not converge in 200 steps$"):
-            fit_free(noisy.frequencies, noisy.signals[2], noisy.point_sigmas()[2])
+            fit_free(f, y[2], sigma[2])
 
     def test_center_count_checked(self, grid):
         # no centers, or more parameters (2n + 2) than data points
@@ -351,11 +351,11 @@ class TestFitDips:
     def test_center_left_the_grid(self):
         # a noisy sweep spectrum (1,600 counts per point) whose free fit runs
         # a center off the default grid
-        _, _, _, sweep = noisy_sweeps(0, 0.008)
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, 0))
+        f, _, _, clean = noisy_sweeps(0, 0.008)
+        y, sigma = noisy_sweep(clean, odmrsim.NoiseConfig(200.0, 0.008, 0))
         with pytest.raises(DegenerateFitError, match=r"^fitted dip center left the frequency "
                                                      r"grid \[2850, 2950\] MHz$"):
-            fit_free(noisy.frequencies, noisy.signals[10], noisy.point_sigmas()[10])
+            fit_free(f, y[10], sigma[10])
 
     def test_center_left_a_fine_grid(self):
         # a noiseless dip just past the end of a fine grid: the message names
@@ -436,20 +436,26 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def noisy_sweep(clean, noise):
+    """(signals, sigmas), both (n_psi, n_f), of one noisy copy of the lone
+    sweep `clean` drawn with `noise`."""
+    noisy, sigmas = odmrsim.noisy_copy_with_subseed(clean[None], noise)
+    return noisy[0], sigmas[0]
+
+
 def noisy_sweeps(n_sweeps, dwell_s, nv_index=3, first_seed=0):
-    """Signals and sigmas (12, n_f) of seeded noisy sweeps at (61, 18) um, and
-    the sweep's grid and dip centers; sweep i has subseed first_seed + i."""
+    """Signals and sigmas (12, n_f) of seeded noisy sweeps at (61, 18) um,
+    the sweep's grid and dip centers, and its noiseless signals; sweep i
+    has subseed first_seed + i."""
     basis = geometry.transverse_basis(geometry.crystallographic_axes()[nv_index])
     scene = geometry.WireScene(61.0, 18.0, 40.0)
-    sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, geometry.mw_direction(scene),
-                                       geometry.wire_field_magnitude(scene),
-                                       odmrsim.LineshapeParams(), odmrsim.default_grid(*GRID_MHZ),
-                                       np.linspace(0.0, math.pi, 12, endpoint=False))
-    runs = []
-    for seed in range(first_seed, first_seed + n_sweeps):
-        noisy = odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, dwell_s, seed))
-        runs.append((noisy.signals, noisy.point_sigmas()))
-    return sweep.frequencies, np.array(sweep.centers_mhz), runs, sweep
+    grid = odmrsim.default_grid(*GRID_MHZ)
+    centers, clean = odmrsim.simulate_phi_sweep(
+        C, basis, 10.2, geometry.mw_direction(scene), geometry.wire_field_magnitude(scene),
+        odmrsim.LineshapeParams(), grid, np.linspace(0.0, math.pi, 12, endpoint=False))
+    runs = [noisy_sweep(clean, odmrsim.NoiseConfig(200.0, dwell_s, seed))
+            for seed in range(first_seed, first_seed + n_sweeps)]
+    return grid, np.array(centers), runs, clean
 
 
 def lm_free(spec, x0, **kwargs):
@@ -504,12 +510,10 @@ def free_fits():
     counts per point, both fits started at 2898 and 2926 MHz."""
     out = []
     for dwell_s in (0.008, 0.002):
-        sweep = noisy_sweeps(0, dwell_s)[3]
-        for seed in range(10):
-            noise = odmrsim.NoiseConfig(200.0, dwell_s, seed)
-            noisy = odmrsim.noisy_copy_with_subseed(sweep, noise)
-            for y, sigma in zip(noisy.signals, noisy.point_sigmas()):
-                spec = (noisy.frequencies, y, sigma)
+        f, _, runs, _ = noisy_sweeps(10, dwell_s)
+        for signals, sigmas in runs:
+            for y, sigma in zip(signals, sigmas):
+                spec = (f, y, sigma)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     try:
@@ -635,10 +639,10 @@ class TestFitPinnedDips:
                 assert np.max(np.abs(one.depth_sigmas - single.depth_sigmas)) < 1e-12
 
     def test_noiseless_recovers_simulated_lineshape(self, shape):
-        f, centers, _, sweep = noisy_sweeps(0, 0.008)
-        fit = fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), sweep.signals, None)
+        f, centers, _, clean = noisy_sweeps(0, 0.008)
+        fit = fitkit.fit_pinned_dips(fitkit.FitPlan(f, centers), clean, None)
         assert abs(fit.fwhm - shape.fwhm_mhz) < 1e-9
-        for s in sweep.signals:
+        for s in clean:
             assert linear_fit_at(f, s, None, centers, fit.fwhm)[1] < 1e-20
 
     def test_linewidth_bound_at_low_counts(self):
@@ -678,9 +682,9 @@ class TestFitPinnedDips:
     def test_depth_bias_at_400_counts(self):
         # a linewidth fitted per spectrum biased the deepest depths by
         # +1.4..+6.2% at 400 counts per point; the shared one stays within 2%
-        f, centers, runs, sweep = noisy_sweeps(1000, 0.002, first_seed=10_000)
+        f, centers, runs, clean = noisy_sweeps(1000, 0.002, first_seed=10_000)
         plan = fitkit.FitPlan(f, centers)
-        truth = fitkit.fit_pinned_dips(plan, sweep.signals, None).depths[:, 1]
+        truth = fitkit.fit_pinned_dips(plan, clean, None).depths[:, 1]
         deepest = np.argsort(truth)[-6:]
         depths = np.array([fitkit.fit_pinned_dips(plan, y, sig).depths[deepest, 1]
                            for y, sig in runs])
@@ -739,11 +743,11 @@ class TestFitPinnedDips:
         with monkeypatch.context() as patched:
             patched.delattr(fitkit.FitPlan, "block")
             fit_free(GRID, two_dip_spectrum())
-        f, centers, runs, sweep = noisy_sweeps(4, 0.008)
+        f, centers, runs, clean = noisy_sweeps(4, 0.008)
         runs += noisy_sweeps(4, 0.002)[2]
         (y0, s0), (y1, s1) = runs[:2]
         stacked = np.concatenate([y0, y1[:7]]), np.concatenate([s0, s1[:7]])
-        runs += [(sweep.signals, None), stacked]
+        runs += [(clean, None), stacked]
         plan = fitkit.FitPlan(f, centers)
         assert "block" not in vars(plan)
         fitkit.fit_pinned_dips(plan, *runs[0])
@@ -825,6 +829,20 @@ class TestFitPinnedDips:
         for bad_centers in (2900.0, [[2900.0, 2910.0]]):
             with pytest.raises(ValueError, match="dip centers must be a 1-D array"):
                 fitkit.FitPlan(f, bad_centers)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_more_than_two_dimensions_rejected(self, weighted):
+        # a (1, n_f, 3) signal passed the grid check on its second axis, and
+        # both fits failed in numpy's matmul or solve; a stack of sweeps is
+        # reshaped to rows by `reconstruct.sweep_lp_depths`, not here
+        f, centers, _, _ = noisy_sweeps(0, 0.008)
+        plan = fitkit.FitPlan(f, centers)
+        for y in (np.ones((1, f.size, 3)), np.ones((2, 1, f.size))):
+            sigma = np.full(y.shape, 0.01) if weighted else None
+            with pytest.raises(ValueError, match="^signals do not match the frequency grid$"):
+                fitkit.fit_pinned_dips(plan, y, sigma)
+            with pytest.raises(ValueError, match="^signals do not match the frequency grid$"):
+                fitkit.fit_dips(plan, y, sigma)
 
     def test_singular_normal_equations_raise(self):
         # sigmas of 1e200 are valid, but their squared weights underflow to 0,

@@ -175,12 +175,12 @@ class TestPhiSweep:
     def test_sweep_shapes_and_modulation(self, shape, grid, nv1_basis):
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
         mw_lab = geometry.wire_tangent(61.0, 18.0)
-        sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, mw_lab, 0.05,
-                                           shape, grid, psis)
-        assert sweep.signals.shape == (12, grid.size)
+        _, signals = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, mw_lab, 0.05,
+                                                shape, grid, psis)
+        assert signals.shape == (12, grid.size)
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
         k = int(np.argmin(np.abs(grid - eig.f_0p)))
-        depths = [1.0 - s[k] for s in sweep.signals]
+        depths = [1.0 - s[k] for s in signals]
         # the L0<->Lp dip depth follows cos^2 and nearly vanishes at the minimum
         assert max(depths) > 5.0 * min(depths)
 
@@ -193,9 +193,9 @@ class TestPhiSweep:
         shape = odmrsim.LineshapeParams(model=model)
         mw_lab = geometry.wire_tangent(61.0, 18.0)
         psis = np.array([-7.0, -math.pi, -0.3, 0.0, 1.1, math.pi, 2 * math.pi, 9.5, 20.0])
-        sweep = odmrsim.simulate_phi_sweep(C, basis, 10.2, mw_lab, 0.05, shape, grid, psis)
+        _, signals = odmrsim.simulate_phi_sweep(C, basis, 10.2, mw_lab, 0.05, shape, grid, psis)
         mw = nv_frame_mw(basis, mw_lab, 0.05)
-        for psi, signal in zip(psis, sweep.signals):
+        for psi, signal in zip(psis, signals):
             static = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, psi % (2 * math.pi))
             ref = reference_signal(C, static, mw, shape, grid)
             assert np.max(np.abs(signal - ref)) < 1e-12
@@ -207,10 +207,11 @@ class TestPhiSweep:
         shape = odmrsim.LineshapeParams(model=model)
         mw_lab = geometry.wire_tangent(61.0, 18.0)
         psis = np.array([-2.0, 0.0, 0.5, 1.7, 3.0, 8.0])
-        sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, mw_lab, 0.05, shape, grid, psis)
+        _, signals = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, mw_lab, 0.05, shape, grid,
+                                                psis)
         mw = nv_frame_mw(nv1_basis, mw_lab, 0.05)
         eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, STATIC))
-        for psi, signal in zip(psis, sweep.signals):
+        for psi, signal in zip(psis, signals):
             om = rabi_amplitudes(eig, C, spinmodel.MwFieldNV(
                 mw.amplitude_mt, mw.zeta, mw.transverse_azimuth - psi))
             dips = [shape.contrast(omega) * odmrsim.lorentzian(grid, center, shape.fwhm_mhz)
@@ -222,17 +223,42 @@ class TestPhiSweep:
         # at theta = pi/2 the transition frequencies do not depend on psi, so
         # the centers of the sweep's one eigensolve serve every spectrum
         psis = np.array([0.0, 0.4, 1.3, 2.9])
-        sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
-                                           shape, grid, psis)
+        centers, _ = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
+                                                shape, grid, psis)
         for psi in psis:
             static = spinmodel.StaticFieldNV(10.2, math.pi / 2.0, psi)
             eig = spinmodel.eigensystem(spinmodel.ground_hamiltonian(C, static))
-            assert np.allclose(sweep.centers_mhz, (eig.f_0m, eig.f_0p), rtol=0, atol=1e-9)
+            assert np.allclose(centers, (eig.f_0m, eig.f_0p), rtol=0, atol=1e-9)
 
     def test_empty_psis_rejected(self, shape, grid, nv1_basis):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^psi values must be a nonempty 1-D array of "
+                                             "finite angles$"):
             odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
                                        shape, grid, np.array([]))
+
+    @pytest.mark.parametrize("psis", [
+        [[0.0, 1.0], [2.0, 3.0]], [0.0, math.nan, 1.0, 2.0], [0.0, math.inf], [-math.inf],
+        0.5,
+    ], ids=["2-D", "nan", "inf", "-inf", "scalar"])
+    def test_bad_psis_rejected(self, shape, grid, nv1_basis, psis, monkeypatch):
+        # refused before the synthesis: a 2-D psi array failed in numpy's
+        # matmul, a NaN made a sweep of NaN signals, and inf warned in cos
+        def no_synthesis(*args):
+            raise AssertionError("the sweep was synthesized")
+
+        monkeypatch.setattr(odmrsim, "_synthesize", no_synthesis)
+        with pytest.raises(ValueError, match="^psi values must be a nonempty 1-D array of "
+                                             "finite angles$"):
+            odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
+                                       shape, grid, np.array(psis))
+
+    def test_grid_checked_first(self, shape, nv1_basis):
+        # by the check `simulate_spectrum` and the fit plan run, before the psis
+        for grid, message in (([2850.0, 2850.0, 2900.0], "finite and strictly ascending"),
+                              ([[2850.0, 2950.0]], "a nonempty 1-D array")):
+            with pytest.raises(ValueError, match=f"^frequency grid must be {message}$"):
+                odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
+                                           shape, np.array(grid), np.array([math.nan]))
 
     def test_zero_static_field_rejected(self, shape, grid, nv1_basis):
         with pytest.raises(ValueError, match="^static field must be positive for a sweep$"):
@@ -274,13 +300,14 @@ class TestShotNoise:
         assert np.allclose(sig, np.sqrt(np.maximum(noisy, 1e-12) / 200000.0))
 
     def test_subseed_schedule_independence(self, shape, grid, nv1_basis):
-        # a noisy spectrum and a noisy sweep are each one Poisson draw on their
-        # expected counts from the generator of SeedSequence(seed, spawn_key=key)
-        # of the record they are drawn with, which a sweep carries; equal
-        # records give equal draws
+        # a noisy spectrum and a noisy lone sweep are each one Poisson draw on
+        # their expected counts from the generator of
+        # SeedSequence(seed, spawn_key=key) of the record they are drawn with;
+        # equal records give equal draws, and the sigmas are those of the
+        # noisy points
         psis = np.linspace(0.0, math.pi, 5, endpoint=False)
-        sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
-                                           shape, grid, psis)
+        _, clean = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
+                                              shape, grid, psis)
         signal = odmrsim.simulate_spectrum(C, STATIC, MW, shape, grid)
         noise, counts = odmrsim.NoiseConfig(100.0, 1.0, 7), 100000.0
 
@@ -290,45 +317,64 @@ class TestShotNoise:
 
         assert np.array_equal(noise.draw(signal), reference(signal))
         keys = [(), (0,), (1,)]
-        noisy = [odmrsim.noisy_copy_with_subseed(sweep, noise._replace(key=key))
+        noisy = [odmrsim.noisy_copy_with_subseed(clean[None], noise._replace(key=key))
                  for key in keys]
-        backwards = [odmrsim.noisy_copy_with_subseed(sweep, noise._replace(key=key))
+        backwards = [odmrsim.noisy_copy_with_subseed(clean[None], noise._replace(key=key))
                      for key in reversed(keys)]
-        for sw, again, key in zip(noisy, reversed(backwards), keys):
-            assert np.array_equal(sw.signals, reference(sweep.signals, *key))
-            assert np.array_equal(sw.signals, again.signals)
-            assert sw.counts_meta == (100.0, 1.0, 7, key)
-            assert np.array_equal(sw.point_sigmas(),
-                                  np.sqrt(np.maximum(sw.signals, 1e-12) / counts))
-        assert sweep.point_sigmas() is None
+        for (signals, sigmas), (again, _), key in zip(noisy, reversed(backwards), keys):
+            assert signals.shape == sigmas.shape == (1, *clean.shape)
+            assert np.array_equal(signals[0], reference(clean, *key))
+            assert np.array_equal(signals, again)
+            assert np.array_equal(sigmas, np.sqrt(np.maximum(signals, 1e-12) / counts))
         # planar () and 3-D slots (0,), (1,) never share a stream, and
         # identical rows of one sweep get different noise
-        same = odmrsim.SweepSeries(psis, grid, np.tile(sweep.signals[0], (5, 1)),
-                                   sweep.centers_mhz)
+        same = np.tile(clean[0], (1, 5, 1))
         rows = np.concatenate([
-            odmrsim.noisy_copy_with_subseed(same, noise._replace(key=key)).signals
+            odmrsim.noisy_copy_with_subseed(same, noise._replace(key=key))[0][0]
             for key in keys])
         for a, b in itertools.combinations(rows, 2):
             assert not np.array_equal(a, b)
+
+    def test_slot_key_rule(self, shape, grid):
+        # sweep j of a stack of several is drawn with j appended to the
+        # record's key, a lone sweep with the record itself, each in one
+        # draw and in slot order, so a stack's noise is that of its sweeps
+        # drawn one by one; equal sweeps in two slots get different noise
+        psis = np.linspace(0.0, math.pi, 4, endpoint=False)
+        clean = np.stack([odmrsim.simulate_phi_sweep(
+            C, geometry.transverse_basis(geometry.crystallographic_axes()[i]), 10.2,
+            [0.3, 0.5, 0.8], 0.05, shape, grid, psis)[1] for i in (3, 1, 3)])
+        for noise in (odmrsim.NoiseConfig(100.0, 1.0, 7),
+                      odmrsim.NoiseConfig(100.0, 1.0, 7, (5,))):
+            for k in (1, 2, 3):
+                signals, sigmas = odmrsim.noisy_copy_with_subseed(clean[:k], noise)
+                keys = [noise.key] if k == 1 else [noise.key + (j,) for j in range(k)]
+                for j, key in enumerate(keys):
+                    assert np.array_equal(signals[j], noise._replace(key=key).draw(clean[j]))
+                    assert np.array_equal(sigmas[j], noise.point_sigma(signals[j]))
+                if k == 3:
+                    assert not np.array_equal(signals[0], signals[2])
+        with pytest.raises(ValueError, match=r"^signals must be a \(k, n_psi, n_f\) stack of "
+                                             r"sweeps$"):
+            odmrsim.noisy_copy_with_subseed(clean[0], odmrsim.NoiseConfig(100.0, 1.0, 7))
 
     def test_sweep_noise_statistics(self, shape, grid, nv1_basis):
         # 400 noisy copies of one sweep at 1,600 counts per point: unbiased,
         # Poisson variance, and no noise shared between psi rows
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-        sweep = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
-                                           shape, grid, psis)
+        _, clean = odmrsim.simulate_phi_sweep(C, nv1_basis, 10.2, [1, 0, 0], 0.05,
+                                              shape, grid, psis)
         n_copies, counts = 400, 1600.0
-        draws = np.stack([
-            odmrsim.noisy_copy_with_subseed(sweep, odmrsim.NoiseConfig(200.0, 0.008, s)).signals
-            for s in range(n_copies)])
-        var_pred = sweep.signals / counts
+        draws = np.stack([odmrsim.noisy_copy_with_subseed(
+            clean[None], odmrsim.NoiseConfig(200.0, 0.008, s))[0][0] for s in range(n_copies)])
+        var_pred = clean / counts
         # 5 sigma per point: over 2,412 points a correct stream passes 4 sigma
         # only about six times in seven
-        assert np.all(np.abs(draws.mean(axis=0) - sweep.signals)
+        assert np.all(np.abs(draws.mean(axis=0) - clean)
                       < 5.0 * np.sqrt(var_pred / n_copies))
         assert 0.9 <= np.mean(draws.var(axis=0, ddof=1) / var_pred) <= 1.1
         # standardized residuals of each psi row, over copies and frequencies
-        z = ((draws - sweep.signals) / np.sqrt(var_pred)).transpose(1, 0, 2).reshape(psis.size, -1)
+        z = ((draws - clean) / np.sqrt(var_pred)).transpose(1, 0, 2).reshape(psis.size, -1)
         corr = np.corrcoef(z)
         assert np.max(np.abs(corr[~np.eye(psis.size, dtype=bool)])) < 0.2
 

@@ -23,25 +23,22 @@ def planar_mw(alpha_deg):
     return np.array([math.sin(a), 0.0, math.cos(a)])
 
 
-def own_plan(sweep):
-    """The `FitPlan` of a sweep's grid and dip centers."""
-    return fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz)
-
-
 def fake_cos2(psi0, sigma=1e-4):
     return fitkit.Cos2Fit(a=1.0, b=0.0, psi0=psi0, sigma_psi0=sigma, sigma_a=1e-4)
 
 
-def pair_sweeps(psis, b_static_mt=10.2, grid=None):
-    """Noiseless sweeps of the NV1 and NV2 orientations at SCENE, as the 3-D chain makes them."""
-    return [odmrsim.simulate_phi_sweep(spinmodel.SpinConstants(),
-                                       geometry.transverse_basis(AXES[nv]), b_static_mt,
-                                       geometry.mw_direction(SCENE),
-                                       geometry.wire_field_magnitude(SCENE),
-                                       odmrsim.LineshapeParams(),
-                                       odmrsim.default_grid(*GRID_MHZ) if grid is None else grid,
-                                       psis)
-            for nv in (reconstruct.NV1_AXIS_INDEX, NV2_AXIS_INDEX)]
+def stacked_sweeps(psis, nv_indices=(reconstruct.NV1_AXIS_INDEX, NV2_AXIS_INDEX)):
+    """(grid, centers, signals) of the noiseless sweeps of the given NV
+    orientations at SCENE on the default grid, as the chain makes them:
+    signals (k, n_psi, n_f), and the first sweep's dip centers."""
+    grid = odmrsim.default_grid(*GRID_MHZ)
+    sweeps = [odmrsim.simulate_phi_sweep(spinmodel.SpinConstants(),
+                                         geometry.transverse_basis(AXES[nv]), 10.2,
+                                         geometry.mw_direction(SCENE),
+                                         geometry.wire_field_magnitude(SCENE),
+                                         odmrsim.LineshapeParams(), grid, psis)
+              for nv in nv_indices]
+    return grid, sweeps[0][0], np.stack([signals for _, signals in sweeps])
 
 
 class TestExtractNvY:
@@ -182,9 +179,10 @@ class TestSweepChain:
     def test_depth_modulation_phase(self, consts, shape, grid, nv1_basis):
         m = geometry.mw_direction(SCENE)
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-        sweep = odmrsim.simulate_phi_sweep(consts, nv1_basis, 10.2, m, 0.05,
-                                           shape, grid, psis)
-        [(depths, sigmas)] = reconstruct.sweep_lp_depths(own_plan(sweep), sweep)
+        centers, signals = odmrsim.simulate_phi_sweep(consts, nv1_basis, 10.2, m, 0.05,
+                                                      shape, grid, psis)
+        depths, sigmas = reconstruct.sweep_lp_depths(fitkit.FitPlan(grid, centers), signals,
+                                                     None)
         assert sigmas is None
         cos2 = fitkit.fit_cos2(psis, depths)
         # depth peaks when the static field is parallel to the in-plane
@@ -194,93 +192,83 @@ class TestSweepChain:
         assert min(d, math.pi - d) < 1e-6
 
     def test_depths_without_eigensolve(self, consts, shape, grid, nv1_basis, monkeypatch):
-        # the dip centers travel with the sweep; fitting it solves no Hamiltonian
+        # the dip centers come with the sweep's plan; fitting it solves no
+        # Hamiltonian
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-        sweep = odmrsim.simulate_phi_sweep(consts, nv1_basis, 10.2, geometry.mw_direction(SCENE),
-                                           0.05, shape, grid, psis)
+        centers, signals = odmrsim.simulate_phi_sweep(
+            consts, nv1_basis, 10.2, geometry.mw_direction(SCENE), 0.05, shape, grid, psis)
+        plan = fitkit.FitPlan(grid, centers)
 
         def no_eigensolve(*args):
             raise AssertionError("sweep_lp_depths solved a Hamiltonian")
 
         monkeypatch.setattr(spinmodel, "eigensystem", no_eigensolve)
-        [(depths, sigmas)] = reconstruct.sweep_lp_depths(own_plan(sweep), sweep)
+        depths, sigmas = reconstruct.sweep_lp_depths(plan, signals, None)
         assert depths.shape == (12,) and sigmas is None
 
     def test_sweep_shape_invariant(self):
-        # signals are one (n_psi, n_f) array, and a fit of several sweeps
-        # needs sigmas for every row, one grid and one pair of centers
+        # a stack of sweeps is one array whose last axis is the plan's grid:
+        # its depths and sigmas come back shaped like its leading axes, and
+        # sigmas not shaped like the signals, or signals off the grid, are
+        # refused
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-        sweep, other = pair_sweeps(psis)
-        plan = own_plan(sweep)
-        for bad in (sweep.signals.T, sweep.signals[0], sweep.signals[1:], sweep.signals[:, 1:],
-                    sweep.signals[None]):
-            with pytest.raises(ValueError, match="one row per psi"):
-                odmrsim.SweepSeries(psis, sweep.frequencies, bad, sweep.centers_mhz)
-        noisy = odmrsim.noisy_copy_with_subseed(other, odmrsim.NoiseConfig(200.0, 0.008, 1))
-        with pytest.raises(ValueError, match="all noisy or all noiseless"):
-            reconstruct.sweep_lp_depths(plan, sweep, noisy)
-        # with the first sweep's plan, the message names the sweep that
-        # differs from it
-        shifted = pair_sweeps(psis, grid=odmrsim.default_grid(2850.5, 2950.5, 0.5))[0]
-        with pytest.raises(ValueError, match="^sweep 2 does not share one frequency grid with "
-                                             "the fit plan$"):
-            reconstruct.sweep_lp_depths(plan, sweep, other, shifted)
-        weaker = pair_sweeps(psis, b_static_mt=9.0)[0]
-        with pytest.raises(ValueError, match="^sweep 1 does not share its dip centers with the "
-                                             "fit plan$"):
-            reconstruct.sweep_lp_depths(plan, sweep, weaker)
+        grid, centers, signals = stacked_sweeps(psis)
+        plan = fitkit.FitPlan(grid, centers)
+        noisy, sigmas = odmrsim.noisy_copy_with_subseed(signals,
+                                                        odmrsim.NoiseConfig(200.0, 0.008, 1))
+        for y, sig in ((noisy, sigmas), (noisy[1], sigmas[1]), (signals[0, 2], None)):
+            depths, depth_sigmas = reconstruct.sweep_lp_depths(plan, y, sig)
+            assert depths.shape == y.shape[:-1]
+            assert depth_sigmas is None if sig is None else depth_sigmas.shape == y.shape[:-1]
+        for bad in (sigmas[0], sigmas.reshape(24, -1), sigmas[..., 1:], sigmas[None]):
+            with pytest.raises(ValueError, match="^sigmas must be positive, finite and shaped "
+                                                 "like the signals$"):
+                reconstruct.sweep_lp_depths(plan, noisy, bad)
+        for bad in (signals.transpose(0, 2, 1), signals[..., 1:], np.float64(1.0)):
+            with pytest.raises(ValueError, match="^signals do not match the frequency grid$"):
+                reconstruct.sweep_lp_depths(plan, bad, None)
 
     def test_plan_is_the_batch_reference(self):
-        # a plan 3 MHz off the sweep's dip centers, or on another grid, is
-        # refused: it was fitted, and gave depths 0.0014, 0.0168, ... where the
-        # sweep's own plan gives 0.0062, 0.0261, ...; an equal plan, on the
-        # sweep's grid or on a copy of it, gives the same depths bit for bit
+        # the plan is the stack's one record of its grid and dip centers: a
+        # plan 3 MHz off the sweep's dip centers fits there, and gives depths
+        # 0.0014, 0.0168, ... where the sweep's own plan gives 0.0062,
+        # 0.0261, ...; an equal plan, on the sweep's grid or on a copy of it,
+        # gives the same depths bit for bit
         psis = np.linspace(0.0, math.pi, 12, endpoint=False)
-        sweep, other = pair_sweeps(psis)
-        centers = np.array(sweep.centers_mhz)
-        for plan, named in ((fitkit.FitPlan(sweep.frequencies, centers + 3.0), "its dip centers"),
-                            (fitkit.FitPlan(sweep.frequencies + 0.5, centers), "one frequency grid")):
-            for sweeps in ((sweep,), (sweep, other)):
-                with pytest.raises(ValueError, match=rf"^sweep 0 does not share {named} with "
-                                                     r"the fit plan$"):
-                    reconstruct.sweep_lp_depths(plan, *sweeps)
-        [(own, _)] = reconstruct.sweep_lp_depths(own_plan(sweep), sweep)
-        [(copied, _)] = reconstruct.sweep_lp_depths(
-            fitkit.FitPlan(sweep.frequencies.copy(), sweep.centers_mhz), sweep)
+        grid, centers, signals = stacked_sweeps(psis, (reconstruct.NV1_AXIS_INDEX,))
+        own, _ = reconstruct.sweep_lp_depths(fitkit.FitPlan(grid, centers), signals, None)
+        copied, _ = reconstruct.sweep_lp_depths(fitkit.FitPlan(grid.copy(), centers), signals,
+                                                None)
         assert own.tobytes() == copied.tobytes()
+        shifted, _ = reconstruct.sweep_lp_depths(
+            fitkit.FitPlan(grid, np.array(centers) + 3.0), signals, None)
+        assert np.round(own[0, :2], 4).tolist() == [0.0062, 0.0261]
+        assert np.round(shifted[0, :2], 4).tolist() == [0.0014, 0.0168]
 
     def test_stacked_fit_matches_single_sweeps(self):
         # the 3-D chain fits its sweeps in one batch with one linewidth: the
-        # pinned fit of their concatenated rows, split by sweep, whatever
-        # each sweep's psi count; seed None fits the noiseless sweeps
-        for counts in ((12, 12), (12, 7), (12, 7, 9)):
-            clean = [odmrsim.simulate_phi_sweep(spinmodel.SpinConstants(),
-                                                geometry.transverse_basis(AXES[nv]), 10.2,
-                                                geometry.mw_direction(SCENE),
-                                                geometry.wire_field_magnitude(SCENE),
-                                                odmrsim.LineshapeParams(),
-                                                odmrsim.default_grid(*GRID_MHZ),
-                                                np.linspace(0.0, math.pi, n, endpoint=False))
-                     for nv, n in zip((3, 1, 0), counts)]
+        # pinned fit of the stack's concatenated rows, split by sweep, for
+        # stacks of one to three sweeps; seed None fits the noiseless sweeps
+        psis = np.linspace(0.0, math.pi, 12, endpoint=False)
+        grid, centers, clean = stacked_sweeps(psis, (3, 1, 0))
+        plan = fitkit.FitPlan(grid, centers)
+        for k in (1, 2, 3):
             for seed in (*range(5), None):
-                sweeps = clean if seed is None else [
+                signals, sigmas = (clean[:k], None) if seed is None else (
                     odmrsim.noisy_copy_with_subseed(
-                        s, odmrsim.NoiseConfig(200.0, 0.008, seed, (slot,)))
-                    for slot, s in enumerate(clean)]
-                plan = own_plan(sweeps[0])
-                stacked = reconstruct.sweep_lp_depths(plan, *sweeps)
-                assert len(stacked) == len(counts)
+                        clean[:k], odmrsim.NoiseConfig(200.0, 0.008, seed)))
+                depths, depth_sigmas = reconstruct.sweep_lp_depths(plan, signals, sigmas)
+                assert depths.shape == (k, 12)
                 fit = fitkit.fit_pinned_dips(
-                    plan, np.concatenate([s.signals for s in sweeps]),
-                    None if seed is None else np.concatenate([s.point_sigmas() for s in sweeps]))
-                start = 0
-                for n, (depths, sigmas) in zip(counts, stacked):
-                    assert np.array_equal(depths, fit.depths[start:start + n, 1])
+                    plan, np.concatenate(list(signals)),
+                    None if seed is None else np.concatenate(list(sigmas)))
+                for j in range(k):
+                    assert np.array_equal(depths[j], fit.depths[12 * j:12 * (j + 1), 1])
                     if seed is None:
-                        assert sigmas is None
+                        assert depth_sigmas is None
                     else:
-                        assert np.array_equal(sigmas, fit.depth_sigmas[start:start + n, 1])
-                    start += n
+                        assert np.array_equal(depth_sigmas[j],
+                                              fit.depth_sigmas[12 * j:12 * (j + 1), 1])
 
     def test_one_dip_fit_per_reconstruction(self, monkeypatch):
         # one eigensolve per new noiseless sweep, none for a memoized
@@ -371,9 +359,9 @@ class TestSweepChain:
         fitted = []
         real = reconstruct.sweep_lp_depths
 
-        def record(plan, *sweeps):
-            fitted.append(sweeps)
-            return real(plan, *sweeps)
+        def record(plan, signals, sigmas):
+            fitted.append(signals)
+            return real(plan, signals, sigmas)
 
         monkeypatch.setattr(reconstruct, "sweep_lp_depths", record)
         psis = np.linspace(0.0, math.pi, 5, endpoint=False)
@@ -393,17 +381,17 @@ class TestSweepChain:
         run_3d()
         three_d, planar = fitted[:2]
         for later, first in zip(fitted[2:], (planar, three_d)):
-            assert all(np.array_equal(a.signals, b.signals) for a, b in zip(later, first))
-        clean = pair_sweeps(psis)
+            assert np.array_equal(later, first)
+        _, _, clean = stacked_sweeps(psis)
         counts = 200.0 * 1000.0 * 1.5
         runs = [(three_d, clean, [(0,), (1,)]), (planar, clean[:1], [()])]
         for noisy_sweeps, clean_sweeps, keys in runs:
             assert len(noisy_sweeps) == len(keys)
             for noisy, sweep, key in zip(noisy_sweeps, clean_sweeps, keys):
                 rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=key))
-                assert np.array_equal(noisy.signals, rng.poisson(sweep.signals * counts) / counts)
+                assert np.array_equal(noisy, rng.poisson(sweep * counts) / counts)
         # slot 0 and planar share the NV1 sweep but not its noise
-        assert not np.array_equal(three_d[0].signals, planar[0].signals)
+        assert not np.array_equal(three_d[0], planar[0])
 
     def test_end_to_end_3d_same_orientation_rejected(self):
         for pair in ((3, 3), (np.int64(1), 1)):
@@ -431,6 +419,12 @@ class TestSweepChain:
                 == reconstruct.end_to_end_planar(SCENE, 3).alpha_est_deg)
 
     @pytest.mark.parametrize("field, bad, message", [
+        ("constants", (2870.0, 28.0), "constants (2870.0, 28.0) is not a SpinConstants"),
+        ("b_static_mt", [10.2], "b_static_mt [10.2] is not a number"),
+        ("b_static_mt", True, "b_static_mt True is not a number"),
+        ("shape", {"fwhm_mhz": 8.0}, "shape {'fwhm_mhz': 8.0} is not a LineshapeParams"),
+        ("noise", (200.0, 0.008, 1, ()),
+         "noise (200.0, 0.008, 1, ()) is not a NoiseConfig or None"),
         ("psi_count", 2.5, "psi_count 2.5 is not an integer"),
         ("psi_count", True, "psi_count True is not an integer"),
         ("grid_mhz", [2850.0, 2950.0, 0.5],
@@ -439,11 +433,14 @@ class TestSweepChain:
          "grid_mhz (2850.0, 2950.0) is not a (start, stop, step) tuple of numbers"),
         ("grid_mhz", (2850.0, 2950.0, "0.5"),
          "grid_mhz (2850.0, 2950.0, '0.5') is not a (start, stop, step) tuple of numbers"),
-    ], ids=["psi_count=2.5", "psi_count=True", "grid_mhz-list", "grid_mhz-pair",
+    ], ids=["constants-tuple", "b_static_mt-list", "b_static_mt=True", "shape-dict",
+            "noise-tuple", "psi_count=2.5", "psi_count=True", "grid_mhz-list", "grid_mhz-pair",
             "grid_mhz-str"])
     def test_chain_config_types_checked(self, field, bad, message):
-        # 2.5 and the list once raised TypeError ("'float' object cannot be
-        # interpreted as an integer", "unhashable type: 'list'"), in the memo
+        # 2.5 and the lists once raised TypeError ("'float' object cannot be
+        # interpreted as an integer", "unhashable type: 'list'"), in the memo,
+        # as the dict did; the plain tuples raised AttributeError, and True
+        # ran as 1 mT
         cfg = reconstruct.ChainConfig(**{field: bad})
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reconstruct.end_to_end_planar(SCENE, 3, cfg)
@@ -452,7 +449,7 @@ class TestSweepChain:
         assert reconstruct._noiseless_sweeps.cache_info().currsize == 0
 
     def test_numpy_chain_config_values_accepted(self):
-        cfg = reconstruct.ChainConfig(psi_count=np.int64(12),
+        cfg = reconstruct.ChainConfig(psi_count=np.int64(12), b_static_mt=np.float64(10.2),
                                       grid_mhz=tuple(np.array([2850.0, 2950.0, 0.5])))
         assert (reconstruct.end_to_end_planar(SCENE, 3, cfg).cos2
                 == reconstruct.end_to_end_planar(SCENE, 3).cos2)
@@ -466,24 +463,18 @@ class TestSweepChain:
 
 
 def memo_entry(scene, nv_indices, cfg):
-    """The memo's (bases, sweeps, plan) for one reconstruction under cfg."""
+    """The memo's (bases, psis, signals, plan) for one reconstruction under cfg."""
     return reconstruct._noiseless_sweeps(scene, nv_indices, cfg._replace(noise=None))
 
 
 def direct_sweep(scene, nv_index, cfg):
     """A new synthesis of what the memo holds for one NV orientation under
-    cfg: the sweep on cfg's grid and psi count."""
+    cfg: the (centers, signals) of the sweep on cfg's grid and psi count."""
     return odmrsim.simulate_phi_sweep(
         cfg.constants, geometry.transverse_basis(AXES[nv_index]), cfg.b_static_mt,
         geometry.mw_direction(scene), geometry.wire_field_magnitude(scene), cfg.shape,
         odmrsim.default_grid(*cfg.grid_mhz),
         np.linspace(0.0, math.pi, cfg.psi_count, endpoint=False))
-
-
-def memo_sweep(scene, nv_index, cfg):
-    """The memo's (basis, noiseless sweep) for a planar reconstruction under cfg."""
-    [basis], [sweep], _ = memo_entry(scene, (nv_index,), cfg)
-    return basis, sweep
 
 
 def assert_bit_identical(a, b):
@@ -516,10 +507,11 @@ class TestSweepMemo:
     @example(x=61.0, z=40.0, current=20.0, nv_indices=(3,), n_psi=3, grid=(2850.0, 20, 0.5))
     @example(x=61.0, z=18.0, current=40.0, nv_indices=(3, 1), n_psi=12, grid=(2850.0, 201, 0.5))
     def test_hit_equals_miss(self, x, z, current, nv_indices, n_psi, grid):
-        # a hit returns what direct syntheses of the same scene give, one per
-        # NV orientation, and the plan built on the first one's grid and dip
-        # centers, bit for bit; every sweep holds the plan's grid and one psi
-        # array; x = 0.0 and x = -0.0 make equal keys, so one hits the other
+        # a hit returns what direct syntheses of the same scene give, stacked
+        # one per NV orientation, their psis, and the plan built on their grid
+        # and dip centers, bit for bit; every orientation's synthesis gives
+        # the plan's centers; x = 0.0 and x = -0.0 make equal keys, so one
+        # hits the other
         start, n_f, step = grid
         cfg = reconstruct.ChainConfig(grid_mhz=(start, start + (n_f - 1) * step, step),
                                       psi_count=n_psi)
@@ -527,9 +519,11 @@ class TestSweepMemo:
         twin = geometry.WireScene(-x if x == 0.0 else x, z, current)
         ref_bases = [geometry.transverse_basis(AXES[i]) for i in nv_indices]
         refs = [[direct_sweep(s, i, cfg) for i in nv_indices] for s in (scene, twin)]
-        assert refs[0][0].frequencies.size == n_f and refs[0][0].psis.size == n_psi
+        ref_grid = odmrsim.default_grid(*cfg.grid_mhz)
+        ref_psis = np.linspace(0.0, math.pi, n_psi, endpoint=False)
+        assert refs[0][0][1].shape == (n_psi, n_f)
         try:
-            ref_plan = own_plan(refs[0][0])
+            ref_plan = fitkit.FitPlan(ref_grid, refs[0][0][0])
         except ValueError as exc:
             # a grid that cannot hold both dips: both calls raise the plan's
             # error, and nothing is cached
@@ -540,16 +534,16 @@ class TestSweepMemo:
             assert reconstruct._noiseless_sweeps.cache_info().currsize == cached
             return
         for s, s_refs in zip((scene, twin), refs):
-            bases, sweeps, plan = memo_entry(s, nv_indices, cfg)
-            assert len(bases) == len(sweeps) == len(nv_indices)
+            bases, psis, signals, plan = memo_entry(s, nv_indices, cfg)
+            assert len(bases) == len(signals) == len(nv_indices)
             for basis, ref_basis in zip(bases, ref_bases):
                 for name in ("e1", "e2", "nv_z"):
                     assert_bit_identical(getattr(basis, name), getattr(ref_basis, name))
-            for sweep, ref in zip(sweeps, s_refs):
-                for name in ("psis", "frequencies", "signals"):
-                    assert_bit_identical(getattr(sweep, name), getattr(ref, name))
-                assert sweep.centers_mhz == ref.centers_mhz and sweep.counts_meta is None
-                assert sweep.frequencies is plan.f and sweep.psis is sweeps[0].psis
+            assert_bit_identical(psis, ref_psis)
+            assert_bit_identical(plan.f, ref_grid)
+            assert_bit_identical(signals, np.stack([ref for _, ref in s_refs]))
+            for centers, _ in s_refs:
+                assert centers == tuple(plan.centers.tolist())
             assert (plan.lo, plan.hi) == (ref_plan.lo, ref_plan.hi)
             assert_bit_identical(plan.centers, ref_plan.centers)
             for a, b in zip(plan.block, ref_plan.block):
@@ -560,13 +554,11 @@ class TestSweepMemo:
         cfg = reconstruct.ChainConfig()
         for nv_indices in ((reconstruct.NV1_AXIS_INDEX,), (reconstruct.NV1_AXIS_INDEX,
                                                            NV2_AXIS_INDEX)):
-            bases, sweeps, _ = memo_entry(SCENE, nv_indices, cfg)
-            for basis, sweep in zip(bases, sweeps):
-                for a in (basis.e1, basis.e2, basis.nv_z, sweep.psis, sweep.frequencies,
-                          sweep.signals):
-                    with pytest.raises(ValueError, match="read-only"):
-                        a[0] = 0.0
-            assert memo_entry(SCENE, nv_indices, reconstruct.ChainConfig())[1] is sweeps
+            bases, psis, signals, plan = memo_entry(SCENE, nv_indices, cfg)
+            for a in (*itertools.chain(*bases), psis, plan.f, signals):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+            assert memo_entry(SCENE, nv_indices, reconstruct.ChainConfig())[2] is signals
 
     @pytest.mark.parametrize("field_name, value", [
         ("grid_mhz", (2850.0, 2900.0, 0.5)),
@@ -583,8 +575,8 @@ class TestSweepMemo:
         reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, good)
         cfg = reconstruct.ChainConfig(**{field_name: value})
         with pytest.raises(ValueError) as direct:
-            sweep = direct_sweep(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
-            fitkit.FitPlan(sweep.frequencies, sweep.centers_mhz)
+            centers, _ = direct_sweep(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
+            fitkit.FitPlan(odmrsim.default_grid(*cfg.grid_mhz), centers)
         for _ in range(2):
             with pytest.raises(ValueError) as chained:
                 reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
@@ -602,9 +594,10 @@ class TestSweepMemo:
             reconstruct.end_to_end_planar(SCENE, reconstruct.NV1_AXIS_INDEX, cfg)
         info = reconstruct._noiseless_sweeps.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
-        _, sweep = memo_sweep(SCENE, reconstruct.NV1_AXIS_INDEX, reconstruct.ChainConfig())
-        assert_bit_identical(sweep.frequencies, odmrsim.default_grid(*GRID_MHZ))
-        assert_bit_identical(sweep.psis, np.linspace(0.0, math.pi, 12, endpoint=False))
+        _, psis, _, plan = memo_entry(SCENE, (reconstruct.NV1_AXIS_INDEX,),
+                                      reconstruct.ChainConfig())
+        assert_bit_identical(plan.f, odmrsim.default_grid(*GRID_MHZ))
+        assert_bit_identical(psis, np.linspace(0.0, math.pi, 12, endpoint=False))
 
     def test_warm_memo_equals_cold(self):
         # noisy planar and 3-D results from memoized reconstructions, whose
@@ -626,12 +619,14 @@ class TestSweepMemo:
                     (planar.nv_y.axis, axis.axis))
 
         results(0, cold=True)
-        # each entry was built with the plan of its sweeps' one grid and centers
+        # each entry was built with the plan of its sweeps' one grid and the
+        # centers every orientation's synthesis gives
+        cfg = reconstruct.ChainConfig()
         for nv_indices in ((reconstruct.NV1_AXIS_INDEX,), pair):
-            _, sweeps, plan = memo_entry(SCENE, nv_indices, reconstruct.ChainConfig())
-            for sweep in sweeps:
-                assert plan.f is sweep.frequencies
-                assert tuple(plan.centers.tolist()) == sweep.centers_mhz
+            _, psis, signals, plan = memo_entry(SCENE, nv_indices, cfg)
+            assert signals.shape == (len(nv_indices), psis.size, plan.f.size)
+            for i in nv_indices:
+                assert tuple(plan.centers.tolist()) == direct_sweep(SCENE, i, cfg)[0]
         warm = [results(seed, cold=False) for seed in range(1, 6)]
         for seed, (values, axes) in zip(range(1, 6), warm):
             cold_values, cold_axes = results(seed, cold=True)
@@ -666,10 +661,9 @@ class TestSweepMemo:
         assert info().misses == 2 and info().hits == 49 + 49 and checks
 
     def test_memo_hit_compares_no_grid(self, monkeypatch):
-        # every sweep of a memo entry holds its plan's grid and one psi array,
-        # so a noisy 3-D result on a memo hit checks its sweeps against the
-        # plan by identity and compares no grid (the second sweep's grid was
-        # compared with np.array_equal on every result)
+        # a memo entry's plan is the one record of its stack's grid, so a
+        # noisy 3-D result on a memo hit compares no grid (the second
+        # sweep's grid was compared with np.array_equal on every result)
         pair = (reconstruct.NV1_AXIS_INDEX, NV2_AXIS_INDEX)
 
         def cfg(seed):
@@ -693,16 +687,15 @@ class TestSweepMemo:
         reconstruct.end_to_end_3d(SCENE, pair, cfg(1))
         assert len(compared) == 0
         assert reconstruct._noiseless_sweeps.cache_info().hits == 1
-        [(plan, *sweeps)] = fitted
-        assert len(sweeps) == 2 and all(s.counts_meta is not None for s in sweeps)
-        for s in sweeps:
-            assert s.frequencies is plan.f and s.psis is sweeps[0].psis
+        [(plan, signals, sigmas)] = fitted
+        assert signals.shape == sigmas.shape == (2, 12, plan.f.size)
 
     def test_memo_stays_bounded(self):
         size = reconstruct._SWEEP_MEMO_SIZE
         cfg = reconstruct.ChainConfig()
         for k in range(size + 5):
-            memo_sweep(geometry.WireScene(61.0 + k, 18.0, 40.0), reconstruct.NV1_AXIS_INDEX, cfg)
+            memo_entry(geometry.WireScene(61.0 + k, 18.0, 40.0), (reconstruct.NV1_AXIS_INDEX,),
+                       cfg)
         info = reconstruct._noiseless_sweeps.cache_info()
         assert info.maxsize == size
         assert info.currsize == size
@@ -711,15 +704,17 @@ class TestSweepMemo:
 
 class TestNoiseRecord:
     def test_every_noisy_sweep_redraws_from_its_record(self, monkeypatch):
-        # each noisy sweep of a planar and a 3-D run carries the record it was
-        # drawn with: that record's draw on the clean signals gives its
-        # signals bit for bit, and the record rebuilds through its own checks;
-        # a chain record with a key of its own passes it on as the prefix
+        # a planar and a 3-D run pass the chain's noise record itself to one
+        # `noisy_copy_with_subseed` per result, and each noisy sweep of its
+        # stack is the draw, on the clean sweep, of the record of its slot:
+        # the chain's record for a lone sweep, with j appended to the key for
+        # sweep j of two; a chain record with a key of its own passes it on
+        # as the prefix
         copy, made = odmrsim.noisy_copy_with_subseed, []
 
-        def recording(sweep, noise):
-            noisy = copy(sweep, noise)
-            made.append((sweep, noisy))
+        def recording(signals, noise):
+            noisy = copy(signals, noise)
+            made.append((signals, noise, noisy))
             return noisy
 
         monkeypatch.setattr(odmrsim, "noisy_copy_with_subseed", recording)
@@ -730,14 +725,17 @@ class TestNoiseRecord:
                 cfg = reconstruct.ChainConfig(noise=noise)
                 reconstruct.end_to_end_planar(scene, 3, cfg)
                 reconstruct.end_to_end_3d(scene, (3, 1), cfg)
-        assert len(made) == 12
-        assert {noisy.counts_meta.key for _, noisy in made} == {(), (0,), (1,),
-                                                                (5,), (5, 0), (5, 1)}
-        for clean, noisy in made:
-            meta = noisy.counts_meta
-            assert_bit_identical(meta.draw(clean.signals), noisy.signals)
-            assert odmrsim.NoiseConfig(*meta) == meta
-            assert meta.seed == 7
+                assert [m[1] for m in made[-2:]] == [noise, noise]
+        assert len(made) == 8
+        keys = set()
+        for clean, noise, (signals, sigmas) in made:
+            slots = [noise.key] if len(clean) == 1 else [noise.key + (j,)
+                                                         for j in range(len(clean))]
+            for j, key in enumerate(slots):
+                assert_bit_identical(noise._replace(key=key).draw(clean[j]), signals[j])
+            assert_bit_identical(noise.point_sigma(signals), sigmas)
+            keys.update(slots)
+        assert keys == {(), (0,), (1,), (5,), (5, 0), (5, 1)}
 
 
 class TestCalibration:

@@ -16,9 +16,6 @@ import pytest
 
 from nvorient import fitkit, geometry, odmrsim, reconstruct, sensitivity, spinmodel
 
-GRID = np.linspace(2850.0, 2950.0, 5)
-PSIS = np.array([0.0, 1.0, 2.0])
-
 # (record type, valid fields by name)
 VALID = [
     (spinmodel.SpinConstants, {"d_mhz": 2870.0, "gamma_e": 28.02495}),
@@ -29,8 +26,6 @@ VALID = [
     (odmrsim.LineshapeParams, {"fwhm_mhz": 8.0, "contrast_ref": 0.02, "omega_ref_mhz": 1.0,
                                "model": "linear"}),
     (odmrsim.NoiseConfig, {"rate_kcps": 200.0, "dwell_s": 0.008, "seed": 1, "key": (2,)}),
-    (odmrsim.SweepSeries, {"psis": PSIS, "frequencies": GRID, "signals": np.ones((3, 5)),
-                           "centers_mhz": (2898.0, 2926.0), "counts_meta": None}),
 ]
 VALID_FIELDS = {cls: fields for cls, fields in VALID}
 
@@ -143,13 +138,6 @@ BAD = [
      "key must be a tuple of integers >= 0"),
     ("NoiseConfig-key-32", odmrsim.NoiseConfig, {"key": 0}, ValueError,
      "key must be a tuple of integers >= 0"),
-    ("SweepSeries-frequencies-19", odmrsim.SweepSeries,
-     {"frequencies": np.array([2850.0, math.nan, 2900.0, 2925.0, 2950.0])},
-     ValueError, "frequency grid must be finite and strictly ascending"),
-    ("SweepSeries-signals-20", odmrsim.SweepSeries, {"signals": np.ones((5, 3))}, ValueError,
-     "sweep signals must have one row per psi and one column per grid frequency"),
-    ("SweepSeries-psis-21", odmrsim.SweepSeries, {"psis": PSIS[None]}, ValueError,
-     "sweep signals must have one row per psi and one column per grid frequency"),
 ]
 BAD_PARAMS = [pytest.param(*case, id=case_id) for case_id, *case in BAD]
 
@@ -172,14 +160,12 @@ def instances():
 
 
 def carried_noise():
-    """The noise record a noisy sweep of a fan-out carries as `counts_meta`:
-    built by `_replace`, with the slot of its draw appended to the key."""
+    """The noise record sweep 3 of a fan-out is drawn with: built by
+    `_replace`, with the slot of its draw appended to the key."""
     noise = valid(odmrsim.NoiseConfig)
     slot = noise._replace(key=noise.key + (3,))
-    carried = odmrsim.noisy_copy_with_subseed(valid(odmrsim.SweepSeries), slot).counts_meta
-    assert carried is slot
-    assert carried == noise._replace(key=(2, 3))
-    return carried
+    assert slot == noise._replace(key=(2, 3))
+    return slot
 
 
 RECORDS = ([pytest.param(r, id=type(r).__name__) for r in instances()]
@@ -238,7 +224,7 @@ def test_repr_names_the_fields(record):
 
 
 def test_one_noise_record():
-    # the chain's noise config is the record noisy sweeps carry,
+    # the chain's noise config is the record noisy sweeps are drawn with,
     # so a bad one fails when it is built, not at the first noisy copy
     assert reconstruct.NoiseConfig is odmrsim.NoiseConfig
     with pytest.raises(ValueError, match="^count rate and dwell time must be positive$"):
