@@ -35,11 +35,15 @@ EXIT_OK, EXIT_CONFIG, EXIT_PIPELINE = 0, 2, 3
 
 # the columns of spectrum.csv, which `simulate` writes and `fit` reads
 _SPECTRUM_HEADER = ["frequency_mhz", "signal"]
-# the columns of the planar files after the wire position: PlanarRunResult
-# fields; table1 leaves out the partner
+# the file stem and the columns after the wire position of each mode that
+# reconstructs positions: PlanarRunResult fields (table1 leaves out the
+# partner), or the 3-D axis, its angle to the true axis and the true axis
 _PLANAR_FIELDS = ["alpha_est_deg", "alpha_partner_deg", "alpha_theory_deg", "error_deg"]
-_PLANAR_FILES = {"reconstruct-planar": ("planar", _PLANAR_FIELDS),
-                 "table1": ("table1", [f for f in _PLANAR_FIELDS if f != "alpha_partner_deg"])}
+_POSITION_FILES = {"reconstruct-planar": ("planar", _PLANAR_FIELDS),
+                   "table1": ("table1", [f for f in _PLANAR_FIELDS if f != "alpha_partner_deg"]),
+                   "reconstruct-3d": ("reconstruct3d", [
+                       "axis_x", "axis_y", "axis_z", "angular_error_deg",
+                       "truth_x", "truth_y", "truth_z"])}
 
 # size bounds that keep a config from asking for unbounded memory
 MAX_GRID_POINTS = 20_000  # frequency grid, and fieldmap rows
@@ -332,48 +336,39 @@ def _run_fit(p, noise, fmt):
     return {"dips.json": _json([d._asdict() for d in dips])}
 
 
-def _run_planar(p, noise, fmt):
-    stem, fields = _PLANAR_FILES[p["mode"]]
-    chain, wire = _chain_config(p, noise), p["wire"]
+def _run_positions(p, noise, fmt):
+    """One row per wire position; position j draws its noise with j appended
+    to the record's key, so the 3-D sweep of slot k draws with (j, k)."""
+    stem, fields = _POSITION_FILES[p["mode"]]
+    wire, measured = p["wire"], p.get("measured_y_axes")
+    if "nv_indices" in p and len(set(p["nv_indices"])) < 2:
+        raise ConfigError("nv_indices: the two NV orientations must differ")
+    if measured is None:
+        chain = _chain_config(p, noise)
+    elif len(wire["positions_um"]) != 1:
+        # one measured pair of axes belongs to one position
+        raise ConfigError("measured_y_axes: exactly one wire position expected")
     rows = []
     for j, (x, z) in enumerate(wire["positions_um"]):
         if noise is not None:
-            # position j appends j to the record's key, so no two positions share noise
             chain = chain._replace(noise=noise._replace(key=noise.key + (j,)))
         scene = geometry.WireScene(x, z, wire["current_ma"], wire["diameter_um"])
-        res = reconstruct.end_to_end_planar(scene, p["nv_index"], chain)
-        # to 1e-9 deg: a noiseless error is float rounding (up to ~2e-13 deg),
-        # and printing it would tie data files to the order of the arithmetic
-        res = res._replace(error_deg=round(res.error_deg, 9))
-        rows.append((x, z, *(getattr(res, f) for f in fields)))
+        # errors to 1e-9 deg and axes to 12 decimals: a noiseless error is
+        # float rounding (up to ~2e-13 deg), and printing it would tie data
+        # files to the order of the arithmetic
+        if p["mode"] == "reconstruct-3d":
+            truth = geometry.mw_direction(scene)
+            est = (reconstruct.end_to_end_3d(scene, p["nv_indices"], chain) if measured is None
+                   else _build(reconstruct.mw_axis_from_two, "measured_y_axes",
+                               dict(zip(("y1", "y2"), measured), truth_axis=truth)))
+            # + 0.0 writes a component rounded to -0.0 as 0.0: its sign is rounding too
+            axes = [round(float(c), 12) + 0.0 for c in (*est.axis, *truth)]
+            rows.append((x, z, *axes[:3], round(est.angular_error_deg, 9), *axes[3:]))
+        else:
+            res = reconstruct.end_to_end_planar(scene, p["nv_index"], chain)
+            res = res._replace(error_deg=round(res.error_deg, 9))
+            rows.append((x, z, *(getattr(res, f) for f in fields)))
     return _report(stem, ["x_um", "z_um", *fields], rows, fmt)
-
-
-def _run_reconstruct_3d(p, noise, fmt):
-    wire = p["wire"]
-    if len(wire["positions_um"]) != 1:
-        raise ConfigError("reconstruct-3d: exactly one wire position expected")
-    (x, z), = wire["positions_um"]
-    scene = geometry.WireScene(x, z, wire["current_ma"], wire["diameter_um"])
-    truth = geometry.mw_direction(scene)
-    i1, i2 = p["nv_indices"]
-    if i1 == i2:
-        raise ConfigError("nv_indices: the two NV orientations must differ")
-    if p["measured_y_axes"] is not None:
-        est = _build(reconstruct.mw_axis_from_two, "measured_y_axes",
-                     dict(zip(("y1", "y2"), p["measured_y_axes"]), truth_axis=truth))
-    else:
-        est = reconstruct.end_to_end_3d(scene, (i1, i2), _chain_config(p, noise))
-    # rounded like planar error_deg: past these digits the file would record
-    # float rounding, which depends on the order of the arithmetic; + 0.0
-    # writes a component rounded to -0.0 as 0.0, since its sign is rounding too;
-    # a reconstructed axis is a line, so its sign is always ambiguous
-    return {"reconstruct3d.json": _json({
-        "axis": [round(float(c), 12) + 0.0 for c in est.axis],
-        "sign_ambiguous": True,
-        "angular_error_deg": round(est.angular_error_deg, 9),
-        "truth_axis": [round(float(c), 12) + 0.0 for c in truth],
-    })}
 
 
 def _run_fieldmap(p, noise, fmt):
@@ -417,9 +412,9 @@ def _run_sensitivity(p, noise, fmt):
 _RUNNERS = {
     "simulate": _run_simulate,
     "fit": _run_fit,
-    "reconstruct-planar": _run_planar,
-    "reconstruct-3d": _run_reconstruct_3d,
-    "table1": _run_planar,
+    "reconstruct-planar": _run_positions,
+    "reconstruct-3d": _run_positions,
+    "table1": _run_positions,
     "fieldmap": _run_fieldmap,
     "sensitivity": _run_sensitivity,
 }

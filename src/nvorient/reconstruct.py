@@ -229,7 +229,8 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
     one dip fit's depths is the sweep of nv_indices[k].  Raises ValueError
     before the memo, where True would alias 1 and a list would not hash:
     for an NV index that is not an integer in 0..3, then for indices that
-    are not distinct, then for a config field of the wrong type, named.
+    are not distinct, then for a config field of the wrong type, named, or a
+    psi_count below 4.
     """
     for i in nv_indices:
         if not (_integer(i) and 0 <= i < 4):
@@ -247,6 +248,9 @@ def _measure_nv_y(scene: WireScene, nv_indices: tuple[int, ...],
         raise ValueError(f"grid_mhz {grid!r} is not a (start, stop, step) tuple of numbers")
     if not _integer(cfg.psi_count):
         raise ValueError(f"psi_count {cfg.psi_count!r} is not an integer")
+    if cfg.psi_count < 4:
+        raise ValueError(
+            f"psi_count {cfg.psi_count} is below 4, the fewest angles a cos2 fit takes")
     if not (cfg.noise is None or isinstance(cfg.noise, NoiseConfig)):
         raise ValueError(f"noise {cfg.noise!r} is not a NoiseConfig or None")
     bases, psis, signals, plan = _noiseless_sweeps(scene, nv_indices, cfg._replace(noise=None))

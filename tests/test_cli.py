@@ -10,9 +10,11 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -687,6 +689,27 @@ class TestReconstructPlanar:
         assert "do not fix the dip fwhm" in capsys.readouterr().err
 
 
+R3_HEADER = ["x_um", "z_um", "axis_x", "axis_y", "axis_z", "angular_error_deg",
+             "truth_x", "truth_y", "truth_z"]
+MEASURED = [[-0.86, 0.42, -0.29], [0.85, 0.46, 0.25]]
+
+
+def r3_rows(out, fmt="csv"):
+    """The rows of a reconstruct-3d run, as string lists (CSV) or dicts (JSON)."""
+    if fmt == "json":
+        return json.loads((out / "reconstruct3d.json").read_text())
+    header, *rows = read_csv(out / "reconstruct3d.csv")
+    assert header == R3_HEADER
+    return rows
+
+
+def r3_file_row(x, z, est, truth):
+    """A reconstruct-3d row as the file rounds it: axes to 12 decimals, with
+    no signed zero, and the error to 1e-9 deg."""
+    axes = [round(float(c), 12) + 0.0 for c in (*est.axis, *truth)]
+    return [x, z, *axes[:3], round(est.angular_error_deg, 9), *axes[3:]]
+
+
 class TestReconstruct3d:
     def test_equal_nv_indices_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "r3.json", {
@@ -706,7 +729,7 @@ class TestReconstruct3d:
             "mode": "reconstruct-3d",
             "nv_indices": [3, 3],
             "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
-            "measured_y_axes": [[-0.86, 0.42, -0.29], [0.85, 0.46, 0.25]],
+            "measured_y_axes": MEASURED,
         })
         out = tmp_path / "out"
         assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_CONFIG
@@ -714,16 +737,70 @@ class TestReconstruct3d:
             "error: nv_indices: the two NV orientations must differ\n")
         assert not out.exists()
 
-    def test_two_positions_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_two_positions_reconstructed(self, tmp_path, fmt):
+        # each wire position is a row (this config once exited 2 with
+        # "exactly one wire position expected"): row j is the library's
+        # result with the run's noise at key (j,), its sweep k at (j, k),
+        # after the file's rounding; a position listed twice draws twice
+        positions = [[61.0, 18.0], [40.0, 18.0], [61.0, 18.0]]
+        noise = dict(NOISE, seed=3)
+        cfg = write_cfg(tmp_path, "r3.json", {
+            "mode": "reconstruct-3d", "nv_indices": [3, 1], "noise": noise,
+            "wire": {"current_ma": 40.0, "positions_um": positions}})
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-3d", cfg, out, fmt=fmt) == cli.EXIT_OK
+        rows = r3_rows(out, fmt)
+        assert len(rows) == 3 and rows[0] != rows[2]
+        for j, (row, (x, z)) in enumerate(zip(rows, positions)):
+            scene = geometry.WireScene(x, z, 40.0)
+            chain = reconstruct.ChainConfig(noise=odmrsim.NoiseConfig(
+                noise["rate_kcps"], noise["dwell_s"], noise["seed"], key=(j,)))
+            est = reconstruct.end_to_end_3d(scene, (3, 1), chain)
+            expected = r3_file_row(x, z, est, geometry.mw_direction(scene))
+            if fmt == "json":
+                assert row == dict(zip(R3_HEADER, expected))
+            else:
+                assert row == [f"{v:.10g}" for v in expected]
+
+    def test_default_positions_reconstructed(self, tmp_path):
+        # the mode's default config (one that exited 2 when the mode took
+        # one position) reconstructs the nine reference positions exactly
+        cfg = write_cfg(tmp_path, "r3.json", {
+            "mode": "reconstruct-3d", "nv_indices": [3, 1], "wire": {"current_ma": 40}})
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_OK
+        rows = r3_rows(out)
+        assert [[float(row[0]), float(row[1])] for row in rows] == cli.TABLE1_POSITIONS
+        assert [row[5] for row in rows] == ["0"] * 9
+
+    def test_two_positions_rejected_with_measured_axes(self, tmp_path, capsys):
+        # one measured pair of axes belongs to one position
         cfg = write_cfg(tmp_path, "r3.json", {
             "mode": "reconstruct-3d",
             "nv_indices": [3, 1],
             "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0], [40.0, 18.0]]},
+            "measured_y_axes": MEASURED,
         })
         out = tmp_path / "out"
         assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: reconstruct-3d: exactly one wire position expected\n")
+            "error: measured_y_axes: exactly one wire position expected\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"nv_indices": [3, 3]}, "nv_indices: the two NV orientations must differ"),
+        ({"lineshape": {"fwhm_mhz": -1}}, "lineshape: fwhm must be finite and positive"),
+    ], ids=["equal-nv-indices", "lineshape"])
+    def test_config_refused_before_any_position(self, tmp_path, capsys, extra, message):
+        # a config error exits 2 whatever the positions, as the planar modes
+        # do; with a sensor at the wire center these exited 3 from the scene
+        cfg = write_cfg(tmp_path, "r3.json", {
+            "mode": "reconstruct-3d", "nv_indices": [3, 1],
+            "wire": {"current_ma": 40.0, "positions_um": [[0.0, 0.0]]}, **extra})
+        out = tmp_path / "out"
+        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_near_parallel_measured_axes_exit_3(self, tmp_path, capsys):
@@ -744,14 +821,17 @@ class TestReconstruct3d:
             "mode": "reconstruct-3d",
             "nv_indices": [3, 1],
             "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
-            "measured_y_axes": [[-0.86, 0.42, -0.29], [0.85, 0.46, 0.25]],
+            "measured_y_axes": MEASURED,
         })
         out = tmp_path / "out"
-        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_OK
-        payload = json.loads((out / "reconstruct3d.json").read_text())
-        assert payload["sign_ambiguous"] is True
-        assert 1.5 < payload["angular_error_deg"] < 3.5
-        assert abs(np.linalg.norm(payload["axis"]) - 1.0) < 1e-9
+        assert cli.run("reconstruct-3d", cfg, out, fmt="json") == cli.EXIT_OK
+        [row] = r3_rows(out, "json")
+        scene = geometry.WireScene(61.0, 18.0, 40.0)
+        truth = geometry.mw_direction(scene)
+        est = reconstruct.mw_axis_from_two(*MEASURED, truth_axis=truth)
+        assert row == dict(zip(R3_HEADER, r3_file_row(61.0, 18.0, est, truth)))
+        assert 1.5 < row["angular_error_deg"] < 3.5
+        assert abs(np.linalg.norm([row["axis_x"], row["axis_y"], row["axis_z"]]) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("axes", [[[1e-200, 0, 0], [0, 1e-200, 0]],
                                       [[1e200, 0, 0], [0, 1, 0]]], ids=["1e-200", "1e200"])
@@ -768,7 +848,7 @@ class TestReconstruct3d:
             })
             assert cli.run("reconstruct-3d", cfg, tmp_path / name) == cli.EXIT_OK
             assert capsys.readouterr().err == ""
-            texts.append((tmp_path / name / "reconstruct3d.json").read_bytes())
+            texts.append((tmp_path / name / "reconstruct3d.csv").read_bytes())
         assert texts[0] == texts[1]
 
     def test_measured_axis_of_overflowing_length_rejected(self, tmp_path, capsys):
@@ -793,8 +873,8 @@ class TestReconstruct3d:
         })
         out = tmp_path / "out"
         assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_OK
-        payload = json.loads((out / "reconstruct3d.json").read_text())
-        assert payload["angular_error_deg"] < 1e-3
+        [row] = r3_rows(out)
+        assert float(row[5]) < 1e-3
 
     def test_noiseless_error_written_as_zero(self, tmp_path):
         # the noiseless axis is ~5e-14 deg off by float rounding (its y
@@ -806,13 +886,16 @@ class TestReconstruct3d:
             "wire": {"current_ma": 40.0, "positions_um": [[61.0, 18.0]]},
         })
         out = tmp_path / "out"
-        assert cli.run("reconstruct-3d", cfg, out) == cli.EXIT_OK
+        assert cli.run("reconstruct-3d", cfg, out, fmt="json") == cli.EXIT_OK
         text = (out / "reconstruct3d.json").read_text()
         assert "-0.0," not in text and "-0.0\n" not in text
-        payload = json.loads(text)
-        assert payload["angular_error_deg"] == 0.0
-        for c in payload["axis"] + payload["truth_axis"]:
-            assert c == round(c, 12)
+        [row] = json.loads(text)
+        assert row["angular_error_deg"] == 0.0
+        for key in R3_HEADER[2:]:
+            assert row[key] == round(row[key], 12)
+        assert cli.run("reconstruct-3d", cfg, tmp_path / "csv") == cli.EXIT_OK
+        [row] = r3_rows(tmp_path / "csv")
+        assert "-0" not in row
 
 
 class TestGridRanges:
@@ -993,28 +1076,32 @@ class TestMain:
         assert code == cli.EXIT_OK
         assert (out / "spectrum.json").exists()
 
-    def test_readme_examples_run(self, tmp_path):
+    def test_readme_examples_run(self, tmp_path, monkeypatch):
         # the configs of README's sh blocks (heredocs and echo lines) and the
-        # runs on them, in README order with out/ moved into tmp_path: each
-        # run exits 0 and writes its data file
+        # `nvorient` lines after them run as written, in README order, in a
+        # fresh working directory: each run exits 0 and writes its data file,
+        # and every out/ file that README names is one that the runs wrote
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        out = f"{tmp_path / 'out'}/"
-        data_file = {"simulate": "spectrum.csv", "fit": "dips.json", "table1": "table1.csv"}
+        monkeypatch.chdir(tmp_path)
+        data_file = {"simulate": "spectrum.csv", "fit": "dips.json", "table1": "table1.csv",
+                     "reconstruct-3d": "reconstruct3d.csv"}
         runs = []
         for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
             lines = iter(block.splitlines())
             for line in lines:
                 if m := re.fullmatch(r"cat > (\S+) <<'JSON'", line):
-                    body = "\n".join(itertools.takewhile(lambda t: t != "JSON", lines))
-                    (tmp_path / m[1]).write_text(body.replace("out/", out))
+                    Path(m[1]).write_text(
+                        "\n".join(itertools.takewhile(lambda t: t != "JSON", lines)))
                 elif m := re.fullmatch(r"echo '(.*)' > (\S+)", line):
-                    (tmp_path / m[2]).write_text(m[1].replace("out/", out))
-                elif m := re.fullmatch(r"nvorient (\S+) --config (\S+) --out out/", line):
-                    runs.append(m[1])
-                    argv = [m[1], "--config", str(tmp_path / m[2]), "--out", out]
-                    assert cli.main(argv) == cli.EXIT_OK
-                    assert (tmp_path / "out" / data_file[m[1]]).is_file()
-        assert runs == ["simulate", "fit", "table1"]
+                    Path(m[2]).write_text(m[1])
+                elif line.startswith("nvorient ") and "<mode>" not in line:
+                    argv = shlex.split(line)[1:]
+                    runs.append(argv[0])
+                    assert cli.main(argv) == cli.EXIT_OK, line
+                    assert (Path(argv[argv.index("--out") + 1]) / data_file[argv[0]]).is_file()
+        assert runs == ["simulate", "fit", "table1", "reconstruct-3d"]
+        named = set(re.findall(r"\bout/([\w.]+)", readme))
+        assert named and all((tmp_path / "out" / name).is_file() for name in named), named
 
     def test_console_script_target(self, tmp_path, monkeypatch):
         # the `nvorient` command an install makes calls pyproject.toml's
@@ -1022,7 +1109,6 @@ class TestMain:
         # the target would ship a broken command (test_golden imports this
         # module, so its pins are imported here)
         from test_golden import PINS
-        tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["nvorient"]
         module, _, attrs = target.partition(":")

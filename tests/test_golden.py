@@ -34,10 +34,10 @@ PINS = {
         "504f182a31e37ab31c553b898cf647522cc49e9103144c67c24c0b5bf3a2aa2f", False),
     "out4/planar.json": (
         "ba2983b3f59d228bcb6e214535326e34eb68888885b50d0f8b2e05ec6508c9bd", True),
-    "out5/reconstruct3d.json": (
-        "84ee89156aedae56af1a234269cfd3cd0531f74fb41292d3c9efd5dd7cc637e2", True),
-    "out6/reconstruct3d.json": (
-        "dde18c3a4a2bb26659888962a1df2a367d0d39958350109fa625f5738de0fa0d", False),
+    "out5/reconstruct3d.csv": (
+        "08e7b4452c494130e46fec9827c81960a7a88fdb20e6aea867d8dc35f64d0dab", True),
+    "out6/reconstruct3d.csv": (
+        "157d8ba27fa2f21822854ae45ad01cdfb8d8496def185b5df97df9ed72ec7c6b", False),
     "out7/fieldmap.csv": (
         "46c65c24b4365c01cd2747619c1505fb3a5186b24af8a0272794a3f150875840", False),
     "out8/sensitivity.csv": (

@@ -427,6 +427,9 @@ class TestSweepChain:
          "noise (200.0, 0.008, 1, ()) is not a NoiseConfig or None"),
         ("psi_count", 2.5, "psi_count 2.5 is not an integer"),
         ("psi_count", True, "psi_count True is not an integer"),
+        ("psi_count", -1, "psi_count -1 is below 4, the fewest angles a cos2 fit takes"),
+        ("psi_count", 0, "psi_count 0 is below 4, the fewest angles a cos2 fit takes"),
+        ("psi_count", 3, "psi_count 3 is below 4, the fewest angles a cos2 fit takes"),
         ("grid_mhz", [2850.0, 2950.0, 0.5],
          "grid_mhz [2850.0, 2950.0, 0.5] is not a (start, stop, step) tuple of numbers"),
         ("grid_mhz", (2850.0, 2950.0),
@@ -434,13 +437,15 @@ class TestSweepChain:
         ("grid_mhz", (2850.0, 2950.0, "0.5"),
          "grid_mhz (2850.0, 2950.0, '0.5') is not a (start, stop, step) tuple of numbers"),
     ], ids=["constants-tuple", "b_static_mt-list", "b_static_mt=True", "shape-dict",
-            "noise-tuple", "psi_count=2.5", "psi_count=True", "grid_mhz-list", "grid_mhz-pair",
-            "grid_mhz-str"])
+            "noise-tuple", "psi_count=2.5", "psi_count=True", "psi_count=-1", "psi_count=0",
+            "psi_count=3", "grid_mhz-list", "grid_mhz-pair", "grid_mhz-str"])
     def test_chain_config_types_checked(self, field, bad, message):
         # 2.5 and the lists once raised TypeError ("'float' object cannot be
         # interpreted as an integer", "unhashable type: 'list'"), in the memo,
         # as the dict did; the plain tuples raised AttributeError, and True
-        # ran as 1 mT
+        # ran as 1 mT; psi_count -1 raised numpy's "Number of samples, -1,
+        # must be non-negative.", and 0-3 "need at least 4 distinct psi
+        # values" after the synthesis and the dip fit
         cfg = reconstruct.ChainConfig(**{field: bad})
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reconstruct.end_to_end_planar(SCENE, 3, cfg)
@@ -562,11 +567,8 @@ class TestSweepMemo:
 
     @pytest.mark.parametrize("field_name, value", [
         ("grid_mhz", (2850.0, 2900.0, 0.5)),
-        ("psi_count", -1),
-        ("psi_count", 0),
         ("grid_mhz", (2950.0, 2850.0, 0.5)),
-    ], ids=["grid-without-dips", "psi-count-negative", "psi-count-zero",
-            "grid-stop-below-start"])
+    ], ids=["grid-without-dips", "grid-stop-below-start"])
     def test_malformed_input_raises_every_time(self, field_name, value):
         # a failed synthesis or plan is not cached: every call raises what
         # a direct synthesis and plan raise (the first grid ends below the
