@@ -2,8 +2,8 @@
 
 A run is described by a strict JSON config (unknown keys rejected, units at
 the boundary: mT, MHz, um, degrees) and emits CSV/JSON data files plus a
-manifest.  Reruns with the same config and seed produce byte-identical data
-files; timestamps live only in the manifest.  Every config key is declared
+manifest.  Reruns with the same config produce byte-identical data files;
+timestamps live only in the manifest.  Every config key is declared
 once, in the schema tables below, and read by `_read`.  Only `run` writes
 files, once the mode's runner has returned them: a failed run writes nothing.
 """
@@ -138,7 +138,7 @@ SHARED = {
     "frequency_grid_mhz": ({"start": (_number, _START), "stop": (_number, _STOP),
                             "step": (_number, _STEP)}, {}),
     "noise": ({"rate_kcps": (_positive, REQUIRED), "dwell_s": (_positive, REQUIRED),
-               "seed": (_integer(0), None)}, None),
+               "seed": (_integer(0), REQUIRED)}, None),
 }
 _CHAIN = {
     **_MODE, **SHARED,
@@ -230,19 +230,6 @@ def _grid_range(start: float, stop: float, step: float, ctx: str,
     if at_least_two and n < 2:
         raise ConfigError(f"{ctx}: need at least two points (stop >= start + step)")
     return start, stop, step
-
-
-def _noise(block: dict | None, seed_override: int | None) -> odmrsim.NoiseConfig | None:
-    """The read noise block, with `--seed` in place of its seed when given;
-    a seed for a run that draws no noise is an error."""
-    if block is None:
-        if seed_override is not None:
-            raise ConfigError("--seed: this run draws no noise")
-        return None
-    seed = block["seed"] if seed_override is None else seed_override
-    if seed is None:
-        raise ConfigError("noise: seed required (config key or --seed)")
-    return _build(odmrsim.NoiseConfig, "noise", dict(block, seed=_integer(0)(seed, "noise.seed")))
 
 
 def _spectrum_blocks(p: dict):
@@ -420,8 +407,7 @@ _RUNNERS = {
 }
 
 
-def run(mode: str, config_path, out_dir, seed: int | None = None,
-        fmt: str = "csv") -> int:
+def run(mode: str, config_path, out_dir, fmt: str = "csv") -> int:
     """Execute one scenario; returns the process exit code."""
     out_dir = Path(out_dir)
     started = datetime.now(timezone.utc).isoformat()
@@ -444,7 +430,8 @@ def run(mode: str, config_path, out_dir, seed: int | None = None,
         if mode == "reconstruct-3d" and "measured_y_axes" in cfg:
             table = {key: table[key] for key in _MEASURED_3D_KEYS}
         values = _read(cfg, table)
-        noise = _noise(values.get("noise"), seed)
+        block = values.get("noise")
+        noise = None if block is None else _build(odmrsim.NoiseConfig, "noise", block)
         files = _RUNNERS[mode](values, noise, fmt)
         manifest = {
             "tool_version": __version__,
@@ -487,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", required=True, help="scenario JSON file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config noise seed")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -502,7 +487,7 @@ def main(argv=None) -> int:
     """
     gc.freeze()
     args = build_parser().parse_args(argv)
-    return run(args.mode, args.config, args.out, seed=args.seed, fmt=args.format)
+    return run(args.mode, args.config, args.out, fmt=args.format)
 
 
 if __name__ == "__main__":

@@ -43,7 +43,9 @@ from .errors import DegenerateFitError
 # ---------------------------------------------------------------------------
 
 class DipEstimate(NamedTuple):
-    """Fitted Lorentzian dip: center/fwhm in MHz, depth on the unit baseline."""
+    """Fitted Lorentzian dip: center/fwhm in MHz, and depth and depth_sigma in
+    the signal's own units, not as a contrast on a unit baseline: a spectrum
+    scaled by 1e5 gives depths 1e5 times larger (ROADMAP item 9)."""
 
     center_mhz: float
     fwhm_mhz: float

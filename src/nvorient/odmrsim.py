@@ -7,6 +7,7 @@ with contrasts set by the microwave coupling of each allowed transition.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +50,10 @@ class LineshapeParams(NamedTuple("LineshapeParams", [
         return self.contrast_ref * x / (x + 1.0)
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+def _integer(v) -> bool:
+    """An int or numpy integer, and not a bool; an int passes without the
+    slower abstract-class check."""
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
 class NoiseConfig(NamedTuple("NoiseConfig", [("rate_kcps", float), ("dwell_s", float),
@@ -72,11 +75,12 @@ class NoiseConfig(NamedTuple("NoiseConfig", [("rate_kcps", float), ("dwell_s", f
                              "mean counts per point")
         if mean == 0.0:  # both are positive, so only underflow gives 0
             raise ValueError("count rate times dwell time underflows to 0 mean counts per point")
-        if not _is_count(seed):
+        if not (_integer(seed) and seed >= 0):
             raise ValueError("seed must be an integer >= 0")
-        if not (isinstance(key, tuple) and all(map(_is_count, key))):
+        if not (isinstance(key, tuple) and all(_integer(k) and k >= 0 for k in key)):
             raise ValueError("key must be a tuple of integers >= 0")
-        return super().__new__(cls, rate_kcps, dwell_s, seed, key)
+        # stored as Python ints, so a numpy seed reprs and writes to JSON as an int does
+        return super().__new__(cls, rate_kcps, dwell_s, int(seed), tuple(map(int, key)))
 
     @property
     def mean_counts(self) -> float:

@@ -23,7 +23,7 @@ from . import fitkit, geometry, odmrsim
 from .errors import NearParallelAxesError
 from .fitkit import Cos2Fit
 from .geometry import TransverseBasis, WireScene, _cross, _floats3, _unit3, unit
-from .odmrsim import LineshapeParams, NoiseConfig
+from .odmrsim import LineshapeParams, NoiseConfig, _integer
 from .spinmodel import SpinConstants
 
 NV1_AXIS_INDEX = 3  # (1/sqrt(3))[-1,-1,1]
@@ -204,11 +204,6 @@ def _noiseless_sweeps(scene: WireScene, nv_indices: tuple[int, ...], cfg: ChainC
     for a in (grid, psis, signals, *itertools.chain(*bases)):
         a.setflags(write=False)
     return bases, psis, signals, fitkit.FitPlan(grid, sweeps[0][0])
-
-
-def _integer(v) -> bool:
-    """An int or numpy integer, and not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _real(v) -> bool:

@@ -60,6 +60,8 @@ class TestSimulate:
         # noisy data files depend on numpy's sampler, so the manifest says which ran
         assert manifest["python_version"] == "{}.{}.{}".format(*sys.version_info)
         assert manifest["numpy_version"] == np.__version__
+        # a run without a noise block draws no noise, and records no seed
+        assert manifest["seed"] is None
 
     def test_json_format(self, tmp_path):
         cfg = write_cfg(tmp_path, "sim.json", SIMULATE_CFG)
@@ -75,13 +77,6 @@ class TestSimulate:
         assert cli.run("simulate", cfg, out_a) == cli.EXIT_OK
         assert cli.run("simulate", cfg, out_b) == cli.EXIT_OK
         assert (out_a / "spectrum.csv").read_bytes() == (out_b / "spectrum.csv").read_bytes()
-
-    def test_seed_override_recorded(self, tmp_path):
-        payload = dict(SIMULATE_CFG, noise={"rate_kcps": 100.0, "dwell_s": 0.5})
-        cfg = write_cfg(tmp_path, "sim.json", payload)
-        out = tmp_path / "out"
-        assert cli.run("simulate", cfg, out, seed=99) == cli.EXIT_OK
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 99
 
     @pytest.mark.parametrize("phi_deg", [-1e-14, -1e-300, 359.99999999999994])
     def test_phi_just_below_a_turn_wraps_to_zero(self, tmp_path, capsys, phi_deg):
@@ -511,31 +506,23 @@ class TestErrorPaths:
         cli.run("simulate", cfg, out)
         assert not out.exists()
 
-
-class TestSeedOverride:
-    # --seed replaces the seed of the noise block; a run without one has no
-    # seed to replace, so the flag is refused rather than recorded
     @pytest.mark.parametrize("mode, payload", [
+        ("simulate", SIMULATE_CFG),
         ("table1", {"mode": "table1", "wire": {"current_ma": 40.0}}),
-        ("sensitivity", {"mode": "sensitivity", "phi_deg": 45.0, "sigma_rel": 0.08}),
-    ], ids=["table1-noiseless", "sensitivity"])
-    def test_seed_without_noise_exits_2(self, tmp_path, capsys, mode, payload):
-        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        ("reconstruct-planar", {"mode": "reconstruct-planar", "nv_index": 3,
+                                "wire": {"current_ma": 40.0}}),
+        ("reconstruct-3d", {"mode": "reconstruct-3d", "nv_indices": [3, 1],
+                            "wire": {"current_ma": 40.0}}),
+    ], ids=["simulate", "table1", "reconstruct-planar", "reconstruct-3d"])
+    def test_noise_without_seed_exits_2(self, tmp_path, capsys, mode, payload):
+        # the config's noise.seed is the run's only seed, so the schema
+        # requires it and refuses its absence as it refuses any missing key
+        cfg = write_cfg(tmp_path, "cfg.json",
+                        dict(payload, noise={"rate_kcps": 200.0, "dwell_s": 0.5}))
         out = tmp_path / "out"
-        capsys.readouterr()
-        assert cli.run(mode, cfg, out, seed=5) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: --seed: ") and "Traceback" not in err
+        assert cli.run(mode, cfg, out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: noise: missing keys ['seed']\n"
         assert not out.exists()
-        # the same run without the flag records no seed
-        assert cli.run(mode, cfg, out) == cli.EXIT_OK
-        assert json.loads((out / "manifest.json").read_text())["seed"] is None
-
-    def test_noisy_override_recorded(self, tmp_path):
-        cfg = write_cfg(tmp_path, "rp.json", TestReconstructPlanar.CFG)
-        out = tmp_path / "out"
-        assert cli.run("reconstruct-planar", cfg, out, seed=8) == cli.EXIT_OK
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 8
 
 
 class TestTable1:
@@ -650,11 +637,16 @@ class TestReconstructPlanar:
         assert (out_a / "planar.csv").read_bytes() == (out_b / "planar.csv").read_bytes()
 
     def test_different_seed_differs(self, tmp_path):
-        cfg = write_cfg(tmp_path, "rp.json", self.CFG)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert cli.run("reconstruct-planar", cfg, out_a) == cli.EXIT_OK
-        assert cli.run("reconstruct-planar", cfg, out_b, seed=8) == cli.EXIT_OK
-        assert (out_a / "planar.csv").read_bytes() != (out_b / "planar.csv").read_bytes()
+        # two configs that differ in their seed alone; each manifest records its seed
+        texts = []
+        for seed in (7, 8):
+            noise = dict(self.CFG["noise"], seed=seed)
+            cfg = write_cfg(tmp_path, f"rp{seed}.json", dict(self.CFG, noise=noise))
+            out = tmp_path / f"out{seed}"
+            assert cli.run("reconstruct-planar", cfg, out) == cli.EXIT_OK
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+            texts.append((out / "planar.csv").read_bytes())
+        assert texts[0] != texts[1]
 
     @pytest.mark.parametrize("mode", ["reconstruct-planar", "table1"])
     def test_positions_draw_distinct_streams(self, tmp_path, mode):
@@ -1003,6 +995,7 @@ class TestFieldmapAndSensitivity:
         eta_max = float(rows[1][3])
         assert abs(eta - 2.64e-3) < 0.01e-3
         assert abs(eta - eta_max) < 1e-12
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
 
     @pytest.mark.parametrize("extra, message", [
         ({"sigma_rel": 0.01, "n": 10 ** 400}, ETA_RANGE),
@@ -1121,6 +1114,31 @@ class TestMain:
         assert entry() == cli.EXIT_OK
         digest = hashlib.sha256((out / "table1.csv").read_bytes()).hexdigest()
         assert digest == PINS["out3/table1.csv"][0]
+
+    def test_seed_option_is_unrecognized(self, tmp_path, capsys):
+        # a run's config is its one input: an option that overrode its seed
+        # is a usage error of argparse, which exits 2 before any run
+        cfg = write_cfg(tmp_path, "rp.json", TestReconstructPlanar.CFG)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reconstruct-planar", "--config", str(cfg), "--out", str(out),
+                      "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_synopsis_matches_parser(self):
+        # the long options of README's synopsis line are those of every
+        # subcommand's parser, so an option added or removed shows in both
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        synopsis, = re.findall(r"^nvorient <mode> --config cfg\.json --out outdir .*$",
+                               readme, re.M)
+        named = set(re.findall(r"--[\w-]+", synopsis))
+        sub, = (a for a in cli.build_parser()._actions if a.choices and a.dest == "mode")
+        assert set(sub.choices) == set(cli.SCHEMAS)
+        for mode, parser in sub.choices.items():
+            options = {s for a in parser._actions for s in a.option_strings if s[:2] == "--"}
+            assert options - {"--help"} == named, mode
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):

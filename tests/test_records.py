@@ -128,11 +128,19 @@ BAD = [
      "seed must be an integer >= 0"),
     ("NoiseConfig-seed-27", odmrsim.NoiseConfig, {"seed": True}, ValueError,
      "seed must be an integer >= 0"),
+    # a numpy integer is a seed (see test_numpy_integers_make_the_int_record),
+    # but a numpy bool is not, and a negative one is refused as an int is
+    ("NoiseConfig-seed=numpy-bool", odmrsim.NoiseConfig, {"seed": np.True_}, ValueError,
+     "seed must be an integer >= 0"),
+    ("NoiseConfig-seed=numpy-negative", odmrsim.NoiseConfig, {"seed": np.int64(-1)},
+     ValueError, "seed must be an integer >= 0"),
     ("NoiseConfig-key-28", odmrsim.NoiseConfig, {"key": (1.5,)}, ValueError,
      "key must be a tuple of integers >= 0"),
     ("NoiseConfig-key-29", odmrsim.NoiseConfig, {"key": (0, -1)}, ValueError,
      "key must be a tuple of integers >= 0"),
     ("NoiseConfig-key-30", odmrsim.NoiseConfig, {"key": (True,)}, ValueError,
+     "key must be a tuple of integers >= 0"),
+    ("NoiseConfig-key=numpy-bool", odmrsim.NoiseConfig, {"key": (np.False_,)}, ValueError,
      "key must be a tuple of integers >= 0"),
     ("NoiseConfig-key-31", odmrsim.NoiseConfig, {"key": [0]}, ValueError,
      "key must be a tuple of integers >= 0"),
@@ -221,6 +229,22 @@ def test_repr_names_the_fields(record):
     text = repr(record)
     assert text.startswith(f"{type(record).__name__}(")
     assert all(f"{name}=" in text for name in record._fields)
+
+
+@pytest.mark.parametrize("seed, key", [
+    (np.int64(3), (np.uint32(1),)),
+    (np.uint64(2**63 + 5), (np.int8(1), np.intp(0))),
+], ids=["int64-uint32", "uint64-int8-intp"])
+def test_numpy_integers_make_the_int_record(seed, key):
+    # one integer rule, odmrsim._integer, for a seed, a key, an NV index and
+    # psi_count: a numpy integer is stored as the Python int it equals, so the
+    # record, its repr and its draws are those of the int-built record
+    record = odmrsim.NoiseConfig(200.0, 0.008, seed, key)
+    ints = odmrsim.NoiseConfig(200.0, 0.008, int(seed), tuple(map(int, key)))
+    assert record == ints and repr(record) == repr(ints)
+    assert type(record.seed) is int and all(type(k) is int for k in record.key)
+    signal = np.linspace(0.97, 1.0, 201)
+    assert record.draw(signal).tobytes() == ints.draw(signal).tobytes()
 
 
 def test_one_noise_record():
